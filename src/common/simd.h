@@ -6,26 +6,22 @@
 //
 // Bit-identity contract (why the vector kernels below are safe to substitute
 // for their scalar originals):
-//   - IEEE-754 division, addition, min, and max are exact per element: a
-//     packed divpd computes the identical rounded quotient in every lane that
-//     divsd computes for that element, so element-wise expressions like
-//     a/b + c are bit-identical however many lanes evaluate at once.
-//   - min/max are associative and commutative on the NaN-free data the
-//     evaluator folds (bandwidths, priced latencies), so regrouping a
-//     sequential fold into vector accumulators + a horizontal reduce picks
-//     the same element — bit-identical, just like the evaluator's historical
-//     multi-accumulator scalar folds.
+//   - IEEE-754 division, addition, and max are exact per element: a packed
+//     divpd computes the identical rounded quotient in every lane that divsd
+//     computes for that element, so element-wise expressions like a/b + c
+//     are bit-identical however many lanes evaluate at once.
+//   - max is associative and commutative on the NaN-free data the evaluator
+//     folds (priced latencies), so regrouping a sequential fold into vector
+//     accumulators + a horizontal reduce picks the same element.
 //   Sums are NOT reassociated anywhere: every kernel here either folds with
-//   min/max or keeps the scalar bracketing per element.
+//   max or keeps the scalar bracketing per element.
 //
-// The fold helpers (min_fold/max_fold/price_max/group_class_mins) are what
-// the evaluator calls; each consults enabled() once and falls back to the
-// historical scalar loop shape, so `set_enabled(false)` measures the true
-// pre-SIMD code.
+// The fold helpers (max_fold/price_max) are what the evaluator calls; each
+// consults enabled() once and falls back to the historical scalar loop
+// shape, so `set_enabled(false)` measures the true pre-SIMD code.
 #pragma once
 
 #include <atomic>
-#include <limits>
 
 #if defined(__AVX2__) || defined(__AVX__)
 #include <immintrin.h>
@@ -74,19 +70,7 @@ struct Lane {
   void store(double* p) const { _mm256_storeu_pd(p, v); }
   friend Lane operator+(Lane a, Lane b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend Lane operator/(Lane a, Lane b) { return {_mm256_div_pd(a.v, b.v)}; }
-  static Lane min(Lane a, Lane b) { return {_mm256_min_pd(a.v, b.v)}; }
   static Lane max(Lane a, Lane b) { return {_mm256_max_pd(a.v, b.v)}; }
-  static Lane cmpeq(Lane a, Lane b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)}; }
-  /// mask ? a : b per lane (mask from cmpeq: all-ones or all-zeros).
-  static Lane select(Lane mask, Lane a, Lane b) {
-    return {_mm256_blendv_pd(b.v, a.v, mask.v)};
-  }
-  double hmin() const {
-    const __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    const __m128d m = _mm_min_pd(lo, hi);
-    return _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
-  }
   double hmax() const {
     const __m128d lo = _mm256_castpd256_pd128(v);
     const __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -100,14 +84,7 @@ struct Lane {
   void store(double* p) const { _mm_storeu_pd(p, v); }
   friend Lane operator+(Lane a, Lane b) { return {_mm_add_pd(a.v, b.v)}; }
   friend Lane operator/(Lane a, Lane b) { return {_mm_div_pd(a.v, b.v)}; }
-  static Lane min(Lane a, Lane b) { return {_mm_min_pd(a.v, b.v)}; }
   static Lane max(Lane a, Lane b) { return {_mm_max_pd(a.v, b.v)}; }
-  static Lane cmpeq(Lane a, Lane b) { return {_mm_cmpeq_pd(a.v, b.v)}; }
-  /// SSE2 has no blend: and/andnot/or select (mask is all-ones/all-zeros).
-  static Lane select(Lane mask, Lane a, Lane b) {
-    return {_mm_or_pd(_mm_and_pd(mask.v, a.v), _mm_andnot_pd(mask.v, b.v))};
-  }
-  double hmin() const { return _mm_cvtsd_f64(_mm_min_sd(v, _mm_unpackhi_pd(v, v))); }
   double hmax() const { return _mm_cvtsd_f64(_mm_max_sd(v, _mm_unpackhi_pd(v, v))); }
 #else
   double v;
@@ -116,11 +93,7 @@ struct Lane {
   void store(double* p) const { *p = v; }
   friend Lane operator+(Lane a, Lane b) { return {a.v + b.v}; }
   friend Lane operator/(Lane a, Lane b) { return {a.v / b.v}; }
-  static Lane min(Lane a, Lane b) { return {a.v < b.v ? a.v : b.v}; }
   static Lane max(Lane a, Lane b) { return {a.v > b.v ? a.v : b.v}; }
-  static Lane cmpeq(Lane a, Lane b) { return {a.v == b.v ? 1.0 : 0.0}; }
-  static Lane select(Lane mask, Lane a, Lane b) { return {mask.v != 0.0 ? a.v : b.v}; }
-  double hmin() const { return v; }
   double hmax() const { return v; }
 #endif
 
@@ -130,40 +103,9 @@ struct Lane {
   static Lane div_add(Lane a, Lane b, Lane c) { return a / b + c; }
 };
 
-/// min over p[0..n): vector accumulators + horizontal reduce when enabled,
-/// the historical four-accumulator scalar fold otherwise. Bit-identical
-/// either way (min is exact and order-free). n == 0 returns +inf.
-inline double min_fold(const double* p, int n) {
-  const double inf = std::numeric_limits<double>::infinity();
-  if constexpr (kLanes > 1) {
-    if (enabled() && n >= 2 * kLanes) {
-      Lane a0 = Lane::broadcast(inf), a1 = Lane::broadcast(inf);
-      int i = 0;
-      for (; i + 2 * kLanes <= n; i += 2 * kLanes) {
-        a0 = Lane::min(a0, Lane::load(p + i));
-        a1 = Lane::min(a1, Lane::load(p + i + kLanes));
-      }
-      for (; i + kLanes <= n; i += kLanes) a0 = Lane::min(a0, Lane::load(p + i));
-      double m = Lane::min(a0, a1).hmin();
-      for (; i < n; ++i) m = m < p[i] ? m : p[i];
-      return m;
-    }
-  }
-  double m0 = inf, m1 = inf, m2 = inf, m3 = inf;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m0 = m0 < p[i] ? m0 : p[i];
-    m1 = m1 < p[i + 1] ? m1 : p[i + 1];
-    m2 = m2 < p[i + 2] ? m2 : p[i + 2];
-    m3 = m3 < p[i + 3] ? m3 : p[i + 3];
-  }
-  for (; i < n; ++i) m0 = m0 < p[i] ? m0 : p[i];
-  const double ma = m0 < m1 ? m0 : m1;
-  const double mb = m2 < m3 ? m2 : m3;
-  return ma < mb ? ma : mb;
-}
-
-/// max over {init, p[0..n)}: same dispatch and identity argument as min_fold.
+/// max over {init, p[0..n)}: vector accumulators + horizontal reduce when
+/// enabled, the sequential scalar fold otherwise. Bit-identical either way
+/// (max is exact and order-free).
 inline double max_fold(const double* p, int n, double init) {
   if constexpr (kLanes > 1) {
     if (enabled() && n >= 2 * kLanes) {
@@ -221,78 +163,6 @@ inline double price_max(const double* bytes, const double* bwf, const double* bw
     h = h > s ? h : s;
   }
   return h;
-}
-
-/// The 2x2 group min fold of recompute_group_mins: over the dp x dp cached
-/// bandwidth block `sub`, fold row z1's entries into min_intra where
-/// nodes[z1] == nodes[z2] and into min_inter otherwise. `nodes` holds the
-/// member node ids converted to double (exact for any realistic id), so the
-/// class test is a lane compare + select feeding +inf to the other class —
-/// a no-op on an exact min, exactly like the scalar ternary. Diagonals are
-/// +inf by invariant and fold as no-ops into min_intra.
-inline void group_class_mins(const double* sub, const double* nodes, int dp,
-                             double* min_intra, double* min_inter) {
-  const double inf = std::numeric_limits<double>::infinity();
-  if constexpr (kLanes > 1) {
-    if (enabled() && dp >= kLanes) {
-      const Lane vinf = Lane::broadcast(inf);
-      Lane ia = vinf, ie = vinf;
-      double ta = inf, te = inf;
-      for (int z1 = 0; z1 < dp; ++z1) {
-        const double n1 = nodes[z1];
-        const Lane vn1 = Lane::broadcast(n1);
-        const double* row = sub + z1 * dp;
-        int z2 = 0;
-        for (; z2 + kLanes <= dp; z2 += kLanes) {
-          const Lane b = Lane::load(row + z2);
-          const Lane mask = Lane::cmpeq(vn1, Lane::load(nodes + z2));
-          ia = Lane::min(ia, Lane::select(mask, b, vinf));
-          ie = Lane::min(ie, Lane::select(mask, vinf, b));
-        }
-        for (; z2 < dp; ++z2) {
-          const double b = row[z2];
-          const bool s = n1 == nodes[z2];
-          const double va = s ? b : inf;
-          const double ve = s ? inf : b;
-          ta = ta < va ? ta : va;
-          te = te < ve ? te : ve;
-        }
-      }
-      const double ha = ia.hmin();
-      const double he = ie.hmin();
-      *min_intra = ta < ha ? ta : ha;
-      *min_inter = te < he ? te : he;
-      return;
-    }
-  }
-  // Historical branchless scalar fold: two accumulators per class, pairs of
-  // selects per step (see recompute_group_mins before the SIMD port).
-  double ia0 = inf, ia1 = inf, ie0 = inf, ie1 = inf;
-  for (int z1 = 0; z1 < dp; ++z1) {
-    const double n1 = nodes[z1];
-    const double* row = sub + z1 * dp;
-    int z2 = 0;
-    for (; z2 + 2 <= dp; z2 += 2) {
-      const double b0 = row[z2], b1 = row[z2 + 1];
-      const bool s0 = n1 == nodes[z2], s1 = n1 == nodes[z2 + 1];
-      const double a0 = s0 ? b0 : inf, e0 = s0 ? inf : b0;
-      const double a1 = s1 ? b1 : inf, e1 = s1 ? inf : b1;
-      ia0 = ia0 < a0 ? ia0 : a0;
-      ie0 = ie0 < e0 ? ie0 : e0;
-      ia1 = ia1 < a1 ? ia1 : a1;
-      ie1 = ie1 < e1 ? ie1 : e1;
-    }
-    for (; z2 < dp; ++z2) {
-      const double b = row[z2];
-      const bool s = n1 == nodes[z2];
-      const double va = s ? b : inf;
-      const double ve = s ? inf : b;
-      ia0 = ia0 < va ? ia0 : va;
-      ie0 = ie0 < ve ? ie0 : ve;
-    }
-  }
-  *min_intra = ia0 < ia1 ? ia0 : ia1;
-  *min_inter = ie0 < ie1 ? ie0 : ie1;
 }
 
 }  // namespace pipette::common::simd

@@ -177,6 +177,9 @@ ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new
 ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& topo,
                                                        const model::TrainingJob& job,
                                                        const ConfiguratorResult* warm) {
+  if (const std::string reason = model::validate(job); !reason.empty()) {
+    throw std::invalid_argument(reason);
+  }
   ConfiguratorResult res;
   res.method = name();
   res.topo_fingerprint = topo.fingerprint();

@@ -159,6 +159,8 @@ class PipetteConfigurator final : public Configurator {
   explicit PipetteConfigurator(PipetteOptions opt);
 
   std::string name() const override;
+  /// Throws std::invalid_argument carrying model::validate's reason when the
+  /// job has a non-positive size (so does reconfigure()).
   ConfiguratorResult configure(const cluster::Topology& topo,
                                const model::TrainingJob& job) override;
 

@@ -36,6 +36,7 @@ const char* to_string(ServiceStatus s) {
     case ServiceStatus::kRejectedQueueFull: return "rejected_queue_full";
     case ServiceStatus::kProfileFailed: return "profile_failed";
     case ServiceStatus::kInternalError: return "internal_error";
+    case ServiceStatus::kInvalidRequest: return "invalid_request";
   }
   return "unknown";
 }
@@ -83,21 +84,31 @@ std::future<core::ConfiguratorResult> ConfigService::reconfigure(
 std::future<ServiceResult> ConfigService::submit_request(cluster::Topology topo,
                                                          model::TrainingJob job,
                                                          RequestOptions ro) {
+  // Rejections are already-resolved futures — typed answers, not exceptions,
+  // and no task ever enters the pool.
+  auto reject = [](ServiceStatus status, std::string error) {
+    ServiceResult sr;
+    sr.status = status;
+    sr.error = std::move(error);
+    std::promise<ServiceResult> p;
+    p.set_value(std::move(sr));
+    return p.get_future();
+  };
+  if (std::string reason = model::validate(job); !reason.empty()) {
+    metrics_->counter("pipette.service.invalid_request").inc();
+    if (opt_.trace) opt_.trace->instant("request.invalid");
+    return reject(ServiceStatus::kInvalidRequest, std::move(reason));
+  }
   // Bounded admission: CAS so concurrent submitters can never overshoot the
-  // bound. A rejection is an already-resolved future — typed backpressure,
-  // not an exception, and no task ever enters the pool.
+  // bound.
   int cur = pending_.load(std::memory_order_relaxed);
   do {
     if (opt_.max_pending > 0 && cur >= opt_.max_pending) {
       metrics_->counter("pipette.service.rejected_queue_full").inc();
       if (opt_.trace) opt_.trace->instant("request.rejected");
-      ServiceResult sr;
-      sr.status = ServiceStatus::kRejectedQueueFull;
-      sr.error = "admission queue full (" + std::to_string(cur) + "/" +
-                 std::to_string(opt_.max_pending) + " pending)";
-      std::promise<ServiceResult> p;
-      p.set_value(std::move(sr));
-      return p.get_future();
+      return reject(ServiceStatus::kRejectedQueueFull,
+                    "admission queue full (" + std::to_string(cur) + "/" +
+                        std::to_string(opt_.max_pending) + " pending)");
     }
   } while (!pending_.compare_exchange_weak(cur, cur + 1, std::memory_order_relaxed));
   metrics_->gauge("pipette.service.pending").set(cur + 1);

@@ -46,6 +46,7 @@ enum class ServiceStatus {
   kRejectedQueueFull,  ///< bounded admission queue was full (backpressure)
   kProfileFailed,      ///< transient profiling failures exhausted the retries
   kInternalError,      ///< unexpected exception; error carries what()
+  kInvalidRequest,     ///< model::validate rejected the job; error names the field
 };
 
 const char* to_string(ServiceStatus s);
@@ -124,8 +125,8 @@ class ConfigService {
 
   /// The robust surface: admission-bounded, deadline-aware, retrying, and
   /// exception-free — the future always delivers a ServiceResult, never
-  /// throws. A rejection (kRejectedQueueFull) returns an already-resolved
-  /// future without enqueueing work.
+  /// throws. A rejection (kInvalidRequest, kRejectedQueueFull) returns an
+  /// already-resolved future without enqueueing work.
   std::future<ServiceResult> submit_request(cluster::Topology topo, model::TrainingJob job,
                                             RequestOptions ro);
   /// Same, with ConfigServiceOptions::request_defaults.

@@ -129,34 +129,18 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   undo_g_max_same_.resize(static_cast<std::size_t>(groups));
   undo_g_num_nodes_.resize(static_cast<std::size_t>(groups));
   undo_g_nodes_.resize(static_cast<std::size_t>(groups * dp_));
-  // Member-bandwidth submatrices (n·tp and n·dp doubles — the same order as
-  // ONE full pair scan of the tables they replace). Diagonals are +inf once
-  // and never rewritten; refreshes and rebuilds only touch off-diagonals.
-  const double inf = std::numeric_limits<double>::infinity();
-  tp_bw_.assign(static_cast<std::size_t>(cells) * static_cast<std::size_t>(tp_ * tp_), inf);
-  g_bw_.assign(static_cast<std::size_t>(groups) * static_cast<std::size_t>(dp_ * dp_), inf);
   flow_bw_fwd_.assign(static_cast<std::size_t>(std::max(1, flows)), 1.0);
   flow_bw_bwd_.assign(static_cast<std::size_t>(std::max(1, flows)), 1.0);
-  cell_slot_gpu_.assign(static_cast<std::size_t>(cells) * static_cast<std::size_t>(tp_), -1);
   cell_changed_.resize(static_cast<std::size_t>(cells) * static_cast<std::size_t>(tp_));
   cell_changed_len_.assign(static_cast<std::size_t>(cells), 0);
-  group_changed_.resize(static_cast<std::size_t>(groups) * static_cast<std::size_t>(dp_));
-  group_changed_len_.assign(static_cast<std::size_t>(groups), 0);
-  cell_add_.resize(static_cast<std::size_t>(tp_));
   cell_rem_.resize(static_cast<std::size_t>(tp_));
   pair_head_.assign(pair_count_.size(), -1);
   flow_next_.assign(static_cast<std::size_t>(std::max(1, flows)), -1);
   flow_prev_.assign(static_cast<std::size_t>(std::max(1, flows)), -1);
-  // Worst-case logs: every cell's / ring's refresh is capped at its full
-  // off-diagonal block (the rebuild threshold in refresh_*_bw enforces it).
-  undo_tp_bw_.reserve(tp_bw_.size());
-  undo_g_bw_.reserve(g_bw_.size());
-  undo_cell_slot_.reserve(cell_slot_gpu_.size());
   undo_flow_bwf_.resize(static_cast<std::size_t>(std::max(1, flows)));
   undo_flow_bwb_.resize(static_cast<std::size_t>(std::max(1, flows)));
-  scratch_gpu_.resize(static_cast<std::size_t>(std::max(tp_, dp_)));
-  scratch_node_.resize(static_cast<std::size_t>(std::max(tp_, dp_)));
-  scratch_node_d_.resize(static_cast<std::size_t>(std::max(tp_, dp_)));
+  scratch_node_.resize(static_cast<std::size_t>(dp_));
+  scratch_gpu_.resize(static_cast<std::size_t>(dp_));
   scratch_counts_.assign(static_cast<std::size_t>(num_nodes_), 0);
   scratch_row_.resize(static_cast<std::size_t>(groups));
   col_bytes_.resize(static_cast<std::size_t>(tp_));
@@ -249,170 +233,42 @@ void IncrementalLatencyEvaluator::unlink_flow(int fl, int idx) {
   if (nx >= 0) flow_prev_[static_cast<std::size_t>(nx)] = pv;
 }
 
-void IncrementalLatencyEvaluator::rebuild_cell_bw(int stage, int dpr) {
-  const int cell = stage * dp_ + dpr;
-  const auto base =
-      static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_) * static_cast<std::size_t>(tp_);
-  double* sub = tp_bw_.data() + base;
-  int* slots = cell_slot_gpu_.data() +
-               static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_);
-  const int* perm = cur_.raw().data();
-  const int wbase = (dpr * pp_ + stage) * tp_;  // members are consecutive in y
-  for (int s = 0; s < tp_; ++s) slots[s] = perm[wbase + s];
-  for (int s1 = 0; s1 < tp_; ++s1) {
-    const int g1 = slots[s1];
-    for (int s2 = 0; s2 < tp_; ++s2) {
-      if (s1 == s2) continue;
-      sub[s1 * tp_ + s2] = bw_at(g1, slots[s2]);
-    }
-  }
-}
-
-bool IncrementalLatencyEvaluator::refresh_cell_bw(int stage, int dpr) {
-  const int cell = stage * dp_ + dpr;
+bool IncrementalLatencyEvaluator::cell_members_changed(int cell) {
   const int k = cell_changed_len_[static_cast<std::size_t>(cell)];
   const int* evts =
       cell_changed_.data() + static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_);
-  // Multiset diff of the cell's replaced positions: olds not matched by a
-  // new GPU departed, news not matched by an old arrived. A pure
-  // within-cell permutation cancels completely.
+  // Multiset diff of the cell's replaced positions: every new GPU must match
+  // a departed one, so a pure within-cell permutation cancels completely.
   int rem_n = 0;
-  for (int e = 0; e < k; ++e) cell_rem_[static_cast<std::size_t>(rem_n++)] = undo_gpu_[static_cast<std::size_t>(evts[e])];
-  int add_n = 0;
+  for (int e = 0; e < k; ++e) {
+    cell_rem_[static_cast<std::size_t>(rem_n++)] = undo_gpu_[static_cast<std::size_t>(evts[e])];
+  }
   for (int e = 0; e < k; ++e) {
     const int g = cur_.gpu_at(touched_pos_[static_cast<std::size_t>(evts[e])]);
     int j = 0;
     while (j < rem_n && cell_rem_[static_cast<std::size_t>(j)] != g) ++j;
-    if (j < rem_n) {
-      cell_rem_[static_cast<std::size_t>(j)] = cell_rem_[static_cast<std::size_t>(--rem_n)];
-    } else {
-      cell_add_[static_cast<std::size_t>(add_n++)] = g;
-    }
+    if (j == rem_n) return true;  // an arrival
+    cell_rem_[static_cast<std::size_t>(j)] = cell_rem_[static_cast<std::size_t>(--rem_n)];
   }
-  if (add_n == 0) return false;  // members only permuted: the block is current
-  const auto base =
-      static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_) * static_cast<std::size_t>(tp_);
-  double* sub = tp_bw_.data() + base;
-  int* slots = cell_slot_gpu_.data() +
-               static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_);
-  const auto sbase = static_cast<int>(static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_));
-  if (2 * add_n >= tp_) {
-    // With half the slots replaced a full rebuild is fewer big-matrix reads
-    // than per-slot row+column gathers (and caps this cell's undo log at
-    // its off-diagonal block).
-    const int* perm = cur_.raw().data();
-    const int wbase = (dpr * pp_ + stage) * tp_;
-    for (int s = 0; s < tp_; ++s) {
-      undo_cell_slot_.push_back({sbase + s, slots[s]});
-      slots[s] = perm[wbase + s];
-    }
-    for (int s1 = 0; s1 < tp_; ++s1) {
-      const int g1 = slots[s1];
-      for (int s2 = 0; s2 < tp_; ++s2) {
-        if (s1 == s2) continue;
-        const int i = s1 * tp_ + s2;
-        undo_tp_bw_.push_back({static_cast<int>(base) + i, sub[i]});
-        sub[i] = bw_at(g1, slots[s2]);
-      }
-    }
-    return true;
-  }
-  for (int a = 0; a < add_n; ++a) {
-    const int g = cell_add_[static_cast<std::size_t>(a)];
-    const int dead = cell_rem_[static_cast<std::size_t>(a)];  // |rem| == |add|
-    int s = 0;
-    while (slots[s] != dead) ++s;  // slot of a departed member always exists
-    undo_cell_slot_.push_back({sbase + s, dead});
-    slots[s] = g;
-    for (int s2 = 0; s2 < tp_; ++s2) {
-      if (s2 == s) continue;
-      const int g2 = slots[s2];
-      const int i1 = s * tp_ + s2, i2 = s2 * tp_ + s;
-      undo_tp_bw_.push_back({static_cast<int>(base) + i1, sub[i1]});
-      sub[i1] = bw_at(g, g2);
-      undo_tp_bw_.push_back({static_cast<int>(base) + i2, sub[i2]});
-      sub[i2] = bw_at(g2, g);
-    }
-  }
-  return true;
-}
-
-void IncrementalLatencyEvaluator::rebuild_group_bw(int stage, int tpr) {
-  const auto base = static_cast<std::size_t>(stage * tp_ + tpr) * static_cast<std::size_t>(dp_) *
-                    static_cast<std::size_t>(dp_);
-  double* sub = g_bw_.data() + base;
-  const int* perm = cur_.raw().data();
-  const int wbase = stage * tp_ + tpr;
-  const int wstride = pp_ * tp_;  // members stride pp·tp in z
-  for (int z1 = 0; z1 < dp_; ++z1) {
-    const int g1 = perm[wbase + z1 * wstride];
-    for (int z2 = 0; z2 < dp_; ++z2) {
-      if (z1 == z2) continue;
-      sub[z1 * dp_ + z2] = bw_at(g1, perm[wbase + z2 * wstride]);
-    }
-  }
-}
-
-void IncrementalLatencyEvaluator::refresh_group_bw(int stage, int tpr) {
-  const int gidx = stage * tp_ + tpr;
-  const auto base =
-      static_cast<std::size_t>(gidx) * static_cast<std::size_t>(dp_) * static_cast<std::size_t>(dp_);
-  double* sub = g_bw_.data() + base;
-  const int* perm = cur_.raw().data();
-  const int wbase = stage * tp_ + tpr;
-  const int wstride = pp_ * tp_;
-  const int k = group_changed_len_[static_cast<std::size_t>(gidx)];
-  if (2 * k >= dp_) {
-    for (int z1 = 0; z1 < dp_; ++z1) {
-      const int g1 = perm[wbase + z1 * wstride];
-      for (int z2 = 0; z2 < dp_; ++z2) {
-        if (z1 == z2) continue;
-        const int i = z1 * dp_ + z2;
-        undo_g_bw_.push_back({static_cast<int>(base) + i, sub[i]});
-        sub[i] = bw_at(g1, perm[wbase + z2 * wstride]);
-      }
-    }
-    return;
-  }
-  const int* changed =
-      group_changed_.data() + static_cast<std::size_t>(gidx) * static_cast<std::size_t>(dp_);
-  for (int e = 0; e < k; ++e) {
-    const int z = changed[e];
-    const int g = perm[wbase + z * wstride];
-    for (int z2 = 0; z2 < dp_; ++z2) {
-      if (z2 == z) continue;
-      const int g2 = perm[wbase + z2 * wstride];
-      const int i1 = z * dp_ + z2, i2 = z2 * dp_ + z;
-      undo_g_bw_.push_back({static_cast<int>(base) + i1, sub[i1]});
-      sub[i1] = bw_at(g, g2);
-      undo_g_bw_.push_back({static_cast<int>(base) + i2, sub[i2]});
-      sub[i2] = bw_at(g2, g);
-    }
-  }
+  return false;
 }
 
 void IncrementalLatencyEvaluator::recompute_tp_cell(int stage, int dpr) {
-  // Mirrors PipetteLatencyModel::tp_time over the cell's cached member
-  // bandwidths — the min folds the same pair values (min is exact, so the
-  // scan order is free); for tp < 2 the ring term is zero either way.
+  // Mirrors PipetteLatencyModel::tp_time over the cell's member pairs (min
+  // is exact, so bw_at's tiered reads fold the same values); for tp < 2 the
+  // ring term is zero either way.
   const int cell = stage * dp_ + dpr;
-  const int* perm = cur_.raw().data();
-  const int wbase = (dpr * pp_ + stage) * tp_;  // members are consecutive in y
-  const int n0 = node_of_gpu_[static_cast<std::size_t>(perm[wbase])];
+  const int* members = cur_.raw().data() + (dpr * pp_ + stage) * tp_;  // consecutive in y
+  const int n0 = node_of_gpu_[static_cast<std::size_t>(members[0])];
+  double min_bw = std::numeric_limits<double>::infinity();
   bool crosses_node = false;
-  for (int y = 1; y < tp_; ++y) {
-    if (node_of_gpu_[static_cast<std::size_t>(perm[wbase + y])] != n0) {
-      crosses_node = true;
-      break;
+  for (int y1 = 0; y1 < tp_; ++y1) {
+    const int g1 = members[y1];
+    crosses_node |= node_of_gpu_[static_cast<std::size_t>(g1)] != n0;
+    for (int y2 = 0; y2 < tp_; ++y2) {
+      if (y1 != y2) min_bw = std::min(min_bw, bw_at(g1, members[y2]));
     }
   }
-  // Branch-free fold over the whole block: diagonals are +inf by invariant.
-  const double* sub =
-      tp_bw_.data() +
-      static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_) * static_cast<std::size_t>(tp_);
-  // Wide-lane fold (scalar fallback: the historical four-accumulator fold) —
-  // min is exact and order-free, so any regrouping is bit-identical.
-  const double min_bw = common::simd::min_fold(sub, tp_ * tp_);
   const double lat = crosses_node ? model_->links_.inter_latency_s : model_->links_.intra_latency_s;
   tp_term_[static_cast<std::size_t>(cell)] =
       4.0 * layers_[static_cast<std::size_t>(stage)] *
@@ -471,57 +327,66 @@ void IncrementalLatencyEvaluator::recompute_path(int dpr) {
 }
 
 void IncrementalLatencyEvaluator::recompute_group(int stage, int tpr) {
+  // Re-derives ring (stage, tpr)'s census — distinct member nodes in
+  // first-seen order and the largest same-node count — and its profiled
+  // bandwidth mins, split intra/inter like PipetteLatencyModel::dp_comm_term.
+  // Mins are exact, so any scan folding the same pair values is bit-identical.
   const int gidx = stage * tp_ + tpr;
-  // Bandwidth mins first (also hoists the member nodes into scratch_node_),
-  // then the census from the hoisted nodes. The two halves are independent,
-  // so sharing the min scan with the σ kernel keeps one copy of the pair
-  // order the bit-identity contract depends on.
-  recompute_group_mins(stage, tpr);
+  const int* perm = cur_.raw().data();
+  const int wstride = pp_ * tp_;  // members stride pp·tp in z
+  int* counts = scratch_counts_.data();  // all-zero on entry and on exit
+  int* node = scratch_node_.data();
+  int* gpu = scratch_gpu_.data();
   int* nodes = &g_nodes_[static_cast<std::size_t>(gidx * dp_)];
   int num = 0;
-  for (int z = 0; z < dp_; ++z) {
-    const int n = scratch_node_[static_cast<std::size_t>(z)];
-    if (scratch_counts_[static_cast<std::size_t>(n)]++ == 0) nodes[num++] = n;
+  for (int z = 0, w = gidx; z < dp_; ++z, w += wstride) {
+    node[z] = node_of_gpu_[static_cast<std::size_t>(perm[w])];
+    if (counts[node[z]]++ == 0) nodes[num++] = node[z];
   }
   int max_same = 1;
-  for (int i = 0; i < num; ++i) {
-    max_same = std::max(max_same, scratch_counts_[static_cast<std::size_t>(nodes[i])]);
-    scratch_counts_[static_cast<std::size_t>(nodes[i])] = 0;
+  for (int i = 0; i < num; ++i) max_same = std::max(max_same, counts[nodes[i]]);
+  // Bucket the members by node (counting sort over the census: each count
+  // becomes its bucket's write cursor, which ends at the next bucket's
+  // start), so every pair's class is known from its buckets.
+  for (int i = 0, start = 0; i < num; ++i) {
+    const int c = counts[nodes[i]];
+    counts[nodes[i]] = start;
+    start += c;
+  }
+  for (int z = 0, w = gidx; z < dp_; ++z, w += wstride) gpu[counts[node[z]]++] = perm[w];
+
+  double min_intra = std::numeric_limits<double>::infinity();
+  double min_inter = min_intra;
+  if (bw_tiered_) {
+    // Census pricing: every GPU pair across member nodes a != b reads
+    // node_bw_[a][b], so the inter-node min is a min over ordered pairs of
+    // distinct member nodes.
+    for (int i = 0; i < num; ++i) {
+      const double* row = node_bw_.data() + static_cast<std::size_t>(nodes[i]) *
+                                                static_cast<std::size_t>(num_nodes_);
+      for (int j = 0; j < num; ++j) {
+        if (j != i) min_inter = std::min(min_inter, row[nodes[j]]);
+      }
+    }
+  }
+  const cluster::BandwidthMatrix& bw = *model_->bw_;
+  for (int i = 0, begin = 0; i < num; ++i) {
+    const int end = counts[nodes[i]];
+    counts[nodes[i]] = 0;
+    for (int a = begin; a < end; ++a) {
+      for (int b = begin; b < end; ++b) {
+        if (a != b) min_intra = std::min(min_intra, bw_at(gpu[a], gpu[b]));
+      }
+      if (bw_tiered_) continue;
+      // No node-pair structure to exploit: read every cross-bucket pair
+      // from the matrix, as the full model does.
+      for (int b = 0; b < begin; ++b) min_inter = std::min(min_inter, bw.at(gpu[a], gpu[b]));
+      for (int b = end; b < dp_; ++b) min_inter = std::min(min_inter, bw.at(gpu[a], gpu[b]));
+    }
+    begin = end;
   }
   g_max_same_[static_cast<std::size_t>(gidx)] = max_same;
   g_num_nodes_[static_cast<std::size_t>(gidx)] = num;
-}
-
-void IncrementalLatencyEvaluator::recompute_group_mins(int stage, int tpr) {
-  // Re-derives only the profiled bandwidth mins of group (stage, tpr),
-  // hoisting the members (positions stride pp_·tp_ in z) into scratch. This
-  // is the whole group reprice for the σ kernel — a node move permutes node
-  // labels, so the census is relabelled in place by the caller — and the
-  // first half of recompute_group, so both paths share the exact pair order
-  // and stay bit-identical to the full model.
-  const int gidx = stage * tp_ + tpr;
-  const int* perm = cur_.raw().data();
-  const int wstride = pp_ * tp_;
-  for (int z = 0, w = stage * tp_ + tpr; z < dp_; ++z, w += wstride) {
-    const int n = node_of_gpu_[static_cast<std::size_t>(perm[w])];
-    scratch_node_[static_cast<std::size_t>(z)] = n;
-    // Double copy for the lane compare in the SIMD fold below (node ids are
-    // small ints, so the conversion — and the equality test — is exact).
-    scratch_node_d_[static_cast<std::size_t>(z)] = static_cast<double>(n);
-  }
-  // The pair bandwidths come from the cached member block (kept current by
-  // refresh_group_bw); the intra/inter split reads the hoisted nodes. The
-  // diagonal is +inf and z1's own node matches itself, so folding it into
-  // min_intra is a no-op — no branch needed to skip it.
-  const double* sub =
-      g_bw_.data() +
-      static_cast<std::size_t>(gidx) * static_cast<std::size_t>(dp_) * static_cast<std::size_t>(dp_);
-  // Lane-compare selects feed +inf to the other accumulator (a no-op on an
-  // exact min) and the wide accumulators regroup the fold — bit-identical,
-  // exactly like the historical two-accumulators-per-class scalar code the
-  // helper falls back to when SIMD is off.
-  double min_intra, min_inter;
-  common::simd::group_class_mins(sub, scratch_node_d_.data(), dp_, &min_intra, &min_inter);
   g_min_intra_[static_cast<std::size_t>(gidx)] = min_intra;
   g_min_inter_[static_cast<std::size_t>(gidx)] = min_inter;
   g_flows_[static_cast<std::size_t>(gidx)] = -1;  // force a term re-derivation
@@ -659,7 +524,6 @@ void IncrementalLatencyEvaluator::full_recompute() {
   }
   for (int x = 0; x < pp_; ++x) {
     for (int z = 0; z < dp_; ++z) {
-      rebuild_cell_bw(x, z);
       recompute_tp_cell(x, z);
     }
     recompute_block(x);
@@ -699,7 +563,6 @@ void IncrementalLatencyEvaluator::full_recompute() {
   std::fill(node_group_pos_.begin(), node_group_pos_.end(), -1);
   for (int x = 0; x < pp_; ++x) {
     for (int y = 0; y < tp_; ++y) {
-      rebuild_group_bw(x, y);
       recompute_group(x, y);
       const int gidx = x * tp_ + y;
       update_group_flows(gidx, &g_nodes_[static_cast<std::size_t>(gidx * dp_)],
@@ -809,9 +672,6 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
   changed_nodes_.clear();
   changed_pairs_.clear();
   pair_deltas_.clear();
-  undo_tp_bw_.clear();
-  undo_g_bw_.clear();
-  undo_cell_slot_.clear();
   apply_and_collect(mv);
   if (touched_pos_.empty()) {
     // Self-inverse draw (a == b): the mapping is unchanged, so the cost is
@@ -848,9 +708,8 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
         dirty_cells_.push_back({cell, x, z});
         cell_changed_len_[static_cast<std::size_t>(cell)] = 0;
       }
-      // Record the touched-event index (positions are unique, so no dedup):
-      // the submatrix refresh reads the event's old GPU from undo_gpu_ and
-      // its new one from the mapping to diff the member multisets.
+      // Record the touched-event index (positions are unique, so no dedup)
+      // for cell_members_changed's multiset diff.
       cell_changed_[static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_) +
                     static_cast<std::size_t>(cell_changed_len_[static_cast<std::size_t>(cell)]++)] =
           static_cast<int>(ti);
@@ -864,11 +723,7 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
       if (stamp_group_[static_cast<std::size_t>(gidx)] != epoch_) {
         stamp_group_[static_cast<std::size_t>(gidx)] = epoch_;
         dirty_groups_.push_back({gidx, x, y, false});
-        group_changed_len_[static_cast<std::size_t>(gidx)] = 0;
       }
-      group_changed_[static_cast<std::size_t>(gidx) * static_cast<std::size_t>(dp_) +
-                     static_cast<std::size_t>(
-                         group_changed_len_[static_cast<std::size_t>(gidx)]++)] = z;
     }
     // The flow into this worker's stage and the flow out of it, both for
     // this worker's own (tp, dp) lane.
@@ -893,7 +748,7 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
     undo_tp_[i] = tp_term_[static_cast<std::size_t>(dc.idx)];
     // A pure within-cell permutation leaves the member multiset — and hence
     // this set-valued term — unchanged: skip the recompute entirely.
-    if (refresh_cell_bw(dc.stage, dc.dpr)) recompute_tp_cell(dc.stage, dc.dpr);
+    if (cell_members_changed(dc.idx)) recompute_tp_cell(dc.stage, dc.dpr);
   }
   for (std::size_t i = 0; i < dirty_stages_.size(); ++i) {
     const int x = dirty_stages_[i];
@@ -976,71 +831,41 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
 
   // DP rings: recompute the stats of the groups the move touched. Node moves
   // take the relabel-aware kernel: the move is a label permutation σ, so the
-  // node-side state permutes wholesale, every census is relabelled in place,
-  // each ring's NIC-sharing factor is invariant, and only the bandwidth mins
-  // are re-derived. String moves take the generic path: a group's NIC
-  // occupancy (node_flows_) moves only when its member-node census changed,
-  // and a moved count dirties other rings' terms only when it did not cancel
-  // out within the proposal — the node→groups index then marks exactly the
-  // rings sharing that node.
+  // node-side state permutes wholesale, every dirty ring's census becomes its
+  // relabelled image, and each ring's NIC-sharing factor is invariant. String
+  // moves take the generic path: a group's NIC occupancy (node_flows_) moves
+  // only when its member-node census changed, and a moved count dirties
+  // other rings' terms only when it did not cancel out within the proposal —
+  // the node→groups index then marks exactly the rings sharing that node.
   using parallel::MoveKind;
   const bool sigma_move =
       node_sigma_ok_ && track_groups &&
       (mv.kind == MoveKind::kNodeSwap || mv.kind == MoveKind::kNodeReverse);
   pending_sigma_ = sigma_move;
-  if (sigma_move) {
-    apply_node_sigma();
-    const int s_lo = std::min(mv.a, mv.b), s_hi = std::max(mv.a, mv.b);
-    const bool is_swap = mv.kind == MoveKind::kNodeSwap;
-    for (std::size_t i = 0; i < dirty_groups_.size(); ++i) {
-      DirtyGroup& dg = dirty_groups_[i];
-      const auto gidx = static_cast<std::size_t>(dg.gidx);
-      undo_g_min_intra_[i] = g_min_intra_[gidx];
-      undo_g_min_inter_[i] = g_min_inter_[gidx];
-      undo_g_max_same_[i] = g_max_same_[gidx];
-      const int num = g_num_nodes_[gidx];
-      undo_g_num_nodes_[i] = num;
-      int* nodes = &g_nodes_[gidx * static_cast<std::size_t>(dp_)];
-      int* old_nodes = &undo_g_nodes_[i * static_cast<std::size_t>(dp_)];
-      for (int j = 0; j < num; ++j) {
-        const int n = nodes[j];
-        old_nodes[j] = n;
-        if (is_swap) {
-          nodes[j] = n == s_lo ? s_hi : (n == s_hi ? s_lo : n);
-        } else if (n >= s_lo && n <= s_hi) {
-          nodes[j] = s_lo + s_hi - n;
-        }
-      }
-      mark_term_dirty(dg.gidx);
-      refresh_group_bw(dg.stage, dg.tpr);
-      recompute_group_mins(dg.stage, dg.tpr);
-      dg.census_changed = false;  // σ already moved the node-side state
+  if (sigma_move) apply_node_sigma();
+  for (std::size_t i = 0; i < dirty_groups_.size(); ++i) {
+    DirtyGroup& dg = dirty_groups_[i];
+    const auto gidx = static_cast<std::size_t>(dg.gidx);
+    undo_g_min_intra_[i] = g_min_intra_[gidx];
+    undo_g_min_inter_[i] = g_min_inter_[gidx];
+    undo_g_max_same_[i] = g_max_same_[gidx];
+    const int old_num = g_num_nodes_[gidx];
+    undo_g_num_nodes_[i] = old_num;
+    const int* cur_nodes = &g_nodes_[gidx * static_cast<std::size_t>(dp_)];
+    int* old_nodes = &undo_g_nodes_[i * static_cast<std::size_t>(dp_)];
+    for (int j = 0; j < old_num; ++j) old_nodes[j] = cur_nodes[j];
+    mark_term_dirty(dg.gidx);  // saves the committed term before any change
+    recompute_group(dg.stage, dg.tpr);
+    if (sigma_move) continue;  // σ already moved the node-side state
+    const int new_num = g_num_nodes_[gidx];
+    bool census_changed = new_num != old_num;
+    for (int j = 0; !census_changed && j < new_num; ++j) {
+      census_changed = cur_nodes[j] != old_nodes[j];
     }
-  } else {
-    for (std::size_t i = 0; i < dirty_groups_.size(); ++i) {
-      DirtyGroup& dg = dirty_groups_[i];
-      const auto gidx = static_cast<std::size_t>(dg.gidx);
-      undo_g_min_intra_[i] = g_min_intra_[gidx];
-      undo_g_min_inter_[i] = g_min_inter_[gidx];
-      undo_g_max_same_[i] = g_max_same_[gidx];
-      const int old_num = g_num_nodes_[gidx];
-      undo_g_num_nodes_[i] = old_num;
-      const int* cur_nodes = &g_nodes_[gidx * static_cast<std::size_t>(dp_)];
-      int* old_nodes = &undo_g_nodes_[i * static_cast<std::size_t>(dp_)];
-      for (int j = 0; j < old_num; ++j) old_nodes[j] = cur_nodes[j];
-      mark_term_dirty(dg.gidx);  // saves the committed term before any change
-      refresh_group_bw(dg.stage, dg.tpr);
-      recompute_group(dg.stage, dg.tpr);
-      const int new_num = g_num_nodes_[gidx];
-      bool census_changed = new_num != old_num;
-      for (int j = 0; !census_changed && j < new_num; ++j) {
-        census_changed = cur_nodes[j] != old_nodes[j];
-      }
-      dg.census_changed = census_changed;
-      if (census_changed) {
-        update_group_flows(dg.gidx, old_nodes, old_num, -1);
-        update_group_flows(dg.gidx, cur_nodes, new_num, +1);
-      }
+    dg.census_changed = census_changed;
+    if (census_changed) {
+      update_group_flows(dg.gidx, old_nodes, old_num, -1);
+      update_group_flows(dg.gidx, cur_nodes, new_num, +1);
     }
   }
   for (const ChangedNode& cn : changed_nodes_) {
@@ -1107,17 +932,6 @@ void IncrementalLatencyEvaluator::rollback() {
     flow_pair_[fl] = old_pair;
     flow_bw_fwd_[fl] = undo_flow_bwf_[fi];
     flow_bw_bwd_[fl] = undo_flow_bwb_[fi];
-  }
-  // Reverse replay unwinds overlapping row/column writes (a slot saved
-  // twice gets its oldest value back last).
-  for (std::size_t i = undo_tp_bw_.size(); i-- > 0;) {
-    tp_bw_[static_cast<std::size_t>(undo_tp_bw_[i].idx)] = undo_tp_bw_[i].val;
-  }
-  for (std::size_t i = undo_cell_slot_.size(); i-- > 0;) {
-    cell_slot_gpu_[static_cast<std::size_t>(undo_cell_slot_[i].idx)] = undo_cell_slot_[i].gpu;
-  }
-  for (std::size_t i = undo_g_bw_.size(); i-- > 0;) {
-    g_bw_[static_cast<std::size_t>(undo_g_bw_[i].idx)] = undo_g_bw_[i].val;
   }
   for (std::size_t i = 0; i < dirty_cols_.size(); ++i) {
     hop_[static_cast<std::size_t>(dirty_cols_[i].idx)] = undo_hop_[i];

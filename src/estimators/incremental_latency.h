@@ -15,11 +15,16 @@
 //     reverse index, so a ring term is recomputed only when its own stats or
 //     its NIC-sharing factor changed.
 //
-// Past ~1K GPUs the profiled bandwidth matrix no longer fits in cache, so
-// the recompute scans additionally run against per-cell / per-ring member
-// bandwidth submatrices (tp_bw_ / g_bw_ / flow_bw_*): a move refreshes only
-// the rows and columns of the members it replaced — O(changed·tp) scattered
-// reads instead of O(tp²) — and the min scans fold the compact cached block.
+// Pricing a dirtied entry reads only its members. A TP cell folds its ≤tp²
+// member pairs, and is skipped outright when the move merely permuted its
+// members (the term is set-valued). A DP ring re-derives its member-node
+// census and prices from it: past 256 GPUs the profiled matrix folds into
+// node-pair tables (see bw_at), so the inter-node min is a min over ordered
+// pairs of distinct member nodes and the intra-node min a min over each
+// node's bucket of members — O(nodes² + members) cache-resident reads where
+// a dp² scan of the num_gpus² matrix would thrash DRAM. Smaller fabrics read
+// the member pairs straight from the matrix, as the full model does. Mins
+// are exact, so every scan order is bit-identical.
 //
 // The final reduction is itself incremental: per-replica pipeline path sums
 // and per-group DP ring terms are cached, so reduce() folds O(pp + dp +
@@ -111,20 +116,11 @@ class IncrementalLatencyEvaluator {
   /// Appends the live workers of node block `node` to the touched/undo/new
   /// scratch, relabelled by `delta_nodes` blocks (node-move collection).
   void collect_node_block(int node, int delta_nodes);
-  /// Rebuilds cell (stage, dpr)'s member bandwidth block from the profiled
-  /// matrix (no undo; full_recompute), re-seating the slot→GPU assignment.
-  void rebuild_cell_bw(int stage, int dpr);
-  /// Reconciles the cell's slot-keyed block with its pending member multiset
-  /// (cell_changed_ events): members that merely permuted within the cell
-  /// cost nothing, each net-new member replaces a departed member's slot
-  /// (one row+column gather), and at least half the slots replaced falls
-  /// back to a full rebuild. All writes are logged for rollback. Returns
-  /// whether the multiset changed at all — when it did not, the TP term
-  /// (a min over member pairs plus a node-crossing test, both set-valued)
-  /// cannot have moved and recompute_tp_cell may be skipped.
-  bool refresh_cell_bw(int stage, int dpr);
-  void rebuild_group_bw(int stage, int tpr);
-  void refresh_group_bw(int stage, int tpr);
+  /// Whether the pending move changed cell `cell`'s member multiset (diffed
+  /// over its cell_changed_ events). When it did not, the TP term — a min
+  /// over member pairs plus a node-crossing test, both set-valued — cannot
+  /// have moved and recompute_tp_cell may be skipped.
+  bool cell_members_changed(int cell);
   /// Intrusive per-(hop, node-pair) sharing-list maintenance: flows with
   /// flow_pair_ == pair are enumerable in O(sharing flows) instead of the
   /// O(dp·tp) column scan per changed pair.
@@ -135,11 +131,9 @@ class IncrementalLatencyEvaluator {
   void reprice_hop_column(int hop, int dpr);
   /// Refolds replica `dpr`'s cached hop column with the shared blocking.
   void recompute_path(int dpr);
+  /// Re-derives DP ring (stage, tpr)'s member-node census and its intra-
+  /// and inter-node bandwidth mins.
   void recompute_group(int stage, int tpr);
-  /// Reprices only the bandwidth mins of group (stage, tpr) — the node-move
-  /// (σ) kernel path, where the member-node census is a pure relabel and is
-  /// updated in place instead of being re-derived.
-  void recompute_group_mins(int stage, int tpr);
   /// Exchanges the whole node-side state of labels `a` and `b`: flow counts,
   /// group lists, and position slots (one transposition of the relabel σ).
   void swap_node_side(int a, int b);
@@ -202,22 +196,6 @@ class IncrementalLatencyEvaluator {
   std::vector<int> g_nodes_;     ///< [gidx*dp + i] distinct member nodes
   std::vector<int> node_flows_;  ///< crossing rings resident per node
   std::vector<double> g_term_;   ///< [gidx] cached DP ring term of Eq. (6)
-  // Member-bandwidth submatrices: the profiled matrix is num_gpus² and
-  // random-access (DRAM-resident past ~1K GPUs), so the O(tp²)/O(dp²)
-  // min scans gather each cell's / ring's pairwise bandwidths once into a
-  // compact per-cell block and keep it current by refreshing only the rows
-  // and columns of members a move actually replaced. The mins are exact
-  // (no FP-order sensitivity), so scanning the cached block instead of the
-  // big matrix is bit-identical. Diagonals are +inf from construction and
-  // never written, which lets the TP scan fold the whole block branch-free.
-  // The cell block is SLOT-keyed, not position-keyed: cell_slot_gpu_ names
-  // the GPU each slot prices, in arbitrary order. The TP term only consumes
-  // set-valued folds (min over pairs, node-crossing), so a move that merely
-  // permutes members within a cell — the common case for span-bounded
-  // string moves — leaves the block (and the term) untouched.
-  std::vector<double> tp_bw_;      ///< [cell*tp² + s1*tp + s2] bw(slot s1, s2)
-  std::vector<int> cell_slot_gpu_; ///< [cell*tp + slot] GPU the slot prices
-  std::vector<double> g_bw_;       ///< [gidx*dp² + z1*dp + z2] bw(member z1, z2)
   /// Per-flow endpoint bandwidths ([(hop*dp + dpr)*tp + tpr], fwd/bwd),
   /// refreshed alongside flow_pair_ — a column repriced only because a
   /// sharing count moved re-reads them without touching the big matrix.
@@ -310,31 +288,18 @@ class IncrementalLatencyEvaluator {
   std::vector<PairDelta> pair_deltas_;
   std::vector<double> undo_g_min_intra_, undo_g_min_inter_;
   std::vector<int> undo_g_max_same_, undo_g_num_nodes_, undo_g_nodes_;
-  // Changed-member lists per dirty cell/ring (reset when the stamp first
-  // marks the owner dirty): cells record the touched-event index (the
-  // multiset diff needs old and new GPU), rings record the replaced
-  // dp-replica — exactly the submatrix rows refresh must re-gather.
-  std::vector<int> cell_changed_, cell_changed_len_;   ///< [cell*tp + i] / [cell]
-  std::vector<int> group_changed_, group_changed_len_; ///< [gidx*dp + i] / [gidx]
-  std::vector<int> cell_add_, cell_rem_;               ///< multiset-diff scratch
-  /// Submatrix undo: (flat index, overwritten value) pairs, replayed in
-  /// reverse on rollback so overlapping row/column writes unwind correctly.
-  struct BwUndo {
-    int idx;
-    double val;
-  };
-  std::vector<BwUndo> undo_tp_bw_, undo_g_bw_;
-  struct SlotUndo {
-    int idx, gpu;
-  };
-  std::vector<SlotUndo> undo_cell_slot_;               ///< reverse-replayed too
+  // Per dirty cell, the touched-event indices of its replaced positions
+  // (reset when the stamp first marks the cell dirty): the multiset diff of
+  // cell_members_changed reads each event's old GPU from undo_gpu_ and its
+  // new one from the mapping.
+  std::vector<int> cell_changed_, cell_changed_len_;  ///< [cell*tp + i] / [cell]
+  std::vector<int> cell_rem_;                          ///< multiset-diff scratch
   std::vector<double> undo_flow_bwf_, undo_flow_bwb_;  ///< parallel to dirty_flows_
 
-  // Recompute scratch (member GPU/node hoists; one node-list row for σ).
-  std::vector<int> scratch_gpu_, scratch_node_, scratch_counts_, scratch_row_;
-  /// scratch_node_ mirrored as doubles for the SIMD group fold's lane
-  /// compares (exact conversion, so the class test is unchanged).
-  std::vector<double> scratch_node_d_;
+  // Recompute scratch: a ring's member nodes, its member GPUs bucketed by
+  // node, per-node member counts (all-zero between calls), and one node-list
+  // row for σ.
+  std::vector<int> scratch_node_, scratch_gpu_, scratch_counts_, scratch_row_;
 
   // Columnar (SoA) scratch for reprice_hop_column: per-flow byte counts,
   // endpoint bandwidths, and latency are gathered first, then priced through

@@ -1,5 +1,7 @@
 #include "model/transformer.h"
 
+#include <utility>
+
 #include "common/hashing.h"
 
 namespace pipette::model {
@@ -78,6 +80,21 @@ std::uint64_t config_digest(const TransformerConfig& m) {
   h = hash_combine(h, static_cast<std::uint64_t>(m.seq_len));
   h = hash_combine(h, static_cast<std::uint64_t>(m.vocab_size));
   return h;
+}
+
+std::string validate(const TrainingJob& job) {
+  const std::pair<const char*, int> sizes[] = {
+      {"global_batch", job.global_batch},
+      {"model.num_layers", job.model.num_layers},
+      {"model.hidden_size", job.model.hidden_size},
+      {"model.num_heads", job.model.num_heads},
+      {"model.seq_len", job.model.seq_len},
+      {"model.vocab_size", job.model.vocab_size},
+  };
+  for (const auto& [field, value] : sizes) {
+    if (value < 1) return std::string(field) + " must be positive, got " + std::to_string(value);
+  }
+  return {};
 }
 
 std::uint64_t job_digest(const TrainingJob& job) {

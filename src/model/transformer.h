@@ -69,6 +69,11 @@ struct TrainingJob {
   int global_batch = 512;  ///< the paper's "total minibatch size"
 };
 
+/// Why `job` cannot be configured — the first non-positive size, named by its
+/// field path (e.g. "model.hidden_size must be positive, got 0") — or an
+/// empty string when every size is positive.
+std::string validate(const TrainingJob& job);
+
 /// Stable 64-bit digest of every TransformerConfig field. Two configs with
 /// equal digests are indistinguishable to every cost/memory model, which is
 /// what the compute-profile and memory-estimate memos key on.

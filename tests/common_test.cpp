@@ -238,27 +238,21 @@ TEST(Simd, IsaNameMatchesCompiledLaneWidth) {
   EXPECT_TRUE(pc::simd::enabled()) << "the vector path must be on by default";
 }
 
-TEST(Simd, MinMaxFoldsMatchScalarBitForBit) {
+TEST(Simd, MaxFoldMatchesScalarBitForBit) {
   // Every length from empty through several full vector strides plus ragged
   // tails, on both sides of the runtime toggle, against a naive sequential
-  // reference. min/max are exact and order-free, so all three must agree to
-  // the last bit.
+  // reference. max is exact and order-free, so all three must agree to the
+  // last bit.
   SimdToggleGuard guard;
   pc::Rng rng(404);
   for (int n = 0; n <= 4 * pc::simd::kLanes + 3; ++n) {
     std::vector<double> v(static_cast<std::size_t>(n));
     for (double& x : v) x = rng.uniform() * 1e9;
-    double ref_min = std::numeric_limits<double>::infinity();
     double ref_max = 0.5;
-    for (const double x : v) {
-      ref_min = std::min(ref_min, x);
-      ref_max = std::max(ref_max, x);
-    }
+    for (const double x : v) ref_max = std::max(ref_max, x);
     pc::simd::set_enabled(true);
-    EXPECT_EQ(pc::simd::min_fold(v.data(), n), ref_min) << "n=" << n;
     EXPECT_EQ(pc::simd::max_fold(v.data(), n, 0.5), ref_max) << "n=" << n;
     pc::simd::set_enabled(false);
-    EXPECT_EQ(pc::simd::min_fold(v.data(), n), ref_min) << "n=" << n << " scalar";
     EXPECT_EQ(pc::simd::max_fold(v.data(), n, 0.5), ref_max) << "n=" << n << " scalar";
     pc::simd::set_enabled(true);
   }
@@ -294,51 +288,9 @@ TEST(Simd, PriceMaxKeepsTheScalarBracketing) {
   }
 }
 
-TEST(Simd, GroupClassMinsMatchScalarReference) {
-  // The 2x2 class fold splits a dp x dp block into same-node and cross-node
-  // minima via lane compares; +inf diagonals (the evaluator's invariant) must
-  // fold as no-ops, and both toggle states must match a naive reference.
-  SimdToggleGuard guard;
-  pc::Rng rng(406);
-  for (int dp = 1; dp <= 3 * pc::simd::kLanes + 1; ++dp) {
-    const std::size_t nn = static_cast<std::size_t>(dp) * static_cast<std::size_t>(dp);
-    std::vector<double> sub(nn);
-    std::vector<double> nodes(static_cast<std::size_t>(dp));
-    for (int z = 0; z < dp; ++z) {
-      nodes[static_cast<std::size_t>(z)] = static_cast<double>(rng.uniform_int(0, 2));
-    }
-    for (int z1 = 0; z1 < dp; ++z1) {
-      for (int z2 = 0; z2 < dp; ++z2) {
-        sub[static_cast<std::size_t>(z1 * dp + z2)] =
-            z1 == z2 ? std::numeric_limits<double>::infinity() : 1.0 + rng.uniform() * 1e10;
-      }
-    }
-    double ref_intra = std::numeric_limits<double>::infinity();
-    double ref_inter = std::numeric_limits<double>::infinity();
-    for (int z1 = 0; z1 < dp; ++z1) {
-      for (int z2 = 0; z2 < dp; ++z2) {
-        const double b = sub[static_cast<std::size_t>(z1 * dp + z2)];
-        if (nodes[static_cast<std::size_t>(z1)] == nodes[static_cast<std::size_t>(z2)]) {
-          ref_intra = std::min(ref_intra, b);
-        } else {
-          ref_inter = std::min(ref_inter, b);
-        }
-      }
-    }
-    for (const bool on : {true, false}) {
-      pc::simd::set_enabled(on);
-      double got_intra = 0.0, got_inter = 0.0;
-      pc::simd::group_class_mins(sub.data(), nodes.data(), dp, &got_intra, &got_inter);
-      EXPECT_EQ(got_intra, ref_intra) << "dp=" << dp << " enabled=" << on;
-      EXPECT_EQ(got_inter, ref_inter) << "dp=" << dp << " enabled=" << on;
-    }
-    pc::simd::set_enabled(true);
-  }
-}
-
 TEST(Simd, LaneOpsAreElementwiseExact) {
-  // load/store round-trips, arithmetic, select, and the horizontal reduces
-  // all behave as kLanes independent scalar operations.
+  // load/store round-trips, arithmetic, and the horizontal max all behave as
+  // kLanes independent scalar operations.
   const int n = pc::simd::kLanes;
   std::vector<double> a(static_cast<std::size_t>(n)), b(a), out(a);
   for (int i = 0; i < n; ++i) {
@@ -362,12 +314,6 @@ TEST(Simd, LaneOpsAreElementwiseExact) {
     const std::size_t u = static_cast<std::size_t>(i);
     EXPECT_EQ(out[u], a[u] / b[u] + a[u]);
   }
-  EXPECT_EQ(pc::simd::Lane::min(la, lb).hmin(), std::min(a.front(), b.back()));
   EXPECT_EQ(pc::simd::Lane::max(la, lb).hmax(),
             n > 1 ? std::max(a.back(), b.front()) : std::max(a[0], b[0]));
-  const auto mask = pc::simd::Lane::cmpeq(la, la);
-  pc::simd::Lane::select(mask, la, lb).store(out.data());
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], a[static_cast<std::size_t>(i)]);
-  }
 }

@@ -391,3 +391,49 @@ TEST(ConfigService, ReconfigureServesElasticResize) {
   EXPECT_EQ(same.best, warm.best);
   EXPECT_EQ(same.sa_iters, 0);
 }
+
+TEST(ConfigService, RejectsDegenerateJobsWithATypedStatus) {
+  // Each job zeroes or negates one size. Before validation these either got
+  // a plan for a degenerate model (hidden_size / num_heads / seq_len 0) or a
+  // misleading no_feasible_plan (global_batch <= 0, num_layers 0).
+  struct Case {
+    const char* field;
+    void (*corrupt)(model::TrainingJob&);
+  };
+  const Case cases[] = {
+      {"model.hidden_size", [](model::TrainingJob& j) { j.model.hidden_size = 0; }},
+      {"model.num_heads", [](model::TrainingJob& j) { j.model.num_heads = 0; }},
+      {"model.seq_len", [](model::TrainingJob& j) { j.model.seq_len = 0; }},
+      {"global_batch", [](model::TrainingJob& j) { j.global_batch = 0; }},
+      {"global_batch", [](model::TrainingJob& j) { j.global_batch = -5; }},
+      {"model.num_layers", [](model::TrainingJob& j) { j.model.num_layers = 0; }},
+  };
+  const cluster::Topology topo(cluster::mid_range_cluster(4), cluster::HeterogeneityOptions{},
+                               2024);
+  const model::TrainingJob good{model::gpt_774m(), 128};
+  ASSERT_EQ(model::validate(good), "");
+  engine::ConfigService service(service_options(2));
+  core::PipetteConfigurator standalone(fast_options());
+  std::vector<model::TrainingJob> jobs;
+  for (const Case& c : cases) {
+    model::TrainingJob job = good;
+    c.corrupt(job);
+    jobs.push_back(job);
+    const auto sr = service.submit_request(topo, job).get();
+    EXPECT_EQ(sr.status, engine::ServiceStatus::kInvalidRequest) << c.field;
+    EXPECT_STREQ(engine::to_string(sr.status), "invalid_request");
+    EXPECT_EQ(sr.error.rfind(c.field, 0), 0u) << "error must name the field: " << sr.error;
+    EXPECT_EQ(sr.error, model::validate(job));
+    try {
+      standalone.configure(topo, job);
+      ADD_FAILURE() << c.field << ": configure() accepted a degenerate job";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), sr.error);
+    }
+  }
+  for (const auto& sr : service.sweep_requests(topo, jobs, {})) {
+    EXPECT_EQ(sr.status, engine::ServiceStatus::kInvalidRequest) << sr.error;
+  }
+  EXPECT_EQ(service.cache_stats().lookups, 0) << "rejected before any profiling";
+  EXPECT_EQ(service.pending(), 0);
+}

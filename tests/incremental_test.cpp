@@ -123,56 +123,79 @@ TEST(IncrementalEquivalence, SingleNodeClusterDegeneratesSafely) {
   }
 }
 
-TEST(TieredBandwidth, EngagesOnLargeClustersAndStaysBitIdentical) {
-  // 256 GPUs crosses the tiering threshold: the evaluator folds the profiled
-  // matrix into node-pair + intra-node tables. Costs must stay bit-identical
-  // to the full model, which still reads the num_gpus² matrix directly.
-  const Fixture fx({4, 8, 8}, 2);
-  const auto model = fx.model();
-  const int gpn = fx.topo.gpus_per_node();
-  parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
-  estimators::IncrementalLatencyEvaluator eval(model, committed, gpn);
-  ASSERT_TRUE(eval.bw_tiered()) << "profile_network output should fold";
-  ASSERT_EQ(eval.cost(), model.estimate(committed));
-
-  common::Rng rng(2026);
-  for (int iter = 0; iter < 300; ++iter) {
-    const auto mv = search::draw_mapping_move(committed, rng, {}, gpn);
-    parallel::Mapping moved = committed;
-    parallel::apply_move(moved, mv, gpn);
-    ASSERT_EQ(eval.propose(mv), model.estimate(moved)) << "iter " << iter;
-    if (rng.bernoulli(0.5)) {
-      eval.commit();
-      committed = std::move(moved);
-    } else {
-      eval.rollback();
-      ASSERT_EQ(eval.cost(), model.estimate(committed));
+// 256-GPU shapes crossing the tiering threshold. pp4-tp8-dp8 rings start
+// with one member per node; the DP-heavy shapes start with four (tp2) and
+// two (tp4) members per node, so their rings fold same-node pairs bucket by
+// bucket — from the intra-node tables (tiered) or the matrix (fallback) — on
+// every move kind.
+class TieredBandwidth : public testing::TestWithParam<parallel::ParallelConfig> {
+ protected:
+  /// Sweeps `iters` random moves of all five kinds, committing or rolling
+  /// back each at random; every proposal and every rolled-back state must
+  /// match the full model bit for bit.
+  static void sweep(const Fixture& fx, const estimators::PipetteLatencyModel& model,
+                    estimators::IncrementalLatencyEvaluator& eval, std::uint64_t seed, int iters) {
+    const int gpn = fx.topo.gpus_per_node();
+    parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
+    ASSERT_EQ(eval.cost(), model.estimate(committed));
+    common::Rng rng(seed);
+    std::array<int, 5> kind_counts{};
+    int commits = 0, rollbacks = 0;
+    for (int iter = 0; iter < iters; ++iter) {
+      const auto mv = search::draw_mapping_move(committed, rng, {}, gpn);
+      ++kind_counts[static_cast<std::size_t>(mv.kind)];
+      parallel::Mapping moved = committed;
+      parallel::apply_move(moved, mv, gpn);
+      ASSERT_EQ(eval.propose(mv), model.estimate(moved))
+          << "iter " << iter << " kind " << static_cast<int>(mv.kind);
+      if (rng.bernoulli(0.5)) {
+        eval.commit();
+        committed = std::move(moved);
+        ++commits;
+      } else {
+        eval.rollback();
+        ASSERT_EQ(eval.mapping().raw(), committed.raw()) << "iter " << iter;
+        ASSERT_EQ(eval.cost(), model.estimate(committed)) << "iter " << iter;
+        ++rollbacks;
+      }
     }
+    for (std::size_t k = 0; k < kind_counts.size(); ++k) {
+      EXPECT_GT(kind_counts[k], 0) << "move kind " << k << " never drawn";
+    }
+    EXPECT_GT(commits, 0);
+    EXPECT_GT(rollbacks, 0);
   }
+};
+
+TEST_P(TieredBandwidth, EngagesOnLargeClustersAndStaysBitIdentical) {
+  // The evaluator folds the profiled matrix into node-pair + intra-node
+  // tables. Costs must stay bit-identical to the full model, which still
+  // reads the num_gpus² matrix directly.
+  const Fixture fx(GetParam(), 2);
+  const auto model = fx.model();
+  estimators::IncrementalLatencyEvaluator eval(
+      model, parallel::Mapping::megatron_default(fx.pc), fx.topo.gpus_per_node());
+  ASSERT_TRUE(eval.bw_tiered()) << "profile_network output should fold";
+  sweep(fx, model, eval, 2026, 300);
 }
 
-TEST(TieredBandwidth, FallsBackOnUnstructuredMatrix) {
+TEST_P(TieredBandwidth, FallsBackOnUnstructuredMatrix) {
   // Break the node-pair fold for a single inter-node entry: construction
   // must detect it, keep direct matrix reads, and stay bit-identical.
-  Fixture fx({4, 8, 8}, 2);
+  Fixture fx(GetParam(), 2);
   const int gpn = fx.topo.gpus_per_node();
   fx.profiled.bw.set(1, gpn + 1, fx.profiled.bw.at(1, gpn + 1) * 1.5);
   const auto model = fx.model();
-  parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
-  estimators::IncrementalLatencyEvaluator eval(model, committed, gpn);
+  estimators::IncrementalLatencyEvaluator eval(model, parallel::Mapping::megatron_default(fx.pc),
+                                               gpn);
   EXPECT_FALSE(eval.bw_tiered());
-  ASSERT_EQ(eval.cost(), model.estimate(committed));
-
-  common::Rng rng(31);
-  for (int iter = 0; iter < 200; ++iter) {
-    const auto mv = search::draw_mapping_move(committed, rng, {}, gpn);
-    parallel::Mapping moved = committed;
-    parallel::apply_move(moved, mv, gpn);
-    ASSERT_EQ(eval.propose(mv), model.estimate(moved)) << "iter " << iter;
-    eval.commit();
-    committed = std::move(moved);
-  }
+  sweep(fx, model, eval, 31, 300);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shapes, TieredBandwidth,
+                         testing::Values(parallel::ParallelConfig{4, 8, 8},
+                                         parallel::ParallelConfig{1, 2, 128},
+                                         parallel::ParallelConfig{2, 4, 32}));
 
 TEST(IncrementalEquivalence, ResetReseatsOnNewPermutation) {
   const Fixture fx({4, 2, 4}, 2);
