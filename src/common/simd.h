@@ -6,10 +6,12 @@
 //
 // Bit-identity contract (why the vector kernels below are safe to substitute
 // for their scalar originals):
-//   - IEEE-754 division, addition, and max are exact per element: a packed
-//     divpd computes the identical rounded quotient in every lane that divsd
-//     computes for that element, so element-wise expressions like a/b + c
-//     are bit-identical however many lanes evaluate at once.
+//   - IEEE-754 addition, subtraction, multiplication, division, square root
+//     and max are exact per element: a packed divpd computes the identical
+//     rounded quotient in every lane that divsd computes for that element,
+//     so element-wise expressions like a/b + c are bit-identical however
+//     many lanes evaluate at once. (No FMA contraction: nothing here is
+//     built with -mfma, so a*b + c stays two roundings.)
 //   - max is associative and commutative on the NaN-free data the evaluator
 //     folds (priced latencies), so regrouping a sequential fold into vector
 //     accumulators + a horizontal reduce picks the same element.
@@ -19,6 +21,12 @@
 // The fold helpers (max_fold/price_max) are what the evaluator calls; each
 // consults enabled() once and falls back to the historical scalar loop
 // shape, so `set_enabled(false)` measures the true pre-SIMD code.
+//
+// The MLP kernels (mlp/matrix.cpp, mlp/network.cpp) are written on Lane too
+// but never consult enabled(): each lane carries one output element through
+// the scalar loop's operations in the scalar loop's order, so there is no
+// scalar fork to race (tests/mlp_test.cpp keeps the historical loops as the
+// reference).
 #pragma once
 
 #include <atomic>
@@ -30,6 +38,7 @@
 #include <emmintrin.h>
 #define PIPETTE_SIMD_LANES 2
 #else
+#include <cmath>
 #define PIPETTE_SIMD_LANES 1
 #endif
 
@@ -69,8 +78,17 @@ struct Lane {
   static Lane broadcast(double x) { return {_mm256_set1_pd(x)}; }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
   friend Lane operator+(Lane a, Lane b) { return {_mm256_add_pd(a.v, b.v)}; }
+  friend Lane operator-(Lane a, Lane b) { return {_mm256_sub_pd(a.v, b.v)}; }
+  friend Lane operator*(Lane a, Lane b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend Lane operator/(Lane a, Lane b) { return {_mm256_div_pd(a.v, b.v)}; }
+  static Lane sqrt(Lane a) { return {_mm256_sqrt_pd(a.v)}; }
   static Lane max(Lane a, Lane b) { return {_mm256_max_pd(a.v, b.v)}; }
+  static Lane relu(Lane z) {
+    return {_mm256_andnot_pd(_mm256_cmp_pd(z.v, _mm256_setzero_pd(), _CMP_LT_OQ), z.v)};
+  }
+  static Lane zero_where_nonpositive(Lane m, Lane a) {
+    return {_mm256_andnot_pd(_mm256_cmp_pd(m.v, _mm256_setzero_pd(), _CMP_LE_OQ), a.v)};
+  }
   double hmax() const {
     const __m128d lo = _mm256_castpd256_pd128(v);
     const __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -83,8 +101,15 @@ struct Lane {
   static Lane broadcast(double x) { return {_mm_set1_pd(x)}; }
   void store(double* p) const { _mm_storeu_pd(p, v); }
   friend Lane operator+(Lane a, Lane b) { return {_mm_add_pd(a.v, b.v)}; }
+  friend Lane operator-(Lane a, Lane b) { return {_mm_sub_pd(a.v, b.v)}; }
+  friend Lane operator*(Lane a, Lane b) { return {_mm_mul_pd(a.v, b.v)}; }
   friend Lane operator/(Lane a, Lane b) { return {_mm_div_pd(a.v, b.v)}; }
+  static Lane sqrt(Lane a) { return {_mm_sqrt_pd(a.v)}; }
   static Lane max(Lane a, Lane b) { return {_mm_max_pd(a.v, b.v)}; }
+  static Lane relu(Lane z) { return {_mm_andnot_pd(_mm_cmplt_pd(z.v, _mm_setzero_pd()), z.v)}; }
+  static Lane zero_where_nonpositive(Lane m, Lane a) {
+    return {_mm_andnot_pd(_mm_cmple_pd(m.v, _mm_setzero_pd()), a.v)};
+  }
   double hmax() const { return _mm_cvtsd_f64(_mm_max_sd(v, _mm_unpackhi_pd(v, v))); }
 #else
   double v;
@@ -92,10 +117,20 @@ struct Lane {
   static Lane broadcast(double x) { return {x}; }
   void store(double* p) const { *p = v; }
   friend Lane operator+(Lane a, Lane b) { return {a.v + b.v}; }
+  friend Lane operator-(Lane a, Lane b) { return {a.v - b.v}; }
+  friend Lane operator*(Lane a, Lane b) { return {a.v * b.v}; }
   friend Lane operator/(Lane a, Lane b) { return {a.v / b.v}; }
+  static Lane sqrt(Lane a) { return {std::sqrt(a.v)}; }
   static Lane max(Lane a, Lane b) { return {a.v > b.v ? a.v : b.v}; }
+  static Lane relu(Lane z) { return {z.v < 0.0 ? 0.0 : z.v}; }
+  static Lane zero_where_nonpositive(Lane m, Lane a) { return {m.v <= 0.0 ? 0.0 : a.v}; }
   double hmax() const { return v; }
 #endif
+
+  // relu(z) is the scalar `z < 0.0 ? 0.0 : z` per lane and
+  // zero_where_nonpositive(m, a) is `m <= 0.0 ? 0.0 : a`: ordered compares
+  // plus a mask, so -0.0 and NaN pass through exactly as the scalar branch
+  // lets them (a max against 0.0 would turn -0.0 into +0.0).
 
   /// Fused pricing form a/b + c: one div + one add per lane, the exact
   /// bracketing of the scalar `bytes/bw + lat` (no FMA contraction is

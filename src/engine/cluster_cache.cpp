@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/hashing.h"
+#include "common/stopwatch.h"
 #include "model/gpt_zoo.h"
 
 namespace pipette::engine {
@@ -37,6 +38,10 @@ ClusterCache::ClusterCache(ClusterCacheOptions opt) : opt_(std::move(opt)) {
     m_evictions_ = opt_.metrics->counter("engine.cluster_cache.evictions");
     m_records_loaded_ = opt_.metrics->counter("pipette.persist.records_loaded");
     m_records_skipped_ = opt_.metrics->counter("pipette.persist.records_skipped");
+    m_profile_s_ = opt_.metrics->histogram("engine.cluster_cache.profile_s",
+                                           obs::Registry::latency_bounds_s());
+    m_train_s_ = opt_.metrics->histogram("engine.cluster_cache.train_s",
+                                         obs::Registry::latency_bounds_s());
   }
   if (!opt_.snapshot_dir.empty()) {
     persist::PersisterOptions popt;
@@ -166,8 +171,10 @@ ClusterCache::Entry ClusterCache::get_or_compute(
 
   auto fill_profile = [&] {  // caller holds profile_cell->mu
     if (!profile_cell->value) {
+      const common::Stopwatch sw;
       profile_cell->value = std::make_shared<const cluster::ProfileResult>(
           cluster::profile_network(topo, profile_opt));
+      m_profile_s_.observe(sw.seconds());
       m_profiles_run_.inc();
       if (persister_) persister_->enqueue_profile(pkey, profile_cell->value);
       std::lock_guard slk(mu_);
@@ -178,8 +185,10 @@ ClusterCache::Entry ClusterCache::get_or_compute(
   };
   auto fill_memory = [&] {  // caller holds memory_cell->mu
     if (!memory_cell->value) {
+      const common::Stopwatch sw;
       memory_cell->value = std::make_shared<const estimators::MlpMemoryEstimator>(
           estimators::MlpMemoryEstimator::train_for_cluster(topo, model::gpt_zoo(), memory_opt));
+      m_train_s_.observe(sw.seconds());
       m_trainings_run_.inc();
       if (persister_) persister_->enqueue_memory(mkey, memory_cell->value);
       std::lock_guard slk(mu_);

@@ -73,8 +73,9 @@ struct ClusterCacheOptions {
   /// caps dominate unless an operator tightens this.
   int max_entries = 256;
   /// Mirrors every ClusterCacheStats field into engine.cluster_cache.*
-  /// registry counters (not owned, must outlive the cache). Null keeps the
-  /// historical stats_-only accounting.
+  /// registry counters, and times every computed artifact into the
+  /// engine.cluster_cache.profile_s / train_s histograms (not owned, must
+  /// outlive the cache). Null keeps the historical stats_-only accounting.
   obs::Registry* metrics = nullptr;
 
   // --- persistent tier (inert while snapshot_dir is empty) ---
@@ -236,6 +237,10 @@ class ClusterCache {
   // Registry mirrors of stats_ (inert without ClusterCacheOptions::metrics).
   obs::Counter m_lookups_, m_hits_, m_profiles_run_, m_trainings_run_, m_compute_created_;
   obs::Counter m_evictions_, m_records_loaded_, m_records_skipped_;
+  // Wall time of each profile_network / train_for_cluster this cache ran: on
+  // the service path these run inside get_or_compute, so the requests that
+  // waited on them report zero profile/training time of their own.
+  obs::Histogram m_profile_s_, m_train_s_;
 };
 
 }  // namespace pipette::engine

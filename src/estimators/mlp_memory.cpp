@@ -137,19 +137,18 @@ MlpMemoryEstimator MlpMemoryEstimator::train_for_cluster(
   }
 
   mlp::Regressor reg(x.cols(), opt.hidden, opt.seed);
-  mlp::TrainOptions train = opt.train;
-  const auto report = reg.fit(x, targets, train);
+  const mlp::TrainReport report = reg.fit(x, targets, opt.train);
 
-  // Report MAPE in bytes space, which is what Fig. 7 plots.
+  // Report MAPE in bytes space, which is what Fig. 7 plots, from fit's own
+  // in-sample predictions (x's rows are exactly `rows`).
   std::vector<double> est_bytes, act_bytes;
   est_bytes.reserve(rows.size());
   act_bytes.reserve(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    est_bytes.push_back(std::exp2(reg.predict(rows[i])));
+    est_bytes.push_back(std::exp2(report.predictions[i]));
     act_bytes.push_back(std::exp2(targets[i]));
   }
   const double mape = common::mape_percent(est_bytes, act_bytes);
-  (void)report;
   return MlpMemoryEstimator(std::move(reg), opt.soft_margin, static_cast<int>(rows.size()), mape,
                             training_digest(spec, opt));
 }

@@ -1,125 +1,171 @@
 #include "mlp/network.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
+#include "common/simd.h"
 
 namespace pipette::mlp {
 
 using common::Rng;
+
+namespace {
+
+struct AdamConstants {
+  double beta1, beta2, one_minus_beta1, one_minus_beta2, lr, bc1, bc2, eps;
+};
+
+/// One Adam update of n parameters in the historical per-element form
+///   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;  w -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+/// with the same bracketing in the vector body and the scalar tail.
+void adam_update(double* w, const double* g, double* m, double* v, std::size_t n,
+                 const AdamConstants& k) {
+  std::size_t i = 0;
+  if constexpr (common::simd::kLanes > 1) {
+    using common::simd::Lane;
+    constexpr std::size_t kL = common::simd::kLanes;
+    const Lane b1 = Lane::broadcast(k.beta1), b2 = Lane::broadcast(k.beta2);
+    const Lane c1 = Lane::broadcast(k.one_minus_beta1), c2 = Lane::broadcast(k.one_minus_beta2);
+    const Lane lr = Lane::broadcast(k.lr), eps = Lane::broadcast(k.eps);
+    const Lane bc1 = Lane::broadcast(k.bc1), bc2 = Lane::broadcast(k.bc2);
+    for (; i + kL <= n; i += kL) {
+      const Lane gi = Lane::load(g + i);
+      const Lane mi = b1 * Lane::load(m + i) + c1 * gi;
+      const Lane vi = b2 * Lane::load(v + i) + c2 * gi * gi;
+      mi.store(m + i);
+      vi.store(v + i);
+      (Lane::load(w + i) - lr * (mi / bc1) / (Lane::sqrt(vi / bc2) + eps)).store(w + i);
+    }
+  }
+  for (; i < n; ++i) {
+    m[i] = k.beta1 * m[i] + k.one_minus_beta1 * g[i];
+    v[i] = k.beta2 * v[i] + k.one_minus_beta2 * g[i] * g[i];
+    w[i] -= k.lr * (m[i] / k.bc1) / (std::sqrt(v[i] / k.bc2) + k.eps);
+  }
+}
+
+}  // namespace
 
 Network::Network(std::vector<int> layer_sizes, std::uint64_t seed) : sizes_(std::move(layer_sizes)) {
   Rng rng(seed);
   layers_.reserve(sizes_.size() - 1);
   for (std::size_t l = 0; l + 1 < sizes_.size(); ++l) {
     const int in = sizes_[l], out = sizes_[l + 1];
+    max_width_ = std::max(max_width_, out);
     Layer layer;
     layer.w = Matrix(out, in);
     const double scale = std::sqrt(2.0 / in);  // He init for ReLU
     for (int r = 0; r < out; ++r) {
       for (int c = 0; c < in; ++c) layer.w(r, c) = rng.normal(0.0, scale);
     }
+    transpose(layer.w, layer.wt);
     layer.b.assign(static_cast<std::size_t>(out), 0.0);
-    layer.gw = Matrix(out, in);
-    layer.gb.assign(static_cast<std::size_t>(out), 0.0);
-    layer.mw = Matrix(out, in);
-    layer.vw = Matrix(out, in);
-    layer.mb.assign(static_cast<std::size_t>(out), 0.0);
-    layer.vb.assign(static_cast<std::size_t>(out), 0.0);
     layers_.push_back(std::move(layer));
   }
 }
 
-Matrix Network::forward(const Matrix& x) const {
-  Matrix a = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Matrix z = matmul_bt(a, layers_[l].w);  // (n x out)
-    for (int i = 0; i < z.rows(); ++i) {
-      for (int j = 0; j < z.cols(); ++j) {
-        z(i, j) += layers_[l].b[static_cast<std::size_t>(j)];
-        if (l + 1 < layers_.size() && z(i, j) < 0.0) z(i, j) = 0.0;  // ReLU on hidden
-      }
-    }
-    a = std::move(z);
+Network::TrainState& Network::train_state() {
+  if (!train_) {
+    train_.emplace();
+    for (const Layer& layer : layers_) train_->grads.emplace_back(layer.w.rows(), layer.w.cols());
+    train_->acts.resize(layers_.size());
   }
-  return a;
+  return *train_;
+}
+
+Matrix Network::forward(const Matrix& x) const {
+  std::vector<double> scratch(scratch_size(x.rows()));
+  const double* y = forward_into(x.data().data(), x.rows(), scratch.data());
+  Matrix out(x.rows(), output_dim());
+  std::copy(y, y + out.data().size(), out.data().begin());
+  return out;
+}
+
+const double* Network::forward_into(const double* x, int n, double* scratch) const {
+  const double* in = x;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    double* out = scratch + (l % 2) * (scratch_size(n) / 2);
+    affine(in, layers_[l].wt.data().data(), layers_[l].b.data(), n, sizes_[l], sizes_[l + 1],
+           /*relu=*/l + 1 < layers_.size(), out);
+    in = out;
+  }
+  return in;
 }
 
 double Network::loss_and_grad(const Matrix& x, const Matrix& y_target) {
+  TrainState& ts = train_state();
   const int n = x.rows();
+  const std::size_t num_layers = layers_.size();
   // Forward, keeping post-activation values for the backward pass.
-  std::vector<Matrix> acts;
-  acts.reserve(layers_.size() + 1);
-  acts.push_back(x);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Matrix z = matmul_bt(acts.back(), layers_[l].w);
-    for (int i = 0; i < z.rows(); ++i) {
-      for (int j = 0; j < z.cols(); ++j) {
-        z(i, j) += layers_[l].b[static_cast<std::size_t>(j)];
-        if (l + 1 < layers_.size() && z(i, j) < 0.0) z(i, j) = 0.0;
-      }
-    }
-    acts.push_back(std::move(z));
+  const double* in = x.data().data();
+  for (std::size_t l = 0; l < num_layers; ++l) {
+    Matrix& act = ts.acts[l];
+    if (act.rows() != n) act = Matrix(n, sizes_[l + 1]);
+    affine(in, layers_[l].wt.data().data(), layers_[l].b.data(), n, sizes_[l], sizes_[l + 1],
+           /*relu=*/l + 1 < num_layers, act.data().data());
+    in = act.data().data();
   }
 
   // MSE loss and dL/d(output).
-  const Matrix& out = acts.back();
+  const std::size_t cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(max_width_);
+  if (ts.delta.size() < cells) {
+    ts.delta.resize(cells);
+    ts.next.resize(cells);
+  }
+  const Matrix& out = ts.acts.back();
   double loss = 0.0;
-  Matrix delta(out.rows(), out.cols());
   for (int i = 0; i < out.rows(); ++i) {
     for (int j = 0; j < out.cols(); ++j) {
       const double diff = out(i, j) - y_target(i, j);
       loss += diff * diff;
-      delta(i, j) = 2.0 * diff / n;
+      ts.delta[static_cast<std::size_t>(i) * out.cols() + j] = 2.0 * diff / n;
     }
   }
   loss /= n;
 
   // Backward.
-  for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
-    Layer& layer = layers_[static_cast<std::size_t>(l)];
-    const Matrix& a_in = acts[static_cast<std::size_t>(l)];
-    layer.gw = matmul_at(delta, a_in);  // (out x in)
-    for (int j = 0; j < static_cast<int>(layer.gb.size()); ++j) {
-      double s = 0.0;
-      for (int i = 0; i < delta.rows(); ++i) s += delta(i, j);
-      layer.gb[static_cast<std::size_t>(j)] = s;
+  for (int l = static_cast<int>(num_layers) - 1; l >= 0; --l) {
+    const auto ul = static_cast<std::size_t>(l);
+    LayerGrad& g = ts.grads[ul];
+    const int m = sizes_[ul + 1], k = sizes_[ul];
+    const double* a_in = l == 0 ? x.data().data() : ts.acts[ul - 1].data().data();
+    ts.index.build(ts.delta.data(), n, m);
+    grad_weights(ts.index, a_in, k, g.gw.data().data());
+    std::fill(g.gb.begin(), g.gb.end(), 0.0);
+    for (int i = 0; i < n; ++i) {
+      const double* d = ts.delta.data() + static_cast<std::size_t>(i) * m;
+      for (int j = 0; j < m; ++j) g.gb[static_cast<std::size_t>(j)] += d[j];
     }
     if (l > 0) {
-      Matrix next = matmul(delta, layer.w);  // (n x in)
-      // ReLU mask of the producing layer: stored activations are post-ReLU,
+      // ReLU gate of the producing layer: stored activations are post-ReLU,
       // so a zero activation means the unit was clamped and passes no grad.
-      const Matrix& mask = acts[static_cast<std::size_t>(l)];
-      for (int i = 0; i < next.rows(); ++i) {
-        for (int j = 0; j < next.cols(); ++j) {
-          if (mask(i, j) <= 0.0) next(i, j) = 0.0;
-        }
-      }
-      delta = std::move(next);
+      grad_inputs(ts.index, layers_[ul].w.data().data(), k, /*mask=*/a_in, ts.next.data());
+      std::swap(ts.delta, ts.next);
     }
   }
   return loss;
 }
 
 void Network::adam_step(const AdamOptions& opt) {
-  ++adam_t_;
-  const double bc1 = 1.0 - std::pow(opt.beta1, static_cast<double>(adam_t_));
-  const double bc2 = 1.0 - std::pow(opt.beta2, static_cast<double>(adam_t_));
-  for (auto& layer : layers_) {
-    auto w = layer.w.data();
-    auto gw = layer.gw.data();
-    auto mw = layer.mw.data();
-    auto vw = layer.vw.data();
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      mw[i] = opt.beta1 * mw[i] + (1.0 - opt.beta1) * gw[i];
-      vw[i] = opt.beta2 * vw[i] + (1.0 - opt.beta2) * gw[i] * gw[i];
-      w[i] -= opt.lr * (mw[i] / bc1) / (std::sqrt(vw[i] / bc2) + opt.eps);
-    }
-    for (std::size_t i = 0; i < layer.b.size(); ++i) {
-      layer.mb[i] = opt.beta1 * layer.mb[i] + (1.0 - opt.beta1) * layer.gb[i];
-      layer.vb[i] = opt.beta2 * layer.vb[i] + (1.0 - opt.beta2) * layer.gb[i] * layer.gb[i];
-      layer.b[i] -= opt.lr * (layer.mb[i] / bc1) / (std::sqrt(layer.vb[i] / bc2) + opt.eps);
-    }
+  TrainState& ts = train_state();
+  ++ts.adam_t;
+  const AdamConstants k{opt.beta1,
+                        opt.beta2,
+                        1.0 - opt.beta1,
+                        1.0 - opt.beta2,
+                        opt.lr,
+                        1.0 - std::pow(opt.beta1, static_cast<double>(ts.adam_t)),
+                        1.0 - std::pow(opt.beta2, static_cast<double>(ts.adam_t)),
+                        opt.eps};
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    Layer& layer = layers_[l];
+    LayerGrad& g = ts.grads[l];
+    adam_update(layer.w.data().data(), g.gw.data().data(), g.mw.data().data(), g.vw.data().data(),
+                layer.w.data().size(), k);
+    adam_update(layer.b.data(), g.gb.data(), g.mb.data(), g.vb.data(), layer.b.size(), k);
+    transpose(layer.w, layer.wt);
   }
 }
 
@@ -131,6 +177,7 @@ std::size_t Network::num_parameters() const {
 
 std::vector<double> Network::parameters() const {
   std::vector<double> flat;
+  flat.reserve(num_parameters());
   for (const auto& layer : layers_) {
     flat.insert(flat.end(), layer.w.data().begin(), layer.w.data().end());
     flat.insert(flat.end(), layer.b.begin(), layer.b.end());
@@ -144,14 +191,17 @@ void Network::set_parameters(const std::vector<double>& flat) {
     auto w = layer.w.data();
     for (std::size_t i = 0; i < w.size(); ++i) w[i] = flat[pos++];
     for (auto& b : layer.b) b = flat[pos++];
+    transpose(layer.w, layer.wt);
   }
 }
 
 std::vector<double> Network::gradients() const {
+  if (!train_) return std::vector<double>(num_parameters(), 0.0);
   std::vector<double> flat;
-  for (const auto& layer : layers_) {
-    flat.insert(flat.end(), layer.gw.data().begin(), layer.gw.data().end());
-    flat.insert(flat.end(), layer.gb.begin(), layer.gb.end());
+  flat.reserve(num_parameters());
+  for (const auto& g : train_->grads) {
+    flat.insert(flat.end(), g.gw.data().begin(), g.gw.data().end());
+    flat.insert(flat.end(), g.gb.begin(), g.gb.end());
   }
   return flat;
 }

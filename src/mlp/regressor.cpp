@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -91,6 +92,13 @@ Regressor Regressor::restore(const std::vector<int>& layer_sizes,
 
 Regressor::Regressor(int input_dim, std::vector<int> hidden, std::uint64_t seed)
     : net_([&] {
+        if (input_dim < 1) throw std::invalid_argument("Regressor: input_dim must be >= 1");
+        for (const int h : hidden) {
+          if (h < 1) {
+            throw std::invalid_argument("Regressor: hidden width must be >= 1 (got " +
+                                        std::to_string(h) + ")");
+          }
+        }
         std::vector<int> sizes;
         sizes.push_back(input_dim);
         sizes.insert(sizes.end(), hidden.begin(), hidden.end());
@@ -102,6 +110,14 @@ Regressor::Regressor(int input_dim, std::vector<int> hidden, std::uint64_t seed)
 TrainReport Regressor::fit(const Matrix& x, const std::vector<double>& y, const TrainOptions& opt) {
   if (x.rows() != static_cast<int>(y.size()) || x.rows() == 0) {
     throw std::invalid_argument("Regressor::fit: bad dataset shape");
+  }
+  if (opt.batch_size < 1) throw std::invalid_argument("TrainOptions::batch_size must be >= 1");
+  if (opt.iters < 1) throw std::invalid_argument("TrainOptions::iters must be >= 1");
+  if (!std::isfinite(opt.lr) || !(opt.lr > 0.0)) {
+    throw std::invalid_argument("TrainOptions::lr must be finite and positive");
+  }
+  if (!std::isfinite(opt.lr_decay) || !(opt.lr_decay > 0.0)) {
+    throw std::invalid_argument("TrainOptions::lr_decay must be finite and positive");
   }
   feat_std_.fit(x);
   const Matrix xs = feat_std_.transform(x);
@@ -130,24 +146,33 @@ TrainReport Regressor::fit(const Matrix& x, const std::vector<double>& y, const 
     net_.adam_step(adam);
     if ((it + 1) % 100 == 0) adam.lr *= opt.lr_decay;
   }
+  net_.release_training_state();
   fitted_ = true;
 
   TrainReport rep;
   rep.final_mse = last_loss;
   rep.iters_run = opt.iters;
-  std::vector<double> pred(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) pred[static_cast<std::size_t>(i)] = predict(x.row(i));
-  rep.train_mape = common::mape_percent(pred, y);
+  rep.predictions.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) rep.predictions[static_cast<std::size_t>(i)] = predict(x.row(i));
+  rep.train_mape = common::mape_percent(rep.predictions, y);
   return rep;
 }
 
 double Regressor::predict(std::span<const double> x) const {
   if (!fitted_) throw std::logic_error("Regressor::predict before fit");
-  const std::vector<double> xs = feat_std_.transform_row(x);
-  Matrix in(1, static_cast<int>(xs.size()));
-  for (std::size_t j = 0; j < xs.size(); ++j) in(0, static_cast<int>(j)) = xs[j];
-  const Matrix out = net_.forward(in);
-  return out(0, 0) * y_std_ + y_mean_;
+  assert(static_cast<int>(x.size()) == feat_std_.dim());
+  // Standardized input, then the forward's two ping-pong rows, in a
+  // per-thread buffer that only grows: the memory filter calls this from
+  // every pool thread, and in steady state nothing is allocated.
+  thread_local std::vector<double> scratch;
+  if (const std::size_t need = x.size() + net_.scratch_size(1); scratch.size() < need) {
+    scratch.resize(need);
+  }
+  double* buf = scratch.data();
+  const std::vector<double>& mean = feat_std_.mean();
+  const std::vector<double>& sd = feat_std_.std();
+  for (std::size_t j = 0; j < x.size(); ++j) buf[j] = (x[j] - mean[j]) / sd[j];
+  return net_.forward_into(buf, 1, buf + x.size())[0] * y_std_ + y_mean_;
 }
 
 }  // namespace pipette::mlp

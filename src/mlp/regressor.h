@@ -26,6 +26,10 @@ struct TrainReport {
   double final_mse = 0.0;     ///< on standardized targets
   double train_mape = 0.0;    ///< percent, on de-standardized predictions
   int iters_run = 0;
+  /// The trained regressor's predict() of every row of the training set, in
+  /// row order — what train_mape was computed from. Callers that need
+  /// in-sample predictions reuse these instead of predicting again.
+  std::vector<double> predictions;
 };
 
 /// Per-column affine standardizer (x - mean) / std with std floored at 1e-12.
@@ -48,13 +52,20 @@ class Standardizer {
 class Regressor {
  public:
   /// `hidden` lists hidden layer widths, e.g. {200,200,200,200} for the
-  /// paper's five-layer net (4 hidden + 1 output).
+  /// paper's five-layer net (4 hidden + 1 output). Throws
+  /// std::invalid_argument when `input_dim` or a hidden width is below 1.
   Regressor(int input_dim, std::vector<int> hidden, std::uint64_t seed);
 
-  /// Trains on rows of `x` against `y`; standardization is fit here.
+  /// Trains on rows of `x` against `y`; standardization is fit here. Throws
+  /// std::invalid_argument, naming the field, when `opt` would not train:
+  /// batch_size or iters below 1, or lr / lr_decay not finite and positive.
+  /// The network's training state (gradients, Adam moments, workspace) is
+  /// freed before it returns.
   TrainReport fit(const Matrix& x, const std::vector<double>& y, const TrainOptions& opt);
 
-  /// Predicts the (de-standardized) target for one feature row.
+  /// Predicts the (de-standardized) target for one feature row. Const and
+  /// safe to call from many threads at once; allocates nothing in steady
+  /// state (the scratch rows are per thread).
   double predict(std::span<const double> x) const;
 
   // Snapshot surface (persist/codecs.{h,cpp}): everything a trained regressor

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/cluster_cache.h"
@@ -251,6 +253,42 @@ TEST(ConfigService, SecondSubmitHitsTheClusterCache) {
   EXPECT_DOUBLE_EQ(r2.mem_train_wall_s, 0.0);
   EXPECT_DOUBLE_EQ(r1.profile_wall_s, 0.0) << "profiling is owned by the cache, not the request";
   EXPECT_DOUBLE_EQ(r2.profile_wall_s, 0.0);
+}
+
+namespace {
+
+/// Observation count and sum of a registry histogram; count -1 when absent.
+std::pair<long, double> histogram_totals(const obs::Registry& reg, std::string_view name) {
+  for (const auto& h : reg.snapshot().histograms) {
+    if (h.name == name) return {h.count, h.sum};
+  }
+  return {-1, 0.0};
+}
+
+}  // namespace
+
+TEST(ConfigService, CacheTimesEachComputedArtifactOnce) {
+  const auto topo = small_cluster();
+  engine::ConfigService service(service_options(2));
+  const obs::Registry& reg = service.metrics();
+  EXPECT_EQ(histogram_totals(reg, "engine.cluster_cache.train_s").first, 0);
+  EXPECT_EQ(histogram_totals(reg, "engine.cluster_cache.profile_s").first, 0);
+
+  const auto cold = service.submit(topo, {model::gpt_774m(), 128}).get();
+  ASSERT_TRUE(cold.found);
+  const auto [trains, train_s] = histogram_totals(reg, "engine.cluster_cache.train_s");
+  const auto [profiles, profile_s] = histogram_totals(reg, "engine.cluster_cache.profile_s");
+  EXPECT_EQ(trains, 1) << "the cold request trains the estimator once";
+  EXPECT_EQ(profiles, 1) << "the cold request profiles the fabric once";
+  EXPECT_GT(train_s, 0.0);
+  EXPECT_GT(profile_s, 0.0);
+  EXPECT_DOUBLE_EQ(cold.mem_train_wall_s, 0.0) << "the histogram, not the request, owns the time";
+
+  const auto warm = service.submit(topo, {model::gpt_774m(), 256}).get();
+  ASSERT_TRUE(warm.found);
+  EXPECT_EQ(histogram_totals(reg, "engine.cluster_cache.train_s").first, 1)
+      << "a warm request computes nothing";
+  EXPECT_EQ(histogram_totals(reg, "engine.cluster_cache.profile_s").first, 1);
 }
 
 TEST(ConfigService, ConcurrentSubmitsTrainOnce) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "cluster/profiler.h"
 #include "common/stats.h"
@@ -214,6 +215,101 @@ TEST(MlpMemory, TrainsAndExtrapolates) {
   // The soft margin makes fits() stricter than a raw comparison.
   EXPECT_FALSE(est.fits(job, plan, pred));
   EXPECT_TRUE(est.fits(job, plan, pred * (1.0 + est.soft_margin()) * 1.01));
+}
+
+namespace {
+
+/// FNV-1a over the bit patterns of `v`: equal digests mean byte-identical
+/// weights.
+std::uint64_t bits_digest(const std::vector<double>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+// Golden digests of the trained estimator at the end-to-end benchmark's
+// options (the paper's 4x200 net cut to 300 steps, soft margin 0.07), one per
+// tier. The MLP kernels may be rewritten for speed, but never re-rounded:
+// these pins are what keeps persisted `memory` snapshots valid without a
+// format bump, and they hold at every SIMD lane width.
+TEST(MlpMemory, GoldenWeightDigestsAtBenchOptions) {
+  estimators::MlpMemoryOptions opt;
+  opt.hidden = {200, 200, 200, 200};
+  opt.train.iters = 300;
+  opt.soft_margin = 0.07;
+  struct Golden {
+    const char* tier;
+    cluster::ClusterSpec spec;
+    int rows;
+    std::uint64_t weights;
+    std::uint64_t mape_bits;
+  };
+  const Golden cases[] = {
+      {"mid-range", cluster::mid_range_cluster(4), 10229, 0x6307dbd0b4087d04ull,
+       0x401a457294c283c9ull},  // 6.5678...%
+      {"high-end", cluster::high_end_cluster(4), 9973, 0x3245686bc161111bull,
+       0x401e87e300518c02ull},  // 7.6327...%
+  };
+  for (const Golden& g : cases) {
+    const cluster::Topology topo(g.spec, cluster::HeterogeneityOptions{}, 2024);
+    const auto est = estimators::MlpMemoryEstimator::train_for_cluster(topo, model::gpt_zoo(), opt);
+    const mlp::Regressor& reg = est.regressor();
+    std::vector<double> state = reg.network().parameters();
+    state.insert(state.end(), reg.standardizer().mean().begin(), reg.standardizer().mean().end());
+    state.insert(state.end(), reg.standardizer().std().begin(), reg.standardizer().std().end());
+    state.push_back(reg.y_mean());
+    state.push_back(reg.y_std());
+    std::uint64_t mape_bits = 0;
+    const double mape = est.train_mape_percent();
+    std::memcpy(&mape_bits, &mape, sizeof mape_bits);
+    EXPECT_EQ(est.dataset_size(), g.rows) << g.tier;
+    EXPECT_EQ(bits_digest(state), g.weights)
+        << g.tier << ": trained weights moved; got 0x" << std::hex << bits_digest(state);
+    EXPECT_EQ(mape_bits, g.mape_bits)
+        << g.tier << ": in-sample MAPE moved; got 0x" << std::hex << mape_bits << " ("
+        << mape << "%)";
+  }
+}
+
+// A restored estimator (the persist tier's load path) is the trained one:
+// same bytes out for every plan the filter could ask about, and no training
+// state held by either.
+TEST(MlpMemory, RestoredEstimatorPredictsTheTrainedBytes) {
+  const auto topo = mid_cluster(4);
+  estimators::MlpMemoryOptions opt;
+  opt.hidden = {48, 48};
+  opt.train.iters = 600;
+  opt.max_profile_nodes = 2;
+  opt.profile_global_batches = {128};
+  const auto est = estimators::MlpMemoryEstimator::train_for_cluster(topo, model::gpt_zoo(), opt);
+  const mlp::Regressor& reg = est.regressor();
+  const auto restored = estimators::MlpMemoryEstimator::restore(
+      mlp::Regressor::restore(reg.network().layer_sizes(), reg.network().parameters(),
+                              reg.standardizer().mean(), reg.standardizer().std(), reg.y_mean(),
+                              reg.y_std()),
+      est.soft_margin(), est.dataset_size(), est.train_mape_percent(), est.training_digest());
+  EXPECT_FALSE(reg.network().holds_training_state());
+  EXPECT_FALSE(restored.regressor().network().holds_training_state());
+  int compared = 0;
+  for (const auto& mcfg : model::gpt_zoo()) {
+    const model::TrainingJob job{mcfg, 256};
+    for (const auto& plan : parallel::enumerate_base_plans(topo.num_gpus(), topo.gpus_per_node(),
+                                                           mcfg.num_layers, 256, opt.constraints)) {
+      const double a = est.estimate_bytes(job, plan), b = restored.estimate_bytes(job, plan);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << mcfg.name << " " << plan.str();
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 50);
 }
 
 namespace {
