@@ -11,56 +11,30 @@
 // headline rate the bench reports a per-move-kind rate breakdown, a
 // dirtied-entries-per-move histogram over the mixed stream, and a
 // deterministic multi-chain annealing measurement (aggregate proposals/sec
-// of --chains derive_seed-keyed chains on a --threads pool, cross-checked
-// for bit-identity against a serial run of the same replica set).
+// of --chains derive_seed-keyed serial chains over the default MoveSet on a
+// --threads pool, cross-checked for bit-identity against a serial run of the
+// same replica set).
 //
-// The batch column anneals the same instance through the batched proposal
-// path (SaOptions::batch > 1, cheap_string_moves kind weighting, SoA
-// score_batch repricing) and reports scored proposals/sec; its fill
-// histogram (what fraction of each batch was decided before the first
-// accept) goes to a _fill.csv. The tuned column runs the same batch shell
-// self-tuning (SaOptions::tune: fill-driven batch sizing + the kind-weight
-// bandit from an unweighted MoveSet) instead of the hand-picked preset. The
-// multi-chain determinism check runs at the batch size *with tuning armed*,
-// so mc_det asserts thread-count reproducibility of the batched, self-tuned
-// path, not just the serial one.
-//
-// Every headline rate (full, incr, scal, batch, tuned) is the median of
-// three timed runs after an untimed warm-up pass — run-to-run noise on a
-// shared box was +-25-30% on single-shot timings. The scal column forces the
-// scalar kernels via common::simd::set_enabled(false); its runs are paired
-// rep-for-rep with the SIMD runs and the simd column is the median of the
-// per-rep incr/scal ratios (adjacent runs share machine weather, so the
-// gated ratio is steadier than either rate), and `match` additionally
-// asserts the scalar and SIMD trajectories landed on bit-identical best
-// costs and mappings.
+// Every headline rate (full, incr) is the median of three timed runs after
+// an untimed warm-up pass — run-to-run noise on a shared box was +-25-30% on
+// single-shot timings.
 //
 //   --fast            CI budget: fewer iterations, skips the 256-4096-GPU shapes
 //   --iters N         override the full-evaluation iteration count
 //   --seed N          heterogeneity universe seed (default 2024)
-//   --csv PATH        mirror the table to CSV (+ _kinds.csv and _fill.csv)
+//   --csv PATH        mirror the table to CSV (+ _kinds.csv)
 //   --span N          wide-move span bound (default 4; 0 = unbounded)
 //   --nspan N         node_reverse span bound (default 1; 0 = unbounded)
 //   --chains N        multi-chain replica count (default 8)
 //   --threads N       pool size for the multi-chain run (default 8)
-//   --batch N         proposal batch size for the batched columns (default 32)
 //   --huge            include the 10240-GPU shape (slow full-model match run)
-//   --min-bspeedup X  fail (exit 3) if the batched cheap-string decided rate
-//                     over the full model drops below X on any 512+-GPU shape
-//                     (the regime the batch shell exists for; at 32 GPUs the
-//                     full model is already cheap and the shell overhead wins)
-//   --min-simd X      fail (exit 6) if the SIMD-on/SIMD-off incremental rate
-//                     ratio drops below X on any reprice-heavy shape (tp >= 8
-//                     at 512+ GPUs, where the hop-column pricing dominates)
-//   --min-tuned-ratio X  fail (exit 7) if the self-tuned batched rate falls
-//                     below X times the hand-picked preset's on any shape
 //   --adaptive-savings X  run fixed vs Hoeffding-stopped configure() (with
-//                     and without stopper->rung budget redistribution, plus a
-//                     self-tuned SA arm) on four small instances; fail
-//                     (exit 5) unless every arm picks the identical plan, at
-//                     least two instances cut SA iterations by X or more, and
-//                     redistribution re-grants budget while still spending
-//                     less than the fixed arm somewhere
+//                     and without stopper->rung budget redistribution) on
+//                     four small instances; fail (exit 5) unless every arm
+//                     picks the identical plan, at least two instances cut
+//                     SA iterations by X or more, and redistribution
+//                     re-grants budget while still spending less than the
+//                     fixed arm somewhere
 //   --telemetry-ceiling X  measure the AnnealTelemetry overhead on the first
 //                     32-GPU shape (best-of-5 incremental rate, accumulator
 //                     detached vs attached, bit-identity asserted) and fail
@@ -78,7 +52,6 @@
 #include "cluster/profiler.h"
 #include "cluster/topology.h"
 #include "common/cli.h"
-#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "core/pipette_configurator.h"
@@ -137,9 +110,8 @@ double median_rate3(F&& timed_run) {
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
   if (const auto unknown = cli.first_unknown({"fast", "iters", "seed", "csv", "span", "nspan",
-                                              "chains", "threads", "batch", "huge",
-                                              "min-bspeedup", "min-simd", "min-tuned-ratio",
-                                              "adaptive-savings", "telemetry-ceiling"})) {
+                                              "chains", "threads", "huge", "adaptive-savings",
+                                              "telemetry-ceiling"})) {
     std::cerr << "unknown flag --" << *unknown << "\n";
     return 1;
   }
@@ -149,18 +121,13 @@ int main(int argc, char** argv) {
   const long full_iters = cli.get_int("iters", fast ? 4000 : 20000);
   const long inc_iters = full_iters * (fast ? 25 : 10);
   const std::string csv = cli.get_string("csv", "");
-  const double min_bspeedup = cli.get_double("min-bspeedup", 0.0);
-  const double min_simd = cli.get_double("min-simd", 0.0);
-  const double min_tuned_ratio = cli.get_double("min-tuned-ratio", 0.0);
   const double adaptive_savings = cli.get_double("adaptive-savings", 0.0);
   const double telemetry_ceiling = cli.get_double("telemetry-ceiling", 0.0);
   const int chains = std::max(1, cli.get_int("chains", 8));
   const int threads = std::max(1, cli.get_int("threads", 8));
-  const int batch = std::max(1, cli.get_int("batch", 32));
   search::MoveSet moves;
   moves.wide_span = cli.get_int("span", 4);
   moves.node_span = cli.get_int("nspan", 1);
-  const search::MoveSet cheap = search::cheap_string_moves(moves);
 
   std::vector<ShapeCase> cases = {
       {{4, 2, 4}, 2}, {{2, 8, 2}, 2}, {{8, 1, 4}, 2}, {{4, 4, 2}, 2},  // 32 GPUs
@@ -179,23 +146,15 @@ int main(int argc, char** argv) {
   if (huge) cases.push_back({{16, 16, 40}, 2, 300});     // 10240 GPUs, 1280 nodes
 
   const model::TrainingJob job{model::gpt_3_1b(), 512};
-  // The paths run different iteration counts (the incremental and batched
-  // ones need more for a clean rate measurement), so each is timed over its
-  // own runs. Every rate is decided proposals per second (SaResult::iters /
-  // wall), so the columns are directly comparable: speedup = incr/full, simd
-  // = incr/scal, b spdup = batch/full (what --min-bspeedup gates on 512+-GPU
-  // shapes), t ratio = tuned/batch (what --min-tuned-ratio gates).
-  common::Table table({"shape", "gpus", "full mv/s", "incr mv/s", "scal mv/s", "simd",
-                       "batch mv/s", "tuned mv/s", "speedup", "b spdup", "t ratio", "match",
-                       "mc mv/s", "mc det"});
+  // The paths run different iteration counts (the incremental one needs more
+  // for a clean rate measurement), so each is timed over its own runs. Every
+  // rate is decided proposals per second (SaResult::iters / wall), so the
+  // columns are directly comparable: speedup = incr/full.
+  common::Table table({"shape", "gpus", "full mv/s", "incr mv/s", "speedup", "match", "mc mv/s",
+                       "mc det", "dirt hist %"});
   common::Table kinds_table({"shape", "kind", "mv/s", "mean dirt"});
-  common::Table fill_table({"shape", "gpus", "batch", "batches", "fill 1/8", "2/8", "3/8", "4/8",
-                            "5/8", "6/8", "7/8", "8/8", "dirt hist %"});
 
   engine::ThreadPool pool(threads);
-  double min_bspeedup_big = std::numeric_limits<double>::infinity();
-  double min_simd_big = std::numeric_limits<double>::infinity();
-  double min_tuned_seen = std::numeric_limits<double>::infinity();
 
   const common::Stopwatch progress;
   for (const auto& c : cases) {
@@ -237,95 +196,17 @@ int main(int argc, char** argv) {
           opt);
       return static_cast<double>(res_full.iters) / std::max(1e-9, res_full.wall_s);
     });
-    bool match =
+    const bool match =
         res_inc_match.best_cost == res_full.best_cost && m_inc.raw() == m_full.raw();
 
-    // Incremental rates at the longer budget, vector kernels on vs forced
-    // scalar (common/simd.h runtime toggle). The two trajectories must land
-    // on bit-identical best costs and mappings — the SIMD kernels' identity
-    // contract, end to end. The runs are PAIRED per rep (simd, then scalar,
-    // back to back) and the gated simd ratio is the median of the per-rep
-    // ratios: adjacent runs share the machine's weather, so drift that would
-    // land fully in a ratio of two independently-timed medians cancels.
+    // Incremental rate at the longer budget (deterministic replays of one
+    // trajectory, like the full-model reps).
     opt.max_iters = inc_iters;
-    parallel::Mapping m_rate = parallel::Mapping::megatron_default(c.pc);
-    parallel::Mapping m_scal = m_rate;
-    search::SaResult res_inc;
-    search::SaResult res_scal;
-    const auto inc_pass = [&] {
-      m_rate = parallel::Mapping::megatron_default(c.pc);
-      res_inc = search::optimize_mapping(m_rate, model, gpn, opt, moves);
+    const double inc_rate = median_rate3([&] {
+      parallel::Mapping m_rate = parallel::Mapping::megatron_default(c.pc);
+      const auto res_inc = search::optimize_mapping(m_rate, model, gpn, opt, moves);
       return static_cast<double>(res_inc.iters) / std::max(1e-9, res_inc.wall_s);
-    };
-    const auto scal_pass = [&] {
-      common::simd::set_enabled(false);
-      m_scal = parallel::Mapping::megatron_default(c.pc);
-      res_scal = search::optimize_mapping(m_scal, model, gpn, opt, moves);
-      common::simd::set_enabled(true);
-      return static_cast<double>(res_scal.iters) / std::max(1e-9, res_scal.wall_s);
-    };
-    inc_pass();   // warm-up (deterministic replays; timings discarded)
-    scal_pass();
-    std::array<double, 3> inc_r, scal_r, ratio_r;
-    for (int rep = 0; rep < 3; ++rep) {
-      inc_r[rep] = inc_pass();
-      scal_r[rep] = scal_pass();
-      ratio_r[rep] = inc_r[rep] / scal_r[rep];
-    }
-    std::sort(inc_r.begin(), inc_r.end());
-    std::sort(scal_r.begin(), scal_r.end());
-    std::sort(ratio_r.begin(), ratio_r.end());
-    const double inc_rate = inc_r[1];
-    const double scal_rate = scal_r[1];
-    const double simd_ratio = ratio_r[1];
-    match = match && res_scal.best_cost == res_inc.best_cost && m_scal.raw() == m_rate.raw();
-
-    // Batched proposal path: block draws through the cheap-string kind
-    // weighting, columnar score_batch repricing, first-accept Metropolis
-    // sweep. The telemetry totals must reconcile with the SaResult, and the
-    // fill histogram records how much of each batch was decided before the
-    // first accept cut it short.
-    search::SaOptions bopt = opt;
-    bopt.batch = batch;
-    search::AnnealTelemetry btel;
-    parallel::Mapping m_batch = parallel::Mapping::megatron_default(c.pc);
-    search::SaResult res_batch;
-    const double batch_rate = median_rate3([&] {
-      btel = search::AnnealTelemetry{};
-      m_batch = parallel::Mapping::megatron_default(c.pc);
-      res_batch = search::optimize_mapping(m_batch, model, gpn, bopt, cheap, &btel);
-      return static_cast<double>(res_batch.iters) / std::max(1e-9, res_batch.wall_s);
     });
-    if (btel.total_proposed() != res_batch.iters || btel.scored != res_batch.scored) {
-      std::cerr << "TELEMETRY MISMATCH on " << c.pc.str() << ": batched run counted "
-                << btel.total_proposed() << "/" << btel.scored
-                << " decided/scored vs SaResult " << res_batch.iters << "/" << res_batch.scored
-                << "\n";
-      return 4;
-    }
-    // Self-tuned batched path: same batch shell, but the batch size adapts
-    // to the fill distribution and the kind weights to the
-    // improvement-per-work bandit (SaOptions::tune), starting from the
-    // *unweighted* move set — no hand-picked preset. Tuning is a pure
-    // function of chain-local counters, so the three reps replay one
-    // trajectory; the gate below requires the tuned rate to stay within
-    // --min-tuned-ratio of the preset's on every shape.
-    search::SaOptions topt = opt;
-    topt.batch = batch;
-    topt.tune.batch_size = true;
-    topt.tune.kind_weights = true;
-    parallel::Mapping m_tuned = parallel::Mapping::megatron_default(c.pc);
-    search::SaResult res_tuned;
-    const double tuned_rate = median_rate3([&] {
-      m_tuned = parallel::Mapping::megatron_default(c.pc);
-      res_tuned = search::optimize_mapping(m_tuned, model, gpn, topt, moves);
-      return static_cast<double>(res_tuned.iters) / std::max(1e-9, res_tuned.wall_s);
-    });
-    if (res_tuned.iters != res_batch.iters) {
-      std::cerr << "MISMATCH on " << c.pc.str() << ": tuned run decided " << res_tuned.iters
-                << " proposals vs the preset's " << res_batch.iters << "\n";
-      return 2;
-    }
 
     // Per-move-kind rate breakdown: anneal with a single kind enabled (same
     // span bounds), so each rate is a bulk measurement without per-move
@@ -380,60 +261,32 @@ int main(int argc, char** argv) {
                              common::fmt_fixed(mean, 1)});
       }
     }
-    {
-      std::vector<std::string> row = {c.pc.str(), std::to_string(c.pc.ways()),
-                                      std::to_string(batch), std::to_string(btel.batches)};
-      for (long count : btel.batch_fill) {
-        row.push_back(std::to_string(
-            btel.batches > 0 ? (100 * count + btel.batches / 2) / btel.batches : 0));
-      }
-      row.push_back(fmt_hist(dirt_hist, probes));
-      fill_table.add_row(row);
-    }
 
-    // Deterministic multi-chain annealing: `chains` derive_seed-keyed
-    // replicas on the pool, canonical best-of merge. Aggregate proposals/sec
-    // is the multi-chain throughput; a serial run of the identical replica
-    // set must reproduce the merged result bit for bit. It runs at the batch
-    // size with both tuners armed, so mc_det asserts thread-count
-    // reproducibility of the batched, self-tuned production path.
+    // Deterministic multi-chain annealing: `chains` derive_seed-keyed serial
+    // replicas over the default MoveSet on the pool, canonical best-of merge.
+    // Aggregate proposals/sec is the multi-chain throughput; a serial run of
+    // the identical replica set must reproduce the merged result bit for bit.
     search::SaOptions mopt = opt;
-    mopt.batch = batch;
-    mopt.tune.batch_size = true;
-    mopt.tune.kind_weights = true;
     mopt.max_iters = std::max<long>(1, inc_iters / chains);
     parallel::Mapping m_mc = parallel::Mapping::megatron_default(c.pc);
     const common::Stopwatch t_mc;
     const auto res_mc =
-        search::optimize_mapping_multichain(m_mc, model, gpn, mopt, {chains, &pool}, moves);
+        search::optimize_mapping_multichain(m_mc, model, gpn, mopt, {chains, &pool});
     const double mc_wall = t_mc.seconds();
     parallel::Mapping m_mc1 = parallel::Mapping::megatron_default(c.pc);
     const auto res_mc1 =
-        search::optimize_mapping_multichain(m_mc1, model, gpn, mopt, {chains, nullptr}, moves);
+        search::optimize_mapping_multichain(m_mc1, model, gpn, mopt, {chains, nullptr});
     const bool mc_det = res_mc.best_cost == res_mc1.best_cost && m_mc.raw() == m_mc1.raw();
 
     const double mc_rate = static_cast<double>(res_mc.iters) / std::max(1e-9, mc_wall);
     const double speedup = inc_rate / full_rate;
-    const double bspeedup = batch_rate / full_rate;
-    const double tuned_ratio = tuned_rate / batch_rate;
-    if (c.pc.ways() >= 512) min_bspeedup_big = std::min(min_bspeedup_big, bspeedup);
-    // Reprice-heavy shapes: hop-column pricing is O(tp) per dirtied column,
-    // so tp >= 8 at 512+ GPUs is where the SIMD port has to pay off.
-    if (c.pc.tp >= 8 && c.pc.ways() >= 512) {
-      min_simd_big = std::min(min_simd_big, simd_ratio);
-    }
-    min_tuned_seen = std::min(min_tuned_seen, tuned_ratio);
-
     table.add_row({c.pc.str(), std::to_string(c.pc.ways()), common::fmt_count(full_rate),
-                   common::fmt_count(inc_rate), common::fmt_count(scal_rate),
-                   common::fmt_fixed(simd_ratio, 2) + "x", common::fmt_count(batch_rate),
-                   common::fmt_count(tuned_rate), common::fmt_fixed(speedup, 1) + "x",
-                   common::fmt_fixed(bspeedup, 1) + "x",
-                   common::fmt_fixed(tuned_ratio, 2) + "x", match ? "yes" : "NO",
-                   common::fmt_count(mc_rate), mc_det ? "yes" : "NO"});
+                   common::fmt_count(inc_rate), common::fmt_fixed(speedup, 1) + "x",
+                   match ? "yes" : "NO", common::fmt_count(mc_rate), mc_det ? "yes" : "NO",
+                   fmt_hist(dirt_hist, probes)});
     if (!match) {
       std::cerr << "MISMATCH on " << c.pc.str()
-                << ": incremental, full-evaluation, and scalar-kernel SA must agree\n";
+                << ": incremental and full-evaluation SA must agree\n";
       return 2;
     }
     if (!mc_det) {
@@ -497,41 +350,21 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  std::cout << "simd kernels: " << common::simd::isa_name() << " (" << common::simd::kLanes
-            << " lanes); scal = same binary with the vector path disabled\n";
+  std::cout << "(mc = " << chains << " serial chains over the default MoveSet; dirt hist = % of "
+               "moves with <=4/<=8/<=16/<=32/<=64/65+ dirtied entries)\n";
   std::cout << "\nper-move-kind incremental rates (span=" << moves.wide_span
             << ", nspan=" << moves.node_span << "):\n";
   kinds_table.print(std::cout);
-  std::cout << "\nbatch fill (% of batches whose decided prefix fell in each eighth of --batch="
-            << batch << "; dirt hist = % of moves with <=4/<=8/<=16/<=32/<=64/65+ dirtied "
-               "entries):\n";
-  fill_table.print(std::cout);
   if (!csv.empty()) {
     const std::size_t dot = csv.find_last_of('.');
     const std::string stem = dot == std::string::npos ? csv : csv.substr(0, dot);
     const std::string kcsv = stem + "_kinds.csv";
-    const std::string fcsv = stem + "_fill.csv";
-    if (table.write_csv(csv) && kinds_table.write_csv(kcsv) && fill_table.write_csv(fcsv)) {
-      std::cout << "(csv written to " << csv << ", " << kcsv << " and " << fcsv << ")\n";
+    if (table.write_csv(csv) && kinds_table.write_csv(kcsv)) {
+      std::cout << "(csv written to " << csv << " and " << kcsv << ")\n";
     } else {
       std::cout << "(failed to write csv to " << csv << ")\n";
       return 1;
     }
-  }
-  if (min_bspeedup > 0.0 && min_bspeedup_big < min_bspeedup) {
-    std::cerr << "REGRESSION: 512+-GPU batched cheap-string speedup " << min_bspeedup_big
-              << "x over the full model fell below the stored floor " << min_bspeedup << "x\n";
-    return 3;
-  }
-  if (min_simd > 0.0 && min_simd_big < min_simd) {
-    std::cerr << "REGRESSION: SIMD-on/SIMD-off rate ratio " << min_simd_big
-              << "x on a reprice-heavy shape fell below the stored floor " << min_simd << "x\n";
-    return 6;
-  }
-  if (min_tuned_ratio > 0.0 && min_tuned_seen < min_tuned_ratio) {
-    std::cerr << "REGRESSION: self-tuned batched rate fell to " << min_tuned_seen
-              << "x of the hand-picked preset's (floor " << min_tuned_ratio << "x)\n";
-    return 7;
   }
 
   // Adaptive-stopping savings gate: fixed rung budgets vs the Hoeffding
@@ -552,7 +385,7 @@ int main(int argc, char** argv) {
         {2, model::gpt_3_1b(), 256},
     };
     common::Table atable({"nodes", "model", "batch", "fixed iters", "adaptive iters", "saved",
-                          "cut", "redist iters", "regrant", "tuned plan", "same plan"});
+                          "cut", "redist iters", "regrant", "same plan"});
     int cut_enough = 0;
     int redist_wins = 0;
     long total_regranted = 0;
@@ -593,21 +426,9 @@ int main(int argc, char** argv) {
       core::PipetteConfigurator redist(ropt);
       const auto rr = redist.configure(topo, mjob);
 
-      // Self-tuned SA inside configure(): batched shell with fill-driven
-      // batch sizing and the kind-weight bandit. The tuned trajectory
-      // differs, but the recommended *plan* must not.
-      auto topt2 = base;
-      topt2.memory = fixed.memory_estimator();
-      topt2.sa.batch = batch;
-      topt2.sa.tune.batch_size = true;
-      topt2.sa.tune.kind_weights = true;
-      core::PipetteConfigurator tuned(topt2);
-      const auto rt = tuned.configure(topo, mjob);
-
       const bool same = rf.found && ra.found && rr.found && rf.best == ra.best &&
                         rf.best == rr.best;
-      const bool tuned_same = rf.found && rt.found && rf.best == rt.best;
-      plans_match = plans_match && same && tuned_same;
+      plans_match = plans_match && same;
       const double cut =
           static_cast<double>(rf.sa_iters) / std::max<long>(1, ra.sa_iters);
       if (same && cut >= adaptive_savings) ++cut_enough;
@@ -617,16 +438,13 @@ int main(int argc, char** argv) {
                       std::to_string(mc2.global_batch), std::to_string(rf.sa_iters),
                       std::to_string(ra.sa_iters), std::to_string(ra.sa_iters_saved),
                       common::fmt_fixed(cut, 1) + "x", std::to_string(rr.sa_iters),
-                      std::to_string(rr.sa_iters_redistributed), tuned_same ? "yes" : "NO",
-                      same ? "yes" : "NO"});
+                      std::to_string(rr.sa_iters_redistributed), same ? "yes" : "NO"});
     }
     std::cout << "\nadaptive stopping vs fixed rung budgets (threshold " << adaptive_savings
-              << "x on >=2 instances; redist = stopper grants re-fed to survivors; tuned = "
-                 "self-tuned SA recommends the same plan):\n";
+              << "x on >=2 instances; redist = stopper grants re-fed to survivors):\n";
     atable.print(std::cout);
     if (!plans_match) {
-      std::cerr << "MISMATCH: adaptive stopping, redistribution, or SA self-tuning changed a "
-                   "recommended plan\n";
+      std::cerr << "MISMATCH: adaptive stopping or redistribution changed a recommended plan\n";
       return 5;
     }
     if (cut_enough < 2) {

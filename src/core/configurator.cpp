@@ -128,8 +128,6 @@ std::string ConfiguratorResult::explain(int runner_ups) const {
   w.value(sa_rungs);
   w.key("sa_chains_stopped");
   w.value(sa_chains_stopped);
-  w.key("sa_batch");
-  w.value(sa_batch);
   w.key("warm_started");
   w.value(warm_started);
   w.end_object();

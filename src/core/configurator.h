@@ -115,7 +115,6 @@ struct ConfiguratorResult {
   long sa_iters_redistributed = 0;
   int sa_rungs = 0;          ///< successive-halving rungs run (0 = legacy loop)
   int sa_chains_stopped = 0; ///< chains terminated by the Hoeffding stopper
-  int sa_batch = 1;          ///< proposal batch size the SA phase ran with
   bool warm_started = false; ///< produced by reconfigure() reusing a prior result
 
   /// Degradation provenance: what was repaired, quarantined, retried, or

@@ -37,12 +37,10 @@ void flush_request_metrics(obs::Registry* reg, const ConfiguratorResult& res,
   reg->counter("pipette.sa.iters_saved").add(res.sa_iters_saved);
   reg->counter("pipette.sa.iters_redistributed").add(res.sa_iters_redistributed);
   reg->counter("pipette.sa.rungs").add(res.sa_rungs);
-  // Stop decisions keyed by reason (only kConverged exists today) plus the
-  // batch size the SA phase ran with, as a gauge for dashboards.
+  // Stop decisions keyed by reason (only kConverged exists today).
   if (res.sa_chains_stopped != 0) {
     reg->counter("pipette.sa.stop.converged").add(res.sa_chains_stopped);
   }
-  reg->gauge("pipette.sa.batch.size").set(res.sa_batch);
   for (int k = 0; k < search::AnnealTelemetry::kKinds; ++k) {
     if (telem.proposed[k] != 0) {
       reg->counter(std::string("pipette.sa.proposals.") + search::AnnealTelemetry::kind_name(k))
@@ -571,7 +569,6 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
     const common::Stopwatch t_sa;
     const int gpn = topo.gpus_per_node();
     const int chains = std::max(1, opt_.sa_chains);
-    res.sa_batch = std::max(1, opt_.sa.batch);
     // Chain seeds mirror optimize_mapping_multichain exactly: chain 0 is the
     // candidate seed (derived from the candidate itself, not its rank, so
     // serial and parallel schedules anneal each candidate identically),

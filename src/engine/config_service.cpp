@@ -6,6 +6,7 @@
 
 #include "common/hashing.h"
 #include "common/rng.h"
+#include "mlp/regressor.h"
 #include "obs/json.h"
 
 namespace pipette::engine {
@@ -94,7 +95,13 @@ std::future<ServiceResult> ConfigService::submit_request(cluster::Topology topo,
     p.set_value(std::move(sr));
     return p.get_future();
   };
-  if (std::string reason = model::validate(job); !reason.empty()) {
+  // Degenerate memory-training options would only throw inside the cluster
+  // cache, after the fabric was profiled: reject them here too.
+  std::string reason = model::validate(job);
+  if (reason.empty()) {
+    reason = mlp::validate(opt_.pipette.memory_training.hidden, opt_.pipette.memory_training.train);
+  }
+  if (!reason.empty()) {
     metrics_->counter("pipette.service.invalid_request").inc();
     if (opt_.trace) opt_.trace->instant("request.invalid");
     return reject(ServiceStatus::kInvalidRequest, std::move(reason));

@@ -46,7 +46,8 @@ enum class ServiceStatus {
   kRejectedQueueFull,  ///< bounded admission queue was full (backpressure)
   kProfileFailed,      ///< transient profiling failures exhausted the retries
   kInternalError,      ///< unexpected exception; error carries what()
-  kInvalidRequest,     ///< model::validate rejected the job; error names the field
+  kInvalidRequest,     ///< model::validate rejected the job, or mlp::validate the
+                       ///< service's memory-training options; error names the field
 };
 
 const char* to_string(ServiceStatus s);

@@ -4,11 +4,21 @@
 #include <cassert>
 #include <limits>
 
-#include "common/simd.h"
 #include "parallel/parallel_config.h"
 #include "sim/stage_costs.h"
 
 namespace pipette::estimators {
+
+namespace {
+
+/// max over {init, p[0..n)}, folded left to right.
+double max_fold(const double* p, int n, double init) {
+  double m = init;
+  for (int i = 0; i < n; ++i) m = m > p[i] ? m : p[i];
+  return m;
+}
+
+}  // namespace
 
 IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyModel& model,
                                                          const parallel::Mapping& start,
@@ -143,10 +153,6 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   scratch_gpu_.resize(static_cast<std::size_t>(dp_));
   scratch_counts_.assign(static_cast<std::size_t>(num_nodes_), 0);
   scratch_row_.resize(static_cast<std::size_t>(groups));
-  col_bytes_.resize(static_cast<std::size_t>(tp_));
-  col_bw_fwd_.resize(static_cast<std::size_t>(tp_));
-  col_bw_bwd_.resize(static_cast<std::size_t>(tp_));
-  col_lat_.resize(static_cast<std::size_t>(tp_));
   // The relabel-aware node-move kernel treats a node move as a label
   // permutation σ of the cost model's node blocks — valid only when the move
   // blocks coincide with them.
@@ -291,33 +297,27 @@ void IncrementalLatencyEvaluator::reprice_hop_column(int hop, int dpr) {
   const double intra_lat = model_->links_.intra_latency_s;
   const double inter_lat = model_->links_.inter_latency_s;
   const int base = (hop * dp_ + dpr) * tp_;
-  // Gather phase (SoA): per-flow byte count, both endpoint bandwidths, and
-  // the link latency land in columnar scratch so the pricing loop below is
-  // pure arithmetic. The endpoint bandwidths come from flow_bw_* (kept
-  // current by the dirty-flow refresh), so a column repriced only because a
-  // sharing count moved never touches the num_gpus² profiled matrix.
-  double* bytes = col_bytes_.data();
-  double* bwf = col_bw_fwd_.data();
-  double* bwb = col_bw_bwd_.data();
-  double* lat = col_lat_.data();
+  // The endpoint bandwidths come from flow_bw_* (kept current by the
+  // dirty-flow refresh), so a column repriced only because a sharing count
+  // moved never touches the num_gpus² profiled matrix. Each flow is priced
+  // with the full model's per-element expressions and folded into the max in
+  // the same order, so the column is bit-identical.
+  double slowest = 0.0;
   for (int y = 0; y < tp_; ++y) {
     const int pair = flow_pair_[static_cast<std::size_t>(base + y)];
-    if (pair < 0) {
-      bytes[y] = flow_bytes_;
-      lat[y] = intra_lat;
-    } else {
-      bytes[y] = shared_sum_[static_cast<std::size_t>(
+    double bytes = flow_bytes_;
+    double lat = intra_lat;
+    if (pair >= 0) {
+      bytes = shared_sum_[static_cast<std::size_t>(
           pair_count_[static_cast<std::size_t>(hop * pair_stride_ + pair)])];
-      lat[y] = inter_lat;
+      lat = inter_lat;
     }
-    bwf[y] = flow_bw_fwd_[static_cast<std::size_t>(base + y)];
-    bwb[y] = flow_bw_bwd_[static_cast<std::size_t>(base + y)];
+    const double fwd = bytes / flow_bw_fwd_[static_cast<std::size_t>(base + y)] + lat;
+    const double bwd = bytes / flow_bw_bwd_[static_cast<std::size_t>(base + y)] + lat;
+    const double s = fwd + bwd;
+    slowest = slowest > s ? slowest : s;
   }
-  // Pricing phase: the per-element expressions are the full model's exactly
-  // (pp_comm_term, div then add per element — IEEE-exact at any lane width)
-  // and the max fold is order-free, so the wide fold stays bit-identical.
-  hop_[static_cast<std::size_t>(hop * dp_ + dpr)] =
-      common::simd::price_max(bytes, bwf, bwb, lat, tp_);
+  hop_[static_cast<std::size_t>(hop * dp_ + dpr)] = slowest;
 }
 
 void IncrementalLatencyEvaluator::recompute_path(int dpr) {
@@ -505,15 +505,13 @@ double IncrementalLatencyEvaluator::reduce() const {
   // expressions, so the result is bit-identical. Everything priced here was
   // already recomputed along the dirty paths — this is O(pp + dp + pp·tp)
   // cached reads.
-  // The three max folds go through the lane helper (order-free, so wide
-  // accumulators are bit-identical); the sums keep their fixed blocking.
-  const double max_block = common::simd::max_fold(block_.data(), pp_, 0.0);
+  const double max_block = max_fold(block_.data(), pp_, 0.0);
   const double sum_blocks = detail::blocked_sum(block_.data(), pp_);
-  const double pp_comm = common::simd::max_fold(path_.data(), dp_, 0.0);
+  const double pp_comm = max_fold(path_.data(), dp_, 0.0);
   const double bubble = std::max(sum_blocks + ppcomm_scale_ * pp_comm, pp_ * max_block);
   const double straggler = (pp_ - 1) * max_block * fill_scale_;
   const double dp_comm =
-      dp_ >= 2 ? common::simd::max_fold(g_term_.data(), num_groups_, 0.0) : 0.0;
+      dp_ >= 2 ? max_fold(g_term_.data(), num_groups_, 0.0) : 0.0;
   return bubble * rounds_ + straggler + dp_comm;
 }
 
@@ -879,20 +877,6 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
 
   pending_cost_ = reduce();
   return pending_cost_;
-}
-
-void IncrementalLatencyEvaluator::score_batch(const parallel::MappingMoveDesc* mvs, int count,
-                                              double* costs) {
-  assert(!pending_ && "score_batch() requires a commit() or rollback() first");
-  // Each candidate is priced by the O(touched) propose machinery and undone
-  // before the next, so every cost is measured against the same committed
-  // state — the shared shell (epoch stamping, dirty-list reuse, the SoA
-  // column scratch) stays hot across the whole block instead of being
-  // re-entered from the annealer per proposal.
-  for (int i = 0; i < count; ++i) {
-    costs[i] = propose(mvs[i]);
-    rollback();
-  }
 }
 
 void IncrementalLatencyEvaluator::commit() {

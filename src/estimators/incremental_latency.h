@@ -82,16 +82,6 @@ class IncrementalLatencyEvaluator {
   /// recomputing only the term-table entries the move dirtied.
   double propose(const parallel::MappingMoveDesc& mv);
 
-  /// Scores `count` candidate moves against the *committed* state, writing
-  /// each move's resulting total latency to `costs[i]`. Every cost is
-  /// bit-identical to what propose(mvs[i]) would return from the same
-  /// committed state (the batched annealer's acceptance decisions therefore
-  /// match a serial re-proposal exactly); the evaluator is left with no
-  /// pending proposal. last_dirty() afterwards reflects the final scored
-  /// move only — batched callers account dirty stats for the re-applied
-  /// winner instead.
-  void score_batch(const parallel::MappingMoveDesc* mvs, int count, double* costs);
-
   /// Accepts the pending move: the proposed mapping becomes committed state.
   void commit();
 
@@ -300,11 +290,6 @@ class IncrementalLatencyEvaluator {
   // node, per-node member counts (all-zero between calls), and one node-list
   // row for σ.
   std::vector<int> scratch_node_, scratch_gpu_, scratch_counts_, scratch_row_;
-
-  // Columnar (SoA) scratch for reprice_hop_column: per-flow byte counts,
-  // endpoint bandwidths, and latency are gathered first, then priced through
-  // the common::simd lane kernels (price_max). Sized tp_.
-  std::vector<double> col_bytes_, col_bw_fwd_, col_bw_bwd_, col_lat_;
 };
 
 }  // namespace pipette::estimators

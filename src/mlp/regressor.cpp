@@ -90,14 +90,26 @@ Regressor Regressor::restore(const std::vector<int>& layer_sizes,
   return reg;
 }
 
+std::string validate(std::span<const int> hidden, const TrainOptions& opt) {
+  for (const int h : hidden) {
+    if (h < 1) return "Regressor: hidden width must be >= 1 (got " + std::to_string(h) + ")";
+  }
+  if (opt.batch_size < 1) return "TrainOptions::batch_size must be >= 1";
+  if (opt.iters < 1) return "TrainOptions::iters must be >= 1";
+  if (!std::isfinite(opt.lr) || !(opt.lr > 0.0)) {
+    return "TrainOptions::lr must be finite and positive";
+  }
+  if (!std::isfinite(opt.lr_decay) || !(opt.lr_decay > 0.0)) {
+    return "TrainOptions::lr_decay must be finite and positive";
+  }
+  return {};
+}
+
 Regressor::Regressor(int input_dim, std::vector<int> hidden, std::uint64_t seed)
     : net_([&] {
         if (input_dim < 1) throw std::invalid_argument("Regressor: input_dim must be >= 1");
-        for (const int h : hidden) {
-          if (h < 1) {
-            throw std::invalid_argument("Regressor: hidden width must be >= 1 (got " +
-                                        std::to_string(h) + ")");
-          }
+        if (std::string reason = validate(hidden, {}); !reason.empty()) {
+          throw std::invalid_argument(reason);
         }
         std::vector<int> sizes;
         sizes.push_back(input_dim);
@@ -111,13 +123,8 @@ TrainReport Regressor::fit(const Matrix& x, const std::vector<double>& y, const 
   if (x.rows() != static_cast<int>(y.size()) || x.rows() == 0) {
     throw std::invalid_argument("Regressor::fit: bad dataset shape");
   }
-  if (opt.batch_size < 1) throw std::invalid_argument("TrainOptions::batch_size must be >= 1");
-  if (opt.iters < 1) throw std::invalid_argument("TrainOptions::iters must be >= 1");
-  if (!std::isfinite(opt.lr) || !(opt.lr > 0.0)) {
-    throw std::invalid_argument("TrainOptions::lr must be finite and positive");
-  }
-  if (!std::isfinite(opt.lr_decay) || !(opt.lr_decay > 0.0)) {
-    throw std::invalid_argument("TrainOptions::lr_decay must be finite and positive");
+  if (std::string reason = validate({}, opt); !reason.empty()) {
+    throw std::invalid_argument(reason);
   }
   feat_std_.fit(x);
   const Matrix xs = feat_std_.transform(x);

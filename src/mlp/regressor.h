@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mlp/network.h"
@@ -21,6 +22,14 @@ struct TrainOptions {
   double lr_decay = 0.9997;  ///< multiplicative per-100-iteration decay
   std::uint64_t seed = 5;
 };
+
+/// Why a network with hidden widths `hidden` cannot be trained with `opt` —
+/// the first degenerate field, named in the message — or an empty string
+/// when every width is >= 1, batch_size and iters are >= 1, and lr and
+/// lr_decay are finite and positive. Regressor's constructor and fit() throw
+/// std::invalid_argument with this message; engine::ConfigService rejects a
+/// request with it before admission.
+std::string validate(std::span<const int> hidden, const TrainOptions& opt);
 
 struct TrainReport {
   double final_mse = 0.0;     ///< on standardized targets
@@ -53,12 +62,13 @@ class Regressor {
  public:
   /// `hidden` lists hidden layer widths, e.g. {200,200,200,200} for the
   /// paper's five-layer net (4 hidden + 1 output). Throws
-  /// std::invalid_argument when `input_dim` or a hidden width is below 1.
+  /// std::invalid_argument when `input_dim` or a hidden width is below 1
+  /// (see validate).
   Regressor(int input_dim, std::vector<int> hidden, std::uint64_t seed);
 
   /// Trains on rows of `x` against `y`; standardization is fit here. Throws
-  /// std::invalid_argument, naming the field, when `opt` would not train:
-  /// batch_size or iters below 1, or lr / lr_decay not finite and positive.
+  /// std::invalid_argument, naming the field, when `opt` would not train
+  /// (see validate).
   /// The network's training state (gradients, Adam moments, workspace) is
   /// freed before it returns.
   TrainReport fit(const Matrix& x, const std::vector<double>& y, const TrainOptions& opt);

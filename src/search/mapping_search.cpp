@@ -20,9 +20,6 @@ void AnnealTelemetry::merge(const AnnealTelemetry& other) {
     accepted[k] += other.accepted[k];
   }
   rollbacks += other.rollbacks;
-  scored += other.scored;
-  batches += other.batches;
-  for (int i = 0; i < kFillBuckets; ++i) batch_fill[i] += other.batch_fill[i];
   dirty.cells += other.dirty.cells;
   dirty.stages += other.dirty.stages;
   dirty.flows += other.dirty.flows;
@@ -45,97 +42,7 @@ int draw_second_endpoint(common::Rng& rng, int first, int n, int span) {
   return rng.uniform_int(lo, hi);
 }
 
-/// Endpoint draws for one already-chosen kind — the case bodies of the legacy
-/// retry loop, factored out so the weighted sampler path consumes the exact
-/// same per-kind endpoint stream. Pre: `kind` is enabled and feasible.
-parallel::MappingMoveDesc draw_move_of_kind(int kind, common::Rng& rng, const MoveSet& moves,
-                                            int n, int nodes) {
-  using parallel::MoveKind;
-  switch (kind) {
-    case 0: {
-      const int from = rng.uniform_int(0, n - 1);
-      const int to = draw_second_endpoint(rng, from, n, moves.wide_span);
-      return {MoveKind::kMigrate, from, to};
-    }
-    case 1: {
-      const int i = rng.uniform_int(0, n - 1);
-      const int j = rng.uniform_int(0, n - 1);
-      return {MoveKind::kSwap, i, j};
-    }
-    case 2: {
-      const int i = rng.uniform_int(0, n - 1);
-      const int j = draw_second_endpoint(rng, i, n, moves.wide_span);
-      return {MoveKind::kReverse, i, j};
-    }
-    case 3: {
-      const int n1 = rng.uniform_int(0, nodes - 1);
-      const int n2 = rng.uniform_int(0, nodes - 1);
-      return {MoveKind::kNodeSwap, n1, n2};
-    }
-    default: {
-      const int n1 = rng.uniform_int(0, nodes - 1);
-      const int n2 = draw_second_endpoint(rng, n1, nodes, moves.node_span);
-      return {MoveKind::kNodeReverse, n1, n2};
-    }
-  }
-}
-
 }  // namespace
-
-MoveSet cheap_string_moves(MoveSet base) {
-  // 90% strings (migrate/swap slightly over reverse, whose column refolds
-  // touch more state), 10% node moves split evenly.
-  base.kind_weights[0] = 0.32;
-  base.kind_weights[1] = 0.32;
-  base.kind_weights[2] = 0.26;
-  base.kind_weights[3] = 0.05;
-  base.kind_weights[4] = 0.05;
-  return base;
-}
-
-MoveKindSampler::MoveKindSampler(const MoveSet& moves, int nodes) {
-  const bool feasible_nodes = nodes >= 2;
-  const bool enabled[5] = {moves.migrate, moves.swap, moves.reverse,
-                           moves.node_swap && feasible_nodes,
-                           moves.node_reverse && feasible_nodes};
-  bool any_weight = false;
-  for (const double w : moves.kind_weights) any_weight = any_weight || w > 0.0;
-  if (!any_weight) return;  // weighting off: stay inactive, legacy stream
-  int ids[5];
-  double scaled[5];
-  int k = 0;
-  double total = 0.0;
-  for (int i = 0; i < 5; ++i) {
-    if (enabled[i] && moves.kind_weights[i] > 0.0) {
-      ids[k] = i;
-      scaled[k] = moves.kind_weights[i];
-      total += moves.kind_weights[i];
-      ++k;
-    }
-  }
-  if (k == 0) return;  // all weighted kinds disabled/infeasible: legacy draw
-  k_ = k;
-  // Walker's method: normalize to mean 1, pair each under-full slot with a
-  // donor from the over-full stack. Deterministic (stack order fixed by kind
-  // index), O(k), and every slot ends with prob + alias covering its mass.
-  for (int i = 0; i < k; ++i) {
-    scaled[i] = scaled[i] * k / total;
-    prob_[i] = 1.0;
-    kind_[i] = ids[i];
-    alias_[i] = ids[i];
-  }
-  int small[5], large[5];
-  int ns = 0, nl = 0;
-  for (int i = 0; i < k; ++i) (scaled[i] < 1.0 ? small[ns++] : large[nl++]) = i;
-  while (ns > 0 && nl > 0) {
-    const int s = small[--ns];
-    const int l = large[--nl];
-    prob_[s] = scaled[s];
-    alias_[s] = ids[l];
-    scaled[l] -= 1.0 - scaled[s];
-    (scaled[l] < 1.0 ? small[ns++] : large[nl++]) = l;
-  }
-}
 
 parallel::MappingMoveDesc draw_mapping_move(const parallel::Mapping& m, common::Rng& rng,
                                             const MoveSet& moves, int gpus_per_node) {
@@ -154,37 +61,39 @@ parallel::MappingMoveDesc draw_mapping_move(const parallel::Mapping& m, common::
     return {MoveKind::kSwap, i, j};
   }
   for (;;) {
-    // Kind selector and per-kind endpoint draws are unchanged from the
-    // historical inline switch (draw_move_of_kind holds the old case
-    // bodies verbatim), so the uniform stream is preserved bit for bit.
-    const int k = rng.uniform_int(0, 4);
-    switch (k) {
-      case 0:
+    switch (rng.uniform_int(0, 4)) {
+      case 0: {
         if (!moves.migrate) break;
-        return draw_move_of_kind(k, rng, moves, n, nodes);
-      case 1:
+        const int from = rng.uniform_int(0, n - 1);
+        const int to = draw_second_endpoint(rng, from, n, moves.wide_span);
+        return {MoveKind::kMigrate, from, to};
+      }
+      case 1: {
         if (!moves.swap) break;
-        return draw_move_of_kind(k, rng, moves, n, nodes);
-      case 2:
+        const int i = rng.uniform_int(0, n - 1);
+        const int j = rng.uniform_int(0, n - 1);
+        return {MoveKind::kSwap, i, j};
+      }
+      case 2: {
         if (!moves.reverse) break;
-        return draw_move_of_kind(k, rng, moves, n, nodes);
-      case 3:
-        if (!moves.node_swap || nodes < 2) break;
-        return draw_move_of_kind(k, rng, moves, n, nodes);
-      default:
-        if (!moves.node_reverse || nodes < 2) break;
-        return draw_move_of_kind(k, rng, moves, n, nodes);
+        const int i = rng.uniform_int(0, n - 1);
+        const int j = draw_second_endpoint(rng, i, n, moves.wide_span);
+        return {MoveKind::kReverse, i, j};
+      }
+      case 3: {
+        if (!moves.node_swap || !node_moves_possible) break;
+        const int n1 = rng.uniform_int(0, nodes - 1);
+        const int n2 = rng.uniform_int(0, nodes - 1);
+        return {MoveKind::kNodeSwap, n1, n2};
+      }
+      default: {
+        if (!moves.node_reverse || !node_moves_possible) break;
+        const int n1 = rng.uniform_int(0, nodes - 1);
+        const int n2 = draw_second_endpoint(rng, n1, nodes, moves.node_span);
+        return {MoveKind::kNodeReverse, n1, n2};
+      }
     }
   }
-}
-
-parallel::MappingMoveDesc draw_mapping_move(const parallel::Mapping& m, common::Rng& rng,
-                                            const MoveSet& moves, int gpus_per_node,
-                                            const MoveKindSampler* sampler) {
-  if (!sampler || !sampler->active()) return draw_mapping_move(m, rng, moves, gpus_per_node);
-  const int n = m.num_workers();
-  const int nodes = (n + gpus_per_node - 1) / gpus_per_node;
-  return draw_move_of_kind(sampler->draw(rng), rng, moves, n, nodes);
 }
 
 MappingMove random_mapping_move(parallel::Mapping& m, common::Rng& rng, const MoveSet& moves,
@@ -194,112 +103,19 @@ MappingMove random_mapping_move(parallel::Mapping& m, common::Rng& rng, const Mo
   return mv.kind;
 }
 
-namespace {
-
-/// The propose/commit/rollback problem simulated_annealing_incremental
-/// drives: moves are drawn from the same rng stream random_mapping_move
-/// consumes and scored by the incremental evaluator, whose costs are
-/// bit-identical to model.estimate — so the annealing trajectory matches the
-/// copy-based path exactly.
-struct MappingAnnealProblem {
-  estimators::IncrementalLatencyEvaluator* eval;
-  const MoveSet* moves;
-  const MoveKindSampler* sampler = nullptr;  ///< null/inactive = legacy draws
-  int gpus_per_node;
-  std::vector<int> best;  // raw permutation snapshot; assign() reuses capacity
-  AnnealTelemetry* telemetry = nullptr;
-  int last_kind = 0;  ///< kind of the pending proposal (telemetry only)
-  std::vector<parallel::MappingMoveDesc> batch_mvs;
-  std::vector<double> batch_costs;
-
-  double cost() const { return eval->cost(); }
-  double propose(common::Rng& rng) {
-    const parallel::MappingMoveDesc mv =
-        draw_mapping_move(eval->mapping(), rng, *moves, gpus_per_node, sampler);
-    const double c = eval->propose(mv);
-    if (telemetry) {
-      last_kind = static_cast<int>(mv.kind);
-      ++telemetry->proposed[last_kind];
-      telemetry->add_dirty(eval->last_dirty());
-    }
-    return c;
-  }
-  void commit() {
-    eval->commit();
-    if (telemetry) ++telemetry->accepted[last_kind];
-  }
-  void rollback() {
-    eval->rollback();
-    if (telemetry) ++telemetry->rollbacks;
-  }
-  void save_best() { best = eval->mapping().raw(); }
-  void restore_best() { eval->reset(best); }
-
-  // Batched extension (see simulated_annealing_incremental). Move draws
-  // depend only on worker/node counts — never on the permutation — so the
-  // phase-1 block draw produces the same descriptors an interleaved loop
-  // would.
-  void draw_batch(common::Rng& rng, int b) {
-    batch_mvs.clear();
-    for (int j = 0; j < b; ++j) {
-      batch_mvs.push_back(draw_mapping_move(eval->mapping(), rng, *moves, gpus_per_node, sampler));
-    }
-  }
-  const double* score_batch(int b) {
-    batch_costs.resize(static_cast<std::size_t>(b));
-    eval->score_batch(batch_mvs.data(), b, batch_costs.data());
-    return batch_costs.data();
-  }
-  double apply_scored(int j) {
-    const parallel::MappingMoveDesc& mv = batch_mvs[static_cast<std::size_t>(j)];
-    const double c = eval->propose(mv);
-    if (telemetry) {
-      last_kind = static_cast<int>(mv.kind);
-      telemetry->add_dirty(eval->last_dirty());
-    }
-    return c;
-  }
-  void note_batch(int b, int decided, int accept_j, bool serial_counted) {
-    if (!telemetry) return;
-    telemetry->note_batch(b, decided);
-    if (serial_counted) return;  // propose()/commit()/rollback() already counted
-    for (int j = 0; j < decided; ++j) {
-      ++telemetry->proposed[static_cast<int>(batch_mvs[static_cast<std::size_t>(j)].kind)];
-    }
-    telemetry->rollbacks += decided - (accept_j >= 0 ? 1 : 0);
-  }
-};
-
-}  // namespace
-
 SaResult optimize_mapping(parallel::Mapping& m, const estimators::PipetteLatencyModel& model,
                           int gpus_per_node, const SaOptions& opt, const MoveSet& moves,
                           AnnealTelemetry* telemetry) {
-  if (opt.tune.any()) {
-    // The self-tuning loops live in ResumableMappingAnneal (one
-    // implementation of the adaptation boundaries); a single uninterrupted
-    // run_to the full budget is the same annealing loop, so delegation costs
-    // nothing and keeps the tuned path identical between the one-shot and
-    // the configurator's resumable callers.
-    ResumableMappingAnneal chain(model, m, gpus_per_node, opt, moves);
-    chain.set_telemetry(telemetry);
-    chain.run_to(opt.max_iters);
-    SaResult res;
-    res.initial_cost = chain.initial_cost();
-    res.best_cost = chain.best_cost();
-    res.iters = chain.total_iters();
-    res.accepted = chain.accepted();
-    res.scored = chain.scored();
-    res.wall_s = chain.wall_s();
-    m = chain.best_mapping();
-    return res;
-  }
-  estimators::IncrementalLatencyEvaluator eval(model, m, gpus_per_node);
-  const MoveKindSampler sampler(moves, (m.num_workers() + gpus_per_node - 1) / gpus_per_node);
-  MappingAnnealProblem prob{&eval,  &moves,    sampler.active() ? &sampler : nullptr,
-                            gpus_per_node, m.raw(), telemetry, 0, {}, {}};
-  const SaResult res = simulated_annealing_incremental(prob, opt);
-  m = eval.mapping();  // restore_best left the evaluator on the best mapping
+  ResumableMappingAnneal chain(model, m, gpus_per_node, opt, moves);
+  chain.set_telemetry(telemetry);
+  chain.run_to(opt.max_iters);
+  SaResult res;
+  res.initial_cost = chain.initial_cost();
+  res.best_cost = chain.best_cost();
+  res.iters = chain.total_iters();
+  res.accepted = chain.accepted();
+  res.wall_s = chain.wall_s();
+  m = chain.best_mapping();
   return res;
 }
 
@@ -340,7 +156,6 @@ SaResult optimize_mapping_multichain(parallel::Mapping& m,
     if (i == best) continue;
     out.iters += slots[i].res.iters;
     out.accepted += slots[i].res.accepted;
-    out.scored += slots[i].res.scored;
   }
   out.wall_s = watch.seconds();
   m = std::move(slots[best].mapping);
@@ -350,96 +165,13 @@ SaResult optimize_mapping_multichain(parallel::Mapping& m,
 ResumableMappingAnneal::ResumableMappingAnneal(const estimators::PipetteLatencyModel& model,
                                                const parallel::Mapping& start, int gpus_per_node,
                                                const SaOptions& opt, const MoveSet& moves)
-    : eval_(model, start, gpus_per_node),
-      moves_(moves),
-      sampler_(moves, (start.num_workers() + gpus_per_node - 1) / gpus_per_node),
-      gpn_(gpus_per_node),
-      opt_(opt),
-      rng_(opt.seed),
-      nodes_((start.num_workers() + gpus_per_node - 1) / gpus_per_node) {
+    : eval_(model, start, gpus_per_node), moves_(moves), gpn_(gpus_per_node), opt_(opt),
+      rng_(opt.seed) {
   cur_cost_ = eval_.cost();
   best_cost_ = cur_cost_;
   initial_cost_ = cur_cost_;
   best_ = eval_.mapping().raw();
   temp_ = std::max(opt.init_temp_frac * cur_cost_, 1e-300);
-  if (opt_.tune.batch_size && opt_.batch > 1) {
-    tune_batch_ = true;
-    btuner_ = BatchTuner(opt_.tune, opt_.batch);
-  }
-  if (opt_.tune.kind_weights) {
-    if (!sampler_.active()) {
-      // No caller-supplied weights: the bandit starts from a uniform mix
-      // over the enabled (and feasible) kinds so the alias sampler is live
-      // from the first draw.
-      const bool feasible = nodes_ >= 2;
-      const bool en[AnnealTelemetry::kKinds] = {moves_.migrate, moves_.swap, moves_.reverse,
-                                                moves_.node_swap && feasible,
-                                                moves_.node_reverse && feasible};
-      int k = 0;
-      for (const bool e : en) k += e ? 1 : 0;
-      if (k > 0) {
-        for (int i = 0; i < AnnealTelemetry::kKinds; ++i) {
-          moves_.kind_weights[i] = en[i] ? 1.0 / k : 0.0;
-        }
-        sampler_ = MoveKindSampler(moves_, nodes_);
-      }
-    }
-    if (sampler_.active()) {
-      tune_kw_ = true;
-      calibrate_kind_costs();
-      const long w = std::max<long>(1, opt_.tune.weight_window);
-      next_tune_ = (iters_ / w + 1) * w;
-    }
-  }
-}
-
-void ResumableMappingAnneal::calibrate_kind_costs() {
-  // A fixed number of propose/rollback probes per weighted kind, drawn from
-  // a private derive_seed'd stream: deterministic, and the committed state
-  // and chain rng are bit-exactly untouched (the rollback contract).
-  common::Rng probe(derive_seed(opt_.seed, "kind-cost-probe"));
-  const int n = eval_.mapping().num_workers();
-  constexpr int kProbes = 8;
-  for (int k = 0; k < AnnealTelemetry::kKinds; ++k) {
-    if (moves_.kind_weights[k] <= 0.0) continue;
-    long dirt = 0;
-    for (int i = 0; i < kProbes; ++i) {
-      eval_.propose(draw_move_of_kind(k, probe, moves_, n, nodes_));
-      dirt += eval_.last_dirty().total();
-      eval_.rollback();
-    }
-    kind_cost_[k] = std::max(1.0, static_cast<double>(dirt) / kProbes);
-  }
-}
-
-void ResumableMappingAnneal::retune_weights() {
-  const long w = std::max<long>(1, opt_.tune.weight_window);
-  while (next_tune_ <= iters_) next_tune_ += w;
-  double reward[AnnealTelemetry::kKinds] = {};
-  double total = 0.0;
-  int active = 0;
-  for (int k = 0; k < AnnealTelemetry::kKinds; ++k) {
-    if (moves_.kind_weights[k] <= 0.0) continue;
-    ++active;
-    // Accepted improvement per dirtied entry, scale-free: the deterministic
-    // analogue of improvement-per-microsecond (see AutoTuneOptions).
-    reward[k] = win_improve_[k] / (initial_cost_ * kind_cost_[k]);
-    win_improve_[k] = 0.0;
-  }
-  for (const double r : reward) total += r;
-  if (total <= 0.0 || active == 0) return;  // flat window: keep the mix
-  const double floor = std::min(opt_.tune.weight_floor, 1.0 / (2.0 * active));
-  const double gain = std::min(1.0, std::max(0.0, opt_.tune.weight_gain));
-  double wsum = 0.0;
-  for (int k = 0; k < AnnealTelemetry::kKinds; ++k) {
-    if (moves_.kind_weights[k] > 0.0) wsum += moves_.kind_weights[k];
-  }
-  for (int k = 0; k < AnnealTelemetry::kKinds; ++k) {
-    if (moves_.kind_weights[k] <= 0.0) continue;
-    const double target = floor + (1.0 - active * floor) * (reward[k] / total);
-    moves_.kind_weights[k] = (1.0 - gain) * (moves_.kind_weights[k] / wsum) + gain * target;
-  }
-  sampler_ = MoveKindSampler(moves_, nodes_);
 }
 
 void ResumableMappingAnneal::enable_stopping(const StoppingOptions& sopt) {
@@ -463,55 +195,34 @@ bool ResumableMappingAnneal::observe_boundaries() {
   return false;
 }
 
-void ResumableMappingAnneal::accept_pending(double c) {
-  eval_.commit();
-  cur_cost_ = c;
-  ++accepted_;
-  if (cur_cost_ < best_cost_) {
-    best_cost_ = cur_cost_;
-    best_ = eval_.mapping().raw();
-  }
-}
-
 void ResumableMappingAnneal::run_to(long target_iters) {
   if (stopper_.stopped()) return;
   const common::Stopwatch watch;
-  // Exactly simulated_annealing_incremental's loop bodies, with every
-  // loop-carried variable a member (see run_to's header contract for the
-  // serial/batched split semantics). The deadline check mirrors the generic
-  // annealer's batching and counts the chain's *cumulative* wall time across
+  // simulated_annealing's loop with every loop-carried variable a member.
+  // The deadline check counts the chain's *cumulative* wall time across
   // rungs, so a caller mixing a finite time_limit_s with an iteration cap
-  // still stops at whichever bound hits first (as everywhere else, a
-  // tripping wall-clock bound is inherently schedule-dependent; generous
-  // limits never trip and stay bit-exact).
+  // still stops at whichever bound hits first (a tripping wall-clock bound is
+  // inherently schedule-dependent; generous limits never trip and stay
+  // bit-exact).
   const bool timed = std::isfinite(opt_.time_limit_s) || deadline_watch_ != nullptr;
-  if (opt_.batch > 1) {
-    run_batched(target_iters, watch, timed);
-  } else {
-    run_serial(target_iters, watch, timed);
-  }
-  wall_s_ += watch.seconds();
-}
-
-void ResumableMappingAnneal::run_serial(long target_iters, const common::Stopwatch& watch,
-                                        bool timed) {
-  const MoveKindSampler* sampler = sampler_.active() ? &sampler_ : nullptr;
   while (iters_ < target_iters) {
     if (timed && (since_temp_step_ == 0 || (iters_ & 255) == 0)) {
       if (over_time(watch)) break;
     }
-    const parallel::MappingMoveDesc mv =
-        draw_mapping_move(eval_.mapping(), rng_, moves_, gpn_, sampler);
+    const parallel::MappingMoveDesc mv = draw_mapping_move(eval_.mapping(), rng_, moves_, gpn_);
     const double c = eval_.propose(mv);
     if (telemetry_) {
       ++telemetry_->proposed[static_cast<int>(mv.kind)];
       telemetry_->add_dirty(eval_.last_dirty());
     }
     if (detail::metropolis_accept(c - cur_cost_, temp_, rng_)) {
-      if (tune_kw_ && c < cur_cost_) {
-        win_improve_[static_cast<int>(mv.kind)] += cur_cost_ - c;
+      eval_.commit();
+      cur_cost_ = c;
+      ++accepted_;
+      if (cur_cost_ < best_cost_) {
+        best_cost_ = cur_cost_;
+        best_ = eval_.mapping().raw();
       }
-      accept_pending(c);
       if (telemetry_) ++telemetry_->accepted[static_cast<int>(mv.kind)];
     } else {
       eval_.rollback();
@@ -522,73 +233,9 @@ void ResumableMappingAnneal::run_serial(long target_iters, const common::Stopwat
       since_temp_step_ = 0;
     }
     ++iters_;
-    ++scored_;
-    if (tune_kw_ && iters_ >= next_tune_) retune_weights();
     if (iters_ >= next_obs_ && observe_boundaries()) break;
   }
-}
-
-void ResumableMappingAnneal::run_batched(long target_iters, const common::Stopwatch& watch,
-                                         bool timed) {
-  const MoveKindSampler* sampler = sampler_.active() ? &sampler_ : nullptr;
-  while (iters_ < target_iters) {
-    // Deadline granularity is the batch: one wall-clock read per sweep.
-    if (timed && over_time(watch)) break;
-    const long remaining = target_iters - iters_;
-    if (remaining == 1) {
-      // Single-iteration tail: the serial body consumes the exact stream the
-      // two-phase path would at b = 1, without the score-then-reapply double
-      // evaluation on an accept.
-      const long before = iters_;
-      run_serial(target_iters, watch, timed);
-      if (telemetry_ && iters_ != before) telemetry_->note_batch(1, 1);
-      return;
-    }
-    const int b = static_cast<int>(std::min<long>(current_batch(), remaining));
-    batch_mvs_.clear();
-    for (int j = 0; j < b; ++j) {
-      batch_mvs_.push_back(draw_mapping_move(eval_.mapping(), rng_, moves_, gpn_, sampler));
-    }
-    batch_costs_.resize(static_cast<std::size_t>(b));
-    eval_.score_batch(batch_mvs_.data(), b, batch_costs_.data());
-    int decided = b;
-    int accept_j = -1;
-    for (int j = 0; j < b; ++j) {
-      const bool acc = detail::metropolis_accept(batch_costs_[static_cast<std::size_t>(j)] - cur_cost_,
-                                                 temp_, rng_);
-      if (++since_temp_step_ >= opt_.iters_per_temp) {
-        temp_ *= opt_.alpha;
-        since_temp_step_ = 0;
-      }
-      if (acc) {
-        accept_j = j;
-        decided = j + 1;
-        break;
-      }
-    }
-    if (accept_j >= 0) {
-      const parallel::MappingMoveDesc& mv = batch_mvs_[static_cast<std::size_t>(accept_j)];
-      const double c = eval_.propose(mv);  // re-apply the winner; bit-identical cost
-      if (telemetry_) telemetry_->add_dirty(eval_.last_dirty());
-      if (tune_kw_ && c < cur_cost_) {
-        win_improve_[static_cast<int>(mv.kind)] += cur_cost_ - c;
-      }
-      accept_pending(c);
-      if (telemetry_) ++telemetry_->accepted[static_cast<int>(mv.kind)];
-    }
-    if (telemetry_) {
-      for (int j = 0; j < decided; ++j) {
-        ++telemetry_->proposed[static_cast<int>(batch_mvs_[static_cast<std::size_t>(j)].kind)];
-      }
-      telemetry_->rollbacks += decided - (accept_j >= 0 ? 1 : 0);
-      telemetry_->note_batch(b, decided);
-    }
-    if (tune_batch_) btuner_.note(b, decided);
-    iters_ += decided;
-    scored_ += b;
-    if (tune_kw_ && iters_ >= next_tune_) retune_weights();
-    if (iters_ >= next_obs_ && observe_boundaries()) return;
-  }
+  wall_s_ += watch.seconds();
 }
 
 parallel::Mapping ResumableMappingAnneal::best_mapping() const {

@@ -42,55 +42,6 @@ struct MoveSet {
   int wide_span = 0;
   /// Same bound for node_reverse, in node labels. 0 = unbounded.
   int node_span = 0;
-  /// Relative draw weights per move kind, indexed by parallel::MoveKind
-  /// (migrate, swap, reverse, node_swap, node_reverse). All <= 0 (the
-  /// default) disables weighting: kinds are drawn by the historical
-  /// uniform retry loop and the rng stream is preserved bit for bit
-  /// (regression-tested). With any weight > 0, enabled kinds with positive
-  /// weight are drawn via a Walker alias table (MoveKindSampler) — a
-  /// different, documented rng stream: two draws per kind selection
-  /// (uniform_int over table slots + one uniform) instead of the retry
-  /// loop's variable-length stream. Kinds that are disabled, non-positive,
-  /// or infeasible (node moves on < 2 nodes) get probability zero.
-  double kind_weights[5] = {0, 0, 0, 0, 0};
-};
-
-/// The documented "cheap-string" preset targeting the 32-GPU mixed-move gap
-/// in BENCH_sa_throughput.json: node moves relabel whole node blocks and
-/// dirty several times more evaluator state than the paper's string moves
-/// (migrate/swap/reverse run 1.5–2.2M proposals/s where the uniform mix is
-/// dragged to 1.2M on the slowest shape), so this preset draws strings 90%
-/// of the time and keeps a 10% residual of node moves for the coarse
-/// regroupings only they can express. Returns `base` with kind_weights set;
-/// every other field (enables, spans) passes through.
-MoveSet cheap_string_moves(MoveSet base = {});
-
-/// Walker alias-table sampler over the enabled, positively-weighted, feasible
-/// move kinds of a MoveSet. Built once per anneal (O(kinds)); draw() is O(1)
-/// and consumes exactly two rng draws. inactive (and never consulted) when
-/// all kind_weights <= 0, preserving the legacy uniform stream.
-class MoveKindSampler {
- public:
-  MoveKindSampler() = default;
-  /// `nodes` gates feasibility of the node-granular kinds (need >= 2 nodes).
-  MoveKindSampler(const MoveSet& moves, int nodes);
-
-  /// True when weighted drawing is in effect (some weight > 0 and at least
-  /// one weighted kind is enabled and feasible).
-  bool active() const { return k_ > 0; }
-
-  /// Draws a move kind: one uniform_int over table slots, one uniform for
-  /// the alias test. Pre: active().
-  int draw(common::Rng& rng) const {
-    const int i = rng.uniform_int(0, k_ - 1);
-    return rng.uniform() < prob_[i] ? kind_[i] : alias_[i];
-  }
-
- private:
-  int k_ = 0;           ///< table size (number of participating kinds)
-  double prob_[5] = {};  ///< acceptance threshold per slot
-  int kind_[5] = {};     ///< kind landed on acceptance
-  int alias_[5] = {};    ///< kind landed on rejection
 };
 
 /// SA-loop telemetry accumulated locally by the annealers — per-move-kind
@@ -107,25 +58,6 @@ struct AnnealTelemetry {
   long proposed[kKinds] = {};
   long accepted[kKinds] = {};
   long rollbacks = 0;
-  /// Batched-path accounting. `proposed`/`accepted` keep counting *decided*
-  /// proposals only (total_proposed() == SaResult::iters stays an invariant,
-  /// gated in bench/sa_throughput); `scored` additionally counts the
-  /// discarded batch tails, `batches` the sweeps, and `batch_fill` a
-  /// histogram of decided/b per batch in eighths (bucket 7 = the whole batch
-  /// was consumed before an accept, bucket 0 = the first eighth accepted).
-  static constexpr int kFillBuckets = 8;
-  long scored = 0;
-  long batches = 0;
-  long batch_fill[kFillBuckets] = {};
-
-  /// Records one completed batch sweep of size `b` with `decided` decisions.
-  void note_batch(int b, int decided) {
-    scored += b;
-    ++batches;
-    const int bucket =
-        std::min(kFillBuckets - 1, std::max(0, (decided * kFillBuckets - 1) / b));
-    ++batch_fill[bucket];
-  }
   /// Aggregated dirty-set sizes over every proposal (long: a chain can run
   /// millions of proposals, overflowing DirtyStats' per-move ints).
   struct DirtyTotals {
@@ -161,24 +93,17 @@ struct AnnealTelemetry {
 parallel::MappingMoveDesc draw_mapping_move(const parallel::Mapping& m, common::Rng& rng,
                                             const MoveSet& moves, int gpus_per_node);
 
-/// Sampler-aware overload: when `sampler` is non-null and active, the kind is
-/// drawn from its alias table (see MoveSet::kind_weights for the stream
-/// contract) and only the endpoints are drawn per-kind; otherwise identical
-/// to the overload above.
-parallel::MappingMoveDesc draw_mapping_move(const parallel::Mapping& m, common::Rng& rng,
-                                            const MoveSet& moves, int gpus_per_node,
-                                            const MoveKindSampler* sampler);
-
 /// Draws and applies one enabled move (draw_mapping_move + apply_move, same
 /// rng stream). `gpus_per_node` defines the node blocks.
 MappingMove random_mapping_move(parallel::Mapping& m, common::Rng& rng, const MoveSet& moves,
                                 int gpus_per_node);
 
 /// Runs SA from `m` (typically the Megatron default order) to minimize
-/// `model.estimate(m)`. On return `m` is the best mapping found. Proposals
+/// `model.estimate(m)`: one ResumableMappingAnneal run to `opt.max_iters` in a
+/// single run_to() call. On return `m` is the best mapping found. Proposals
 /// are scored by an IncrementalLatencyEvaluator whose costs are bit-identical
 /// to the full model, so the trajectory — and therefore the result under an
-/// iteration cap — matches the copy-based full-evaluation path exactly.
+/// iteration cap — matches simulated_annealing over the full model exactly.
 /// `telemetry`, when non-null, accumulates the run's per-kind counts and
 /// dirty totals (single-threaded writes; the result is unaffected).
 SaResult optimize_mapping(parallel::Mapping& m, const estimators::PipetteLatencyModel& model,
@@ -215,22 +140,23 @@ SaResult optimize_mapping_multichain(parallel::Mapping& m,
                                      const MultiChainOptions& mc, const MoveSet& moves = {},
                                      AnnealTelemetry* telemetry = nullptr);
 
-/// A pausable SA chain over one mapping problem — the unit of work the
-/// successive-halving budget allocator races. The annealing loop, rng stream,
-/// Metropolis rule, and cost evaluation are exactly optimize_mapping's, but
-/// the whole state (current mapping + evaluator, best snapshot, temperature
-/// schedule position, rng) persists between run_to() calls: running to
-/// iteration k and then to n is bit-identical to a single uninterrupted run
-/// to n, so a chain that survives a rung *resumes* — no replayed or wasted
-/// moves — and a chain run to `opt.max_iters` reproduces optimize_mapping's
-/// result exactly (tests lock both in). Budgets are iteration-counted; a
-/// finite `opt.time_limit_s` is additionally honored as a deadline on the
-/// chain's cumulative wall time (batched checks like the generic annealer),
-/// so mixed budgets stop at whichever bound hits first — determinism holds
-/// whenever the deadline does not trip, i.e. for the generous limits
-/// iteration-capped callers use. The model must outlive the chain. Not
-/// copyable (the evaluator holds internal tables); hold by unique_ptr when
-/// racing many.
+/// A pausable SA chain over one mapping problem — the only incremental
+/// annealing loop, behind optimize_mapping and the unit of work the
+/// successive-halving budget allocator races. Its rng stream, Metropolis rule,
+/// cooling and deadline checks are simulated_annealing's, but each proposal
+/// is scored in place by the incremental evaluator and undone on rejection,
+/// and the whole state (current mapping + evaluator, best snapshot,
+/// temperature schedule position, rng) persists between run_to() calls:
+/// running to iteration k and then to n is bit-identical to a single
+/// uninterrupted run to n, so a chain that survives a rung *resumes* — no
+/// replayed or wasted moves (tests lock this in against the full-model
+/// reference). Budgets are iteration-counted; a finite `opt.time_limit_s` is
+/// additionally honored as a deadline on the chain's cumulative wall time
+/// (checked at the temperature step like the generic annealer), so mixed
+/// budgets stop at whichever bound hits first — determinism holds whenever
+/// the deadline does not trip, i.e. for the generous limits iteration-capped
+/// callers use. The model must outlive the chain. Not copyable (the
+/// evaluator holds internal tables); hold by unique_ptr when racing many.
 class ResumableMappingAnneal {
  public:
   ResumableMappingAnneal(const estimators::PipetteLatencyModel& model,
@@ -241,15 +167,8 @@ class ResumableMappingAnneal {
   ResumableMappingAnneal& operator=(const ResumableMappingAnneal&) = delete;
 
   /// Advances the chain until `total_iters() == target_iters` (no-op when
-  /// already past the target, or once the chain has early-stopped). With
-  /// `opt.batch > 1` the loop runs the batched two-phase sweep of
-  /// SaOptions::batch; iteration targets count decided proposals. Each batch
-  /// clamps to the remaining gap to the target, so the trajectory is a pure
-  /// function of the *sequence* of run_to() targets — any fixed target
-  /// schedule (e.g. the configurator's rungs) is bit-reproducible on every
-  /// executor and thread count, while different split points regroup the
-  /// draws differently. batch <= 1 keeps the historical serial loop, which
-  /// is additionally split-invariant (run to k then n == run to n).
+  /// already past the target, or once the chain has early-stopped). The
+  /// trajectory is split-invariant: run to k then n == run to n.
   void run_to(long target_iters);
 
   /// Arms Hoeffding-style early stopping (search/stopping.h): the chain
@@ -272,7 +191,7 @@ class ResumableMappingAnneal {
   /// opt.time_limit_s (a per-chain budget on this chain's own wall time),
   /// the deadline is read from the caller's request stopwatch, so N chains
   /// sharing fewer threads still collectively stop on time. Checks happen at
-  /// the existing batched boundaries and never touch the rng stream; a
+  /// the temperature-step boundaries and never touch the rng stream; a
   /// deadline generous enough not to trip leaves the trajectory bit-exact.
   /// Null watch (the default) disarms. The watch must outlive the chain.
   void set_deadline(const common::Stopwatch* watch, double deadline_s) {
@@ -288,19 +207,8 @@ class ResumableMappingAnneal {
   /// paused. Never affects the trajectory.
   void set_telemetry(AnnealTelemetry* t) { telemetry_ = t; }
 
-  /// Batch size the next sweep will use: SaOptions::batch, or the
-  /// BatchTuner's current value when fill-driven tuning is armed
-  /// (opt.tune.batch_size with batch > 1).
-  int current_batch() const { return tune_batch_ ? btuner_.current() : opt_.batch; }
-  /// The live kind-weight vector (== the caller's MoveSet weights until the
-  /// bandit's first update; see SaOptions::tune.kind_weights).
-  const double* kind_weights() const { return moves_.kind_weights; }
-
   long total_iters() const { return iters_; }
   long accepted() const { return accepted_; }
-  /// Proposals scored including discarded batch tails (== total_iters() for
-  /// serial chains).
-  long scored() const { return scored_; }
   double initial_cost() const { return initial_cost_; }
   double best_cost() const { return best_cost_; }
   /// Current temperature of the geometric schedule (trace trajectories).
@@ -312,9 +220,7 @@ class ResumableMappingAnneal {
   parallel::Mapping best_mapping() const;
 
  private:
-  void run_serial(long target_iters, const common::Stopwatch& watch, bool timed);
-  void run_batched(long target_iters, const common::Stopwatch& watch, bool timed);
-  /// The batched time check: per-chain time_limit_s and the shared request
+  /// The time check: per-chain time_limit_s and the shared request
   /// deadline, whichever trips first. `watch` is the current run_to() timer.
   bool over_time(const common::Stopwatch& watch) {
     if (std::isfinite(opt_.time_limit_s) && wall_s_ + watch.seconds() >= opt_.time_limit_s) {
@@ -326,23 +232,12 @@ class ResumableMappingAnneal {
     }
     return false;
   }
-  void accept_pending(double c);
   /// Feeds the stopper at every window boundary crossed up to iters_.
   /// Returns true once the chain stopped.
   bool observe_boundaries();
-  /// Measures the per-kind work proxy (mean dirtied entries per proposal)
-  /// with a private derive_seed'd rng and propose/rollback probes — the
-  /// chain's own stream and committed state are untouched.
-  void calibrate_kind_costs();
-  /// Bandit update at an absolute weight_window boundary: re-weights the
-  /// enabled kinds by accepted improvement per unit work (floored, EMA
-  /// blended) and rebuilds the alias sampler. Deterministic: pure function
-  /// of the window's chain-local counters.
-  void retune_weights();
 
   estimators::IncrementalLatencyEvaluator eval_;
   MoveSet moves_;
-  MoveKindSampler sampler_;
   int gpn_;
   SaOptions opt_;
   common::Rng rng_;
@@ -353,27 +248,14 @@ class ResumableMappingAnneal {
   int since_temp_step_ = 0;
   long iters_ = 0;
   long accepted_ = 0;
-  long scored_ = 0;
   double wall_s_ = 0.0;
   std::vector<int> best_;
-  std::vector<parallel::MappingMoveDesc> batch_mvs_;
-  std::vector<double> batch_costs_;
   AnnealTelemetry* telemetry_ = nullptr;
   const common::Stopwatch* deadline_watch_ = nullptr;
   double deadline_s_ = std::numeric_limits<double>::infinity();
   bool deadline_tripped_ = false;
   HoeffdingStopper stopper_;
   long next_obs_ = std::numeric_limits<long>::max();
-  // Self-tuning state (SaOptions::tune): fill-driven batch sizing and the
-  // kind-weight bandit. All counters are chain-local and adapt at
-  // deterministic boundaries of this chain's trajectory.
-  int nodes_ = 1;
-  bool tune_batch_ = false;
-  BatchTuner btuner_;
-  bool tune_kw_ = false;
-  long next_tune_ = std::numeric_limits<long>::max();
-  double kind_cost_[AnnealTelemetry::kKinds] = {1, 1, 1, 1, 1};
-  double win_improve_[AnnealTelemetry::kKinds] = {};
 };
 
 }  // namespace pipette::search

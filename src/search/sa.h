@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -21,81 +20,6 @@ namespace pipette::search {
 /// every candidate identically and produce the same ranking.
 std::uint64_t derive_seed(std::uint64_t base, std::string_view key);
 
-/// Telemetry-driven self-tuning of the batched annealer (opt-in per field).
-/// Determinism rules, shared by both tuners: every adaptation is a pure
-/// function of chain-local counters and fires at deterministic iteration
-/// boundaries of the chain's own trajectory — never of wall time, thread
-/// schedule, or other chains — so tuned runs are bit-reproducible for a
-/// fixed seed on every executor and thread count. Tuning does change the
-/// trajectory relative to an untuned run (that is the point); it never makes
-/// the trajectory schedule-dependent.
-struct AutoTuneOptions {
-  /// Derive the per-chain batch size from the observed first-accept fill
-  /// distribution (the batch_fill_first_eighth_pct signal): when accepts
-  /// land in the first eighth of a batch most of the scored tail is
-  /// discarded, so the batch halves; when sweeps run nearly full (accepts
-  /// are rare) the shell amortizes, so it doubles. Adapted every
-  /// `batch_window` sweeps from the chain's own fill counters.
-  bool batch_size = false;
-  int batch_min = 4;
-  int batch_max = 256;
-  int batch_window = 16;  ///< sweeps per batch-size adaptation step
-  /// Auto-tune MoveSet::kind_weights from per-kind accepted-improvement-
-  /// per-unit-work telemetry via a deterministic bandit update (replaces the
-  /// hand-picked cheap_string_moves preset). The per-kind work denominator
-  /// is the dirtied-decomposition-entry count — the deterministic stand-in
-  /// for microseconds (evaluator time per proposal is proportional to the
-  /// entries it reprices; wall clocks are schedule-dependent and would break
-  /// reproducibility). Weights update at absolute decided-iteration
-  /// multiples of `weight_window` and keep an exploration floor per kind.
-  bool kind_weights = false;
-  long weight_window = 2048;   ///< decided iterations per bandit update
-  double weight_floor = 0.05;  ///< minimum share any enabled kind keeps
-  double weight_gain = 0.5;    ///< EMA blend toward the new window's estimate
-  bool any() const { return batch_size || kind_weights; }
-};
-
-/// Chain-local batch-size controller implementing AutoTuneOptions'
-/// fill-driven rule. Advances only on note() — a pure function of the
-/// chain's sweep history, so two runs with the same trajectory tune
-/// identically.
-class BatchTuner {
- public:
-  BatchTuner() = default;
-  BatchTuner(const AutoTuneOptions& opt, int start) : opt_(opt) {
-    cur_ = start < opt_.batch_min ? opt_.batch_min : start;
-    cur_ = cur_ > opt_.batch_max ? opt_.batch_max : cur_;
-  }
-
-  /// Batch size the next sweep should use.
-  int current() const { return cur_; }
-
-  /// Records one completed sweep of size `b` with `decided` decisions.
-  void note(int b, int decided) {
-    sum_b_ += b;
-    sum_decided_ += decided;
-    if (++sweeps_ < opt_.batch_window) return;
-    // Mean decided fill <= 1/8 of the batch: the first eighth is deciding
-    // and the scored tail is mostly waste — halve. Mean fill >= 3/4:
-    // accepts are rare enough that a bigger sweep amortizes — double.
-    if (8 * sum_decided_ <= sum_b_) {
-      cur_ = std::max(opt_.batch_min, cur_ / 2);
-    } else if (4 * sum_decided_ >= 3 * sum_b_) {
-      cur_ = std::min(opt_.batch_max, cur_ * 2);
-    }
-    sweeps_ = 0;
-    sum_b_ = 0;
-    sum_decided_ = 0;
-  }
-
- private:
-  AutoTuneOptions opt_;
-  int cur_ = 1;
-  int sweeps_ = 0;
-  long sum_b_ = 0;
-  long sum_decided_ = 0;
-};
-
 struct SaOptions {
   double time_limit_s = 10.0;  ///< paper: "10 seconds for the SA time limit"
   long max_iters = std::numeric_limits<long>::max();
@@ -103,30 +27,6 @@ struct SaOptions {
   double alpha = 0.999;          ///< paper's temperature reduction coefficient
   int iters_per_temp = 16;       ///< proposals evaluated per temperature step
   std::uint64_t seed = 13;
-  /// Proposal batch size for incremental problems that expose the batched
-  /// extension (see simulated_annealing_incremental). batch <= 1 runs the
-  /// historical serial loop verbatim.
-  ///
-  /// RNG-stream contract for batch > 1, per batch of size b (b = batch,
-  /// clamped to the remaining iteration budget):
-  ///   phase 1 — b move descriptors are drawn sequentially from the chain's
-  ///     single rng stream (move draws depend only on the problem's shape,
-  ///     never on its current state, so the descriptors are the same ones an
-  ///     interleaved draw/decide loop would produce);
-  ///   phase 2 — all b proposals are scored against the committed state, then
-  ///     the Metropolis sweep visits them in draw order, consuming exactly
-  ///     one uniform per positive-delta decision and stepping the temperature
-  ///     schedule once per *decided* proposal; the first accepted proposal is
-  ///     applied and ends the batch, and the remaining scored proposals are
-  ///     discarded (they count toward SaResult::scored, not iters).
-  /// At b = 1 the two phases collapse to draw-decide-draw-decide — the serial
-  /// loop's exact rng stream and trajectory, bit for bit.
-  int batch = 1;
-  /// Self-tuning of the batch size and move-kind weights (see
-  /// AutoTuneOptions). Honored by the mapping annealers (ResumableMappingAnneal
-  /// and optimize_mapping, which delegates to it when any tuner is armed);
-  /// the generic template ignores it. batch_size tuning requires batch > 1.
-  AutoTuneOptions tune;
 };
 
 struct SaResult {
@@ -134,15 +34,13 @@ struct SaResult {
   double best_cost = 0.0;
   long iters = 0;     ///< decided proposals (advance temperature + budget)
   long accepted = 0;
-  /// Proposals scored including discarded batch tails; == iters for serial
-  /// runs, >= iters when batch > 1.
-  long scored = 0;
   double wall_s = 0.0;
 };
 
 namespace detail {
 
-/// The Metropolis rule shared by both annealers: accept improvements, else
+/// The Metropolis rule shared by both annealers (simulated_annealing below
+/// and ResumableMappingAnneal): accept improvements, else
 /// accept with probability exp(-delta / temp). One uniform draw is consumed
 /// exactly when delta > 0, and exp() is skipped where it is exactly 0.0
 /// (argument far past the subnormal range, where u < 0.0 can never hold) —
@@ -158,7 +56,10 @@ inline bool metropolis_accept(double delta, double temp, common::Rng& rng) {
 
 /// Minimizes `cost(state)` by repeatedly applying `mutate(state, rng)` to a
 /// copy and accepting by the Metropolis rule. On return `state` holds the
-/// best solution found. State must be copyable.
+/// best solution found. State must be copyable. Over the full latency model
+/// this is the reference the incremental mapping chain
+/// (search::ResumableMappingAnneal) must follow move for move: the same rng
+/// stream, acceptance rule, cooling and deadline checks.
 template <typename State, typename CostFn, typename MutateFn>
 SaResult simulated_annealing(State& state, CostFn&& cost, MutateFn&& mutate, const SaOptions& opt) {
   const common::Stopwatch watch;
@@ -207,167 +108,6 @@ SaResult simulated_annealing(State& state, CostFn&& cost, MutateFn&& mutate, con
 
   state = std::move(best);
   res.best_cost = best_cost;
-  res.scored = res.iters;
-  res.wall_s = watch.seconds();
-  return res;
-}
-
-namespace detail {
-
-/// Compile-time probe for the optional batched extension of the incremental
-/// problem API (see simulated_annealing_incremental).
-template <typename Problem>
-constexpr bool has_batch_api = requires(Problem& p, common::Rng& rng, int b) {
-  p.draw_batch(rng, b);
-  { p.score_batch(b) } -> std::convertible_to<const double*>;
-  { p.apply_scored(b) } -> std::convertible_to<double>;
-  p.note_batch(b, b, b, true);
-};
-
-}  // namespace detail
-
-/// Incremental simulated annealing: the timed-deadline check is batched to
-/// the temperature-step boundary exactly like simulated_annealing above.
-/// Instead of copying the state and paying a full cost evaluation per
-/// proposal, the problem object mutates itself in place and can cheaply undo
-/// a rejected move. `Problem` must expose:
-///
-///   double cost() const;            // cost of the committed state
-///   double propose(common::Rng&);   // draw + apply one move, return new cost
-///   void commit();                  // accept the pending move
-///   void rollback();                // undo the pending move exactly
-///   void save_best();               // snapshot the committed state as best
-///   void restore_best();            // make the last snapshot the state
-///
-/// The rng stream and acceptance rule are identical to simulated_annealing,
-/// so a problem whose propose() draws moves the same way and returns
-/// bit-identical costs follows the exact same trajectory — the property
-/// tests/incremental_test.cpp locks in for the mapping problem.
-///
-/// Batched extension (used when opt.batch > 1 and the problem provides it;
-/// see SaOptions::batch for the rng-stream contract):
-///
-///   void draw_batch(common::Rng&, int b);  // draw b moves into a buffer
-///   const double* score_batch(int b);      // score them vs the committed
-///                                          // state; no pending proposal left
-///   double apply_scored(int j);            // re-apply scored move j as the
-///                                          // pending proposal (cost is
-///                                          // bit-identical to score_batch's)
-///   void note_batch(int b, int decided, int accept_j, bool serial_counted);
-///                                          // telemetry hook, once per batch
-template <typename Problem>
-SaResult simulated_annealing_incremental(Problem& prob, const SaOptions& opt) {
-  const common::Stopwatch watch;
-  const bool timed = std::isfinite(opt.time_limit_s);
-
-  common::Rng rng(opt.seed);
-  double cur_cost = prob.cost();
-  double best_cost = cur_cost;
-  prob.save_best();
-
-  SaResult res;
-  res.initial_cost = cur_cost;
-
-  double temp = std::max(opt.init_temp_frac * cur_cost, 1e-300);
-  int since_temp_step = 0;
-
-  if constexpr (detail::has_batch_api<Problem>) {
-    if (opt.batch > 1) {
-      while (res.iters < opt.max_iters) {
-        // Deadline granularity is the batch: one wall-clock read per sweep.
-        if (timed && watch.seconds() >= opt.time_limit_s) break;
-        const int b =
-            static_cast<int>(std::min<long>(opt.batch, opt.max_iters - res.iters));
-        if (b == 1) {
-          // Partial tail batch: the serial body, which consumes the exact
-          // stream the two-phase path would at b = 1 without paying the
-          // score-then-reapply double evaluation on accepts.
-          const double c = prob.propose(rng);
-          const bool acc = detail::metropolis_accept(c - cur_cost, temp, rng);
-          if (acc) {
-            prob.commit();
-            cur_cost = c;
-            ++res.accepted;
-            if (cur_cost < best_cost) {
-              best_cost = cur_cost;
-              prob.save_best();
-            }
-          } else {
-            prob.rollback();
-          }
-          if (++since_temp_step >= opt.iters_per_temp) {
-            temp *= opt.alpha;
-            since_temp_step = 0;
-          }
-          prob.note_batch(1, 1, acc ? 0 : -1, /*serial_counted=*/true);
-          ++res.iters;
-          ++res.scored;
-          continue;
-        }
-        prob.draw_batch(rng, b);
-        const double* costs = prob.score_batch(b);
-        int decided = b;
-        int accept_j = -1;
-        for (int j = 0; j < b; ++j) {
-          const bool acc = detail::metropolis_accept(costs[j] - cur_cost, temp, rng);
-          if (++since_temp_step >= opt.iters_per_temp) {
-            temp *= opt.alpha;
-            since_temp_step = 0;
-          }
-          if (acc) {
-            accept_j = j;
-            decided = j + 1;
-            break;
-          }
-        }
-        if (accept_j >= 0) {
-          const double c = prob.apply_scored(accept_j);
-          prob.commit();
-          cur_cost = c;
-          ++res.accepted;
-          if (cur_cost < best_cost) {
-            best_cost = cur_cost;
-            prob.save_best();
-          }
-        }
-        prob.note_batch(b, decided, accept_j, /*serial_counted=*/false);
-        res.iters += decided;
-        res.scored += b;
-      }
-      prob.restore_best();
-      res.best_cost = best_cost;
-      res.wall_s = watch.seconds();
-      return res;
-    }
-  }
-
-  while (res.iters < opt.max_iters) {
-    if (timed && (since_temp_step == 0 || (res.iters & 255) == 0)) {
-      if (watch.seconds() >= opt.time_limit_s) break;
-    }
-    const double c = prob.propose(rng);
-    const double delta = c - cur_cost;
-    if (detail::metropolis_accept(delta, temp, rng)) {
-      prob.commit();
-      cur_cost = c;
-      ++res.accepted;
-      if (cur_cost < best_cost) {
-        best_cost = cur_cost;
-        prob.save_best();
-      }
-    } else {
-      prob.rollback();
-    }
-    if (++since_temp_step >= opt.iters_per_temp) {
-      temp *= opt.alpha;
-      since_temp_step = 0;
-    }
-    ++res.iters;
-  }
-
-  prob.restore_best();
-  res.best_cost = best_cost;
-  res.scored = res.iters;
   res.wall_s = watch.seconds();
   return res;
 }

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -474,4 +476,46 @@ TEST(ConfigService, RejectsDegenerateJobsWithATypedStatus) {
   }
   EXPECT_EQ(service.cache_stats().lookups, 0) << "rejected before any profiling";
   EXPECT_EQ(service.pending(), 0);
+}
+
+TEST(ConfigService, RejectsDegenerateMemoryTrainingOptionsBeforeProfiling) {
+  // Each case breaks one memory-training option of the service. Admitted,
+  // such a request would profile the fabric and then fail in the cluster
+  // cache's Regressor as an internal_error.
+  using limits = std::numeric_limits<double>;
+  using Mem = estimators::MlpMemoryOptions;
+  struct Case {
+    const char* field;
+    void (*corrupt)(Mem&);
+  };
+  const Case cases[] = {
+      {"hidden", [](Mem& m) { m.hidden = {0}; }},
+      {"hidden", [](Mem& m) { m.hidden = {48, -4}; }},
+      {"batch_size", [](Mem& m) { m.train.batch_size = 0; }},
+      {"iters", [](Mem& m) { m.train.iters = -1; }},
+      {"lr", [](Mem& m) { m.train.lr = 0.0; }},
+      {"lr", [](Mem& m) { m.train.lr = limits::quiet_NaN(); }},
+      {"lr_decay", [](Mem& m) { m.train.lr_decay = -0.5; }},
+      {"lr_decay", [](Mem& m) { m.train.lr_decay = limits::infinity(); }},
+  };
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  for (const Case& c : cases) {
+    engine::ConfigServiceOptions so = service_options(1);
+    c.corrupt(so.pipette.memory_training);
+    engine::ConfigService service(so);
+    const auto sr = service.submit_request(small_cluster(), job).get();
+    EXPECT_EQ(sr.status, engine::ServiceStatus::kInvalidRequest)
+        << c.field << ": " << engine::to_string(sr.status) << " (" << sr.error << ")";
+    // The named field, as a whole word: "lr" must not be satisfied by "lr_decay".
+    const std::string field = c.field;
+    bool named = false;
+    for (std::size_t pos = sr.error.find(field); pos != std::string::npos;
+         pos = sr.error.find(field, pos + 1)) {
+      const std::size_t end = pos + field.size();
+      named |= end == sr.error.size() || sr.error[end] == ' ';
+    }
+    EXPECT_TRUE(named) << c.field << ": " << sr.error;
+    EXPECT_EQ(service.cache_stats().lookups, 0) << c.field << ": rejected before any profiling";
+    EXPECT_EQ(service.pending(), 0);
+  }
 }

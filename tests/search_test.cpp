@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <numeric>
 
 #include "cluster/profiler.h"
@@ -378,7 +377,8 @@ TEST(SimulatedAnnealing, TimedRunsTerminateWithBatchedDeadlineChecks) {
 TEST(ResumableAnneal, SplitRunsAreBitIdenticalToOneShot) {
   // The property successive halving rests on: annealing to 5000 iterations in
   // four uneven resume steps is the same computation as one uninterrupted
-  // run, and both equal optimize_mapping at the same budget.
+  // run, and both follow the copy-based generic annealer over the full model
+  // at the same budget.
   cluster::Topology topo(cluster::mid_range_cluster(4), cluster::HeterogeneityOptions{}, 99);
   const model::TrainingJob job{model::gpt_1_1b(), 128};
   const parallel::TrainPlan plan{{4, 2, 4}, 2};
@@ -394,7 +394,12 @@ TEST(ResumableAnneal, SplitRunsAreBitIdenticalToOneShot) {
   opt.max_iters = 5000;
 
   auto m_ref = parallel::Mapping::megatron_default(plan.pc);
-  const auto ref = search::optimize_mapping(m_ref, model, gpn, opt);
+  const auto ref = search::simulated_annealing(
+      m_ref, [&model](const parallel::Mapping& s) { return model.estimate(s); },
+      [gpn](parallel::Mapping& s, common::Rng& rng) {
+        parallel::apply_move(s, search::draw_mapping_move(s, rng, {}, gpn), gpn);
+      },
+      opt);
 
   const auto start = parallel::Mapping::megatron_default(plan.pc);
   search::ResumableMappingAnneal chain(model, start, gpn, opt);
@@ -432,209 +437,6 @@ TEST(ResumableAnneal, ResumingStrictlyExtendsTheRun) {
   EXPECT_EQ(chain.total_iters(), 4000);
   EXPECT_LE(chain.best_cost(), cost_at_400) << "best cost is monotone in the budget";
   EXPECT_DOUBLE_EQ(model.estimate(chain.best_mapping()), chain.best_cost());
-}
-
-TEST(BatchedAnneal, BatchOneDispatchesToTheSerialLoopBitForBit) {
-  // batch = 1 (explicit or default) must follow the historical serial
-  // trajectory exactly — the B=1 leg of the batched-path contract.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 3000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 17;
-  search::SaOptions b1 = opt;
-  b1.batch = 1;
-
-  parallel::Mapping ms = parallel::Mapping::megatron_default(fx.plan.pc);
-  parallel::Mapping mb = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto rs = search::optimize_mapping(ms, fx.model, 8, opt);
-  const auto rb = search::optimize_mapping(mb, fx.model, 8, b1);
-  EXPECT_EQ(rs.best_cost, rb.best_cost);
-  EXPECT_EQ(rs.iters, rb.iters);
-  EXPECT_EQ(rs.accepted, rb.accepted);
-  EXPECT_EQ(rs.scored, rs.iters) << "serial runs score exactly what they decide";
-  EXPECT_EQ(ms.raw(), mb.raw());
-}
-
-TEST(BatchedAnneal, ScoreBatchCostsAreBitIdenticalToSerialPropose) {
-  const SearchFixture fx({4, 2, 4});
-  estimators::IncrementalLatencyEvaluator eval(
-      fx.model, parallel::Mapping::megatron_default(fx.plan.pc), 8);
-  common::Rng rng(31);
-  std::vector<parallel::MappingMoveDesc> mvs;
-  for (int i = 0; i < 64; ++i) {
-    mvs.push_back(search::draw_mapping_move(eval.mapping(), rng, {}, 8));
-  }
-  std::vector<double> costs(mvs.size());
-  eval.score_batch(mvs.data(), static_cast<int>(mvs.size()), costs.data());
-  for (std::size_t i = 0; i < mvs.size(); ++i) {
-    const double serial = eval.propose(mvs[i]);
-    eval.rollback();
-    EXPECT_EQ(serial, costs[i]) << "move " << i;
-  }
-  // Scoring left no pending proposal: the committed cost is untouched.
-  EXPECT_EQ(eval.cost(), fx.model.estimate(eval.mapping()));
-}
-
-TEST(BatchedAnneal, BatchedRunIsDeterministicAndAccountsScoredWork) {
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 4000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 23;
-  opt.batch = 32;
-
-  search::AnnealTelemetry t1, t2;
-  parallel::Mapping m1 = parallel::Mapping::megatron_default(fx.plan.pc);
-  parallel::Mapping m2 = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto r1 = search::optimize_mapping(m1, fx.model, 8, opt, {}, &t1);
-  const auto r2 = search::optimize_mapping(m2, fx.model, 8, opt, {}, &t2);
-
-  // Deterministic replay, telemetry attached or not.
-  EXPECT_EQ(r1.best_cost, r2.best_cost);
-  EXPECT_EQ(r1.iters, r2.iters);
-  EXPECT_EQ(r1.scored, r2.scored);
-  EXPECT_EQ(m1.raw(), m2.raw());
-
-  // The run is a genuine anneal: exact budget, improvement, and a best cost
-  // that re-evaluates bit-identically under the full model.
-  EXPECT_EQ(r1.iters, opt.max_iters);
-  EXPECT_GE(r1.scored, r1.iters);
-  EXPECT_LE(r1.best_cost, r1.initial_cost);
-  EXPECT_DOUBLE_EQ(fx.model.estimate(m1), r1.best_cost);
-
-  // Counting contract: proposed[] counts decided proposals only; scored and
-  // the fill histogram capture the discarded batch tails.
-  EXPECT_EQ(t1.total_proposed(), r1.iters);
-  EXPECT_EQ(t1.scored, r1.scored);
-  EXPECT_GT(t1.batches, 0);
-  long fill = 0;
-  for (const long b : t1.batch_fill) fill += b;
-  EXPECT_EQ(fill, t1.batches);
-  EXPECT_EQ(t1.total_proposed(), t1.total_accepted() + t1.rollbacks);
-}
-
-TEST(BatchedAnneal, ResumableBatchedMatchesGenericAnnealerAndRespectsTargets) {
-  // The resumable chain's batched loop is the generic annealer's: one
-  // uninterrupted run_to(max_iters) reproduces optimize_mapping at the same
-  // batch size, and iteration targets are hit exactly (decided proposals).
-  const SearchFixture fx({2, 8, 2});
-  search::SaOptions opt;
-  opt.max_iters = 3000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 29;
-  opt.batch = 16;
-
-  parallel::Mapping m = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto ref = search::optimize_mapping(m, fx.model, 8, opt);
-
-  search::ResumableMappingAnneal chain(fx.model, parallel::Mapping::megatron_default(fx.plan.pc),
-                                       8, opt);
-  chain.run_to(3000);
-  EXPECT_EQ(chain.total_iters(), 3000);
-  EXPECT_EQ(chain.scored(), ref.scored);
-  EXPECT_EQ(chain.accepted(), ref.accepted);
-  EXPECT_DOUBLE_EQ(chain.best_cost(), ref.best_cost);
-  EXPECT_EQ(chain.best_mapping().raw(), m.raw());
-}
-
-TEST(BatchedAnneal, MultichainDeterministicAcrossThreadCountsAtBatchSize) {
-  // The B>1 determinism leg: same plans, costs, and counters on 1, 4, and 16
-  // pool threads under sa_chains-style multichain annealing.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 2000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 21;
-  opt.batch = 8;
-  const int chains = 4;
-
-  parallel::Mapping ref = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto res_ref =
-      search::optimize_mapping_multichain(ref, fx.model, 8, opt, {chains, nullptr});
-  EXPECT_GE(res_ref.scored, res_ref.iters);
-
-  for (int threads : {1, 4, 16}) {
-    engine::ThreadPool pool(threads);
-    parallel::Mapping m = parallel::Mapping::megatron_default(fx.plan.pc);
-    const auto res =
-        search::optimize_mapping_multichain(m, fx.model, 8, opt, {chains, &pool});
-    EXPECT_EQ(res.best_cost, res_ref.best_cost) << threads << " threads";
-    EXPECT_EQ(res.iters, res_ref.iters) << threads << " threads";
-    EXPECT_EQ(res.scored, res_ref.scored) << threads << " threads";
-    EXPECT_EQ(res.accepted, res_ref.accepted) << threads << " threads";
-    EXPECT_EQ(m.raw(), ref.raw()) << threads << " threads";
-  }
-}
-
-TEST(MoveWeights, DefaultZeroWeightsPreserveTheHistoricalStream) {
-  // kind_weights all <= 0 builds an inactive sampler, and the sampler-aware
-  // overload must then consume the legacy retry-loop stream bit for bit.
-  const parallel::ParallelConfig pc{4, 2, 4};
-  const parallel::Mapping m = parallel::Mapping::megatron_default(pc);
-  const search::MoveSet moves;
-  const search::MoveKindSampler sampler(moves, 4);
-  EXPECT_FALSE(sampler.active());
-
-  common::Rng legacy(77), weighted(77);
-  for (int i = 0; i < 500; ++i) {
-    const auto a = search::draw_mapping_move(m, legacy, moves, 8);
-    const auto b = search::draw_mapping_move(m, weighted, moves, 8, &sampler);
-    ASSERT_EQ(a.kind, b.kind) << "draw " << i;
-    ASSERT_EQ(a.a, b.a) << "draw " << i;
-    ASSERT_EQ(a.b, b.b) << "draw " << i;
-  }
-  EXPECT_EQ(legacy.next_u64(), weighted.next_u64()) << "streams diverged";
-}
-
-TEST(MoveWeights, CheapStringPresetSkewsDrawsAndStillAnneals) {
-  const search::MoveSet moves = search::cheap_string_moves();
-  const search::MoveKindSampler sampler(moves, 4);
-  ASSERT_TRUE(sampler.active());
-
-  common::Rng rng(11);
-  long counts[5] = {};
-  const int draws = 20000;
-  for (int i = 0; i < draws; ++i) ++counts[sampler.draw(rng)];
-  const long strings = counts[0] + counts[1] + counts[2];
-  const long nodes = counts[3] + counts[4];
-  EXPECT_GT(strings, static_cast<long>(0.85 * draws)) << "preset should favour string moves";
-  EXPECT_GT(nodes, 0) << "node moves keep a residual probability";
-
-  // A weighted anneal still optimizes and replays deterministically.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 3000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 3;
-  search::AnnealTelemetry telem;
-  parallel::Mapping m1 = parallel::Mapping::megatron_default(fx.plan.pc);
-  parallel::Mapping m2 = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto r1 = search::optimize_mapping(m1, fx.model, 8, opt, moves, &telem);
-  const auto r2 = search::optimize_mapping(m2, fx.model, 8, opt, moves);
-  EXPECT_EQ(r1.best_cost, r2.best_cost);
-  EXPECT_EQ(m1.raw(), m2.raw());
-  EXPECT_LE(r1.best_cost, r1.initial_cost);
-  EXPECT_DOUBLE_EQ(fx.model.estimate(m1), r1.best_cost);
-  const long t_strings = telem.proposed[0] + telem.proposed[1] + telem.proposed[2];
-  const long t_nodes = telem.proposed[3] + telem.proposed[4];
-  EXPECT_GT(t_strings, t_nodes * 4) << "proposal mix should reflect the preset";
-}
-
-TEST(MoveWeights, InfeasibleWeightedKindsFallBackToLegacyDraws) {
-  // Node-only positive weights on a single-node cluster leave nothing for
-  // the alias table; the sampler deactivates and legacy drawing (with its
-  // own degenerate fallback) takes over.
-  search::MoveSet moves;
-  moves.kind_weights[3] = 1.0;
-  moves.kind_weights[4] = 1.0;
-  EXPECT_FALSE(search::MoveKindSampler(moves, 1).active());
-  EXPECT_TRUE(search::MoveKindSampler(moves, 2).active());
-
-  search::MoveSet disabled = moves;
-  disabled.node_swap = false;
-  disabled.node_reverse = false;
-  EXPECT_FALSE(search::MoveKindSampler(disabled, 4).active());
 }
 
 TEST(ResumableAnneal, StopperHaltsConvergedChainAndFurtherRunsNoOp) {
@@ -695,211 +497,3 @@ TEST(ResumableAnneal, ArmedButUnstoppedChainIsBitIdenticalToUnarmed) {
   EXPECT_EQ(armed.best_mapping().raw(), plain.best_mapping().raw());
 }
 
-TEST(MoveWeights, AllZeroAfterMaskingDisabledKindsDeactivatesSampler) {
-  // Positive weights that all land on *disabled* kinds leave the alias table
-  // empty: the sampler must report inactive and the sampler-aware overload
-  // must fall back to the legacy retry stream bit for bit.
-  search::MoveSet moves;
-  moves.kind_weights[0] = 2.0;  // migrate weighted...
-  moves.kind_weights[2] = 1.0;  // ...and reverse weighted
-  moves.migrate = false;
-  moves.reverse = false;  // ...but both disabled
-  const search::MoveKindSampler sampler(moves, 4);
-  EXPECT_FALSE(sampler.active());
-
-  const parallel::ParallelConfig pc{4, 2, 4};
-  const parallel::Mapping m = parallel::Mapping::megatron_default(pc);
-  common::Rng legacy(31), via_sampler(31);
-  for (int i = 0; i < 300; ++i) {
-    const auto a = search::draw_mapping_move(m, legacy, moves, 8);
-    const auto b = search::draw_mapping_move(m, via_sampler, moves, 8, &sampler);
-    ASSERT_EQ(a.kind, b.kind) << "draw " << i;
-    ASSERT_EQ(a.a, b.a) << "draw " << i;
-    ASSERT_EQ(a.b, b.b) << "draw " << i;
-  }
-  EXPECT_EQ(legacy.next_u64(), via_sampler.next_u64());
-}
-
-TEST(MoveWeights, SingleWeightedKindAlwaysDrawsIt) {
-  // A one-entry alias table degenerates to a constant: every draw returns
-  // the single surviving kind (still consuming the documented two rng draws).
-  search::MoveSet moves;
-  moves.kind_weights[1] = 0.125;  // swap only
-  const search::MoveKindSampler sampler(moves, 1);
-  ASSERT_TRUE(sampler.active());
-  common::Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(sampler.draw(rng), 1) << "draw " << i;
-  }
-}
-
-TEST(MoveWeights, RebuildsAndRescalingDrawIdenticalStreams) {
-  // The bandit retunes by renormalizing and rebuilding the sampler many
-  // times; the alias construction must be scale-invariant (weights times any
-  // positive constant give the same table) and drift-free (rebuilding from
-  // the same weights gives the same draw stream every time).
-  search::MoveSet base = search::cheap_string_moves();
-  search::MoveSet scaled = base;
-  for (double& w : scaled.kind_weights) w *= 1737.5;
-  const search::MoveKindSampler a(base, 4);
-  const search::MoveKindSampler b(scaled, 4);
-  ASSERT_TRUE(a.active());
-  ASSERT_TRUE(b.active());
-  common::Rng ra(9), rb(9);
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_EQ(a.draw(ra), b.draw(rb)) << "scaled table diverged at draw " << i;
-  }
-
-  common::Rng ref_rng(13), rebuilt_rng(13);
-  const search::MoveKindSampler ref(base, 4);
-  for (int round = 0; round < 100; ++round) {
-    const search::MoveKindSampler rebuilt(base, 4);  // fresh table each round
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_EQ(ref.draw(ref_rng), rebuilt.draw(rebuilt_rng))
-          << "rebuild " << round << " draw " << i;
-    }
-  }
-}
-
-TEST(BatchTuner, AdaptsAtWindowBoundariesAndClamps) {
-  search::AutoTuneOptions tune;
-  tune.batch_size = true;
-  tune.batch_min = 4;
-  tune.batch_max = 64;
-  tune.batch_window = 4;
-
-  // Sustained first-eighth fills (decided <= b/8) halve the batch at each
-  // window boundary until the floor.
-  search::BatchTuner shrink(tune, 32);
-  EXPECT_EQ(shrink.current(), 32);
-  for (int i = 0; i < 4; ++i) shrink.note(32, 1);
-  EXPECT_EQ(shrink.current(), 16);
-  for (int i = 0; i < 4; ++i) shrink.note(16, 1);
-  EXPECT_EQ(shrink.current(), 8);
-  for (int i = 0; i < 4; ++i) shrink.note(8, 1);
-  EXPECT_EQ(shrink.current(), 4);
-  for (int i = 0; i < 4; ++i) shrink.note(4, 1);
-  EXPECT_EQ(shrink.current(), 4) << "must clamp at batch_min";
-
-  // Sustained near-full consumption (decided >= 3b/4) doubles to the cap.
-  search::BatchTuner grow(tune, 8);
-  for (int i = 0; i < 4; ++i) grow.note(8, 8);
-  EXPECT_EQ(grow.current(), 16);
-  for (int i = 0; i < 4; ++i) grow.note(16, 16);
-  EXPECT_EQ(grow.current(), 32);
-  for (int i = 0; i < 4; ++i) grow.note(32, 32);
-  EXPECT_EQ(grow.current(), 64);
-  for (int i = 0; i < 4; ++i) grow.note(64, 64);
-  EXPECT_EQ(grow.current(), 64) << "must clamp at batch_max";
-
-  // Mid-range fills hold steady, and adaptation only happens at window
-  // boundaries (three sweeps of a four-sweep window change nothing).
-  search::BatchTuner hold(tune, 16);
-  for (int i = 0; i < 3; ++i) hold.note(16, 1);
-  EXPECT_EQ(hold.current(), 16) << "no mid-window adaptation";
-  hold.note(16, 8);  // window closes on a mixed profile: 11/64 fill, no move
-  EXPECT_EQ(hold.current(), 16);
-  // A start outside [min, max] is clamped on construction.
-  EXPECT_EQ(search::BatchTuner(tune, 1024).current(), 64);
-  EXPECT_EQ(search::BatchTuner(tune, 1).current(), 4);
-}
-
-TEST(AutoTune, TunedRunsAreDeterministicAndNeverWorseThanStart) {
-  // Both tuners armed: batch size from the fill distribution, kind weights
-  // from the accepted-improvement bandit. Two identical runs must agree bit
-  // for bit (all adaptation is a pure function of chain-local counters), and
-  // the tuned anneal must still be a genuine anneal.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 6000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 23;
-  opt.batch = 32;
-  opt.tune.batch_size = true;
-  opt.tune.kind_weights = true;
-  opt.tune.weight_window = 1024;
-  const search::MoveSet moves = search::cheap_string_moves();
-
-  auto run = [&](parallel::Mapping& m) {
-    m = parallel::Mapping::megatron_default(fx.plan.pc);
-    return search::optimize_mapping(m, fx.model, 8, opt, moves);
-  };
-  parallel::Mapping m1 = parallel::Mapping::megatron_default(fx.plan.pc);
-  parallel::Mapping m2 = m1;
-  const auto r1 = run(m1);
-  const auto r2 = run(m2);
-  EXPECT_EQ(r1.best_cost, r2.best_cost);
-  EXPECT_EQ(r1.iters, r2.iters);
-  EXPECT_EQ(r1.accepted, r2.accepted);
-  EXPECT_EQ(r1.scored, r2.scored);
-  EXPECT_EQ(m1.raw(), m2.raw());
-  EXPECT_EQ(r1.iters, opt.max_iters);
-  EXPECT_LE(r1.best_cost, r1.initial_cost);
-  EXPECT_DOUBLE_EQ(fx.model.estimate(m1), r1.best_cost);
-}
-
-TEST(AutoTune, KindWeightTuningArmsFromUnweightedMoveSets) {
-  // tune.kind_weights on a default (all-zero-weight) MoveSet seeds a uniform
-  // mix over the enabled feasible kinds and adapts from there — the caller
-  // does not need to pick a preset. The run stays deterministic and the live
-  // weights remain a positive, finite distribution after retuning.
-  const SearchFixture fx({2, 8, 2});
-  search::SaOptions opt;
-  opt.max_iters = 5000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 37;
-  opt.tune.kind_weights = true;
-  opt.tune.weight_window = 512;
-
-  auto chain = [&] {
-    auto c = std::make_unique<search::ResumableMappingAnneal>(
-        fx.model, parallel::Mapping::megatron_default(fx.plan.pc), 8, opt);
-    c->run_to(opt.max_iters);
-    return c;
-  };
-  const auto c1 = chain();
-  const auto c2 = chain();
-  EXPECT_EQ(c1->best_cost(), c2->best_cost());
-  EXPECT_EQ(c1->accepted(), c2->accepted());
-  EXPECT_EQ(c1->best_mapping().raw(), c2->best_mapping().raw());
-  double sum = 0.0;
-  for (int k = 0; k < search::AnnealTelemetry::kKinds; ++k) {
-    const double w = c1->kind_weights()[k];
-    EXPECT_GE(w, 0.0) << "kind " << k;
-    EXPECT_TRUE(std::isfinite(w)) << "kind " << k;
-    sum += w;
-  }
-  EXPECT_GT(sum, 0.0) << "tuned weights must stay a usable distribution";
-}
-
-TEST(AutoTune, MultichainTunedDeterministicAcrossThreadCounts) {
-  // The self-tuning path composes with sa_chains-style multichain annealing:
-  // all adaptation state is chain-local, so 1, 4, and 16 pool threads must
-  // reproduce the serial plans, costs, and counters exactly.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 3000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 19;
-  opt.batch = 16;
-  opt.tune.batch_size = true;
-  opt.tune.kind_weights = true;
-  opt.tune.weight_window = 512;
-  const search::MoveSet moves = search::cheap_string_moves();
-  const int chains = 4;
-
-  parallel::Mapping ref = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto res_ref =
-      search::optimize_mapping_multichain(ref, fx.model, 8, opt, {chains, nullptr}, moves);
-  for (int threads : {1, 4, 16}) {
-    engine::ThreadPool pool(threads);
-    parallel::Mapping m = parallel::Mapping::megatron_default(fx.plan.pc);
-    const auto res =
-        search::optimize_mapping_multichain(m, fx.model, 8, opt, {chains, &pool}, moves);
-    EXPECT_EQ(res.best_cost, res_ref.best_cost) << threads << " threads";
-    EXPECT_EQ(res.iters, res_ref.iters) << threads << " threads";
-    EXPECT_EQ(res.accepted, res_ref.accepted) << threads << " threads";
-    EXPECT_EQ(res.scored, res_ref.scored) << threads << " threads";
-    EXPECT_EQ(m.raw(), ref.raw()) << threads << " threads";
-  }
-}
