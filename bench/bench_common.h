@@ -1,7 +1,8 @@
 // Shared plumbing for the figure/table benches: cluster construction, the
 // fast/full budget profiles, and the method-runner used by the speedup
 // figures. Every bench accepts:
-//   --full           paper-scale budgets (10 s SA per candidate, 5x200 MLP,
+//   --full           paper-scale budgets (Algorithm 1's SA breadth: every
+//                    surviving candidate anneals 200 K iterations; 4x200 MLP,
 //                    50 K training iterations) instead of the fast profile
 //   --seed N         heterogeneity universe seed (default 2024)
 //   --csv PATH       mirror the printed table to a CSV file
@@ -48,13 +49,12 @@ inline core::PipetteOptions pipette_options(const BenchEnv& env, bool dedication
   core::PipetteOptions opt;
   opt.use_worker_dedication = dedication;
   if (env.full) {
-    opt.sa.time_limit_s = 10.0;  // paper budget per candidate
-    opt.sa_top_k = 0;            // SA on every surviving candidate
+    // Algorithm 1: SA on every surviving candidate, full budget each.
+    opt.sa.max_iters = 200000;
+    opt.sa_halving.rung0_iters = opt.sa.max_iters;
     opt.memory_training.hidden = {200, 200, 200, 200};
     opt.memory_training.train.iters = 50000;
   } else {
-    opt.sa.time_limit_s = 0.25;
-    opt.sa_top_k = 6;
     opt.memory_training.hidden = {128, 128};
     opt.memory_training.train.iters = 9000;
     // The fast-profile net fits ~10-15 % MAPE (vs ~7 % at paper scale), so

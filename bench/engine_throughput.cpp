@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   core::PipetteOptions opt = bench::pipette_options(env, /*dedication=*/true);
   opt.sa.max_iters = env.full ? 100000 : 1500;
   opt.sa.time_limit_s = 1e9;
-  opt.sa_top_k = env.full ? opt.sa_top_k : 4;
+  opt.sa_halving.rung0_iters = 0;  // race the budget, as the service does by default
   if (!env.full) {
     opt.memory_training.hidden = {64, 64};
     opt.memory_training.train.iters = 4000;

@@ -396,13 +396,11 @@ int main(int argc, char** argv) {
       const model::TrainingJob mjob{mc2.cfg, mc2.global_batch};
       core::PipetteOptions base;
       base.use_memory_filter = false;
-      base.sa_top_k = 0;
       // Generous per-chain budget: converged chains stop at the same absolute
       // iteration whatever the grant, so the visible cut grows with it — this
       // is exactly the regime adaptive stopping exists for.
       base.sa.max_iters = 12000;
       base.sa.time_limit_s = std::numeric_limits<double>::infinity();
-      base.sa_halving.enabled = true;
       base.memory_training.hidden = {64, 64};
       base.memory_training.train.iters = 4000;
       base.memory_training.max_profile_nodes = 3;

@@ -3,8 +3,9 @@
 //
 //   * legacy arm: the paper's Algorithm 1 allocation (per-candidate compute
 //     profiling, SA on every surviving candidate at the full budget) — the
-//     pre-memoization hot path, kept runnable via
-//     share_compute_profiles=false + sa_halving.enabled=false;
+//     pre-memoization hot path, run as the SA race with
+//     sa_halving.rung0_iters = max_iters (rung 0 already grants every
+//     candidate the full budget) and share_compute_profiles = false;
 //   * memoized arm: shape-grouped profiling + successive-halving SA at the
 //     *same* per-candidate iteration budget, fresh caches (what a first
 //     request pays);
@@ -127,13 +128,12 @@ int main(int argc, char** argv) {
     const auto full = bench::make_cluster(tier, 16, env.seed);
     const auto memory = bench::train_memory_estimator(full, env);
 
-    // Equal budgets in both arms: iteration-capped SA so the halving race is
+    // Equal budgets in both arms: iteration-capped SA so the race is
     // deterministic and the comparison is work-for-work, not clock-for-clock.
     auto base_opt = bench::pipette_options(env, /*dedication=*/true);
     base_opt.memory = memory;
     base_opt.sa.max_iters = sa_iters;
-    base_opt.sa.time_limit_s = std::numeric_limits<double>::infinity();
-    base_opt.sa_top_k = 0;  // Algorithm 1: SA on every surviving candidate
+    base_opt.sa_halving.rung0_iters = 0;  // successive halving over every candidate
 
     for (int nodes : {8, 16}) {
       const auto topo = full.sub_cluster(nodes);
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
       auto legacy_opt = base_opt;
       legacy_opt.profile_snapshot = snapshot;
       legacy_opt.share_compute_profiles = false;
-      legacy_opt.sa_halving.enabled = false;
+      legacy_opt.sa_halving.rung0_iters = sa_iters;  // Algorithm 1: full budget each
       core::PipetteConfigurator legacy_ppt(legacy_opt);
 
       auto memo_opt = base_opt;

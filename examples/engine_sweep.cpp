@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   so.threads = threads;
   so.pipette.sa.max_iters = 2000;       // iteration-capped SA: deterministic
   so.pipette.sa.time_limit_s = 1e9;     // for any thread count
-  so.pipette.sa_top_k = 4;
   so.pipette.memory_training.hidden = {64, 64};
   so.pipette.memory_training.train.iters = 4000;
   so.pipette.memory_training.max_profile_nodes = 2;

@@ -6,7 +6,7 @@
 //   3. run the Pipette configurator,
 //   4. execute the recommendation and compare with the naive default.
 //
-// Run:  ./quickstart [--nodes 4] [--global-batch 128] [--sa-time 0.5]
+// Run:  ./quickstart [--nodes 4] [--global-batch 128]
 #include <iostream>
 
 #include "common/cli.h"
@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   common::Cli cli(argc, argv);
   const int nodes = cli.get_int("nodes", 4);
   const int global_batch = cli.get_int("global-batch", 128);
-  const double sa_time = cli.get_double("sa-time", 0.5);
 
   // 1. The cluster: 8x V100 per node, heterogeneous Infiniband EDR fabric.
   cluster::Topology topo(cluster::mid_range_cluster(nodes), cluster::HeterogeneityOptions{},
@@ -36,9 +35,10 @@ int main(int argc, char** argv) {
             << topo.num_gpus() << " GPUs\n\n";
 
   // 3. Configure. The memory estimator trains once from small-scale profiling
-  //    (fast profile here; see MlpMemoryOptions for the paper-scale one).
+  //    (fast profile here; see MlpMemoryOptions for the paper-scale one). The
+  //    default SA budget is iteration-counted, so the recommendation is the
+  //    same on every run.
   core::PipetteOptions opt;
-  opt.sa.time_limit_s = sa_time;
   opt.memory_training.hidden = {96, 96, 96};
   opt.memory_training.train.iters = 4000;
   auto pipette = core::PipetteConfigurator(opt);

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
 
     core::PipetteOptions opt;
     opt.memory = memory;
-    opt.sa.time_limit_s = 0.3;
     core::PipetteConfigurator ppt(opt);
     const auto rec = ppt.configure(topo, job);
     if (!rec.found) {

@@ -1,13 +1,14 @@
 #include "core/pipette_configurator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/hashing.h"
 #include "common/stopwatch.h"
@@ -19,13 +20,30 @@
 namespace pipette::core {
 
 namespace {
-constexpr long kUncapped = std::numeric_limits<long>::max();
 
-/// Flushes one request's accounting into the metrics registry. Called once
-/// per configure_impl exit path; everything written is already on the result,
-/// so the flush can never influence the recommendation.
+/// Algorithm 1's instrumented phases, in request order.
+enum Phase { kProfile, kMemTrain, kMemFilter, kScore, kSa, kPhases };
+
+/// Trace span and latency histogram of each Phase.
+constexpr struct {
+  const char* span;
+  const char* metric;
+} kPhaseNames[kPhases] = {
+    {"phase.profile", "pipette.phase.profile.seconds"},
+    {"phase.mem_train", "pipette.phase.mem_train.seconds"},
+    {"phase.mem_filter", "pipette.phase.mem_filter.seconds"},
+    {"phase.score", "pipette.phase.score.seconds"},
+    {"phase.sa", "pipette.phase.sa.seconds"},
+};
+
+/// Flushes one request's accounting into the metrics registry — the one
+/// exit of configure_impl. Everything written is already on the result (or
+/// measured beside it), so the flush can never influence the recommendation.
+/// `phase_s` holds each phase's seconds, negative for a phase the request
+/// skipped.
 void flush_request_metrics(obs::Registry* reg, const ConfiguratorResult& res,
-                           const search::AnnealTelemetry& telem) {
+                           const search::AnnealTelemetry& telem,
+                           const std::array<double, kPhases>& phase_s) {
   if (!reg) return;
   reg->counter("pipette.requests").inc();
   reg->counter("pipette.candidates.evaluated").add(res.candidates_evaluated);
@@ -61,6 +79,14 @@ void flush_request_metrics(obs::Registry* reg, const ConfiguratorResult& res,
   reg->counter("pipette.sa.dirty.terms").add(telem.dirty.terms);
   reg->histogram("pipette.configure.wall_s", obs::Registry::latency_bounds_s())
       .observe(res.config_wall_s());
+  // Every phase histogram is registered, so a phase this request skipped
+  // (profiling and training on the service path, where the cluster cache
+  // owns them) reads as count 0 rather than as missing.
+  for (int p = 0; p < kPhases; ++p) {
+    const obs::Histogram h =
+        reg->histogram(kPhaseNames[p].metric, obs::Registry::latency_bounds_s());
+    if (phase_s[p] >= 0.0) h.observe(phase_s[p]);
+  }
   // Degradation and deadline accounting: registered only when something
   // actually degraded, so clean fleets keep a clean exposition.
   if (res.health.repaired_readings != 0) {
@@ -127,7 +153,155 @@ int count_degraded_links(const parallel::Mapping& m, int gpus_per_node,
   }
   return degraded;
 }
+
+/// One candidate in the successive-halving race: its latency model and its
+/// SA chains, which resume from rung to rung.
+struct Entrant {
+  std::unique_ptr<estimators::PipetteLatencyModel> model;
+  std::vector<std::unique_ptr<search::ResumableMappingAnneal>> chains;
+  /// One accumulator per chain (each chain is the only writer while it runs;
+  /// merged canonically after the race).
+  std::vector<search::AnnealTelemetry> telems;
+
+  /// The multichain merge rule: lowest chain cost, ties to the lowest chain
+  /// index.
+  std::size_t best_chain() const {
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < chains.size(); ++c) {
+      if (chains[c]->best_cost() < chains[best]->best_cost()) best = c;
+    }
+    return best;
+  }
+  double cost() const { return chains[best_chain()]->best_cost(); }
+};
+
 }  // namespace
+
+std::string validate(const PipetteOptions& opt) {
+  const search::SaOptions& sa = opt.sa;
+  struct AtLeast {
+    const char* field;
+    long value, min;
+  };
+  const AtLeast at_least[] = {
+      {"sa.max_iters", sa.max_iters, 1},
+      {"sa.iters_per_temp", sa.iters_per_temp, 1},
+      {"sa_chains", opt.sa_chains, 1},
+      {"sa_halving.width", opt.sa_halving.width, 0},
+      {"sa_halving.rung0_iters", opt.sa_halving.rung0_iters, 0},
+  };
+  for (const AtLeast& b : at_least) {
+    if (b.value < b.min) {
+      return std::string(b.field) + " must be >= " + std::to_string(b.min) + ", got " +
+             std::to_string(b.value);
+    }
+  }
+  // The race grants alive x chains x (rung target increment) iterations per
+  // rung, which the uncapped sentinel would overflow.
+  if (sa.max_iters == std::numeric_limits<long>::max()) {
+    return "sa.max_iters must be an iteration budget, not the uncapped sentinel; bound "
+           "wall-clock time with deadline_s";
+  }
+  const std::pair<const char*, double> positive[] = {{"sa.alpha", sa.alpha},
+                                                     {"sa.init_temp_frac", sa.init_temp_frac}};
+  for (const auto& [field, v] : positive) {
+    if (!std::isfinite(v) || !(v > 0.0)) return std::string(field) + " must be finite and positive";
+  }
+  const std::pair<const char*, double> not_nan[] = {
+      {"sa_halving.keep_slack", opt.sa_halving.keep_slack},
+      {"variant_trigger_frac", opt.variant_trigger_frac},
+      {"deadline_s", opt.deadline_s},
+  };
+  for (const auto& [field, v] : not_nan) {
+    if (std::isnan(v)) return std::string(field) + " must not be NaN";
+  }
+  return {};
+}
+
+struct PipetteConfigurator::Request {
+  Request(const PipetteOptions& opt, const cluster::Topology& t, const model::TrainingJob& j,
+          const ConfiguratorResult* w, std::string method)
+      : topo(t),
+        job(j),
+        warm(w),
+        deadline_s(opt.deadline_s),
+        sink(opt.trace_sink),
+        telem_ptr(opt.metrics ? &telem : nullptr),
+        exec(opt.executor ? *opt.executor : serial),
+        links(estimators::LinkConstants::from_spec(t.spec())) {
+    res.method = std::move(method);
+    res.topo_fingerprint = t.fingerprint();
+    res.job_digest = model::job_digest(j);
+    phase_s.fill(-1.0);
+  }
+
+  bool deadlined() const { return std::isfinite(deadline_s); }
+  /// Trace-event args, built only when a sink will record them.
+  template <typename... KeyValues>
+  std::string args(const KeyValues&... kv) const {
+    return sink ? obs::json_object(kv...) : std::string();
+  }
+
+  const cluster::Topology& topo;
+  const model::TrainingJob& job;
+  /// The result reconfigure() warm-starts from; null for configure().
+  const ConfiguratorResult* warm;
+  ConfiguratorResult res;
+  /// The deadline clock, started at entry. Profiling, filtering, and scoring
+  /// always run — a valid plan needs them — so the deadline's teeth are in
+  /// the SA phase, which is anytime (best-so-far at any cut).
+  const common::Stopwatch watch;
+  const double deadline_s;
+  obs::TraceSink* const sink;
+  search::AnnealTelemetry telem;
+  /// Annealers only pay the per-proposal telemetry increments when somebody
+  /// will read them; null stays on the single-branch disabled path.
+  search::AnnealTelemetry* const telem_ptr;
+  common::SerialExecutor serial;
+  common::Executor& exec;
+  const estimators::LinkConstants links;
+  std::shared_ptr<const cluster::ProfileResult> profiled;
+  /// Seconds spent in each Phase; negative for a phase this request skipped.
+  std::array<double, kPhases> phase_s;
+};
+
+/// Opens one stage of Algorithm 1: its `phase.<name>` trace span, the
+/// stopwatch behind the stage's *_wall_s field, the seconds the request's
+/// metrics flush observes into `pipette.phase.<name>.seconds`, and the
+/// request's deadline check.
+class PipetteConfigurator::PhaseScope {
+ public:
+  PhaseScope(Request& rq, Phase phase, double* wall_s = nullptr, std::string args = {})
+      : rq_(rq), phase_(phase), wall_s_(wall_s) {
+    if (rq_.sink) rq_.sink->begin_span(kPhaseNames[phase_].span, std::move(args));
+    watch_.restart();
+  }
+  ~PhaseScope() {
+    const double s = watch_.seconds();
+    rq_.phase_s[phase_] = s;
+    if (wall_s_) *wall_s_ = s;
+    if (rq_.sink) rq_.sink->end_span(kPhaseNames[phase_].span);
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  /// True once the request's deadline has passed (never without one).
+  bool past_deadline() const {
+    return rq_.deadlined() && rq_.watch.seconds() >= rq_.deadline_s;
+  }
+
+ private:
+  Request& rq_;
+  const Phase phase_;
+  double* const wall_s_;
+  common::Stopwatch watch_;
+};
+
+struct PipetteConfigurator::Scored {
+  Candidate cand;
+  double default_cost = 0.0;
+  std::shared_ptr<const estimators::ComputeProfile> profile;
+};
 
 PipetteConfigurator::PipetteConfigurator(PipetteOptions opt) : opt_(std::move(opt)) {}
 
@@ -151,20 +325,11 @@ ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new
     if (!memory_ && previous.memory_estimator) memory_ = previous.memory_estimator;
     ConfiguratorResult out = previous;
     out.warm_started = true;
-    out.profile_wall_s = 0.0;
-    out.mem_train_wall_s = 0.0;
-    out.mem_est_wall_s = out.mem_est_cpu_s = 0.0;
-    out.score_wall_s = out.score_cpu_s = 0.0;
-    out.search_wall_s = out.search_cpu_s = 0.0;
-    out.sa_iters = 0;
-    out.sa_iters_granted = 0;
-    out.sa_iters_saved = 0;
-    out.sa_iters_redistributed = 0;
-    out.sa_rungs = 0;
-    out.sa_chains_stopped = 0;
-    out.shapes_profiled = 0;
-    out.shapes_reused = 0;
-    out.mem_est_reused = 0;
+    out.profile_wall_s = out.mem_train_wall_s = out.mem_est_wall_s = out.mem_est_cpu_s = 0.0;
+    out.score_wall_s = out.score_cpu_s = out.search_wall_s = out.search_cpu_s = 0.0;
+    out.sa_iters = out.sa_iters_granted = out.sa_iters_saved = out.sa_iters_redistributed = 0;
+    out.sa_rungs = out.sa_chains_stopped = 0;
+    out.shapes_profiled = out.shapes_reused = out.mem_est_reused = 0;
     return out;
   }
   ConfiguratorResult out = configure_impl(new_topo, job, &previous);
@@ -175,41 +340,51 @@ ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new
 ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& topo,
                                                        const model::TrainingJob& job,
                                                        const ConfiguratorResult* warm) {
-  if (const std::string reason = model::validate(job); !reason.empty()) {
-    throw std::invalid_argument(reason);
-  }
-  ConfiguratorResult res;
-  res.method = name();
-  res.topo_fingerprint = topo.fingerprint();
-  res.job_digest = model::job_digest(job);
-  // The request's deadline clock starts at entry. Profiling, filtering, and
-  // scoring always run — a valid plan needs them — so the deadline's teeth
-  // are in the SA phase, which is anytime (best-so-far at any cut).
-  const common::Stopwatch req_watch;
-  const bool deadlined = std::isfinite(opt_.deadline_s);
-  auto past_deadline = [&] { return deadlined && req_watch.seconds() >= opt_.deadline_s; };
-  obs::TraceSink* const sink = opt_.trace_sink;
-  search::AnnealTelemetry telem;
-  // Annealers only pay the per-proposal telemetry increments when somebody
-  // will read them; null stays on the single-branch disabled path.
-  search::AnnealTelemetry* const telem_ptr = opt_.metrics ? &telem : nullptr;
+  std::string reason = model::validate(job);
+  if (reason.empty()) reason = validate(opt_);
+  if (!reason.empty()) throw std::invalid_argument(reason);
+  Request rq(opt_, topo, job, warm, name());
 
+  profile(rq);         // line 1
+  load_estimator(rq);  // the one-time memory estimator
+  if (const std::vector<Candidate> cands = filter(rq); !cands.empty()) {  // lines 3-7
+    const std::vector<Scored> scored = score(rq, cands);                    // line 8
+    if (opt_.use_worker_dedication) dedicate(rq, scored);                   // lines 9-15
+  }
+
+  ConfiguratorResult& res = rq.res;
+  if (res.mapping) {
+    res.health.degraded_links_used =
+        count_degraded_links(*res.mapping, topo.gpus_per_node(), rq.profiled->sanitize);
+  }
+  if (rq.deadlined()) {
+    res.health.deadline_s = rq.deadline_s;
+    res.health.overrun_s = std::max(0.0, rq.watch.seconds() - rq.deadline_s);
+    if (rq.sink && res.health.deadline_exceeded) rq.sink->instant("deadline.exceeded");
+  }
+  flush_request_metrics(opt_.metrics, res, rq.telem, rq.phase_s);
+  return std::move(res);
+}
+
+void PipetteConfigurator::profile(Request& rq) const {
   // Line 1: profile the actual bandwidth matrix — or reuse a snapshot the
   // engine's cluster cache already took of this fabric on this day. Like
-  // mem_train_wall_s, profile_wall_s reports only the cost this request paid:
-  // zero when the snapshot's owner already paid it.
-  std::shared_ptr<const cluster::ProfileResult> profiled = opt_.profile_snapshot;
-  res.profile_cache_hit = profiled != nullptr;
-  if (!profiled) {
-    obs::Span span(sink, "phase.profile");
-    profiled = std::make_shared<const cluster::ProfileResult>(
-        cluster::profile_network(topo, opt_.profile));
-    res.profile_wall_s = profiled->wall_time_s;
+  // mem_train_wall_s, profile_wall_s reports only the cost this request paid
+  // (the profile's simulated cost, Table II): zero when the snapshot's owner
+  // already paid it.
+  ConfiguratorResult& res = rq.res;
+  rq.profiled = opt_.profile_snapshot;
+  res.profile_cache_hit = rq.profiled != nullptr;
+  if (!rq.profiled) {
+    const PhaseScope phase(rq, kProfile);
+    rq.profiled = std::make_shared<const cluster::ProfileResult>(
+        cluster::profile_network(rq.topo, opt_.profile));
+    res.profile_wall_s = rq.profiled->wall_time_s;
   }
   // Snapshot provenance: how much of the matrix is measurement vs repair.
   // Applies to cached snapshots too — a degraded profile stays degraded for
   // every request it serves.
-  const cluster::SanitizeReport& san = profiled->sanitize;
+  const cluster::SanitizeReport& san = rq.profiled->sanitize;
   res.health.repaired_readings = san.repaired_readings();
   res.health.imputed_symmetric = san.imputed_symmetric;
   res.health.imputed_neighbor = san.imputed_neighbor;
@@ -219,17 +394,15 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
     res.health.confidence =
         1.0 - static_cast<double>(san.repaired_readings()) / san.total_readings;
   }
-  if (sink && !san.clean()) {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("repaired_readings");
-    w.value(san.repaired_readings());
-    w.key("quarantined_nodes");
-    w.value(static_cast<long>(san.quarantined_nodes.size()));
-    w.end_object();
-    sink->instant("profile.degraded", w.str());
+  if (rq.sink && !san.clean()) {
+    rq.sink->instant("profile.degraded",
+                     obs::json_object("repaired_readings", san.repaired_readings(),
+                                      "quarantined_nodes",
+                                      static_cast<long>(san.quarantined_nodes.size())));
   }
+}
 
+void PipetteConfigurator::load_estimator(Request& rq) {
   // One-time memory estimator (trained from small-scale profiling runs). A
   // warm start may adopt the previous result's estimator: the training
   // digest clamps the node count to the profiled sub-cluster, so a resize
@@ -237,8 +410,10 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
   // Symmetrically, an estimator this configurator auto-trained for a
   // *different* clamp or spec is stale here and must be retrained — only an
   // explicitly injected opt_.memory is trusted as-is.
+  ConfiguratorResult& res = rq.res;
+  const ConfiguratorResult* warm = rq.warm;
   const std::uint64_t want_digest =
-      estimators::MlpMemoryEstimator::training_digest(topo.spec(), opt_.memory_training);
+      estimators::MlpMemoryEstimator::training_digest(rq.topo.spec(), opt_.memory_training);
   if (memory_ && !opt_.memory && memory_->training_digest() != 0 &&
       memory_->training_digest() != want_digest) {
     memory_ = nullptr;
@@ -251,24 +426,18 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
                warm->memory_estimator->training_digest() == want_digest) {
       memory_ = warm->memory_estimator;
     } else {
-      obs::Span span(sink, "phase.mem_train");
-      const common::Stopwatch sw;
+      const PhaseScope phase(rq, kMemTrain, &res.mem_train_wall_s);
       memory_ = std::make_shared<const estimators::MlpMemoryEstimator>(
-          estimators::MlpMemoryEstimator::train_for_cluster(topo, model::gpt_zoo(),
+          estimators::MlpMemoryEstimator::train_for_cluster(rq.topo, model::gpt_zoo(),
                                                             opt_.memory_training));
-      res.mem_train_wall_s = sw.seconds();
     }
   }
   res.memory_cache_hit = res.mem_train_wall_s == 0.0 && (had_memory || opt_.memory != nullptr ||
                                                          (warm && warm->memory_estimator));
   res.memory_estimator = memory_;
+}
 
-  const auto links = estimators::LinkConstants::from_spec(topo.spec());
-  const double mem_limit = topo.spec().gpu_memory_bytes;
-
-  common::SerialExecutor serial;
-  common::Executor& exec = opt_.executor ? *opt_.executor : serial;
-
+std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
   // Lines 3-7, over the enlarged plan space: enumerate the base plans (plain
   // + interleaved), memory-filter each one, and — where a base plan is near
   // or over the fit threshold — escalate through the recompute/ZeRO-1 relief
@@ -281,9 +450,10 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
   // same estimator, skips the MLP inference for every surviving plan (the
   // memoized value is the inference's own output, so the filter's decisions
   // are bit-identical either way).
+  ConfiguratorResult& res = rq.res;
   const std::vector<Candidate> bases = parallel::enumerate_base_plans(
-      topo.num_gpus(), topo.gpus_per_node(), job.model.num_layers, job.global_batch,
-      opt_.constraints);
+      rq.topo.num_gpus(), rq.topo.gpus_per_node(), rq.job.model.num_layers,
+      rq.job.global_batch, opt_.constraints);
 
   if (memo_estimator_ != memory_.get()) {
     mem_memo_.clear();
@@ -292,6 +462,7 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
   // Equal training digests mean interchangeable estimators (training is
   // deterministic in everything the digest covers), so the memo carried by a
   // different-instance estimator is just as valid as this one's own output.
+  const ConfiguratorResult* warm = rq.warm;
   const std::vector<std::pair<std::uint64_t, double>>* warm_memo = nullptr;
   if (warm && warm->memory_estimator && memory_ && memory_->training_digest() != 0 &&
       warm->memory_estimator->training_digest() == memory_->training_digest() &&
@@ -309,6 +480,9 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
     return nullptr;
   };
 
+  const PhaseScope phase(rq, kMemFilter, &res.mem_est_wall_s,
+                         rq.args("base_plans", static_cast<long>(bases.size())));
+  const double mem_limit = rq.topo.spec().gpu_memory_bytes;
   struct PlanSlot {
     std::vector<Candidate> kept;
     std::vector<std::pair<std::uint64_t, double>> ests;
@@ -317,17 +491,8 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
     int reused = 0;
     double wall_s = 0.0;
   };
-  if (sink) {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("base_plans");
-    w.value(static_cast<long>(bases.size()));
-    w.end_object();
-    sink->begin_span("phase.mem_filter", w.str());
-  }
-  const common::Stopwatch t_mem;
   std::vector<PlanSlot> plan_slots(bases.size());
-  exec.parallel_for(static_cast<int>(bases.size()), [&](int i) {
+  rq.exec.parallel_for(static_cast<int>(bases.size()), [&](int i) {
     PlanSlot& slot = plan_slots[static_cast<std::size_t>(i)];
     const Candidate& base = bases[static_cast<std::size_t>(i)];
     if (!opt_.use_memory_filter) {
@@ -344,7 +509,7 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
         bytes = *hit;
         ++slot.reused;
       } else {
-        bytes = memory_->estimate_bytes(job, plan);
+        bytes = memory_->estimate_bytes(rq.job, plan);
       }
       slot.ests.emplace_back(key, bytes);
       return bytes;
@@ -385,35 +550,30 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
     cands.insert(cands.end(), slot.kept.begin(), slot.kept.end());
     res.mem_estimates.insert(res.mem_estimates.end(), slot.ests.begin(), slot.ests.end());
   }
-  res.mem_est_wall_s = t_mem.seconds();
-  if (sink) sink->end_span("phase.mem_filter");
   std::sort(res.mem_estimates.begin(), res.mem_estimates.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [key, bytes] : res.mem_estimates) mem_memo_.emplace(key, bytes);
-  if (cands.empty()) {
-    flush_request_metrics(opt_.metrics, res, telem);
-    return res;
-  }
+  return cands;
+}
 
-  // Scoring pass (line 8): profile each candidate's compute and price the
-  // Megatron-default placement. Profiles depend only on the plan's compute
-  // shape, so the shared path profiles each distinct ComputeShapeKey once —
-  // fanned out over the executor, merged and inserted into the shape cache in
-  // canonical key order — and every (dp, zero1) sibling shares the result.
-  if (sink) {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("candidates");
-    w.value(static_cast<long>(cands.size()));
-    w.end_object();
-    sink->begin_span("phase.score", w.str());
-  }
-  const common::Stopwatch t_score;
-  std::shared_ptr<estimators::ComputeProfileCache> ccache = opt_.compute_cache;
+std::vector<PipetteConfigurator::Scored> PipetteConfigurator::score(
+    Request& rq, const std::vector<Candidate>& cands) {
+  // Line 8: profile each candidate's compute and price the Megatron-default
+  // placement. Profiles depend only on the plan's compute shape, so the
+  // shared path profiles each distinct ComputeShapeKey once — fanned out
+  // over the executor, inserted into the shape cache in canonical key order
+  // — and every (dp, zero1) sibling shares the result.
+  ConfiguratorResult& res = rq.res;
+  const PhaseScope phase(rq, kScore, &res.score_wall_s,
+                         rq.args("candidates", static_cast<long>(cands.size())));
+  std::vector<Scored> scored(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) scored[i].cand = cands[i];
+
   res.compute_cache_hit = opt_.compute_cache != nullptr && opt_.compute_cache->size() > 0;
   if (opt_.share_compute_profiles) {
     const std::uint64_t ctx =
-        estimators::compute_context_digest(topo.spec(), opt_.compute_profile);
+        estimators::compute_context_digest(rq.topo.spec(), opt_.compute_profile);
+    std::shared_ptr<estimators::ComputeProfileCache> ccache = opt_.compute_cache;
     if (ccache) {
       // A cache injected from outside must have been minted for this exact
       // compute context — serving profiles measured under other options or
@@ -429,504 +589,323 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
       }
       ccache = compute_cache_;
     }
-  }
-
-  struct Slot {
-    double default_cost = 0.0;
-    std::shared_ptr<const estimators::ComputeProfile> profile;
-    double wall_s = 0.0;
-  };
-  std::vector<Slot> slots(cands.size());
-  if (opt_.share_compute_profiles) {
-    std::vector<estimators::ComputeShapeKey> keys(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      keys[i] = estimators::ComputeShapeKey::of(job, cands[i]);
-    }
     // Representative candidate per shape: the first in enumeration order (any
     // sibling measures the identical profile; the canonical pick keeps the
     // request's work schedule-independent).
-    std::map<estimators::ComputeShapeKey,
-             std::shared_ptr<const estimators::ComputeProfile>>
-        resolved;
-    struct ShapeWork {
-      const estimators::ComputeShapeKey* key;
+    struct Shape {
       int rep;
       std::shared_ptr<const estimators::ComputeProfile> profile;
       double wall_s = 0.0;
     };
-    std::map<estimators::ComputeShapeKey, int> shape_rep;
+    std::map<estimators::ComputeShapeKey, Shape> shapes;
+    std::vector<estimators::ComputeShapeKey> keys(cands.size());
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      shape_rep.try_emplace(keys[i], static_cast<int>(i));
+      keys[i] = estimators::ComputeShapeKey::of(rq.job, cands[i]);
+      shapes.try_emplace(keys[i], Shape{static_cast<int>(i), nullptr});
     }
-    std::vector<ShapeWork> missing;
-    for (const auto& [key, rep] : shape_rep) {
-      if (auto hit = ccache->find(key)) {
-        resolved.emplace(key, std::move(hit));
-      } else {
-        missing.push_back({&key, rep, nullptr, 0.0});
-      }
+    std::vector<std::pair<const estimators::ComputeShapeKey, Shape>*> missing;
+    for (auto& entry : shapes) {
+      entry.second.profile = ccache->find(entry.first);
+      if (!entry.second.profile) missing.push_back(&entry);
     }
-    exec.parallel_for(static_cast<int>(missing.size()), [&](int i) {
-      ShapeWork& w = missing[static_cast<std::size_t>(i)];
-      obs::Span span(sink, "score.profile_shape");
+    rq.exec.parallel_for(static_cast<int>(missing.size()), [&](int i) {
+      Shape& shape = missing[static_cast<std::size_t>(i)]->second;
+      obs::Span span(rq.sink, "score.profile_shape");
       const common::Stopwatch t0;
-      w.profile = std::make_shared<const estimators::ComputeProfile>(estimators::profile_compute(
-          topo, job, cands[static_cast<std::size_t>(w.rep)], opt_.compute_profile));
-      w.wall_s = t0.seconds();
+      shape.profile =
+          std::make_shared<const estimators::ComputeProfile>(estimators::profile_compute(
+              rq.topo, rq.job, cands[static_cast<std::size_t>(shape.rep)], opt_.compute_profile));
+      shape.wall_s = t0.seconds();
     });
-    for (ShapeWork& w : missing) {  // canonical key order
-      ccache->insert(*w.key, w.profile);
-      resolved.emplace(*w.key, std::move(w.profile));
-      res.score_cpu_s += w.wall_s;
+    for (const auto* entry : missing) {  // canonical key order
+      ccache->insert(entry->first, entry->second.profile);
+      res.score_cpu_s += entry->second.wall_s;
     }
     res.shapes_profiled = static_cast<int>(missing.size());
-    res.shapes_reused = static_cast<int>(shape_rep.size() - missing.size());
-    if (sink) {
-      obs::JsonWriter w;
-      w.begin_object();
-      w.key("hits");
-      w.value(res.shapes_reused);
-      w.key("misses");
-      w.value(res.shapes_profiled);
-      w.end_object();
-      sink->instant("compute_cache", w.str());
+    res.shapes_reused = static_cast<int>(shapes.size() - missing.size());
+    if (rq.sink) {
+      rq.sink->instant("compute_cache", obs::json_object("hits", res.shapes_reused, "misses",
+                                                         res.shapes_profiled));
     }
-    exec.parallel_for(static_cast<int>(cands.size()), [&](int i) {
-      Slot& slot = slots[static_cast<std::size_t>(i)];
-      const common::Stopwatch t0;
-      slot.profile = resolved.find(keys[static_cast<std::size_t>(i)])->second;
-      estimators::PipetteLatencyModel model(job, cands[static_cast<std::size_t>(i)],
-                                            *slot.profile, &profiled->bw, links);
-      slot.default_cost =
-          model.estimate(parallel::Mapping::megatron_default(cands[static_cast<std::size_t>(i)].pc));
-      slot.wall_s = t0.seconds();
-    });
+    for (std::size_t i = 0; i < cands.size(); ++i) scored[i].profile = shapes.at(keys[i]).profile;
   } else {
     // Unshared reference path: one profile per candidate, exactly the
     // pre-memoization behaviour (the bit-identity tests race the two).
-    exec.parallel_for(static_cast<int>(cands.size()), [&](int i) {
-      Slot& slot = slots[static_cast<std::size_t>(i)];
-      const Candidate& cand = cands[static_cast<std::size_t>(i)];
-      const common::Stopwatch t0;
-      slot.profile = std::make_shared<const estimators::ComputeProfile>(
-          estimators::profile_compute(topo, job, cand, opt_.compute_profile));
-      estimators::PipetteLatencyModel model(job, cand, *slot.profile, &profiled->bw, links);
-      slot.default_cost = model.estimate(parallel::Mapping::megatron_default(cand.pc));
-      slot.wall_s = t0.seconds();
-    });
     res.shapes_profiled = static_cast<int>(cands.size());
   }
-  for (const auto& slot : slots) res.score_cpu_s += slot.wall_s;
-  res.score_wall_s = t_score.seconds();
-  if (sink) sink->end_span("phase.score");
 
-  struct Scored {
-    Candidate cand;
-    double default_cost;
-    std::shared_ptr<const estimators::ComputeProfile> profile;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(cands.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    scored.push_back({cands[i], slots[i].default_cost, slots[i].profile});
-  }
+  std::vector<double> slot_wall(cands.size());
+  rq.exec.parallel_for(static_cast<int>(cands.size()), [&](int i) {
+    Scored& s = scored[static_cast<std::size_t>(i)];
+    const common::Stopwatch t0;
+    if (!s.profile) {
+      s.profile = std::make_shared<const estimators::ComputeProfile>(
+          estimators::profile_compute(rq.topo, rq.job, s.cand, opt_.compute_profile));
+    }
+    const estimators::PipetteLatencyModel model(rq.job, s.cand, *s.profile, &rq.profiled->bw,
+                                                rq.links);
+    s.default_cost = model.estimate(parallel::Mapping::megatron_default(s.cand.pc));
+    slot_wall[static_cast<std::size_t>(i)] = t0.seconds();
+  });
+  for (const double w : slot_wall) res.score_cpu_s += w;
 
   // Stable sort: equal costs keep enumeration order, so the ranking is the
   // same no matter how the scoring pass was scheduled.
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) { return a.default_cost < b.default_cost; });
-
-  for (const auto& s : scored) {
+  std::stable_sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
+    return a.default_cost < b.default_cost;
+  });
+  for (const Scored& s : scored) {
     if (static_cast<int>(res.ranking.size()) >= opt_.ranking_size) break;
     res.ranking.push_back({s.cand, s.default_cost});
   }
-
-  // Lines 9-15: fine-grained worker dedication. Each SA pass runs on the
-  // incremental evaluator — bit-identical costs to model.estimate, so the
-  // annealed mappings match full re-evaluation move for move while proposals
-  // cost O(touched groups).
+  // The default-placement head: PPT-L's answer, and the cost worker
+  // dedication starts from.
   res.found = true;
   res.best = scored.front().cand;
   res.predicted_s = scored.front().default_cost;
-  res.mapping = parallel::Mapping::megatron_default(scored.front().cand.pc);
+  res.mapping = parallel::Mapping::megatron_default(res.best.pc);
+  return scored;
+}
 
-  if (opt_.use_worker_dedication && past_deadline()) {
+void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& scored) const {
+  // Lines 9-15: fine-grained worker dedication, budgeted by the
+  // successive-halving race (SaHalvingOptions). Each chain runs on the
+  // incremental evaluator — bit-identical costs to model.estimate, so the
+  // annealed mappings match full re-evaluation move for move while proposals
+  // cost O(touched groups).
+  ConfiguratorResult& res = rq.res;
+  const int chains = opt_.sa_chains;
+  const PhaseScope phase(rq, kSa, &res.search_wall_s,
+                         rq.args("candidates", static_cast<long>(scored.size()), "chains", chains));
+  if (phase.past_deadline()) {
     // The earlier phases consumed the whole budget: the default-placement
-    // ranking above is the best-so-far answer. Skip SA, flag the truncation.
+    // ranking is the best-so-far answer. Skip SA, flag the truncation.
     res.health.deadline_exceeded = true;
-    if (sink) sink->instant("deadline.sa_skipped");
-  } else if (opt_.use_worker_dedication) {
-    if (sink) {
-      obs::JsonWriter w;
-      w.begin_object();
-      w.key("candidates");
-      w.value(static_cast<long>(scored.size()));
-      w.key("chains");
-      w.value(std::max(1, opt_.sa_chains));
-      w.end_object();
-      sink->begin_span("phase.sa", w.str());
+    if (rq.sink) rq.sink->instant("deadline.sa_skipped");
+    return;
+  }
+  const int gpn = rq.topo.gpus_per_node();
+  // Every chain of the request, raced or warm-start, is built here: the SA
+  // options under the chain's own seed, the telemetry accumulator, and the
+  // shared absolute deadline — N chains on fewer threads still collectively
+  // stop on time, each keeping its best-so-far (the anytime contract).
+  auto make_chain = [&](const estimators::PipetteLatencyModel& model,
+                        const parallel::Mapping& start, std::uint64_t seed,
+                        search::AnnealTelemetry* telem) {
+    search::SaOptions so = opt_.sa;
+    so.seed = seed;
+    auto chain =
+        std::make_unique<search::ResumableMappingAnneal>(model, start, gpn, so, opt_.moves);
+    if (rq.deadlined()) chain->set_deadline(&rq.watch, rq.deadline_s);
+    chain->set_telemetry(telem);
+    return chain;
+  };
+
+  const std::size_t width =
+      opt_.sa_halving.width == 0
+          ? scored.size()
+          : std::min<std::size_t>(scored.size(), static_cast<std::size_t>(opt_.sa_halving.width));
+  int rungs = 1;
+  while ((std::size_t{1} << (rungs - 1)) < width) ++rungs;
+  const long full = opt_.sa.max_iters;
+  const long rung0 = opt_.sa_halving.rung0_iters > 0 ? opt_.sa_halving.rung0_iters
+                                                     : std::max<long>(1, full >> (rungs - 1));
+  const search::StoppingOptions& stopping = opt_.sa_halving.stopping;
+
+  // Chain seeds mirror optimize_mapping_multichain exactly: chain 0 is the
+  // candidate seed (derived from the candidate itself, not its rank, so
+  // serial and parallel schedules anneal each candidate identically),
+  // chain i > 0 derives from it and the chain index.
+  std::vector<Entrant> race(width);
+  rq.exec.parallel_for(static_cast<int>(width), [&](int i) {
+    const Scored& s = scored[static_cast<std::size_t>(i)];
+    Entrant& e = race[static_cast<std::size_t>(i)];
+    e.model = std::make_unique<estimators::PipetteLatencyModel>(rq.job, s.cand, *s.profile,
+                                                                &rq.profiled->bw, rq.links);
+    if (rq.telem_ptr) e.telems.resize(static_cast<std::size_t>(chains));
+    const std::uint64_t seed = search::derive_seed(opt_.sa.seed, s.cand.str());
+    const parallel::Mapping start = parallel::Mapping::megatron_default(s.cand.pc);
+    for (int c = 0; c < chains; ++c) {
+      const std::uint64_t chain_seed =
+          c == 0 ? seed : search::derive_seed(seed, "mc-chain-" + std::to_string(c));
+      search::AnnealTelemetry* telem =
+          rq.telem_ptr ? &e.telems[static_cast<std::size_t>(c)] : nullptr;
+      e.chains.push_back(make_chain(*e.model, start, chain_seed, telem));
+      if (stopping.enabled) e.chains.back()->enable_stopping(stopping);
     }
-    const common::Stopwatch t_sa;
-    const int gpn = topo.gpus_per_node();
-    const int chains = std::max(1, opt_.sa_chains);
-    // Chain seeds mirror optimize_mapping_multichain exactly: chain 0 is the
-    // candidate seed (derived from the candidate itself, not its rank, so
-    // serial and parallel schedules anneal each candidate identically),
-    // chain i > 0 derives from it and the chain index.
-    auto chain_opts = [&](const Candidate& cand, int chain) {
-      search::SaOptions so = opt_.sa;
-      so.seed = search::derive_seed(opt_.sa.seed, cand.str());
-      if (chain > 0) so.seed = search::derive_seed(so.seed, "mc-chain-" + std::to_string(chain));
-      return so;
-    };
+  });
+  auto cost_order = [&](int a, int b) {
+    return race[static_cast<std::size_t>(a)].cost() < race[static_cast<std::size_t>(b)].cost();
+  };
 
-    std::size_t winner = 0;
-    const bool halving = opt_.sa_halving.enabled && opt_.sa.max_iters != kUncapped;
-    if (halving) {
-      const std::size_t width =
-          opt_.sa_halving.width <= 0
-              ? scored.size()
-              : std::min<std::size_t>(scored.size(),
-                                      static_cast<std::size_t>(opt_.sa_halving.width));
-      int rungs = 1;
-      while ((std::size_t{1} << (rungs - 1)) < width) ++rungs;
-      const long full = opt_.sa.max_iters;
-      long rung0 = opt_.sa_halving.rung0_iters;
-      if (rung0 <= 0) rung0 = std::max<long>(1, full >> (rungs - 1));
-
-      struct Race {
-        std::unique_ptr<estimators::PipetteLatencyModel> model;
-        std::vector<std::unique_ptr<search::ResumableMappingAnneal>> sa_chains;
-        /// One accumulator per chain (each chain is the only writer while it
-        /// runs; merged canonically after the race).
-        std::vector<search::AnnealTelemetry> telems;
-      };
-      std::vector<Race> races(width);
-      exec.parallel_for(static_cast<int>(width), [&](int i) {
-        const Scored& s = scored[static_cast<std::size_t>(i)];
-        Race& race = races[static_cast<std::size_t>(i)];
-        race.model = std::make_unique<estimators::PipetteLatencyModel>(
-            job, s.cand, *s.profile, &profiled->bw, links);
-        race.sa_chains.reserve(static_cast<std::size_t>(chains));
-        if (telem_ptr) race.telems.resize(static_cast<std::size_t>(chains));
+  std::vector<int> alive(width);
+  std::iota(alive.begin(), alive.end(), 0);
+  // Per-chain iteration grants beyond the rung target, accumulated by the
+  // stopper-feedback redistribution below (global candidate index times
+  // chains + chain index, so entries survive alive-set pruning).
+  std::vector<long> bonus(width * static_cast<std::size_t>(chains), 0);
+  auto bonus_of = [&](int cand, int chain) -> long& {
+    return bonus[static_cast<std::size_t>(cand) * static_cast<std::size_t>(chains) +
+                 static_cast<std::size_t>(chain)];
+  };
+  auto chain_of = [&](int cand, int chain) -> search::ResumableMappingAnneal& {
+    return *race[static_cast<std::size_t>(cand)].chains[static_cast<std::size_t>(chain)];
+  };
+  long prev_target = 0;
+  int prev_stopped = 0;
+  for (int r = 0; r < rungs; ++r) {
+    // Between rungs is the cheap place to stop starting work; chains
+    // already running cut themselves off via their armed deadline.
+    if (phase.past_deadline()) {
+      res.health.deadline_exceeded = true;
+      break;
+    }
+    // rung0 << r clamped to full, shift-before-compare so a user-set
+    // rung0_iters can never signed-overflow: the cap doubles per rung and
+    // the final rung always lands exactly on the full budget.
+    const long target = (r == rungs - 1 || rung0 > (full >> r)) ? full : rung0 << r;
+    const long inc = target - prev_target;
+    prev_target = target;
+    // Every alive chain is granted the rung's increment; spent < granted
+    // then flags a tripped per-chain deadline in the explain report.
+    res.sa_iters_granted += static_cast<long>(alive.size()) * chains * inc;
+    if (stopping.enabled && opt_.sa_halving.redistribute) {
+      // Stopped chains cannot spend this rung's increment: re-grant it to
+      // the still-running chains of alive candidates, split evenly in
+      // canonical order (alive is sorted by candidate index, chains by
+      // index) with the remainder to the earliest. Stop decisions are pure
+      // per-chain functions, so this reallocation is identical on every
+      // thread count.
+      std::vector<std::pair<int, int>> running;
+      long released = 0;
+      for (const int i : alive) {
         for (int c = 0; c < chains; ++c) {
-          race.sa_chains.push_back(std::make_unique<search::ResumableMappingAnneal>(
-              *race.model, parallel::Mapping::megatron_default(s.cand.pc), gpn,
-              chain_opts(s.cand, c), opt_.moves));
-          if (opt_.sa_halving.stopping.enabled) {
-            race.sa_chains.back()->enable_stopping(opt_.sa_halving.stopping);
-          }
-          // Shared absolute deadline across every chain of the request: N
-          // chains on fewer threads still collectively stop on time, each
-          // keeping its best-so-far (the anytime contract).
-          if (deadlined) race.sa_chains.back()->set_deadline(&req_watch, opt_.deadline_s);
-          if (telem_ptr) {
-            race.sa_chains.back()->set_telemetry(&race.telems[static_cast<std::size_t>(c)]);
+          if (chain_of(i, c).stopped()) {
+            released += inc;
+          } else {
+            running.emplace_back(i, c);
           }
         }
-      });
-      // Canonical per-candidate score: lowest chain cost, ties to the lowest
-      // chain index — the multichain merge rule.
-      auto best_chain = [&](int i) {
-        const Race& race = races[static_cast<std::size_t>(i)];
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < race.sa_chains.size(); ++c) {
-          if (race.sa_chains[c]->best_cost() < race.sa_chains[best]->best_cost()) best = c;
-        }
-        return best;
-      };
-      auto race_cost = [&](int i) {
-        return races[static_cast<std::size_t>(i)]
-            .sa_chains[best_chain(i)]
-            ->best_cost();
-      };
-
-      // Counts stopped chains among the alive candidates (the set the next
-      // rung would still grant iterations to). Stop decisions are pure
-      // functions of each chain's trajectory, so this count — and the early
-      // rung-loop exit below — is identical on every thread count.
-      auto stopped_among_alive = [&](const std::vector<int>& alive_set) {
-        int stopped = 0;
-        for (const int i : alive_set) {
-          for (const auto& chain : races[static_cast<std::size_t>(i)].sa_chains) {
-            if (chain->stopped()) ++stopped;
-          }
-        }
-        return stopped;
-      };
-      std::vector<int> alive(width);
-      std::iota(alive.begin(), alive.end(), 0);
-      // Per-chain iteration grants beyond the rung target, accumulated by
-      // the stopper-feedback redistribution below (global candidate index
-      // times chains + chain index, so entries survive alive-set pruning).
-      std::vector<long> bonus(width * static_cast<std::size_t>(chains), 0);
-      const bool redistribute =
-          opt_.sa_halving.stopping.enabled && opt_.sa_halving.redistribute;
-      long prev_target = 0;
-      int prev_stopped = 0;
-      for (int r = 0; r < rungs; ++r) {
-        // Between rungs is the cheap place to stop starting work; chains
-        // already running cut themselves off via their armed deadline.
-        if (past_deadline()) {
-          res.health.deadline_exceeded = true;
-          break;
-        }
-        // rung0 << r clamped to full, shift-before-compare so a user-set
-        // rung0_iters can never signed-overflow: the cap doubles per rung
-        // and the final rung always lands exactly on the full budget.
-        const long target = (r == rungs - 1 || rung0 > (full >> r)) ? full : rung0 << r;
-        // Every alive chain is granted the rung's increment; spent < granted
-        // then flags a tripped per-chain deadline in the explain report.
-        res.sa_iters_granted += static_cast<long>(alive.size()) * chains * (target - prev_target);
-        if (redistribute) {
-          // Stopped chains cannot spend this rung's increment: re-grant it
-          // to the still-running chains of alive candidates, split evenly in
-          // canonical order (alive is sorted by candidate index, chains by
-          // index) with the remainder to the earliest. Stop decisions are
-          // pure per-chain functions, so this reallocation is identical on
-          // every thread count.
-          const long inc = target - prev_target;
-          std::vector<std::size_t> running;
-          long released = 0;
-          for (const int i : alive) {
-            for (int c2 = 0; c2 < chains; ++c2) {
-              if (races[static_cast<std::size_t>(i)].sa_chains[static_cast<std::size_t>(c2)]
-                      ->stopped()) {
-                released += inc;
-              } else {
-                running.push_back(static_cast<std::size_t>(i) * static_cast<std::size_t>(chains) +
-                                  static_cast<std::size_t>(c2));
-              }
-            }
-          }
-          if (released > 0 && !running.empty()) {
-            const long share = released / static_cast<long>(running.size());
-            long rem = released % static_cast<long>(running.size());
-            for (const std::size_t u : running) {
-              bonus[u] += share + (rem > 0 ? 1 : 0);
-              if (rem > 0) --rem;
-            }
-            res.sa_iters_redistributed += released;
-          }
-        }
-        prev_target = target;
-        if (sink) {
-          obs::JsonWriter w;
-          w.begin_object();
-          w.key("rung");
-          w.value(r);
-          w.key("target_iters");
-          w.value(target);
-          w.key("alive");
-          w.value(static_cast<long>(alive.size()));
-          w.end_object();
-          sink->begin_span("sa.rung", w.str());
-        }
-        exec.parallel_for(static_cast<int>(alive.size()) * chains, [&](int u) {
-          const int cand_i = alive[static_cast<std::size_t>(u / chains)];
-          const int chain_i = u % chains;
-          std::string args;
-          if (sink) {
-            obs::JsonWriter w;
-            w.begin_object();
-            w.key("plan");
-            w.value(scored[static_cast<std::size_t>(cand_i)].cand.str());
-            w.key("chain");
-            w.value(chain_i);
-            w.end_object();
-            args = w.str();
-          }
-          obs::Span span(sink, "sa.chain", std::move(args));
-          races[static_cast<std::size_t>(cand_i)]
-              .sa_chains[static_cast<std::size_t>(chain_i)]
-              ->run_to(target + bonus[static_cast<std::size_t>(cand_i) *
-                                          static_cast<std::size_t>(chains) +
-                                      static_cast<std::size_t>(chain_i)]);
-        });
-        if (sink) sink->end_span("sa.rung");
-        ++res.sa_rungs;
-        if (opt_.sa_halving.stopping.enabled) {
-          const int stopped = stopped_among_alive(alive);
-          if (sink && stopped > prev_stopped) {
-            obs::JsonWriter w;
-            w.begin_object();
-            w.key("rung");
-            w.value(r);
-            w.key("stopped_chains");
-            w.value(stopped);
-            w.key("alive_chains");
-            w.value(static_cast<long>(alive.size()) * chains);
-            w.end_object();
-            sink->instant("sa.early_stop", w.str());
-          }
-          prev_stopped = stopped;
-          // Every surviving chain has converged: later rungs would grant
-          // iterations nobody spends, so the race ends here.
-          if (stopped == static_cast<int>(alive.size()) * chains) break;
-        }
-        if (alive.size() <= 1) continue;
-        // Keep the best half plus the slack band around the leader; `alive`
-        // enters in default-cost rank order, so the stable sort resolves
-        // equal costs to the better-ranked candidate, and re-sorting the
-        // survivors restores rank order for the next rung.
-        std::stable_sort(alive.begin(), alive.end(),
-                         [&](int a, int b) { return race_cost(a) < race_cost(b); });
-        const double band = race_cost(alive.front()) * (1.0 + std::max(0.0, opt_.sa_halving.keep_slack));
-        std::size_t keep = (alive.size() + 1) / 2;
-        while (keep < alive.size() && race_cost(alive[keep]) <= band) ++keep;
-        if (sink) {
-          const int leader = alive.front();
-          sink->counter("sa.alive", static_cast<double>(keep));
-          sink->counter("sa.leader_cost", race_cost(leader));
-          sink->counter("sa.leader_temp",
-                        races[static_cast<std::size_t>(leader)]
-                            .sa_chains[best_chain(leader)]
-                            ->temperature());
-        }
-        alive.resize(keep);
-        std::sort(alive.begin(), alive.end());
       }
-      std::stable_sort(alive.begin(), alive.end(),
-                       [&](int a, int b) { return race_cost(a) < race_cost(b); });
-      winner = static_cast<std::size_t>(alive.front());
-      const Race& wrace = races[winner];
-      const std::size_t wchain = best_chain(alive.front());
-      res.predicted_s = wrace.sa_chains[wchain]->best_cost();
-      res.best = scored[winner].cand;
-      res.mapping = wrace.sa_chains[wchain]->best_mapping();
-      for (const Race& race : races) {
-        for (const auto& chain : race.sa_chains) {
-          res.sa_iters += chain->total_iters();
-          res.search_cpu_s += chain->wall_s();
-          if (chain->stopped()) ++res.sa_chains_stopped;
-          if (chain->deadline_tripped()) res.health.deadline_exceeded = true;
+      if (released > 0 && !running.empty()) {
+        const long share = released / static_cast<long>(running.size());
+        long rem = released % static_cast<long>(running.size());
+        for (const auto& [i, c] : running) {
+          bonus_of(i, c) += share + (rem > 0 ? 1 : 0);
+          if (rem > 0) --rem;
         }
-        for (const auto& t : race.telems) telem.merge(t);
+        res.sa_iters_redistributed += released;
       }
-      if (opt_.sa_halving.stopping.enabled) {
-        // Iterations the fixed rung policy granted but converged chains
-        // handed back (deadline trips are excluded by gating on stopping —
-        // they are flagged separately by spent < granted in explain()).
-        res.sa_iters_saved = std::max<long>(0, res.sa_iters_granted - res.sa_iters);
-      }
-    } else {
-      // Legacy allocation: the sa_top_k best candidates, full budget each.
-      const std::size_t limit =
-          opt_.sa_top_k <= 0
-              ? scored.size()
-              : std::min<std::size_t>(scored.size(), static_cast<std::size_t>(opt_.sa_top_k));
-      if (opt_.sa.max_iters != kUncapped) {
-        res.sa_iters_granted =
-            static_cast<long>(limit) * std::max(1, opt_.sa_chains) * opt_.sa.max_iters;
-      }
-      struct SaSlot {
-        double best_cost = std::numeric_limits<double>::infinity();
-        std::optional<parallel::Mapping> mapping;
-        double wall_s = 0.0;
-        long iters = 0;
-        search::AnnealTelemetry telem;
-      };
-      std::vector<SaSlot> sa_slots(limit);
-      exec.parallel_for(static_cast<int>(limit), [&](int i) {
-        const auto& s = scored[static_cast<std::size_t>(i)];
-        auto& slot = sa_slots[static_cast<std::size_t>(i)];
+    }
+    {
+      const obs::Span rung_span(rq.sink, "sa.rung",
+                                rq.args("rung", r, "target_iters", target, "alive",
+                                        static_cast<long>(alive.size())));
+      rq.exec.parallel_for(static_cast<int>(alive.size()) * chains, [&](int u) {
+        const int cand = alive[static_cast<std::size_t>(u / chains)];
+        const int chain = u % chains;
         std::string args;
-        if (sink) {
-          obs::JsonWriter w;
-          w.begin_object();
-          w.key("plan");
-          w.value(s.cand.str());
-          w.end_object();
-          args = w.str();
+        if (rq.sink) {
+          args = obs::json_object("plan", scored[static_cast<std::size_t>(cand)].cand.str(),
+                                  "chain", chain);
         }
-        obs::Span span(sink, "sa.candidate", std::move(args));
-        estimators::PipetteLatencyModel model(job, s.cand, *s.profile, &profiled->bw, links);
-        auto mapping = parallel::Mapping::megatron_default(s.cand.pc);
-        search::SaOptions sa = chain_opts(s.cand, 0);
-        // The legacy loop has no resumable chains to arm, so the deadline
-        // lands as a per-candidate wall-clock clamp on the budget that
-        // remains when this candidate dispatches.
-        if (deadlined) {
-          sa.time_limit_s =
-              std::min(sa.time_limit_s, std::max(0.0, opt_.deadline_s - req_watch.seconds()));
-        }
-        const auto sa_res = search::optimize_mapping_multichain(
-            mapping, model, gpn, sa, {opt_.sa_chains, opt_.executor}, opt_.moves,
-            telem_ptr ? &slot.telem : nullptr);
-        slot.best_cost = sa_res.best_cost;
-        slot.mapping = std::move(mapping);
-        slot.wall_s = sa_res.wall_s;
-        slot.iters = sa_res.iters;
+        const obs::Span span(rq.sink, "sa.chain", std::move(args));
+        chain_of(cand, chain).run_to(target + bonus_of(cand, chain));
       });
-      double best_cost = std::numeric_limits<double>::infinity();
-      std::size_t best_i = limit;  // ties resolve to the lowest default-cost rank
-      for (std::size_t i = 0; i < limit; ++i) {
-        res.search_cpu_s += sa_slots[i].wall_s;
-        res.sa_iters += sa_slots[i].iters;
-        telem.merge(sa_slots[i].telem);
-        if (sa_slots[i].best_cost < best_cost) {
-          best_cost = sa_slots[i].best_cost;
-          best_i = i;
-        }
-      }
-      if (best_i < limit) {
-        winner = best_i;
-        res.best = scored[best_i].cand;
-        res.predicted_s = sa_slots[best_i].best_cost;
-        res.mapping = std::move(*sa_slots[best_i].mapping);
-      }
-      if (past_deadline()) res.health.deadline_exceeded = true;
     }
-
-    // Elastic warm start: continue annealing the dedicated winner from the
-    // previous placement projected onto the (possibly resized) cluster. An
-    // extra derive_seed-keyed pass, merged by strict improvement — ties keep
-    // the cold-path mapping, so an unchanged search space reproduces the
-    // cold result while a genuine resize starts from the surviving structure
-    // instead of from scratch.
-    if (warm && warm->mapping && past_deadline()) {
-      res.health.deadline_exceeded = true;  // no budget left for the warm pass
-    } else if (warm && warm->mapping) {
-      obs::Span span(sink, "sa.warm_start");
-      const Scored& s = scored[winner];
-      parallel::Mapping warm_m = parallel::project_mapping(*warm->mapping, s.cand.pc);
-      estimators::PipetteLatencyModel model(job, s.cand, *s.profile, &profiled->bw, links);
-      search::SaOptions wopt = opt_.sa;
-      wopt.seed =
-          search::derive_seed(search::derive_seed(opt_.sa.seed, s.cand.str()), "warm-start");
-      if (deadlined) {
-        wopt.time_limit_s =
-            std::min(wopt.time_limit_s, std::max(0.0, opt_.deadline_s - req_watch.seconds()));
+    ++res.sa_rungs;
+    if (stopping.enabled) {
+      // Stop decisions are pure functions of each chain's trajectory, so
+      // this count — and the early exit below — is identical on every
+      // thread count.
+      int stopped = 0;
+      for (const int i : alive) {
+        for (int c = 0; c < chains; ++c) stopped += chain_of(i, c).stopped() ? 1 : 0;
       }
-      const auto wres =
-          search::optimize_mapping(warm_m, model, gpn, wopt, opt_.moves, telem_ptr);
-      res.sa_iters += wres.iters;
-      if (opt_.sa.max_iters != kUncapped) res.sa_iters_granted += opt_.sa.max_iters;
-      res.search_cpu_s += wres.wall_s;
-      if (wres.best_cost < res.predicted_s) {
-        res.predicted_s = wres.best_cost;
-        res.mapping = std::move(warm_m);
+      const long alive_chains = static_cast<long>(alive.size()) * chains;
+      if (rq.sink && stopped > prev_stopped) {
+        rq.sink->instant("sa.early_stop", obs::json_object("rung", r, "stopped_chains", stopped,
+                                                           "alive_chains", alive_chains));
+      }
+      prev_stopped = stopped;
+      // Every surviving chain has converged: later rungs would grant
+      // iterations nobody spends, so the race ends here.
+      if (stopped == alive_chains) break;
+    }
+    if (alive.size() <= 1) continue;
+    // Keep the best half plus the slack band around the leader; `alive`
+    // enters in default-cost rank order, so the stable sort resolves equal
+    // costs to the better-ranked candidate, and re-sorting the survivors
+    // restores rank order for the next rung.
+    std::stable_sort(alive.begin(), alive.end(), cost_order);
+    const Entrant& leader = race[static_cast<std::size_t>(alive.front())];
+    const double band = leader.cost() * (1.0 + std::max(0.0, opt_.sa_halving.keep_slack));
+    std::size_t keep = (alive.size() + 1) / 2;
+    while (keep < alive.size() && race[static_cast<std::size_t>(alive[keep])].cost() <= band) {
+      ++keep;
+    }
+    if (rq.sink) {
+      rq.sink->counter("sa.alive", static_cast<double>(keep));
+      rq.sink->counter("sa.leader_cost", leader.cost());
+      rq.sink->counter("sa.leader_temp", leader.chains[leader.best_chain()]->temperature());
+    }
+    alive.resize(keep);
+    std::sort(alive.begin(), alive.end());
+  }
+  std::stable_sort(alive.begin(), alive.end(), cost_order);
+  const std::size_t winner = static_cast<std::size_t>(alive.front());
+  const Entrant& won = race[winner];
+  const search::ResumableMappingAnneal& won_chain = *won.chains[won.best_chain()];
+  res.best = scored[winner].cand;
+  res.predicted_s = won_chain.best_cost();
+  res.mapping = won_chain.best_mapping();
+  for (const Entrant& e : race) {
+    for (const auto& chain : e.chains) {
+      res.sa_iters += chain->total_iters();
+      res.search_cpu_s += chain->wall_s();
+      if (chain->stopped()) ++res.sa_chains_stopped;
+      if (chain->deadline_tripped()) res.health.deadline_exceeded = true;
+    }
+    for (const auto& t : e.telems) rq.telem.merge(t);
+  }
+  if (stopping.enabled) {
+    // Iterations the fixed rung policy granted but converged chains handed
+    // back (deadline trips are excluded by gating on stopping — they are
+    // flagged separately by spent < granted in explain()).
+    res.sa_iters_saved = std::max<long>(0, res.sa_iters_granted - res.sa_iters);
+  }
+
+  // Elastic warm start: one more chain for the winner, started from the
+  // previous placement projected onto the (possibly resized) cluster under
+  // its own derive_seed stream, with no stopping. Merged by strict
+  // improvement — ties keep the race's mapping, so an unchanged search space
+  // reproduces the cold result while a genuine resize starts from the
+  // surviving structure instead of from scratch.
+  if (rq.warm && rq.warm->mapping) {
+    if (phase.past_deadline()) {
+      res.health.deadline_exceeded = true;  // no budget left for the warm chain
+    } else {
+      const obs::Span span(rq.sink, "sa.warm_start");
+      const Candidate& cand = scored[winner].cand;
+      const auto chain = make_chain(
+          *won.model, parallel::project_mapping(*rq.warm->mapping, cand.pc),
+          search::derive_seed(search::derive_seed(opt_.sa.seed, cand.str()), "warm-start"),
+          rq.telem_ptr);
+      chain->run_to(full);
+      res.sa_iters += chain->total_iters();
+      res.sa_iters_granted += full;
+      res.search_cpu_s += chain->wall_s();
+      if (chain->deadline_tripped()) res.health.deadline_exceeded = true;
+      if (chain->best_cost() < res.predicted_s) {
+        res.predicted_s = chain->best_cost();
+        res.mapping = chain->best_mapping();
       }
     }
-
-    // Keep the ranking's head consistent with the dedicated choice. If the
-    // winner fell outside a truncated ranking, leave the ranking untouched
-    // rather than mislabel the head with another candidate's SA cost.
-    promote_winner(res.ranking, res.best, res.predicted_s);
-    res.search_wall_s = t_sa.seconds();
-    if (sink) sink->end_span("phase.sa");
   }
-  if (res.mapping) {
-    res.health.degraded_links_used =
-        count_degraded_links(*res.mapping, topo.gpus_per_node(), san);
-  }
-  if (deadlined) {
-    res.health.deadline_s = opt_.deadline_s;
-    res.health.overrun_s = std::max(0.0, req_watch.seconds() - opt_.deadline_s);
-    if (sink && res.health.deadline_exceeded) sink->instant("deadline.exceeded");
-  }
-  flush_request_metrics(opt_.metrics, res, telem);
-  return res;
+  // Keep the ranking's head consistent with the dedicated choice. If the
+  // winner fell outside a truncated ranking, leave the ranking untouched
+  // rather than mislabel the head with another candidate's SA cost.
+  promote_winner(res.ranking, res.best, res.predicted_s);
 }
 
 }  // namespace pipette::core

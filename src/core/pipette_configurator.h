@@ -5,7 +5,10 @@
 // simulated annealing on the most promising ones (§IV).
 #pragma once
 
+#include <limits>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "cluster/profiler.h"
 #include "common/executor.h"
@@ -18,29 +21,25 @@
 
 namespace pipette::core {
 
-/// Successive-halving allocation of the worker-dedication budget: instead of
-/// giving `sa_top_k` candidates the full SA budget each, rung 0 starts a wide
-/// racing set on a small iteration cap, every rung keeps the best half
-/// (stable ties to default-cost rank) and doubles the cap, and the lone
-/// survivor finishes at the full budget. Chains *resume* across rungs
-/// (search::ResumableMappingAnneal carries the mapping, temperature, and rng
-/// stream), so no move is ever replayed: total work is ~2x the full budget
-/// rather than top_k-times it, at a wider rung-0 field than any fixed top-k.
-/// Rung caps are iteration-counted and selection is canonical, so any
-/// executor and thread count reproduces the serial result bit for bit.
+/// Successive-halving allocation of the worker-dedication budget — the one SA
+/// allocator. Rung 0 starts a racing set of candidates on a small iteration
+/// cap, every rung keeps the best half (stable ties to default-cost rank) and
+/// doubles the cap, and the survivors finish at the full budget. Chains
+/// *resume* across rungs (search::ResumableMappingAnneal carries the mapping,
+/// temperature, and rng stream), so no move is ever replayed: total work is
+/// ~2x the full budget rather than width-times it. Setting rung0_iters to
+/// SaOptions::max_iters gives every raced candidate the full budget up front:
+/// `width = k` is then the classic top-k allocation and `width = 0` is
+/// Algorithm 1's SA on every surviving candidate. Rung caps are
+/// iteration-counted and selection is canonical, so any executor and thread
+/// count reproduces the serial result bit for bit.
 struct SaHalvingOptions {
-  /// Requires an iteration-capped budget (SaOptions::max_iters finite); the
-  /// configurator silently falls back to the legacy sa_top_k loop for pure
-  /// wall-clock budgets, which cannot race deterministically. A finite
-  /// time_limit_s alongside the iteration cap is honored as a per-chain
-  /// deadline (whichever bound hits first, as everywhere else).
-  bool enabled = true;
   /// Rung-0 racing set size, by default-placement rank; 0 races every
-  /// surviving candidate (the paper's Algorithm 1 breadth at a fraction of
-  /// its cost).
+  /// surviving candidate (the paper's Algorithm 1 breadth).
   int width = 0;
   /// Rung-0 iteration cap; 0 derives max_iters >> (rungs - 1) so the final
-  /// rung lands exactly on the full budget.
+  /// rung lands exactly on the full budget. Values at or above max_iters
+  /// grant the full budget in rung 0.
   long rung0_iters = 0;
   /// Elimination slack: a rung keeps the best half *plus* every candidate
   /// whose annealed cost is within this fraction of the rung leader. Low-budget
@@ -76,16 +75,13 @@ struct PipetteOptions {
   bool use_worker_dedication = true;
   /// Disable to reproduce the OOM-recommending behaviour of the baselines.
   bool use_memory_filter = true;
-  /// Legacy SA allocation: SA on the `sa_top_k` best candidates by
-  /// default-placement score, full budget each; 0 means "every surviving
-  /// candidate" (the paper's Algorithm 1 loops SA over all of them with a
-  /// 10 s budget each). Used when sa_halving is disabled or the budget is
-  /// wall-clock. Proposals are scored by the incremental evaluator (see
-  /// src/estimators/incremental_latency.h) either way.
-  int sa_top_k = 6;
-  search::SaOptions sa;
+  /// Per-candidate SA budget. Iteration-counted (the default 20,000 per
+  /// candidate), with no per-chain wall-clock limit: every recommendation is
+  /// a pure function of the request. `deadline_s` is the wall-clock bound.
+  search::SaOptions sa{.time_limit_s = std::numeric_limits<double>::infinity(),
+                       .max_iters = 20000};
   search::MoveSet moves;
-  /// Racing allocator for the SA budget (the default under iteration caps).
+  /// How the SA budget is spread over the scored candidates.
   SaHalvingOptions sa_halving;
   /// Independent SA chains per candidate (search::optimize_mapping_multichain
   /// semantics), merged canonically — lowest best cost, ties to the lowest
@@ -124,11 +120,11 @@ struct PipetteOptions {
   /// engine::ClusterCache entry for the same compute context). Null memoizes
   /// within this configurator only.
   std::shared_ptr<estimators::ComputeProfileCache> compute_cache;
-  /// Parallel executor for candidate scoring and the per-candidate SA passes
-  /// (not owned; typically an engine::ThreadPool). Results are merged in
-  /// canonical enumeration order and SA seeds derive from the candidate
-  /// itself, so — under an iteration-capped SA budget — every thread count
-  /// produces the serial ranking bit for bit. Null runs serially.
+  /// Parallel executor for candidate scoring and the SA chains (not owned;
+  /// typically an engine::ThreadPool). Results are merged in canonical
+  /// enumeration order and SA seeds derive from the candidate itself, so
+  /// every thread count produces the serial ranking bit for bit (unless
+  /// deadline_s cuts the anneal). Null runs serially.
   common::Executor* executor = nullptr;
   int ranking_size = 1000;  // keep the full preference order for OOM fallback
   /// Span tracer for this request's phases, SA rungs/chains, and cache events
@@ -154,13 +150,21 @@ struct PipetteOptions {
   double deadline_s = std::numeric_limits<double>::infinity();
 };
 
+/// Why the SA allocator cannot run `opt` — the first unusable budget field,
+/// named by its path (e.g. "sa.max_iters must be >= 1, got -5") — or an empty
+/// string when every field is usable. configure() throws
+/// std::invalid_argument with this reason; engine::ConfigService answers
+/// kInvalidRequest with it before admission.
+std::string validate(const PipetteOptions& opt);
+
 class PipetteConfigurator final : public Configurator {
  public:
   explicit PipetteConfigurator(PipetteOptions opt);
 
   std::string name() const override;
-  /// Throws std::invalid_argument carrying model::validate's reason when the
-  /// job has a non-positive size (so does reconfigure()).
+  /// Throws std::invalid_argument carrying model::validate's or validate's
+  /// reason when the job has a non-positive size or the options an unusable
+  /// SA budget (so does reconfigure()).
   ConfiguratorResult configure(const cluster::Topology& topo,
                                const model::TrainingJob& job) override;
 
@@ -168,12 +172,12 @@ class PipetteConfigurator final : public Configurator {
   /// clusters): diffs the old and new plan spaces and reuses everything that
   /// survives — the trained memory estimator (when the clamped training
   /// digest still matches), the memoized compute shapes, and the per-plan
-  /// memory estimates carried in `previous` — then seeds an extra SA pass for
-  /// the dedicated winner from parallel::project_mapping(previous mapping)
-  /// instead of annealing from scratch (kept only when strictly better, so an
-  /// unchanged topology reproduces the cold result). When the topology diff
-  /// is empty (same fingerprint, same job), returns `previous` unchanged with
-  /// zeroed per-request costs.
+  /// memory estimates carried in `previous` — then runs one extra SA chain
+  /// for the dedicated winner from parallel::project_mapping(previous
+  /// mapping) instead of annealing from scratch (kept only when strictly
+  /// better, so an unchanged topology reproduces the cold result). When the
+  /// topology diff is empty (same fingerprint, same job), returns `previous`
+  /// unchanged with zeroed per-request costs.
   ConfiguratorResult reconfigure(const cluster::Topology& new_topo,
                                  const model::TrainingJob& job,
                                  const ConfiguratorResult& previous);
@@ -184,8 +188,21 @@ class PipetteConfigurator final : public Configurator {
   }
 
  private:
+  /// One configure() call's inputs, shared instruments, and result under
+  /// construction; PhaseScope opens one stage of it (both in the .cpp).
+  struct Request;
+  class PhaseScope;
+  /// A candidate with its default-placement cost and compute profile.
+  struct Scored;
+
   ConfiguratorResult configure_impl(const cluster::Topology& topo, const model::TrainingJob& job,
                                     const ConfiguratorResult* warm);
+  // Algorithm 1's stages, in the order configure_impl runs them.
+  void profile(Request& rq) const;
+  void load_estimator(Request& rq);
+  std::vector<Candidate> filter(Request& rq);
+  std::vector<Scored> score(Request& rq, const std::vector<Candidate>& cands);
+  void dedicate(Request& rq, const std::vector<Scored>& scored) const;
 
   PipetteOptions opt_;
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory_;

@@ -46,6 +46,8 @@ ConfigService::ConfigService(ConfigServiceOptions opt)
     : opt_(std::move(opt)),
       owned_metrics_(opt_.metrics ? nullptr : std::make_unique<obs::Registry>()),
       metrics_(opt_.metrics ? opt_.metrics : owned_metrics_.get()),
+      queue_wait_(metrics_->histogram("pipette.service.queue_wait_s",
+                                      obs::Registry::latency_bounds_s())),
       cache_(with_metrics(opt_.cache, metrics_)),
       pool_(opt_.threads, metrics_) {
   if (opt_.faults.enabled) {
@@ -65,26 +67,9 @@ ConfigService::ConfigService(ConfigServiceOptions opt)
   }
 }
 
-std::future<core::ConfiguratorResult> ConfigService::submit(cluster::Topology topo,
-                                                            model::TrainingJob job) {
-  const common::Stopwatch admitted;
-  return pool_.submit([this, topo = std::move(topo), job = std::move(job), admitted] {
-    return configure_one(topo, job, nullptr, opt_.request_defaults, admitted);
-  });
-}
-
-std::future<core::ConfiguratorResult> ConfigService::reconfigure(
-    cluster::Topology topo, model::TrainingJob job, core::ConfiguratorResult previous) {
-  const common::Stopwatch admitted;
-  return pool_.submit([this, topo = std::move(topo), job = std::move(job),
-                       previous = std::move(previous), admitted] {
-    return configure_one(topo, job, &previous, opt_.request_defaults, admitted);
-  });
-}
-
-std::future<ServiceResult> ConfigService::submit_request(cluster::Topology topo,
-                                                         model::TrainingJob job,
-                                                         RequestOptions ro) {
+std::future<ServiceResult> ConfigService::submit_request(
+    cluster::Topology topo, model::TrainingJob job, RequestOptions ro,
+    std::optional<core::ConfiguratorResult> previous) {
   // Rejections are already-resolved futures — typed answers, not exceptions,
   // and no task ever enters the pool.
   auto reject = [](ServiceStatus status, std::string error) {
@@ -95,9 +80,11 @@ std::future<ServiceResult> ConfigService::submit_request(cluster::Topology topo,
     p.set_value(std::move(sr));
     return p.get_future();
   };
-  // Degenerate memory-training options would only throw inside the cluster
-  // cache, after the fabric was profiled: reject them here too.
+  // Unusable SA budgets and degenerate memory-training options would only
+  // throw inside the configurator or the cluster cache, after the fabric was
+  // profiled: reject them here too.
   std::string reason = model::validate(job);
+  if (reason.empty()) reason = core::validate(opt_.pipette);
   if (reason.empty()) {
     reason = mlp::validate(opt_.pipette.memory_training.hidden, opt_.pipette.memory_training.train);
   }
@@ -121,9 +108,11 @@ std::future<ServiceResult> ConfigService::submit_request(cluster::Topology topo,
   metrics_->gauge("pipette.service.pending").set(cur + 1);
 
   const common::Stopwatch admitted;
-  return pool_.submit([this, topo = std::move(topo), job = std::move(job), ro, admitted] {
+  return pool_.submit([this, topo = std::move(topo), job = std::move(job), ro,
+                       previous = std::move(previous), admitted] {
+    queue_wait_.observe(admitted.seconds());
     const PendingGuard guard{&pending_, metrics_};
-    return serve_one(topo, job, ro, admitted);
+    return serve_one(topo, job, previous ? &*previous : nullptr, ro, admitted);
   });
 }
 
@@ -160,11 +149,13 @@ std::vector<core::ConfiguratorResult> ConfigService::sweep(
 }
 
 ServiceResult ConfigService::serve_one(const cluster::Topology& topo,
-                                       const model::TrainingJob& job, const RequestOptions& ro,
+                                       const model::TrainingJob& job,
+                                       const core::ConfiguratorResult* previous,
+                                       const RequestOptions& ro,
                                        const common::Stopwatch& admitted) {
   ServiceResult sr;
   try {
-    sr.result = configure_one(topo, job, nullptr, ro, admitted);
+    sr.result = configure_one(topo, job, previous, ro, admitted);
     if (!sr.result.found) {
       sr.status = ServiceStatus::kNoFeasiblePlan;
       sr.error = "no candidate plan fits the cluster";
@@ -218,33 +209,17 @@ core::ConfiguratorResult ConfigService::configure_one(const cluster::Topology& t
                                                       const RequestOptions& ro,
                                                       const common::Stopwatch& admitted) {
   obs::TraceSink* const sink = opt_.trace;
-  std::string args;
-  if (sink) {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("job");
-    w.value(job.model.name);
-    w.key("gpus");
-    w.value(topo.num_gpus());
-    w.key("warm");
-    w.value(previous != nullptr);
-    w.end_object();
-    args = w.str();
-  }
-  obs::Span request_span(sink, "request", std::move(args));
+  obs::Span request_span(sink, "request",
+                         sink ? obs::json_object("job", job.model.name, "gpus", topo.num_gpus(),
+                                                 "warm", previous != nullptr)
+                              : std::string());
   int retries = 0;
   const ClusterCache::Entry entry = artifacts_with_retry(topo, job, ro, admitted, &retries);
   if (sink) {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("profile");
-    w.value(entry.profile_was_cached ? "hit" : "miss");
-    w.key("memory");
-    w.value(entry.memory_was_cached ? "hit" : "miss");
-    w.key("compute");
-    w.value(entry.compute_was_cached ? "hit" : "miss");
-    w.end_object();
-    sink->instant("cluster_cache", w.str());
+    auto hit = [](bool cached) { return cached ? "hit" : "miss"; };
+    sink->instant("cluster_cache", obs::json_object("profile", hit(entry.profile_was_cached),
+                                                    "memory", hit(entry.memory_was_cached),
+                                                    "compute", hit(entry.compute_was_cached)));
   }
   core::PipetteOptions po = opt_.pipette;
   po.memory = entry.memory;

@@ -1,32 +1,32 @@
 // The batched front-end of the configuration engine: a stream of
 // (job, topology) requests fans out across one shared thread pool and one
-// cluster-fingerprint cache. Each submit returns a future; a whole scenario
-// sweep (the scalability and batch-sensitivity studies) is one `sweep` call.
+// cluster-fingerprint cache. Each submit_request returns a future; a whole
+// scenario sweep (the scalability and batch-sensitivity studies) is one
+// `sweep` call.
 //
-// Determinism: with an iteration-capped SA budget (SaOptions::max_iters set,
-// generous time limit), results are bit-identical for any thread count —
-// candidate scoring merges in canonical order and SA seeds derive from the
-// candidate, not the schedule (see PipetteOptions::executor). This extends
-// to multi-chain annealing (PipetteOptions::sa_chains > 1): chain seeds
-// derive from the candidate seed and the chain index, chains ride the same
+// Determinism: SA budgets are iteration-counted (PipetteOptions::sa), so
+// results are bit-identical for any thread count — candidate scoring merges
+// in canonical order and SA seeds derive from the candidate, not the
+// schedule (see PipetteOptions::executor). This extends to multi-chain
+// annealing (PipetteOptions::sa_chains > 1): chain seeds derive from the
+// candidate seed and the chain index, chains ride the same
 // caller-participating pool as the per-candidate fan-out, and the best-of
 // merge is canonical — so a request's dedicated mapping is a pure function
 // of (topology fingerprint, job, options), never of pool size.
 //
-// Robustness: submit_request() is the typed-outcome surface — every request
+// Robustness: submit_request() is the one request surface — every request
 // terminates with a ServiceResult whose status says what happened (a plan,
 // no feasible plan, a typed rejection, a typed failure) instead of an
 // exception racing through a future. Admission is bounded (max_pending),
 // transient profiling failures retry with jittered exponential backoff, and
 // per-request deadlines propagate into the configurator's anytime SA budget
-// (best-so-far plan + PlanHealth::deadline_exceeded on overrun). The legacy
-// submit()/reconfigure() surface is unchanged: unbounded admission,
-// exceptions through the future.
+// (best-so-far plan + PlanHealth::deadline_exceeded on overrun).
 #pragma once
 
 #include <atomic>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,8 +46,9 @@ enum class ServiceStatus {
   kRejectedQueueFull,  ///< bounded admission queue was full (backpressure)
   kProfileFailed,      ///< transient profiling failures exhausted the retries
   kInternalError,      ///< unexpected exception; error carries what()
-  kInvalidRequest,     ///< model::validate rejected the job, or mlp::validate the
-                       ///< service's memory-training options; error names the field
+  kInvalidRequest,     ///< model::validate rejected the job, or core::validate /
+                       ///< mlp::validate the service's SA budget or memory-training
+                       ///< options; error names the field
 };
 
 const char* to_string(ServiceStatus s);
@@ -62,7 +63,7 @@ struct ServiceResult {
   bool ok() const { return status == ServiceStatus::kOk; }
 };
 
-/// Per-request knobs of the robust surface.
+/// Per-request knobs.
 struct RequestOptions {
   /// Wall-clock budget measured from submission (queue wait counts: a
   /// deadline is a promise to the caller, not to the scheduler). Propagated
@@ -96,8 +97,9 @@ struct ConfigServiceOptions {
   /// metrics_text() always works and tenants stay isolated by default.
   obs::Registry* metrics = nullptr;
   /// Admission bound: submit_request() rejects (kRejectedQueueFull) while
-  /// this many requests are admitted and unfinished. 0 = unbounded. The
-  /// legacy submit()/reconfigure()/sweep() surface bypasses the bound.
+  /// this many requests are admitted and unfinished. 0 = unbounded. sweep()
+  /// and sweep_requests() submit through submit_request(), so a sweep's jobs
+  /// beyond the bound come back kRejectedQueueFull.
   int max_pending = 0;
   /// Defaults for requests submitted without explicit RequestOptions.
   RequestOptions request_defaults;
@@ -110,26 +112,21 @@ class ConfigService {
  public:
   explicit ConfigService(ConfigServiceOptions opt);
 
-  /// Enqueues one configure request. The topology is captured by value so the
-  /// caller may discard it; the future delivers the full result (or the
-  /// configurator's exception).
-  std::future<core::ConfiguratorResult> submit(cluster::Topology topo, model::TrainingJob job);
-
-  /// Enqueues an elastic re-configuration: the same request as submit(), plus
-  /// the previous result so the configurator can warm-start from it — the
-  /// trained estimator (when the clamped training digest survives the
-  /// resize), the per-plan memory estimates of surviving plans, and an SA
-  /// pass seeded from the projected previous placement. A resize event is
-  /// thus one API call: service.reconfigure(new_topo, job, old_result).
-  std::future<core::ConfiguratorResult> reconfigure(cluster::Topology topo, model::TrainingJob job,
-                                                    core::ConfiguratorResult previous);
-
-  /// The robust surface: admission-bounded, deadline-aware, retrying, and
-  /// exception-free — the future always delivers a ServiceResult, never
-  /// throws. A rejection (kInvalidRequest, kRejectedQueueFull) returns an
-  /// already-resolved future without enqueueing work.
-  std::future<ServiceResult> submit_request(cluster::Topology topo, model::TrainingJob job,
-                                            RequestOptions ro);
+  /// Enqueues one configure request — admission-bounded, deadline-aware,
+  /// retrying, and exception-free: the future always delivers a
+  /// ServiceResult, never throws. The topology is captured by value so the
+  /// caller may discard it. A rejection (kInvalidRequest,
+  /// kRejectedQueueFull) returns an already-resolved future without
+  /// enqueueing work. With `previous`, the request is an elastic
+  /// re-configuration (PipetteConfigurator::reconfigure): it warm-starts from
+  /// that result — the trained estimator (when the clamped training digest
+  /// survives the resize), the per-plan memory estimates of surviving plans,
+  /// and one extra SA chain seeded from the projected previous placement —
+  /// so a resize event is one call: submit_request(new_topo, job, ro,
+  /// old_result).
+  std::future<ServiceResult> submit_request(
+      cluster::Topology topo, model::TrainingJob job, RequestOptions ro,
+      std::optional<core::ConfiguratorResult> previous = std::nullopt);
   /// Same, with ConfigServiceOptions::request_defaults.
   std::future<ServiceResult> submit_request(cluster::Topology topo, model::TrainingJob job);
 
@@ -161,8 +158,7 @@ class ConfigService {
   long persisted_records() const { return cache_.persisted_records(); }
   long persist_failures() const { return cache_.persist_failures(); }
 
-  /// Admitted-and-unfinished requests on the robust surface (the quantity
-  /// max_pending bounds).
+  /// Admitted-and-unfinished requests (the quantity max_pending bounds).
   int pending() const { return pending_.load(std::memory_order_relaxed); }
   /// The service's fault injector (null unless ConfigServiceOptions::faults
   /// is enabled) — chaos tests inspect the resolved schedule through this.
@@ -182,7 +178,8 @@ class ConfigService {
                                          const common::Stopwatch& admitted);
   /// configure_one with the exception surface folded into ServiceStatus.
   ServiceResult serve_one(const cluster::Topology& topo, const model::TrainingJob& job,
-                          const RequestOptions& ro, const common::Stopwatch& admitted);
+                          const core::ConfiguratorResult* previous, const RequestOptions& ro,
+                          const common::Stopwatch& admitted);
   /// Profiles-or-fetches the cluster artifacts, retrying transient profile
   /// failures with jittered exponential backoff. Writes the retry count.
   ClusterCache::Entry artifacts_with_retry(const cluster::Topology& topo,
@@ -198,6 +195,9 @@ class ConfigService {
   /// profiling run (and every profile cache key) sees the same schedule.
   std::unique_ptr<FaultInjector> faults_;
   std::atomic<int> pending_{0};
+  /// pipette.service.queue_wait_s: admission until a pool worker starts the
+  /// request.
+  obs::Histogram queue_wait_;
   ClusterCache cache_;
   /// Outcome of the construction-time warm start (see load_report()).
   persist::LoadReport load_report_;

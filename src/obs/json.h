@@ -85,4 +85,25 @@ class JsonWriter {
   bool first_ = true;
 };
 
+namespace detail {
+inline void put_members(JsonWriter&) {}
+template <typename V, typename... Rest>
+void put_members(JsonWriter& w, std::string_view key, const V& value, const Rest&... rest) {
+  w.key(key);
+  w.value(value);
+  put_members(w, rest...);
+}
+}  // namespace detail
+
+/// One flat JSON object from alternating keys and values — the args payload
+/// of a trace event: json_object("rung", r, "alive", n) == {"rung":r,"alive":n}.
+template <typename... KeyValues>
+std::string json_object(const KeyValues&... kv) {
+  JsonWriter w;
+  w.begin_object();
+  detail::put_members(w, kv...);
+  w.end_object();
+  return w.str();
+}
+
 }  // namespace pipette::obs

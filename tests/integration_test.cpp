@@ -25,7 +25,6 @@ core::PipetteOptions fast_opts(bool dedication) {
   core::PipetteOptions opt;
   opt.use_worker_dedication = dedication;
   opt.sa.time_limit_s = 0.3;
-  opt.sa_top_k = 4;
   opt.memory_training.hidden = {64, 64};
   opt.memory_training.train.iters = 3000;
   opt.memory_training.max_profile_nodes = 2;

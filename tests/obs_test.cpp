@@ -4,6 +4,7 @@
 #include <cctype>
 #include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -100,7 +101,6 @@ engine::ConfigServiceOptions service_options(int threads) {
   so.threads = threads;
   so.pipette.sa.max_iters = 1200;
   so.pipette.sa.time_limit_s = 1e9;
-  so.pipette.sa_top_k = 0;
   so.pipette.sa_chains = 2;
   so.pipette.memory_training.hidden = {48, 48};
   so.pipette.memory_training.train.iters = 2500;
@@ -354,7 +354,7 @@ TEST(ConfigService, TelemetryIsBitIdenticalAcrossThreadCountsAndExplains) {
 
   // Baseline: no trace sink, no external registry.
   engine::ConfigService bare(service_options(1));
-  const auto r_bare = bare.submit(topo, job).get();
+  const auto r_bare = bare.submit_request(topo, job).get().result;
   ASSERT_TRUE(r_bare.found);
   EXPECT_GT(r_bare.sa_rungs, 1) << "the halving race must actually run rungs";
 
@@ -363,7 +363,7 @@ TEST(ConfigService, TelemetryIsBitIdenticalAcrossThreadCountsAndExplains) {
     auto so = service_options(threads);
     so.trace = &sink;
     engine::ConfigService traced(so);
-    const auto r = traced.submit(topo, job).get();
+    const auto r = traced.submit_request(topo, job).get().result;
     expect_identical(r_bare, r);
 
     // The whole request renders as a well-formed single timeline.
@@ -394,7 +394,7 @@ TEST(ConfigService, TelemetryIsBitIdenticalAcrossThreadCountsAndExplains) {
     EXPECT_LE(accepts, proposals);
     EXPECT_GT(snap.counter("pipette.sa.dirty.groups"), 0);
     EXPECT_EQ(snap.gauge("engine.pool.threads"), threads);
-    EXPECT_GE(snap.counter("engine.pool.tasks"), 1) << "submit() itself runs on the pool";
+    EXPECT_GE(snap.counter("engine.pool.tasks"), 1) << "submit_request() itself runs on the pool";
 
     if (threads == 1) {
       // The structured report: valid JSON carrying the run's accounting.
@@ -414,7 +414,7 @@ TEST(ConfigService, TelemetryIsBitIdenticalAcrossThreadCountsAndExplains) {
 
       // A second request hits every cluster-cache artifact, and the engine's
       // provenance flags say so.
-      const auto r2 = traced.submit(topo, {model::gpt_774m(), 256}).get();
+      const auto r2 = traced.submit_request(topo, {model::gpt_774m(), 256}).get().result;
       ASSERT_TRUE(r2.found);
       EXPECT_TRUE(r2.profile_cache_hit);
       EXPECT_TRUE(r2.memory_cache_hit);
@@ -434,6 +434,35 @@ TEST(ConfigService, TelemetryIsBitIdenticalAcrossThreadCountsAndExplains) {
       EXPECT_NE(text.find("pipette_configure_wall_s_count 2\n"), std::string::npos) << text;
       expect_trace_well_formed(sink.events());
     }
+  }
+}
+
+TEST(ConfigService, PhaseAndQueueWaitHistogramsCountEveryServedRequest) {
+  // Every served request observes its queue wait and one sample per phase it
+  // ran. On the service path the cluster cache profiles and trains, so the
+  // configurator's profile and mem_train phases never run: their histograms
+  // exist with count 0.
+  const auto topo = small_cluster();
+  engine::ConfigService service(service_options(2));
+  const std::vector<int> batches = {128, 256, 128};
+  for (const int batch : batches) {
+    const auto sr = service.submit_request(topo, {model::gpt_774m(), batch}).get();
+    ASSERT_TRUE(sr.ok()) << sr.error;
+  }
+  const auto snap = service.metrics().snapshot();
+  auto count = [&](const std::string& name) -> long {
+    for (const auto& h : snap.histograms) {
+      if (h.name == name) return h.count;
+    }
+    return -1;
+  };
+  const long n = static_cast<long>(batches.size());
+  EXPECT_EQ(count("pipette.service.queue_wait_s"), n);
+  for (const char* phase : {"mem_filter", "score", "sa"}) {
+    EXPECT_EQ(count(std::string("pipette.phase.") + phase + ".seconds"), n) << phase;
+  }
+  for (const char* phase : {"profile", "mem_train"}) {
+    EXPECT_EQ(count(std::string("pipette.phase.") + phase + ".seconds"), 0) << phase;
   }
 }
 

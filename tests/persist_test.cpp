@@ -41,7 +41,6 @@ core::PipetteOptions fast_options() {
   core::PipetteOptions opt;
   opt.sa.max_iters = 1200;
   opt.sa.time_limit_s = 1e9;
-  opt.sa_top_k = 3;
   opt.memory_training.hidden = {48, 48};
   opt.memory_training.train.iters = 2500;
   opt.memory_training.max_profile_nodes = 2;
@@ -473,7 +472,7 @@ TEST(PersistChaos, EveryFaultKindYieldsTypedSkipsAndColdService) {
   core::ConfiguratorResult cold_result;
   {
     engine::ConfigService service(service_options(2, dir.str()));
-    cold_result = service.submit(topo, job).get();
+    cold_result = service.submit_request(topo, job).get().result;
     ASSERT_TRUE(cold_result.found);
     service.flush_snapshots();
   }
@@ -510,7 +509,7 @@ TEST(PersistChaos, EveryFaultKindYieldsTypedSkipsAndColdService) {
   engine::ConfigService survivor(service_options(2, dir.str()));
   EXPECT_EQ(survivor.load_report().loaded(), 0);
   EXPECT_FALSE(survivor.load_report().clean());
-  const auto res = survivor.submit(topo, job).get();
+  const auto res = survivor.submit_request(topo, job).get().result;
   expect_identical(res, cold_result);
   EXPECT_FALSE(res.profile_from_disk);
   EXPECT_FALSE(res.memory_from_disk);
@@ -606,8 +605,8 @@ TEST(PersistWarmRestart, RoundTrippedArtifactsConfigureBitIdentically) {
     engine::ConfigServiceOptions b = service_options(threads);
     b.pipette = restored;
     engine::ConfigService sa(a), sb(b);
-    const auto ra = sa.submit(topo, job).get();
-    const auto rb = sb.submit(topo, job).get();
+    const auto ra = sa.submit_request(topo, job).get().result;
+    const auto rb = sb.submit_request(topo, job).get().result;
     expect_identical(ra, rb);
   }
 }
