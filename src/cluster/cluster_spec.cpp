@@ -1,9 +1,55 @@
 #include "cluster/cluster_spec.h"
 
+#include <cmath>
+#include <cstdio>
+#include <utility>
+
 #include "common/hashing.h"
 #include "common/units.h"
 
 namespace pipette::cluster {
+
+std::string validate(const ClusterSpec& spec) {
+  const std::pair<const char*, int> counts[] = {
+      {"num_nodes", spec.num_nodes},
+      {"gpus_per_node", spec.gpus_per_node},
+  };
+  for (const auto& [field, value] : counts) {
+    if (value < 1) return std::string(field) + " must be >= 1, got " + std::to_string(value);
+  }
+  // Quantities a time or a capacity divides by must be positive; additive
+  // costs may be zero. NaN fails both tests.
+  const std::pair<const char*, double> positive[] = {
+      {"intra_node.bandwidth_Bps", spec.intra_node.bandwidth_Bps},
+      {"inter_node.bandwidth_Bps", spec.inter_node.bandwidth_Bps},
+      {"gpu_peak_flops", spec.gpu_peak_flops},
+      {"gpu_memory_bytes", spec.gpu_memory_bytes},
+      {"hbm_bandwidth_Bps", spec.hbm_bandwidth_Bps},
+      {"gemm_efficiency_max", spec.gemm_efficiency_max},
+  };
+  const std::pair<const char*, double> non_negative[] = {
+      {"intra_node.latency_s", spec.intra_node.latency_s},
+      {"inter_node.latency_s", spec.inter_node.latency_s},
+      {"cuda_context_bytes", spec.cuda_context_bytes},
+      {"gemm_efficiency_knee_flops", spec.gemm_efficiency_knee_flops},
+  };
+  auto fmt = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return std::string(buf);
+  };
+  for (const auto& [field, value] : positive) {
+    if (!(std::isfinite(value) && value > 0.0)) {
+      return std::string(field) + " must be finite and > 0, got " + fmt(value);
+    }
+  }
+  for (const auto& [field, value] : non_negative) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      return std::string(field) + " must be finite and >= 0, got " + fmt(value);
+    }
+  }
+  return {};
+}
 
 std::uint64_t spec_digest(const ClusterSpec& spec) {
   using common::hash_combine;

@@ -38,6 +38,16 @@ struct ClusterSpec {
   int num_gpus() const { return num_nodes * gpus_per_node; }
 };
 
+/// Why `spec` cannot describe a cluster — the first unusable field, named by
+/// its path (e.g. "gpus_per_node must be >= 1, got 0") — or an empty string
+/// when every field is usable: node and GPU counts >= 1; link bandwidths,
+/// gpu_peak_flops, gpu_memory_bytes, hbm_bandwidth_Bps and
+/// gemm_efficiency_max finite and > 0; link latencies, cuda_context_bytes and
+/// gemm_efficiency_knee_flops finite and >= 0. core::PipetteConfigurator
+/// throws std::invalid_argument with this reason; engine::ConfigService
+/// answers kInvalidRequest with it before admission.
+std::string validate(const ClusterSpec& spec);
+
 /// Stable 64-bit digest of every ClusterSpec field. Two clusters with equal
 /// digests are indistinguishable to anything that reads only the spec — e.g.
 /// the MLP memory estimator, whose training data is simulated from the spec

@@ -68,6 +68,11 @@ void flush_request_metrics(obs::Registry* reg, const ConfiguratorResult& res,
       reg->counter(std::string("pipette.sa.accepts.") + search::AnnealTelemetry::kind_name(k))
           .add(telem.accepted[k]);
     }
+    if (telem.bounded[k] != 0) {
+      reg->counter(std::string("pipette.sa.bounded_stops.") +
+                   search::AnnealTelemetry::kind_name(k))
+          .add(telem.bounded[k]);
+    }
   }
   reg->counter("pipette.sa.rollbacks").add(telem.rollbacks);
   reg->counter("pipette.sa.dirty.cells").add(telem.dirty.cells);
@@ -341,6 +346,7 @@ ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& 
                                                        const model::TrainingJob& job,
                                                        const ConfiguratorResult* warm) {
   std::string reason = model::validate(job);
+  if (reason.empty()) reason = cluster::validate(topo.spec());
   if (reason.empty()) reason = validate(opt_);
   if (!reason.empty()) throw std::invalid_argument(reason);
   Request rq(opt_, topo, job, warm, name());

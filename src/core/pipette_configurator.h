@@ -162,9 +162,10 @@ class PipetteConfigurator final : public Configurator {
   explicit PipetteConfigurator(PipetteOptions opt);
 
   std::string name() const override;
-  /// Throws std::invalid_argument carrying model::validate's or validate's
-  /// reason when the job has a non-positive size or the options an unusable
-  /// SA budget (so does reconfigure()).
+  /// Throws std::invalid_argument carrying model::validate's,
+  /// cluster::validate's or validate's reason when the job has a non-positive
+  /// size, the topology a malformed spec, or the options an unusable SA
+  /// budget (so does reconfigure()).
   ConfiguratorResult configure(const cluster::Topology& topo,
                                const model::TrainingJob& job) override;
 

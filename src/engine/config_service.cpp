@@ -80,10 +80,12 @@ std::future<ServiceResult> ConfigService::submit_request(
     p.set_value(std::move(sr));
     return p.get_future();
   };
-  // Unusable SA budgets and degenerate memory-training options would only
-  // throw inside the configurator or the cluster cache, after the fabric was
-  // profiled: reject them here too.
+  // Malformed cluster specs, unusable SA budgets and degenerate
+  // memory-training options would only throw (or crash) inside the
+  // configurator or the cluster cache, after the fabric was profiled: reject
+  // them here too.
   std::string reason = model::validate(job);
+  if (reason.empty()) reason = cluster::validate(topo.spec());
   if (reason.empty()) reason = core::validate(opt_.pipette);
   if (reason.empty()) {
     reason = mlp::validate(opt_.pipette.memory_training.hidden, opt_.pipette.memory_training.train);

@@ -498,20 +498,23 @@ void IncrementalLatencyEvaluator::mark_term_dirty(int gidx) {
   dirty_terms_.push_back(gidx);
 }
 
-double IncrementalLatencyEvaluator::reduce() const {
+double IncrementalLatencyEvaluator::reduce(Phase priced) const {
   // Fold the cached decomposition exactly as PipetteLatencyModel::estimate
   // does: stage blocks with the shared fixed blocking (detail::blocked_sum),
   // cached per-replica path sums (same blocking), and the same max/add/divide
   // expressions, so the result is bit-identical. Everything priced here was
   // already recomputed along the dirty paths — this is O(pp + dp + pp·tp)
-  // cached reads.
+  // cached reads. A phase not yet priced for the pending move contributes
+  // zero instead of its term; every term is >= 0 and each step below (+, ×
+  // by a positive constant, max) is monotone in IEEE arithmetic, so the
+  // result is then a lower bound on the exact fold, bit for bit.
   const double max_block = max_fold(block_.data(), pp_, 0.0);
   const double sum_blocks = detail::blocked_sum(block_.data(), pp_);
-  const double pp_comm = max_fold(path_.data(), dp_, 0.0);
+  const double pp_comm = priced == Phase::kPipeline ? max_fold(path_.data(), dp_, 0.0) : 0.0;
   const double bubble = std::max(sum_blocks + ppcomm_scale_ * pp_comm, pp_ * max_block);
   const double straggler = (pp_ - 1) * max_block * fill_scale_;
   const double dp_comm =
-      dp_ >= 2 ? max_fold(g_term_.data(), num_groups_, 0.0) : 0.0;
+      dp_ >= 2 && priced != Phase::kTp ? max_fold(g_term_.data(), num_groups_, 0.0) : 0.0;
   return bubble * rounds_ + straggler + dp_comm;
 }
 
@@ -569,7 +572,7 @@ void IncrementalLatencyEvaluator::full_recompute() {
   }
   for (int g = 0; g < num_groups_; ++g) recompute_group_term(g);
   changed_nodes_.clear();
-  cost_ = reduce();
+  cost_ = reduce(Phase::kPipeline);
   pending_ = false;
 }
 
@@ -653,13 +656,16 @@ void IncrementalLatencyEvaluator::apply_and_collect(const parallel::MappingMoveD
   }
 }
 
-double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv) {
+double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv,
+                                            double max_delta) {
   assert(!pending_ && "propose() requires a commit() or rollback() first");
   pending_ = true;
   pending_move_ = mv;
   pending_sigma_ = false;
-  // Clear the previous proposal's dirty lists up front: a no-op proposal
-  // must leave them empty too, so its rollback restores nothing.
+  exact_ = true;
+  // Clear the previous proposal's dirty lists up front: a no-op proposal, or
+  // one stopped before a phase ran, must leave that phase's lists empty too,
+  // so its rollback restores nothing there.
   dirty_cells_.clear();
   dirty_stages_.clear();
   dirty_groups_.clear();
@@ -690,41 +696,140 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
     std::fill(stamp_node_.begin(), stamp_node_.end(), 0u);
     epoch_ = 1;
   }
-  // tp < 2 leaves every TP term at zero and every block at C forever, and
-  // dp < 2 zeroes the whole DP term — skip the respective bookkeeping.
-  const bool track_cells = tp_ >= 2;
-  const bool track_groups = dp_ >= 2;
+  // tp < 2 leaves every TP term at zero and every block at C forever, dp < 2
+  // zeroes the whole DP term, and pp < 2 has no pipeline hops — skip the
+  // respective phase. After each of the first two phases, stop once the
+  // lower bound says the move is rejected anyway.
+  const bool bounded = max_delta < std::numeric_limits<double>::infinity();
+  if (tp_ >= 2) {
+    price_tp_phase();
+    if (bounded && stop_if_rejected(Phase::kTp, max_delta)) return pending_cost_;
+  }
+  if (dp_ >= 2) {
+    price_dp_phase();
+    if (bounded && stop_if_rejected(Phase::kDp, max_delta)) return pending_cost_;
+  }
+  if (pp_ >= 2) price_pipeline_phase();
+  pending_cost_ = reduce(Phase::kPipeline);
+  return pending_cost_;
+}
+
+bool IncrementalLatencyEvaluator::stop_if_rejected(Phase priced, double max_delta) {
+  // Delta space, like the caller's Metropolis test: bound - cost_ <= the
+  // exact c - cost_, whatever the rounding of either cost.
+  const double bound = reduce(priced);
+  if (!(bound - cost_ > max_delta)) return false;
+  pending_cost_ = bound;
+  exact_ = false;
+  return true;
+}
+
+void IncrementalLatencyEvaluator::price_tp_phase() {
+  // TP cells and stage blocks: collect the cells holding a touched position,
+  // reprice those whose member multiset changed, and refold their stages.
   for (std::size_t ti = 0; ti < touched_pos_.size(); ++ti) {
     const int p = touched_pos_[ti];
     const int x = pos_stage_[static_cast<std::size_t>(p)];
+    const int z = pos_dpr_[static_cast<std::size_t>(p)];
+    const int cell = x * dp_ + z;
+    if (stamp_cell_[static_cast<std::size_t>(cell)] != epoch_) {
+      stamp_cell_[static_cast<std::size_t>(cell)] = epoch_;
+      dirty_cells_.push_back({cell, x, z});
+      cell_changed_len_[static_cast<std::size_t>(cell)] = 0;
+    }
+    // Record the touched-event index (positions are unique, so no dedup)
+    // for cell_members_changed's multiset diff.
+    cell_changed_[static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_) +
+                  static_cast<std::size_t>(cell_changed_len_[static_cast<std::size_t>(cell)]++)] =
+        static_cast<int>(ti);
+    if (stamp_stage_[static_cast<std::size_t>(x)] != epoch_) {
+      stamp_stage_[static_cast<std::size_t>(x)] = epoch_;
+      dirty_stages_.push_back(x);
+    }
+  }
+  for (std::size_t i = 0; i < dirty_cells_.size(); ++i) {
+    const DirtyCell& dc = dirty_cells_[i];
+    undo_tp_[i] = tp_term_[static_cast<std::size_t>(dc.idx)];
+    // A pure within-cell permutation leaves the member multiset — and hence
+    // this set-valued term — unchanged: skip the recompute entirely.
+    if (cell_members_changed(dc.idx)) recompute_tp_cell(dc.stage, dc.dpr);
+  }
+  for (std::size_t i = 0; i < dirty_stages_.size(); ++i) {
+    const int x = dirty_stages_[i];
+    undo_block_[i] = block_[static_cast<std::size_t>(x)];
+    recompute_block(x);
+  }
+}
+
+void IncrementalLatencyEvaluator::price_dp_phase() {
+  // DP rings: recompute the stats of the groups the move touched. Node moves
+  // take the relabel-aware kernel: the move is a label permutation σ, so the
+  // node-side state permutes wholesale, every dirty ring's census becomes its
+  // relabelled image, and each ring's NIC-sharing factor is invariant. String
+  // moves take the generic path: a group's NIC occupancy (node_flows_) moves
+  // only when its member-node census changed, and a moved count dirties
+  // other rings' terms only when it did not cancel out within the proposal —
+  // the node→groups index then marks exactly the rings sharing that node.
+  for (const int p : touched_pos_) {
+    const int x = pos_stage_[static_cast<std::size_t>(p)];
+    const int y = pos_tpr_[static_cast<std::size_t>(p)];
+    const int gidx = x * tp_ + y;
+    if (stamp_group_[static_cast<std::size_t>(gidx)] != epoch_) {
+      stamp_group_[static_cast<std::size_t>(gidx)] = epoch_;
+      dirty_groups_.push_back({gidx, x, y, false});
+    }
+  }
+  using parallel::MoveKind;
+  const bool sigma_move = node_sigma_ok_ && (pending_move_.kind == MoveKind::kNodeSwap ||
+                                             pending_move_.kind == MoveKind::kNodeReverse);
+  pending_sigma_ = sigma_move;
+  if (sigma_move) apply_node_sigma();
+  for (std::size_t i = 0; i < dirty_groups_.size(); ++i) {
+    DirtyGroup& dg = dirty_groups_[i];
+    const auto gidx = static_cast<std::size_t>(dg.gidx);
+    undo_g_min_intra_[i] = g_min_intra_[gidx];
+    undo_g_min_inter_[i] = g_min_inter_[gidx];
+    undo_g_max_same_[i] = g_max_same_[gidx];
+    const int old_num = g_num_nodes_[gidx];
+    undo_g_num_nodes_[i] = old_num;
+    const int* cur_nodes = &g_nodes_[gidx * static_cast<std::size_t>(dp_)];
+    int* old_nodes = &undo_g_nodes_[i * static_cast<std::size_t>(dp_)];
+    for (int j = 0; j < old_num; ++j) old_nodes[j] = cur_nodes[j];
+    mark_term_dirty(dg.gidx);  // saves the committed term before any change
+    recompute_group(dg.stage, dg.tpr);
+    if (sigma_move) continue;  // σ already moved the node-side state
+    const int new_num = g_num_nodes_[gidx];
+    bool census_changed = new_num != old_num;
+    for (int j = 0; !census_changed && j < new_num; ++j) {
+      census_changed = cur_nodes[j] != old_nodes[j];
+    }
+    dg.census_changed = census_changed;
+    if (census_changed) {
+      update_group_flows(dg.gidx, old_nodes, old_num, -1);
+      update_group_flows(dg.gidx, cur_nodes, new_num, +1);
+    }
+  }
+  for (const ChangedNode& cn : changed_nodes_) {
+    if (node_flows_[static_cast<std::size_t>(cn.node)] == cn.old_count) continue;  // net no-op
+    const int* groups = &node_groups_[static_cast<std::size_t>(cn.node) *
+                                      static_cast<std::size_t>(num_groups_)];
+    const int len = node_groups_len_[static_cast<std::size_t>(cn.node)];
+    for (int i = 0; i < len; ++i) mark_term_dirty(groups[i]);
+  }
+  for (int gidx : dirty_terms_) recompute_group_term(gidx);
+}
+
+void IncrementalLatencyEvaluator::price_pipeline_phase() {
+  // Pipeline flows: collect the flow into and out of each touched worker's
+  // stage (both on the worker's own (tp, dp) lane), refresh each such flow's
+  // ordered node pair and the per-(hop, pair) sharing counts, then reprice
+  // exactly the columns that hold a touched flow or a flow whose sharing
+  // count changed, and refold exactly the per-replica path sums holding a
+  // repriced column.
+  for (const int p : touched_pos_) {
+    const int x = pos_stage_[static_cast<std::size_t>(p)];
     const int y = pos_tpr_[static_cast<std::size_t>(p)];
     const int z = pos_dpr_[static_cast<std::size_t>(p)];
-    if (track_cells) {
-      const int cell = x * dp_ + z;
-      if (stamp_cell_[static_cast<std::size_t>(cell)] != epoch_) {
-        stamp_cell_[static_cast<std::size_t>(cell)] = epoch_;
-        dirty_cells_.push_back({cell, x, z});
-        cell_changed_len_[static_cast<std::size_t>(cell)] = 0;
-      }
-      // Record the touched-event index (positions are unique, so no dedup)
-      // for cell_members_changed's multiset diff.
-      cell_changed_[static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_) +
-                    static_cast<std::size_t>(cell_changed_len_[static_cast<std::size_t>(cell)]++)] =
-          static_cast<int>(ti);
-      if (stamp_stage_[static_cast<std::size_t>(x)] != epoch_) {
-        stamp_stage_[static_cast<std::size_t>(x)] = epoch_;
-        dirty_stages_.push_back(x);
-      }
-    }
-    if (track_groups) {
-      const int gidx = x * tp_ + y;
-      if (stamp_group_[static_cast<std::size_t>(gidx)] != epoch_) {
-        stamp_group_[static_cast<std::size_t>(gidx)] = epoch_;
-        dirty_groups_.push_back({gidx, x, y, false});
-      }
-    }
-    // The flow into this worker's stage and the flow out of it, both for
-    // this worker's own (tp, dp) lane.
     if (x > 0) {
       const int fl = ((x - 1) * dp_ + z) * tp_ + y;
       if (stamp_flow_[static_cast<std::size_t>(fl)] != epoch_) {
@@ -740,24 +845,6 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
       }
     }
   }
-
-  for (std::size_t i = 0; i < dirty_cells_.size(); ++i) {
-    const DirtyCell& dc = dirty_cells_[i];
-    undo_tp_[i] = tp_term_[static_cast<std::size_t>(dc.idx)];
-    // A pure within-cell permutation leaves the member multiset — and hence
-    // this set-valued term — unchanged: skip the recompute entirely.
-    if (cell_members_changed(dc.idx)) recompute_tp_cell(dc.stage, dc.dpr);
-  }
-  for (std::size_t i = 0; i < dirty_stages_.size(); ++i) {
-    const int x = dirty_stages_[i];
-    undo_block_[i] = block_[static_cast<std::size_t>(x)];
-    recompute_block(x);
-  }
-
-  // Pipeline flows: refresh each touched flow's ordered node pair and the
-  // per-(hop, pair) sharing counts, then reprice exactly the columns that
-  // hold a touched flow or a flow whose sharing count changed, and refold
-  // exactly the per-replica path sums holding a repriced column.
   const int* perm = cur_.raw().data();
   for (std::size_t fi = 0; fi < dirty_flows_.size(); ++fi) {
     const DirtyFlow& df = dirty_flows_[fi];
@@ -826,61 +913,11 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
     }
   }
   for (int z : dirty_paths_) recompute_path(z);
-
-  // DP rings: recompute the stats of the groups the move touched. Node moves
-  // take the relabel-aware kernel: the move is a label permutation σ, so the
-  // node-side state permutes wholesale, every dirty ring's census becomes its
-  // relabelled image, and each ring's NIC-sharing factor is invariant. String
-  // moves take the generic path: a group's NIC occupancy (node_flows_) moves
-  // only when its member-node census changed, and a moved count dirties
-  // other rings' terms only when it did not cancel out within the proposal —
-  // the node→groups index then marks exactly the rings sharing that node.
-  using parallel::MoveKind;
-  const bool sigma_move =
-      node_sigma_ok_ && track_groups &&
-      (mv.kind == MoveKind::kNodeSwap || mv.kind == MoveKind::kNodeReverse);
-  pending_sigma_ = sigma_move;
-  if (sigma_move) apply_node_sigma();
-  for (std::size_t i = 0; i < dirty_groups_.size(); ++i) {
-    DirtyGroup& dg = dirty_groups_[i];
-    const auto gidx = static_cast<std::size_t>(dg.gidx);
-    undo_g_min_intra_[i] = g_min_intra_[gidx];
-    undo_g_min_inter_[i] = g_min_inter_[gidx];
-    undo_g_max_same_[i] = g_max_same_[gidx];
-    const int old_num = g_num_nodes_[gidx];
-    undo_g_num_nodes_[i] = old_num;
-    const int* cur_nodes = &g_nodes_[gidx * static_cast<std::size_t>(dp_)];
-    int* old_nodes = &undo_g_nodes_[i * static_cast<std::size_t>(dp_)];
-    for (int j = 0; j < old_num; ++j) old_nodes[j] = cur_nodes[j];
-    mark_term_dirty(dg.gidx);  // saves the committed term before any change
-    recompute_group(dg.stage, dg.tpr);
-    if (sigma_move) continue;  // σ already moved the node-side state
-    const int new_num = g_num_nodes_[gidx];
-    bool census_changed = new_num != old_num;
-    for (int j = 0; !census_changed && j < new_num; ++j) {
-      census_changed = cur_nodes[j] != old_nodes[j];
-    }
-    dg.census_changed = census_changed;
-    if (census_changed) {
-      update_group_flows(dg.gidx, old_nodes, old_num, -1);
-      update_group_flows(dg.gidx, cur_nodes, new_num, +1);
-    }
-  }
-  for (const ChangedNode& cn : changed_nodes_) {
-    if (node_flows_[static_cast<std::size_t>(cn.node)] == cn.old_count) continue;  // net no-op
-    const int* groups = &node_groups_[static_cast<std::size_t>(cn.node) *
-                                      static_cast<std::size_t>(num_groups_)];
-    const int len = node_groups_len_[static_cast<std::size_t>(cn.node)];
-    for (int i = 0; i < len; ++i) mark_term_dirty(groups[i]);
-  }
-  for (int gidx : dirty_terms_) recompute_group_term(gidx);
-
-  pending_cost_ = reduce();
-  return pending_cost_;
 }
 
 void IncrementalLatencyEvaluator::commit() {
   assert(pending_ && "commit() without a pending propose()");
+  assert(exact_ && "commit() after a bounded stop: the move was never priced in full");
   cost_ = pending_cost_;
   pending_ = false;
 }

@@ -40,9 +40,30 @@
 // the next propose(). After construction no heap allocation happens on the
 // propose/commit/rollback path: all term tables, dirty lists, undo logs, and
 // scratch buffers are preallocated to their worst-case sizes.
+//
+// Metropolis-bounded proposals. Most SA proposals are rejected, and the
+// uniform that rejects a worsening move is drawn before the move is priced,
+// so the annealer passes propose(move, max_delta): the largest cost increase
+// that draw could still accept (search::detail::metropolis_max_delta).
+// propose prices the move in three phases — TP cells and stage blocks, then
+// DP rings and their terms, then pipeline flows, hop columns and path sums —
+// and after each of the first two folds a lower bound: reduce() with the
+// terms of the phases not yet run set to zero (every term is >= 0, and the
+// fold's +, × by positive constants and max are IEEE-monotone, so the bound
+// is <= the exact cost bit for bit). Once bound - cost() > max_delta the
+// move is certain to be rejected: propose stops, returns the bound and
+// reports exact() == false. rollback() then undoes exactly the phases that
+// ran (the dirty lists of the others stay empty), and commit() is an error.
+// The default max_delta = +inf never stops, so propose(move) prices every
+// move in full. The phases run in the order that decides rejections
+// soonest: on shapes with pp >= 2 and tp >= 2 the TP bound alone decides
+// most rejected string moves (migrate, swap, reverse), TP plus DP decides
+// nearly all of them on every shape, and the pipeline phase runs only for
+// moves the first two could not reject.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "estimators/latency_models.h"
@@ -52,9 +73,9 @@ namespace pipette::estimators {
 
 class IncrementalLatencyEvaluator {
  public:
-  /// Sizes of the dirty sets the last propose() touched — the bench's
-  /// dirtied-entries histogram reads this; all counts are free byproducts of
-  /// the dirty lists.
+  /// Sizes of the dirty sets the last propose() priced — a bounded stop
+  /// leaves the phases it skipped at zero. The bench's dirtied-entries
+  /// histogram reads this; all counts are free byproducts of the dirty lists.
   struct DirtyStats {
     int cells = 0;   ///< TP cells repriced
     int stages = 0;  ///< stage blocks refolded
@@ -79,10 +100,19 @@ class IncrementalLatencyEvaluator {
   double cost() const { return cost_; }
 
   /// Applies `mv` tentatively and returns the resulting total latency,
-  /// recomputing only the term-table entries the move dirtied.
-  double propose(const parallel::MappingMoveDesc& mv);
+  /// recomputing only the term-table entries the move dirtied. With a finite
+  /// `max_delta`, pricing stops as soon as a lower bound on the new cost
+  /// exceeds cost() by more than max_delta; the return value is then that
+  /// bound and exact() is false.
+  double propose(const parallel::MappingMoveDesc& mv,
+                 double max_delta = std::numeric_limits<double>::infinity());
+
+  /// Whether the last propose() priced the move in full (its return value is
+  /// the exact cost). False after a bounded stop.
+  bool exact() const { return exact_; }
 
   /// Accepts the pending move: the proposed mapping becomes committed state.
+  /// Requires exact().
   void commit();
 
   /// Undoes the pending move exactly: the mapping, every cached term, and the
@@ -101,6 +131,9 @@ class IncrementalLatencyEvaluator {
   bool bw_tiered() const { return bw_tiered_; }
 
  private:
+  /// propose()'s pricing phases, in the order they run.
+  enum class Phase { kTp, kDp, kPipeline };
+
   void full_recompute();
   void apply_and_collect(const parallel::MappingMoveDesc& mv);
   /// Appends the live workers of node block `node` to the touched/undo/new
@@ -146,8 +179,18 @@ class IncrementalLatencyEvaluator {
   /// site lives there, so it inlines within the translation unit).
   double bw_at(int g1, int g2) const;
   /// Folds the cached decomposition into Eq. (3): O(pp + dp + pp·tp) reads,
-  /// bracketed exactly like PipetteLatencyModel::estimate.
-  double reduce() const;
+  /// bracketed exactly like PipetteLatencyModel::estimate. The terms of the
+  /// phases after `priced` count as zero, which makes the fold a lower bound
+  /// while a proposal is part-priced.
+  double reduce(Phase priced) const;
+  /// The pricing phases: each collects its own dirty entries from the
+  /// touched positions, saves their undo values, and reprices them.
+  void price_tp_phase();
+  void price_dp_phase();
+  void price_pipeline_phase();
+  /// Stops the pending proposal if the bound through phase `priced` is more
+  /// than `max_delta` above cost().
+  bool stop_if_rejected(Phase priced, double max_delta);
 
   const PipetteLatencyModel* model_;
   parallel::Mapping cur_;
@@ -218,7 +261,8 @@ class IncrementalLatencyEvaluator {
   std::vector<int> node_group_pos_;   ///< [gidx*num_nodes + node] slot or -1
 
   double cost_ = 0.0;          ///< committed cost
-  double pending_cost_ = 0.0;  ///< proposed cost
+  double pending_cost_ = 0.0;  ///< proposed cost (a lower bound when !exact_)
+  bool exact_ = true;          ///< the pending proposal was priced in full
 
   // Dirty tracking (epoch stamps dedup without clearing).
   std::uint32_t epoch_ = 0;

@@ -18,6 +18,7 @@ void AnnealTelemetry::merge(const AnnealTelemetry& other) {
   for (int k = 0; k < kKinds; ++k) {
     proposed[k] += other.proposed[k];
     accepted[k] += other.accepted[k];
+    bounded[k] += other.bounded[k];
   }
   rollbacks += other.rollbacks;
   dirty.cells += other.dirty.cells;
@@ -210,12 +211,27 @@ void ResumableMappingAnneal::run_to(long target_iters) {
       if (over_time(watch)) break;
     }
     const parallel::MappingMoveDesc mv = draw_mapping_move(eval_.mapping(), rng_, moves_, gpn_);
-    const double c = eval_.propose(mv);
+    // Peek the uniform metropolis_accept would draw for a worsening move: it
+    // bounds the cost increase that can still be accepted, so the evaluator
+    // may stop pricing once the move's rejection is certain.
+    common::Rng after_draw = rng_;
+    const double max_delta = detail::metropolis_max_delta(temp_, after_draw.uniform());
+    const double c = eval_.propose(mv, max_delta);
     if (telemetry_) {
       ++telemetry_->proposed[static_cast<int>(mv.kind)];
       telemetry_->add_dirty(eval_.last_dirty());
     }
-    if (detail::metropolis_accept(c - cur_cost_, temp_, rng_)) {
+    if (!eval_.exact()) {
+      // A bounded stop: the move's delta exceeds max_delta > 0, so
+      // metropolis_accept would have drawn exactly the peeked uniform and
+      // rejected. Consume that draw and reject.
+      rng_ = after_draw;
+      eval_.rollback();
+      if (telemetry_) {
+        ++telemetry_->bounded[static_cast<int>(mv.kind)];
+        ++telemetry_->rollbacks;
+      }
+    } else if (detail::metropolis_accept(c - cur_cost_, temp_, rng_)) {
       eval_.commit();
       cur_cost_ = c;
       ++accepted_;

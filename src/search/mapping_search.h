@@ -45,7 +45,7 @@ struct MoveSet {
 };
 
 /// SA-loop telemetry accumulated locally by the annealers — per-move-kind
-/// proposal/accept counts, rollbacks, and the aggregated
+/// proposal/accept/bounded-stop counts, rollbacks, and the aggregated
 /// IncrementalLatencyEvaluator dirty-set sizes. Plain longs with no locks or
 /// atomics: each chain owns its own instance, the caller merges and flushes
 /// to an obs::Registry after the run. Attaching one adds a handful of
@@ -57,9 +57,13 @@ struct AnnealTelemetry {
   static const char* kind_name(int k);
   long proposed[kKinds] = {};
   long accepted[kKinds] = {};
+  /// Proposals rejected by a bounded stop, before they were priced in full
+  /// (counted among the rollbacks too).
+  long bounded[kKinds] = {};
   long rollbacks = 0;
-  /// Aggregated dirty-set sizes over every proposal (long: a chain can run
-  /// millions of proposals, overflowing DirtyStats' per-move ints).
+  /// Aggregated dirty-set sizes over every proposal — entries actually
+  /// priced, so a bounded stop adds only its priced phases (long: a chain
+  /// can run millions of proposals, overflowing DirtyStats' per-move ints).
   struct DirtyTotals {
     long cells = 0, stages = 0, flows = 0, cols = 0, paths = 0, groups = 0, terms = 0;
   } dirty;
@@ -82,6 +86,11 @@ struct AnnealTelemetry {
   long total_accepted() const {
     long t = 0;
     for (const long a : accepted) t += a;
+    return t;
+  }
+  long total_bounded() const {
+    long t = 0;
+    for (const long b : bounded) t += b;
     return t;
   }
 };

@@ -39,17 +39,38 @@ struct SaResult {
 
 namespace detail {
 
-/// The Metropolis rule shared by both annealers (simulated_annealing below
-/// and ResumableMappingAnneal): accept improvements, else
-/// accept with probability exp(-delta / temp). One uniform draw is consumed
-/// exactly when delta > 0, and exp() is skipped where it is exactly 0.0
-/// (argument far past the subnormal range, where u < 0.0 can never hold) —
-/// the decision and the rng stream are bit-identical to the plain rule.
-inline bool metropolis_accept(double delta, double temp, common::Rng& rng) {
-  if (delta <= 0.0) return true;
-  const double u = rng.uniform();
+/// The Metropolis decision for a worsening move (delta > 0) whose uniform
+/// draw is `u`: accept with probability exp(-delta / temp). exp() is skipped
+/// where it is exactly 0.0 (argument far past the subnormal range, where
+/// u < 0.0 can never hold), so the decision is bit-identical to the plain rule.
+inline bool metropolis_accepts_draw(double delta, double temp, double u) {
   const double arg = -delta / temp;
   return arg > -760.0 && u < std::exp(arg);
+}
+
+/// The Metropolis rule shared by both annealers (simulated_annealing below
+/// and ResumableMappingAnneal): accept improvements, else decide by
+/// metropolis_accepts_draw. One uniform draw is consumed exactly when
+/// delta > 0.
+inline bool metropolis_accept(double delta, double temp, common::Rng& rng) {
+  if (delta <= 0.0) return true;
+  return metropolis_accepts_draw(delta, temp, rng.uniform());
+}
+
+/// The largest cost increase the Metropolis rule could still accept at
+/// `temp` when its uniform draw is `u`: metropolis_accepts_draw(delta, temp,
+/// u) is false for every double delta > metropolis_max_delta(temp, u). The
+/// real cut is temp * -ln(u); a relative and an absolute margin of 2^-40 (in
+/// units of temp) absorb the rounding of log, the division and exp, and the
+/// product is rounded up one ulp so it cannot land below the cut even when
+/// it is subnormal. A bound about 1e-12 (relative) too generous only prices
+/// in full the proposals whose delta lands inside the margin. u = 0 accepts
+/// every delta up to the exp() underflow, so it gets no bound (+inf).
+inline double metropolis_max_delta(double temp, double u) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (u <= 0.0) return kInf;
+  const double x = -std::log(u);
+  return std::nextafter(temp * (x + x * 0x1p-40 + 0x1p-40), kInf);
 }
 
 }  // namespace detail

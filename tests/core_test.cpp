@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "common/hashing.h"
 #include "core/baselines.h"
 #include "core/evaluation.h"
 #include "core/pipette_configurator.h"
@@ -566,6 +570,56 @@ TEST(PipetteConfigurator, RejectsSaBudgetsTheRaceCannotRun) {
       << "the rejection must point at the wall-clock bound";
 }
 
+TEST(PipetteConfigurator, RejectsMalformedClusterSpecs) {
+  // The ten malformed 2-node mid-range specs the service rejects before
+  // admission; configure() throws the same reason instead of crashing
+  // (gpus_per_node = 0), returning a plan priced on impossible links, or
+  // failing deep inside profiling.
+  using limits = std::numeric_limits<double>;
+  struct Case {
+    const char* field;
+    void (*corrupt)(cluster::ClusterSpec&);
+  };
+  const Case cases[] = {
+      {"gpus_per_node", [](cluster::ClusterSpec& s) { s.gpus_per_node = 0; }},
+      {"inter_node.bandwidth_Bps",
+       [](cluster::ClusterSpec& s) { s.inter_node.bandwidth_Bps = limits::quiet_NaN(); }},
+      {"inter_node.bandwidth_Bps", [](cluster::ClusterSpec& s) { s.inter_node.bandwidth_Bps = 0; }},
+      {"inter_node.bandwidth_Bps",
+       [](cluster::ClusterSpec& s) { s.inter_node.bandwidth_Bps = -1e9; }},
+      {"intra_node.bandwidth_Bps",
+       [](cluster::ClusterSpec& s) { s.intra_node.bandwidth_Bps = limits::infinity(); }},
+      {"gpu_peak_flops", [](cluster::ClusterSpec& s) { s.gpu_peak_flops = 0; }},
+      {"gpu_memory_bytes", [](cluster::ClusterSpec& s) { s.gpu_memory_bytes = 0; }},
+      {"gpu_memory_bytes",
+       [](cluster::ClusterSpec& s) { s.gpu_memory_bytes = limits::quiet_NaN(); }},
+      {"num_nodes", [](cluster::ClusterSpec& s) { s.num_nodes = 0; }},
+      {"gpus_per_node", [](cluster::ClusterSpec& s) { s.gpus_per_node = -8; }},
+  };
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  core::PipetteConfigurator ppt(fast_pipette(true));
+  for (const Case& c : cases) {
+    cluster::ClusterSpec spec = cluster::mid_range_cluster(2);
+    c.corrupt(spec);
+    const std::string reason = cluster::validate(spec);
+    EXPECT_EQ(reason.rfind(std::string(c.field) + " ", 0), 0u) << c.field << ": " << reason;
+    const cluster::Topology topo(spec, cluster::HeterogeneityOptions{}, 2024);
+    try {
+      ppt.configure(topo, job);
+      ADD_FAILURE() << c.field << ": configure() accepted a malformed cluster spec";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), reason);
+    }
+  }
+  // Zero latencies and context bytes are usable; negative ones are not.
+  cluster::ClusterSpec edge = cluster::mid_range_cluster(2);
+  edge.intra_node.latency_s = 0.0;
+  edge.cuda_context_bytes = 0.0;
+  EXPECT_EQ(cluster::validate(edge), "");
+  edge.inter_node.latency_s = -1e-6;
+  EXPECT_EQ(cluster::validate(edge).rfind("inter_node.latency_s ", 0), 0u);
+}
+
 TEST(PipetteConfigurator, ReconfigureOnUnchangedTopologyReturnsPreviousResult) {
   auto topo = small_cluster();
   const model::TrainingJob job{model::gpt_774m(), 128};
@@ -656,4 +710,71 @@ TEST(PipetteConfigurator, ReconfigureBelowClampRetrainsStaleEstimator) {
       << "clamp 3 -> 2 is a different training dataset; blind reuse filters with the wrong net";
   EXPECT_NE(shrunk.memory_estimator->training_digest(),
             prev.memory_estimator->training_digest());
+}
+
+TEST(PipetteConfigurator, GoldenRecommendationDigests) {
+  // Pins recommendations across commits, not just self-consistency: each row
+  // is a default-options request (small memory net, a few thousand SA
+  // iterations per candidate) whose plan, predicted_s bits, mapping digest
+  // and SA iteration count were recorded by running this test. A change that
+  // is meant to keep every recommendation bit-identical must leave the table
+  // alone; one that changes plans on purpose re-records it and says so.
+  struct Golden {
+    bool high_end;
+    int nodes;
+    model::TransformerConfig (*model)();
+    int global_batch;
+    const char* plan;
+    std::uint64_t predicted_bits;
+    std::uint64_t mapping_digest;
+    long sa_iters;
+  };
+  const Golden table[] = {
+      {false, 2, model::gpt_774m, 128, "pp1-tp1-dp16-mb8-rcsel-z1", 0x3ff196c54179901dull,
+       0x6c6d71adf036446dull, 11980},
+      {false, 4, model::gpt_1_1b, 256, "pp2-tp1-dp16-mb4-i2-rcsel-z1", 0x3ffb46b762ca075dull,
+       0x0394a6b656a3aafaull, 13636},
+      {false, 8, model::gpt_3_1b, 512, "pp4-tp2-dp8-mb4-rcsel-z1", 0x40128e2c53b4b7f7ull,
+       0x1c339b185290b5f4ull, 20533},
+      {true, 2, model::gpt_2_2b, 128, "pp2-tp1-dp8-mb8-i2-rcsel-z1", 0x3ff44d879a4677caull,
+       0x630df9f75b7414c6ull, 13659},
+      {true, 4, model::gpt_8_1b, 256, "pp4-tp2-dp4-mb8-i2-rcsel-z1", 0x4010d11875c5d81full,
+       0xcc6df2a93b1a7c32ull, 11096},
+      {true, 8, model::gpt_11_1b, 512, "pp4-tp1-dp16-mb2-i2-rcsel-z1", 0x4018f7c5439b9f94ull,
+       0xf2d217a827130435ull, 14371},
+  };
+  bool tp1 = false, tp_multi = false;
+  for (const Golden& g : table) {
+    const cluster::ClusterSpec spec =
+        g.high_end ? cluster::high_end_cluster(g.nodes) : cluster::mid_range_cluster(g.nodes);
+    const cluster::Topology topo(spec, cluster::HeterogeneityOptions{}, 2024);
+    const model::TrainingJob job{g.model(), g.global_batch};
+    core::PipetteOptions opt;
+    opt.sa.max_iters = 3000;
+    opt.memory_training.hidden = {32, 32};
+    opt.memory_training.train.iters = 2000;
+    opt.memory_training.soft_margin = 0.12;
+    core::PipetteConfigurator ppt(opt);
+    const auto res = ppt.configure(topo, job);
+    const std::string ctx = spec.name + " x" + std::to_string(g.nodes) + " " + job.model.name;
+    ASSERT_TRUE(res.found) << ctx;
+    ASSERT_TRUE(res.mapping.has_value()) << ctx;
+    std::uint64_t digest = 0;
+    for (const int gpu : res.mapping->raw()) {
+      digest = common::hash_combine(digest, static_cast<std::uint64_t>(gpu));
+    }
+    const auto bits = std::bit_cast<std::uint64_t>(res.predicted_s);
+    // On a mismatch, print the row as it would be re-recorded.
+    char row[256];
+    std::snprintf(row, sizeof row, "%s: \"%s\", 0x%016llxull, 0x%016llxull, %ld", ctx.c_str(),
+                  res.best.str().c_str(), static_cast<unsigned long long>(bits),
+                  static_cast<unsigned long long>(digest), res.sa_iters);
+    EXPECT_EQ(res.best.str(), g.plan) << row;
+    EXPECT_EQ(bits, g.predicted_bits) << row;
+    EXPECT_EQ(digest, g.mapping_digest) << row;
+    EXPECT_EQ(res.sa_iters, g.sa_iters) << row;
+    (res.best.pc.tp == 1 ? tp1 : tp_multi) = true;
+  }
+  EXPECT_TRUE(tp1) << "the table must pin a tp = 1 winner";
+  EXPECT_TRUE(tp_multi) << "the table must pin a tp >= 2 winner";
 }

@@ -475,6 +475,55 @@ TEST(ConfigService, RejectsDegenerateJobsWithATypedStatus) {
   EXPECT_EQ(service.pending(), 0);
 }
 
+TEST(ConfigService, RejectsMalformedClusterSpecsBeforeProfiling) {
+  // Each case breaks one field of a 2-node mid-range spec. Before
+  // validation, gpus_per_node = 0 crashed the service process; a NaN, zero
+  // or negative inter-node bandwidth, an infinite intra-node bandwidth and a
+  // zero peak FLOP rate returned ok plans (the last with predicted_s NaN);
+  // the memory and count cases failed as internal_error after profiling.
+  using limits = std::numeric_limits<double>;
+  struct Case {
+    const char* field;
+    void (*corrupt)(cluster::ClusterSpec&);
+  };
+  const Case cases[] = {
+      {"gpus_per_node", [](cluster::ClusterSpec& s) { s.gpus_per_node = 0; }},
+      {"inter_node.bandwidth_Bps",
+       [](cluster::ClusterSpec& s) { s.inter_node.bandwidth_Bps = limits::quiet_NaN(); }},
+      {"inter_node.bandwidth_Bps", [](cluster::ClusterSpec& s) { s.inter_node.bandwidth_Bps = 0; }},
+      {"inter_node.bandwidth_Bps",
+       [](cluster::ClusterSpec& s) { s.inter_node.bandwidth_Bps = -1e9; }},
+      {"intra_node.bandwidth_Bps",
+       [](cluster::ClusterSpec& s) { s.intra_node.bandwidth_Bps = limits::infinity(); }},
+      {"gpu_peak_flops", [](cluster::ClusterSpec& s) { s.gpu_peak_flops = 0; }},
+      {"gpu_memory_bytes", [](cluster::ClusterSpec& s) { s.gpu_memory_bytes = 0; }},
+      {"gpu_memory_bytes",
+       [](cluster::ClusterSpec& s) { s.gpu_memory_bytes = limits::quiet_NaN(); }},
+      {"num_nodes", [](cluster::ClusterSpec& s) { s.num_nodes = 0; }},
+      {"gpus_per_node", [](cluster::ClusterSpec& s) { s.gpus_per_node = -8; }},
+  };
+  ASSERT_EQ(cluster::validate(cluster::mid_range_cluster(2)), "");
+  ASSERT_EQ(cluster::validate(cluster::high_end_cluster(16)), "");
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  engine::ConfigService service(service_options(2));
+  for (const Case& c : cases) {
+    cluster::ClusterSpec spec = cluster::mid_range_cluster(2);
+    c.corrupt(spec);
+    const cluster::Topology topo(spec, cluster::HeterogeneityOptions{}, 2024);
+    const auto sr = service.submit_request(topo, job).get();
+    EXPECT_EQ(sr.status, engine::ServiceStatus::kInvalidRequest)
+        << c.field << ": " << engine::to_string(sr.status) << " (" << sr.error << ")";
+    EXPECT_EQ(sr.error.rfind(std::string(c.field) + " ", 0), 0u)
+        << "error must name the field: " << sr.error;
+    EXPECT_EQ(sr.error, cluster::validate(spec));
+    for (const auto& swept : service.sweep_requests(topo, {job}, {})) {
+      EXPECT_EQ(swept.status, engine::ServiceStatus::kInvalidRequest) << c.field;
+    }
+  }
+  EXPECT_EQ(service.cache_stats().lookups, 0) << "rejected before any profiling";
+  EXPECT_EQ(service.pending(), 0);
+}
+
 TEST(ConfigService, RejectsDegenerateMemoryTrainingOptionsBeforeProfiling) {
   // Each case breaks one memory-training option of the service. Admitted,
   // such a request would profile the fabric and then fail in the cluster

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <limits>
 #include <tuple>
 
@@ -50,6 +51,54 @@ struct Fixture {
   }
 };
 
+/// A random Metropolis bound for propose(): none a quarter of the time, zero
+/// (stop on any proven increase) a quarter, else a cost-relative bound spread
+/// over eight decades. Drawn from its own stream, so the sweeps' move and
+/// commit streams are the ones they draw without bounds.
+double random_bound(common::Rng& rng, double cost) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return std::numeric_limits<double>::infinity();
+    case 1:
+      return 0.0;
+    default:
+      return cost * std::pow(10.0, -8.0 * rng.uniform());
+  }
+}
+
+/// Bounded-proposal bookkeeping of one sweep.
+struct StopCounts {
+  int stops = 0, exact = 0;
+};
+
+/// Proposes `mv` under `max_delta` and returns the move's exact cost. After
+/// a bounded stop it checks the stop (a finite bound, exceeded, and no
+/// pipeline entry priced), rolls back — which must restore the committed
+/// mapping and cost — re-proposes unbounded, and checks the stopped bound is
+/// <= the exact cost.
+double propose_bounded(estimators::IncrementalLatencyEvaluator& eval,
+                       const parallel::MappingMoveDesc& mv, double max_delta, StopCounts& counts) {
+  const std::vector<int> before = eval.mapping().raw();
+  const double committed = eval.cost();
+  const double first = eval.propose(mv, max_delta);
+  if (eval.exact()) {
+    ++counts.exact;
+    return first;
+  }
+  ++counts.stops;
+  EXPECT_TRUE(std::isfinite(max_delta));
+  EXPECT_GT(first - committed, max_delta);
+  const auto dirt = eval.last_dirty();
+  EXPECT_EQ(dirt.flows + dirt.cols + dirt.paths, 0) << "a stop never reaches the pipeline phase";
+  eval.rollback();
+  EXPECT_EQ(eval.mapping().raw(), before);
+  EXPECT_EQ(eval.cost(), committed);
+  const double exact = eval.propose(mv);
+  EXPECT_TRUE(eval.exact());
+  EXPECT_LE(first, exact) << "the stopped bound must not exceed the exact cost";
+  return exact;
+}
+
 }  // namespace
 
 class IncrementalEquivalence : public testing::TestWithParam<parallel::ParallelConfig> {};
@@ -64,6 +113,8 @@ TEST_P(IncrementalEquivalence, MatchesFullModelBitForBitOverRandomMoves) {
   ASSERT_EQ(eval.cost(), model.estimate(committed));
 
   common::Rng rng(99 + static_cast<std::uint64_t>(fx.pc.ways()));
+  common::Rng bound_rng(7 + static_cast<std::uint64_t>(fx.pc.ways()));
+  StopCounts counts;
   std::array<int, 5> kind_counts{};
   for (int iter = 0; iter < 1000; ++iter) {
     const auto mv = search::draw_mapping_move(committed, rng, {}, gpn);
@@ -73,7 +124,8 @@ TEST_P(IncrementalEquivalence, MatchesFullModelBitForBitOverRandomMoves) {
     parallel::apply_move(moved, mv, gpn);
     ASSERT_TRUE(moved.is_valid_permutation());
 
-    const double incremental = eval.propose(mv);
+    const double incremental =
+        propose_bounded(eval, mv, random_bound(bound_rng, eval.cost()), counts);
     const double full = model.estimate(moved);
     ASSERT_EQ(incremental, full) << "iter " << iter << " kind "
                                  << static_cast<int>(mv.kind);
@@ -94,6 +146,8 @@ TEST_P(IncrementalEquivalence, MatchesFullModelBitForBitOverRandomMoves) {
   for (std::size_t k = 0; k < kind_counts.size(); ++k) {
     EXPECT_GT(kind_counts[k], 0) << "move kind " << k << " never drawn";
   }
+  EXPECT_GT(counts.stops, 0) << "no proposal stopped on its bound";
+  EXPECT_GT(counts.exact, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, IncrementalEquivalence,
@@ -139,6 +193,8 @@ class TieredBandwidth : public testing::TestWithParam<parallel::ParallelConfig> 
     parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
     ASSERT_EQ(eval.cost(), model.estimate(committed));
     common::Rng rng(seed);
+    common::Rng bound_rng(seed + 1);
+    StopCounts counts;
     std::array<int, 5> kind_counts{};
     int commits = 0, rollbacks = 0;
     for (int iter = 0; iter < iters; ++iter) {
@@ -146,7 +202,8 @@ class TieredBandwidth : public testing::TestWithParam<parallel::ParallelConfig> 
       ++kind_counts[static_cast<std::size_t>(mv.kind)];
       parallel::Mapping moved = committed;
       parallel::apply_move(moved, mv, gpn);
-      ASSERT_EQ(eval.propose(mv), model.estimate(moved))
+      ASSERT_EQ(propose_bounded(eval, mv, random_bound(bound_rng, eval.cost()), counts),
+                model.estimate(moved))
           << "iter " << iter << " kind " << static_cast<int>(mv.kind);
       if (rng.bernoulli(0.5)) {
         eval.commit();
@@ -164,6 +221,7 @@ class TieredBandwidth : public testing::TestWithParam<parallel::ParallelConfig> 
     }
     EXPECT_GT(commits, 0);
     EXPECT_GT(rollbacks, 0);
+    EXPECT_GT(counts.stops, 0) << "no proposal stopped on its bound";
   }
 };
 
@@ -236,7 +294,10 @@ TEST_P(IncrementalSa, FollowsFullEvaluationTrajectoryExactly) {
   opt.seed = 21;
 
   parallel::Mapping inc = parallel::Mapping::megatron_default(fx.pc);
-  const auto res_inc = search::optimize_mapping(inc, model, gpn, opt, moves);
+  search::AnnealTelemetry telem;
+  const auto res_inc = search::optimize_mapping(inc, model, gpn, opt, moves, &telem);
+  EXPECT_GT(telem.total_bounded(), 0)
+      << "no proposal stopped on its Metropolis bound: the match below would not cover stops";
 
   parallel::Mapping full = parallel::Mapping::megatron_default(fx.pc);
   const auto res_full = search::simulated_annealing(
@@ -369,11 +430,14 @@ TEST_P(PlanAxisEquivalence, MatchesFullModelBitForBitOnExtendedPlans) {
   ASSERT_EQ(eval.cost(), model.estimate(committed));
 
   common::Rng rng(1234 + static_cast<std::uint64_t>(which));
+  common::Rng bound_rng(77 + static_cast<std::uint64_t>(which));
+  StopCounts counts;
   for (int iter = 0; iter < 600; ++iter) {
     const auto mv = search::draw_mapping_move(committed, rng, {}, gpn);
     parallel::Mapping moved = committed;
     parallel::apply_move(moved, mv, gpn);
-    ASSERT_EQ(eval.propose(mv), model.estimate(moved))
+    ASSERT_EQ(propose_bounded(eval, mv, random_bound(bound_rng, eval.cost()), counts),
+              model.estimate(moved))
         << plan.str() << " iter " << iter << " kind " << static_cast<int>(mv.kind);
     if (rng.bernoulli(0.5)) {
       eval.commit();
@@ -383,6 +447,7 @@ TEST_P(PlanAxisEquivalence, MatchesFullModelBitForBitOnExtendedPlans) {
       ASSERT_EQ(eval.cost(), model.estimate(committed)) << plan.str() << " iter " << iter;
     }
   }
+  EXPECT_GT(counts.stops, 0) << plan.str() << ": no proposal stopped on its bound";
 }
 
 INSTANTIATE_TEST_SUITE_P(Axes, PlanAxisEquivalence, testing::Values(0, 1, 2, 3, 4));
@@ -403,11 +468,14 @@ TEST_P(SpanBoundedEquivalence, MatchesFullModelBitForBitUnderBoundedDraws) {
   parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
   estimators::IncrementalLatencyEvaluator eval(model, committed, gpn);
   common::Rng rng(4242 + static_cast<std::uint64_t>(fx.pc.ways()));
+  common::Rng bound_rng(4243 + static_cast<std::uint64_t>(fx.pc.ways()));
+  StopCounts counts;
   for (int iter = 0; iter < 1000; ++iter) {
     const auto mv = search::draw_mapping_move(committed, rng, moves, gpn);
     parallel::Mapping moved = committed;
     parallel::apply_move(moved, mv, gpn);
-    ASSERT_EQ(eval.propose(mv), model.estimate(moved))
+    ASSERT_EQ(propose_bounded(eval, mv, random_bound(bound_rng, eval.cost()), counts),
+              model.estimate(moved))
         << "iter " << iter << " kind " << static_cast<int>(mv.kind);
     if (rng.bernoulli(0.5)) {
       eval.commit();
@@ -418,6 +486,7 @@ TEST_P(SpanBoundedEquivalence, MatchesFullModelBitForBitUnderBoundedDraws) {
       ASSERT_EQ(eval.cost(), model.estimate(committed)) << "iter " << iter;
     }
   }
+  EXPECT_GT(counts.stops, 0) << "no proposal stopped on its bound";
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SpanBoundedEquivalence,

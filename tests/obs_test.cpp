@@ -466,6 +466,29 @@ TEST(ConfigService, PhaseAndQueueWaitHistogramsCountEveryServedRequest) {
   }
 }
 
+TEST(ConfigService, CountsBoundedStopsBesideProposals) {
+  // An 8-node request anneals shapes whose rejected proposals mostly stop on
+  // their Metropolis bound: the per-kind stop counters must be flushed next
+  // to the proposal counters, and reconcile with them.
+  const cluster::Topology topo(cluster::mid_range_cluster(8), cluster::HeterogeneityOptions{},
+                               2024);
+  engine::ConfigService service(service_options(2));
+  const auto sr = service.submit_request(topo, {model::gpt_3_1b(), 512}).get();
+  ASSERT_TRUE(sr.ok()) << sr.error;
+  const auto snap = service.metrics().snapshot();
+  long stops = 0;
+  for (int k = 0; k < search::AnnealTelemetry::kKinds; ++k) {
+    const std::string kind = search::AnnealTelemetry::kind_name(k);
+    const long bounded = snap.counter("pipette.sa.bounded_stops." + kind);
+    EXPECT_LE(bounded + snap.counter("pipette.sa.accepts." + kind),
+              snap.counter("pipette.sa.proposals." + kind))
+        << kind << ": a stopped proposal is never accepted";
+    stops += bounded;
+  }
+  EXPECT_GT(stops, 0) << "no proposal stopped on its bound";
+  EXPECT_LE(stops, snap.counter("pipette.sa.rollbacks")) << "every stop is rolled back";
+}
+
 TEST(ThreadPool, ReportsTaskAndIndexAccounting) {
   obs::Registry reg;
   {

@@ -99,6 +99,58 @@ TEST(SimulatedAnnealing, NeverReturnsWorseThanInitial) {
   EXPECT_EQ(state, (std::vector<int>{0, 1, 2, 3}));
 }
 
+TEST(Metropolis, MaxDeltaRejectsEveryLargerDelta) {
+  // metropolis_max_delta turns the uniform a worsening move would be decided
+  // by into the largest delta that draw could still accept. The SA chain
+  // stops pricing a proposal once a lower bound on its delta exceeds it, so
+  // every computed delta above it must be rejected with that u, whatever the
+  // rounding of log, the division and exp — down to the schedule's 1e-300
+  // temperature floor and into subnormal temperatures.
+  using search::detail::metropolis_accepts_draw;
+  using search::detail::metropolis_max_delta;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> temps;
+  for (double t = 1e-300; t < 0.05 * 3.0; t *= 7.3) temps.push_back(t);
+  temps.push_back(0.05 * 3.0);  // T0 of a 3-second plan
+  const double subnormal_temps[] = {1e-310, 3e-320, std::numeric_limits<double>::denorm_min()};
+  auto expect_rejects_above = [](double temp, double u) {
+    const double md = metropolis_max_delta(temp, u);
+    ASSERT_TRUE(std::isfinite(md)) << temp << " " << u;
+    ASSERT_GT(md, 0.0) << temp << " " << u;
+    double d = md;
+    for (int k = 0; k < 4; ++k) {
+      d = std::nextafter(d, kInf);
+      EXPECT_FALSE(metropolis_accepts_draw(d, temp, u)) << "temp " << temp << " u " << u;
+    }
+    for (const double f : {1.0 + 1e-15, 1.0 + 1e-9, 1.001, 2.0, 1e3}) {
+      EXPECT_FALSE(metropolis_accepts_draw(md * f, temp, u)) << "temp " << temp << " u " << u;
+    }
+  };
+  for (const double u : {0x1p-53, 0.5, 1.0 - 0x1p-53}) {
+    for (const double temp : temps) {
+      expect_rejects_above(temp, u);
+      // Not vacuous: where the cut is not dominated by the absolute margin,
+      // a delta just under it is still accepted.
+      if (u <= 0.5) {
+        const double md = metropolis_max_delta(temp, u);
+        EXPECT_TRUE(metropolis_accepts_draw(md * (1.0 - 1e-9), temp, u))
+            << "temp " << temp << " u " << u;
+      }
+    }
+    for (const double temp : subnormal_temps) expect_rejects_above(temp, u);
+  }
+  // The draws the chain actually makes: Rng::uniform's 53-bit grid.
+  common::Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    const double u = rng.uniform();
+    const double temp = temps[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(temps.size()) - 1))];
+    if (u > 0.0) expect_rejects_above(temp, u);
+  }
+  // u = 0 accepts every delta up to exp()'s underflow: no bound.
+  EXPECT_EQ(metropolis_max_delta(0.05, 0.0), kInf);
+  EXPECT_EQ(metropolis_max_delta(1e-300, 0.0), kInf);
+}
+
 TEST(DeriveSeed, DeterministicAndKeySensitive) {
   EXPECT_EQ(search::derive_seed(13, "pp2·tp8·dp2-mb4"), search::derive_seed(13, "pp2·tp8·dp2-mb4"));
   EXPECT_NE(search::derive_seed(13, "pp2·tp8·dp2-mb4"), search::derive_seed(13, "pp2·tp8·dp2-mb2"));
@@ -403,9 +455,13 @@ TEST(ResumableAnneal, SplitRunsAreBitIdenticalToOneShot) {
 
   const auto start = parallel::Mapping::megatron_default(plan.pc);
   search::ResumableMappingAnneal chain(model, start, gpn, opt);
+  search::AnnealTelemetry telem;
+  chain.set_telemetry(&telem);
   for (const long target : {137L, 1000L, 1000L /* no-op: already past */, 4999L, 5000L}) {
     chain.run_to(target);
   }
+  EXPECT_GT(telem.total_bounded(), 0)
+      << "no proposal stopped on its Metropolis bound: the match below would not cover stops";
   EXPECT_EQ(chain.total_iters(), 5000);
   EXPECT_EQ(chain.accepted(), ref.accepted);
   EXPECT_DOUBLE_EQ(chain.initial_cost(), ref.initial_cost);
