@@ -28,13 +28,6 @@
 //   --chains N        multi-chain replica count (default 8)
 //   --threads N       pool size for the multi-chain run (default 8)
 //   --huge            include the 10240-GPU shape (slow full-model match run)
-//   --adaptive-savings X  run fixed vs Hoeffding-stopped configure() (with
-//                     and without stopper->rung budget redistribution) on
-//                     four small instances; fail (exit 5) unless every arm
-//                     picks the identical plan, at least two instances cut
-//                     SA iterations by X or more, and redistribution
-//                     re-grants budget while still spending less than the
-//                     fixed arm somewhere
 //   --telemetry-ceiling X  measure the AnnealTelemetry overhead on the first
 //                     32-GPU shape (best-of-5 incremental rate, accumulator
 //                     detached vs attached, bit-identity asserted) and fail
@@ -54,7 +47,6 @@
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
-#include "core/pipette_configurator.h"
 #include "engine/thread_pool.h"
 #include "estimators/compute_profile.h"
 #include "estimators/incremental_latency.h"
@@ -110,7 +102,7 @@ double median_rate3(F&& timed_run) {
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
   if (const auto unknown = cli.first_unknown({"fast", "iters", "seed", "csv", "span", "nspan",
-                                              "chains", "threads", "huge", "adaptive-savings",
+                                              "chains", "threads", "huge",
                                               "telemetry-ceiling"})) {
     std::cerr << "unknown flag --" << *unknown << "\n";
     return 1;
@@ -121,7 +113,6 @@ int main(int argc, char** argv) {
   const long full_iters = cli.get_int("iters", fast ? 4000 : 20000);
   const long inc_iters = full_iters * (fast ? 25 : 10);
   const std::string csv = cli.get_string("csv", "");
-  const double adaptive_savings = cli.get_double("adaptive-savings", 0.0);
   const double telemetry_ceiling = cli.get_double("telemetry-ceiling", 0.0);
   const int chains = std::max(1, cli.get_int("chains", 8));
   const int threads = std::max(1, cli.get_int("threads", 8));
@@ -364,97 +355,6 @@ int main(int argc, char** argv) {
     } else {
       std::cout << "(failed to write csv to " << csv << ")\n";
       return 1;
-    }
-  }
-
-  // Adaptive-stopping savings gate: fixed rung budgets vs the Hoeffding
-  // stopper on four small configure() instances. Stop decisions are pure
-  // per-chain functions, so the adaptive run must recommend the identical
-  // plan; the gate additionally requires a real iteration cut on at least
-  // two of the four (easy instances converge early, hard ones may not).
-  if (adaptive_savings > 0.0) {
-    struct MiniCase {
-      int nodes;
-      model::TransformerConfig cfg;
-      int global_batch;
-    };
-    const MiniCase minis[] = {
-        {4, model::gpt_3_1b(), 512},
-        {2, model::gpt_774m(), 64},
-        {4, model::gpt_1_1b(), 128},
-        {2, model::gpt_3_1b(), 256},
-    };
-    common::Table atable({"nodes", "model", "batch", "fixed iters", "adaptive iters", "saved",
-                          "cut", "redist iters", "regrant", "same plan"});
-    int cut_enough = 0;
-    int redist_wins = 0;
-    long total_regranted = 0;
-    bool plans_match = true;
-    for (const MiniCase& mc2 : minis) {
-      const cluster::Topology topo(cluster::mid_range_cluster(mc2.nodes),
-                                   cluster::HeterogeneityOptions{}, seed);
-      const model::TrainingJob mjob{mc2.cfg, mc2.global_batch};
-      core::PipetteOptions base;
-      base.use_memory_filter = false;
-      // Generous per-chain budget: converged chains stop at the same absolute
-      // iteration whatever the grant, so the visible cut grows with it — this
-      // is exactly the regime adaptive stopping exists for.
-      base.sa.max_iters = 12000;
-      base.sa.time_limit_s = std::numeric_limits<double>::infinity();
-      base.memory_training.hidden = {64, 64};
-      base.memory_training.train.iters = 4000;
-      base.memory_training.max_profile_nodes = 3;
-      base.memory_training.profile_global_batches = {128};
-
-      core::PipetteConfigurator fixed(base);
-      const auto rf = fixed.configure(topo, mjob);
-      auto aopt = base;
-      aopt.memory = fixed.memory_estimator();  // train once per instance
-      aopt.sa_halving.stopping.enabled = true;
-      aopt.sa_halving.stopping.window = 128;
-      aopt.sa_halving.redistribute = false;
-      core::PipetteConfigurator adaptive(aopt);
-      const auto ra = adaptive.configure(topo, mjob);
-
-      // Stopper feedback into rung sizing: released increments re-granted to
-      // still-running survivors. Must keep the plan while spending no more
-      // than the fixed arm (spent <= granted by construction).
-      auto ropt = aopt;
-      ropt.sa_halving.redistribute = true;
-      core::PipetteConfigurator redist(ropt);
-      const auto rr = redist.configure(topo, mjob);
-
-      const bool same = rf.found && ra.found && rr.found && rf.best == ra.best &&
-                        rf.best == rr.best;
-      plans_match = plans_match && same;
-      const double cut =
-          static_cast<double>(rf.sa_iters) / std::max<long>(1, ra.sa_iters);
-      if (same && cut >= adaptive_savings) ++cut_enough;
-      if (same && rr.sa_iters < rf.sa_iters) ++redist_wins;
-      total_regranted += rr.sa_iters_redistributed;
-      atable.add_row({std::to_string(mc2.nodes), mc2.cfg.name,
-                      std::to_string(mc2.global_batch), std::to_string(rf.sa_iters),
-                      std::to_string(ra.sa_iters), std::to_string(ra.sa_iters_saved),
-                      common::fmt_fixed(cut, 1) + "x", std::to_string(rr.sa_iters),
-                      std::to_string(rr.sa_iters_redistributed), same ? "yes" : "NO"});
-    }
-    std::cout << "\nadaptive stopping vs fixed rung budgets (threshold " << adaptive_savings
-              << "x on >=2 instances; redist = stopper grants re-fed to survivors):\n";
-    atable.print(std::cout);
-    if (!plans_match) {
-      std::cerr << "MISMATCH: adaptive stopping or redistribution changed a recommended plan\n";
-      return 5;
-    }
-    if (cut_enough < 2) {
-      std::cerr << "REGRESSION: only " << cut_enough << " instance(s) cut SA iterations by "
-                << adaptive_savings << "x or more (need 2)\n";
-      return 5;
-    }
-    if (redist_wins < 1 || total_regranted <= 0) {
-      std::cerr << "REGRESSION: budget redistribution re-granted " << total_regranted
-                << " iters and beat the fixed arm's spend on " << redist_wins
-                << " instance(s) (need >0 and >=1)\n";
-      return 5;
     }
   }
   return 0;

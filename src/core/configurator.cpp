@@ -120,14 +120,8 @@ std::string ConfiguratorResult::explain(int runner_ups) const {
   w.value(sa_iters);
   w.key("sa_iters_granted");
   w.value(sa_iters_granted);
-  w.key("sa_iters_saved");
-  w.value(sa_iters_saved);
-  w.key("sa_iters_redistributed");
-  w.value(sa_iters_redistributed);
   w.key("sa_rungs");
   w.value(sa_rungs);
-  w.key("sa_chains_stopped");
-  w.value(sa_chains_stopped);
   w.key("warm_started");
   w.value(warm_started);
   w.end_object();

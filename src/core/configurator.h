@@ -109,12 +109,7 @@ struct ConfiguratorResult {
   int mem_est_reused = 0;    ///< memory estimates served from a memo
   long sa_iters = 0;         ///< SA proposals explored across all chains/rungs
   long sa_iters_granted = 0; ///< SA budget the race allotted
-  long sa_iters_saved = 0;   ///< granted iterations handed back by adaptive stopping
-  /// Rung increments released by stopped chains and re-granted to
-  /// still-improving survivors (SaHalvingOptions::redistribute).
-  long sa_iters_redistributed = 0;
   int sa_rungs = 0;          ///< successive-halving rungs run
-  int sa_chains_stopped = 0; ///< chains terminated by the Hoeffding stopper
   bool warm_started = false; ///< produced by reconfigure() reusing a prior result
 
   /// Degradation provenance: what was repaired, quarantined, retried, or

@@ -52,13 +52,7 @@ void flush_request_metrics(obs::Registry* reg, const ConfiguratorResult& res,
   reg->counter("pipette.shapes.reused").add(res.shapes_reused);
   reg->counter("pipette.mem_est.reused").add(res.mem_est_reused);
   reg->counter("pipette.sa.iters").add(res.sa_iters);
-  reg->counter("pipette.sa.iters_saved").add(res.sa_iters_saved);
-  reg->counter("pipette.sa.iters_redistributed").add(res.sa_iters_redistributed);
   reg->counter("pipette.sa.rungs").add(res.sa_rungs);
-  // Stop decisions keyed by reason (only kConverged exists today).
-  if (res.sa_chains_stopped != 0) {
-    reg->counter("pipette.sa.stop.converged").add(res.sa_chains_stopped);
-  }
   for (int k = 0; k < search::AnnealTelemetry::kKinds; ++k) {
     if (telem.proposed[k] != 0) {
       reg->counter(std::string("pipette.sa.proposals.") + search::AnnealTelemetry::kind_name(k))
@@ -194,6 +188,9 @@ std::string validate(const PipetteOptions& opt) {
       {"sa_chains", opt.sa_chains, 1},
       {"sa_halving.width", opt.sa_halving.width, 0},
       {"sa_halving.rung0_iters", opt.sa_halving.rung0_iters, 0},
+      {"profile.rounds", opt.profile.rounds, 1},
+      {"compute_profile.repeats", opt.compute_profile.repeats, 1},
+      {"memory_training.max_profile_nodes", opt.memory_training.max_profile_nodes, 1},
   };
   for (const AtLeast& b : at_least) {
     if (b.value < b.min) {
@@ -211,6 +208,18 @@ std::string validate(const PipetteOptions& opt) {
                                                      {"sa.init_temp_frac", sa.init_temp_frac}};
   for (const auto& [field, v] : positive) {
     if (!std::isfinite(v) || !(v > 0.0)) return std::string(field) + " must be finite and positive";
+  }
+  const std::pair<const char*, double> non_negative[] = {
+      {"profile.noise_sigma", opt.profile.noise_sigma},
+      {"compute_profile.noise_sigma", opt.compute_profile.noise_sigma},
+      {"memory_training.soft_margin", opt.memory_training.soft_margin},
+  };
+  for (const auto& [field, v] : non_negative) {
+    if (!std::isfinite(v) || v < 0.0) return std::string(field) + " must be finite and >= 0";
+  }
+  const std::vector<int>& batches = opt.memory_training.profile_global_batches;
+  if (batches.empty() || *std::min_element(batches.begin(), batches.end()) < 1) {
+    return "memory_training.profile_global_batches must be non-empty with every entry >= 1";
   }
   const std::pair<const char*, double> not_nan[] = {
       {"sa_halving.keep_slack", opt.sa_halving.keep_slack},
@@ -332,8 +341,8 @@ ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new
     out.warm_started = true;
     out.profile_wall_s = out.mem_train_wall_s = out.mem_est_wall_s = out.mem_est_cpu_s = 0.0;
     out.score_wall_s = out.score_cpu_s = out.search_wall_s = out.search_cpu_s = 0.0;
-    out.sa_iters = out.sa_iters_granted = out.sa_iters_saved = out.sa_iters_redistributed = 0;
-    out.sa_rungs = out.sa_chains_stopped = 0;
+    out.sa_iters = out.sa_iters_granted = 0;
+    out.sa_rungs = 0;
     out.shapes_profiled = out.shapes_reused = out.mem_est_reused = 0;
     return out;
   }
@@ -716,7 +725,6 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
   const long full = opt_.sa.max_iters;
   const long rung0 = opt_.sa_halving.rung0_iters > 0 ? opt_.sa_halving.rung0_iters
                                                      : std::max<long>(1, full >> (rungs - 1));
-  const search::StoppingOptions& stopping = opt_.sa_halving.stopping;
 
   // Chain seeds mirror optimize_mapping_multichain exactly: chain 0 is the
   // candidate seed (derived from the candidate itself, not its rank, so
@@ -737,7 +745,6 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
       search::AnnealTelemetry* telem =
           rq.telem_ptr ? &e.telems[static_cast<std::size_t>(c)] : nullptr;
       e.chains.push_back(make_chain(*e.model, start, chain_seed, telem));
-      if (stopping.enabled) e.chains.back()->enable_stopping(stopping);
     }
   });
   auto cost_order = [&](int a, int b) {
@@ -746,19 +753,7 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
 
   std::vector<int> alive(width);
   std::iota(alive.begin(), alive.end(), 0);
-  // Per-chain iteration grants beyond the rung target, accumulated by the
-  // stopper-feedback redistribution below (global candidate index times
-  // chains + chain index, so entries survive alive-set pruning).
-  std::vector<long> bonus(width * static_cast<std::size_t>(chains), 0);
-  auto bonus_of = [&](int cand, int chain) -> long& {
-    return bonus[static_cast<std::size_t>(cand) * static_cast<std::size_t>(chains) +
-                 static_cast<std::size_t>(chain)];
-  };
-  auto chain_of = [&](int cand, int chain) -> search::ResumableMappingAnneal& {
-    return *race[static_cast<std::size_t>(cand)].chains[static_cast<std::size_t>(chain)];
-  };
   long prev_target = 0;
-  int prev_stopped = 0;
   for (int r = 0; r < rungs; ++r) {
     // Between rungs is the cheap place to stop starting work; chains
     // already running cut themselves off via their armed deadline.
@@ -775,34 +770,6 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     // Every alive chain is granted the rung's increment; spent < granted
     // then flags a tripped per-chain deadline in the explain report.
     res.sa_iters_granted += static_cast<long>(alive.size()) * chains * inc;
-    if (stopping.enabled && opt_.sa_halving.redistribute) {
-      // Stopped chains cannot spend this rung's increment: re-grant it to
-      // the still-running chains of alive candidates, split evenly in
-      // canonical order (alive is sorted by candidate index, chains by
-      // index) with the remainder to the earliest. Stop decisions are pure
-      // per-chain functions, so this reallocation is identical on every
-      // thread count.
-      std::vector<std::pair<int, int>> running;
-      long released = 0;
-      for (const int i : alive) {
-        for (int c = 0; c < chains; ++c) {
-          if (chain_of(i, c).stopped()) {
-            released += inc;
-          } else {
-            running.emplace_back(i, c);
-          }
-        }
-      }
-      if (released > 0 && !running.empty()) {
-        const long share = released / static_cast<long>(running.size());
-        long rem = released % static_cast<long>(running.size());
-        for (const auto& [i, c] : running) {
-          bonus_of(i, c) += share + (rem > 0 ? 1 : 0);
-          if (rem > 0) --rem;
-        }
-        res.sa_iters_redistributed += released;
-      }
-    }
     {
       const obs::Span rung_span(rq.sink, "sa.rung",
                                 rq.args("rung", r, "target_iters", target, "alive",
@@ -816,28 +783,11 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
                                   "chain", chain);
         }
         const obs::Span span(rq.sink, "sa.chain", std::move(args));
-        chain_of(cand, chain).run_to(target + bonus_of(cand, chain));
+        Entrant& e = race[static_cast<std::size_t>(cand)];
+        e.chains[static_cast<std::size_t>(chain)]->run_to(target);
       });
     }
     ++res.sa_rungs;
-    if (stopping.enabled) {
-      // Stop decisions are pure functions of each chain's trajectory, so
-      // this count — and the early exit below — is identical on every
-      // thread count.
-      int stopped = 0;
-      for (const int i : alive) {
-        for (int c = 0; c < chains; ++c) stopped += chain_of(i, c).stopped() ? 1 : 0;
-      }
-      const long alive_chains = static_cast<long>(alive.size()) * chains;
-      if (rq.sink && stopped > prev_stopped) {
-        rq.sink->instant("sa.early_stop", obs::json_object("rung", r, "stopped_chains", stopped,
-                                                           "alive_chains", alive_chains));
-      }
-      prev_stopped = stopped;
-      // Every surviving chain has converged: later rungs would grant
-      // iterations nobody spends, so the race ends here.
-      if (stopped == alive_chains) break;
-    }
     if (alive.size() <= 1) continue;
     // Keep the best half plus the slack band around the leader; `alive`
     // enters in default-cost rank order, so the stable sort resolves equal
@@ -869,21 +819,14 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     for (const auto& chain : e.chains) {
       res.sa_iters += chain->total_iters();
       res.search_cpu_s += chain->wall_s();
-      if (chain->stopped()) ++res.sa_chains_stopped;
       if (chain->deadline_tripped()) res.health.deadline_exceeded = true;
     }
     for (const auto& t : e.telems) rq.telem.merge(t);
   }
-  if (stopping.enabled) {
-    // Iterations the fixed rung policy granted but converged chains handed
-    // back (deadline trips are excluded by gating on stopping — they are
-    // flagged separately by spent < granted in explain()).
-    res.sa_iters_saved = std::max<long>(0, res.sa_iters_granted - res.sa_iters);
-  }
 
   // Elastic warm start: one more chain for the winner, started from the
   // previous placement projected onto the (possibly resized) cluster under
-  // its own derive_seed stream, with no stopping. Merged by strict
+  // its own derive_seed stream. Merged by strict
   // improvement — ties keep the race's mapping, so an unchanged search space
   // reproduces the cold result while a genuine resize starts from the
   // surviving structure instead of from scratch.

@@ -23,14 +23,15 @@ namespace pipette::core {
 
 /// Successive-halving allocation of the worker-dedication budget — the one SA
 /// allocator. Rung 0 starts a racing set of candidates on a small iteration
-/// cap, every rung keeps the best half (stable ties to default-cost rank) and
-/// doubles the cap, and the survivors finish at the full budget. Chains
-/// *resume* across rungs (search::ResumableMappingAnneal carries the mapping,
-/// temperature, and rng stream), so no move is ever replayed: total work is
-/// ~2x the full budget rather than width-times it. Setting rung0_iters to
-/// SaOptions::max_iters gives every raced candidate the full budget up front:
-/// `width = k` is then the classic top-k allocation and `width = 0` is
-/// Algorithm 1's SA on every surviving candidate. Rung caps are
+/// cap, every alive chain runs to its rung's cap (short of it only when a
+/// deadline trips), every rung keeps the best half (stable ties to
+/// default-cost rank) and doubles the cap, and the survivors finish at the
+/// full budget. Chains *resume* across rungs (search::ResumableMappingAnneal
+/// carries the mapping, temperature, and rng stream), so no move is ever
+/// replayed: total work is ~2x the full budget rather than width-times it.
+/// Setting rung0_iters to SaOptions::max_iters gives every raced candidate the
+/// full budget up front: `width = k` is then the classic top-k allocation and
+/// `width = 0` is Algorithm 1's SA on every surviving candidate. Rung caps are
 /// iteration-counted and selection is canonical, so any executor and thread
 /// count reproduces the serial result bit for bit.
 struct SaHalvingOptions {
@@ -48,25 +49,6 @@ struct SaHalvingOptions {
   /// that separates them, at a small bounded work increase. 0 restores pure
   /// halving.
   double keep_slack = 0.03;
-  /// Adaptive per-chain early stopping (search/stopping.h): when enabled,
-  /// every raced chain observes its improvement rate at absolute window
-  /// boundaries and permanently stops once the Hoeffding upper confidence
-  /// bound on further improvement drops below threshold — easy instances
-  /// hand their remaining rung grants back (reported as
-  /// ConfiguratorResult::sa_iters_saved), hard ones keep the full budget.
-  /// Stop decisions are pure functions of each chain's trajectory, so
-  /// enabling this keeps configure() deterministic on every thread count.
-  search::StoppingOptions stopping;
-  /// Feed the stopper back into rung sizing: the rung increments that
-  /// stopped chains would leave unspent are granted to the still-running
-  /// chains of alive candidates instead of being returned, split evenly in
-  /// canonical (candidate rank, chain index) order with the remainder to
-  /// the earliest chains. Stop decisions are deterministic, so the
-  /// redistribution — and thus the whole race — stays bit-reproducible on
-  /// every thread count. Only meaningful with stopping.enabled; the
-  /// re-granted iterations are reported as
-  /// ConfiguratorResult::sa_iters_redistributed.
-  bool redistribute = true;
 };
 
 struct PipetteOptions {
@@ -150,9 +132,10 @@ struct PipetteOptions {
   double deadline_s = std::numeric_limits<double>::infinity();
 };
 
-/// Why the SA allocator cannot run `opt` — the first unusable budget field,
-/// named by its path (e.g. "sa.max_iters must be >= 1, got -5") — or an empty
-/// string when every field is usable. configure() throws
+/// Why `opt` cannot produce a meaningful plan — the first unusable SA budget,
+/// profiling or memory-training field, named by its path (e.g.
+/// "sa.max_iters must be >= 1, got -5") — or an empty string when every
+/// field is usable. configure() throws
 /// std::invalid_argument with this reason; engine::ConfigService answers
 /// kInvalidRequest with it before admission.
 std::string validate(const PipetteOptions& opt);
@@ -164,8 +147,8 @@ class PipetteConfigurator final : public Configurator {
   std::string name() const override;
   /// Throws std::invalid_argument carrying model::validate's,
   /// cluster::validate's or validate's reason when the job has a non-positive
-  /// size, the topology a malformed spec, or the options an unusable SA
-  /// budget (so does reconfigure()).
+  /// size, the topology a malformed spec, or the options an unusable field
+  /// (so does reconfigure()).
   ConfiguratorResult configure(const cluster::Topology& topo,
                                const model::TrainingJob& job) override;
 

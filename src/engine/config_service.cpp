@@ -227,7 +227,7 @@ core::ConfiguratorResult ConfigService::configure_one(const cluster::Topology& t
   po.memory = entry.memory;
   po.profile_snapshot = entry.profile;
   po.compute_cache = entry.compute;
-  po.executor = opt_.parallel_candidates ? &pool_ : nullptr;
+  po.executor = &pool_;
   po.trace_sink = sink;
   po.metrics = metrics_;
   const bool deadlined = std::isfinite(ro.deadline_s);

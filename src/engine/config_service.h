@@ -79,11 +79,9 @@ struct RequestOptions {
 };
 
 struct ConfigServiceOptions {
-  /// Worker threads in the pool; <= 0 picks hardware concurrency.
+  /// Worker threads in the pool, which runs the requests and each request's
+  /// candidate scoring and SA chains; <= 0 picks hardware concurrency.
   int threads = 0;
-  /// Also fan each request's candidate scoring and SA passes across the pool
-  /// (recommended; disable to parallelize across requests only).
-  bool parallel_candidates = true;
   /// Bounds on the per-cluster artifact cache.
   ClusterCacheOptions cache;
   /// Template options for every request. `memory`, `profile_snapshot`,

@@ -175,29 +175,7 @@ ResumableMappingAnneal::ResumableMappingAnneal(const estimators::PipetteLatencyM
   temp_ = std::max(opt.init_temp_frac * cur_cost_, 1e-300);
 }
 
-void ResumableMappingAnneal::enable_stopping(const StoppingOptions& sopt) {
-  stopper_ = HoeffdingStopper(sopt);
-  if (!sopt.enabled) {
-    next_obs_ = std::numeric_limits<long>::max();
-    return;
-  }
-  // Seed the improvement baseline at the current (typically zeroth)
-  // iteration boundary; subsequent observations land on absolute multiples
-  // of the window, so any run_to() split schedule sees the same boundaries.
-  stopper_.observe(best_cost_, initial_cost_);
-  next_obs_ = (iters_ / stopper_.window() + 1) * stopper_.window();
-}
-
-bool ResumableMappingAnneal::observe_boundaries() {
-  while (next_obs_ <= iters_) {
-    next_obs_ += stopper_.window();
-    if (stopper_.observe(best_cost_, initial_cost_)) return true;
-  }
-  return false;
-}
-
 void ResumableMappingAnneal::run_to(long target_iters) {
-  if (stopper_.stopped()) return;
   const common::Stopwatch watch;
   // simulated_annealing's loop with every loop-carried variable a member.
   // The deadline check counts the chain's *cumulative* wall time across
@@ -249,7 +227,6 @@ void ResumableMappingAnneal::run_to(long target_iters) {
       since_temp_step_ = 0;
     }
     ++iters_;
-    if (iters_ >= next_obs_ && observe_boundaries()) break;
   }
   wall_s_ += watch.seconds();
 }

@@ -17,7 +17,6 @@
 #include "estimators/latency_models.h"
 #include "parallel/mapping.h"
 #include "search/sa.h"
-#include "search/stopping.h"
 
 namespace pipette::search {
 
@@ -176,22 +175,10 @@ class ResumableMappingAnneal {
   ResumableMappingAnneal& operator=(const ResumableMappingAnneal&) = delete;
 
   /// Advances the chain until `total_iters() == target_iters` (no-op when
-  /// already past the target, or once the chain has early-stopped). The
-  /// trajectory is split-invariant: run to k then n == run to n.
+  /// already past the target). It stops short only when the per-chain
+  /// `time_limit_s` or the armed request deadline trips. The trajectory is
+  /// split-invariant: run to k then n == run to n.
   void run_to(long target_iters);
-
-  /// Arms Hoeffding-style early stopping (search/stopping.h): the chain
-  /// observes its best cost at absolute iteration multiples of
-  /// `sopt.window` and permanently stops — subsequent run_to() calls no-op —
-  /// once the confidence bound says further improvement is below threshold.
-  /// Observation boundaries depend only on the iteration count, never on
-  /// rung splits or thread schedules, so stopping is deterministic.
-  /// Observing never touches the rng stream: an armed chain that has not
-  /// stopped is bit-identical to an unarmed one.
-  void enable_stopping(const StoppingOptions& sopt);
-
-  bool stopped() const { return stopper_.stopped(); }
-  StopReason stop_reason() const { return stopper_.reason(); }
 
   /// Arms an absolute deadline shared across every chain of a request: the
   /// chain breaks out of run_to() — keeping best-so-far — once
@@ -241,10 +228,6 @@ class ResumableMappingAnneal {
     }
     return false;
   }
-  /// Feeds the stopper at every window boundary crossed up to iters_.
-  /// Returns true once the chain stopped.
-  bool observe_boundaries();
-
   estimators::IncrementalLatencyEvaluator eval_;
   MoveSet moves_;
   int gpn_;
@@ -263,8 +246,6 @@ class ResumableMappingAnneal {
   const common::Stopwatch* deadline_watch_ = nullptr;
   double deadline_s_ = std::numeric_limits<double>::infinity();
   bool deadline_tripped_ = false;
-  HoeffdingStopper stopper_;
-  long next_obs_ = std::numeric_limits<long>::max();
 };
 
 }  // namespace pipette::search

@@ -272,138 +272,6 @@ TEST(PipetteConfigurator, SharedComputeProfilesAreBitIdenticalToUnshared) {
   EXPECT_EQ(seed_res.best, a.best) << "PPT-L head should also agree on this job";
 }
 
-TEST(PipetteConfigurator, AdaptiveStoppingKeepsPlansIdenticalAndSavesIterations) {
-  // Fixed rung budgets vs Hoeffding early stopping across four shape/job
-  // combos. Stop decisions are pure per-chain functions, so the adaptive run
-  // must recommend the same plan — it may only hand back iterations.
-  struct Case {
-    int nodes;
-    model::TransformerConfig cfg;
-    int global_batch;
-  };
-  const Case cases[] = {
-      {4, model::gpt_3_1b(), 512},
-      {2, model::gpt_774m(), 64},
-      {4, model::gpt_1_1b(), 128},
-      {2, model::gpt_3_1b(), 256},
-  };
-  long total_saved = 0;
-  int chains_stopped = 0;
-  for (const Case& c : cases) {
-    cluster::Topology topo(cluster::mid_range_cluster(c.nodes), cluster::HeterogeneityOptions{},
-                           2024);
-    const model::TrainingJob job{c.cfg, c.global_batch};
-    auto fixed = capped_pipette(true);
-    fixed.use_memory_filter = false;
-    fixed.sa.max_iters = 4000;
-    auto adaptive = fixed;
-    adaptive.sa_halving.stopping.enabled = true;
-    adaptive.sa_halving.stopping.window = 128;
-
-    core::PipetteConfigurator f(fixed);
-    const auto rf = f.configure(topo, job);
-    core::PipetteConfigurator a(adaptive);
-    const auto ra = a.configure(topo, job);
-    ASSERT_TRUE(rf.found);
-    ASSERT_TRUE(ra.found);
-    EXPECT_EQ(rf.best, ra.best) << "adaptive stopping changed the winner on " << c.nodes
-                                << " nodes, batch " << c.global_batch;
-    EXPECT_LE(ra.sa_iters, rf.sa_iters);
-    EXPECT_EQ(rf.sa_iters_saved, 0) << "fixed budgets must not report savings";
-    EXPECT_EQ(ra.sa_iters_saved, std::max<long>(0, ra.sa_iters_granted - ra.sa_iters));
-    total_saved += ra.sa_iters_saved;
-    chains_stopped += ra.sa_chains_stopped;
-  }
-  EXPECT_GT(total_saved, 0) << "no case converged early at window 128";
-  EXPECT_GT(chains_stopped, 0);
-}
-
-TEST(PipetteConfigurator, StopperRedistributionKeepsPlansAndRegrantsIterations) {
-  // With redistribute on (the default), rung increments released by stopped
-  // chains are re-granted to still-running survivors instead of returned.
-  // Across the adaptive-stopping cases: the recommended plan must match the
-  // no-redistribution arm everywhere, at least one case must actually
-  // re-grant, the budget invariant spent <= granted must hold, and the
-  // accounting must surface in the explain report.
-  struct Case {
-    int nodes;
-    model::TransformerConfig cfg;
-    int global_batch;
-  };
-  const Case cases[] = {
-      {4, model::gpt_3_1b(), 512},
-      {2, model::gpt_774m(), 64},
-      {4, model::gpt_1_1b(), 128},
-      {2, model::gpt_3_1b(), 256},
-  };
-  long total_redistributed = 0;
-  for (const Case& c : cases) {
-    cluster::Topology topo(cluster::mid_range_cluster(c.nodes), cluster::HeterogeneityOptions{},
-                           2024);
-    const model::TrainingJob job{c.cfg, c.global_batch};
-    auto base = capped_pipette(true);
-    base.use_memory_filter = false;
-    base.sa.max_iters = 4000;
-    base.sa_halving.stopping.enabled = true;
-    base.sa_halving.stopping.window = 128;
-    auto plain = base;
-    plain.sa_halving.redistribute = false;
-
-    core::PipetteConfigurator with(base);
-    const auto rw = with.configure(topo, job);
-    core::PipetteConfigurator without(plain);
-    const auto ro = without.configure(topo, job);
-    ASSERT_TRUE(rw.found);
-    ASSERT_TRUE(ro.found);
-    EXPECT_EQ(rw.best, ro.best) << "redistribution changed the winner on " << c.nodes
-                                << " nodes, batch " << c.global_batch;
-    EXPECT_EQ(ro.sa_iters_redistributed, 0) << "disabled arm must not re-grant";
-    EXPECT_GE(rw.sa_iters_redistributed, 0);
-    EXPECT_LE(rw.sa_iters, rw.sa_iters_granted)
-        << "re-granted iterations must never exceed the granted pool";
-    EXPECT_GE(rw.sa_iters, ro.sa_iters)
-        << "survivors spending released budget cannot shrink total work";
-    if (rw.sa_iters_redistributed > 0) {
-      EXPECT_NE(rw.explain().find("\"sa_iters_redistributed\""), std::string::npos);
-    }
-    total_redistributed += rw.sa_iters_redistributed;
-  }
-  EXPECT_GT(total_redistributed, 0)
-      << "no case released budget to survivors at window 128";
-}
-
-TEST(PipetteConfigurator, RedistributionIsDeterministicAcrossThreadCounts) {
-  // The redistribution rule reallocates in canonical (candidate rank, chain
-  // index) order from deterministic stop decisions, so the whole race —
-  // plan, costs, and the re-grant accounting — must be schedule-independent.
-  cluster::Topology topo(cluster::mid_range_cluster(4), cluster::HeterogeneityOptions{}, 2024);
-  const model::TrainingJob job{model::gpt_1_1b(), 128};
-  auto opt = capped_pipette(true);
-  opt.use_memory_filter = false;
-  opt.sa.max_iters = 4000;
-  opt.sa_chains = 2;
-  opt.sa_halving.stopping.enabled = true;
-  opt.sa_halving.stopping.window = 128;
-
-  core::PipetteConfigurator serial(opt);
-  const auto ref = serial.configure(topo, job);
-  ASSERT_TRUE(ref.found);
-  for (int threads : {4, 16}) {
-    engine::ThreadPool pool(threads);
-    auto popt = opt;
-    popt.executor = &pool;
-    core::PipetteConfigurator ppt(popt);
-    const auto res = ppt.configure(topo, job);
-    ASSERT_TRUE(res.found);
-    EXPECT_EQ(res.best, ref.best) << threads << " threads";
-    EXPECT_EQ(res.predicted_s, ref.predicted_s) << threads << " threads";
-    EXPECT_EQ(res.sa_iters, ref.sa_iters) << threads << " threads";
-    EXPECT_EQ(res.sa_iters_redistributed, ref.sa_iters_redistributed)
-        << threads << " threads";
-    EXPECT_EQ(res.sa_chains_stopped, ref.sa_chains_stopped) << threads << " threads";
-  }
-}
-
 TEST(PipetteConfigurator, SuccessiveHalvingExploresFewerMovesThanLegacy) {
   auto topo = small_cluster(12);
   const model::TrainingJob job{model::gpt_1_1b(), 128};
@@ -545,6 +413,23 @@ TEST(PipetteConfigurator, RejectsSaBudgetsTheRaceCannotRun) {
       {"sa_halving.keep_slack", [](Opt& o) { o.sa_halving.keep_slack = limits::quiet_NaN(); }},
       {"variant_trigger_frac", [](Opt& o) { o.variant_trigger_frac = limits::quiet_NaN(); }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
+      // Profiling and memory-training options that reached ok with a NaN or
+      // floored-fabric plan, or failed after admission.
+      {"profile.rounds", [](Opt& o) { o.profile.rounds = 0; }},
+      {"profile.rounds", [](Opt& o) { o.profile.rounds = -1; }},
+      {"profile.noise_sigma", [](Opt& o) { o.profile.noise_sigma = limits::quiet_NaN(); }},
+      {"compute_profile.repeats", [](Opt& o) { o.compute_profile.repeats = 0; }},
+      {"compute_profile.noise_sigma",
+       [](Opt& o) { o.compute_profile.noise_sigma = limits::quiet_NaN(); }},
+      {"memory_training.soft_margin", [](Opt& o) { o.memory_training.soft_margin = -2.0; }},
+      {"memory_training.soft_margin",
+       [](Opt& o) { o.memory_training.soft_margin = limits::quiet_NaN(); }},
+      {"memory_training.max_profile_nodes",
+       [](Opt& o) { o.memory_training.max_profile_nodes = 0; }},
+      {"memory_training.profile_global_batches",
+       [](Opt& o) { o.memory_training.profile_global_batches.clear(); }},
+      {"memory_training.profile_global_batches",
+       [](Opt& o) { o.memory_training.profile_global_batches = {128, 0}; }},
   };
   const cluster::Topology topo(cluster::mid_range_cluster(2), cluster::HeterogeneityOptions{},
                                2024);

@@ -589,6 +589,23 @@ TEST(ConfigService, RejectsUnusableSaBudgetsBeforeProfiling) {
       {"sa_halving.keep_slack", [](Opt& o) { o.sa_halving.keep_slack = limits::quiet_NaN(); }},
       {"variant_trigger_frac", [](Opt& o) { o.variant_trigger_frac = limits::quiet_NaN(); }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
+      // Profiling and memory-training options that reached ok with a NaN or
+      // floored-fabric plan, or failed after admission.
+      {"profile.rounds", [](Opt& o) { o.profile.rounds = 0; }},
+      {"profile.rounds", [](Opt& o) { o.profile.rounds = -1; }},
+      {"profile.noise_sigma", [](Opt& o) { o.profile.noise_sigma = limits::quiet_NaN(); }},
+      {"compute_profile.repeats", [](Opt& o) { o.compute_profile.repeats = 0; }},
+      {"compute_profile.noise_sigma",
+       [](Opt& o) { o.compute_profile.noise_sigma = limits::quiet_NaN(); }},
+      {"memory_training.soft_margin", [](Opt& o) { o.memory_training.soft_margin = -2.0; }},
+      {"memory_training.soft_margin",
+       [](Opt& o) { o.memory_training.soft_margin = limits::quiet_NaN(); }},
+      {"memory_training.max_profile_nodes",
+       [](Opt& o) { o.memory_training.max_profile_nodes = 0; }},
+      {"memory_training.profile_global_batches",
+       [](Opt& o) { o.memory_training.profile_global_batches.clear(); }},
+      {"memory_training.profile_global_batches",
+       [](Opt& o) { o.memory_training.profile_global_batches = {128, 0}; }},
   };
   const model::TrainingJob job{model::gpt_774m(), 128};
   for (const Case& c : cases) {

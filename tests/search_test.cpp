@@ -494,62 +494,3 @@ TEST(ResumableAnneal, ResumingStrictlyExtendsTheRun) {
   EXPECT_LE(chain.best_cost(), cost_at_400) << "best cost is monotone in the budget";
   EXPECT_DOUBLE_EQ(model.estimate(chain.best_mapping()), chain.best_cost());
 }
-
-TEST(ResumableAnneal, StopperHaltsConvergedChainAndFurtherRunsNoOp) {
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 1000000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 41;
-
-  search::StoppingOptions sopt;
-  sopt.enabled = true;
-  sopt.window = 64;
-  // A threshold this large declares everything converged: the chain must
-  // stop within a few windows of min_windows, proving the wiring; realistic
-  // thresholds are exercised end-to-end in core_test.
-  sopt.rel_threshold = 1.0;
-  sopt.min_windows = 4;
-
-  search::ResumableMappingAnneal chain(fx.model, parallel::Mapping::megatron_default(fx.plan.pc),
-                                       8, opt);
-  chain.enable_stopping(sopt);
-  chain.run_to(100000);
-  EXPECT_TRUE(chain.stopped());
-  EXPECT_EQ(chain.stop_reason(), search::StopReason::kConverged);
-  EXPECT_LT(chain.total_iters(), 100000);
-  const long at = chain.total_iters();
-  chain.run_to(200000);
-  EXPECT_EQ(chain.total_iters(), at) << "a stopped chain must never run again";
-}
-
-TEST(ResumableAnneal, ArmedButUnstoppedChainIsBitIdenticalToUnarmed) {
-  // Observation never touches the rng stream, so a chain whose stopper never
-  // fires (a tiny threshold on a still-improving heterogeneous instance)
-  // matches the unarmed chain exactly.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 2000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 43;
-
-  search::StoppingOptions sopt;
-  sopt.enabled = true;
-  sopt.window = 64;
-  sopt.rel_threshold = 1e-12;  // effectively unreachable at this budget
-  sopt.min_windows = 4;
-
-  search::ResumableMappingAnneal armed(fx.model, parallel::Mapping::megatron_default(fx.plan.pc),
-                                       8, opt);
-  armed.enable_stopping(sopt);
-  search::ResumableMappingAnneal plain(fx.model, parallel::Mapping::megatron_default(fx.plan.pc),
-                                       8, opt);
-  armed.run_to(2000);
-  plain.run_to(2000);
-  ASSERT_FALSE(armed.stopped());
-  EXPECT_EQ(armed.total_iters(), plain.total_iters());
-  EXPECT_EQ(armed.accepted(), plain.accepted());
-  EXPECT_EQ(armed.best_cost(), plain.best_cost());
-  EXPECT_EQ(armed.best_mapping().raw(), plain.best_mapping().raw());
-}
-
