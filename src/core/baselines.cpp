@@ -14,7 +14,7 @@ namespace {
 ConfiguratorResult configure_eq1(const cluster::Topology& topo, const model::TrainingJob& job,
                                  const parallel::ConfigConstraints& constraints,
                                  const estimators::ComputeProfileOptions& cp_opt,
-                                 int ranking_size, const std::string& method) {
+                                 const std::string& method) {
   ConfiguratorResult res;
   res.method = method;
   const auto links = estimators::LinkConstants::from_spec(topo.spec());
@@ -33,7 +33,7 @@ ConfiguratorResult configure_eq1(const cluster::Topology& topo, const model::Tra
   if (all.empty()) return res;
   std::sort(all.begin(), all.end(),
             [](const RankedChoice& a, const RankedChoice& b) { return a.predicted_s < b.predicted_s; });
-  if (static_cast<int>(all.size()) > ranking_size) all.resize(static_cast<std::size_t>(ranking_size));
+  if (static_cast<int>(all.size()) > kRankingSize) all.resize(kRankingSize);
   res.ranking = std::move(all);
   res.found = true;
   res.best = res.ranking.front().cand;
@@ -48,8 +48,7 @@ AmpConfigurator::AmpConfigurator(AmpOptions opt) : opt_(std::move(opt)) {}
 
 ConfiguratorResult AmpConfigurator::configure(const cluster::Topology& topo,
                                               const model::TrainingJob& job) {
-  return configure_eq1(topo, job, opt_.constraints, opt_.compute_profile, opt_.ranking_size,
-                       name());
+  return configure_eq1(topo, job, opt_.constraints, opt_.compute_profile, name());
 }
 
 VarunaConfigurator::VarunaConfigurator(VarunaOptions opt) : opt_(std::move(opt)) {}
@@ -61,7 +60,7 @@ ConfiguratorResult VarunaConfigurator::configure(const cluster::Topology& topo,
   // Varuna only *chooses* the configuration; like every method in the
   // paper's evaluation it executes on Megatron-LM, i.e. with the Megatron
   // default placement.
-  return configure_eq1(topo, job, c, opt_.compute_profile, opt_.ranking_size, name());
+  return configure_eq1(topo, job, c, opt_.compute_profile, name());
 }
 
 MegatronHeuristic::MegatronHeuristic(MegatronOptions opt) : opt_(std::move(opt)) {}
@@ -93,9 +92,7 @@ ConfiguratorResult MegatronHeuristic::configure(const cluster::Topology& topo,
   if (tried.empty()) return res;
   std::sort(tried.begin(), tried.end(),
             [](const RankedChoice& a, const RankedChoice& b) { return a.predicted_s < b.predicted_s; });
-  if (static_cast<int>(tried.size()) > opt_.ranking_size) {
-    tried.resize(static_cast<std::size_t>(opt_.ranking_size));
-  }
+  if (static_cast<int>(tried.size()) > kRankingSize) tried.resize(kRankingSize);
   res.ranking = std::move(tried);
   res.found = true;
   res.best = res.ranking.front().cand;

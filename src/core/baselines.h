@@ -22,7 +22,6 @@ namespace pipette::core {
 struct AmpOptions {
   parallel::ConfigConstraints constraints;
   estimators::ComputeProfileOptions compute_profile;
-  int ranking_size = 1000;  // keep the full preference order for OOM fallback
 };
 
 class AmpConfigurator final : public Configurator {
@@ -39,7 +38,6 @@ class AmpConfigurator final : public Configurator {
 struct VarunaOptions {
   parallel::ConfigConstraints constraints;  ///< max_tp forced to 1 internally
   estimators::ComputeProfileOptions compute_profile;
-  int ranking_size = 1000;  // keep the full preference order for OOM fallback
 };
 
 class VarunaConfigurator final : public Configurator {
@@ -56,7 +54,6 @@ class VarunaConfigurator final : public Configurator {
 struct MegatronOptions {
   parallel::ConfigConstraints constraints;
   sim::SimOptions sim;  ///< "manual trials" run the real (simulated) cluster
-  int ranking_size = 1000;  // keep the full preference order for OOM fallback
 };
 
 class MegatronHeuristic final : public Configurator {

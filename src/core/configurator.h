@@ -31,6 +31,10 @@ struct RankedChoice {
   double predicted_s = 0.0;  ///< by the configurator's own latency model
 };
 
+/// Ranked choices every configurator keeps: the full preference order, for
+/// the OOM fallback walk.
+inline constexpr int kRankingSize = 1000;
+
 /// Which default worker placement a method's framework uses when no
 /// fine-grained mapping is attached (Megatron rank order for MLM/AMP/Pipette
 /// fallbacks, stage-contiguous for Varuna).

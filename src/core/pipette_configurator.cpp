@@ -21,6 +21,20 @@ namespace pipette::core {
 
 namespace {
 
+/// Memory-driven plan-space pruning: recompute/ZeRO-1 relief variants are
+/// generated only for base plans whose margin-adjusted memory estimate
+/// exceeds this fraction of the GPU memory (or fails the filter outright),
+/// and only the cheapest fitting variant per family (without / with ZeRO) is
+/// kept — so the enlarged space stays bounded.
+constexpr double kVariantTriggerFrac = 0.9;
+
+/// Halving elimination slack: a rung keeps the best half *plus* every
+/// candidate whose annealed cost is within this fraction of the rung leader.
+/// Low-budget rungs rank near-tied candidates almost arbitrarily (their
+/// chains have barely cooled); the band lets genuine contenders survive to a
+/// budget that separates them, at a small bounded work increase.
+constexpr double kKeepSlack = 0.03;
+
 /// Algorithm 1's instrumented phases, in request order.
 enum Phase { kProfile, kMemTrain, kMemFilter, kScore, kSa, kPhases };
 
@@ -221,14 +235,7 @@ std::string validate(const PipetteOptions& opt) {
   if (batches.empty() || *std::min_element(batches.begin(), batches.end()) < 1) {
     return "memory_training.profile_global_batches must be non-empty with every entry >= 1";
   }
-  const std::pair<const char*, double> not_nan[] = {
-      {"sa_halving.keep_slack", opt.sa_halving.keep_slack},
-      {"variant_trigger_frac", opt.variant_trigger_frac},
-      {"deadline_s", opt.deadline_s},
-  };
-  for (const auto& [field, v] : not_nan) {
-    if (std::isnan(v)) return std::string(field) + " must not be NaN";
-  }
+  if (std::isnan(opt.deadline_s)) return "deadline_s must not be NaN";
   return {};
 }
 
@@ -537,9 +544,7 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
     } else {
       ++slot.rejected;
     }
-    const bool near_threshold =
-        opt_.variant_trigger_frac > 0.0 && base_est > opt_.variant_trigger_frac * mem_limit;
-    if (!base_fits || near_threshold) {
+    if (!base_fits || base_est > kVariantTriggerFrac * mem_limit) {
       bool kept_plain_family = false, kept_zero_family = false;
       for (const Candidate& variant : parallel::memory_relief_variants(base, opt_.constraints)) {
         bool& kept_family = variant.zero1 ? kept_zero_family : kept_plain_family;
@@ -670,7 +675,7 @@ std::vector<PipetteConfigurator::Scored> PipetteConfigurator::score(
     return a.default_cost < b.default_cost;
   });
   for (const Scored& s : scored) {
-    if (static_cast<int>(res.ranking.size()) >= opt_.ranking_size) break;
+    if (static_cast<int>(res.ranking.size()) >= kRankingSize) break;
     res.ranking.push_back({s.cand, s.default_cost});
   }
   // The default-placement head: PPT-L's answer, and the cost worker
@@ -795,7 +800,7 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     // restores rank order for the next rung.
     std::stable_sort(alive.begin(), alive.end(), cost_order);
     const Entrant& leader = race[static_cast<std::size_t>(alive.front())];
-    const double band = leader.cost() * (1.0 + std::max(0.0, opt_.sa_halving.keep_slack));
+    const double band = leader.cost() * (1.0 + kKeepSlack);
     std::size_t keep = (alive.size() + 1) / 2;
     while (keep < alive.size() && race[static_cast<std::size_t>(alive[keep])].cost() <= band) {
       ++keep;

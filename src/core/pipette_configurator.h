@@ -25,10 +25,11 @@ namespace pipette::core {
 /// allocator. Rung 0 starts a racing set of candidates on a small iteration
 /// cap, every alive chain runs to its rung's cap (short of it only when a
 /// deadline trips), every rung keeps the best half (stable ties to
-/// default-cost rank) and doubles the cap, and the survivors finish at the
-/// full budget. Chains *resume* across rungs (search::ResumableMappingAnneal
-/// carries the mapping, temperature, and rng stream), so no move is ever
-/// replayed: total work is ~2x the full budget rather than width-times it.
+/// default-cost rank) plus any candidate within a fixed 3% slack of the rung
+/// leader and doubles the cap, and the survivors finish at the full budget.
+/// Chains *resume* across rungs (search::ResumableMappingAnneal carries the
+/// mapping, temperature, and rng stream), so no move is ever replayed: total
+/// work is ~2x the full budget rather than width-times it.
 /// Setting rung0_iters to SaOptions::max_iters gives every raced candidate the
 /// full budget up front: `width = k` is then the classic top-k allocation and
 /// `width = 0` is Algorithm 1's SA on every surviving candidate. Rung caps are
@@ -42,13 +43,6 @@ struct SaHalvingOptions {
   /// rung lands exactly on the full budget. Values at or above max_iters
   /// grant the full budget in rung 0.
   long rung0_iters = 0;
-  /// Elimination slack: a rung keeps the best half *plus* every candidate
-  /// whose annealed cost is within this fraction of the rung leader. Low-budget
-  /// rungs rank near-tied candidates almost arbitrarily (their chains have
-  /// barely cooled); the band lets genuine contenders survive to a budget
-  /// that separates them, at a small bounded work increase. 0 restores pure
-  /// halving.
-  double keep_slack = 0.03;
 };
 
 struct PipetteOptions {
@@ -76,13 +70,6 @@ struct PipetteOptions {
   cluster::ProfileOptions profile;
   estimators::ComputeProfileOptions compute_profile;
   parallel::ConfigConstraints constraints;
-  /// Memory-driven plan-space pruning: recompute/ZeRO-1 relief variants are
-  /// generated only for base plans whose margin-adjusted memory estimate
-  /// exceeds this fraction of the GPU memory (or fails the filter outright),
-  /// and only the cheapest fitting variant per family (without / with ZeRO)
-  /// is kept — so the enlarged space stays bounded. 0 disables the
-  /// near-threshold trigger (variants appear only for plans that do not fit).
-  double variant_trigger_frac = 0.9;
   /// Pre-trained memory estimator to reuse across invocations on the same
   /// cluster; trained on demand (and its wall time reported) when null.
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory;
@@ -108,7 +95,6 @@ struct PipetteOptions {
   /// every thread count produces the serial ranking bit for bit (unless
   /// deadline_s cuts the anneal). Null runs serially.
   common::Executor* executor = nullptr;
-  int ranking_size = 1000;  // keep the full preference order for OOM fallback
   /// Span tracer for this request's phases, SA rungs/chains, and cache events
   /// (not owned; typically the engine::ConfigService's per-request sink).
   /// Null disables tracing — every emit site is a single branch — and tracing

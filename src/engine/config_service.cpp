@@ -1,7 +1,9 @@
 #include "engine/config_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "common/hashing.h"
@@ -16,6 +18,19 @@ namespace {
 ClusterCacheOptions with_metrics(ClusterCacheOptions cache, obs::Registry* metrics) {
   cache.metrics = metrics;
   return cache;
+}
+
+/// Why `ro` cannot bound a request — the first unusable field, named — or an
+/// empty string when every field is usable.
+std::string validate(const RequestOptions& ro) {
+  if (std::isnan(ro.deadline_s)) return "deadline_s must not be NaN";
+  if (ro.profile_retries < 0) {
+    return "profile_retries must be >= 0, got " + std::to_string(ro.profile_retries);
+  }
+  if (!std::isfinite(ro.retry_backoff_s) || ro.retry_backoff_s < 0.0) {
+    return "retry_backoff_s must be finite and >= 0";
+  }
+  return {};
 }
 
 /// Decrements the pending count when a request finishes, however it exits.
@@ -82,14 +97,16 @@ std::future<ServiceResult> ConfigService::submit_request(
   };
   // Malformed cluster specs, unusable SA budgets and degenerate
   // memory-training options would only throw (or crash) inside the
-  // configurator or the cluster cache, after the fabric was profiled: reject
-  // them here too.
+  // configurator or the cluster cache, after the fabric was profiled; a NaN
+  // deadline would silently mean none, and an infinite backoff would sleep
+  // forever on the first transient profiling failure: reject them here.
   std::string reason = model::validate(job);
   if (reason.empty()) reason = cluster::validate(topo.spec());
   if (reason.empty()) reason = core::validate(opt_.pipette);
   if (reason.empty()) {
     reason = mlp::validate(opt_.pipette.memory_training.hidden, opt_.pipette.memory_training.train);
   }
+  if (reason.empty()) reason = validate(ro);
   if (!reason.empty()) {
     metrics_->counter("pipette.service.invalid_request").inc();
     if (opt_.trace) opt_.trace->instant("request.invalid");
@@ -196,8 +213,11 @@ ClusterCache::Entry ConfigService::artifacts_with_retry(const cluster::Topology&
       ++*retries;
       metrics_->counter("pipette.service.profile_retries").inc();
       if (opt_.trace) opt_.trace->instant("profile.retry");
-      const double backoff =
-          ro.retry_backoff_s * static_cast<double>(1 << attempt) * jitter.uniform(0.5, 1.0);
+      double backoff = std::ldexp(ro.retry_backoff_s, attempt) * jitter.uniform(0.5, 1.0);
+      // Never sleep past the deadline: the last retry runs when it falls due.
+      if (std::isfinite(ro.deadline_s)) {
+        backoff = std::min(backoff, ro.deadline_s - admitted.seconds());
+      }
       if (backoff > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       }

@@ -12,24 +12,11 @@ double analytic_memory_estimate(const model::TrainingJob& job, const parallel::T
       plan.zero1 ? 8.0 + 12.0 / static_cast<double>(pc.dp) : 16.0;
   double worst = 0.0;
   for (int position = 0; position < pc.pp; ++position) {
-    double params;
-    int layers;
-    if (plan.schedule == parallel::PipeSchedule::kInterleaved1F1B && plan.virtual_stages > 1) {
-      params = 0.0;
-      for (int chunk = 0; chunk < plan.virtual_stages; ++chunk) {
-        params += static_cast<double>(sim::stage_parameters(
-                      job.model, plan.total_stages(), chunk * pc.pp + position)) /
-                  pc.tp;
-      }
-      layers = parallel::layers_of_position(job.model.num_layers, plan, position);
-    } else {
-      params = static_cast<double>(sim::stage_parameters(job.model, pc.pp, position)) / pc.tp;
-      layers = parallel::layers_of_stage(job.model.num_layers, pc.pp, position);
-    }
+    const double params = sim::position_parameters(job.model, plan, position);
     // One microbatch of activations — no in-flight multiplier, no framework.
     const double act =
-        layers * sim::activation_bytes_per_layer(job.model, plan.micro_batch, pc.tp,
-                                                 plan.recompute);
+        parallel::layers_of_position(job.model.num_layers, plan, position) *
+        sim::activation_bytes_per_layer(job.model, plan.micro_batch, pc.tp, plan.recompute);
     worst = std::max(worst, params * state_bytes_per_param + act);
   }
   return worst;

@@ -21,16 +21,13 @@ ComputeProfile profile_compute(const cluster::Topology& topo, const model::Train
   out.stage_fwd_s.reserve(static_cast<std::size_t>(pc.pp));
   out.stage_bwd_s.reserve(static_cast<std::size_t>(pc.pp));
   const auto mapping = parallel::Mapping::megatron_default(pc);
-  const int chunks = plan.schedule == parallel::PipeSchedule::kInterleaved1F1B
-                         ? plan.virtual_stages
-                         : 1;
   Rng rng(opt.seed);
   for (int x = 0; x < pc.pp; ++x) {
     // A position's per-microbatch compute is the sum over its virtual chunks
     // (exactly one for flat schedules, so the plain path measures the same
     // quantity — and draws the same noise stream — as it always did).
     double fwd_true = 0.0, bwd_true = 0.0;
-    for (int c = 0; c < chunks; ++c) {
+    for (int c = 0; c < plan.virtual_stages; ++c) {
       const sim::StageCosts sc =
           sim::stage_costs(topo, job, mapping, plan, c * pc.pp + x, 0, opt.costs);
       fwd_true += sc.fwd_compute_s;

@@ -35,15 +35,10 @@ PipetteLatencyModel::PipetteLatencyModel(const model::TrainingJob& job,
       links_(links),
       pp_msg_bytes_(model::pp_message_bytes(job.model, plan.micro_batch)),
       tp_msg_bytes_(model::tp_message_bytes(job.model, plan.micro_batch)),
+      ppcomm_scale_(static_cast<double>(plan.virtual_stages)),
+      fill_scale_(1.0 / static_cast<double>(plan.virtual_stages)),
       num_nodes_(std::max(
-          1, (profiled_bw->num_gpus() + links.gpus_per_node - 1) / links.gpus_per_node)) {
-  if (plan_.schedule == parallel::PipeSchedule::kInterleaved1F1B && plan_.virtual_stages > 1) {
-    // v boundary messages per hop per microbatch; the pipeline fills with
-    // 1/v-deep chunk blocks.
-    ppcomm_scale_ = static_cast<double>(plan_.virtual_stages);
-    fill_scale_ = 1.0 / static_cast<double>(plan_.virtual_stages);
-  }
-}
+          1, (profiled_bw->num_gpus() + links.gpus_per_node - 1) / links.gpus_per_node)) {}
 
 double PipetteLatencyModel::tp_time(const parallel::Mapping& m, int stage, int dpr) const {
   if (pc_.tp < 2) return 0.0;

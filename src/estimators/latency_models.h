@@ -110,9 +110,10 @@ class PipetteLatencyModel {
   LinkConstants links_;
   double pp_msg_bytes_ = 0.0;
   double tp_msg_bytes_ = 0.0;
-  /// Interleaving constants: v messages per hop per microbatch, fill cost
-  /// divided by v. Exactly 1.0 for flat schedules, so plain plans evaluate
-  /// the identical floating-point expression as the 4-tuple model did.
+  /// Chunking constants: v boundary messages per hop per microbatch, and the
+  /// pipeline fills with 1/v-deep chunk blocks. Exactly 1.0 for flat (one-
+  /// chunk) plans, so plain plans evaluate the identical floating-point
+  /// expression as the 4-tuple model did.
   double ppcomm_scale_ = 1.0;
   double fill_scale_ = 1.0;
   int num_nodes_ = 1;  ///< of the profiled fabric, not a hard-coded cap

@@ -57,9 +57,6 @@ bool operator<(const TrainPlan& a, const TrainPlan& b) {
 }
 
 int layers_of_position(int num_layers, const TrainPlan& plan, int position) {
-  if (plan.schedule != PipeSchedule::kInterleaved1F1B || plan.virtual_stages == 1) {
-    return layers_of_stage(num_layers, plan.pc.pp, position);
-  }
   int layers = 0;
   for (int chunk = 0; chunk < plan.virtual_stages; ++chunk) {
     layers += layers_of_stage(num_layers, plan.total_stages(), chunk * plan.pc.pp + position);

@@ -82,9 +82,9 @@ inline int num_microbatches(int global_batch, const TrainPlan& plan) {
 }
 
 /// Transformer layers resident on pipeline *position* `position` (the
-/// physical GPU rank along the pipeline axis): the one stage's layers for
-/// flat schedules, the sum over the position's virtual chunks when
-/// interleaved. Identical to layers_of_stage for plain plans.
+/// physical GPU rank along the pipeline axis): the sum over the position's
+/// virtual chunks, one for flat plans. Identical to layers_of_stage for
+/// plain plans.
 int layers_of_position(int num_layers, const TrainPlan& plan, int position);
 
 /// The enumerated base space: every (pp, tp, dp) x microbatch point as a

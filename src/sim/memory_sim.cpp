@@ -61,8 +61,6 @@ MemoryBreakdown simulate_peak_memory(const cluster::ClusterSpec& spec,
   const auto& pc = plan.pc;
   const int micro_batch = plan.micro_batch;
   const int nmb = parallel::num_microbatches(job.global_batch, pc, micro_batch);
-  const bool interleaved =
-      plan.schedule == parallel::PipeSchedule::kInterleaved1F1B && plan.virtual_stages > 1;
   const int v = plan.virtual_stages;
 
   MemoryBreakdown worst;
@@ -71,39 +69,26 @@ MemoryBreakdown simulate_peak_memory(const cluster::ClusterSpec& spec,
 
     // Parameters + optimizer state of every chunk on this position, sharded
     // over TP (and the fp32 state additionally over DP under ZeRO-1).
-    double params = 0.0;
-    if (interleaved) {
-      for (int chunk = 0; chunk < v; ++chunk) {
-        params += static_cast<double>(
-                      stage_parameters(m, plan.total_stages(), chunk * pc.pp + position)) /
-                  pc.tp;
-      }
-    } else {
-      params = static_cast<double>(stage_parameters(m, pc.pp, position)) / pc.tp;
-    }
-    b.weights_optimizer_bytes = weights_optimizer_bytes(params, plan);
+    b.weights_optimizer_bytes =
+        weights_optimizer_bytes(position_parameters(m, plan, position), plan);
 
-    // Activations: in-flight units * per-unit residency. 1F1B caps the window
-    // at (pp - position); the memory-unaware schedule keeps all; interleaving
-    // holds its warmup depth of chunk-microbatches, each 1/v of a stage.
+    // Activations: in-flight units * per-unit residency, a unit being one
+    // chunk's microbatch. 1F1B caps the window at (pp - position); the
+    // memory-unaware schedule keeps all; interleaving holds its warmup depth
+    // of chunk-microbatches, each 1/v of a position's layers.
     int inflight;
-    double per_mb;
-    if (interleaved) {
+    if (v > 1) {
       inflight = std::min(nmb * v, 2 * (pc.pp - position - 1) + (v - 1) * pc.pp + 1);
-      const int chunk_layers = parallel::layers_of_stage(m.num_layers, plan.total_stages(), position);
-      per_mb = chunk_layers * activation_bytes_per_layer(m, micro_batch, pc.tp, plan.recompute);
-      per_mb += 2.0 * model::pp_message_bytes(m, micro_batch);
-      if (position == 0) per_mb += 2.0 * model::pp_message_bytes(m, micro_batch);
+    } else if (plan.schedule == parallel::PipeSchedule::kMemoryUnaware) {
+      inflight = nmb;
     } else {
-      inflight = plan.schedule == parallel::PipeSchedule::kMemoryUnaware
-                     ? nmb
-                     : std::min(pc.pp - position, nmb);
-      const int layers = parallel::layers_of_stage(m.num_layers, pc.pp, position);
-      per_mb = layers * activation_bytes_per_layer(m, micro_batch, pc.tp, plan.recompute);
-      // Stage boundary receive/send buffers plus (first stage) embedding output.
-      per_mb += 2.0 * model::pp_message_bytes(m, micro_batch);
-      if (position == 0) per_mb += 2.0 * model::pp_message_bytes(m, micro_batch);
+      inflight = std::min(pc.pp - position, nmb);
     }
+    const int chunk_layers = parallel::layers_of_stage(m.num_layers, plan.total_stages(), position);
+    double per_mb = chunk_layers * activation_bytes_per_layer(m, micro_batch, pc.tp, plan.recompute);
+    // Stage boundary receive/send buffers plus (first stage) embedding output.
+    per_mb += 2.0 * model::pp_message_bytes(m, micro_batch);
+    if (position == 0) per_mb += 2.0 * model::pp_message_bytes(m, micro_batch);
     b.activation_bytes = inflight * per_mb;
 
     // Framework overhead — the part the analytic baseline [20] misses.

@@ -66,7 +66,7 @@ std::vector<PipeOp> interleaved_stage_schedule(int pp, int v, int position, int 
 namespace {
 
 /// Scheduling state of one (position, dp-replica) entity. end[] slots are
-/// indexed chunk * nmb + microbatch (chunk always 0 for flat schedules).
+/// indexed chunk * nmb + microbatch.
 struct Entity {
   std::vector<PipeOp> ops;
   std::vector<double> durations;       // per op, jitter applied
@@ -77,109 +77,13 @@ struct Entity {
   double busy = 0.0;
 };
 
-/// Shared tail of both schedulers: drive every entity's static op list to
-/// completion given a `ready_time(entity-op)` dependency rule, then price the
-/// data-parallel gradient sync and assemble the breakdown.
-template <typename ReadyFn>
-IterationBreakdown run_entities_and_sync(const cluster::Topology& topo,
-                                         const model::TrainingJob& job,
-                                         const parallel::Mapping& mapping,
-                                         const parallel::TrainPlan& plan,
-                                         std::vector<Entity>& ent, ReadyFn&& ready_time) {
-  const auto& pc = plan.pc;
-  const int pp = pc.pp, dp = pc.dp;
-  const int nmb = parallel::num_microbatches(job.global_batch, pc, plan.micro_batch);
-  auto eidx = [pp](int stage, int z) { return static_cast<std::size_t>(z) * pp + stage; };
-
-  // Greedy list scheduling. Each entity executes its ops strictly in schedule
-  // order; an op starts when the executor is free and its producer (same
-  // microbatch, neighbour stage) has finished plus the transfer time. Both
-  // the 1F1B and the interleaved orders are valid topological orders, so the
-  // sweep always progresses.
-  std::size_t remaining = 0;
-  for (const auto& e : ent) remaining += e.ops.size();
-  while (remaining > 0) {
-    bool progressed = false;
-    for (int z = 0; z < dp; ++z) {
-      for (int x = 0; x < pp; ++x) {
-        Entity& e = ent[eidx(x, z)];
-        while (e.next < e.ops.size()) {
-          const PipeOp op = e.ops[e.next];
-          double ready = 0.0;
-          if (!ready_time(x, z, op, ready)) break;
-          const double start = std::max(e.avail, ready);
-          const double dur = e.durations[e.next];
-          const double end = start + dur;
-          (op.fwd ? e.fwd_end
-                  : e.bwd_end)[static_cast<std::size_t>(op.chunk * nmb + op.microbatch)] = end;
-          e.avail = end;
-          e.busy += dur;
-          ++e.next;
-          --remaining;
-          progressed = true;
-        }
-      }
-    }
-    if (!progressed) throw std::logic_error("simulate_iteration: schedule deadlock");
-  }
-
-  // Data-parallel gradient sync: per (position, tp-rank) group, all replicas
-  // must finish their last backward, then the hierarchical all-reduce runs.
-  // All groups sync near-simultaneously, so every node's NIC is shared by
-  // all node-crossing rings that have a member on it.
-  IterationBreakdown out;
-  std::vector<int> node_flows(static_cast<std::size_t>(topo.num_nodes()), 0);
-  if (dp > 1) {
-    for (int x = 0; x < pp; ++x) {
-      for (int y = 0; y < pc.tp; ++y) {
-        const auto group = parallel::dp_group_gpus(mapping, x, y);
-        const auto subgroups = parallel::split_by_node(group, topo.gpus_per_node());
-        if (subgroups.size() < 2) continue;
-        for (const auto& sg : subgroups) {
-          ++node_flows[static_cast<std::size_t>(topo.node_of(sg.front()))];
-        }
-      }
-    }
-  }
-  double iteration_end = 0.0;
-  for (int x = 0; x < pp; ++x) {
-    double stage_ready = 0.0;
-    for (int z = 0; z < dp; ++z) {
-      stage_ready = std::max(stage_ready, ent[eidx(x, z)].avail);
-    }
-    out.last_backward_s = std::max(out.last_backward_s, stage_ready);
-    double stage_end = stage_ready;
-    if (dp > 1) {
-      const double grad_bytes = dp_sync_bytes(job.model, plan, x);
-      for (int y = 0; y < pc.tp; ++y) {
-        const auto group = parallel::dp_group_gpus(mapping, x, y);
-        int flows = 1;
-        for (int g : group) flows = std::max(flows, node_flows[static_cast<std::size_t>(topo.node_of(g))]);
-        const double ar = hierarchical_allreduce_time(topo, group, grad_bytes, flows);
-        stage_end = std::max(stage_end, stage_ready + ar);
-      }
-    }
-    if (stage_end > iteration_end) {
-      iteration_end = stage_end;
-      out.critical_stage = x;
-    }
-  }
-  out.total_s = iteration_end;
-  out.dp_sync_s = iteration_end - out.last_backward_s;
-
-  for (const auto& e : ent) out.max_stage_busy_s = std::max(out.max_stage_busy_s, e.busy);
-  out.bubble_fraction =
-      out.total_s <= 0.0 ? 0.0 : std::max(0.0, 1.0 - out.max_stage_busy_s / out.total_s);
-  return out;
-}
-
 /// Total bytes and slowest link per ordered node pair a hop's inter-node
 /// flows straddle. Boundary tensors are scatter-gathered across TP ranks
 /// (Megatron's scatter/gather optimization), so each (y, z) flow carries
 /// msg/tp bytes; flows of different replicas straddling the same node pair
 /// share that node's NIC. Depends only on (from, to), so callers build it
 /// once per hop and price every replica against it. `to` may wrap
-/// (interleaved pipelines send pp-1 -> 0 between chunks).
+/// (chunked pipelines send pp-1 -> 0 between chunks).
 struct PairLoad {
   int n1, n2;
   double bytes;
@@ -233,215 +137,6 @@ double price_hop(const cluster::Topology& topo, const parallel::Mapping& mapping
   return t;
 }
 
-IterationBreakdown simulate_flat(const cluster::Topology& topo, const model::TrainingJob& job,
-                                 const parallel::Mapping& mapping,
-                                 const parallel::TrainPlan& plan, const SimOptions& opt) {
-  const auto& pc = plan.pc;
-  const int micro_batch = plan.micro_batch;
-  const int nmb = parallel::num_microbatches(job.global_batch, pc, micro_batch);
-  const int pp = pc.pp, dp = pc.dp;
-
-  Rng root(opt.seed);
-  auto jitter = [&](Rng& r) {
-    return opt.jitter_sigma <= 0.0 ? 1.0 : std::max(0.5, 1.0 + r.normal(0.0, opt.jitter_sigma));
-  };
-
-  // Build entities with deterministic per-op durations (jitter drawn in op
-  // order so results do not depend on scheduling visit order).
-  std::vector<Entity> ent(static_cast<std::size_t>(pp) * dp);
-  auto eidx = [pp](int stage, int z) { return static_cast<std::size_t>(z) * pp + stage; };
-  for (int z = 0; z < dp; ++z) {
-    for (int x = 0; x < pp; ++x) {
-      Entity& e = ent[eidx(x, z)];
-      e.ops = stage_schedule(plan.schedule, pp, x, nmb);
-      const StageCosts costs = stage_costs(topo, job, mapping, plan, x, z, opt.costs);
-      Rng r = root.fork(0x5eed0000ull + static_cast<std::uint64_t>(z) * 1024 + x);
-      e.durations.reserve(e.ops.size());
-      for (const PipeOp& op : e.ops) {
-        e.durations.push_back((op.fwd ? costs.fwd_s : costs.bwd_s) * jitter(r));
-      }
-      e.fwd_end.assign(static_cast<std::size_t>(nmb), -1.0);
-      e.bwd_end.assign(static_cast<std::size_t>(nmb), -1.0);
-    }
-  }
-
-  // Deterministic per-(hop, replica, microbatch, direction) comm times.
-  const double msg = model::pp_message_bytes(job.model, micro_batch);
-  const double flow_bytes = msg / pc.tp;
-  // base_hop[dir][x][z]: noiseless transfer time for hop x (toward x+1 for
-  // dir 0, toward x for dir 1) of replica z.
-  std::vector<std::vector<double>> base_hop[2];
-  for (int dir = 0; dir < 2; ++dir) {
-    base_hop[dir].assign(static_cast<std::size_t>(std::max(pp - 1, 0)),
-                         std::vector<double>(static_cast<std::size_t>(dp), 0.0));
-  }
-  for (int x = 0; x + 1 < pp; ++x) {
-    for (int dir = 0; dir < 2; ++dir) {
-      const int from = dir == 0 ? x : x + 1;
-      const int to = dir == 0 ? x + 1 : x;
-      const auto pairs = hop_pair_loads(topo, mapping, pc, flow_bytes, from, to);
-      for (int z = 0; z < dp; ++z) {
-        base_hop[dir][static_cast<std::size_t>(x)][static_cast<std::size_t>(z)] =
-            price_hop(topo, mapping, pc, flow_bytes, from, to, z, pairs);
-      }
-    }
-  }
-  // fwd_comm[z][x][j]: transfer after F_j of stage x toward stage x+1.
-  std::vector<std::vector<std::vector<double>>> fwd_comm, bwd_comm;
-  fwd_comm.assign(static_cast<std::size_t>(dp), {});
-  bwd_comm.assign(static_cast<std::size_t>(dp), {});
-  for (int z = 0; z < dp; ++z) {
-    fwd_comm[static_cast<std::size_t>(z)].assign(static_cast<std::size_t>(std::max(pp - 1, 0)), {});
-    bwd_comm[static_cast<std::size_t>(z)].assign(static_cast<std::size_t>(std::max(pp - 1, 0)), {});
-    Rng r = root.fork(0xc033ull + static_cast<std::uint64_t>(z));
-    for (int x = 0; x + 1 < pp; ++x) {
-      auto& f = fwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(x)];
-      auto& b = bwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(x)];
-      f.resize(static_cast<std::size_t>(nmb));
-      b.resize(static_cast<std::size_t>(nmb));
-      const double base_f = base_hop[0][static_cast<std::size_t>(x)][static_cast<std::size_t>(z)];
-      const double base_b = base_hop[1][static_cast<std::size_t>(x)][static_cast<std::size_t>(z)];
-      for (int j = 0; j < nmb; ++j) {
-        f[static_cast<std::size_t>(j)] = base_f * jitter(r);
-        b[static_cast<std::size_t>(j)] = base_b * jitter(r);
-      }
-    }
-  }
-
-  auto ready_time = [&](int x, int z, const PipeOp& op, double& ready) {
-    ready = 0.0;
-    if (op.fwd) {
-      if (x > 0) {
-        const double dep = ent[eidx(x - 1, z)].fwd_end[static_cast<std::size_t>(op.microbatch)];
-        if (dep < 0.0) return false;
-        ready = dep + fwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(x - 1)]
-                              [static_cast<std::size_t>(op.microbatch)];
-      }
-    } else {
-      if (x + 1 < pp) {
-        const double dep = ent[eidx(x + 1, z)].bwd_end[static_cast<std::size_t>(op.microbatch)];
-        if (dep < 0.0) return false;
-        ready = dep + bwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(x)]
-                              [static_cast<std::size_t>(op.microbatch)];
-      }
-    }
-    return true;
-  };
-  return run_entities_and_sync(topo, job, mapping, plan, ent, ready_time);
-}
-
-IterationBreakdown simulate_interleaved(const cluster::Topology& topo,
-                                        const model::TrainingJob& job,
-                                        const parallel::Mapping& mapping,
-                                        const parallel::TrainPlan& plan, const SimOptions& opt) {
-  const auto& pc = plan.pc;
-  const int micro_batch = plan.micro_batch;
-  const int nmb = parallel::num_microbatches(job.global_batch, pc, micro_batch);
-  const int pp = pc.pp, dp = pc.dp, v = plan.virtual_stages;
-
-  Rng root(opt.seed);
-  auto jitter = [&](Rng& r) {
-    return opt.jitter_sigma <= 0.0 ? 1.0 : std::max(0.5, 1.0 + r.normal(0.0, opt.jitter_sigma));
-  };
-
-  std::vector<Entity> ent(static_cast<std::size_t>(pp) * dp);
-  auto eidx = [pp](int stage, int z) { return static_cast<std::size_t>(z) * pp + stage; };
-  std::vector<StageCosts> chunk_costs(static_cast<std::size_t>(v));
-  for (int z = 0; z < dp; ++z) {
-    for (int p = 0; p < pp; ++p) {
-      Entity& e = ent[eidx(p, z)];
-      e.ops = interleaved_stage_schedule(pp, v, p, nmb);
-      for (int c = 0; c < v; ++c) {
-        chunk_costs[static_cast<std::size_t>(c)] =
-            stage_costs(topo, job, mapping, plan, c * pp + p, z, opt.costs);
-      }
-      Rng r = root.fork(0x5eed0000ull + static_cast<std::uint64_t>(z) * 1024 + p);
-      e.durations.reserve(e.ops.size());
-      for (const PipeOp& op : e.ops) {
-        const StageCosts& costs = chunk_costs[static_cast<std::size_t>(op.chunk)];
-        e.durations.push_back((op.fwd ? costs.fwd_s : costs.bwd_s) * jitter(r));
-      }
-      e.fwd_end.assign(static_cast<std::size_t>(v) * nmb, -1.0);
-      e.bwd_end.assign(static_cast<std::size_t>(v) * nmb, -1.0);
-    }
-  }
-
-  // Hop h carries position h -> (h+1) % pp; hop pp-1 is the wrap between
-  // consecutive chunks. Each hop moves v*nmb messages per direction.
-  const double flow_bytes = model::pp_message_bytes(job.model, micro_batch) / pc.tp;
-  const int slots = v * nmb;
-  std::vector<std::vector<double>> base_hop[2];  // [dir][h][z]
-  for (int dir = 0; dir < 2; ++dir) {
-    base_hop[dir].assign(static_cast<std::size_t>(pp),
-                         std::vector<double>(static_cast<std::size_t>(dp), 0.0));
-  }
-  for (int h = 0; h < pp; ++h) {
-    for (int dir = 0; dir < 2; ++dir) {
-      const int from = dir == 0 ? h : (h + 1) % pp;
-      const int to = dir == 0 ? (h + 1) % pp : h;
-      const auto pairs = hop_pair_loads(topo, mapping, pc, flow_bytes, from, to);
-      for (int z = 0; z < dp; ++z) {
-        base_hop[dir][static_cast<std::size_t>(h)][static_cast<std::size_t>(z)] =
-            price_hop(topo, mapping, pc, flow_bytes, from, to, z, pairs);
-      }
-    }
-  }
-  std::vector<std::vector<std::vector<double>>> fwd_comm, bwd_comm;  // [z][hop][chunk*nmb+mb]
-  fwd_comm.assign(static_cast<std::size_t>(dp), {});
-  bwd_comm.assign(static_cast<std::size_t>(dp), {});
-  for (int z = 0; z < dp; ++z) {
-    fwd_comm[static_cast<std::size_t>(z)].assign(static_cast<std::size_t>(pp), {});
-    bwd_comm[static_cast<std::size_t>(z)].assign(static_cast<std::size_t>(pp), {});
-    Rng r = root.fork(0xc033ull + static_cast<std::uint64_t>(z));
-    for (int h = 0; h < pp; ++h) {
-      const double base_f = base_hop[0][static_cast<std::size_t>(h)][static_cast<std::size_t>(z)];
-      const double base_b = base_hop[1][static_cast<std::size_t>(h)][static_cast<std::size_t>(z)];
-      auto& f = fwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(h)];
-      auto& b = bwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(h)];
-      f.resize(static_cast<std::size_t>(slots));
-      b.resize(static_cast<std::size_t>(slots));
-      for (int j = 0; j < slots; ++j) {
-        f[static_cast<std::size_t>(j)] = base_f * jitter(r);
-        b[static_cast<std::size_t>(j)] = base_b * jitter(r);
-      }
-    }
-  }
-
-  auto ready_time = [&](int p, int z, const PipeOp& op, double& ready) {
-    ready = 0.0;
-    const int slot = op.chunk * nmb + op.microbatch;
-    if (op.fwd) {
-      if (p > 0) {
-        const double dep = ent[eidx(p - 1, z)].fwd_end[static_cast<std::size_t>(slot)];
-        if (dep < 0.0) return false;
-        ready = dep + fwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(p - 1)]
-                              [static_cast<std::size_t>(slot)];
-      } else if (op.chunk > 0) {
-        const int prev = (op.chunk - 1) * nmb + op.microbatch;
-        const double dep = ent[eidx(pp - 1, z)].fwd_end[static_cast<std::size_t>(prev)];
-        if (dep < 0.0) return false;
-        ready = dep + fwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(pp - 1)]
-                              [static_cast<std::size_t>(prev)];
-      }
-    } else {
-      if (p + 1 < pp) {
-        const double dep = ent[eidx(p + 1, z)].bwd_end[static_cast<std::size_t>(slot)];
-        if (dep < 0.0) return false;
-        ready = dep + bwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(p)]
-                              [static_cast<std::size_t>(slot)];
-      } else if (op.chunk + 1 < v) {
-        const int next = (op.chunk + 1) * nmb + op.microbatch;
-        const double dep = ent[eidx(0, z)].bwd_end[static_cast<std::size_t>(next)];
-        if (dep < 0.0) return false;
-        ready = dep + bwd_comm[static_cast<std::size_t>(z)][static_cast<std::size_t>(pp - 1)]
-                              [static_cast<std::size_t>(next)];
-      }
-    }
-    return true;
-  };
-  return run_entities_and_sync(topo, job, mapping, plan, ent, ready_time);
-}
-
 }  // namespace
 
 IterationBreakdown simulate_iteration(const cluster::Topology& topo, const model::TrainingJob& job,
@@ -459,13 +154,179 @@ IterationBreakdown simulate_iteration(const cluster::Topology& topo, const model
                                 std::to_string(mapping.num_workers()) + " workers but cluster has " +
                                 std::to_string(topo.num_gpus()) + " GPUs");
   }
-  if (plan.schedule == ScheduleKind::kInterleaved1F1B && plan.virtual_stages > 1) {
-    if (!plan.valid_for(job.model.num_layers, job.global_batch)) {
-      throw std::invalid_argument("simulate_iteration: invalid interleaved plan " + plan.str());
-    }
-    return simulate_interleaved(topo, job, mapping, plan, opt);
+  if (plan.virtual_stages != 1 && !plan.valid_for(job.model.num_layers, job.global_batch)) {
+    throw std::invalid_argument("simulate_iteration: invalid interleaved plan " + plan.str());
   }
-  return simulate_flat(topo, job, mapping, plan, opt);
+  const int nmb = parallel::num_microbatches(job.global_batch, pc, plan.micro_batch);
+  const int pp = pc.pp, dp = pc.dp, v = plan.virtual_stages;
+  const std::size_t slots = static_cast<std::size_t>(v) * nmb;
+
+  Rng root(opt.seed);
+  auto jitter = [&](Rng& r) {
+    return opt.jitter_sigma <= 0.0 ? 1.0 : std::max(0.5, 1.0 + r.normal(0.0, opt.jitter_sigma));
+  };
+
+  // One entity per (position, replica). Chunk c of position p is costed as
+  // pipeline stage c*pp + p; a flat schedule is the one-chunk case, so the
+  // schedule kind only picks the op order. Jitter is drawn in op order, so
+  // results do not depend on the scheduling visit order.
+  std::vector<Entity> ent(static_cast<std::size_t>(pp) * dp);
+  auto eidx = [pp](int p, int z) { return static_cast<std::size_t>(z) * pp + p; };
+  std::vector<StageCosts> chunk_costs(static_cast<std::size_t>(v));
+  for (int z = 0; z < dp; ++z) {
+    for (int p = 0; p < pp; ++p) {
+      Entity& e = ent[eidx(p, z)];
+      e.ops = v > 1 ? interleaved_stage_schedule(pp, v, p, nmb)
+                    : stage_schedule(plan.schedule, pp, p, nmb);
+      for (int c = 0; c < v; ++c) {
+        chunk_costs[static_cast<std::size_t>(c)] =
+            stage_costs(topo, job, mapping, plan, c * pp + p, z, opt.costs);
+      }
+      Rng r = root.fork(0x5eed0000ull + static_cast<std::uint64_t>(z) * 1024 + p);
+      e.durations.reserve(e.ops.size());
+      for (const PipeOp& op : e.ops) {
+        const StageCosts& costs = chunk_costs[static_cast<std::size_t>(op.chunk)];
+        e.durations.push_back((op.fwd ? costs.fwd_s : costs.bwd_s) * jitter(r));
+      }
+      e.fwd_end.assign(slots, -1.0);
+      e.bwd_end.assign(slots, -1.0);
+    }
+  }
+
+  // Hop h carries position h -> (h+1) % pp (direction 0) and back
+  // (direction 1); hop pp-1 is the wrap between consecutive chunks, so it
+  // exists only when chunked. Each replica draws one jittered transfer per
+  // (hop, slot, direction) from its own stream.
+  const int hops = v > 1 ? pp : pp - 1;
+  const double flow_bytes = model::pp_message_bytes(job.model, plan.micro_batch) / pc.tp;
+  std::vector<double> base_hop[2];  // [dir][h * dp + z], noiseless
+  for (int dir = 0; dir < 2; ++dir) base_hop[dir].resize(static_cast<std::size_t>(hops) * dp);
+  for (int h = 0; h < hops; ++h) {
+    for (int dir = 0; dir < 2; ++dir) {
+      const int from = dir == 0 ? h : (h + 1) % pp;
+      const int to = dir == 0 ? (h + 1) % pp : h;
+      const auto pairs = hop_pair_loads(topo, mapping, pc, flow_bytes, from, to);
+      for (int z = 0; z < dp; ++z) {
+        base_hop[dir][static_cast<std::size_t>(h) * dp + z] =
+            price_hop(topo, mapping, pc, flow_bytes, from, to, z, pairs);
+      }
+    }
+  }
+  std::vector<double> comm[2];  // [dir][(z * hops + h) * slots + slot]
+  for (int dir = 0; dir < 2; ++dir) comm[dir].resize(static_cast<std::size_t>(dp) * hops * slots);
+  auto comm_at = [&](int dir, int z, int h, int slot) -> double& {
+    return comm[dir][(static_cast<std::size_t>(z) * hops + h) * slots + slot];
+  };
+  for (int z = 0; z < dp; ++z) {
+    Rng r = root.fork(0xc033ull + static_cast<std::uint64_t>(z));
+    for (int h = 0; h < hops; ++h) {
+      const double base_f = base_hop[0][static_cast<std::size_t>(h) * dp + z];
+      const double base_b = base_hop[1][static_cast<std::size_t>(h) * dp + z];
+      for (int j = 0; j < static_cast<int>(slots); ++j) {
+        comm_at(0, z, h, j) = base_f * jitter(r);
+        comm_at(1, z, h, j) = base_b * jitter(r);
+      }
+    }
+  }
+
+  // An op is ready once its producer has finished and the transfer landed. A
+  // forward's producer is the previous position, which for position 0 is the
+  // last position's previous chunk; a backward's is the next position, which
+  // for the last position is position 0's next chunk. Hop h links positions
+  // h and (h+1) % pp.
+  auto ready_time = [&](int p, int z, const PipeOp& op, double& ready) {
+    ready = 0.0;
+    const bool wraps = op.fwd ? p == 0 : p == pp - 1;
+    const int chunk = wraps ? op.chunk + (op.fwd ? -1 : 1) : op.chunk;
+    if (chunk < 0 || chunk >= v) return true;  // the first forward or last backward
+    const int src = op.fwd ? (p + pp - 1) % pp : (p + 1) % pp;
+    const int slot = chunk * nmb + op.microbatch;
+    const Entity& producer = ent[eidx(src, z)];
+    const double dep = (op.fwd ? producer.fwd_end : producer.bwd_end)[static_cast<std::size_t>(slot)];
+    if (dep < 0.0) return false;
+    ready = dep + comm_at(op.fwd ? 0 : 1, z, op.fwd ? src : p, slot);
+    return true;
+  };
+
+  // Greedy list scheduling. Each entity executes its ops strictly in schedule
+  // order; an op starts when the executor is free and its producer has
+  // finished plus the transfer time. Every schedule's op order is a valid
+  // topological order, so the sweep always progresses.
+  std::size_t remaining = 0;
+  for (const auto& e : ent) remaining += e.ops.size();
+  while (remaining > 0) {
+    bool progressed = false;
+    for (int z = 0; z < dp; ++z) {
+      for (int p = 0; p < pp; ++p) {
+        Entity& e = ent[eidx(p, z)];
+        while (e.next < e.ops.size()) {
+          const PipeOp op = e.ops[e.next];
+          double ready = 0.0;
+          if (!ready_time(p, z, op, ready)) break;
+          const double start = std::max(e.avail, ready);
+          const double dur = e.durations[e.next];
+          const double end = start + dur;
+          (op.fwd ? e.fwd_end
+                  : e.bwd_end)[static_cast<std::size_t>(op.chunk * nmb + op.microbatch)] = end;
+          e.avail = end;
+          e.busy += dur;
+          ++e.next;
+          --remaining;
+          progressed = true;
+        }
+      }
+    }
+    if (!progressed) throw std::logic_error("simulate_iteration: schedule deadlock");
+  }
+
+  // Data-parallel gradient sync: per (position, tp-rank) group, all replicas
+  // must finish their last backward, then the hierarchical all-reduce runs.
+  // All groups sync near-simultaneously, so every node's NIC is shared by
+  // all node-crossing rings that have a member on it.
+  IterationBreakdown out;
+  std::vector<int> node_flows(static_cast<std::size_t>(topo.num_nodes()), 0);
+  if (dp > 1) {
+    for (int p = 0; p < pp; ++p) {
+      for (int y = 0; y < pc.tp; ++y) {
+        const auto group = parallel::dp_group_gpus(mapping, p, y);
+        const auto subgroups = parallel::split_by_node(group, topo.gpus_per_node());
+        if (subgroups.size() < 2) continue;
+        for (const auto& sg : subgroups) {
+          ++node_flows[static_cast<std::size_t>(topo.node_of(sg.front()))];
+        }
+      }
+    }
+  }
+  double iteration_end = 0.0;
+  for (int p = 0; p < pp; ++p) {
+    double stage_ready = 0.0;
+    for (int z = 0; z < dp; ++z) {
+      stage_ready = std::max(stage_ready, ent[eidx(p, z)].avail);
+    }
+    out.last_backward_s = std::max(out.last_backward_s, stage_ready);
+    double stage_end = stage_ready;
+    if (dp > 1) {
+      const double grad_bytes = dp_sync_bytes(job.model, plan, p);
+      for (int y = 0; y < pc.tp; ++y) {
+        const auto group = parallel::dp_group_gpus(mapping, p, y);
+        int flows = 1;
+        for (int g : group) flows = std::max(flows, node_flows[static_cast<std::size_t>(topo.node_of(g))]);
+        const double ar = hierarchical_allreduce_time(topo, group, grad_bytes, flows);
+        stage_end = std::max(stage_end, stage_ready + ar);
+      }
+    }
+    if (stage_end > iteration_end) {
+      iteration_end = stage_end;
+      out.critical_stage = p;
+    }
+  }
+  out.total_s = iteration_end;
+  out.dp_sync_s = iteration_end - out.last_backward_s;
+
+  for (const auto& e : ent) out.max_stage_busy_s = std::max(out.max_stage_busy_s, e.busy);
+  out.bubble_fraction =
+      out.total_s <= 0.0 ? 0.0 : std::max(0.0, 1.0 - out.max_stage_busy_s / out.total_s);
+  return out;
 }
 
 }  // namespace pipette::sim

@@ -1,11 +1,17 @@
 // Discrete-event simulation of one training iteration under a TrainPlan.
-// This is the repository's stand-in for "run it on the real cluster": the
-// 1F1B (memory-efficient) schedule of the paper's Fig. 2b, the memory-unaware
-// schedule of Fig. 2a, Megatron's interleaved virtual-stage 1F1B, per-op
+// This is the repository's stand-in for "run it on the real cluster": per-op
 // jitter, true heterogeneous link bandwidths, recompute-inflated backward
 // costs, and the hierarchical (ZeRO-aware) data-parallel gradient sync. All
 // latency estimators are judged against this simulator, exactly as the paper
 // judges them against Megatron-LM runs.
+//
+// There is one scheduler. Every GPU position holds plan.virtual_stages model
+// chunks (one for flat plans), and each (position, replica) executes a static
+// op order: the 1F1B (memory-efficient) schedule of the paper's Fig. 2b, the
+// memory-unaware schedule of Fig. 2a, or Megatron's interleaved
+// virtual-stage 1F1B. A schedule is only that op order; dependencies,
+// pipeline hops (plus the chunk-wrap hop when chunked) and the DP sync are
+// priced once for all of them.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +63,9 @@ struct IterationBreakdown {
   int critical_stage = 0;        ///< stage whose DP sync finished last
 };
 
-/// Simulates one iteration of `plan`. `plan.pc` must equal `mapping.config()`
-/// and the batch geometry must divide.
+/// Simulates one iteration of `plan`. `plan.pc` must equal `mapping.config()`,
+/// the batch geometry must divide, and a plan with virtual_stages != 1 must
+/// be valid_for the job; std::invalid_argument otherwise.
 IterationBreakdown simulate_iteration(const cluster::Topology& topo, const model::TrainingJob& job,
                                       const parallel::Mapping& mapping,
                                       const parallel::TrainPlan& plan, const SimOptions& opt);

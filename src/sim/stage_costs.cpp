@@ -112,23 +112,23 @@ double dp_gradient_bytes(const model::TransformerConfig& mcfg, const parallel::P
   return static_cast<double>(stage_parameters(mcfg, pc.pp, stage)) / pc.tp * 4.0;  // fp32 grads
 }
 
+double position_parameters(const model::TransformerConfig& mcfg, const parallel::TrainPlan& plan,
+                           int position) {
+  double params = 0.0;
+  for (int chunk = 0; chunk < plan.virtual_stages; ++chunk) {
+    params += static_cast<double>(stage_parameters(mcfg, plan.total_stages(),
+                                                   chunk * plan.pc.pp + position)) /
+              plan.pc.tp;
+  }
+  return params;
+}
+
 double dp_sync_bytes(const model::TransformerConfig& mcfg, const parallel::TrainPlan& plan,
                      int position) {
-  double bytes;
-  if (plan.schedule == parallel::PipeSchedule::kInterleaved1F1B && plan.virtual_stages > 1) {
-    bytes = 0.0;
-    for (int chunk = 0; chunk < plan.virtual_stages; ++chunk) {
-      bytes += static_cast<double>(stage_parameters(mcfg, plan.total_stages(),
-                                                    chunk * plan.pc.pp + position)) /
-               plan.pc.tp * 4.0;
-    }
-  } else {
-    bytes = dp_gradient_bytes(mcfg, plan.pc, position);
-  }
+  const double bytes = position_parameters(mcfg, plan, position) * 4.0;  // fp32 grads
   // ZeRO-1 replaces the gradient all-reduce (2 volumes) with a fp32-gradient
   // reduce-scatter (1 volume) plus an fp16-parameter all-gather (0.5): 0.75x.
-  if (plan.zero1) bytes *= 0.75;
-  return bytes;
+  return plan.zero1 ? bytes * 0.75 : bytes;
 }
 
 }  // namespace pipette::sim

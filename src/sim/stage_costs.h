@@ -38,11 +38,11 @@ struct StageCosts {
 double gemm_efficiency(const cluster::ClusterSpec& spec, double per_gpu_layer_flops);
 
 /// Cost of virtual stage `vstage` (in [0, plan.total_stages())) for DP
-/// replica `dpr` under mapping `m` and plan `plan`. For flat schedules
-/// vstage is the pipeline stage; when interleaved, chunk vstage/pp lives on
-/// GPU position vstage % pp. The TP all-reduce time uses the true minimum
-/// bandwidth within that position's TP group, so a mapping that scatters a
-/// TP group across nodes pays for it. Recomputation inflates the backward:
+/// replica `dpr` under mapping `m` and plan `plan`: chunk vstage/pp of GPU
+/// position vstage % pp (a flat plan's one chunk is stage vstage). The TP
+/// all-reduce time uses the true minimum bandwidth within that position's TP
+/// group, so a mapping that scatters a TP group across nodes pays for it.
+/// Recomputation inflates the backward:
 /// full re-runs the chunk's forward, selective re-runs the attention cores.
 StageCosts stage_costs(const cluster::Topology& topo, const model::TrainingJob& job,
                        const parallel::Mapping& m, const parallel::TrainPlan& plan, int vstage,
@@ -58,10 +58,17 @@ double activation_bytes_per_layer(const model::TransformerConfig& mcfg, int micr
 double dp_gradient_bytes(const model::TransformerConfig& mcfg, const parallel::ParallelConfig& pc,
                          int stage);
 
-/// Plan-aware DP sync bytes for pipeline *position* `position`: the gradient
-/// bytes of every virtual chunk resident on that position, scaled by 0.75
-/// under ZeRO-1 (reduce-scatter of fp32 grads + all-gather of fp16 params
-/// instead of a full all-reduce). Equals dp_gradient_bytes for plain plans.
+/// Parameters per TP rank resident on pipeline *position* `position`: the
+/// sum over the position's chunks c (pipeline stage c*pp + position of
+/// plan.total_stages()) of stage_parameters / tp. A flat plan is one chunk,
+/// so this is its one stage's share.
+double position_parameters(const model::TransformerConfig& mcfg, const parallel::TrainPlan& plan,
+                           int position);
+
+/// Plan-aware DP sync bytes for pipeline *position* `position`: the fp32
+/// gradient bytes of position_parameters, scaled by 0.75 under ZeRO-1
+/// (reduce-scatter of fp32 grads + all-gather of fp16 params instead of a
+/// full all-reduce). Equals dp_gradient_bytes for plain plans.
 double dp_sync_bytes(const model::TransformerConfig& mcfg, const parallel::TrainPlan& plan,
                      int position);
 

@@ -362,6 +362,30 @@ TEST(ServiceChaos, ExhaustedRetriesAreATypedProfileFailure) {
   EXPECT_EQ(service.metrics().snapshot().counter("pipette.service.profile_failed"), 1);
 }
 
+TEST(ServiceChaos, RetryBackoffNeverSleepsPastTheDeadline) {
+  // A transient failure that never clears, and a backoff far past the
+  // deadline: unclamped, the first sleep alone is 10 * uniform(0.5, 1) >= 5 s.
+  // Each sleep is clamped to what remains of the budget, so the typed failure
+  // comes back near the 0.2 s deadline.
+  const auto topo = small_cluster();
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  auto so = service_options(2);
+  so.faults.enabled = true;
+  so.faults.kind = engine::FaultKind::kTransientProfileFailure;
+  so.faults.transient_failures = 100;  // never lets a run through
+  so.faults.seed = 5;
+  engine::ConfigService service(so);
+  engine::RequestOptions ro;
+  ro.deadline_s = 0.2;
+  ro.profile_retries = 3;
+  ro.retry_backoff_s = 10.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto sr = service.submit_request(topo, job, ro).get();
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(sr.status, engine::ServiceStatus::kProfileFailed) << sr.error;
+  EXPECT_LT(wall.count(), 2.0) << "a retry backoff slept past the 0.2 s deadline";
+}
+
 TEST(ServiceChaos, AdmissionBoundRejectsWithATypedStatus) {
   const auto topo = small_cluster();
   const model::TrainingJob job{model::gpt_774m(), 128};

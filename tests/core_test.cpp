@@ -410,8 +410,6 @@ TEST(PipetteConfigurator, RejectsSaBudgetsTheRaceCannotRun) {
       {"sa_chains", [](Opt& o) { o.sa_chains = 0; }},
       {"sa_halving.width", [](Opt& o) { o.sa_halving.width = -1; }},
       {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -100; }},
-      {"sa_halving.keep_slack", [](Opt& o) { o.sa_halving.keep_slack = limits::quiet_NaN(); }},
-      {"variant_trigger_frac", [](Opt& o) { o.variant_trigger_frac = limits::quiet_NaN(); }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
       // Profiling and memory-training options that reached ok with a NaN or
       // floored-fabric plan, or failed after admission.

@@ -566,6 +566,38 @@ TEST(ConfigService, RejectsDegenerateMemoryTrainingOptionsBeforeProfiling) {
   }
 }
 
+TEST(ConfigService, RejectsUnusableRequestOptionsBeforeProfiling) {
+  // Each case breaks one per-request option. Admitted, a NaN deadline would
+  // silently mean "no deadline", and an infinite backoff would sleep forever
+  // on the first transient profiling failure.
+  using limits = std::numeric_limits<double>;
+  using Ro = engine::RequestOptions;
+  struct Case {
+    const char* field;
+    void (*corrupt)(Ro&);
+  };
+  const Case cases[] = {
+      {"deadline_s", [](Ro& r) { r.deadline_s = limits::quiet_NaN(); }},
+      {"profile_retries", [](Ro& r) { r.profile_retries = -1; }},
+      {"retry_backoff_s", [](Ro& r) { r.retry_backoff_s = -0.5; }},
+      {"retry_backoff_s", [](Ro& r) { r.retry_backoff_s = limits::infinity(); }},
+      {"retry_backoff_s", [](Ro& r) { r.retry_backoff_s = limits::quiet_NaN(); }},
+  };
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  engine::ConfigService service(service_options(1));
+  for (const Case& c : cases) {
+    Ro ro;
+    c.corrupt(ro);
+    const auto sr = service.submit_request(small_cluster(), job, ro).get();
+    EXPECT_EQ(sr.status, engine::ServiceStatus::kInvalidRequest)
+        << c.field << ": " << engine::to_string(sr.status) << " (" << sr.error << ")";
+    EXPECT_EQ(sr.error.rfind(std::string(c.field) + " ", 0), 0u)
+        << "error must name the field: " << sr.error;
+  }
+  EXPECT_EQ(service.cache_stats().lookups, 0) << "rejected before any profiling";
+  EXPECT_EQ(service.pending(), 0);
+}
+
 TEST(ConfigService, RejectsUnusableSaBudgetsBeforeProfiling) {
   // Each case breaks one SA option of the service. Admitted, such a request
   // would profile the fabric and train the estimator before the configurator
@@ -586,8 +618,6 @@ TEST(ConfigService, RejectsUnusableSaBudgetsBeforeProfiling) {
       {"sa_chains", [](Opt& o) { o.sa_chains = 0; }},
       {"sa_halving.width", [](Opt& o) { o.sa_halving.width = -3; }},
       {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -1; }},
-      {"sa_halving.keep_slack", [](Opt& o) { o.sa_halving.keep_slack = limits::quiet_NaN(); }},
-      {"variant_trigger_frac", [](Opt& o) { o.variant_trigger_frac = limits::quiet_NaN(); }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
       // Profiling and memory-training options that reached ok with a NaN or
       // floored-fabric plan, or failed after admission.

@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "cluster/topology.h"
+#include "common/hashing.h"
+#include "common/rng.h"
+#include "estimators/analytic_memory.h"
 #include "model/gpt_zoo.h"
 #include "parallel/mapping.h"
+#include "parallel/train_plan.h"
+#include "search/mapping_search.h"
 #include "sim/collectives.h"
 #include "sim/memory_sim.h"
 #include "sim/pipeline_sim.h"
@@ -214,6 +224,21 @@ TEST(PipelineSim, RejectsMappingLargerThanCluster) {
       std::invalid_argument);
 }
 
+TEST(PipelineSim, RejectsInvalidChunkedPlans) {
+  // Chunk counts other than one must form a valid interleaved plan: a flat
+  // schedule with two chunks, or no chunks at all, is refused, not simulated.
+  auto t = mid4();
+  const auto mapping = parallel::Mapping::megatron_default({4, 2, 4});
+  sim::SimOptions opt;
+  for (const int v : {0, 2}) {
+    parallel::TrainPlan plan{{4, 2, 4}, 2};
+    plan.virtual_stages = v;
+    EXPECT_THROW(sim::simulate_iteration(t, {model::gpt_2_2b(), 256}, mapping, plan, opt),
+                 std::invalid_argument)
+        << "virtual_stages " << v;
+  }
+}
+
 TEST(MemorySim, OneFOneBBeatsMemoryUnaware) {
   const auto spec = cluster::mid_range_cluster();
   const model::TrainingJob job{model::gpt_3_1b(), 256};
@@ -265,4 +290,102 @@ TEST(MemorySim, FitsInMemoryBoundary) {
   // A small model with full sharding fits easily.
   const model::TrainingJob small{model::gpt_774m(), 128};
   EXPECT_TRUE(sim::fits_in_memory(spec, small, {{4, 8, 4}, 1}, 1));
+}
+
+TEST(PipelineSim, GoldenSimulatorAndMemoryDigests) {
+  // Pins the two ground-truth judges bit for bit. Each row sweeps every plan
+  // the configurator can reach on one fabric and batch — the enumerated base
+  // space (plain and interleaved), the memory-unaware twin of each plain plan
+  // and every memory-relief variant — on the Megatron-default mapping and on
+  // a seeded scrambled one, with default and zero jitter. `iteration` digests
+  // simulate_iteration's six fields; `memory` digests simulate_peak_memory's
+  // byte fields and limiting stage, the analytic estimate, and per-position
+  // dp_sync_bytes and layers_of_position. The values were recorded by running
+  // this test. A change meant to keep both simulators bit-identical must
+  // leave the table alone.
+  struct Golden {
+    bool high_end;
+    int nodes;
+    model::TransformerConfig (*model)();
+    int global_batch;
+    int plans;
+    std::uint64_t iteration;
+    std::uint64_t memory;
+  };
+  const Golden table[] = {
+      {false, 2, model::gpt_774m, 64, 390, 0x139d69da1f76446cull, 0xe809760d3882397dull},
+      {false, 2, model::gpt_774m, 256, 428, 0x5a60d54204e338bcull, 0x0818692d007a6217ull},
+      {true, 4, model::gpt_2_2b, 64, 532, 0xd520a8320e03fdd3ull, 0x9eb01e2fd9ee60b3ull},
+      {true, 4, model::gpt_2_2b, 256, 696, 0x38aefd1655c8c1b5ull, 0x2ebbeeb3439bd9bdull},
+  };
+  using common::hash_combine;
+  sim::SimOptions noiseless;
+  noiseless.jitter_sigma = 0.0;
+  const sim::SimOptions options[] = {sim::SimOptions{}, noiseless};
+  int interleaved = 0, unaware = 0, relief = 0;
+  for (const Golden& g : table) {
+    const cluster::ClusterSpec spec =
+        g.high_end ? cluster::high_end_cluster(g.nodes) : cluster::mid_range_cluster(g.nodes);
+    const cluster::Topology topo(spec, cluster::HeterogeneityOptions{}, 2024);
+    const model::TrainingJob job{g.model(), g.global_batch};
+    const parallel::ConfigConstraints c;
+    std::vector<parallel::TrainPlan> plans;
+    for (const auto& base : parallel::enumerate_base_plans(
+             topo.num_gpus(), topo.gpus_per_node(), job.model.num_layers, job.global_batch, c)) {
+      plans.push_back(base);
+      if (base.virtual_stages > 1) ++interleaved;
+      if (base.is_plain()) {
+        parallel::TrainPlan twin = base;
+        twin.schedule = parallel::PipeSchedule::kMemoryUnaware;
+        plans.push_back(twin);
+        ++unaware;
+      }
+      for (const auto& variant : parallel::memory_relief_variants(base, c)) {
+        plans.push_back(variant);
+        ++relief;
+      }
+    }
+    std::uint64_t iteration = 0, memory = 0;
+    for (const auto& plan : plans) {
+      const auto megatron = parallel::Mapping::megatron_default(plan.pc);
+      auto moved = megatron;
+      common::Rng rng(plan.hash());
+      for (int i = 0; i < 40; ++i) search::random_mapping_move(moved, rng, {}, topo.gpus_per_node());
+      const parallel::Mapping* const mappings[] = {&megatron, &moved};
+      for (const parallel::Mapping* mapping : mappings) {
+        for (const sim::SimOptions& opt : options) {
+          const auto r = sim::simulate_iteration(topo, job, *mapping, plan, opt);
+          for (const double x :
+               {r.total_s, r.last_backward_s, r.dp_sync_s, r.max_stage_busy_s, r.bubble_fraction}) {
+            iteration = hash_combine(iteration, x);
+          }
+          iteration = hash_combine(iteration, static_cast<std::uint64_t>(r.critical_stage));
+        }
+      }
+      const auto mem = sim::simulate_peak_memory(spec, job, plan, 7);
+      for (const double x : {mem.weights_optimizer_bytes, mem.activation_bytes,
+                             mem.framework_bytes, mem.total_bytes,
+                             estimators::analytic_memory_estimate(job, plan)}) {
+        memory = hash_combine(memory, x);
+      }
+      memory = hash_combine(memory, static_cast<std::uint64_t>(mem.limiting_stage));
+      for (int position = 0; position < plan.pc.pp; ++position) {
+        memory = hash_combine(memory, sim::dp_sync_bytes(job.model, plan, position));
+        memory = hash_combine(memory, static_cast<std::uint64_t>(parallel::layers_of_position(
+                                          job.model.num_layers, plan, position)));
+      }
+    }
+    // On a mismatch, print the row as it would be re-recorded.
+    char row[256];
+    std::snprintf(row, sizeof row, "%s x%d %s batch %d: %d, 0x%016llxull, 0x%016llxull",
+                  spec.name.c_str(), g.nodes, job.model.name.c_str(), g.global_batch,
+                  static_cast<int>(plans.size()), static_cast<unsigned long long>(iteration),
+                  static_cast<unsigned long long>(memory));
+    EXPECT_EQ(static_cast<int>(plans.size()), g.plans) << row;
+    EXPECT_EQ(iteration, g.iteration) << row;
+    EXPECT_EQ(memory, g.memory) << row;
+  }
+  EXPECT_GT(interleaved, 0) << "the sweep must reach interleaved plans";
+  EXPECT_GT(unaware, 0) << "the sweep must reach memory-unaware plans";
+  EXPECT_GT(relief, 0) << "the sweep must reach memory-relief variants";
 }
