@@ -1,34 +1,18 @@
 #include "cluster/bandwidth_matrix.h"
 
-#include <algorithm>
+#include <limits>
 
 namespace pipette::cluster {
 
-BandwidthMatrix::BandwidthMatrix(int num_gpus, double fill)
-    : n_(num_gpus), b_(static_cast<std::size_t>(num_gpus) * static_cast<std::size_t>(num_gpus), fill) {
-  for (int g = 0; g < n_; ++g) set(g, g, std::numeric_limits<double>::infinity());
-}
-
-double BandwidthMatrix::min_within(std::span<const int> gpus) const {
-  double m = std::numeric_limits<double>::infinity();
-  for (int g1 : gpus) {
-    for (int g2 : gpus) {
-      if (g1 == g2) continue;
-      m = std::min(m, at(g1, g2));
-    }
+BandwidthMatrix::BandwidthMatrix(int num_nodes, int gpus_per_node, double fill)
+    : nn_(num_nodes),
+      gpn_(gpus_per_node),
+      inter_(static_cast<std::size_t>(num_nodes) * num_nodes, fill),
+      intra_(static_cast<std::size_t>(num_nodes) * gpus_per_node * gpus_per_node, fill) {
+  for (int n = 0; n < nn_; ++n) {
+    set_inter(n, n, std::numeric_limits<double>::infinity());
+    for (int a = 0; a < gpn_; ++a) set_intra(n, a, a, std::numeric_limits<double>::infinity());
   }
-  return m;
-}
-
-double BandwidthMatrix::min_along_ring(std::span<const int> gpus) const {
-  if (gpus.size() < 2) return std::numeric_limits<double>::infinity();
-  double m = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < gpus.size(); ++i) {
-    const int g1 = gpus[i];
-    const int g2 = gpus[(i + 1) % gpus.size()];
-    m = std::min(m, at(g1, g2));
-  }
-  return m;
 }
 
 }  // namespace pipette::cluster

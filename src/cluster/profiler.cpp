@@ -13,11 +13,10 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
   if (faults != nullptr) faults->on_profile_start();
 
   ProfileResult out;
-  out.bw = BandwidthMatrix(topo.num_gpus());
-  Rng rng(opt.seed);
-
   const int nn = topo.num_nodes();
   const int gpn = topo.gpus_per_node();
+  out.bw = BandwidthMatrix(nn, gpn);
+  Rng rng(opt.seed);
   out.wall_time_s += opt.per_node_init_s * nn;
 
   // Multiplicative Gaussian noise can in principle draw below -1 and flip a
@@ -31,10 +30,10 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
   };
 
   // Inter-node: probe each ordered node pair through its lead GPUs, average
-  // `rounds` noisy measurements, and assign the result to every GPU pair that
-  // crosses those nodes (node-to-node resolution, like mpiGraph). Pairs the
-  // fault hook drops are skipped entirely — no rng draws, no wall time — and
-  // their blocks keep the unmeasured default for the sanitizer to repair.
+  // `rounds` noisy measurements, and store the average as the pair's one
+  // reading (node-to-node resolution, like mpiGraph). Pairs the fault hook
+  // drops are skipped entirely — no rng draws, no wall time — and keep the
+  // unmeasured default for the sanitizer to repair.
   for (int n1 = 0; n1 < nn; ++n1) {
     for (int n2 = 0; n2 < nn; ++n2) {
       if (n1 == n2) continue;
@@ -49,12 +48,7 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
         out.wall_time_s += opt.message_bytes / truth + opt.per_measurement_setup_s;
         ++out.num_measurements;
       }
-      const double avg = acc / opt.rounds;
-      for (int a = 0; a < gpn; ++a) {
-        for (int b = 0; b < gpn; ++b) {
-          out.bw.set(n1 * gpn + a, n2 * gpn + b, avg);
-        }
-      }
+      out.bw.set_inter(n1, n2, acc / opt.rounds);
     }
   }
 
@@ -76,7 +70,7 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
           if (n == 0) intra_wall += opt.message_bytes / truth + opt.per_measurement_setup_s;
           ++out.num_measurements;
         }
-        out.bw.set(g1, g2, acc / opt.rounds);
+        out.bw.set_intra(n, a, b, acc / opt.rounds);
       }
     }
   }
@@ -86,7 +80,7 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
 
   // Whatever the fabric or the fault hook did, hand downstream a matrix of
   // finite positive bandwidths. No-op (and no report entries) when clean.
-  out.sanitize = sanitize_bandwidth(out.bw, nn, gpn);
+  out.sanitize = sanitize_bandwidth(out.bw);
   return out;
 }
 

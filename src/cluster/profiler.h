@@ -43,7 +43,7 @@ class ProfileFaultHook {
   /// Maps one intra-node measurement (GPUs a -> b of `node`) likewise.
   virtual double corrupt_intra(int node, int a, int b, double measured) = 0;
   /// True when the ordered node pair should not be measured at all (partial
-  /// coverage): the block keeps its unmeasured default and is left to the
+  /// coverage): the reading keeps its unmeasured default and is left to the
   /// sanitizer. Dropped pairs consume no rng draws and no wall time.
   virtual bool drop_inter(int num_nodes, int n1, int n2) = 0;
   /// Multiplier on the run's wall time (straggler rounds). 1.0 = healthy.
@@ -63,7 +63,7 @@ struct ProfileOptions {
 };
 
 struct ProfileResult {
-  BandwidthMatrix bw;      ///< measured pairwise bandwidths, sanitized
+  BandwidthMatrix bw;      ///< measured readings, sanitized
   double wall_time_s = 0;  ///< simulated cost of the profiling run (Table II)
   int num_measurements = 0;
   /// What the sanitizer repaired. clean() on healthy fabrics — the repair
@@ -72,13 +72,14 @@ struct ProfileResult {
   SanitizeReport sanitize;
 };
 
-/// Measures every ordered node pair (applied to all GPU pairs across those
-/// nodes, as mpiGraph does) and every intra-node GPU pair. Measurement error
+/// Measures every ordered node pair (one reading per pair, which
+/// BandwidthMatrix::at applies to every GPU pair across those nodes, as
+/// mpiGraph does) and every intra-node GPU pair. Measurement error
 /// is multiplicative with the given sigma, clamped to a small positive floor
 /// so no noise draw can produce a non-positive bandwidth; rounds are
 /// averaged. The result is sanitized before returning: whatever faults the
 /// fabric (or the fault hook) imposed, `bw` contains only finite positive
-/// entries. May throw ProfileTransientError when a fault hook injects a
+/// readings. May throw ProfileTransientError when a fault hook injects a
 /// transient run failure.
 ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt);
 

@@ -20,24 +20,20 @@ double median_of(std::vector<double>& vals) {
 
 }  // namespace
 
-SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_per_node,
-                                  const SanitizeOptions& opt) {
+SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& opt) {
   SanitizeReport rep;
-  const int nn = num_nodes;
-  const int gpn = gpus_per_node;
+  const int nn = bw.num_nodes();
+  const int gpn = bw.gpus_per_node();
   rep.total_readings = nn * (nn - 1) + nn * gpn * (gpn - 1);
 
-  // Pass 1: classify every reading from the *original* matrix. Inter-node
-  // readings live at node-pair resolution (the profiler fans one measurement
-  // out to the whole GPU block), so the lead-GPU entry stands for the block.
+  // Pass 1: classify every inter-node reading from the *original* matrix.
   // Donors are drawn exclusively from this snapshot — a repaired value never
   // donates to a later repair, so repair order cannot change the result.
   std::vector<char> inter_good(static_cast<std::size_t>(nn) * nn, 1);
-  auto inter_at = [&](int n1, int n2) { return bw.at(n1 * gpn, n2 * gpn); };
   for (int n1 = 0; n1 < nn; ++n1) {
     for (int n2 = 0; n2 < nn; ++n2) {
       if (n1 == n2) continue;
-      inter_good[static_cast<std::size_t>(n1) * nn + n2] = healthy(inter_at(n1, n2)) ? 1 : 0;
+      inter_good[static_cast<std::size_t>(n1) * nn + n2] = healthy(bw.inter(n1, n2)) ? 1 : 0;
     }
   }
 
@@ -69,14 +65,14 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_p
     }
   };
 
-  // Pass 3a: repair inter-node readings. Donor hierarchy: symmetric block,
+  // Pass 3a: repair inter-node readings. Donor hierarchy: symmetric reading,
   // then the median of healthy readings touching either endpoint, then the
   // global healthy inter-node median, then the floor.
   std::vector<double> global_inter;
   for (int n1 = 0; n1 < nn; ++n1) {
     for (int n2 = 0; n2 < nn; ++n2) {
       if (n1 != n2 && inter_good[static_cast<std::size_t>(n1) * nn + n2]) {
-        global_inter.push_back(inter_at(n1, n2));
+        global_inter.push_back(bw.inter(n1, n2));
       }
     }
   }
@@ -85,22 +81,22 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_p
   for (int n1 = 0; n1 < nn; ++n1) {
     for (int n2 = 0; n2 < nn; ++n2) {
       if (n1 == n2 || inter_good[static_cast<std::size_t>(n1) * nn + n2]) continue;
-      classify(inter_at(n1, n2));
+      classify(bw.inter(n1, n2));
       double repl;
       if (quarantined[static_cast<std::size_t>(n1)] || quarantined[static_cast<std::size_t>(n2)]) {
         repl = opt.floor_bw;
         ++rep.imputed_floor;
       } else if (inter_good[static_cast<std::size_t>(n2) * nn + n1]) {
-        repl = inter_at(n2, n1);
+        repl = bw.inter(n2, n1);
         ++rep.imputed_symmetric;
       } else {
         scratch.clear();
         for (int m = 0; m < nn; ++m) {
           if (m != n1 && m != n2 && inter_good[static_cast<std::size_t>(n1) * nn + m]) {
-            scratch.push_back(inter_at(n1, m));
+            scratch.push_back(bw.inter(n1, m));
           }
           if (m != n1 && m != n2 && inter_good[static_cast<std::size_t>(m) * nn + n2]) {
-            scratch.push_back(inter_at(m, n2));
+            scratch.push_back(bw.inter(m, n2));
           }
         }
         double med = median_of(scratch);
@@ -115,11 +111,7 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_p
           ++rep.imputed_floor;
         }
       }
-      for (int a = 0; a < gpn; ++a) {
-        for (int b = 0; b < gpn; ++b) {
-          bw.set(n1 * gpn + a, n2 * gpn + b, repl);
-        }
-      }
+      bw.set_inter(n1, n2, repl);
       rep.repaired_node_pairs.emplace_back(n1, n2);
     }
   }
@@ -137,7 +129,7 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_p
     for (int a = 0; a < gpn; ++a) {
       for (int b = 0; b < gpn; ++b) {
         if (a == b) continue;
-        const double v = bw.at(n * gpn + a, n * gpn + b);
+        const double v = bw.intra(n, a, b);
         if (healthy(v)) {
           global_intra.push_back(v);
         } else {
@@ -152,17 +144,17 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_p
     for (int a = 0; a < gpn; ++a) {
       for (int b = 0; b < gpn; ++b) {
         if (a == b || intra_good[intra_idx(n, a, b)]) continue;
-        classify(bw.at(n * gpn + a, n * gpn + b));
+        classify(bw.intra(n, a, b));
         double repl;
         if (intra_good[intra_idx(n, b, a)]) {
-          repl = bw.at(n * gpn + b, n * gpn + a);
+          repl = bw.intra(n, b, a);
           ++rep.imputed_symmetric;
         } else {
           scratch.clear();
           for (int x = 0; x < gpn; ++x) {
             for (int y = 0; y < gpn; ++y) {
               if (x != y && intra_good[intra_idx(n, x, y)]) {
-                scratch.push_back(bw.at(n * gpn + x, n * gpn + y));
+                scratch.push_back(bw.intra(n, x, y));
               }
             }
           }
@@ -181,7 +173,7 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_p
         // The symmetric donor is read back through intra_good, which still
         // reflects the original matrix — but the value itself may have been
         // overwritten only if (b, a) was bad, which intra_good excludes.
-        bw.set(n * gpn + a, n * gpn + b, repl);
+        bw.set_intra(n, a, b, repl);
         node_repaired = true;
       }
     }

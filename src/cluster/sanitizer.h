@@ -1,9 +1,9 @@
 // Bandwidth-matrix sanitizer — the graceful-degradation half of the
 // profiling pipeline. Real fabrics hand the profiler dead links, flapping
 // NICs, and partially-failed probe rounds; the raw readings then contain
-// NaNs, zeros, negatives, or whole unmeasured blocks. Everything downstream
+// NaNs, zeros, negatives, or unmeasured node pairs. Everything downstream
 // (the latency model, the incremental evaluator, SA) assumes finite positive
-// bandwidths, so one bad entry silently poisons every cost it touches.
+// bandwidths, so one bad reading silently poisons every cost it touches.
 //
 // sanitize_bandwidth() repairs the matrix in place and reports exactly what
 // it did, so the repair provenance can ride the request all the way into
@@ -18,14 +18,14 @@
 //     directions is quarantined: every link touching it is pinned to the
 //     floor rather than imputed from healthy peers, so the optimizer routes
 //     around it instead of trusting an invented number;
-//   * healthy entries are never touched — on a clean matrix the whole pass
+//   * healthy readings are never touched — on a clean matrix the whole pass
 //     is a bit-exact no-op, which is what keeps faults-off runs identical
 //     to the pre-sanitizer behaviour.
 //
-// Granularity mirrors the profiler's: inter-node bandwidth is measured once
-// per ordered node pair (and fanned out to every GPU pair crossing it), so
-// repairs and counts are per node-pair *reading*; intra-node readings are
-// per ordered GPU pair.
+// Granularity is the matrix's, which is the profiler's: one reading per
+// ordered node pair (which every GPU pair crossing it reads) and one per
+// ordered intra-node GPU pair. A repair rewrites that one reading, and counts
+// are per reading.
 #pragma once
 
 #include <utility>
@@ -66,11 +66,9 @@ struct SanitizeReport {
   bool clean() const { return repaired_readings() == 0 && quarantined_nodes.empty(); }
 };
 
-/// Repairs `bw` in place (self-pairs excluded — they are +infinity by
-/// construction) and returns the provenance report. `num_nodes` and
-/// `gpus_per_node` define the node blocks; the matrix must be
-/// num_nodes * gpus_per_node square.
-SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, int num_nodes, int gpus_per_node,
-                                  const SanitizeOptions& opt = {});
+/// Repairs `bw`'s readings in place (self-pairs excluded — they are
+/// +infinity by construction) and returns the provenance report. The node
+/// count and width are the matrix's own.
+SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& opt = {});
 
 }  // namespace pipette::cluster

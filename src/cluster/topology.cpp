@@ -105,10 +105,16 @@ void Topology::advance_day() {
 }
 
 BandwidthMatrix Topology::true_matrix() const {
-  BandwidthMatrix m(num_gpus());
-  for (int g1 = 0; g1 < num_gpus(); ++g1) {
-    for (int g2 = 0; g2 < num_gpus(); ++g2) {
-      if (g1 != g2) m.set(g1, g2, bandwidth(g1, g2));
+  const int nn = num_nodes(), gpn = gpus_per_node();
+  BandwidthMatrix m(nn, gpn);
+  for (int n1 = 0; n1 < nn; ++n1) {
+    for (int n2 = 0; n2 < nn; ++n2) {
+      if (n1 != n2) m.set_inter(n1, n2, bandwidth(n1 * gpn, n2 * gpn));
+    }
+    for (int a = 0; a < gpn; ++a) {
+      for (int b = 0; b < gpn; ++b) {
+        if (a != b) m.set_intra(n1, a, b, bandwidth(n1 * gpn + a, n1 * gpn + b));
+      }
     }
   }
   return m;

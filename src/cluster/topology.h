@@ -43,7 +43,8 @@ class Topology {
   void advance_day();
   int day() const { return day_; }
 
-  /// Dense snapshot of the current-day attained bandwidths.
+  /// Snapshot of the current-day attained bandwidths, one reading per
+  /// ordered node pair and per ordered intra-node GPU pair.
   BandwidthMatrix true_matrix() const;
 
   /// Stable 64-bit digest of everything that determines this cluster's

@@ -13,6 +13,7 @@
 #include "common/hashing.h"
 #include "common/stopwatch.h"
 #include "estimators/latency_models.h"
+#include "mlp/regressor.h"
 #include "model/gpt_zoo.h"
 #include "obs/json.h"
 #include "parallel/groups.h"
@@ -236,7 +237,7 @@ std::string validate(const PipetteOptions& opt) {
     return "memory_training.profile_global_batches must be non-empty with every entry >= 1";
   }
   if (std::isnan(opt.deadline_s)) return "deadline_s must not be NaN";
-  return {};
+  return mlp::validate(opt.memory_training.hidden, opt.memory_training.train);
 }
 
 struct PipetteConfigurator::Request {

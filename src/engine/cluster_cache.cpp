@@ -1,5 +1,8 @@
 #include "engine/cluster_cache.h"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,6 +47,21 @@ ClusterCache::ClusterCache(ClusterCacheOptions opt) : opt_(std::move(opt)) {
                                          obs::Registry::latency_bounds_s());
   }
   if (!opt_.snapshot_dir.empty()) {
+    // A negative retry count would drop every record unattempted, and a NaN
+    // or infinite delay would reach sleep_for's integer conversion.
+    if (opt_.persist_retries < 0) {
+      throw std::invalid_argument("ClusterCacheOptions::persist_retries must be >= 0, got " +
+                                  std::to_string(opt_.persist_retries));
+    }
+    const std::pair<const char*, double> delays[] = {
+        {"persist_backoff_s", opt_.persist_backoff_s},
+        {"persist_write_delay_s", opt_.persist_write_delay_s}};
+    for (const auto& [field, v] : delays) {
+      if (!std::isfinite(v) || v < 0.0) {
+        throw std::invalid_argument(std::string("ClusterCacheOptions::") + field +
+                                    " must be finite and >= 0");
+      }
+    }
     persist::PersisterOptions popt;
     popt.dir = opt_.snapshot_dir;
     popt.write_behind = opt_.persist_write_behind;

@@ -109,6 +109,9 @@ class ClusterCache {
     bool compute_from_disk = false;
   };
 
+  /// With a snapshot_dir set, throws std::invalid_argument naming the field
+  /// for a negative persist_retries, or a persist_backoff_s or
+  /// persist_write_delay_s that is not finite and >= 0.
   explicit ClusterCache(ClusterCacheOptions opt = {});
   /// Final flush: snapshots live compute caches and drains the persister.
   ~ClusterCache();

@@ -8,7 +8,6 @@
 
 #include "common/hashing.h"
 #include "common/rng.h"
-#include "mlp/regressor.h"
 #include "obs/json.h"
 
 namespace pipette::engine {
@@ -103,9 +102,6 @@ std::future<ServiceResult> ConfigService::submit_request(
   std::string reason = model::validate(job);
   if (reason.empty()) reason = cluster::validate(topo.spec());
   if (reason.empty()) reason = core::validate(opt_.pipette);
-  if (reason.empty()) {
-    reason = mlp::validate(opt_.pipette.memory_training.hidden, opt_.pipette.memory_training.train);
-  }
   if (reason.empty()) reason = validate(ro);
   if (!reason.empty()) {
     metrics_->counter("pipette.service.invalid_request").inc();

@@ -47,9 +47,9 @@ enum class ServiceStatus {
   kProfileFailed,      ///< transient profiling failures exhausted the retries
   kInternalError,      ///< unexpected exception; error carries what()
   kInvalidRequest,     ///< model::validate rejected the job, cluster::validate the
-                       ///< topology's spec, or core::validate / mlp::validate the
-                       ///< service's SA budget or memory-training options; error
-                       ///< names the field
+                       ///< topology's spec, or core::validate the service's SA
+                       ///< budget or memory-training options; error names the
+                       ///< field
 };
 
 const char* to_string(ServiceStatus s);

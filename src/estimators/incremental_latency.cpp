@@ -31,7 +31,10 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   move_gpn_ = gpus_per_node;
   const int n = cur_.num_workers();
   const int num_gpus = model.bw_->num_gpus();
-  num_nodes_ = std::max(1, (num_gpus + model.links_.gpus_per_node - 1) / model.links_.gpus_per_node);
+  num_nodes_ = model.num_nodes_;
+  link_gpn_ = model.links_.gpus_per_node;
+  inter_bw_ = model.bw_->inter_readings().data();
+  intra_bw_ = model.bw_->intra_readings().data();
   num_groups_ = pp_ * tp_;
   pair_stride_ = num_nodes_ * num_nodes_;
   rounds_ = static_cast<double>(model.nmb_) / pc.pp;
@@ -158,66 +161,18 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   // blocks coincide with them.
   node_sigma_ok_ = move_gpn_ == model.links_.gpus_per_node;
 
-  // Tiered bandwidth tables (see bw_at): only worth building once the full
-  // matrix outgrows the cache (2MB at 512 GPUs); the verification scan is one
-  // sequential pass over the matrix, negligible next to cluster profiling.
-  link_gpn_ = std::max(1, model.links_.gpus_per_node);
-  bw_tiered_ = false;
-  if (num_gpus >= 256 && num_gpus > link_gpn_) {
-    const auto* bwm = model.bw_;
-    const auto nn = static_cast<std::size_t>(num_nodes_);
-    node_bw_.assign(nn * nn, 0.0);
-    intra_bw_.assign(static_cast<std::size_t>(num_gpus) * static_cast<std::size_t>(link_gpn_),
-                     0.0);
-    for (int n1 = 0; n1 < num_nodes_; ++n1) {
-      for (int n2 = 0; n2 < num_nodes_; ++n2) {
-        if (n1 == n2) continue;
-        node_bw_[static_cast<std::size_t>(n1) * nn + static_cast<std::size_t>(n2)] =
-            bwm->at(n1 * link_gpn_, n2 * link_gpn_);
-      }
-    }
-    for (int g1 = 0; g1 < num_gpus; ++g1) {
-      const int nb = node_of_gpu_[static_cast<std::size_t>(g1)] * link_gpn_;
-      for (int o2 = 0; o2 < link_gpn_ && nb + o2 < num_gpus; ++o2) {
-        intra_bw_[static_cast<std::size_t>(g1) * static_cast<std::size_t>(link_gpn_) +
-                  static_cast<std::size_t>(o2)] = bwm->at(g1, nb + o2);
-      }
-    }
-    // Intra rows are verbatim copies; only the inter-node fold is a claim
-    // that needs checking.
-    bw_tiered_ = true;
-    for (int g1 = 0; g1 < num_gpus && bw_tiered_; ++g1) {
-      const auto n1 = static_cast<std::size_t>(node_of_gpu_[static_cast<std::size_t>(g1)]);
-      for (int g2 = 0; g2 < num_gpus; ++g2) {
-        const auto n2 = static_cast<std::size_t>(node_of_gpu_[static_cast<std::size_t>(g2)]);
-        if (n1 == n2) continue;
-        if (bwm->at(g1, g2) != node_bw_[n1 * nn + n2]) {
-          bw_tiered_ = false;
-          break;
-        }
-      }
-    }
-    if (!bw_tiered_) {
-      node_bw_ = {};
-      intra_bw_ = {};
-    }
-  }
-
   full_recompute();
 }
 
 double IncrementalLatencyEvaluator::bw_at(int g1, int g2) const {
-  if (bw_tiered_) {
-    const int n1 = node_of_gpu_[static_cast<std::size_t>(g1)];
-    const int n2 = node_of_gpu_[static_cast<std::size_t>(g2)];
-    if (n1 != n2) {
-      return node_bw_[static_cast<std::size_t>(n1) * static_cast<std::size_t>(num_nodes_) +
-                      static_cast<std::size_t>(n2)];
-    }
-    return intra_bw_[static_cast<std::size_t>(g1) * static_cast<std::size_t>(link_gpn_) +
-                     static_cast<std::size_t>(g2 - n1 * link_gpn_)];
+  const int n1 = node_of_gpu_[static_cast<std::size_t>(g1)];
+  const int n2 = node_of_gpu_[static_cast<std::size_t>(g2)];
+  if (n1 != n2) {
+    return inter_bw_[static_cast<std::size_t>(n1) * static_cast<std::size_t>(num_nodes_) +
+                     static_cast<std::size_t>(n2)];
   }
-  return model_->bw_->at(g1, g2);
+  return intra_bw_[static_cast<std::size_t>(g1) * static_cast<std::size_t>(link_gpn_) +
+                   static_cast<std::size_t>(g2 - n1 * link_gpn_)];
 }
 
 void IncrementalLatencyEvaluator::link_flow(int fl, int idx) {
@@ -261,7 +216,7 @@ bool IncrementalLatencyEvaluator::cell_members_changed(int cell) {
 
 void IncrementalLatencyEvaluator::recompute_tp_cell(int stage, int dpr) {
   // Mirrors PipetteLatencyModel::tp_time over the cell's member pairs (min
-  // is exact, so bw_at's tiered reads fold the same values); for tp < 2 the
+  // is exact, so bw_at's table reads fold the same values); for tp < 2 the
   // ring term is zero either way.
   const int cell = stage * dp_ + dpr;
   const int* members = cur_.raw().data() + (dpr * pp_ + stage) * tp_;  // consecutive in y
@@ -299,7 +254,7 @@ void IncrementalLatencyEvaluator::reprice_hop_column(int hop, int dpr) {
   const int base = (hop * dp_ + dpr) * tp_;
   // The endpoint bandwidths come from flow_bw_* (kept current by the
   // dirty-flow refresh), so a column repriced only because a sharing count
-  // moved never touches the num_gpus² profiled matrix. Each flow is priced
+  // moved never re-reads the profiled readings. Each flow is priced
   // with the full model's per-element expressions and folded into the max in
   // the same order, so the column is bit-identical.
   double slowest = 0.0;
@@ -355,21 +310,18 @@ void IncrementalLatencyEvaluator::recompute_group(int stage, int tpr) {
   }
   for (int z = 0, w = gidx; z < dp_; ++z, w += wstride) gpu[counts[node[z]]++] = perm[w];
 
-  double min_intra = std::numeric_limits<double>::infinity();
-  double min_inter = min_intra;
-  if (bw_tiered_) {
-    // Census pricing: every GPU pair across member nodes a != b reads
-    // node_bw_[a][b], so the inter-node min is a min over ordered pairs of
-    // distinct member nodes.
-    for (int i = 0; i < num; ++i) {
-      const double* row = node_bw_.data() + static_cast<std::size_t>(nodes[i]) *
-                                                static_cast<std::size_t>(num_nodes_);
-      for (int j = 0; j < num; ++j) {
-        if (j != i) min_inter = std::min(min_inter, row[nodes[j]]);
-      }
+  // Census pricing: every GPU pair across member nodes a != b reads the
+  // node-pair reading a -> b, so the inter-node min is a min over ordered
+  // pairs of distinct member nodes.
+  double min_inter = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < num; ++i) {
+    const double* row = inter_bw_ + static_cast<std::size_t>(nodes[i]) *
+                                        static_cast<std::size_t>(num_nodes_);
+    for (int j = 0; j < num; ++j) {
+      if (j != i) min_inter = std::min(min_inter, row[nodes[j]]);
     }
   }
-  const cluster::BandwidthMatrix& bw = *model_->bw_;
+  double min_intra = std::numeric_limits<double>::infinity();
   for (int i = 0, begin = 0; i < num; ++i) {
     const int end = counts[nodes[i]];
     counts[nodes[i]] = 0;
@@ -377,11 +329,6 @@ void IncrementalLatencyEvaluator::recompute_group(int stage, int tpr) {
       for (int b = begin; b < end; ++b) {
         if (a != b) min_intra = std::min(min_intra, bw_at(gpu[a], gpu[b]));
       }
-      if (bw_tiered_) continue;
-      // No node-pair structure to exploit: read every cross-bucket pair
-      // from the matrix, as the full model does.
-      for (int b = 0; b < begin; ++b) min_inter = std::min(min_inter, bw.at(gpu[a], gpu[b]));
-      for (int b = end; b < dp_; ++b) min_inter = std::min(min_inter, bw.at(gpu[a], gpu[b]));
     }
     begin = end;
   }
@@ -590,10 +537,11 @@ void IncrementalLatencyEvaluator::collect_node_block(int node, int delta_nodes) 
 }
 
 void IncrementalLatencyEvaluator::apply_and_collect(const parallel::MappingMoveDesc& mv) {
-  // Equivalent to parallel::touched_positions + parallel::apply_move, but
-  // node moves walk the affected node blocks through the maintained inverse
-  // permutation — O(touched), no whole-permutation scan, no divisions — and
-  // every path records the pre-move GPUs so rollback is a plain write-back.
+  // Applies the move as parallel::apply_move does and records the positions
+  // it touched. Node moves walk the affected node blocks through the
+  // maintained inverse permutation — O(touched), no whole-permutation scan,
+  // no divisions — and every path records the pre-move GPUs so rollback is a
+  // plain write-back.
   using parallel::MoveKind;
   touched_pos_.clear();
   undo_gpu_.clear();

@@ -18,13 +18,12 @@
 // Pricing a dirtied entry reads only its members. A TP cell folds its ≤tp²
 // member pairs, and is skipped outright when the move merely permuted its
 // members (the term is set-valued). A DP ring re-derives its member-node
-// census and prices from it: past 256 GPUs the profiled matrix folds into
-// node-pair tables (see bw_at), so the inter-node min is a min over ordered
-// pairs of distinct member nodes and the intra-node min a min over each
-// node's bucket of members — O(nodes² + members) cache-resident reads where
-// a dp² scan of the num_gpus² matrix would thrash DRAM. Smaller fabrics read
-// the member pairs straight from the matrix, as the full model does. Mins
-// are exact, so every scan order is bit-identical.
+// census and prices from it: the profile holds one reading per ordered node
+// pair (cluster::BandwidthMatrix), so the inter-node min is a min over
+// ordered pairs of distinct member nodes and the intra-node min a min over
+// each node's bucket of members — O(nodes² + members) reads of the profile's
+// own tables instead of the full model's dp² scan of GPU pairs. Mins are
+// exact, so every scan order is bit-identical.
 //
 // The final reduction is itself incremental: per-replica pipeline path sums
 // and per-group DP ring terms are cached, so reduce() folds O(pp + dp +
@@ -126,10 +125,6 @@ class IncrementalLatencyEvaluator {
   /// Dirty-set sizes of the last propose() (valid until the next propose).
   DirtyStats last_dirty() const;
 
-  /// Whether the tiered node-pair bandwidth tables engaged at construction
-  /// (large cluster whose matrix verified as node-pair-structured).
-  bool bw_tiered() const { return bw_tiered_; }
-
  private:
   /// propose()'s pricing phases, in the order they run.
   enum class Phase { kTp, kDp, kPipeline };
@@ -174,9 +169,9 @@ class IncrementalLatencyEvaluator {
   void update_group_flows(int gidx, const int* nodes, int num, int delta);
   /// Marks group `gidx`'s ring term dirty (dedup by stamp), saving its undo.
   void mark_term_dirty(int gidx);
-  /// Reads bandwidth(g1, g2), preferring the tiered node-pair/intra-node
-  /// tables over the full num_gpus² matrix (defined in the .cpp; every call
-  /// site lives there, so it inlines within the translation unit).
+  /// Reads bandwidth(g1, g2) from the profile's node-pair or intra-node
+  /// table, resolving nodes through node_of_gpu_ (defined in the .cpp; every
+  /// call site lives there, so it inlines within the translation unit).
   double bw_at(int g1, int g2) const;
   /// Folds the cached decomposition into Eq. (3): O(pp + dp + pp·tp) reads,
   /// bracketed exactly like PipetteLatencyModel::estimate. The terms of the
@@ -197,6 +192,7 @@ class IncrementalLatencyEvaluator {
   int pp_ = 1, tp_ = 1, dp_ = 1;
   int move_gpn_ = 8;       ///< node-block width for applying node moves
   int num_nodes_ = 1;      ///< nodes of the profiled fabric
+  int link_gpn_ = 1;       ///< node width of the profiled fabric
   int num_groups_ = 1;     ///< pp · tp (DP rings)
   int pair_stride_ = 1;    ///< num_nodes_² (ordered node pairs per hop)
   double rounds_ = 1.0;    ///< n_mb / pp of Eq. (3)
@@ -231,26 +227,17 @@ class IncrementalLatencyEvaluator {
   std::vector<double> g_term_;   ///< [gidx] cached DP ring term of Eq. (6)
   /// Per-flow endpoint bandwidths ([(hop*dp + dpr)*tp + tpr], fwd/bwd),
   /// refreshed alongside flow_pair_ — a column repriced only because a
-  /// sharing count moved re-reads them without touching the big matrix.
+  /// sharing count moved re-reads them without touching the profile.
   std::vector<double> flow_bw_fwd_, flow_bw_bwd_;
   /// Sharing lists: pair_head_[hop*pair_stride + pair] heads an intrusive
   /// doubly-linked list (flow_next_/flow_prev_) of the flows currently on
   /// that ordered node pair. List order is arbitrary (it only drives which
   /// columns get marked dirty, a set); membership mirrors flow_pair_.
   std::vector<int> pair_head_, flow_next_, flow_prev_;
-  // Tiered bandwidth view: profile_network measures inter-node bandwidth at
-  // node-pair resolution (every GPU pair crossing the same ordered node pair
-  // shares one averaged probe), so the num_gpus² matrix folds into a
-  // num_nodes² table plus per-GPU intra-node rows — cache-resident where the
-  // full matrix thrashes DRAM on every gather. The fold is verified
-  // entry-for-entry at construction and abandoned (bw_tiered_ = false,
-  // direct reads) if any inter-node entry deviates, so an arbitrary
-  // user-supplied matrix keeps exact behavior. Values are exact copies
-  // either way: bit-identity with PipetteLatencyModel::estimate holds.
-  bool bw_tiered_ = false;
-  int link_gpn_ = 1;               ///< fabric node width (model.links_)
-  std::vector<double> node_bw_;    ///< [n1*num_nodes + n2] inter-node bw
-  std::vector<double> intra_bw_;   ///< [g1*link_gpn + o2] same-node bw
+  /// The model's profiled readings (views, not copies):
+  /// BandwidthMatrix::inter_readings() and intra_readings().
+  const double* inter_bw_ = nullptr;  ///< [n1*num_nodes + n2]
+  const double* intra_bw_ = nullptr;  ///< [g1*link_gpn + local(g2)]
   std::vector<int> g_flows_;     ///< [gidx] sharing factor the term was
                                  ///< derived at; -1 after a stats change
   // node→groups reverse index: which crossing rings have a member on a node

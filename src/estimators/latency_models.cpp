@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "parallel/parallel_config.h"
@@ -37,8 +38,12 @@ PipetteLatencyModel::PipetteLatencyModel(const model::TrainingJob& job,
       tp_msg_bytes_(model::tp_message_bytes(job.model, plan.micro_batch)),
       ppcomm_scale_(static_cast<double>(plan.virtual_stages)),
       fill_scale_(1.0 / static_cast<double>(plan.virtual_stages)),
-      num_nodes_(std::max(
-          1, (profiled_bw->num_gpus() + links.gpus_per_node - 1) / links.gpus_per_node)) {}
+      num_nodes_(profiled_bw->num_nodes()) {
+  if (links.gpus_per_node != profiled_bw->gpus_per_node()) {
+    throw std::invalid_argument(
+        "PipetteLatencyModel: links.gpus_per_node differs from the profiled matrix's node width");
+  }
+}
 
 double PipetteLatencyModel::tp_time(const parallel::Mapping& m, int stage, int dpr) const {
   if (pc_.tp < 2) return 0.0;

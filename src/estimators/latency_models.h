@@ -79,6 +79,8 @@ struct LinkConstants {
 /// and allocates nothing.
 class PipetteLatencyModel {
  public:
+  /// Throws std::invalid_argument when links.gpus_per_node differs from the
+  /// node width of `profiled_bw`.
   PipetteLatencyModel(const model::TrainingJob& job, const parallel::TrainPlan& plan,
                       ComputeProfile profile, const cluster::BandwidthMatrix* profiled_bw,
                       const LinkConstants& links);

@@ -109,44 +109,6 @@ MappingMoveDesc inverse_move(const MappingMoveDesc& mv) {
   return mv;
 }
 
-void touched_positions(const Mapping& m, const MappingMoveDesc& mv, int gpus_per_node,
-                       std::vector<int>& out) {
-  switch (mv.kind) {
-    case MoveKind::kSwap:
-      if (mv.a != mv.b) {
-        out.push_back(mv.a);
-        out.push_back(mv.b);
-      }
-      break;
-    case MoveKind::kMigrate:
-    case MoveKind::kReverse: {
-      // Every position in the span shifts (migrate) or mirrors (reverse);
-      // values are distinct, so only a reverse's midpoint can stay fixed.
-      const int lo = std::min(mv.a, mv.b), hi = std::max(mv.a, mv.b);
-      if (lo == hi) break;
-      for (int p = lo; p <= hi; ++p) out.push_back(p);
-      break;
-    }
-    case MoveKind::kNodeSwap: {
-      if (mv.a == mv.b) break;
-      for (int p = 0; p < m.num_workers(); ++p) {
-        const int node = m.gpu_at(p) / gpus_per_node;
-        if (node == mv.a || node == mv.b) out.push_back(p);
-      }
-      break;
-    }
-    case MoveKind::kNodeReverse: {
-      const int lo = std::min(mv.a, mv.b), hi = std::max(mv.a, mv.b);
-      if (lo == hi) break;
-      for (int p = 0; p < m.num_workers(); ++p) {
-        const int node = m.gpu_at(p) / gpus_per_node;
-        if (node >= lo && node <= hi && lo + hi - node != node) out.push_back(p);
-      }
-      break;
-    }
-  }
-}
-
 void Mapping::set_raw(std::vector<int> perm) {
   if (perm.size() != perm_.size()) {
     throw std::invalid_argument("Mapping::set_raw: wrong permutation size");

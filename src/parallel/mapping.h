@@ -95,15 +95,6 @@ void apply_move(Mapping& m, const MappingMoveDesc& mv, int gpus_per_node);
 /// migrate, whose inverse swaps the endpoints.
 MappingMoveDesc inverse_move(const MappingMoveDesc& mv);
 
-/// Appends to `out` the flat worker positions whose assigned GPU `mv` would
-/// change when applied to `m` (evaluated against the current state, before
-/// application): swap touches its two positions, migrate/reverse the whole
-/// [min, max] position range, and node moves every position currently holding
-/// a GPU inside an affected node block. Conservative only at a reverse's
-/// fixed midpoint; everything reported genuinely belongs to the move's span.
-void touched_positions(const Mapping& m, const MappingMoveDesc& mv, int gpus_per_node,
-                       std::vector<int>& out);
-
 /// Projects an annealed mapping onto a (possibly resized) plan: worker w of
 /// the new plan keeps `old`'s GPU for w wherever that worker and GPU both
 /// still exist, and every remaining position is backfilled with the unused

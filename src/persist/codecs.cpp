@@ -32,9 +32,11 @@ int non_negative(int v, const char* what) {
 std::vector<unsigned char> encode_profile(const cluster::ProfileResult& profile) {
   ByteWriter w;
   const auto& bw = profile.bw;
-  w.i32(bw.num_gpus());
-  const auto raw = bw.raw();
-  w.bytes(reinterpret_cast<const unsigned char*>(raw.data()), raw.size() * sizeof(double));
+  w.i32(bw.num_nodes());
+  w.i32(bw.gpus_per_node());
+  for (const auto table : {bw.inter_readings(), bw.intra_readings()}) {
+    w.bytes(reinterpret_cast<const unsigned char*>(table.data()), table.size() * sizeof(double));
+  }
   w.f64(profile.wall_time_s);
   w.i32(profile.num_measurements);
   const auto& s = profile.sanitize;
@@ -55,25 +57,30 @@ std::vector<unsigned char> encode_profile(const cluster::ProfileResult& profile)
 
 cluster::ProfileResult decode_profile(const unsigned char* payload, std::size_t n) {
   ByteReader r(payload, n);
-  const int gpus = r.i32();
-  require(gpus > 0 && static_cast<std::size_t>(gpus) <= kMaxGpus, "bad gpu count");
-  const std::size_t cells = static_cast<std::size_t>(gpus) * static_cast<std::size_t>(gpus);
-  require(r.remaining() >= cells * sizeof(double), "bandwidth matrix truncated");
+  const int nodes = r.i32();
+  const int gpn = r.i32();
+  const auto nn = static_cast<std::size_t>(nodes), width = static_cast<std::size_t>(gpn);
+  require(nodes > 0 && gpn > 0 && nn * width <= kMaxGpus, "bad node counts");
+  require(r.remaining() >= (nn * nn + nn * width * width) * sizeof(double),
+          "bandwidth readings truncated");
   cluster::ProfileResult out;
-  out.bw = cluster::BandwidthMatrix(gpus);
-  for (int g1 = 0; g1 < gpus; ++g1) {
-    for (int g2 = 0; g2 < gpus; ++g2) {
-      const double v = r.f64();
-      if (g1 == g2) {
-        // Self-pairs are +infinity by construction; anything else means the
-        // payload is not a BandwidthMatrix image.
-        require(v == std::numeric_limits<double>::infinity(), "bad self-pair bandwidth");
-      } else {
-        // The profiler sanitizes before returning, so every persisted entry
-        // is finite positive — the exact invariant the latency models assume.
-        require(std::isfinite(v) && v > 0.0, "bad bandwidth entry");
-        out.bw.set(g1, g2, v);
-      }
+  out.bw = cluster::BandwidthMatrix(nodes, gpn);
+  // Self-pairs are +infinity by construction (anything else means the payload
+  // is not a BandwidthMatrix image), and the profiler sanitizes before
+  // returning, so every other reading is finite positive — the exact
+  // invariant the latency models assume.
+  auto reading = [&r](bool self_pair) {
+    const double v = r.f64();
+    require(self_pair ? v == std::numeric_limits<double>::infinity() : std::isfinite(v) && v > 0.0,
+            self_pair ? "bad self-pair bandwidth" : "bad bandwidth entry");
+    return v;
+  };
+  for (int n1 = 0; n1 < nodes; ++n1) {
+    for (int n2 = 0; n2 < nodes; ++n2) out.bw.set_inter(n1, n2, reading(n1 == n2));
+  }
+  for (int node = 0; node < nodes; ++node) {
+    for (int a = 0; a < gpn; ++a) {
+      for (int b = 0; b < gpn; ++b) out.bw.set_intra(node, a, b, reading(a == b));
     }
   }
   out.wall_time_s = finite(r.f64(), "bad wall time");

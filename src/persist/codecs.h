@@ -1,8 +1,8 @@
 // Payload codecs for the three memoized cluster artifacts. Encoders are pure
 // functions of the artifact; decoders validate everything they read — lengths
 // against the payload, enums against their ranges, doubles against the
-// invariants the rest of the pipeline assumes (a sanitized bandwidth matrix
-// holds only finite positive entries; a standardizer's scales are positive) —
+// invariants the rest of the pipeline assumes (a sanitized bandwidth profile
+// holds only finite positive readings; a standardizer's scales are positive) —
 // and throw persist::DecodeError on any violation. The CRC in the record
 // frame catches flipped bytes; this structural validation is the second wall,
 // catching records that are internally consistent bytes but not a valid
@@ -10,7 +10,7 @@
 //
 // Round-trip contract, locked by tests: decode(encode(x)) produces an
 // artifact whose every observable behaviour — estimate_bytes(), the bandwidth
-// entries, the memoized compute profiles — is bit-identical to x, so a
+// readings, the memoized compute profiles — is bit-identical to x, so a
 // warm-restarted service recommends exactly what the original would have.
 #pragma once
 
@@ -24,9 +24,12 @@
 
 namespace pipette::persist {
 
+/// Payload: i32 node count, i32 node width, the node-pair readings
+/// (count² doubles), the intra-node readings (count · width² doubles), then
+/// the wall time, the measurement count and the sanitize report.
 std::vector<unsigned char> encode_profile(const cluster::ProfileResult& profile);
 /// Throws DecodeError on structural corruption (including any non-finite or
-/// non-positive bandwidth entry — sanitized snapshots never contain those).
+/// non-positive reading — sanitized snapshots never contain those).
 cluster::ProfileResult decode_profile(const unsigned char* payload, std::size_t n);
 
 std::vector<unsigned char> encode_memory(const estimators::MlpMemoryEstimator& est);

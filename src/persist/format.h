@@ -46,7 +46,9 @@ struct DecodeError : std::runtime_error {
 };
 
 inline constexpr std::uint64_t kMagic = 0x0050414e53545050ull;  // "PPTSNAP\0" LE
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bumped whenever a payload layout changes: records of any other version
+/// load as version_mismatch skips.
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 36;
 
 /// What a snapshot record holds. Values are part of the on-disk format:

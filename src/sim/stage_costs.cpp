@@ -1,6 +1,7 @@
 #include "sim/stage_costs.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "parallel/groups.h"
 #include "sim/collectives.h"

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -9,34 +11,28 @@
 #include "cluster/profiler.h"
 #include "cluster/sanitizer.h"
 #include "cluster/topology.h"
+#include "common/hashing.h"
 #include "common/units.h"
+#include "engine/faults.h"
 
 namespace pcl = pipette::cluster;
 namespace pco = pipette::common;
 
 namespace {
 
-/// Writes one inter-node reading at node-pair granularity, fanned across the
-/// whole GPU block as the profiler does.
-void set_inter_block(pcl::BandwidthMatrix& m, int n1, int n2, int gpn, double v) {
-  for (int a = 0; a < gpn; ++a) {
-    for (int b = 0; b < gpn; ++b) m.set(n1 * gpn + a, n2 * gpn + b, v);
-  }
-}
-
 /// A fully healthy matrix with distinct per-reading values, so tests can tell
 /// exactly which donor a repair came from.
 pcl::BandwidthMatrix healthy_matrix(int nn, int gpn) {
-  pcl::BandwidthMatrix m(nn * gpn);
+  pcl::BandwidthMatrix m(nn, gpn);
   for (int n1 = 0; n1 < nn; ++n1) {
     for (int n2 = 0; n2 < nn; ++n2) {
-      if (n1 != n2) set_inter_block(m, n1, n2, gpn, 1e10 + 1e8 * (n1 * nn + n2));
+      if (n1 != n2) m.set_inter(n1, n2, 1e10 + 1e8 * (n1 * nn + n2));
     }
   }
   for (int n = 0; n < nn; ++n) {
     for (int a = 0; a < gpn; ++a) {
       for (int b = 0; b < gpn; ++b) {
-        if (a != b) m.set(n * gpn + a, n * gpn + b, 3e11 + 1e9 * (a * gpn + b));
+        if (a != b) m.set_intra(n, a, b, 3e11 + 1e9 * (a * gpn + b));
       }
     }
   }
@@ -175,17 +171,6 @@ TEST(Topology, SubClusterSharesLinkState) {
   }
 }
 
-TEST(BandwidthMatrix, MinWithinAndRing) {
-  pcl::BandwidthMatrix m(4, 10.0);
-  m.set(1, 2, 3.0);
-  std::vector<int> group{0, 1, 2};
-  EXPECT_DOUBLE_EQ(m.min_within(group), 3.0);
-  std::vector<int> ring{0, 1, 2};  // edges 0->1, 1->2, 2->0
-  EXPECT_DOUBLE_EQ(m.min_along_ring(ring), 3.0);
-  std::vector<int> single{2};
-  EXPECT_TRUE(std::isinf(m.min_within(single)));
-}
-
 TEST(Profiler, MeasurementAccuracyAndAccounting) {
   pcl::Topology t(pcl::mid_range_cluster(4), pcl::HeterogeneityOptions{}, 11);
   pcl::ProfileOptions opt;
@@ -263,7 +248,7 @@ TEST(Topology, FingerprintDistinguishesSubClusterFromDirectBuild) {
 TEST(Sanitizer, CleanMatrixIsABitExactNoOp) {
   auto m = healthy_matrix(3, 2);
   const auto before = m;
-  const auto rep = pcl::sanitize_bandwidth(m, 3, 2);
+  const auto rep = pcl::sanitize_bandwidth(m);
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.total_readings, 3 * 2 + 3 * 2 * 1);
   EXPECT_EQ(rep.repaired_readings(), 0);
@@ -278,8 +263,8 @@ TEST(Sanitizer, CleanMatrixIsABitExactNoOp) {
 TEST(Sanitizer, NanReadingImputedFromTheSymmetricBlock) {
   auto m = healthy_matrix(3, 2);
   const double reverse = m.at(1 * 2, 0 * 2);
-  set_inter_block(m, 0, 1, 2, std::numeric_limits<double>::quiet_NaN());
-  const auto rep = pcl::sanitize_bandwidth(m, 3, 2);
+  m.set_inter(0, 1, std::numeric_limits<double>::quiet_NaN());
+  const auto rep = pcl::sanitize_bandwidth(m);
   EXPECT_EQ(rep.repaired_nonfinite, 1);
   EXPECT_EQ(rep.imputed_symmetric, 1);
   EXPECT_TRUE(rep.quarantined_nodes.empty());
@@ -292,9 +277,9 @@ TEST(Sanitizer, NanReadingImputedFromTheSymmetricBlock) {
 
 TEST(Sanitizer, BidirectionallyBadLinkFallsBackToNeighborMedian) {
   auto m = healthy_matrix(4, 2);
-  set_inter_block(m, 0, 1, 2, 0.0);
-  set_inter_block(m, 1, 0, 2, -5.0);
-  const auto rep = pcl::sanitize_bandwidth(m, 4, 2);
+  m.set_inter(0, 1, 0.0);
+  m.set_inter(1, 0, -5.0);
+  const auto rep = pcl::sanitize_bandwidth(m);
   EXPECT_EQ(rep.repaired_nonpositive, 2);
   EXPECT_EQ(rep.imputed_symmetric, 0) << "the reverse reading is bad too";
   EXPECT_EQ(rep.imputed_neighbor, 2);
@@ -309,12 +294,12 @@ TEST(Sanitizer, UnreachableNodeIsQuarantinedToTheFloor) {
   auto m = healthy_matrix(4, 2);
   for (int n = 0; n < 4; ++n) {
     if (n == 2) continue;
-    set_inter_block(m, 2, n, 2, std::numeric_limits<double>::quiet_NaN());
-    set_inter_block(m, n, 2, 2, 0.0);
+    m.set_inter(2, n, std::numeric_limits<double>::quiet_NaN());
+    m.set_inter(n, 2, 0.0);
   }
   const pcl::SanitizeOptions so;
   const double before_03 = m.at(0, 2 * 3);  // healthy link 0 -> 3, untouched
-  const auto rep = pcl::sanitize_bandwidth(m, 4, 2, so);
+  const auto rep = pcl::sanitize_bandwidth(m, so);
   ASSERT_EQ(rep.quarantined_nodes, std::vector<int>{2});
   EXPECT_EQ(rep.imputed_floor, 6) << "quarantined links are floored, never imputed";
   for (int n = 0; n < 4; ++n) {
@@ -328,10 +313,10 @@ TEST(Sanitizer, UnreachableNodeIsQuarantinedToTheFloor) {
 TEST(Sanitizer, IntraRepairsUseSymmetricThenNodeMedian) {
   auto m = healthy_matrix(2, 4);  // GPUs 0..3 are node 0
   const double reverse = m.at(1, 0);
-  m.set(0, 1, std::numeric_limits<double>::infinity());
-  m.set(2, 3, -1.0);
-  m.set(3, 2, 0.0);
-  const auto rep = pcl::sanitize_bandwidth(m, 2, 4);
+  m.set_intra(0, 0, 1, std::numeric_limits<double>::infinity());
+  m.set_intra(0, 2, 3, -1.0);
+  m.set_intra(0, 3, 2, 0.0);
+  const auto rep = pcl::sanitize_bandwidth(m);
   EXPECT_EQ(rep.repaired_nonfinite, 1);
   EXPECT_EQ(rep.repaired_nonpositive, 2);
   EXPECT_EQ(rep.imputed_symmetric, 1);
@@ -362,4 +347,123 @@ TEST(Profiler, ExtremeNoiseNeverProducesNonPositiveReadings) {
       }
     }
   }
+}
+
+namespace {
+
+/// Folds `at(g1, g2)` over every ordered GPU pair, self-pairs included.
+std::uint64_t digest_matrix(std::uint64_t h, const pcl::BandwidthMatrix& m) {
+  for (int g1 = 0; g1 < m.num_gpus(); ++g1) {
+    for (int g2 = 0; g2 < m.num_gpus(); ++g2) h = pco::hash_combine(h, m.at(g1, g2));
+  }
+  return h;
+}
+
+/// Folds the whole ProfileResult: the matrix, the run accounting, and every
+/// SanitizeReport field.
+std::uint64_t digest_profile(const pcl::ProfileResult& r) {
+  using pco::hash_combine;
+  std::uint64_t h = digest_matrix(0, r.bw);
+  h = hash_combine(h, r.wall_time_s);
+  h = hash_combine(h, static_cast<std::uint64_t>(r.num_measurements));
+  const pcl::SanitizeReport& s = r.sanitize;
+  for (const int v : {s.total_readings, s.repaired_nonfinite, s.repaired_nonpositive,
+                      s.imputed_symmetric, s.imputed_neighbor, s.imputed_floor}) {
+    h = hash_combine(h, static_cast<std::uint64_t>(v));
+  }
+  h = hash_combine(h, static_cast<std::uint64_t>(s.quarantined_nodes.size()));
+  for (const int n : s.quarantined_nodes) h = hash_combine(h, static_cast<std::uint64_t>(n));
+  h = hash_combine(h, static_cast<std::uint64_t>(s.repaired_node_pairs.size()));
+  for (const auto& [a, b] : s.repaired_node_pairs) {
+    h = hash_combine(h, static_cast<std::uint64_t>(a));
+    h = hash_combine(h, static_cast<std::uint64_t>(b));
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(Profiler, GoldenProfileDigests) {
+  // Pins profile_network bit for bit: every ordered GPU pair of the sanitized
+  // snapshot, the run's wall time and measurement count, and the whole
+  // SanitizeReport, plus Topology::true_matrix() of the same fabric. Fabric
+  // rows cover both Table I clusters at 2, 4 and 32 nodes (32 nodes = 256
+  // GPUs); fault rows run the 4-node mid-range fabric under one seeded
+  // schedule of each fault kind that reaches the snapshot, so every
+  // inter-node repair path of the sanitizer is exercised. The values were
+  // recorded by running this test. A change meant to keep the profile
+  // bit-identical must leave the table alone.
+  struct Fabric {
+    bool high_end;
+    int nodes;
+    std::uint64_t profile;
+    std::uint64_t truth;
+  };
+  const Fabric fabrics[] = {
+      {false, 2, 0x2693f8e5fb8564e0ull, 0x58bed928b8f04eefull},
+      {false, 4, 0xc862c4770f79d6f8ull, 0x45faee51e5494d00ull},
+      {false, 32, 0x7f9c5e12136494f8ull, 0xb3a0281c02625268ull},
+      {true, 2, 0xdd12872e87a2470dull, 0xa108b8edad500e07ull},
+      {true, 4, 0x86a05713eb31087aull, 0xd9fb5489b2b840d7ull},
+      {true, 32, 0x48b369276dc93e46ull, 0xa2047b92ec88b85cull},
+  };
+  for (const Fabric& f : fabrics) {
+    const pcl::ClusterSpec spec =
+        f.high_end ? pcl::high_end_cluster(f.nodes) : pcl::mid_range_cluster(f.nodes);
+    const pcl::Topology topo(spec, pcl::HeterogeneityOptions{}, 2024);
+    const std::uint64_t profile = digest_profile(pcl::profile_network(topo, {}));
+    const std::uint64_t truth = digest_matrix(0, topo.true_matrix());
+    char row[160];
+    std::snprintf(row, sizeof row, "%s x%d: 0x%016llxull, 0x%016llxull", spec.name.c_str(),
+                  f.nodes, static_cast<unsigned long long>(profile),
+                  static_cast<unsigned long long>(truth));
+    EXPECT_EQ(profile, f.profile) << row;
+    EXPECT_EQ(truth, f.truth) << row;
+  }
+
+  struct Faulted {
+    pipette::engine::FaultKind kind;
+    std::uint64_t profile;
+  };
+  using pipette::engine::FaultKind;
+  // A dead link reads 0 and a negative one -truth: both are non-positive and
+  // take the same symmetric repair, so their rows agree.
+  const Faulted faulted[] = {
+      {FaultKind::kDeadLink, 0x27fa879736140027ull},
+      {FaultKind::kDegradedLink, 0x01d59968417c3f53ull},
+      {FaultKind::kNanLink, 0x9a32ac72a35e6622ull},
+      {FaultKind::kNegativeLink, 0x27fa879736140027ull},
+      {FaultKind::kPartialCoverage, 0x4cb8eb838860bfe1ull},
+      {FaultKind::kDeadNode, 0xa063e361b9c3365bull},
+      {FaultKind::kStragglerRound, 0x2a70d873203773e8ull},
+  };
+  const pcl::Topology topo(pcl::mid_range_cluster(4), pcl::HeterogeneityOptions{}, 2024);
+  pcl::SanitizeReport seen;  // per-field sums over the fault rows
+  for (const Faulted& f : faulted) {
+    pipette::engine::FaultOptions fo;
+    fo.enabled = true;
+    fo.seed = 19;
+    fo.kind = f.kind;
+    pipette::engine::FaultInjector injector(fo);
+    pcl::ProfileOptions po;
+    po.faults = &injector;
+    const auto res = pcl::profile_network(topo, po);
+    const std::uint64_t profile = digest_profile(res);
+    EXPECT_EQ(profile, f.profile)
+        << pipette::engine::to_string(f.kind) << ": 0x" << std::hex << profile << "ull";
+    seen.repaired_nonfinite += res.sanitize.repaired_nonfinite;
+    seen.repaired_nonpositive += res.sanitize.repaired_nonpositive;
+    seen.imputed_symmetric += res.sanitize.imputed_symmetric;
+    seen.imputed_neighbor += res.sanitize.imputed_neighbor;
+    seen.imputed_floor += res.sanitize.imputed_floor;
+    seen.quarantined_nodes.insert(seen.quarantined_nodes.end(),
+                                  res.sanitize.quarantined_nodes.begin(),
+                                  res.sanitize.quarantined_nodes.end());
+  }
+  EXPECT_GT(seen.repaired_nonfinite, 0);
+  EXPECT_GT(seen.repaired_nonpositive, 0);
+  EXPECT_GT(seen.imputed_symmetric, 0);
+  EXPECT_GT(seen.imputed_neighbor, 0);
+  EXPECT_GT(seen.imputed_floor, 0);
+  EXPECT_FALSE(seen.quarantined_nodes.empty());
 }

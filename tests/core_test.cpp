@@ -428,6 +428,12 @@ TEST(PipetteConfigurator, RejectsSaBudgetsTheRaceCannotRun) {
        [](Opt& o) { o.memory_training.profile_global_batches.clear(); }},
       {"memory_training.profile_global_batches",
        [](Opt& o) { o.memory_training.profile_global_batches = {128, 0}; }},
+      // The memory estimator's network and training options, named by
+      // mlp::validate: a standalone configure() profiled the fabric and built
+      // the training set before the Regressor threw.
+      {"Regressor: hidden", [](Opt& o) { o.memory_training.hidden = {0}; }},
+      {"TrainOptions::iters", [](Opt& o) { o.memory_training.train.iters = 0; }},
+      {"TrainOptions::lr", [](Opt& o) { o.memory_training.train.lr = limits::quiet_NaN(); }},
   };
   const cluster::Topology topo(cluster::mid_range_cluster(2), cluster::HeterogeneityOptions{},
                                2024);

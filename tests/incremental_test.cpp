@@ -177,11 +177,10 @@ TEST(IncrementalEquivalence, SingleNodeClusterDegeneratesSafely) {
   }
 }
 
-// 256-GPU shapes crossing the tiering threshold. pp4-tp8-dp8 rings start
-// with one member per node; the DP-heavy shapes start with four (tp2) and
-// two (tp4) members per node, so their rings fold same-node pairs bucket by
-// bucket — from the intra-node tables (tiered) or the matrix (fallback) — on
-// every move kind.
+// 256-GPU shapes. pp4-tp8-dp8 rings start with one member per node; the
+// DP-heavy shapes start with four (tp2) and two (tp4) members per node, so
+// their rings fold same-node pairs bucket by bucket from the intra-node
+// table on every move kind.
 class TieredBandwidth : public testing::TestWithParam<parallel::ParallelConfig> {
  protected:
   /// Sweeps `iters` random moves of all five kinds, committing or rolling
@@ -226,28 +225,14 @@ class TieredBandwidth : public testing::TestWithParam<parallel::ParallelConfig> 
 };
 
 TEST_P(TieredBandwidth, EngagesOnLargeClustersAndStaysBitIdentical) {
-  // The evaluator folds the profiled matrix into node-pair + intra-node
-  // tables. Costs must stay bit-identical to the full model, which still
-  // reads the num_gpus² matrix directly.
+  // The evaluator prices DP rings from the profile's node-pair and
+  // intra-node tables. Costs must stay bit-identical to the full model,
+  // which reads every GPU pair through BandwidthMatrix::at.
   const Fixture fx(GetParam(), 2);
   const auto model = fx.model();
   estimators::IncrementalLatencyEvaluator eval(
       model, parallel::Mapping::megatron_default(fx.pc), fx.topo.gpus_per_node());
-  ASSERT_TRUE(eval.bw_tiered()) << "profile_network output should fold";
   sweep(fx, model, eval, 2026, 300);
-}
-
-TEST_P(TieredBandwidth, FallsBackOnUnstructuredMatrix) {
-  // Break the node-pair fold for a single inter-node entry: construction
-  // must detect it, keep direct matrix reads, and stay bit-identical.
-  Fixture fx(GetParam(), 2);
-  const int gpn = fx.topo.gpus_per_node();
-  fx.profiled.bw.set(1, gpn + 1, fx.profiled.bw.at(1, gpn + 1) * 1.5);
-  const auto model = fx.model();
-  estimators::IncrementalLatencyEvaluator eval(model, parallel::Mapping::megatron_default(fx.pc),
-                                               gpn);
-  EXPECT_FALSE(eval.bw_tiered());
-  sweep(fx, model, eval, 31, 300);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TieredBandwidth,

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/rng.h"
 #include "parallel/groups.h"
 #include "parallel/mapping.h"
@@ -200,26 +198,6 @@ TEST(MappingMoveDesc, ApplyInverseRoundTripsAllKinds) {
     ASSERT_EQ(m.raw(), before) << "inverse failed for kind " << static_cast<int>(mv.kind)
                                << " a=" << mv.a << " b=" << mv.b;
     pp::apply_move(m, mv, 8);  // keep walking the state space
-  }
-}
-
-TEST(MappingMoveDesc, TouchedPositionsCoverEveryChange) {
-  pipette::common::Rng rng(17);
-  pp::Mapping m = pp::Mapping::megatron_default({4, 2, 4});
-  std::vector<int> touched;
-  for (int i = 0; i < 2000; ++i) {
-    const auto mv = pipette::search::draw_mapping_move(m, rng, {}, 8);
-    touched.clear();
-    pp::touched_positions(m, mv, 8, touched);
-    const auto before = m.raw();
-    pp::apply_move(m, mv, 8);
-    for (std::size_t p = 0; p < before.size(); ++p) {
-      if (before[p] != m.raw()[p]) {
-        ASSERT_NE(std::find(touched.begin(), touched.end(), static_cast<int>(p)), touched.end())
-            << "position " << p << " changed but was not reported, kind "
-            << static_cast<int>(mv.kind);
-      }
-    }
   }
 }
 

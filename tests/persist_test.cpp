@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -205,10 +207,15 @@ TEST(PersistCodecs, ProfileRoundTripIsBitIdentical) {
   // Bit identity via re-encode: every field (bandwidths, wall time, the full
   // sanitize report) serializes back to the exact same bytes.
   EXPECT_EQ(persist::encode_profile(decoded), bytes);
-  EXPECT_EQ(decoded.bw.num_gpus(), profile.bw.num_gpus());
-  ASSERT_EQ(decoded.bw.raw().size(), profile.bw.raw().size());
-  for (std::size_t i = 0; i < profile.bw.raw().size(); ++i) {
-    EXPECT_EQ(decoded.bw.raw()[i], profile.bw.raw()[i]) << "bandwidth entry " << i;
+  EXPECT_EQ(decoded.bw.num_nodes(), profile.bw.num_nodes());
+  EXPECT_EQ(decoded.bw.gpus_per_node(), profile.bw.gpus_per_node());
+  ASSERT_EQ(decoded.bw.inter_readings().size(), profile.bw.inter_readings().size());
+  for (std::size_t i = 0; i < profile.bw.inter_readings().size(); ++i) {
+    EXPECT_EQ(decoded.bw.inter_readings()[i], profile.bw.inter_readings()[i]) << "inter " << i;
+  }
+  ASSERT_EQ(decoded.bw.intra_readings().size(), profile.bw.intra_readings().size());
+  for (std::size_t i = 0; i < profile.bw.intra_readings().size(); ++i) {
+    EXPECT_EQ(decoded.bw.intra_readings()[i], profile.bw.intra_readings()[i]) << "intra " << i;
   }
   EXPECT_EQ(decoded.wall_time_s, profile.wall_time_s);
   EXPECT_EQ(decoded.num_measurements, profile.num_measurements);
@@ -267,8 +274,8 @@ TEST(PersistCodecs, DecodersRejectStructurallyInvalidArtifacts) {
   cluster::ProfileOptions po;
   auto profile = cluster::profile_network(topo, po);
   auto bytes = persist::encode_profile(profile);
-  // Payload layout starts: i32 num_gpus. A negative GPU count is structural
-  // nonsense even though every byte parses.
+  // Payload layout starts: i32 num_nodes. A negative node count is
+  // structural nonsense even though every byte parses.
   bytes[0] = 0xff;
   bytes[1] = 0xff;
   bytes[2] = 0xff;
@@ -662,28 +669,74 @@ TEST(Persister, UnwritableDirectoryDegradesToCountedFailures) {
   const auto blocker = dir.path / "blocked";
   write_raw(blocker, {1});
 
-  obs::Registry metrics;
-  engine::ClusterCacheOptions co;
-  co.snapshot_dir = (blocker / "snapshots").string();
-  co.persist_write_behind = false;  // failures visible at return
-  co.persist_retries = 1;
-  co.persist_backoff_s = 1e-4;
-  co.metrics = &metrics;
-  engine::ClusterCache cache(co);
+  // The second case retries past 32 attempts, where a shifted backoff
+  // (1 << attempt) would be undefined.
+  const struct {
+    int retries;
+    double backoff_s;
+  } cases[] = {{1, 1e-4}, {40, 0.0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("persist_retries " + std::to_string(c.retries));
+    obs::Registry metrics;
+    engine::ClusterCacheOptions co;
+    co.snapshot_dir = (blocker / "snapshots").string();
+    co.persist_write_behind = false;  // failures visible at return
+    co.persist_retries = c.retries;
+    co.persist_backoff_s = c.backoff_s;
+    co.metrics = &metrics;
+    engine::ClusterCache cache(co);
 
-  const auto opt = fast_options();
-  cluster::ProfileOptions po;
-  const auto entry = cache.get_or_compute(small_cluster(), po, opt.memory_training);
-  // The request itself is untouched by the sick disk.
-  EXPECT_NE(entry.profile, nullptr);
-  EXPECT_NE(entry.memory, nullptr);
-  EXPECT_GE(cache.persist_failures(), 2);  // profile + estimator both dropped
-  EXPECT_EQ(cache.persisted_records(), 0);
+    const auto opt = fast_options();
+    cluster::ProfileOptions po;
+    const auto entry = cache.get_or_compute(small_cluster(), po, opt.memory_training);
+    // The request itself is untouched by the sick disk.
+    EXPECT_NE(entry.profile, nullptr);
+    EXPECT_NE(entry.memory, nullptr);
+    EXPECT_GE(cache.persist_failures(), 2);  // profile + estimator both dropped
+    EXPECT_EQ(cache.persisted_records(), 0);
 
-  const auto snap = metrics.snapshot();
-  EXPECT_GE(snap.counter("pipette.persist.write_failures"), 2);
-  EXPECT_GE(snap.counter("pipette.persist.write_retries"), 2);
-  EXPECT_EQ(snap.counter("pipette.persist.records_written"), 0);
+    const auto snap = metrics.snapshot();
+    EXPECT_GE(snap.counter("pipette.persist.write_failures"), 2);
+    EXPECT_GE(snap.counter("pipette.persist.write_retries"), 2 * c.retries);
+    EXPECT_EQ(snap.counter("pipette.persist.records_written"), 0);
+  }
+}
+
+TEST(Persister, RejectsUnusableRetryOptions) {
+  // A negative retry count dropped every record unattempted and counted it
+  // as a failure; a NaN or infinite delay reached sleep_for's float-to-integer
+  // conversion.
+  using limits = std::numeric_limits<double>;
+  using Opt = engine::ClusterCacheOptions;
+  struct Case {
+    const char* field;
+    void (*corrupt)(Opt&);
+  };
+  const Case cases[] = {
+      {"persist_retries", [](Opt& o) { o.persist_retries = -1; }},
+      {"persist_backoff_s", [](Opt& o) { o.persist_backoff_s = limits::quiet_NaN(); }},
+      {"persist_backoff_s", [](Opt& o) { o.persist_backoff_s = limits::infinity(); }},
+      {"persist_backoff_s", [](Opt& o) { o.persist_backoff_s = -0.01; }},
+      {"persist_write_delay_s", [](Opt& o) { o.persist_write_delay_s = limits::quiet_NaN(); }},
+      {"persist_write_delay_s", [](Opt& o) { o.persist_write_delay_s = limits::infinity(); }},
+      {"persist_write_delay_s", [](Opt& o) { o.persist_write_delay_s = -1.0; }},
+  };
+  TempDir dir("pipette_persist_bad_options");
+  for (const Case& c : cases) {
+    Opt co;
+    c.corrupt(co);
+    // Inert without a snapshot directory: nothing is ever written.
+    EXPECT_NO_THROW(engine::ClusterCache{co}) << c.field;
+    co.snapshot_dir = dir.str();
+    try {
+      engine::ClusterCache cache(co);
+      ADD_FAILURE() << c.field << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("ClusterCacheOptions::") + c.field + " "),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Persister, WriteBehindFlushMakesDirectoryLoadable) {

@@ -144,10 +144,16 @@ TEST(EstimatorProperty, MonotoneInBandwidth) {
   const auto mapping = parallel::Mapping::megatron_default(plan.pc);
 
   auto fast = topo.true_matrix();
-  cluster::BandwidthMatrix slow(fast.num_gpus());
-  for (int g1 = 0; g1 < fast.num_gpus(); ++g1) {
-    for (int g2 = 0; g2 < fast.num_gpus(); ++g2) {
-      if (g1 != g2) slow.set(g1, g2, fast.at(g1, g2) * 0.5);
+  const int nn = fast.num_nodes(), gpn = fast.gpus_per_node();
+  cluster::BandwidthMatrix slow(nn, gpn);
+  for (int n1 = 0; n1 < nn; ++n1) {
+    for (int n2 = 0; n2 < nn; ++n2) {
+      if (n1 != n2) slow.set_inter(n1, n2, fast.inter(n1, n2) * 0.5);
+    }
+    for (int a = 0; a < gpn; ++a) {
+      for (int b = 0; b < gpn; ++b) {
+        if (a != b) slow.set_intra(n1, a, b, fast.intra(n1, a, b) * 0.5);
+      }
     }
   }
   estimators::PipetteLatencyModel m_fast(job, plan, prof, &fast, links);
