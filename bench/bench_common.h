@@ -1,6 +1,6 @@
-// Shared plumbing for the figure/table benches: cluster construction, the
-// fast/full budget profiles, and the method-runner used by the speedup
-// figures. Every bench accepts:
+// Shared plumbing for the figure/table benches: cluster construction and the
+// fast/full budget profiles. BenchEnv::from_cli reads the flags most benches
+// accept:
 //   --full           paper-scale budgets (Algorithm 1's SA breadth: every
 //                    surviving candidate anneals 200 K iterations; 4x200 MLP,
 //                    50 K training iterations) instead of the fast profile
@@ -68,33 +68,9 @@ inline core::PipetteOptions pipette_options(const BenchEnv& env, bool dedication
 /// budget; shared across configurator instantiations.
 inline std::shared_ptr<const estimators::MlpMemoryEstimator> train_memory_estimator(
     const cluster::Topology& topo, const BenchEnv& env) {
-  estimators::MlpMemoryOptions mo;
-  if (env.full) {
-    mo.hidden = {200, 200, 200, 200};
-    mo.train.iters = 50000;
-  } else {
-    mo.hidden = {128, 128};
-    mo.train.iters = 9000;
-    mo.soft_margin = 0.20;
-  }
   return std::make_shared<const estimators::MlpMemoryEstimator>(
-      estimators::MlpMemoryEstimator::train_for_cluster(topo, model::gpt_zoo(), mo));
-}
-
-/// One executed method for the speedup figures.
-struct MethodRun {
-  std::string method;
-  core::ExecutedOutcome outcome;
-  core::ConfiguratorResult rec;
-};
-
-inline MethodRun run_method(core::Configurator& cfg, const cluster::Topology& topo,
-                            const model::TrainingJob& job, const sim::SimOptions& sim_opt) {
-  MethodRun r;
-  r.method = cfg.name();
-  r.rec = cfg.configure(topo, job);
-  r.outcome = core::execute_with_oom_fallback(topo, job, r.rec, sim_opt);
-  return r;
+      estimators::MlpMemoryEstimator::train_for_cluster(
+          topo, model::gpt_zoo(), pipette_options(env, /*dedication=*/true).memory_training));
 }
 
 inline void finish_table(const common::Table& t, const BenchEnv& env) {

@@ -518,11 +518,6 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
   rq.exec.parallel_for(static_cast<int>(bases.size()), [&](int i) {
     PlanSlot& slot = plan_slots[static_cast<std::size_t>(i)];
     const Candidate& base = bases[static_cast<std::size_t>(i)];
-    if (!opt_.use_memory_filter) {
-      slot.evaluated = 1;
-      slot.kept.push_back(base);
-      return;
-    }
     const common::Stopwatch t0;
     const double margin = 1.0 + memory_->soft_margin();
     auto est_of = [&](const Candidate& plan) {

@@ -49,8 +49,6 @@ struct PipetteOptions {
   /// PPT-LF when true; PPT-L (latency estimator + memory estimator only,
   /// default placement) when false — the paper's Fig. 6 ablation.
   bool use_worker_dedication = true;
-  /// Disable to reproduce the OOM-recommending behaviour of the baselines.
-  bool use_memory_filter = true;
   /// Per-candidate SA budget. Iteration-counted (the default 20,000 per
   /// candidate), with no per-chain wall-clock limit: every recommendation is
   /// a pure function of the request. `deadline_s` is the wall-clock bound.

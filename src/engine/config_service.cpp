@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "common/backoff.h"
 #include "common/hashing.h"
 #include "common/rng.h"
 #include "obs/json.h"
@@ -209,7 +210,7 @@ ClusterCache::Entry ConfigService::artifacts_with_retry(const cluster::Topology&
       ++*retries;
       metrics_->counter("pipette.service.profile_retries").inc();
       if (opt_.trace) opt_.trace->instant("profile.retry");
-      double backoff = std::ldexp(ro.retry_backoff_s, attempt) * jitter.uniform(0.5, 1.0);
+      double backoff = common::backoff_s(ro.retry_backoff_s, attempt, jitter.uniform(0.5, 1.0));
       // Never sleep past the deadline: the last retry runs when it falls due.
       if (std::isfinite(ro.deadline_s)) {
         backoff = std::min(backoff, ro.deadline_s - admitted.seconds());

@@ -75,7 +75,8 @@ struct RequestOptions {
   int profile_retries = 2;
   /// Base of the jittered exponential backoff between retries:
   /// base * 2^attempt * uniform(0.5, 1), jitter from a seed-derived stream.
-  /// Each sleep is clamped to what remains of a finite deadline.
+  /// Each sleep is capped at common::kMaxBackoffS and clamped to what remains
+  /// of a finite deadline.
   /// submit_request() answers kInvalidRequest for a NaN deadline_s, a
   /// negative profile_retries, or a retry_backoff_s not finite and >= 0.
   double retry_backoff_s = 0.02;

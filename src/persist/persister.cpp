@@ -1,9 +1,9 @@
 #include "persist/persister.h"
 
 #include <chrono>
-#include <cmath>
 #include <utility>
 
+#include "common/backoff.h"
 #include "common/rng.h"
 
 namespace pipette::persist {
@@ -108,8 +108,7 @@ void Persister::write_one(const Job& job) {
     if (attempt > 0) {
       // Jittered exponential backoff: transient failures (NFS hiccup, fd
       // pressure) get time to clear without the retries synchronizing.
-      const double base = std::ldexp(opt_.backoff_s, attempt - 1);
-      const double sleep_s = base * rng.uniform(0.5, 1.5);
+      const double sleep_s = common::backoff_s(opt_.backoff_s, attempt - 1, rng.uniform(0.5, 1.5));
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
       m_retries_.inc();
     }

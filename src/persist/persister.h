@@ -29,7 +29,8 @@ struct PersisterOptions {
   std::string dir;           ///< snapshot directory (created on first write)
   bool write_behind = true;  ///< false = enqueue() writes synchronously (tests)
   int retries = 3;           ///< extra attempts per record on I/O failure
-  double backoff_s = 0.01;   ///< base of the jittered exponential backoff
+  double backoff_s = 0.01;   ///< base of the jittered exponential backoff,
+                             ///< each sleep capped at common::kMaxBackoffS
   std::uint64_t seed = 0x5eed;  ///< jitter stream seed
   /// Widened torn-write window for the crash-recovery CI (see
   /// persist::write_file_atomic); 0 in production.

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/backoff.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -195,6 +196,27 @@ TEST(Table, Formatters) {
   EXPECT_EQ(pc::fmt_count(774e6), "774M");
   EXPECT_EQ(pc::fmt_duration(0.5), "500.00 ms");
   EXPECT_EQ(pc::fmt_duration(90.0), "90.00 s");
+}
+
+TEST(Backoff, SleepsAreFiniteNonDecreasingAndCapped) {
+  // Past about 70 doublings the uncapped sleep overflows sleep_for's integer
+  // seconds, and past about 1,030 it is infinite.
+  for (const double base : {0.0, 0.01, 0.02, 1.0}) {
+    for (const double jitter : {0.5, 1.0, 1.5}) {
+      double prev = 0.0;
+      for (const int attempt : {0, 1, 40, 70, 1000}) {
+        const double s = pc::backoff_s(base, attempt, jitter);
+        EXPECT_TRUE(std::isfinite(s)) << base << " x" << jitter << " attempt " << attempt;
+        EXPECT_GE(s, prev) << base << " x" << jitter << " attempt " << attempt;
+        EXPECT_LE(s, pc::kMaxBackoffS) << base << " x" << jitter << " attempt " << attempt;
+        prev = s;
+      }
+    }
+  }
+  // Below the cap the sleep is the plain jittered doubling.
+  EXPECT_EQ(pc::backoff_s(0.01, 0, 1.0), 0.01);
+  EXPECT_EQ(pc::backoff_s(0.01, 2, 0.5), 0.02);
+  EXPECT_EQ(pc::backoff_s(0.01, 70, 0.5), pc::kMaxBackoffS);
 }
 
 TEST(Cli, ParsesKeyValueForms) {

@@ -322,9 +322,8 @@ TEST(IncrementalSa, ConfiguratorResultsMatchFullEvaluationEndToEnd) {
   const model::TrainingJob job{model::gpt_774m(), 64};
 
   core::PipetteOptions opt;
-  opt.use_memory_filter = false;  // the filter is not under test here...
-  opt.memory_training.hidden = {16};  // ...so train only a token estimator
-  opt.memory_training.train.iters = 200;
+  opt.memory_training.hidden = {48, 48};  // the other suites' small estimator
+  opt.memory_training.train.iters = 1500;
   opt.sa.max_iters = 1500;
   opt.sa.time_limit_s = std::numeric_limits<double>::infinity();
   core::PipetteConfigurator cfg(opt);
