@@ -1,97 +1,111 @@
-// Fixed-width double lane abstraction for the MLP kernels (mlp/matrix.cpp,
-// mlp/network.cpp): an SSE2 baseline (2 lanes, implied by x86-64), AVX2/AVX
-// when compiled in (4 lanes, -mavx2), and a scalar fallback elsewhere —
-// selected at compile time.
+// Fixed-width double lane types for the MLP kernels (mlp/kernels.inc): Lane2
+// holds 2 doubles in an SSE2 register (x86-64's baseline, so every x86-64
+// CPU runs it), Lane4 holds 4 in an AVX register, and Lane1 is the plain
+// scalar op on other architectures. mlp/matrix.cpp compiles the one kernel
+// source once per lane type and picks the widest set the CPU runs at startup.
 //
-// Bit-identity contract (why the tiled kernels match their scalar loops):
+// Lane4's ops are AVX2 code through GCC's target pragma, so the build needs
+// no AVX2 compiler flag: only code compiled under the same
+// `#pragma GCC target("avx2")` may use it, and a CPU may only run that code
+// when __builtin_cpu_supports("avx2").
+//
+// Bit-identity contract (why every lane width gives the scalar loops' bytes):
 //   - IEEE-754 addition, subtraction, multiplication, division and square
 //     root are exact per element: a packed divpd computes the identical
 //     rounded quotient in every lane that divsd computes for that element,
 //     so element-wise expressions are bit-identical however many lanes
-//     evaluate at once. (No FMA contraction: nothing here is built with
-//     -mfma, so a*b + c stays two roundings.)
+//     evaluate at once. (No FMA contraction: the AVX2 target enables no
+//     fma, so a*b + c stays two roundings.)
 //   - Sums are never reassociated: each lane carries one output element
 //     through the scalar loop's operations in the scalar loop's order
 //     (tests/mlp_test.cpp keeps the historical loops as the reference).
 #pragma once
 
-#if defined(__AVX2__) || defined(__AVX__)
+#if defined(__SSE2__)
 #include <immintrin.h>
-#define PIPETTE_SIMD_LANES 4
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
-#include <emmintrin.h>
-#define PIPETTE_SIMD_LANES 2
+#define PIPETTE_SIMD_SSE2 1
+#if defined(__GNUC__) && !defined(__clang__)
+#define PIPETTE_SIMD_AVX2 1  // Lane4 needs GCC's target pragma
+#endif
 #else
 #include <cmath>
-#define PIPETTE_SIMD_LANES 1
 #endif
 
 namespace pipette::common::simd {
 
-inline constexpr int kLanes = PIPETTE_SIMD_LANES;
+// Every lane type is a thin wrapper: each op maps to a single intrinsic (or
+// the plain scalar op in Lane1). relu(z) is the scalar `z < 0.0 ? 0.0 : z`
+// per lane and zero_where_nonpositive(m, a) is `m <= 0.0 ? 0.0 : a`: ordered
+// compares plus a mask, so -0.0 and NaN pass through exactly as the scalar
+// branch lets them (a max against 0.0 would turn -0.0 into +0.0). The
+// operators are members because GCC does not apply a target pragma to a
+// friend function defined inside the class.
 
-/// Compile-time selected instruction set of the Lane type.
-inline constexpr const char* isa_name() {
-#if PIPETTE_SIMD_LANES == 4
-  return "avx2";
-#elif PIPETTE_SIMD_LANES == 2
-  return "sse2";
-#else
-  return "scalar";
-#endif
-}
+#if defined(PIPETTE_SIMD_SSE2)
 
-/// One register of kLanes doubles. Thin wrapper: every op maps to a single
-/// intrinsic (or the plain scalar op at kLanes == 1).
-struct Lane {
-#if PIPETTE_SIMD_LANES == 4
-  __m256d v;
-  static Lane load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static Lane broadcast(double x) { return {_mm256_set1_pd(x)}; }
-  void store(double* p) const { _mm256_storeu_pd(p, v); }
-  friend Lane operator+(Lane a, Lane b) { return {_mm256_add_pd(a.v, b.v)}; }
-  friend Lane operator-(Lane a, Lane b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  friend Lane operator*(Lane a, Lane b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  friend Lane operator/(Lane a, Lane b) { return {_mm256_div_pd(a.v, b.v)}; }
-  static Lane sqrt(Lane a) { return {_mm256_sqrt_pd(a.v)}; }
-  static Lane relu(Lane z) {
-    return {_mm256_andnot_pd(_mm256_cmp_pd(z.v, _mm256_setzero_pd(), _CMP_LT_OQ), z.v)};
-  }
-  static Lane zero_where_nonpositive(Lane m, Lane a) {
-    return {_mm256_andnot_pd(_mm256_cmp_pd(m.v, _mm256_setzero_pd(), _CMP_LE_OQ), a.v)};
-  }
-#elif PIPETTE_SIMD_LANES == 2
+struct Lane2 {
+  static constexpr int kLanes = 2;
+  static constexpr const char* kIsa = "sse2";
   __m128d v;
-  static Lane load(const double* p) { return {_mm_loadu_pd(p)}; }
-  static Lane broadcast(double x) { return {_mm_set1_pd(x)}; }
+  static Lane2 load(const double* p) { return {_mm_loadu_pd(p)}; }
+  static Lane2 broadcast(double x) { return {_mm_set1_pd(x)}; }
   void store(double* p) const { _mm_storeu_pd(p, v); }
-  friend Lane operator+(Lane a, Lane b) { return {_mm_add_pd(a.v, b.v)}; }
-  friend Lane operator-(Lane a, Lane b) { return {_mm_sub_pd(a.v, b.v)}; }
-  friend Lane operator*(Lane a, Lane b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend Lane operator/(Lane a, Lane b) { return {_mm_div_pd(a.v, b.v)}; }
-  static Lane sqrt(Lane a) { return {_mm_sqrt_pd(a.v)}; }
-  static Lane relu(Lane z) { return {_mm_andnot_pd(_mm_cmplt_pd(z.v, _mm_setzero_pd()), z.v)}; }
-  static Lane zero_where_nonpositive(Lane m, Lane a) {
+  Lane2 operator+(Lane2 b) const { return {_mm_add_pd(v, b.v)}; }
+  Lane2 operator-(Lane2 b) const { return {_mm_sub_pd(v, b.v)}; }
+  Lane2 operator*(Lane2 b) const { return {_mm_mul_pd(v, b.v)}; }
+  Lane2 operator/(Lane2 b) const { return {_mm_div_pd(v, b.v)}; }
+  static Lane2 sqrt(Lane2 a) { return {_mm_sqrt_pd(a.v)}; }
+  static Lane2 relu(Lane2 z) { return {_mm_andnot_pd(_mm_cmplt_pd(z.v, _mm_setzero_pd()), z.v)}; }
+  static Lane2 zero_where_nonpositive(Lane2 m, Lane2 a) {
     return {_mm_andnot_pd(_mm_cmple_pd(m.v, _mm_setzero_pd()), a.v)};
   }
-#else
-  double v;
-  static Lane load(const double* p) { return {*p}; }
-  static Lane broadcast(double x) { return {x}; }
-  void store(double* p) const { *p = v; }
-  friend Lane operator+(Lane a, Lane b) { return {a.v + b.v}; }
-  friend Lane operator-(Lane a, Lane b) { return {a.v - b.v}; }
-  friend Lane operator*(Lane a, Lane b) { return {a.v * b.v}; }
-  friend Lane operator/(Lane a, Lane b) { return {a.v / b.v}; }
-  static Lane sqrt(Lane a) { return {std::sqrt(a.v)}; }
-  static Lane relu(Lane z) { return {z.v < 0.0 ? 0.0 : z.v}; }
-  static Lane zero_where_nonpositive(Lane m, Lane a) { return {m.v <= 0.0 ? 0.0 : a.v}; }
-#endif
-
-  // relu(z) is the scalar `z < 0.0 ? 0.0 : z` per lane and
-  // zero_where_nonpositive(m, a) is `m <= 0.0 ? 0.0 : a`: ordered compares
-  // plus a mask, so -0.0 and NaN pass through exactly as the scalar branch
-  // lets them (a max against 0.0 would turn -0.0 into +0.0).
 };
+
+#endif
+#if defined(PIPETTE_SIMD_AVX2)
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+struct Lane4 {
+  static constexpr int kLanes = 4;
+  static constexpr const char* kIsa = "avx2";
+  __m256d v;
+  static Lane4 load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  static Lane4 broadcast(double x) { return {_mm256_set1_pd(x)}; }
+  void store(double* p) const { _mm256_storeu_pd(p, v); }
+  Lane4 operator+(Lane4 b) const { return {_mm256_add_pd(v, b.v)}; }
+  Lane4 operator-(Lane4 b) const { return {_mm256_sub_pd(v, b.v)}; }
+  Lane4 operator*(Lane4 b) const { return {_mm256_mul_pd(v, b.v)}; }
+  Lane4 operator/(Lane4 b) const { return {_mm256_div_pd(v, b.v)}; }
+  static Lane4 sqrt(Lane4 a) { return {_mm256_sqrt_pd(a.v)}; }
+  static Lane4 relu(Lane4 z) {
+    return {_mm256_andnot_pd(_mm256_cmp_pd(z.v, _mm256_setzero_pd(), _CMP_LT_OQ), z.v)};
+  }
+  static Lane4 zero_where_nonpositive(Lane4 m, Lane4 a) {
+    return {_mm256_andnot_pd(_mm256_cmp_pd(m.v, _mm256_setzero_pd(), _CMP_LE_OQ), a.v)};
+  }
+};
+#pragma GCC pop_options
+
+#endif
+#if !defined(PIPETTE_SIMD_SSE2)
+
+struct Lane1 {
+  static constexpr int kLanes = 1;
+  static constexpr const char* kIsa = "scalar";
+  double v;
+  static Lane1 load(const double* p) { return {*p}; }
+  static Lane1 broadcast(double x) { return {x}; }
+  void store(double* p) const { *p = v; }
+  Lane1 operator+(Lane1 b) const { return {v + b.v}; }
+  Lane1 operator-(Lane1 b) const { return {v - b.v}; }
+  Lane1 operator*(Lane1 b) const { return {v * b.v}; }
+  Lane1 operator/(Lane1 b) const { return {v / b.v}; }
+  static Lane1 sqrt(Lane1 a) { return {std::sqrt(a.v)}; }
+  static Lane1 relu(Lane1 z) { return {z.v < 0.0 ? 0.0 : z.v}; }
+  static Lane1 zero_where_nonpositive(Lane1 m, Lane1 a) { return {m.v <= 0.0 ? 0.0 : a.v}; }
+};
+
+#endif
 
 }  // namespace pipette::common::simd

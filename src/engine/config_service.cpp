@@ -9,6 +9,7 @@
 #include "common/backoff.h"
 #include "common/hashing.h"
 #include "common/rng.h"
+#include "mlp/matrix.h"
 #include "obs/json.h"
 
 namespace pipette::engine {
@@ -65,6 +66,9 @@ ConfigService::ConfigService(ConfigServiceOptions opt)
                                       obs::Registry::latency_bounds_s())),
       cache_(with_metrics(opt_.cache, metrics_)),
       pool_(opt_.threads, metrics_) {
+  // The estimator's training time (engine.cluster_cache.train_s) depends on
+  // the lane width its kernels run at, which the CPU decides.
+  metrics_->gauge("pipette.mlp.simd_lanes").set(mlp::kernels().lanes);
   if (opt_.faults.enabled) {
     FaultOptions fo = opt_.faults;
     fo.metrics = metrics_;

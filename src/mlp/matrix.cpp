@@ -1,141 +1,55 @@
 #include "mlp/matrix.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <span>
 
 #include "common/simd.h"
 
 namespace pipette::mlp {
 
-namespace {
-
-using common::simd::Lane;
-constexpr int kL = common::simd::kLanes;
 using Index = std::ptrdiff_t;
 
-// R rows x C lane-vectors of affine() outputs, starting at (r0, j0). The
-// R*C accumulators stay in registers across the whole k loop; each lane is
-// one output element's historical dependent chain of adds.
-template <int R, int C>
-void affine_tile(const double* a, const double* wt, const double* bias, int k, int m, bool relu,
-                 int r0, int j0, double* out) {
-  Lane acc[R][C];
-  for (int r = 0; r < R; ++r) {
-    for (int c = 0; c < C; ++c) acc[r][c] = Lane::broadcast(0.0);
-  }
-  const double* arows = a + static_cast<Index>(r0) * k;
-  for (int p = 0; p < k; ++p) {
-    const double* wrow = wt + static_cast<Index>(p) * m + j0;
-    Lane w[C];
-    for (int c = 0; c < C; ++c) w[c] = Lane::load(wrow + c * kL);
-    for (int r = 0; r < R; ++r) {
-      const Lane x = Lane::broadcast(arows[static_cast<Index>(r) * k + p]);
-      for (int c = 0; c < C; ++c) acc[r][c] = acc[r][c] + x * w[c];
-    }
-  }
-  for (int r = 0; r < R; ++r) {
-    double* o = out + static_cast<Index>(r0 + r) * m + j0;
-    for (int c = 0; c < C; ++c) {
-      Lane z = acc[r][c] + Lane::load(bias + j0 + c * kL);
-      if (relu) z = Lane::relu(z);
-      z.store(o + c * kL);
-    }
-  }
-}
+// Every header this file needs is included above, so the AVX2 region holds
+// only the kernels: no shared inline function is compiled as AVX2 code.
+namespace {
 
-// Full lane-vector columns of rows [r0, r0 + R), widest tiles first; returns
-// the first column left for the scalar tail.
-template <int R, int C>
-int affine_cols(const double* a, const double* wt, const double* bias, int k, int m, bool relu,
-                int r0, int j, double* out) {
-  for (; j + C * kL <= m; j += C * kL) affine_tile<R, C>(a, wt, bias, k, m, relu, r0, j, out);
-  if constexpr (C > 1) {
-    return affine_cols<R, C / 2>(a, wt, bias, k, m, relu, r0, j, out);
-  } else {
-    return j;
-  }
-}
+// The baseline copy: SSE2 on x86-64, which every x86-64 CPU runs; scalar
+// elsewhere.
+namespace base {
+#if defined(PIPETTE_SIMD_SSE2)
+using Lane = common::simd::Lane2;
+#else
+using Lane = common::simd::Lane1;
+#endif
+#include "mlp/kernels.inc"
+}  // namespace base
 
-template <int R, int C>
-void affine_rows(const double* a, const double* wt, const double* bias, int k, int m, bool relu,
-                 int r0, double* out) {
-  const int j0 = affine_cols<R, C>(a, wt, bias, k, m, relu, r0, 0, out);
-  for (int r = r0; r < r0 + R; ++r) {
-    const double* ar = a + static_cast<Index>(r) * k;
-    for (int j = j0; j < m; ++j) {
-      double s = 0.0;
-      for (int p = 0; p < k; ++p) s += ar[p] * wt[static_cast<Index>(p) * m + j];
-      double z = s + bias[j];
-      if (relu && z < 0.0) z = 0.0;
-      out[static_cast<Index>(r) * m + j] = z;
-    }
-  }
-}
+#if defined(PIPETTE_SIMD_AVX2)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+using Lane = common::simd::Lane4;
+#include "mlp/kernels.inc"
+}  // namespace avx2
+#pragma GCC pop_options
+#endif
 
-// One gw row segment: gw(i, j0 .. j0 + C*kL) over the nonzero rows of delta
-// column i.
-template <int C>
-void grad_weights_tile(const int* rows, const double* vals, int cnt, const double* a, int k,
-                       int j0, double* gw_row) {
-  Lane acc[C];
-  for (int c = 0; c < C; ++c) acc[c] = Lane::broadcast(0.0);
-  for (int p = 0; p < cnt; ++p) {
-    const Lane d = Lane::broadcast(vals[p]);
-    const double* ar = a + static_cast<Index>(rows[p]) * k + j0;
-    for (int c = 0; c < C; ++c) acc[c] = acc[c] + d * Lane::load(ar + c * kL);
-  }
-  for (int c = 0; c < C; ++c) acc[c].store(gw_row + j0 + c * kL);
-}
+/// Narrowest first, so the widest runnable set is the last runnable one.
+constexpr KernelSet kKernelSets[] = {
+    base::kernel_set,
+#if defined(PIPETTE_SIMD_AVX2)
+    avx2::kernel_set,
+#endif
+};
 
-template <int C>
-int grad_weights_cols(const DeltaIndex& d, const double* a, int k, int j, double* gw) {
-  for (; j + C * kL <= k; j += C * kL) {
-    for (int i = 0; i < d.cols(); ++i) {
-      grad_weights_tile<C>(d.col_rows(i), d.col_vals(i), d.col_count(i), a, k, j,
-                           gw + static_cast<Index>(i) * k);
-    }
-  }
-  if constexpr (C > 1) {
-    return grad_weights_cols<C / 2>(d, a, k, j, gw);
-  } else {
-    return j;
-  }
-}
-
-// One output row segment: out(r, j0 .. j0 + C*kL) over the nonzero columns
-// of delta row r, then the ReLU gate.
-template <int C>
-void grad_inputs_tile(const int* cols, const double* vals, int cnt, const double* w, int k, int j0,
-                      const double* mask_row, double* out_row) {
-  Lane acc[C];
-  for (int c = 0; c < C; ++c) acc[c] = Lane::broadcast(0.0);
-  for (int p = 0; p < cnt; ++p) {
-    const Lane d = Lane::broadcast(vals[p]);
-    const double* wr = w + static_cast<Index>(cols[p]) * k + j0;
-    for (int c = 0; c < C; ++c) acc[c] = acc[c] + d * Lane::load(wr + c * kL);
-  }
-  for (int c = 0; c < C; ++c) {
-    Lane v = acc[c];
-    if (mask_row) v = Lane::zero_where_nonpositive(Lane::load(mask_row + j0 + c * kL), v);
-    v.store(out_row + j0 + c * kL);
-  }
-}
-
-template <int C>
-int grad_inputs_cols(const DeltaIndex& d, const double* w, int k, const double* mask, int j,
-                     double* out) {
-  for (; j + C * kL <= k; j += C * kL) {
-    for (int r = 0; r < d.rows(); ++r) {
-      grad_inputs_tile<C>(d.row_cols(r), d.row_vals(r), d.row_count(r), w, k, j,
-                          mask ? mask + static_cast<Index>(r) * k : nullptr,
-                          out + static_cast<Index>(r) * k);
-    }
-  }
-  if constexpr (C > 1) {
-    return grad_inputs_cols<C / 2>(d, w, k, mask, j, out);
-  } else {
-    return j;
-  }
+std::size_t runnable_count() {
+#if defined(PIPETTE_SIMD_AVX2)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx2")) return 1;
+#endif
+  return std::size(kKernelSets);
 }
 
 }  // namespace
@@ -152,15 +66,6 @@ void transpose(const Matrix& a, Matrix& at) {
       }
     }
   }
-}
-
-void affine(const double* a, const double* wt, const double* bias, int n, int k, int m, bool relu,
-            double* out) {
-  // Four rows share each loaded weight vector; a lone row (predict) needs
-  // eight independent vectors to cover the add latency instead.
-  int r = 0;
-  for (; r + 4 <= n; r += 4) affine_rows<4, 2>(a, wt, bias, k, m, relu, r, out);
-  for (; r < n; ++r) affine_rows<1, 8>(a, wt, bias, k, m, relu, r, out);
 }
 
 void DeltaIndex::build(const double* delta, int n, int m) {
@@ -198,31 +103,14 @@ void DeltaIndex::build(const double* delta, int n, int m) {
   }
 }
 
-void grad_weights(const DeltaIndex& delta, const double* a, int k, double* gw) {
-  const int j0 = grad_weights_cols<8>(delta, a, k, 0, gw);
-  for (int i = 0; i < delta.cols(); ++i) {
-    const int* rows = delta.col_rows(i);
-    const double* vals = delta.col_vals(i);
-    for (int j = j0; j < k; ++j) {
-      double s = 0.0;
-      for (int p = 0; p < delta.col_count(i); ++p) s += vals[p] * a[static_cast<Index>(rows[p]) * k + j];
-      gw[static_cast<Index>(i) * k + j] = s;
-    }
-  }
+std::span<const KernelSet> runnable_kernel_sets() {
+  static const std::size_t count = runnable_count();
+  return {kKernelSets, count};
 }
 
-void grad_inputs(const DeltaIndex& delta, const double* w, int k, const double* mask, double* out) {
-  const int j0 = grad_inputs_cols<8>(delta, w, k, mask, 0, out);
-  for (int r = 0; r < delta.rows(); ++r) {
-    const int* cols = delta.row_cols(r);
-    const double* vals = delta.row_vals(r);
-    for (int j = j0; j < k; ++j) {
-      double s = 0.0;
-      for (int p = 0; p < delta.row_count(r); ++p) s += vals[p] * w[static_cast<Index>(cols[p]) * k + j];
-      if (mask && mask[static_cast<Index>(r) * k + j] <= 0.0) s = 0.0;
-      out[static_cast<Index>(r) * k + j] = s;
-    }
-  }
+const KernelSet& kernels() {
+  static const KernelSet& widest = runnable_kernel_sets().back();
+  return widest;
 }
 
 }  // namespace pipette::mlp

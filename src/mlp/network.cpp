@@ -5,48 +5,10 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "common/simd.h"
 
 namespace pipette::mlp {
 
 using common::Rng;
-
-namespace {
-
-struct AdamConstants {
-  double beta1, beta2, one_minus_beta1, one_minus_beta2, lr, bc1, bc2, eps;
-};
-
-/// One Adam update of n parameters in the historical per-element form
-///   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;  w -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-/// with the same bracketing in the vector body and the scalar tail.
-void adam_update(double* w, const double* g, double* m, double* v, std::size_t n,
-                 const AdamConstants& k) {
-  std::size_t i = 0;
-  if constexpr (common::simd::kLanes > 1) {
-    using common::simd::Lane;
-    constexpr std::size_t kL = common::simd::kLanes;
-    const Lane b1 = Lane::broadcast(k.beta1), b2 = Lane::broadcast(k.beta2);
-    const Lane c1 = Lane::broadcast(k.one_minus_beta1), c2 = Lane::broadcast(k.one_minus_beta2);
-    const Lane lr = Lane::broadcast(k.lr), eps = Lane::broadcast(k.eps);
-    const Lane bc1 = Lane::broadcast(k.bc1), bc2 = Lane::broadcast(k.bc2);
-    for (; i + kL <= n; i += kL) {
-      const Lane gi = Lane::load(g + i);
-      const Lane mi = b1 * Lane::load(m + i) + c1 * gi;
-      const Lane vi = b2 * Lane::load(v + i) + c2 * gi * gi;
-      mi.store(m + i);
-      vi.store(v + i);
-      (Lane::load(w + i) - lr * (mi / bc1) / (Lane::sqrt(vi / bc2) + eps)).store(w + i);
-    }
-  }
-  for (; i < n; ++i) {
-    m[i] = k.beta1 * m[i] + k.one_minus_beta1 * g[i];
-    v[i] = k.beta2 * v[i] + k.one_minus_beta2 * g[i] * g[i];
-    w[i] -= k.lr * (m[i] / k.bc1) / (std::sqrt(v[i] / k.bc2) + k.eps);
-  }
-}
-
-}  // namespace
 
 Network::Network(std::vector<int> layer_sizes, std::uint64_t seed) : sizes_(std::move(layer_sizes)) {
   Rng rng(seed);
@@ -84,11 +46,12 @@ Matrix Network::forward(const Matrix& x) const {
 }
 
 const double* Network::forward_into(const double* x, int n, double* scratch) const {
+  const KernelSet& kern = kernels();
   const double* in = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     double* out = scratch + (l % 2) * (scratch_size(n) / 2);
-    affine(in, layers_[l].wt.data().data(), layers_[l].b.data(), n, sizes_[l], sizes_[l + 1],
-           /*relu=*/l + 1 < layers_.size(), out);
+    kern.affine(in, layers_[l].wt.data().data(), layers_[l].b.data(), n, sizes_[l], sizes_[l + 1],
+                /*relu=*/l + 1 < layers_.size(), out);
     in = out;
   }
   return in;
@@ -96,6 +59,7 @@ const double* Network::forward_into(const double* x, int n, double* scratch) con
 
 double Network::loss_and_grad(const Matrix& x, const Matrix& y_target) {
   TrainState& ts = train_state();
+  const KernelSet& kern = kernels();
   const int n = x.rows();
   const std::size_t num_layers = layers_.size();
   // Forward, keeping post-activation values for the backward pass.
@@ -103,8 +67,8 @@ double Network::loss_and_grad(const Matrix& x, const Matrix& y_target) {
   for (std::size_t l = 0; l < num_layers; ++l) {
     Matrix& act = ts.acts[l];
     if (act.rows() != n) act = Matrix(n, sizes_[l + 1]);
-    affine(in, layers_[l].wt.data().data(), layers_[l].b.data(), n, sizes_[l], sizes_[l + 1],
-           /*relu=*/l + 1 < num_layers, act.data().data());
+    kern.affine(in, layers_[l].wt.data().data(), layers_[l].b.data(), n, sizes_[l], sizes_[l + 1],
+                /*relu=*/l + 1 < num_layers, act.data().data());
     in = act.data().data();
   }
 
@@ -132,7 +96,7 @@ double Network::loss_and_grad(const Matrix& x, const Matrix& y_target) {
     const int m = sizes_[ul + 1], k = sizes_[ul];
     const double* a_in = l == 0 ? x.data().data() : ts.acts[ul - 1].data().data();
     ts.index.build(ts.delta.data(), n, m);
-    grad_weights(ts.index, a_in, k, g.gw.data().data());
+    kern.grad_weights(ts.index, a_in, k, g.gw.data().data());
     std::fill(g.gb.begin(), g.gb.end(), 0.0);
     for (int i = 0; i < n; ++i) {
       const double* d = ts.delta.data() + static_cast<std::size_t>(i) * m;
@@ -141,7 +105,7 @@ double Network::loss_and_grad(const Matrix& x, const Matrix& y_target) {
     if (l > 0) {
       // ReLU gate of the producing layer: stored activations are post-ReLU,
       // so a zero activation means the unit was clamped and passes no grad.
-      grad_inputs(ts.index, layers_[ul].w.data().data(), k, /*mask=*/a_in, ts.next.data());
+      kern.grad_inputs(ts.index, layers_[ul].w.data().data(), k, /*mask=*/a_in, ts.next.data());
       std::swap(ts.delta, ts.next);
     }
   }
@@ -159,12 +123,13 @@ void Network::adam_step(const AdamOptions& opt) {
                         1.0 - std::pow(opt.beta1, static_cast<double>(ts.adam_t)),
                         1.0 - std::pow(opt.beta2, static_cast<double>(ts.adam_t)),
                         opt.eps};
+  const KernelSet& kern = kernels();
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     Layer& layer = layers_[l];
     LayerGrad& g = ts.grads[l];
-    adam_update(layer.w.data().data(), g.gw.data().data(), g.mw.data().data(), g.vw.data().data(),
-                layer.w.data().size(), k);
-    adam_update(layer.b.data(), g.gb.data(), g.mb.data(), g.vb.data(), layer.b.size(), k);
+    kern.adam_update(layer.w.data().data(), g.gw.data().data(), g.mw.data().data(),
+                     g.vw.data().data(), layer.w.data().size(), k);
+    kern.adam_update(layer.b.data(), g.gb.data(), g.mb.data(), g.vb.data(), layer.b.size(), k);
     transpose(layer.w, layer.wt);
   }
 }

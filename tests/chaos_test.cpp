@@ -129,7 +129,9 @@ TEST_P(ProfilerChaos, EveryScheduleYieldsAFinitePositiveSnapshot) {
   const auto res2 = profile_with_retries(t, po2);
   for (int g1 = 0; g1 < res.bw.num_gpus(); ++g1) {
     for (int g2 = 0; g2 < res.bw.num_gpus(); ++g2) {
-      if (g1 != g2) ASSERT_EQ(res.bw.at(g1, g2), res2.bw.at(g1, g2)) << ctx;
+      if (g1 != g2) {
+        ASSERT_EQ(res.bw.at(g1, g2), res2.bw.at(g1, g2)) << ctx;
+      }
     }
   }
   EXPECT_EQ(res.sanitize.repaired_readings(), res2.sanitize.repaired_readings()) << ctx;

@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/backoff.h"
 #include "common/cli.h"
@@ -238,36 +242,106 @@ TEST(Cli, FirstUnknownDetectsTypos) {
   EXPECT_FALSE(cli.first_unknown({"good", "oops"}).has_value());
 }
 
-TEST(Simd, IsaNameMatchesCompiledLaneWidth) {
-  if (pc::simd::kLanes == 4) {
-    EXPECT_STREQ(pc::simd::isa_name(), "avx2");
-  } else if (pc::simd::kLanes == 2) {
-    EXPECT_STREQ(pc::simd::isa_name(), "sse2");
-  } else {
-    EXPECT_EQ(pc::simd::kLanes, 1);
-    EXPECT_STREQ(pc::simd::isa_name(), "scalar");
+namespace lane_ops {
+
+// Every lane op over one register of `a` and `b`, stored in turn to
+// out[0, 7 * kLanes): a + b, a - b, a * b, a / b, sqrt(b), relu(a) and
+// zero_where_nonpositive(a, b). Lane4's ops are AVX2 code, so each lane type
+// gets its own copy of this body, compiled for its instruction set.
+#define PIPETTE_APPLY_LANE_OPS                                  \
+  template <class Lane>                                         \
+  void apply(const double* a, const double* b, double* out) {   \
+    constexpr int n = Lane::kLanes;                             \
+    const Lane la = Lane::load(a), lb = Lane::load(b);          \
+    (la + lb).store(out);                                       \
+    (la - lb).store(out + n);                                   \
+    (la * lb).store(out + 2 * n);                               \
+    (la / lb).store(out + 3 * n);                               \
+    Lane::sqrt(lb).store(out + 4 * n);                          \
+    Lane::relu(la).store(out + 5 * n);                          \
+    Lane::zero_where_nonpositive(la, lb).store(out + 6 * n);    \
   }
+
+namespace base {
+PIPETTE_APPLY_LANE_OPS
+}  // namespace base
+#if defined(PIPETTE_SIMD_AVX2)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+PIPETTE_APPLY_LANE_OPS
+}  // namespace avx2
+#pragma GCC pop_options
+#endif
+#undef PIPETTE_APPLY_LANE_OPS
+
+struct LaneType {
+  const char* isa;
+  int lanes;
+  void (*apply)(const double* a, const double* b, double* out);
+};
+
+/// Every lane type this CPU runs.
+std::vector<LaneType> runnable() {
+  std::vector<LaneType> types;
+#if defined(PIPETTE_SIMD_SSE2)
+  using pc::simd::Lane2;
+  types.push_back({Lane2::kIsa, Lane2::kLanes, base::apply<Lane2>});
+#else
+  using pc::simd::Lane1;
+  types.push_back({Lane1::kIsa, Lane1::kLanes, base::apply<Lane1>});
+#endif
+#if defined(PIPETTE_SIMD_AVX2)
+  using pc::simd::Lane4;
+  if (__builtin_cpu_supports("avx2")) {
+    types.push_back({Lane4::kIsa, Lane4::kLanes, avx2::apply<Lane4>});
+  }
+#endif
+  return types;
+}
+
+bool same_bytes(double x, double y) { return std::memcmp(&x, &y, sizeof x) == 0; }
+
+}  // namespace lane_ops
+
+TEST(Simd, IsaNameMatchesCompiledLaneWidth) {
+#if defined(PIPETTE_SIMD_SSE2)
+  EXPECT_EQ(pc::simd::Lane2::kLanes, 2);
+  EXPECT_STREQ(pc::simd::Lane2::kIsa, "sse2");
+#else
+  EXPECT_EQ(pc::simd::Lane1::kLanes, 1);
+  EXPECT_STREQ(pc::simd::Lane1::kIsa, "scalar");
+#endif
+#if defined(PIPETTE_SIMD_AVX2)
+  EXPECT_EQ(pc::simd::Lane4::kLanes, 4);
+  EXPECT_STREQ(pc::simd::Lane4::kIsa, "avx2");
+#endif
 }
 
 TEST(Simd, LaneOpsAreElementwiseExact) {
-  // load/store round-trips and arithmetic behave as kLanes independent
-  // scalar operations.
-  const int n = pc::simd::kLanes;
-  std::vector<double> a(static_cast<std::size_t>(n)), b(a), out(a);
-  for (int i = 0; i < n; ++i) {
-    a[static_cast<std::size_t>(i)] = 3.0 + i;
-    b[static_cast<std::size_t>(i)] = 7.0 - i;
-  }
-  const auto la = pc::simd::Lane::load(a.data());
-  const auto lb = pc::simd::Lane::load(b.data());
-  (la + lb).store(out.data());
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)],
-              a[static_cast<std::size_t>(i)] + b[static_cast<std::size_t>(i)]);
-  }
-  (la / lb).store(out.data());
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)],
-              a[static_cast<std::size_t>(i)] / b[static_cast<std::size_t>(i)]);
+  // Every lane type the CPU runs computes each element's scalar op, byte for
+  // byte: signed zeros, an infinite quotient and NaN included. relu and
+  // zero_where_nonpositive keep -0.0 and NaN where the scalar branch does.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> a = {3.0, -2.5, -0.0, 0.0, nan, 7.25, -1e-300, 1e300};
+  const std::vector<double> b = {7.0, 0.5, 3.0, 2.0, 1.5, -0.0, 4.0, 0.25};
+  for (const lane_ops::LaneType& lt : lane_ops::runnable()) {
+    SCOPED_TRACE(lt.isa);
+    const auto n = static_cast<std::size_t>(lt.lanes);
+    for (std::size_t i0 = 0; i0 < a.size(); i0 += n) {
+      std::vector<double> out(7 * n);
+      lt.apply(a.data() + i0, b.data() + i0, out.data());
+      for (std::size_t l = 0; l < n; ++l) {
+        const double x = a[i0 + l], y = b[i0 + l];
+        SCOPED_TRACE("element " + std::to_string(i0 + l));
+        EXPECT_TRUE(lane_ops::same_bytes(out[l], x + y));
+        EXPECT_TRUE(lane_ops::same_bytes(out[n + l], x - y));
+        EXPECT_TRUE(lane_ops::same_bytes(out[2 * n + l], x * y));
+        EXPECT_TRUE(lane_ops::same_bytes(out[3 * n + l], x / y));
+        EXPECT_TRUE(lane_ops::same_bytes(out[4 * n + l], std::sqrt(y)));
+        EXPECT_TRUE(lane_ops::same_bytes(out[5 * n + l], x < 0.0 ? 0.0 : x));
+        EXPECT_TRUE(lane_ops::same_bytes(out[6 * n + l], x <= 0.0 ? 0.0 : y));
+      }
+    }
   }
 }

@@ -1,8 +1,8 @@
 // The MLP library behind the memory estimator: kernel and network
-// correctness, and the bit-identity contract of the tiled kernels. The
-// historical naive kernels and the Network training loop built on them are
-// kept below, verbatim, as the test-only reference the tiled code must match
-// byte for byte.
+// correctness, and the bit-identity contract of the tiled kernels at every
+// lane width the CPU runs. The historical naive kernels and the Network
+// training loop built on them are kept below, verbatim, as the test-only
+// reference the tiled code must match byte for byte.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/stats.h"
 #include "mlp/matrix.h"
 #include "mlp/network.h"
@@ -292,35 +293,37 @@ TEST(Matrix, KernelsMatchKnownProducts) {
     for (int j = 0; j < 2; ++j) b(i, j) = v++;
   const double want[4] = {58, 64, 139, 154};
   const std::vector<double> zero_bias(2, 0.0);
+  const KernelSet& kern = kernels();
 
   // affine takes the weights pre-transposed: wt = b is the (2 x 3) layer w^T.
   Matrix out(2, 2);
-  affine(a.data().data(), b.data().data(), zero_bias.data(), 2, 3, 2, false, out.data().data());
+  kern.affine(a.data().data(), b.data().data(), zero_bias.data(), 2, 3, 2, false,
+              out.data().data());
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(out.data()[static_cast<std::size_t>(i)], want[i]);
 
   // grad_inputs: delta (2 x 3) times w (3 x 2).
   DeltaIndex idx;
   idx.build(a.data().data(), 2, 3);
   Matrix gi(2, 2);
-  grad_inputs(idx, b.data().data(), 2, nullptr, gi.data().data());
+  kern.grad_inputs(idx, b.data().data(), 2, nullptr, gi.data().data());
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(gi.data()[static_cast<std::size_t>(i)], want[i]);
 
   // grad_weights: delta^T * input with delta = a^T (3 x 2) and input b (3 x 2).
   const Matrix at = transposed(a);
   idx.build(at.data().data(), 3, 2);
   Matrix gw(2, 2);
-  grad_weights(idx, b.data().data(), 2, gw.data().data());
+  kern.grad_weights(idx, b.data().data(), 2, gw.data().data());
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(gw.data()[static_cast<std::size_t>(i)], want[i]);
 
   // The ReLU of affine and the mask of grad_inputs.
   const std::vector<double> bias = {-100.0, -100.0};
-  affine(a.data().data(), b.data().data(), bias.data(), 2, 3, 2, true, out.data().data());
+  kern.affine(a.data().data(), b.data().data(), bias.data(), 2, 3, 2, true, out.data().data());
   EXPECT_EQ(out(0, 0), 0.0);
   EXPECT_EQ(out(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(out(1, 0), 39.0);
   EXPECT_DOUBLE_EQ(out(1, 1), 54.0);
   idx.build(a.data().data(), 2, 3);
-  grad_inputs(idx, b.data().data(), 2, out.data().data(), gi.data().data());
+  kern.grad_inputs(idx, b.data().data(), 2, out.data().data(), gi.data().data());
   EXPECT_EQ(gi(0, 0), 0.0);
   EXPECT_EQ(gi(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(gi(1, 0), 139.0);
@@ -337,6 +340,7 @@ TEST(Matrix, KernelsAgreeWithNaiveProducts) {
         for (int k = 0; k < x.cols(); ++k) z(i, j) += x(i, k) * y(k, j);
     return z;
   };
+  const KernelSet& kern = kernels();
   const Matrix bt = transposed(b);
   ASSERT_EQ(bt.rows(), 5);
   ASSERT_EQ(bt.cols(), 6);
@@ -346,7 +350,8 @@ TEST(Matrix, KernelsAgreeWithNaiveProducts) {
   // a * b^T through affine (weights b, so wt = b^T).
   const std::vector<double> zero_bias(6, 0.0);
   Matrix r1(4, 6);
-  affine(a.data().data(), bt.data().data(), zero_bias.data(), 4, 5, 6, false, r1.data().data());
+  kern.affine(a.data().data(), bt.data().data(), zero_bias.data(), 4, 5, 6, false,
+              r1.data().data());
   const Matrix e1 = naive(a, bt);
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 6; ++j) EXPECT_NEAR(r1(i, j), e1(i, j), 1e-12);
@@ -355,75 +360,132 @@ TEST(Matrix, KernelsAgreeWithNaiveProducts) {
   DeltaIndex idx;
   idx.build(c.data().data(), 4, 6);
   Matrix r2(6, 5);
-  grad_weights(idx, a.data().data(), 5, r2.data().data());
+  kern.grad_weights(idx, a.data().data(), 5, r2.data().data());
   const Matrix e2 = naive(transposed(c), a);
   for (int i = 0; i < 6; ++i)
     for (int j = 0; j < 5; ++j) EXPECT_NEAR(r2(i, j), e2(i, j), 1e-12);
 
   // c * b through grad_inputs.
   Matrix r3(4, 5);
-  grad_inputs(idx, b.data().data(), 5, nullptr, r3.data().data());
+  kern.grad_inputs(idx, b.data().data(), 5, nullptr, r3.data().data());
   const Matrix e3 = naive(c, b);
   for (int i = 0; i < 4; ++i)
     for (int j = 0; j < 5; ++j) EXPECT_NEAR(r3(i, j), e3(i, j), 1e-12);
 }
 
-// Every tail of the tiled kernels: batch rows around the 4-row tile, widths
-// below, at, between and above every lane-vector tile, exact (signed) zeros
-// in the inputs and in the deltas — compared byte for byte with the
-// historical loops.
+// Every tail of the tiled kernels, in every kernel set the CPU runs: batch
+// rows around the 4-row tile, widths below, at, between and above every
+// lane-vector tile, exact (signed) zeros in the inputs and in the deltas —
+// compared byte for byte with the historical loops.
 TEST(MlpKernels, ByteIdenticalToHistoricalLoopsOnEveryTail) {
-  pipette::common::Rng rng(17);
-  const int batch_rows[] = {1, 3, 5, 32, 33};
-  const int widths[] = {1, 2, 7, 13, 14, 200};
-  for (const int n : batch_rows) {
-    for (const int k : widths) {
-      for (const int m : widths) {
-        SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) + " m=" + std::to_string(m));
-        Matrix a = random_matrix(n, k, rng, 5);  // layer input
-        // A NaN must flow through exactly as the scalar compare lets it (a
-        // max-based ReLU would turn it into 0.0).
-        if (n == 5) a(2, k / 2) = std::numeric_limits<double>::quiet_NaN();
-        const Matrix w = random_matrix(m, k, rng);     // layer weights
-        const Matrix wt = transposed(w);
-        std::vector<double> bias(static_cast<std::size_t>(m));
-        for (auto& b : bias) b = rng.normal();
+  for (const KernelSet& kern : runnable_kernel_sets()) {
+    SCOPED_TRACE(kern.isa);
+    pipette::common::Rng rng(17);
+    const int batch_rows[] = {1, 3, 5, 32, 33};
+    const int widths[] = {1, 2, 7, 13, 14, 200};
+    for (const int n : batch_rows) {
+      for (const int k : widths) {
+        for (const int m : widths) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                       " m=" + std::to_string(m));
+          Matrix a = random_matrix(n, k, rng, 5);  // layer input
+          // A NaN must flow through exactly as the scalar compare lets it (a
+          // max-based ReLU would turn it into 0.0).
+          if (n == 5) a(2, k / 2) = std::numeric_limits<double>::quiet_NaN();
+          const Matrix w = random_matrix(m, k, rng);     // layer weights
+          const Matrix wt = transposed(w);
+          std::vector<double> bias(static_cast<std::size_t>(m));
+          for (auto& b : bias) b = rng.normal();
 
-        for (const bool relu : {false, true}) {
-          Matrix want = reference::matmul_bt(a, w);
+          for (const bool relu : {false, true}) {
+            Matrix want = reference::matmul_bt(a, w);
+            for (int i = 0; i < n; ++i) {
+              for (int j = 0; j < m; ++j) {
+                want(i, j) += bias[static_cast<std::size_t>(j)];
+                if (relu && want(i, j) < 0.0) want(i, j) = 0.0;
+              }
+            }
+            Matrix got(n, m);
+            kern.affine(a.data().data(), wt.data().data(), bias.data(), n, k, m, relu,
+                        got.data().data());
+            EXPECT_EQ(first_byte_difference(got.data(), want.data()), "") << "affine relu=" << relu;
+          }
+
+          const Matrix delta = random_matrix(n, m, rng, 3);
+          DeltaIndex idx;
+          idx.build(delta.data().data(), n, m);
+          Matrix gw(m, k);
+          kern.grad_weights(idx, a.data().data(), k, gw.data().data());
+          EXPECT_EQ(first_byte_difference(gw.data(), reference::matmul_at(delta, a).data()), "")
+              << "grad_weights";
+
+          Matrix mask = random_matrix(n, k, rng, 4);
+          for (auto& v : mask.data()) v = v < 0.0 ? 0.0 : v;  // post-ReLU
+          Matrix want_in = reference::matmul(delta, w);
           for (int i = 0; i < n; ++i) {
-            for (int j = 0; j < m; ++j) {
-              want(i, j) += bias[static_cast<std::size_t>(j)];
-              if (relu && want(i, j) < 0.0) want(i, j) = 0.0;
+            for (int j = 0; j < k; ++j) {
+              if (mask(i, j) <= 0.0) want_in(i, j) = 0.0;
             }
           }
-          Matrix got(n, m);
-          affine(a.data().data(), wt.data().data(), bias.data(), n, k, m, relu, got.data().data());
-          EXPECT_EQ(first_byte_difference(got.data(), want.data()), "") << "affine relu=" << relu;
+          Matrix got_in(n, k);
+          kern.grad_inputs(idx, w.data().data(), k, mask.data().data(), got_in.data().data());
+          EXPECT_EQ(first_byte_difference(got_in.data(), want_in.data()), "") << "grad_inputs";
         }
-
-        const Matrix delta = random_matrix(n, m, rng, 3);
-        DeltaIndex idx;
-        idx.build(delta.data().data(), n, m);
-        Matrix gw(m, k);
-        grad_weights(idx, a.data().data(), k, gw.data().data());
-        EXPECT_EQ(first_byte_difference(gw.data(), reference::matmul_at(delta, a).data()), "")
-            << "grad_weights";
-
-        Matrix mask = random_matrix(n, k, rng, 4);
-        for (auto& v : mask.data()) v = v < 0.0 ? 0.0 : v;  // post-ReLU
-        Matrix want_in = reference::matmul(delta, w);
-        for (int i = 0; i < n; ++i) {
-          for (int j = 0; j < k; ++j) {
-            if (mask(i, j) <= 0.0) want_in(i, j) = 0.0;
-          }
-        }
-        Matrix got_in(n, k);
-        grad_inputs(idx, w.data().data(), k, mask.data().data(), got_in.data().data());
-        EXPECT_EQ(first_byte_difference(got_in.data(), want_in.data()), "") << "grad_inputs";
       }
     }
   }
+}
+
+// The Adam update of every kernel set against the historical per-element
+// loop, over lengths around every lane tail and three consecutive steps (so
+// the moments it reads are ones it wrote).
+TEST(MlpKernels, AdamUpdateByteIdenticalToHistoricalLoop) {
+  const AdamOptions opt{3e-3, 0.9, 0.999, 1e-8};
+  for (const KernelSet& kern : runnable_kernel_sets()) {
+    SCOPED_TRACE(kern.isa);
+    pipette::common::Rng rng(23);
+    for (const std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 13, 200, 2814}) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      const int cols = static_cast<int>(n);
+      const Matrix w0 = random_matrix(1, cols, rng);
+      std::vector<double> w(w0.data().begin(), w0.data().end()), m(n, 0.0), v(n, 0.0);
+      std::vector<double> want_w = w, want_m = m, want_v = v;
+      for (int t = 1; t <= 3; ++t) {
+        const Matrix g = random_matrix(1, cols, rng, 4);
+        const double bc1 = 1.0 - std::pow(opt.beta1, static_cast<double>(t));
+        const double bc2 = 1.0 - std::pow(opt.beta2, static_cast<double>(t));
+        for (std::size_t i = 0; i < n; ++i) {
+          want_m[i] = opt.beta1 * want_m[i] + (1.0 - opt.beta1) * g.data()[i];
+          want_v[i] = opt.beta2 * want_v[i] + (1.0 - opt.beta2) * g.data()[i] * g.data()[i];
+          want_w[i] -= opt.lr * (want_m[i] / bc1) / (std::sqrt(want_v[i] / bc2) + opt.eps);
+        }
+        const AdamConstants c{opt.beta1, opt.beta2, 1.0 - opt.beta1, 1.0 - opt.beta2,
+                              opt.lr,    bc1,       bc2,             opt.eps};
+        kern.adam_update(w.data(), g.data().data(), m.data(), v.data(), n, c);
+        ASSERT_EQ(first_byte_difference(m, want_m), "") << "m, step " << t;
+        ASSERT_EQ(first_byte_difference(v, want_v), "") << "v, step " << t;
+        ASSERT_EQ(first_byte_difference(w, want_w), "") << "w, step " << t;
+      }
+    }
+  }
+}
+
+// kernels() is the widest runnable set, and that is AVX2 exactly when the
+// CPU supports it (on x86-64 GCC builds, the only ones with an AVX2 copy).
+// The printed line records the width the rest of this binary trained at.
+TEST(MlpKernels, SelectsAvx2ExactlyWhenTheCpuSupportsIt) {
+  const KernelSet& kern = kernels();
+  std::printf("MLP kernels: %s, %d lanes\n", kern.isa, kern.lanes);
+#if defined(PIPETTE_SIMD_AVX2)
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool avx2 = false;
+#endif
+  const auto sets = runnable_kernel_sets();
+  EXPECT_EQ(sets.size(), avx2 ? 2U : 1U);
+  EXPECT_EQ(&kern, &sets.back());
+  EXPECT_EQ(std::string(kern.isa) == "avx2", avx2);
+  EXPECT_EQ(kern.lanes == 4, avx2);
 }
 
 namespace {

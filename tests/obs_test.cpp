@@ -13,6 +13,7 @@
 #include "engine/thread_pool.h"
 #include "estimators/compute_profile.h"
 #include "estimators/latency_models.h"
+#include "mlp/matrix.h"
 #include "model/gpt_zoo.h"
 #include "obs/json.h"
 #include "obs/registry.h"
@@ -464,6 +465,13 @@ TEST(ConfigService, PhaseAndQueueWaitHistogramsCountEveryServedRequest) {
   for (const char* phase : {"profile", "mem_train"}) {
     EXPECT_EQ(count(std::string("pipette.phase.") + phase + ".seconds"), 0) << phase;
   }
+}
+
+TEST(ConfigService, GaugesTheMlpKernelLaneWidthAtConstruction) {
+  // Set before any request: the width every estimator this service trains
+  // runs at (4 where the CPU has AVX2, else 2 on x86-64).
+  engine::ConfigService service(service_options(1));
+  EXPECT_EQ(service.metrics().snapshot().gauge("pipette.mlp.simd_lanes"), mlp::kernels().lanes);
 }
 
 TEST(ConfigService, CountsBoundedStopsBesideProposals) {
