@@ -1,8 +1,10 @@
 #include "engine/cluster_cache.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -47,27 +49,13 @@ ClusterCache::ClusterCache(ClusterCacheOptions opt) : opt_(std::move(opt)) {
                                          obs::Registry::latency_bounds_s());
   }
   if (!opt_.snapshot_dir.empty()) {
-    // A negative retry count would drop every record unattempted, and a NaN
-    // or infinite delay would reach sleep_for's integer conversion.
-    if (opt_.persist_retries < 0) {
-      throw std::invalid_argument("ClusterCacheOptions::persist_retries must be >= 0, got " +
-                                  std::to_string(opt_.persist_retries));
-    }
-    const std::pair<const char*, double> delays[] = {
-        {"persist_backoff_s", opt_.persist_backoff_s},
-        {"persist_write_delay_s", opt_.persist_write_delay_s}};
-    for (const auto& [field, v] : delays) {
-      if (!std::isfinite(v) || v < 0.0) {
-        throw std::invalid_argument(std::string("ClusterCacheOptions::") + field +
-                                    " must be finite and >= 0");
-      }
+    // A NaN or infinite delay would reach sleep_for's integer conversion.
+    if (!std::isfinite(opt_.persist_write_delay_s) || opt_.persist_write_delay_s < 0.0) {
+      throw std::invalid_argument(
+          "ClusterCacheOptions::persist_write_delay_s must be finite and >= 0");
     }
     persist::PersisterOptions popt;
     popt.dir = opt_.snapshot_dir;
-    popt.write_behind = opt_.persist_write_behind;
-    popt.retries = opt_.persist_retries;
-    popt.backoff_s = opt_.persist_backoff_s;
-    popt.seed = opt_.persist_seed;
     popt.write_delay_s = opt_.persist_write_delay_s;
     popt.metrics = opt_.metrics;
     persister_ = std::make_unique<persist::Persister>(std::move(popt));
@@ -99,123 +87,95 @@ std::uint64_t ClusterCache::compute_key(const cluster::ClusterSpec& spec,
   return estimators::compute_context_digest(spec, compute_opt);
 }
 
-void ClusterCache::erase_compute_locked(std::uint64_t key) {
-  compute_.erase(key);
-  compute_last_used_.erase(key);
-  for (auto it = compute_order_.begin(); it != compute_order_.end(); ++it) {
-    if (*it == key) {
-      compute_order_.erase(it);
-      break;
-    }
+std::pair<std::shared_ptr<ClusterCache::Cell>, bool> ClusterCache::acquire_locked(
+    const CellKey& k) {
+  const auto it =
+      std::find_if(lru_.begin(), lru_.end(), [&](const auto& e) { return e.first == k; });
+  const bool existed = it != lru_.end();
+  if (existed) {
+    std::rotate(it, it + 1, lru_.end());
+  } else {
+    lru_.emplace_back(k, std::make_shared<Cell>());
   }
+  return {lru_.back().second, existed};
 }
 
-void ClusterCache::enforce_total_cap_locked(std::uint64_t protect_seq, int* evicted) {
-  const auto total = [this] {
-    return static_cast<int>(profiles_.cells.size() + estimators_.cells.size() + compute_.size());
-  };
-  while (total() > opt_.max_entries) {
-    const auto p = profiles_.lru_before(protect_seq);
-    const auto m = estimators_.lru_before(protect_seq);
-    std::optional<std::pair<std::uint64_t, std::uint64_t>> c;
-    for (const auto& [key, seq] : compute_last_used_) {
-      if (seq < protect_seq && (!c || seq < c->second)) c = {{key, seq}};
-    }
-    int which = -1;
-    std::uint64_t best = 0;
-    if (p && (which < 0 || p->second < best)) which = 0, best = p->second;
-    if (m && (which < 0 || m->second < best)) which = 1, best = m->second;
-    if (c && (which < 0 || c->second < best)) which = 2, best = c->second;
-    if (which < 0) break;  // only this lookup's own entries remain — never evict those
-    if (which == 0) {
-      profiles_.erase(p->first);
-    } else if (which == 1) {
-      estimators_.erase(m->first);
-    } else {
-      erase_compute_locked(c->first);
-    }
-    ++*evicted;
-  }
+void ClusterCache::evict_locked(int keep) {
+  const int excess = static_cast<int>(lru_.size()) - std::max(opt_.max_entries, keep);
+  if (excess <= 0) return;
+  lru_.erase(lru_.begin(), lru_.begin() + excess);
+  stats_.evictions += excess;
+  m_evictions_.add(excess);
 }
 
 ClusterCache::Entry ClusterCache::get_or_compute(
     const cluster::Topology& topo, const cluster::ProfileOptions& profile_opt,
     const estimators::MlpMemoryOptions& memory_opt,
     const estimators::ComputeProfileOptions& compute_opt) {
+  using persist::RecordKind;
   const std::uint64_t pkey = profile_key(topo, profile_opt);
   const std::uint64_t mkey = memory_key(topo.spec(), memory_opt);
   const std::uint64_t ckey = compute_key(topo.spec(), compute_opt);
-  std::shared_ptr<Cell<cluster::ProfileResult>> profile_cell;
-  std::shared_ptr<Cell<estimators::MlpMemoryEstimator>> memory_cell;
+  std::shared_ptr<Cell> profile_cell, memory_cell, compute_cell;
   Entry entry;
   {
     std::lock_guard lk(mu_);
     ++stats_.lookups;
     m_lookups_.inc();
-    int evicted = 0;
-    const std::uint64_t seq = ++seq_;  // one recency stamp per lookup
-    const auto [pcell, phit] = profiles_.acquire(pkey, opt_.max_profiles, seq, &evicted);
-    const auto [mcell, mhit] = estimators_.acquire(mkey, opt_.max_estimators, seq, &evicted);
-    if (phit && mhit) {
+    std::tie(profile_cell, entry.profile_was_cached) = acquire_locked({RecordKind::kProfile, pkey});
+    std::tie(memory_cell, entry.memory_was_cached) = acquire_locked({RecordKind::kMemory, mkey});
+    std::tie(compute_cell, entry.compute_was_cached) =
+        acquire_locked({RecordKind::kCompute, ckey});
+    if (entry.profile_was_cached && entry.memory_was_cached) {
       ++stats_.hits;
       m_hits_.inc();
     }
-    entry.profile_was_cached = phit;
-    entry.memory_was_cached = mhit;
-    profile_cell = pcell;
-    memory_cell = mcell;
-    // The shape cache starts empty and fills lazily inside requests, so it
-    // is minted right here under the cache mutex.
-    auto& slot = compute_[ckey];
-    entry.compute_was_cached = static_cast<bool>(slot.cache);
-    if (!slot.cache) {
-      slot.cache = std::make_shared<estimators::ComputeProfileCache>(ckey);
-      ++stats_.compute_caches_created;
-      m_compute_created_.inc();
-      compute_order_.push_back(ckey);
-      while (static_cast<int>(compute_.size()) > opt_.max_compute_caches &&
-             compute_order_.front() != ckey) {
-        erase_compute_locked(compute_order_.front());
-        ++evicted;
-      }
-    }
-    entry.compute = slot.cache;
-    entry.compute_from_disk = slot.from_disk;
-    compute_last_used_[ckey] = seq;
-    enforce_total_cap_locked(seq, &evicted);
-    stats_.evictions += evicted;
-    if (evicted > 0) m_evictions_.add(evicted);
+    evict_locked(3);  // never this lookup's own three cells
   }
 
-  auto fill_profile = [&] {  // caller holds profile_cell->mu
-    if (!profile_cell->value) {
+  // Each fill runs with its cell's mutex held, and takes mu_ only to count.
+  auto fill_profile = [&] {
+    if (!profile_cell->profile) {
       const common::Stopwatch sw;
-      profile_cell->value = std::make_shared<const cluster::ProfileResult>(
+      profile_cell->profile = std::make_shared<const cluster::ProfileResult>(
           cluster::profile_network(topo, profile_opt));
       m_profile_s_.observe(sw.seconds());
       m_profiles_run_.inc();
-      if (persister_) persister_->enqueue_profile(pkey, profile_cell->value);
+      if (persister_) persister_->enqueue_profile(pkey, profile_cell->profile);
       std::lock_guard slk(mu_);
       ++stats_.profiles_run;
     }
-    entry.profile = profile_cell->value;
+    entry.profile = profile_cell->profile;
     entry.profile_from_disk = profile_cell->from_disk;
   };
-  auto fill_memory = [&] {  // caller holds memory_cell->mu
-    if (!memory_cell->value) {
+  auto fill_memory = [&] {
+    if (!memory_cell->memory) {
       const common::Stopwatch sw;
-      memory_cell->value = std::make_shared<const estimators::MlpMemoryEstimator>(
+      memory_cell->memory = std::make_shared<const estimators::MlpMemoryEstimator>(
           estimators::MlpMemoryEstimator::train_for_cluster(topo, model::gpt_zoo(), memory_opt));
       m_train_s_.observe(sw.seconds());
       m_trainings_run_.inc();
-      if (persister_) persister_->enqueue_memory(mkey, memory_cell->value);
+      if (persister_) persister_->enqueue_memory(mkey, memory_cell->memory);
       std::lock_guard slk(mu_);
       ++stats_.trainings_run;
     }
-    entry.memory = memory_cell->value;
+    entry.memory = memory_cell->memory;
     entry.memory_from_disk = memory_cell->from_disk;
   };
 
+  // The shape cache starts empty and fills lazily inside requests, so it is
+  // minted the moment its cell is first filled.
+  {
+    std::lock_guard clk(compute_cell->mu);
+    if (!compute_cell->compute) {
+      compute_cell->compute = std::make_shared<estimators::ComputeProfileCache>(ckey);
+      m_compute_created_.inc();
+      std::lock_guard slk(mu_);
+      ++stats_.compute_caches_created;
+    }
+    entry.compute = compute_cell->compute;
+    entry.compute_from_disk = compute_cell->from_disk;
+  }
   // The two artifacts are independent; when another request is already
   // profiling this fabric, do the training half first instead of queueing —
   // concurrent first requests then split the work (max, not sum, latency).
@@ -238,69 +198,38 @@ ClusterCache::Entry ClusterCache::get_or_compute(
   return entry;
 }
 
+template <typename P>
+void ClusterCache::install(persist::RecordKind kind, std::uint64_t key, P Cell::*field, P value) {
+  // Lock order discipline: mu_ places the cell and is released before the
+  // cell mutex is taken. No path takes a cell mutex while holding mu_ (a
+  // fill takes mu_ inside its cell's lock only to count), so a load racing
+  // live requests cannot deadlock.
+  std::shared_ptr<Cell> cell;
+  {
+    std::lock_guard lk(mu_);
+    cell = acquire_locked({kind, key}).first;
+    evict_locked(1);
+  }
+  std::lock_guard clk(cell->mu);
+  if ((*cell).*field) return;  // a request beat the loader to it: the live artifact wins
+  (*cell).*field = std::move(value);
+  cell->from_disk = true;
+}
+
 persist::LoadReport ClusterCache::load() { return load(opt_.snapshot_dir); }
 
 persist::LoadReport ClusterCache::load(const std::string& dir) {
   if (dir.empty()) return {};
   persist::LoadSinks sinks;
-  // Lock order discipline: the sinks take mu_ to place the cell, release it,
-  // then take the cell mutex to install the value — the same mu_-before-cell
-  // never-nested order get_or_compute uses, so a load racing live requests
-  // cannot deadlock. A cell that already has a value (a request beat the
-  // loader to it) keeps the live artifact.
   sinks.profile = [this](std::uint64_t key, std::shared_ptr<const cluster::ProfileResult> p) {
-    std::shared_ptr<Cell<cluster::ProfileResult>> cell;
-    {
-      std::lock_guard lk(mu_);
-      int evicted = 0;
-      const std::uint64_t seq = ++seq_;
-      cell = profiles_.acquire(key, opt_.max_profiles, seq, &evicted).first;
-      enforce_total_cap_locked(seq, &evicted);
-      stats_.evictions += evicted;
-      if (evicted > 0) m_evictions_.add(evicted);
-    }
-    std::lock_guard clk(cell->mu);
-    if (!cell->value) {
-      cell->value = std::move(p);
-      cell->from_disk = true;
-    }
+    install(persist::RecordKind::kProfile, key, &Cell::profile, std::move(p));
   };
   sinks.memory = [this](std::uint64_t key,
                         std::shared_ptr<const estimators::MlpMemoryEstimator> est) {
-    std::shared_ptr<Cell<estimators::MlpMemoryEstimator>> cell;
-    {
-      std::lock_guard lk(mu_);
-      int evicted = 0;
-      const std::uint64_t seq = ++seq_;
-      cell = estimators_.acquire(key, opt_.max_estimators, seq, &evicted).first;
-      enforce_total_cap_locked(seq, &evicted);
-      stats_.evictions += evicted;
-      if (evicted > 0) m_evictions_.add(evicted);
-    }
-    std::lock_guard clk(cell->mu);
-    if (!cell->value) {
-      cell->value = std::move(est);
-      cell->from_disk = true;
-    }
+    install(persist::RecordKind::kMemory, key, &Cell::memory, std::move(est));
   };
   sinks.compute = [this](std::uint64_t key, std::shared_ptr<estimators::ComputeProfileCache> c) {
-    std::lock_guard lk(mu_);
-    auto& slot = compute_[key];
-    if (slot.cache) return;  // a live cache (already filling) wins the tie
-    slot.cache = std::move(c);
-    slot.from_disk = true;
-    compute_order_.push_back(key);
-    int evicted = 0;
-    while (static_cast<int>(compute_.size()) > opt_.max_compute_caches &&
-           compute_order_.front() != key) {
-      erase_compute_locked(compute_order_.front());
-      ++evicted;
-    }
-    const std::uint64_t seq = ++seq_;
-    compute_last_used_[key] = seq;
-    enforce_total_cap_locked(seq, &evicted);
-    stats_.evictions += evicted;
-    if (evicted > 0) m_evictions_.add(evicted);
+    install(persist::RecordKind::kCompute, key, &Cell::compute, std::move(c));
   };
   persist::LoadReport report = persist::load_directory(dir, sinks);
   m_records_loaded_.add(report.loaded());
@@ -313,17 +242,20 @@ void ClusterCache::flush() {
   // Compute-shape caches fill lazily on the request path, so they are
   // snapshotted here (and at shutdown) rather than on creation. Profiles and
   // estimators were enqueued the moment they were computed.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const estimators::ComputeProfileCache>>>
-      caches;
+  std::vector<std::pair<std::uint64_t, std::shared_ptr<Cell>>> cells;
   {
     std::lock_guard lk(mu_);
-    caches.reserve(compute_.size());
-    for (const auto& [key, slot] : compute_) {
-      if (slot.cache) caches.emplace_back(key, slot.cache);
+    for (const auto& [k, cell] : lru_) {
+      if (k.kind == persist::RecordKind::kCompute) cells.emplace_back(k.key, cell);
     }
   }
-  for (auto& [key, cache] : caches) {
-    if (!cache->snapshot().empty()) persister_->enqueue_compute(key, cache);
+  for (const auto& [key, cell] : cells) {
+    std::shared_ptr<const estimators::ComputeProfileCache> cache;
+    {
+      std::lock_guard clk(cell->mu);
+      cache = cell->compute;
+    }
+    if (cache && cache->size() > 0) persister_->enqueue_compute(key, cache);
   }
   persister_->flush();
 }
@@ -333,19 +265,18 @@ ClusterCacheStats ClusterCache::stats() const {
   return stats_;
 }
 
-int ClusterCache::cached_profiles() const {
+int ClusterCache::count_cells(persist::RecordKind kind) const {
   std::lock_guard lk(mu_);
-  return static_cast<int>(profiles_.cells.size());
+  return static_cast<int>(
+      std::count_if(lru_.begin(), lru_.end(), [&](const auto& e) { return e.first.kind == kind; }));
 }
 
-int ClusterCache::cached_estimators() const {
-  std::lock_guard lk(mu_);
-  return static_cast<int>(estimators_.cells.size());
-}
+int ClusterCache::cached_profiles() const { return count_cells(persist::RecordKind::kProfile); }
+
+int ClusterCache::cached_estimators() const { return count_cells(persist::RecordKind::kMemory); }
 
 int ClusterCache::cached_compute_caches() const {
-  std::lock_guard lk(mu_);
-  return static_cast<int>(compute_.size());
+  return count_cells(persist::RecordKind::kCompute);
 }
 
 }  // namespace pipette::engine

@@ -23,28 +23,27 @@
 // compute concurrently.
 //
 // Bounded: day drift mints a fresh profile key per day, so a long-running
-// service would otherwise accumulate stale bandwidth matrices forever. Each
-// map evicts its oldest entry past its own cap (FIFO), and `max_entries`
-// bounds the total across all three maps with a global LRU (touch-on-hit);
-// in-flight users keep evicted artifacts alive through their shared_ptrs, an
-// evicted key simply recomputes on its next request.
+// service would otherwise accumulate stale bandwidth matrices forever. All
+// three kinds share one cell type under one LRU bound, `max_entries`: past
+// it the least recently used cells are evicted, never the ones the current
+// lookup touched. In-flight users keep evicted artifacts alive through their
+// shared_ptrs, and an evicted key simply recomputes on its next request.
 //
 // Persistent: with `snapshot_dir` set, every computed profile and estimator
-// is serialized by a write-behind persister thread (persist/persister.h) —
-// atomic per-record files, jittered retries, the request path never touches
-// disk — and compute-shape caches are snapshotted at flush()/shutdown.
-// load() warm-starts the cells from such a directory, tolerating any
-// corruption per record (typed persist::LoadReport), and tags warmed entries
-// so requests can report `from_disk` provenance.
+// is serialized by the persister's background thread (persist/persister.h)
+// — atomic per-record files, jittered retries, the request path never
+// touches disk — and compute-shape caches are snapshotted at
+// flush()/shutdown. load() warm-starts the cells from such a directory,
+// tolerating any corruption per record (typed persist::LoadReport), and tags
+// warmed entries so requests can report `from_disk` provenance.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "cluster/profiler.h"
 #include "estimators/compute_profile.h"
@@ -61,17 +60,13 @@ struct ClusterCacheStats {
   int profiles_run = 0;   ///< actual profile_network invocations
   int trainings_run = 0;  ///< actual MlpMemoryEstimator trainings
   int compute_caches_created = 0;  ///< fresh (empty) shape caches minted
-  int evictions = 0;               ///< entries dropped by any cap (FIFO or LRU)
+  int evictions = 0;               ///< cells dropped by the max_entries bound
 };
 
 struct ClusterCacheOptions {
-  int max_profiles = 64;        ///< distinct (fabric, day, options) snapshots kept
-  int max_estimators = 16;      ///< distinct (spec, options) trained estimators kept
-  int max_compute_caches = 16;  ///< distinct compute contexts' shape caches kept
-  /// Total artifacts across all three maps; past it the globally
-  /// least-recently-used entry is evicted. Generous by default — the per-map
-  /// caps dominate unless an operator tightens this.
-  int max_entries = 256;
+  /// Cells kept across all three artifact kinds (profiles, estimators,
+  /// compute-shape caches); past it the least recently used are evicted.
+  int max_entries = 96;
   /// Mirrors every ClusterCacheStats field into engine.cluster_cache.*
   /// registry counters, and times every computed artifact into the
   /// engine.cluster_cache.profile_s / train_s histograms (not owned, must
@@ -79,11 +74,7 @@ struct ClusterCacheOptions {
   obs::Registry* metrics = nullptr;
 
   // --- persistent tier (inert while snapshot_dir is empty) ---
-  std::string snapshot_dir;         ///< record-per-file snapshot directory
-  bool persist_write_behind = true; ///< false = synchronous writes (tests)
-  int persist_retries = 3;          ///< extra write attempts on I/O failure
-  double persist_backoff_s = 0.01;  ///< base of the jittered retry backoff
-  std::uint64_t persist_seed = 0x5eed;  ///< retry-jitter stream seed
+  std::string snapshot_dir;  ///< record-per-file snapshot directory
   /// Widens the torn-write window (crash-recovery CI); 0 in production.
   double persist_write_delay_s = 0.0;
 };
@@ -110,8 +101,7 @@ class ClusterCache {
   };
 
   /// With a snapshot_dir set, throws std::invalid_argument naming the field
-  /// for a negative persist_retries, or a persist_backoff_s or
-  /// persist_write_delay_s that is not finite and >= 0.
+  /// for a persist_write_delay_s that is not finite and >= 0.
   explicit ClusterCache(ClusterCacheOptions opt = {});
   /// Final flush: snapshots live compute caches and drains the persister.
   ~ClusterCache();
@@ -157,85 +147,41 @@ class ClusterCache {
   long persist_failures() const { return persister_ ? persister_->write_failures() : 0; }
 
  private:
-  template <typename T>
+  /// One artifact of any kind. Only the pointer of the key's kind is used; it
+  /// is null until the artifact is computed, minted or loaded, and is read
+  /// and written under `mu`.
   struct Cell {
     std::mutex mu;
-    std::shared_ptr<const T> value;  // null until computed
-    bool from_disk = false;          ///< value installed by load(), not computed
+    std::shared_ptr<const cluster::ProfileResult> profile;
+    std::shared_ptr<const estimators::MlpMemoryEstimator> memory;
+    std::shared_ptr<estimators::ComputeProfileCache> compute;
+    bool from_disk = false;  ///< installed by load(), not computed
+  };
+  struct CellKey {
+    persist::RecordKind kind;
+    std::uint64_t key;
+    bool operator==(const CellKey&) const = default;
   };
 
-  /// One bounded map: insertion order drives the per-map FIFO cap, the
-  /// last_used sequence numbers drive the cache-wide LRU cap.
-  template <typename T>
-  struct CellMap {
-    std::unordered_map<std::uint64_t, std::shared_ptr<Cell<T>>> cells;
-    std::deque<std::uint64_t> order;
-    std::unordered_map<std::uint64_t, std::uint64_t> last_used;
-
-    /// Returns the cell for `key` (creating and bounding as needed) and
-    /// whether it already existed; stamps the key's recency with `seq`.
-    /// Caller must hold the cache mutex.
-    std::pair<std::shared_ptr<Cell<T>>, bool> acquire(std::uint64_t key, int cap,
-                                                      std::uint64_t seq, int* evicted) {
-      auto& slot = cells[key];
-      const bool existed = static_cast<bool>(slot);
-      if (!existed) {
-        slot = std::make_shared<Cell<T>>();
-        order.push_back(key);
-        while (static_cast<int>(cells.size()) > cap && order.front() != key) {
-          erase(order.front());
-          ++*evicted;
-        }
-      }
-      last_used[key] = seq;
-      return {slot, existed};
-    }
-
-    void erase(std::uint64_t key) {
-      cells.erase(key);
-      last_used.erase(key);
-      for (auto it = order.begin(); it != order.end(); ++it) {
-        if (*it == key) {
-          order.erase(it);
-          break;
-        }
-      }
-    }
-
-    /// Least-recently-used key whose stamp is strictly older than `before`.
-    std::optional<std::pair<std::uint64_t, std::uint64_t>> lru_before(std::uint64_t before) const {
-      std::optional<std::pair<std::uint64_t, std::uint64_t>> best;  // (key, seq)
-      for (const auto& [key, seq] : last_used) {
-        if (seq < before && (!best || seq < best->second)) best = {{key, seq}};
-      }
-      return best;
-    }
-  };
-
-  struct ComputeSlot {
-    std::shared_ptr<estimators::ComputeProfileCache> cache;
-    bool from_disk = false;
-  };
-
-  /// Evicts globally least-recent entries until the total fits max_entries.
-  /// Entries touched at or after `protect_seq` (this lookup's own artifacts)
-  /// are never evicted. Caller must hold mu_.
-  void enforce_total_cap_locked(std::uint64_t protect_seq, int* evicted);
-  void erase_compute_locked(std::uint64_t key);
+  /// The cell for `k`, created if absent, and whether it already existed;
+  /// marks it most recently used. Caller must hold mu_.
+  std::pair<std::shared_ptr<Cell>, bool> acquire_locked(const CellKey& k);
+  /// Evicts least recently used cells past max_entries, never the `keep`
+  /// most recent (the caller's own). Caller must hold mu_.
+  void evict_locked(int keep);
+  /// load()'s one install path: places `value` in its cell unless a live
+  /// artifact (computed, or still being computed) is already there.
+  template <typename P>
+  void install(persist::RecordKind kind, std::uint64_t key, P Cell::*field, P value);
+  int count_cells(persist::RecordKind kind) const;
 
   ClusterCacheOptions opt_;
-  mutable std::mutex mu_;  // guards the maps, stats_, and seq_
-  CellMap<cluster::ProfileResult> profiles_;
-  CellMap<estimators::MlpMemoryEstimator> estimators_;
-  /// Shape caches are cheap to mint (they start empty and fill lazily), so
-  /// they live in a plain bounded FIFO map created under mu_ — no per-cell
-  /// compute mutex needed.
-  std::unordered_map<std::uint64_t, ComputeSlot> compute_;
-  std::deque<std::uint64_t> compute_order_;
-  std::unordered_map<std::uint64_t, std::uint64_t> compute_last_used_;
-  std::uint64_t seq_ = 0;  ///< monotonic recency clock (ticks per lookup)
+  mutable std::mutex mu_;  // guards lru_ and stats_
+  /// Every cell, least recently used first. A linear scan finds a key: the
+  /// bound is tens of cells, each a profile, estimator or shape cache.
+  std::vector<std::pair<CellKey, std::shared_ptr<Cell>>> lru_;
   ClusterCacheStats stats_;
-  /// Write-behind snapshot writer; null while snapshot_dir is empty.
+  /// Background snapshot writer; null while snapshot_dir is empty.
   std::unique_ptr<persist::Persister> persister_;
   // Registry mirrors of stats_ (inert without ClusterCacheOptions::metrics).
   obs::Counter m_lookups_, m_hits_, m_profiles_run_, m_trainings_run_, m_compute_created_;

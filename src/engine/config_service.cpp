@@ -34,13 +34,14 @@ std::string validate(const RequestOptions& ro) {
   return {};
 }
 
-/// Decrements the pending count when a request finishes, however it exits.
+/// Decrements the pending count and its gauge when a request finishes,
+/// however it exits.
 struct PendingGuard {
   std::atomic<int>* pending;
-  obs::Registry* metrics;
+  obs::Gauge gauge;
   ~PendingGuard() {
-    const int now = pending->fetch_sub(1, std::memory_order_relaxed) - 1;
-    if (metrics != nullptr) metrics->gauge("pipette.service.pending").set(now);
+    pending->fetch_sub(1, std::memory_order_relaxed);
+    gauge.add(-1);
   }
 };
 
@@ -62,6 +63,7 @@ ConfigService::ConfigService(ConfigServiceOptions opt)
     : opt_(std::move(opt)),
       owned_metrics_(opt_.metrics ? nullptr : std::make_unique<obs::Registry>()),
       metrics_(opt_.metrics ? opt_.metrics : owned_metrics_.get()),
+      pending_gauge_(metrics_->gauge("pipette.service.pending")),
       queue_wait_(metrics_->histogram("pipette.service.queue_wait_s",
                                       obs::Registry::latency_bounds_s())),
       cache_(with_metrics(opt_.cache, metrics_)),
@@ -125,13 +127,15 @@ std::future<ServiceResult> ConfigService::submit_request(
                         std::to_string(opt_.max_pending) + " pending)");
     }
   } while (!pending_.compare_exchange_weak(cur, cur + 1, std::memory_order_relaxed));
-  metrics_->gauge("pipette.service.pending").set(cur + 1);
+  // Deltas, not levels: a level computed on one thread and stored after a
+  // later one would leave the gauge off for good.
+  pending_gauge_.add(1);
 
   const common::Stopwatch admitted;
   return pool_.submit([this, topo = std::move(topo), job = std::move(job), ro,
                        previous = std::move(previous), admitted] {
     queue_wait_.observe(admitted.seconds());
-    const PendingGuard guard{&pending_, metrics_};
+    const PendingGuard guard{&pending_, pending_gauge_};
     return serve_one(topo, job, previous ? &*previous : nullptr, ro, admitted);
   });
 }

@@ -154,7 +154,7 @@ class ConfigService {
   const persist::LoadReport& load_report() const { return load_report_; }
   /// Blocks until every computed artifact (plus a snapshot of the live
   /// compute-shape caches) is on disk. Call before a planned restart; crashes
-  /// are covered anyway by the write-behind persister + atomic records.
+  /// are covered anyway by the background persister + atomic records.
   void flush_snapshots() { cache_.flush(); }
   /// Records persisted / dropped-after-retries so far (0 without a
   /// snapshot_dir).
@@ -198,6 +198,8 @@ class ConfigService {
   /// profiling run (and every profile cache key) sees the same schedule.
   std::unique_ptr<FaultInjector> faults_;
   std::atomic<int> pending_{0};
+  /// pipette.service.pending: pending_, moved by the same +1/-1 steps.
+  obs::Gauge pending_gauge_;
   /// pipette.service.queue_wait_s: admission until a pool worker starts the
   /// request.
   obs::Histogram queue_wait_;

@@ -1,51 +1,13 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <utility>
 
 #include "obs/json.h"
 
 namespace pipette::obs {
 
 namespace {
-
-std::atomic<std::uint64_t> next_registry_uid{1};
-
-/// One thread's shard handles, keyed by registry uid. The shared_ptr keeps a
-/// shard alive past registry destruction (stale handles then write into an
-/// orphaned slab, harmlessly); the registry's own reference keeps a dead
-/// thread's counts alive until snapshot() folds them into `retired_`.
-struct TlsEntry {
-  std::uint64_t uid;
-  std::shared_ptr<detail::Shard> shard;
-};
-thread_local std::vector<TlsEntry> tls_shards;
-
-void add_shard_into(detail::Shard& out, const detail::Shard& in) {
-  for (std::size_t i = 0; i < in.counters.size(); ++i) {
-    const long v = in.counters[i].load(std::memory_order_relaxed);
-    if (v) out.counters[i].fetch_add(v, std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < in.hist.size(); ++i) {
-    const long v = in.hist[i].load(std::memory_order_relaxed);
-    if (v) out.hist[i].fetch_add(v, std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < in.hist_sum.size(); ++i) {
-    const double v = in.hist_sum[i].load(std::memory_order_relaxed);
-    if (v != 0.0) {
-      auto& cell = out.hist_sum[i];
-      double cur = cell.load(std::memory_order_relaxed);
-      while (!cell.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-      }
-    }
-  }
-}
-
-void zero_shard(detail::Shard& s) {
-  for (auto& c : s.counters) c.store(0, std::memory_order_relaxed);
-  for (auto& c : s.hist) c.store(0, std::memory_order_relaxed);
-  for (auto& c : s.hist_sum) c.store(0.0, std::memory_order_relaxed);
-}
 
 /// Prometheus metric names allow [a-zA-Z0-9_:] (no leading digit); the
 /// registry's dotted names map '.' and friends to '_'.
@@ -61,103 +23,48 @@ std::string sanitize(std::string_view name) {
   return out;
 }
 
+/// The entry named `name`, created from `args` on first use. Caller holds
+/// the registry mutex.
+template <typename Map, typename... Args>
+typename Map::mapped_type& get_or_add(Map& map, std::string_view name, Args&&... args) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string(name), std::forward<Args>(args)...).first;
+  return it->second;
+}
+
 }  // namespace
 
-void Counter::add(long n) const {
-  if (!reg_) return;
-  reg_->local_shard().counters[static_cast<std::size_t>(id_)].fetch_add(
-      n, std::memory_order_relaxed);
+namespace detail {
+
+HistCells::HistCells(std::vector<double> upper_bounds)
+    : bounds(std::move(upper_bounds)), buckets(bounds.size() + 1) {
+  std::sort(bounds.begin(), bounds.end());
 }
+
+}  // namespace detail
 
 void Histogram::observe(double v) const {
-  if (!reg_) return;
-  detail::Shard& shard = reg_->local_shard();
-  const auto& bounds = meta_->bounds;
+  if (!cells_) return;
+  const auto& bounds = cells_->bounds;
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);  // le semantics
-  const auto bucket = static_cast<std::size_t>(it - bounds.begin());
-  shard.hist[static_cast<std::size_t>(meta_->slot_base) + bucket].fetch_add(
+  cells_->buckets[static_cast<std::size_t>(it - bounds.begin())].fetch_add(
       1, std::memory_order_relaxed);
-  auto& sum = shard.hist_sum[static_cast<std::size_t>(meta_->id)];
-  double cur = sum.load(std::memory_order_relaxed);
-  while (!sum.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-Registry::Registry()
-    : uid_(next_registry_uid.fetch_add(1, std::memory_order_relaxed)),
-      retired_(std::make_unique<detail::Shard>()),
-      gauge_cells_(std::make_unique<std::atomic<long>[]>(detail::kMaxGauges)) {
-  for (int i = 0; i < detail::kMaxGauges; ++i) gauge_cells_[i].store(0, std::memory_order_relaxed);
-}
-
-Registry::~Registry() = default;
-
-Registry& Registry::global() {
-  static Registry instance;
-  return instance;
-}
-
-detail::Shard& Registry::local_shard() {
-  for (const auto& e : tls_shards) {
-    if (e.uid == uid_) return *e.shard;
-  }
-  auto shard = std::make_shared<detail::Shard>();
-  {
-    std::lock_guard lk(mu_);
-    shards_.push_back(shard);
-  }
-  tls_shards.push_back({uid_, shard});
-  return *tls_shards.back().shard;
+  cells_->sum.fetch_add(v, std::memory_order_relaxed);
 }
 
 Counter Registry::counter(std::string_view name) {
   std::lock_guard lk(mu_);
-  const auto [it, inserted] =
-      counter_ids_.try_emplace(std::string(name), static_cast<int>(counter_names_.size()));
-  if (inserted) {
-    if (it->second >= detail::kMaxCounters) {
-      counter_ids_.erase(it);
-      throw std::length_error("obs::Registry: counter capacity exhausted");
-    }
-    counter_names_.push_back(it->first);
-  }
-  return Counter(this, it->second);
+  return Counter(&get_or_add(counters_, name, 0L));
 }
 
 Gauge Registry::gauge(std::string_view name) {
   std::lock_guard lk(mu_);
-  const auto [it, inserted] =
-      gauge_ids_.try_emplace(std::string(name), static_cast<int>(gauge_names_.size()));
-  if (inserted) {
-    if (it->second >= detail::kMaxGauges) {
-      gauge_ids_.erase(it);
-      throw std::length_error("obs::Registry: gauge capacity exhausted");
-    }
-    gauge_names_.push_back(it->first);
-  }
-  return Gauge(&gauge_cells_[it->second]);
+  return Gauge(&get_or_add(gauges_, name, 0L));
 }
 
 Histogram Registry::histogram(std::string_view name, const std::vector<double>& upper_bounds) {
   std::lock_guard lk(mu_);
-  if (const auto it = hist_ids_.find(std::string(name)); it != hist_ids_.end()) {
-    return Histogram(this, hists_[static_cast<std::size_t>(it->second)].get());
-  }
-  const int id = static_cast<int>(hists_.size());
-  const int slots = static_cast<int>(upper_bounds.size()) + 1;
-  if (id >= detail::kMaxHistograms || hist_slots_used_ + slots > detail::kMaxHistSlots) {
-    throw std::length_error("obs::Registry: histogram capacity exhausted");
-  }
-  auto meta = std::make_unique<detail::HistMeta>();
-  meta->name = std::string(name);
-  meta->bounds = upper_bounds;
-  std::sort(meta->bounds.begin(), meta->bounds.end());
-  meta->id = id;
-  meta->slot_base = hist_slots_used_;
-  hist_slots_used_ += slots;
-  hist_ids_.emplace(meta->name, id);
-  hists_.push_back(std::move(meta));
-  return Histogram(this, hists_.back().get());
+  return Histogram(&get_or_add(histograms_, name, upper_bounds));
 }
 
 const std::vector<double>& Registry::latency_bounds_s() {
@@ -166,51 +73,27 @@ const std::vector<double>& Registry::latency_bounds_s() {
   return bounds;
 }
 
-void Registry::merge_locked(detail::Shard& out) const {
-  // Fold dead threads' shards (only the registry still references them) into
-  // the retired totals once, then fold retired + live shards into `out`.
-  auto it = shards_.begin();
-  while (it != shards_.end()) {
-    if (it->use_count() == 1) {
-      add_shard_into(*retired_, **it);
-      it = shards_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  add_shard_into(out, *retired_);
-  for (const auto& shard : shards_) add_shard_into(out, *shard);
-}
-
 Registry::Snapshot Registry::snapshot() const {
   Snapshot snap;
-  detail::Shard merged;
   std::lock_guard lk(mu_);
-  merge_locked(merged);
-  snap.counters.reserve(counter_names_.size());
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    snap.counters.push_back({counter_names_[i], merged.counters[i].load(std::memory_order_relaxed)});
+  // The maps iterate in name order, which is the order the sections report.
+  for (const auto& [name, cell] : counters_) {
+    snap.counters.push_back({name, cell.load(std::memory_order_relaxed)});
   }
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    snap.gauges.push_back({gauge_names_[i], gauge_cells_[i].load(std::memory_order_relaxed)});
+  for (const auto& [name, cell] : gauges_) {
+    snap.gauges.push_back({name, cell.load(std::memory_order_relaxed)});
   }
-  for (const auto& meta : hists_) {
+  for (const auto& [name, cells] : histograms_) {
     HistogramSample h;
-    h.name = meta->name;
-    h.bounds = meta->bounds;
-    h.buckets.resize(meta->bounds.size() + 1);
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      h.buckets[b] = merged.hist[static_cast<std::size_t>(meta->slot_base) + b].load(
-          std::memory_order_relaxed);
-      h.count += h.buckets[b];
+    h.name = name;
+    h.bounds = cells.bounds;
+    for (const auto& bucket : cells.buckets) {
+      h.buckets.push_back(bucket.load(std::memory_order_relaxed));
+      h.count += h.buckets.back();
     }
-    h.sum = merged.hist_sum[static_cast<std::size_t>(meta->id)].load(std::memory_order_relaxed);
+    h.sum = cells.sum.load(std::memory_order_relaxed);
     snap.histograms.push_back(std::move(h));
   }
-  const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
-  std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-  std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-  std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
 }
 
@@ -260,9 +143,12 @@ std::string Registry::prometheus_text() const {
 
 void Registry::reset() {
   std::lock_guard lk(mu_);
-  zero_shard(*retired_);
-  for (const auto& shard : shards_) zero_shard(*shard);
-  for (int i = 0; i < detail::kMaxGauges; ++i) gauge_cells_[i].store(0, std::memory_order_relaxed);
+  for (auto& [name, cell] : counters_) cell.store(0, std::memory_order_relaxed);
+  for (auto& [name, cell] : gauges_) cell.store(0, std::memory_order_relaxed);
+  for (auto& [name, cells] : histograms_) {
+    for (auto& bucket : cells.buckets) bucket.store(0, std::memory_order_relaxed);
+    cells.sum.store(0.0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace pipette::obs

@@ -1,57 +1,40 @@
-// Process-wide counter/timer registry — the metrics half of the
-// observability layer. Named monotonic counters, gauges, and fixed-bucket
-// histograms, designed so the hot paths of the configuration engine can be
-// instrumented without perturbing them:
+// Counter/timer registry — the metrics half of the observability layer.
+// Named monotonic counters, gauges, and fixed-bucket histograms, designed so
+// the hot paths of the configuration engine can be instrumented without
+// perturbing them:
 //
-//   * writes go to lock-free per-thread shards (a relaxed fetch_add into a
-//     preallocated slot; no mutex is ever taken on the write path) and are
-//     merged only when somebody reads — snapshot() or prometheus_text();
-//   * handles are plain {registry, slot} pairs that default to null, so an
-//     uninstrumented call site compiles to one predictable branch;
+//   * every counter, gauge and histogram bucket is one atomic cell, written
+//     with a relaxed fetch_add (or store); no mutex is ever taken on the
+//     write path. The engine writes a few thousand times a second at most
+//     (SA's per-proposal counts stay in its chain-local AnnealTelemetry), so
+//     threads sharing a cell cost nothing measurable;
+//   * handles point straight at their cells and default to null, so an
+//     uninstrumented call site compiles to one predictable branch. Cells
+//     never move, so a handle stays valid for its registry's lifetime, and
+//     must not outlive it;
 //   * nothing here feeds back into any cost, seed, or rng stream, so
 //     attaching a registry cannot change a recommendation (tests lock the
 //     bit-identity in at 1/4/16 threads).
-//
-// Slot capacities are fixed (see detail::k* below) so shards never resize —
-// that is what keeps the write path lock-free. Registering past a capacity
-// throws; the engine uses a few dozen metrics.
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <cstdint>
-#include <memory>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace pipette::obs {
 
-class Registry;
-
 namespace detail {
 
-constexpr int kMaxCounters = 512;    ///< counter slots per shard
-constexpr int kMaxHistograms = 64;   ///< distinct histograms
-constexpr int kMaxHistSlots = 1024;  ///< bucket-count slots across all histograms
-constexpr int kMaxGauges = 256;      ///< process-global gauge cells
-
-/// One thread's private slab of metric slots. Zero-initialized; written only
-/// by its owning thread (relaxed RMW), read by mergers (relaxed loads —
-/// counters tolerate slightly-stale reads by design).
-struct Shard {
-  std::array<std::atomic<long>, kMaxCounters> counters{};
-  std::array<std::atomic<long>, kMaxHistSlots> hist{};
-  std::array<std::atomic<double>, kMaxHistograms> hist_sum{};
-};
-
-struct HistMeta {
-  std::string name;
-  std::vector<double> bounds;  ///< ascending `le` upper bounds
-  int id = 0;                  ///< index into hist_sum
-  int slot_base = 0;           ///< first of bounds.size()+1 bucket slots
+/// One histogram's cells: a count per bucket and the running sum.
+struct HistCells {
+  explicit HistCells(std::vector<double> upper_bounds);
+  std::vector<double> bounds;               ///< ascending `le` upper bounds
+  std::vector<std::atomic<long>> buckets;   ///< bounds.size()+1, last = overflow
+  std::atomic<double> sum{0.0};
 };
 
 }  // namespace detail
@@ -60,20 +43,20 @@ struct HistMeta {
 class Counter {
  public:
   Counter() = default;
-  void add(long n = 1) const;
+  void add(long n = 1) const {
+    if (cell_) cell_->fetch_add(n, std::memory_order_relaxed);
+  }
   void inc() const { add(1); }
-  explicit operator bool() const { return reg_ != nullptr; }
+  explicit operator bool() const { return cell_ != nullptr; }
 
  private:
   friend class Registry;
-  Counter(Registry* reg, int id) : reg_(reg), id_(id) {}
-  Registry* reg_ = nullptr;
-  int id_ = 0;
+  explicit Counter(std::atomic<long>* cell) : cell_(cell) {}
+  std::atomic<long>* cell_ = nullptr;
 };
 
-/// Up/down gauge (queue depths, pool sizes). Gauges are global atomics, not
-/// sharded — they report a current level, which per-thread deltas would only
-/// obscure. Default-constructed handles are inert.
+/// Up/down gauge (queue depths, pool sizes): a current level. Default-
+/// constructed handles are inert.
 class Gauge {
  public:
   Gauge() = default;
@@ -91,33 +74,26 @@ class Gauge {
   std::atomic<long>* cell_ = nullptr;
 };
 
-/// Fixed-bucket histogram (phase latencies). observe() is sharded like
-/// counters: one bucket increment plus a CAS-loop add into the shard-local
-/// sum. Default-constructed handles are inert.
+/// Fixed-bucket histogram (phase latencies). observe() is one bucket
+/// increment plus an atomic add into the sum. Default-constructed handles
+/// are inert.
 class Histogram {
  public:
   Histogram() = default;
   void observe(double v) const;
-  explicit operator bool() const { return reg_ != nullptr; }
+  explicit operator bool() const { return cells_ != nullptr; }
 
  private:
   friend class Registry;
-  Histogram(Registry* reg, const detail::HistMeta* meta) : reg_(reg), meta_(meta) {}
-  Registry* reg_ = nullptr;
-  const detail::HistMeta* meta_ = nullptr;
+  explicit Histogram(detail::HistCells* cells) : cells_(cells) {}
+  detail::HistCells* cells_ = nullptr;
 };
 
 class Registry {
  public:
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-
-  /// The process-wide default instance (an engine::ConfigService owns its own
-  /// by default so tests and tenants stay isolated; this one is for ad-hoc
-  /// instrumentation that has no natural owner).
-  static Registry& global();
 
   /// Get-or-create by name. Handles stay valid for the registry's lifetime;
   /// re-registering an existing name returns the same metric (a histogram's
@@ -144,7 +120,7 @@ class Registry {
     long count = 0;
     double sum = 0.0;
   };
-  /// Point-in-time merged view, each section sorted by name.
+  /// Point-in-time view, each section sorted by name.
   struct Snapshot {
     std::vector<CounterSample> counters;
     std::vector<GaugeSample> gauges;
@@ -163,27 +139,13 @@ class Registry {
   void reset();
 
  private:
-  friend class Counter;
-  friend class Histogram;
-
-  detail::Shard& local_shard();
-  /// Merges (and prunes dead threads' shards into) `retired_`; returns the
-  /// live shards to fold on top. Caller must hold mu_.
-  void merge_locked(detail::Shard& out) const;
-
-  const std::uint64_t uid_;  ///< TLS key; never reused across registries
+  /// Guards the maps' structure (registration, snapshot, reset); the cells
+  /// themselves are written without it. Map nodes never move, so neither do
+  /// the cells handles point at.
   mutable std::mutex mu_;
-  mutable std::vector<std::shared_ptr<detail::Shard>> shards_;
-  /// Totals folded in from threads that have exited.
-  mutable std::unique_ptr<detail::Shard> retired_;
-  std::unordered_map<std::string, int> counter_ids_;
-  std::vector<std::string> counter_names_;  ///< by id
-  std::vector<std::unique_ptr<detail::HistMeta>> hists_;
-  std::unordered_map<std::string, int> hist_ids_;
-  int hist_slots_used_ = 0;
-  std::unique_ptr<std::atomic<long>[]> gauge_cells_;
-  std::unordered_map<std::string, int> gauge_ids_;
-  std::vector<std::string> gauge_names_;
+  std::map<std::string, std::atomic<long>, std::less<>> counters_;
+  std::map<std::string, std::atomic<long>, std::less<>> gauges_;
+  std::map<std::string, detail::HistCells, std::less<>> histograms_;
 };
 
 }  // namespace pipette::obs

@@ -62,9 +62,9 @@ enum class RecordKind : std::uint32_t {
 const char* to_string(RecordKind k);
 
 /// CRC32C (Castagnoli polynomial, the iSCSI/ext4 checksum) over `n` bytes.
-/// Software sliced-by-one table: profiles are the largest record (a few MB at
-/// hundreds of GPUs) and are written off the hot path, so portability beats
-/// SSE4.2 here. Pass a previous return value as `crc` to chain spans.
+/// Software sliced-by-one table: records are small (a 1024-GPU profile is
+/// 196,704 bytes, a 4×200 estimator about 1 MB) and are written off the hot
+/// path, so portability beats SSE4.2 here. Pass a previous return value as `crc` to chain spans.
 std::uint32_t crc32c(const unsigned char* data, std::size_t n, std::uint32_t crc = 0);
 
 /// Little-endian append-only byte sink for codec payloads. All integers are
@@ -91,9 +91,12 @@ class ByteWriter {
   std::vector<unsigned char> take() { return std::move(buf_); }
 
  private:
+  // resize + memcpy rather than insert: GCC 12 misreads an insert into a
+  // freshly constructed vector as an overflow (-Wstringop-overflow).
   void append(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
   std::vector<unsigned char> buf_;
 };

@@ -8,13 +8,20 @@
 
 namespace pipette::persist {
 
+namespace {
+
+/// Seed of the retry-jitter stream, forked per record key.
+constexpr std::uint64_t kJitterSeed = 0x5eed;
+
+}  // namespace
+
 Persister::Persister(PersisterOptions opt) : opt_(std::move(opt)) {
   if (opt_.metrics != nullptr) {
     m_written_ = opt_.metrics->counter("pipette.persist.records_written");
     m_retries_ = opt_.metrics->counter("pipette.persist.write_retries");
     m_failures_ = opt_.metrics->counter("pipette.persist.write_failures");
   }
-  if (opt_.write_behind) worker_ = std::thread([this] { run(); });
+  worker_ = std::thread([this] { run(); });
 }
 
 Persister::~Persister() {
@@ -23,7 +30,7 @@ Persister::~Persister() {
     stop_ = true;
   }
   cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
+  worker_.join();
 }
 
 void Persister::enqueue_profile(std::uint64_t key,
@@ -46,10 +53,6 @@ void Persister::enqueue_compute(std::uint64_t key,
 
 void Persister::enqueue(Job job) {
   if (opt_.dir.empty()) return;
-  if (!opt_.write_behind) {
-    write_one(job);
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(job));
@@ -58,7 +61,6 @@ void Persister::enqueue(Job job) {
 }
 
 void Persister::flush() {
-  if (!opt_.write_behind) return;
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && !in_flight_; });
 }
@@ -103,12 +105,12 @@ void Persister::write_one(const Job& job) {
     return;
   }
 
-  auto rng = common::Rng(opt_.seed).fork(job.key);
-  for (int attempt = 0; attempt <= opt_.retries; ++attempt) {
+  auto rng = common::Rng(kJitterSeed).fork(job.key);
+  for (int attempt = 0; attempt <= kRetries; ++attempt) {
     if (attempt > 0) {
       // Jittered exponential backoff: transient failures (NFS hiccup, fd
       // pressure) get time to clear without the retries synchronizing.
-      const double sleep_s = common::backoff_s(opt_.backoff_s, attempt - 1, rng.uniform(0.5, 1.5));
+      const double sleep_s = common::backoff_s(kBackoffS, attempt - 1, rng.uniform(0.5, 1.5));
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
       m_retries_.inc();
     }

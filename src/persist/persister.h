@@ -1,13 +1,14 @@
-// Write-behind snapshot persister: the hot path (a configure request that
-// just computed an artifact) enqueues a shared_ptr and returns; one
-// background thread serializes and writes. Disk latency, a full filesystem,
-// or a flaky volume therefore never blocks a request — the worst a sick disk
-// can do is leave the cache cold on the next restart.
+// Snapshot persister: the hot path (a configure request that just computed
+// an artifact) enqueues a shared_ptr and returns; one background thread
+// serializes and writes. Disk latency, a full filesystem, or a flaky volume
+// therefore never blocks a request — the worst a sick disk can do is leave
+// the cache cold on the next restart.
 //
-// Failure policy: each write retries with jittered exponential backoff
-// (pipette.persist.write_retries); a record that exhausts its retries is
-// dropped and counted (pipette.persist.write_failures) — persistence is an
-// optimization, and an optimization must never take the service down.
+// Failure policy: each write retries kRetries times with jittered
+// exponential backoff from kBackoffS (pipette.persist.write_retries); a
+// record that exhausts its retries is dropped and counted
+// (pipette.persist.write_failures) — persistence is an optimization, and an
+// optimization must never take the service down.
 // Ordering: the queue is FIFO per enqueue order, and records for the same
 // key atomically replace the same file, so the last enqueued state wins on
 // disk regardless of retry interleaving (writes are single-threaded).
@@ -26,12 +27,7 @@
 namespace pipette::persist {
 
 struct PersisterOptions {
-  std::string dir;           ///< snapshot directory (created on first write)
-  bool write_behind = true;  ///< false = enqueue() writes synchronously (tests)
-  int retries = 3;           ///< extra attempts per record on I/O failure
-  double backoff_s = 0.01;   ///< base of the jittered exponential backoff,
-                             ///< each sleep capped at common::kMaxBackoffS
-  std::uint64_t seed = 0x5eed;  ///< jitter stream seed
+  std::string dir;  ///< snapshot directory (created on first write)
   /// Widened torn-write window for the crash-recovery CI (see
   /// persist::write_file_atomic); 0 in production.
   double write_delay_s = 0.0;
@@ -41,6 +37,12 @@ struct PersisterOptions {
 
 class Persister {
  public:
+  /// Extra write attempts per record on I/O failure.
+  static constexpr int kRetries = 3;
+  /// Base of the jittered exponential backoff between attempts; each sleep
+  /// is capped at common::kMaxBackoffS.
+  static constexpr double kBackoffS = 0.01;
+
   explicit Persister(PersisterOptions opt);
   /// Drains the queue (final flush), then joins the thread.
   ~Persister();

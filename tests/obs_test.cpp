@@ -207,15 +207,29 @@ TEST(Registry, CountersMergeAcrossAndOutliveThreads) {
     for (int t = 0; t < 4; ++t) {
       workers.emplace_back([&reg] {
         const auto mine = reg.counter("test.ops");
-        for (int i = 0; i < 1000; ++i) mine.inc();
+        const auto depth = reg.gauge("test.depth");
+        const auto lat = reg.histogram("test.lat", {1.0, 2.0});
+        for (int i = 0; i < 1000; ++i) {
+          mine.inc();
+          depth.add(2);
+          lat.observe(static_cast<double>(i % 3));  // 0, 1, 2: buckets le=1, le=1, le=2
+        }
       });
     }
     for (auto& w : workers) w.join();
   }
-  // The writer threads are dead; their shards must still be counted.
+  // The writer threads are dead; everything they wrote must still be counted.
   EXPECT_EQ(reg.snapshot().counter("test.ops"), 4005);
-  EXPECT_EQ(reg.snapshot().counter("test.ops"), 4005) << "retired folding must not double-count";
+  EXPECT_EQ(reg.snapshot().counter("test.ops"), 4005) << "reading must not double-count";
   EXPECT_EQ(reg.snapshot().counter("test.missing"), 0);
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.gauge("test.depth"), 8000);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const auto& h = snap.histograms.front();
+  EXPECT_EQ(h.count, 4000);
+  // Per thread, i % 3 is 0 on 334 values of i, and 1 and 2 on 333 each.
+  EXPECT_EQ(h.buckets, (std::vector<long>{4 * (334 + 333), 4 * 333, 0}));
+  EXPECT_EQ(h.sum, 4.0 * (333 + 2 * 333)) << "sums of small integers are exact";
 }
 
 TEST(Registry, GaugesHistogramsAndReset) {
@@ -505,7 +519,7 @@ TEST(ThreadPool, ReportsTaskAndIndexAccounting) {
     pool.parallel_for(100, [](int) {});
     // n == 1 enqueues no helpers, so the lone index is the caller's.
     pool.parallel_for(1, [](int) {});
-  }  // joins the workers; their shards fold into the registry's retired totals
+  }  // joins the workers
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.gauge("engine.pool.threads"), 2);
   EXPECT_GE(snap.counter("engine.pool.tasks"), 1);

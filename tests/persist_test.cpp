@@ -6,7 +6,7 @@
 //     truncations, the seed-derived SnapshotFaultInjector's torn writes and
 //     stale version stamps) yields a typed LoadReport skip and a service
 //     that still configures cold, never a crash;
-//   * the cache stays bounded (global LRU over all three artifact maps) and
+//   * the cache stays bounded (one LRU bound over all three artifact kinds) and
 //     the persister degrades gracefully when the disk does (failed writes are
 //     counted and dropped, requests are never blocked or failed by them).
 #include <gtest/gtest.h>
@@ -56,9 +56,6 @@ engine::ConfigServiceOptions service_options(int threads, const std::string& sna
   so.threads = threads;
   so.pipette = fast_options();
   so.cache.snapshot_dir = snapshot_dir;
-  // Synchronous writes: the directory is complete the moment a request
-  // returns, so tests need no flush/sleep choreography.
-  so.cache.persist_write_behind = false;
   return so;
 }
 
@@ -469,8 +466,8 @@ TEST(PersistChaos, InjectorIsDeterministicPerSeedAndRecord) {
 }
 
 TEST(PersistChaos, EveryFaultKindYieldsTypedSkipsAndColdService) {
-  // Populate a real snapshot directory once (cold service, synchronous
-  // persister), then for each pinned fault kind and several seeds: corrupt
+  // Populate a real snapshot directory once (cold service, flushed), then
+  // for each pinned fault kind and several seeds: corrupt
   // every record, reload, and demand typed skips — and a service that still
   // configures (cold) on the fully corrupt directory.
   TempDir dir("pipette_persist_chaos");
@@ -619,7 +616,7 @@ TEST(PersistWarmRestart, RoundTrippedArtifactsConfigureBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded cache: the global LRU cap
+// Bounded cache: the LRU bound
 // ---------------------------------------------------------------------------
 
 TEST(ClusterCacheLru, MaxEntriesEvictsLeastRecentAcrossMaps) {
@@ -669,43 +666,30 @@ TEST(Persister, UnwritableDirectoryDegradesToCountedFailures) {
   const auto blocker = dir.path / "blocked";
   write_raw(blocker, {1});
 
-  // The second case retries past 32 attempts, where a shifted backoff
-  // (1 << attempt) would be undefined.
-  const struct {
-    int retries;
-    double backoff_s;
-  } cases[] = {{1, 1e-4}, {40, 0.0}};
-  for (const auto& c : cases) {
-    SCOPED_TRACE("persist_retries " + std::to_string(c.retries));
-    obs::Registry metrics;
-    engine::ClusterCacheOptions co;
-    co.snapshot_dir = (blocker / "snapshots").string();
-    co.persist_write_behind = false;  // failures visible at return
-    co.persist_retries = c.retries;
-    co.persist_backoff_s = c.backoff_s;
-    co.metrics = &metrics;
-    engine::ClusterCache cache(co);
+  obs::Registry metrics;
+  engine::ClusterCacheOptions co;
+  co.snapshot_dir = (blocker / "snapshots").string();
+  co.metrics = &metrics;
+  engine::ClusterCache cache(co);
 
-    const auto opt = fast_options();
-    cluster::ProfileOptions po;
-    const auto entry = cache.get_or_compute(small_cluster(), po, opt.memory_training);
-    // The request itself is untouched by the sick disk.
-    EXPECT_NE(entry.profile, nullptr);
-    EXPECT_NE(entry.memory, nullptr);
-    EXPECT_GE(cache.persist_failures(), 2);  // profile + estimator both dropped
-    EXPECT_EQ(cache.persisted_records(), 0);
+  const auto opt = fast_options();
+  cluster::ProfileOptions po;
+  const auto entry = cache.get_or_compute(small_cluster(), po, opt.memory_training);
+  // The request itself is untouched by the sick disk.
+  EXPECT_NE(entry.profile, nullptr);
+  EXPECT_NE(entry.memory, nullptr);
+  cache.flush();  // every record written or dropped
+  EXPECT_GE(cache.persist_failures(), 2);  // profile + estimator both dropped
+  EXPECT_EQ(cache.persisted_records(), 0);
 
-    const auto snap = metrics.snapshot();
-    EXPECT_GE(snap.counter("pipette.persist.write_failures"), 2);
-    EXPECT_GE(snap.counter("pipette.persist.write_retries"), 2 * c.retries);
-    EXPECT_EQ(snap.counter("pipette.persist.records_written"), 0);
-  }
+  const auto snap = metrics.snapshot();
+  EXPECT_GE(snap.counter("pipette.persist.write_failures"), 2);
+  EXPECT_GE(snap.counter("pipette.persist.write_retries"), 2 * persist::Persister::kRetries);
+  EXPECT_EQ(snap.counter("pipette.persist.records_written"), 0);
 }
 
 TEST(Persister, RejectsUnusableRetryOptions) {
-  // A negative retry count dropped every record unattempted and counted it
-  // as a failure; a NaN or infinite delay reached sleep_for's float-to-integer
-  // conversion.
+  // A NaN or infinite delay reached sleep_for's float-to-integer conversion.
   using limits = std::numeric_limits<double>;
   using Opt = engine::ClusterCacheOptions;
   struct Case {
@@ -713,10 +697,6 @@ TEST(Persister, RejectsUnusableRetryOptions) {
     void (*corrupt)(Opt&);
   };
   const Case cases[] = {
-      {"persist_retries", [](Opt& o) { o.persist_retries = -1; }},
-      {"persist_backoff_s", [](Opt& o) { o.persist_backoff_s = limits::quiet_NaN(); }},
-      {"persist_backoff_s", [](Opt& o) { o.persist_backoff_s = limits::infinity(); }},
-      {"persist_backoff_s", [](Opt& o) { o.persist_backoff_s = -0.01; }},
       {"persist_write_delay_s", [](Opt& o) { o.persist_write_delay_s = limits::quiet_NaN(); }},
       {"persist_write_delay_s", [](Opt& o) { o.persist_write_delay_s = limits::infinity(); }},
       {"persist_write_delay_s", [](Opt& o) { o.persist_write_delay_s = -1.0; }},
@@ -743,7 +723,6 @@ TEST(Persister, WriteBehindFlushMakesDirectoryLoadable) {
   TempDir dir("pipette_persist_wb");
   engine::ClusterCacheOptions co;
   co.snapshot_dir = dir.str();
-  co.persist_write_behind = true;
   engine::ClusterCache cache(co);
 
   const auto opt = fast_options();
@@ -758,4 +737,12 @@ TEST(Persister, WriteBehindFlushMakesDirectoryLoadable) {
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.loaded_profiles, 1);
   EXPECT_EQ(report.loaded_estimators, 1);
+
+  // Loading honours the LRU bound too: every record loads, the older cell goes.
+  engine::ClusterCacheOptions one;
+  one.max_entries = 1;
+  engine::ClusterCache bounded(one);
+  EXPECT_EQ(bounded.load(dir.str()).loaded(), 2);
+  EXPECT_EQ(bounded.cached_profiles() + bounded.cached_estimators(), 1);
+  EXPECT_EQ(bounded.stats().evictions, 1);
 }
