@@ -1,30 +1,26 @@
 // Table II — configuration overhead of Pipette, reworked as the perf gate
 // for the sublinear configure() work:
 //
-//   * legacy arm: the paper's Algorithm 1 allocation (per-candidate compute
-//     profiling, SA on every surviving candidate at the full budget) — the
-//     pre-memoization hot path, run as the SA race with
+//   * legacy arm: the paper's Algorithm 1 allocation (SA on every surviving
+//     candidate at the full budget), run as the SA race with
 //     sa_halving.rung0_iters = max_iters (rung 0 already grants every
-//     candidate the full budget) and share_compute_profiles = false;
-//   * memoized arm: shape-grouped profiling + successive-halving SA at the
-//     *same* per-candidate iteration budget, fresh caches (what a first
-//     request pays);
-//   * repeat arm: the same request again on the same configurator — what any
-//     later request on a warm engine pays (all shapes cached, memory
-//     estimates memoized).
+//     candidate the full budget);
+//   * memoized arm: successive-halving SA at the *same* per-candidate
+//     iteration budget (the JSON key is older than shape grouping in both
+//     arms, and CI artifacts read it).
 //
-// Both arms share one pre-trained memory estimator and one bandwidth
-// snapshot, so the measured configure() wall time isolates exactly the
-// phases this PR attacks (memory filter, scoring, SA). Per-phase wall and
-// aggregate CPU-seconds are reported separately — under a parallel executor
-// they differ, and summing per-slot durations (the old behaviour)
-// overreports wall clock.
+// Both arms profile each distinct compute shape once per request, and both
+// share one pre-trained memory estimator and one bandwidth snapshot, so the
+// measured configure() wall time isolates the per-request phases (memory
+// filter, scoring, SA). Per-phase wall and aggregate CPU-seconds are reported
+// separately — under a parallel executor they differ, and summing per-slot
+// durations (the old behaviour) overreports wall clock.
 //
 // The bench also runs the elastic resize scenarios (grow 8->12 nodes, shrink
 // 16->12): a cold configure() on the new topology (fresh configurator:
-// trains its own estimator, empty caches) vs reconfigure() warm-starting
-// from the old result (adopts the estimator via the clamped training digest,
-// reuses memoized shapes, seeds SA from the projected old mapping).
+// trains its own estimator) vs reconfigure() warm-starting from the old
+// result (adopts the estimator via the clamped training digest, seeds SA
+// from the projected old mapping).
 //
 //   --full            paper-scale budgets
 //   --seed N          heterogeneity universe seed (default 2024)
@@ -83,7 +79,6 @@ void json_arm(std::ofstream& os, const char* name, const ArmRun& a, bool trailin
      << ", \"search_cpu_s\": " << rec.search_cpu_s << ", \"sa_iters\": " << rec.sa_iters
      << ", \"sa_rungs\": " << rec.sa_rungs << ", \"shapes_profiled\": " << rec.shapes_profiled
      << ", \"shapes_reused\": " << rec.shapes_reused
-     << ", \"mem_est_reused\": " << rec.mem_est_reused
      << ", \"candidates\": " << rec.candidates_evaluated << ", \"best\": \"" << rec.best.str()
      << "\", \"predicted_s\": " << rec.predicted_s << ", \"sim_s\": " << a.sim_s << "}"
      << (trailing_comma ? ",\n" : "\n");
@@ -113,7 +108,7 @@ int main(int argc, char** argv) {
     std::string tier;
     int nodes;
     std::string model;
-    ArmRun legacy, memoized, repeat;
+    ArmRun legacy, memoized;
   };
   std::vector<ShapeRow> rows;
   struct ElasticRow {
@@ -143,7 +138,6 @@ int main(int argc, char** argv) {
 
       auto legacy_opt = base_opt;
       legacy_opt.profile_snapshot = snapshot;
-      legacy_opt.share_compute_profiles = false;
       legacy_opt.sa_halving.rung0_iters = sa_iters;  // Algorithm 1: full budget each
       core::PipetteConfigurator legacy_ppt(legacy_opt);
 
@@ -151,10 +145,9 @@ int main(int argc, char** argv) {
       memo_opt.profile_snapshot = snapshot;
       core::PipetteConfigurator memo_ppt(memo_opt);
 
-      ShapeRow row{tier, nodes, job.model.name, {}, {}, {}};
+      ShapeRow row{tier, nodes, job.model.name, {}, {}};
       row.legacy = run_arm(legacy_ppt, topo, job, false, nullptr);
       row.memoized = run_arm(memo_ppt, topo, job, false, nullptr);
-      row.repeat = run_arm(memo_ppt, topo, job, false, nullptr);
       rows.push_back(row);
 
       const double ppt_days =
@@ -178,13 +171,12 @@ int main(int argc, char** argv) {
       };
       add("legacy", row.legacy, 0.0);
       add("memoized", row.memoized, row.legacy.wall_s / std::max(1e-9, row.memoized.wall_s));
-      add("repeat", row.repeat, row.legacy.wall_s / std::max(1e-9, row.repeat.wall_s));
     }
 
     // Elastic scenarios: the job stays fixed while the fabric resizes. Cold
     // pays a from-scratch configure on the new topology (fresh configurator:
-    // estimator training, empty shape cache); warm reconfigures from the old
-    // result on the configurator that served it.
+    // estimator training); warm reconfigures from the old result on the
+    // configurator that served it.
     for (const auto& [scenario, from_nodes, to_nodes] :
          {std::tuple{std::string("grow-8to12"), 8, 12},
           std::tuple{std::string("shrink-16to12"), 16, 12}}) {
@@ -225,8 +217,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "Table II (reworked) — configuration overhead, legacy vs memoized+halving vs "
-               "repeat, per-phase wall/cpu seconds ("
+  std::cout << "Table II (reworked) — configuration overhead, legacy vs memoized+halving, "
+               "per-phase wall/cpu seconds ("
             << sa_iters << " SA iters per candidate, " << total_iters << " training iterations";
   if (!env.full) std::cout << "; fast profile — use --full for paper-scale budgets";
   std::cout << ")\n\n";
@@ -249,10 +241,8 @@ int main(int argc, char** argv) {
          << r.model << "\",\n";
       json_arm(os, "legacy", r.legacy, true);
       json_arm(os, "memoized", r.memoized, true);
-      json_arm(os, "repeat", r.repeat, true);
-      os << "      \"speedup\": " << r.legacy.wall_s / std::max(1e-9, r.memoized.wall_s)
-         << ", \"repeat_speedup\": " << r.legacy.wall_s / std::max(1e-9, r.repeat.wall_s)
-         << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
+      os << "      \"speedup\": " << r.legacy.wall_s / std::max(1e-9, r.memoized.wall_s) << "}"
+         << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     os << "  ],\n  \"elastic\": [\n";
     for (std::size_t i = 0; i < elastic.size(); ++i) {

@@ -155,8 +155,7 @@ int main(int argc, char** argv) {
     const auto& first = results.front();
     const auto prov = [](bool from_disk) { return from_disk ? "disk" : "computed"; };
     std::cout << "artifact provenance: profile=" << prov(first.profile_from_disk)
-              << " estimator=" << prov(first.memory_from_disk)
-              << " compute=" << prov(first.compute_from_disk) << "\n";
+              << " estimator=" << prov(first.memory_from_disk) << "\n";
     service.flush_snapshots();
     std::cout << "persisted " << service.persisted_records() << " records to " << snapshot_dir;
     if (service.persist_failures() > 0) {

@@ -98,20 +98,14 @@ std::string ConfiguratorResult::explain(int runner_ups) const {
   w.value(profile_cache_hit);
   w.key("memory_estimator_hit");
   w.value(memory_cache_hit);
-  w.key("compute_cache_hit");
-  w.value(compute_cache_hit);
   w.key("profile_from_disk");
   w.value(profile_from_disk);
   w.key("memory_estimator_from_disk");
   w.value(memory_from_disk);
-  w.key("compute_cache_from_disk");
-  w.value(compute_from_disk);
   w.key("shapes_profiled");
   w.value(shapes_profiled);
   w.key("shapes_reused");
   w.value(shapes_reused);
-  w.key("mem_est_reused");
-  w.value(mem_est_reused);
   w.end_object();
 
   w.key("search");

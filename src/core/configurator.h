@@ -107,10 +107,11 @@ struct ConfiguratorResult {
   int candidates_evaluated = 0;
   int candidates_rejected_oom = 0;
 
-  // Memoization introspection (Pipette only; zero elsewhere).
+  // Scoring and search introspection (Pipette only; zero elsewhere).
   int shapes_profiled = 0;   ///< distinct compute shapes measured this request
-  int shapes_reused = 0;     ///< shapes served from the ComputeProfileCache
-  int mem_est_reused = 0;    ///< memory estimates served from a memo
+  /// Candidates scored with a sibling's profile: the candidates the memory
+  /// filter kept, minus shapes_profiled.
+  int shapes_reused = 0;
   long sa_iters = 0;         ///< SA proposals explored across all chains/rungs
   long sa_iters_granted = 0; ///< SA budget the race allotted
   int sa_rungs = 0;          ///< successive-halving rungs run
@@ -124,12 +125,10 @@ struct ConfiguratorResult {
   // per-cluster artifacts this request reused rather than built.
   bool profile_cache_hit = false;  ///< bandwidth profile came from the cache
   bool memory_cache_hit = false;   ///< MLP memory estimator came from the cache
-  bool compute_cache_hit = false;  ///< compute-profile cache pre-existed
   // ...and whether those artifacts were warm-started from a persisted
   // snapshot (ClusterCache::load) rather than computed in this process.
   bool profile_from_disk = false;
   bool memory_from_disk = false;
-  bool compute_from_disk = false;
 
   // Provenance for elastic reconfiguration: what this result was computed
   // against, and the artifacts a warm start can reuse.
@@ -138,10 +137,6 @@ struct ConfiguratorResult {
   /// The memory estimator the filter used; reconfigure() adopts it when the
   /// resized cluster's training digest still matches.
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory_estimator;
-  /// Memory-estimate memo from the filter pass, sorted by key
-  /// (hash(job digest, plan hash) -> estimated bytes): a reconfigure() under
-  /// the same estimator skips re-estimating every surviving plan.
-  std::vector<std::pair<std::uint64_t, double>> mem_estimates;
 
   /// Structured per-request report as a JSON object: the winning plan, the
   /// first `runner_ups` runners-up with their predicted deltas, phase wall/cpu

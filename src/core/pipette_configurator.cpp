@@ -10,7 +10,6 @@
 #include <string>
 #include <utility>
 
-#include "common/hashing.h"
 #include "common/stopwatch.h"
 #include "estimators/latency_models.h"
 #include "mlp/regressor.h"
@@ -65,7 +64,6 @@ void flush_request_metrics(obs::Registry* reg, const ConfiguratorResult& res,
   reg->counter("pipette.candidates.rejected_oom").add(res.candidates_rejected_oom);
   reg->counter("pipette.shapes.profiled").add(res.shapes_profiled);
   reg->counter("pipette.shapes.reused").add(res.shapes_reused);
-  reg->counter("pipette.mem_est.reused").add(res.mem_est_reused);
   reg->counter("pipette.sa.iters").add(res.sa_iters);
   reg->counter("pipette.sa.rungs").add(res.sa_rungs);
   for (int k = 0; k < search::AnnealTelemetry::kKinds; ++k) {
@@ -351,7 +349,7 @@ ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new
     out.score_wall_s = out.score_cpu_s = out.search_wall_s = out.search_cpu_s = 0.0;
     out.sa_iters = out.sa_iters_granted = 0;
     out.sa_rungs = 0;
-    out.shapes_profiled = out.shapes_reused = out.mem_est_reused = 0;
+    out.shapes_profiled = out.shapes_reused = 0;
     return out;
   }
   ConfiguratorResult out = configure_impl(new_topo, job, &previous);
@@ -460,7 +458,7 @@ void PipetteConfigurator::load_estimator(Request& rq) {
   res.memory_estimator = memory_;
 }
 
-std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
+std::vector<Candidate> PipetteConfigurator::filter(Request& rq) const {
   // Lines 3-7, over the enlarged plan space: enumerate the base plans (plain
   // + interleaved), memory-filter each one, and — where a base plan is near
   // or over the fit threshold — escalate through the recompute/ZeRO-1 relief
@@ -468,50 +466,18 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
   // count stays bounded. Each base plan is independent, so this fans out
   // across the executor; kept plans land in index-addressed slots and are
   // merged in enumeration order, keeping the set schedule-independent.
-  // Estimates are memoized by (job, plan): a repeat configure() on this
-  // configurator, or a reconfigure() carrying the previous result under the
-  // same estimator, skips the MLP inference for every surviving plan (the
-  // memoized value is the inference's own output, so the filter's decisions
-  // are bit-identical either way).
   ConfiguratorResult& res = rq.res;
   const std::vector<Candidate> bases = parallel::enumerate_base_plans(
       rq.topo.num_gpus(), rq.topo.gpus_per_node(), rq.job.model.num_layers,
       rq.job.global_batch, opt_.constraints);
-
-  if (memo_estimator_ != memory_.get()) {
-    mem_memo_.clear();
-    memo_estimator_ = memory_.get();
-  }
-  // Equal training digests mean interchangeable estimators (training is
-  // deterministic in everything the digest covers), so the memo carried by a
-  // different-instance estimator is just as valid as this one's own output.
-  const ConfiguratorResult* warm = rq.warm;
-  const std::vector<std::pair<std::uint64_t, double>>* warm_memo = nullptr;
-  if (warm && warm->memory_estimator && memory_ && memory_->training_digest() != 0 &&
-      warm->memory_estimator->training_digest() == memory_->training_digest() &&
-      !warm->mem_estimates.empty()) {
-    warm_memo = &warm->mem_estimates;
-  }
-  auto memo_lookup = [&](std::uint64_t key) -> const double* {
-    if (const auto it = mem_memo_.find(key); it != mem_memo_.end()) return &it->second;
-    if (warm_memo) {
-      const auto it = std::lower_bound(
-          warm_memo->begin(), warm_memo->end(), key,
-          [](const std::pair<std::uint64_t, double>& e, std::uint64_t k) { return e.first < k; });
-      if (it != warm_memo->end() && it->first == key) return &it->second;
-    }
-    return nullptr;
-  };
 
   const PhaseScope phase(rq, kMemFilter, &res.mem_est_wall_s,
                          rq.args("base_plans", static_cast<long>(bases.size())));
   const double mem_limit = rq.topo.spec().gpu_memory_bytes;
   struct PlanSlot {
     std::vector<Candidate> kept;
-    std::vector<std::pair<std::uint64_t, double>> ests;
     int evaluated = 0;
     int rejected = 0;
-    int reused = 0;
     double wall_s = 0.0;
   };
   std::vector<PlanSlot> plan_slots(bases.size());
@@ -520,19 +486,7 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
     const Candidate& base = bases[static_cast<std::size_t>(i)];
     const common::Stopwatch t0;
     const double margin = 1.0 + memory_->soft_margin();
-    auto est_of = [&](const Candidate& plan) {
-      const std::uint64_t key = common::hash_combine(res.job_digest, plan.hash());
-      double bytes;
-      if (const double* hit = memo_lookup(key)) {
-        bytes = *hit;
-        ++slot.reused;
-      } else {
-        bytes = memory_->estimate_bytes(rq.job, plan);
-      }
-      slot.ests.emplace_back(key, bytes);
-      return bytes;
-    };
-    const double base_est = est_of(base) * margin;
+    const double base_est = memory_->estimate_bytes(rq.job, base) * margin;
     const bool base_fits = base_est <= mem_limit;
     ++slot.evaluated;
     if (base_fits) {
@@ -546,7 +500,7 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
         bool& kept_family = variant.zero1 ? kept_zero_family : kept_plain_family;
         if (kept_family) continue;
         ++slot.evaluated;
-        if (est_of(variant) * margin <= mem_limit) {
+        if (memory_->estimate_bytes(rq.job, variant) * margin <= mem_limit) {
           slot.kept.push_back(variant);
           kept_family = true;
         } else {
@@ -562,102 +516,54 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) {
     res.candidates_evaluated += slot.evaluated;
     res.candidates_rejected_oom += slot.rejected;
     res.mem_est_cpu_s += slot.wall_s;
-    res.mem_est_reused += slot.reused;
     cands.insert(cands.end(), slot.kept.begin(), slot.kept.end());
-    res.mem_estimates.insert(res.mem_estimates.end(), slot.ests.begin(), slot.ests.end());
   }
-  std::sort(res.mem_estimates.begin(), res.mem_estimates.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, bytes] : res.mem_estimates) mem_memo_.emplace(key, bytes);
   return cands;
 }
 
 std::vector<PipetteConfigurator::Scored> PipetteConfigurator::score(
-    Request& rq, const std::vector<Candidate>& cands) {
+    Request& rq, const std::vector<Candidate>& cands) const {
   // Line 8: profile each candidate's compute and price the Megatron-default
-  // placement. Profiles depend only on the plan's compute shape, so the
-  // shared path profiles each distinct ComputeShapeKey once — fanned out
-  // over the executor, inserted into the shape cache in canonical key order
-  // — and every (dp, zero1) sibling shares the result.
+  // placement. Profiles depend only on the plan's compute shape, so each
+  // distinct ComputeShapeKey is profiled once — by its first candidate in
+  // enumeration order, fanned out over the executor — and every (dp, zero1)
+  // sibling shares the result.
   ConfiguratorResult& res = rq.res;
   const PhaseScope phase(rq, kScore, &res.score_wall_s,
                          rq.args("candidates", static_cast<long>(cands.size())));
-  std::vector<Scored> scored(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) scored[i].cand = cands[i];
-
-  res.compute_cache_hit = opt_.compute_cache != nullptr && opt_.compute_cache->size() > 0;
-  if (opt_.share_compute_profiles) {
-    const std::uint64_t ctx =
-        estimators::compute_context_digest(rq.topo.spec(), opt_.compute_profile);
-    std::shared_ptr<estimators::ComputeProfileCache> ccache = opt_.compute_cache;
-    if (ccache) {
-      // A cache injected from outside must have been minted for this exact
-      // compute context — serving profiles measured under other options or
-      // hardware would corrupt every score silently.
-      if (ccache->context() != 0 && ccache->context() != ctx) {
-        throw std::invalid_argument(
-            "PipetteOptions::compute_cache was built for a different compute context");
-      }
-    } else {
-      if (!compute_cache_ || compute_ctx_ != ctx) {
-        compute_cache_ = std::make_shared<estimators::ComputeProfileCache>(ctx);
-        compute_ctx_ = ctx;
-      }
-      ccache = compute_cache_;
-    }
-    // Representative candidate per shape: the first in enumeration order (any
-    // sibling measures the identical profile; the canonical pick keeps the
-    // request's work schedule-independent).
-    struct Shape {
-      int rep;
-      std::shared_ptr<const estimators::ComputeProfile> profile;
-      double wall_s = 0.0;
-    };
-    std::map<estimators::ComputeShapeKey, Shape> shapes;
-    std::vector<estimators::ComputeShapeKey> keys(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      keys[i] = estimators::ComputeShapeKey::of(rq.job, cands[i]);
-      shapes.try_emplace(keys[i], Shape{static_cast<int>(i), nullptr});
-    }
-    std::vector<std::pair<const estimators::ComputeShapeKey, Shape>*> missing;
-    for (auto& entry : shapes) {
-      entry.second.profile = ccache->find(entry.first);
-      if (!entry.second.profile) missing.push_back(&entry);
-    }
-    rq.exec.parallel_for(static_cast<int>(missing.size()), [&](int i) {
-      Shape& shape = missing[static_cast<std::size_t>(i)]->second;
-      obs::Span span(rq.sink, "score.profile_shape");
-      const common::Stopwatch t0;
-      shape.profile =
-          std::make_shared<const estimators::ComputeProfile>(estimators::profile_compute(
-              rq.topo, rq.job, cands[static_cast<std::size_t>(shape.rep)], opt_.compute_profile));
-      shape.wall_s = t0.seconds();
-    });
-    for (const auto* entry : missing) {  // canonical key order
-      ccache->insert(entry->first, entry->second.profile);
-      res.score_cpu_s += entry->second.wall_s;
-    }
-    res.shapes_profiled = static_cast<int>(missing.size());
-    res.shapes_reused = static_cast<int>(shapes.size() - missing.size());
-    if (rq.sink) {
-      rq.sink->instant("compute_cache", obs::json_object("hits", res.shapes_reused, "misses",
-                                                         res.shapes_profiled));
-    }
-    for (std::size_t i = 0; i < cands.size(); ++i) scored[i].profile = shapes.at(keys[i]).profile;
-  } else {
-    // Unshared reference path: one profile per candidate, exactly the
-    // pre-memoization behaviour (the bit-identity tests race the two).
-    res.shapes_profiled = static_cast<int>(cands.size());
+  struct Shape {
+    int rep;
+    std::shared_ptr<const estimators::ComputeProfile> profile;
+    double wall_s = 0.0;
+  };
+  std::map<estimators::ComputeShapeKey, Shape> shapes;
+  std::vector<const Shape*> shape_of(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const auto key = estimators::ComputeShapeKey::of(rq.job, cands[i]);
+    shape_of[i] = &shapes.try_emplace(key, Shape{static_cast<int>(i), nullptr}).first->second;
   }
+  std::vector<Shape*> distinct;
+  for (auto& entry : shapes) distinct.push_back(&entry.second);
+  rq.exec.parallel_for(static_cast<int>(distinct.size()), [&](int i) {
+    Shape& shape = *distinct[static_cast<std::size_t>(i)];
+    obs::Span span(rq.sink, "score.profile_shape");
+    const common::Stopwatch t0;
+    shape.profile =
+        std::make_shared<const estimators::ComputeProfile>(estimators::profile_compute(
+            rq.topo, rq.job, cands[static_cast<std::size_t>(shape.rep)], opt_.compute_profile));
+    shape.wall_s = t0.seconds();
+  });
+  for (const Shape* shape : distinct) res.score_cpu_s += shape->wall_s;
+  res.shapes_profiled = static_cast<int>(distinct.size());
+  res.shapes_reused = static_cast<int>(cands.size() - distinct.size());
+
+  std::vector<Scored> scored(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) scored[i] = {cands[i], 0.0, shape_of[i]->profile};
 
   std::vector<double> slot_wall(cands.size());
   rq.exec.parallel_for(static_cast<int>(cands.size()), [&](int i) {
     Scored& s = scored[static_cast<std::size_t>(i)];
     const common::Stopwatch t0;
-    if (!s.profile) {
-      s.profile = std::make_shared<const estimators::ComputeProfile>(
-          estimators::profile_compute(rq.topo, rq.job, s.cand, opt_.compute_profile));
-    }
     const estimators::PipetteLatencyModel model(rq.job, s.cand, *s.profile, &rq.profiled->bw,
                                                 rq.links);
     s.default_cost = model.estimate(parallel::Mapping::megatron_default(s.cand.pc));

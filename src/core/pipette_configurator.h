@@ -7,7 +7,6 @@
 
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/profiler.h"
@@ -76,17 +75,6 @@ struct PipetteOptions {
   /// engine::ClusterCache entry for the same fabric and day); profiled on
   /// demand when null.
   std::shared_ptr<const cluster::ProfileResult> profile_snapshot;
-  /// Share compute profiles across candidates of equal compute shape: the
-  /// scoring pass groups candidates by estimators::ComputeShapeKey, profiles
-  /// each shape once, and shares the result by shared_ptr — bit-identical to
-  /// per-candidate profiling (the profile never reads dp, ZeRO, or the
-  /// mapping) at a fraction of the cost. Disable for the unshared reference
-  /// path.
-  bool share_compute_profiles = true;
-  /// Persistent shape cache to reuse across requests (e.g. from an
-  /// engine::ClusterCache entry for the same compute context). Null memoizes
-  /// within this configurator only.
-  std::shared_ptr<estimators::ComputeProfileCache> compute_cache;
   /// Parallel executor for candidate scoring and the SA chains (not owned;
   /// typically an engine::ThreadPool). Results are merged in canonical
   /// enumeration order and SA seeds derive from the candidate itself, so
@@ -138,11 +126,10 @@ class PipetteConfigurator final : public Configurator {
                                const model::TrainingJob& job) override;
 
   /// Elastic re-configuration after a cluster resize (ROADMAP: elastic
-  /// clusters): diffs the old and new plan spaces and reuses everything that
-  /// survives — the trained memory estimator (when the clamped training
-  /// digest still matches), the memoized compute shapes, and the per-plan
-  /// memory estimates carried in `previous` — then runs one extra SA chain
-  /// for the dedicated winner from parallel::project_mapping(previous
+  /// clusters): adopts the trained memory estimator carried in `previous`
+  /// when the clamped training digest still matches, reruns the per-request
+  /// stages (memory filter, shape-grouped scoring), then runs one extra SA
+  /// chain for the dedicated winner from parallel::project_mapping(previous
   /// mapping) instead of annealing from scratch (kept only when strictly
   /// better, so an unchanged topology reproduces the cold result). When the
   /// topology diff is empty (same fingerprint, same job), returns `previous`
@@ -169,21 +156,12 @@ class PipetteConfigurator final : public Configurator {
   // Algorithm 1's stages, in the order configure_impl runs them.
   void profile(Request& rq) const;
   void load_estimator(Request& rq);
-  std::vector<Candidate> filter(Request& rq);
-  std::vector<Scored> score(Request& rq, const std::vector<Candidate>& cands);
+  std::vector<Candidate> filter(Request& rq) const;
+  std::vector<Scored> score(Request& rq, const std::vector<Candidate>& cands) const;
   void dedicate(Request& rq, const std::vector<Scored>& scored) const;
 
   PipetteOptions opt_;
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory_;
-  /// Per-configurator shape cache (used when opt_.compute_cache is null),
-  /// reset when the compute context changes.
-  std::shared_ptr<estimators::ComputeProfileCache> compute_cache_;
-  std::uint64_t compute_ctx_ = 0;
-  /// Memory-estimate memo across configure() calls under one estimator
-  /// (hash(job digest, plan hash) -> bytes); cleared when the estimator
-  /// changes.
-  std::unordered_map<std::uint64_t, double> mem_memo_;
-  const void* memo_estimator_ = nullptr;
 };
 
 }  // namespace pipette::core

@@ -39,7 +39,6 @@ ClusterCache::ClusterCache(ClusterCacheOptions opt) : opt_(std::move(opt)) {
     m_hits_ = opt_.metrics->counter("engine.cluster_cache.hits");
     m_profiles_run_ = opt_.metrics->counter("engine.cluster_cache.profiles_run");
     m_trainings_run_ = opt_.metrics->counter("engine.cluster_cache.trainings_run");
-    m_compute_created_ = opt_.metrics->counter("engine.cluster_cache.compute_caches_created");
     m_evictions_ = opt_.metrics->counter("engine.cluster_cache.evictions");
     m_records_loaded_ = opt_.metrics->counter("pipette.persist.records_loaded");
     m_records_skipped_ = opt_.metrics->counter("pipette.persist.records_skipped");
@@ -62,13 +61,6 @@ ClusterCache::ClusterCache(ClusterCacheOptions opt) : opt_(std::move(opt)) {
   }
 }
 
-ClusterCache::~ClusterCache() {
-  // Final flush so compute-shape caches (which fill lazily and are only
-  // snapshotted here and in flush()) survive a clean shutdown. The persister
-  // member's own destructor then drains any remaining queue.
-  flush();
-}
-
 std::uint64_t ClusterCache::profile_key(const cluster::Topology& topo,
                                         const cluster::ProfileOptions& profile_opt) {
   return hash_profile_options(topo.fingerprint(), profile_opt);
@@ -80,11 +72,6 @@ std::uint64_t ClusterCache::memory_key(const cluster::ClusterSpec& spec,
   // a trained artifact depends on (spec clamped to the profiled sub-cluster,
   // every training option, the feature version).
   return estimators::MlpMemoryEstimator::training_digest(spec, memory_opt);
-}
-
-std::uint64_t ClusterCache::compute_key(const cluster::ClusterSpec& spec,
-                                        const estimators::ComputeProfileOptions& compute_opt) {
-  return estimators::compute_context_digest(spec, compute_opt);
 }
 
 std::pair<std::shared_ptr<ClusterCache::Cell>, bool> ClusterCache::acquire_locked(
@@ -108,15 +95,13 @@ void ClusterCache::evict_locked(int keep) {
   m_evictions_.add(excess);
 }
 
-ClusterCache::Entry ClusterCache::get_or_compute(
-    const cluster::Topology& topo, const cluster::ProfileOptions& profile_opt,
-    const estimators::MlpMemoryOptions& memory_opt,
-    const estimators::ComputeProfileOptions& compute_opt) {
+ClusterCache::Entry ClusterCache::get_or_compute(const cluster::Topology& topo,
+                                                 const cluster::ProfileOptions& profile_opt,
+                                                 const estimators::MlpMemoryOptions& memory_opt) {
   using persist::RecordKind;
   const std::uint64_t pkey = profile_key(topo, profile_opt);
   const std::uint64_t mkey = memory_key(topo.spec(), memory_opt);
-  const std::uint64_t ckey = compute_key(topo.spec(), compute_opt);
-  std::shared_ptr<Cell> profile_cell, memory_cell, compute_cell;
+  std::shared_ptr<Cell> profile_cell, memory_cell;
   Entry entry;
   {
     std::lock_guard lk(mu_);
@@ -124,13 +109,11 @@ ClusterCache::Entry ClusterCache::get_or_compute(
     m_lookups_.inc();
     std::tie(profile_cell, entry.profile_was_cached) = acquire_locked({RecordKind::kProfile, pkey});
     std::tie(memory_cell, entry.memory_was_cached) = acquire_locked({RecordKind::kMemory, mkey});
-    std::tie(compute_cell, entry.compute_was_cached) =
-        acquire_locked({RecordKind::kCompute, ckey});
     if (entry.profile_was_cached && entry.memory_was_cached) {
       ++stats_.hits;
       m_hits_.inc();
     }
-    evict_locked(3);  // never this lookup's own three cells
+    evict_locked(2);  // never this lookup's own two cells
   }
 
   // Each fill runs with its cell's mutex held, and takes mu_ only to count.
@@ -163,19 +146,6 @@ ClusterCache::Entry ClusterCache::get_or_compute(
     entry.memory_from_disk = memory_cell->from_disk;
   };
 
-  // The shape cache starts empty and fills lazily inside requests, so it is
-  // minted the moment its cell is first filled.
-  {
-    std::lock_guard clk(compute_cell->mu);
-    if (!compute_cell->compute) {
-      compute_cell->compute = std::make_shared<estimators::ComputeProfileCache>(ckey);
-      m_compute_created_.inc();
-      std::lock_guard slk(mu_);
-      ++stats_.compute_caches_created;
-    }
-    entry.compute = compute_cell->compute;
-    entry.compute_from_disk = compute_cell->from_disk;
-  }
   // The two artifacts are independent; when another request is already
   // profiling this fabric, do the training half first instead of queueing —
   // concurrent first requests then split the work (max, not sum, latency).
@@ -228,9 +198,6 @@ persist::LoadReport ClusterCache::load(const std::string& dir) {
                         std::shared_ptr<const estimators::MlpMemoryEstimator> est) {
     install(persist::RecordKind::kMemory, key, &Cell::memory, std::move(est));
   };
-  sinks.compute = [this](std::uint64_t key, std::shared_ptr<estimators::ComputeProfileCache> c) {
-    install(persist::RecordKind::kCompute, key, &Cell::compute, std::move(c));
-  };
   persist::LoadReport report = persist::load_directory(dir, sinks);
   m_records_loaded_.add(report.loaded());
   m_records_skipped_.add(report.skipped_count());
@@ -238,26 +205,8 @@ persist::LoadReport ClusterCache::load(const std::string& dir) {
 }
 
 void ClusterCache::flush() {
-  if (!persister_) return;
-  // Compute-shape caches fill lazily on the request path, so they are
-  // snapshotted here (and at shutdown) rather than on creation. Profiles and
-  // estimators were enqueued the moment they were computed.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<Cell>>> cells;
-  {
-    std::lock_guard lk(mu_);
-    for (const auto& [k, cell] : lru_) {
-      if (k.kind == persist::RecordKind::kCompute) cells.emplace_back(k.key, cell);
-    }
-  }
-  for (const auto& [key, cell] : cells) {
-    std::shared_ptr<const estimators::ComputeProfileCache> cache;
-    {
-      std::lock_guard clk(cell->mu);
-      cache = cell->compute;
-    }
-    if (cache && cache->size() > 0) persister_->enqueue_compute(key, cache);
-  }
-  persister_->flush();
+  // Profiles and estimators were enqueued the moment they were computed.
+  if (persister_) persister_->flush();
 }
 
 ClusterCacheStats ClusterCache::stats() const {
@@ -274,9 +223,5 @@ int ClusterCache::count_cells(persist::RecordKind kind) const {
 int ClusterCache::cached_profiles() const { return count_cells(persist::RecordKind::kProfile); }
 
 int ClusterCache::cached_estimators() const { return count_cells(persist::RecordKind::kMemory); }
-
-int ClusterCache::cached_compute_caches() const {
-  return count_cells(persist::RecordKind::kCompute);
-}
 
 }  // namespace pipette::engine

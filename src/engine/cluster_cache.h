@@ -11,29 +11,27 @@
 //   * the trained estimator on MlpMemoryEstimator::training_digest() — its
 //     training data is simulated on sub-clusters of up to max_profile_nodes
 //     from the spec alone, so it survives day drift, is shared across
-//     same-spec fabrics, and survives elastic resizes above the clamp;
-//   * the compute-shape profile cache on the spec's *compute* constants mixed
-//     with the profiling options (estimators::compute_context_digest) — the
-//     measured per-stage compute never reads link state, the node count, or
-//     the day, so one shape cache serves every request, day, and resize on
-//     the same hardware generation.
+//     same-spec fabrics, and survives elastic resizes above the clamp.
+//
+// Nothing cheaper is cached here: a request's compute shapes and memory
+// estimates cost a few milliseconds, under 1% of a warm request, so each
+// request computes its own (PipetteConfigurator::filter / score).
 //
 // Thread-safe: concurrent first requests for the same key compute the
 // artifact exactly once (the rest block on its cell), and distinct keys
 // compute concurrently.
 //
 // Bounded: day drift mints a fresh profile key per day, so a long-running
-// service would otherwise accumulate stale bandwidth matrices forever. All
-// three kinds share one cell type under one LRU bound, `max_entries`: past
-// it the least recently used cells are evicted, never the ones the current
-// lookup touched. In-flight users keep evicted artifacts alive through their
+// service would otherwise accumulate stale bandwidth matrices forever. Both
+// kinds share one cell type under one LRU bound, `max_entries`: past it the
+// least recently used cells are evicted, never the two the current lookup
+// touched. In-flight users keep evicted artifacts alive through their
 // shared_ptrs, and an evicted key simply recomputes on its next request.
 //
 // Persistent: with `snapshot_dir` set, every computed profile and estimator
 // is serialized by the persister's background thread (persist/persister.h)
 // — atomic per-record files, jittered retries, the request path never
-// touches disk — and compute-shape caches are snapshotted at
-// flush()/shutdown. load() warm-starts the cells from such a directory,
+// touches disk. load() warm-starts the cells from such a directory,
 // tolerating any corruption per record (typed persist::LoadReport), and tags
 // warmed entries so requests can report `from_disk` provenance.
 #pragma once
@@ -46,7 +44,6 @@
 #include <vector>
 
 #include "cluster/profiler.h"
-#include "estimators/compute_profile.h"
 #include "estimators/mlp_memory.h"
 #include "obs/registry.h"
 #include "persist/persister.h"
@@ -59,13 +56,12 @@ struct ClusterCacheStats {
   int hits = 0;           ///< both artifacts already present (possibly still computing)
   int profiles_run = 0;   ///< actual profile_network invocations
   int trainings_run = 0;  ///< actual MlpMemoryEstimator trainings
-  int compute_caches_created = 0;  ///< fresh (empty) shape caches minted
-  int evictions = 0;               ///< cells dropped by the max_entries bound
+  int evictions = 0;      ///< cells dropped by the max_entries bound
 };
 
 struct ClusterCacheOptions {
-  /// Cells kept across all three artifact kinds (profiles, estimators,
-  /// compute-shape caches); past it the least recently used are evicted.
+  /// Cells kept across both artifact kinds (profiles and estimators); past
+  /// it the least recently used are evicted.
   int max_entries = 96;
   /// Mirrors every ClusterCacheStats field into engine.cluster_cache.*
   /// registry counters, and times every computed artifact into the
@@ -84,33 +80,25 @@ class ClusterCache {
   struct Entry {
     std::shared_ptr<const cluster::ProfileResult> profile;
     std::shared_ptr<const estimators::MlpMemoryEstimator> memory;
-    /// Shared, mutable shape cache for the compute context: requests populate
-    /// it as they profile new shapes and later requests reuse them.
-    std::shared_ptr<estimators::ComputeProfileCache> compute;
     // Per-artifact provenance of *this* lookup: true when the artifact's cell
     // pre-existed (the request reused another request's work — possibly still
     // being computed, on which it then blocked rather than recomputed).
     bool profile_was_cached = false;
     bool memory_was_cached = false;
-    bool compute_was_cached = false;
     // True when the artifact was warm-started from a snapshot directory by
     // load() rather than computed in this process.
     bool profile_from_disk = false;
     bool memory_from_disk = false;
-    bool compute_from_disk = false;
   };
 
   /// With a snapshot_dir set, throws std::invalid_argument naming the field
   /// for a persist_write_delay_s that is not finite and >= 0.
   explicit ClusterCache(ClusterCacheOptions opt = {});
-  /// Final flush: snapshots live compute caches and drains the persister.
-  ~ClusterCache();
 
   /// Returns the memoized artifacts for this cluster/options tuple, computing
   /// them (profile + estimator training on the gpt zoo) on first request.
   Entry get_or_compute(const cluster::Topology& topo, const cluster::ProfileOptions& profile_opt,
-                       const estimators::MlpMemoryOptions& memory_opt,
-                       const estimators::ComputeProfileOptions& compute_opt = {});
+                       const estimators::MlpMemoryOptions& memory_opt);
 
   /// Warm-starts the cache from a snapshot directory. Every record is
   /// independently verified; corrupt, truncated, version-skewed, or foreign
@@ -122,9 +110,8 @@ class ClusterCache {
   persist::LoadReport load();
 
   /// Blocks until every enqueued record is on disk (or exhausted its
-  /// retries), snapshotting live compute-shape caches first. The
-  /// warm-restart handshake: flush(), then start the next service on the
-  /// same directory.
+  /// retries). The warm-restart handshake: flush(), then start the next
+  /// service on the same directory. Destruction drains the queue too.
   void flush();
 
   /// Key of the memoized bandwidth profile.
@@ -134,27 +121,22 @@ class ClusterCache {
   /// resizes above max_profile_nodes share the artifact).
   static std::uint64_t memory_key(const cluster::ClusterSpec& spec,
                                   const estimators::MlpMemoryOptions& memory_opt);
-  /// Key of the memoized compute-shape cache.
-  static std::uint64_t compute_key(const cluster::ClusterSpec& spec,
-                                   const estimators::ComputeProfileOptions& compute_opt);
 
   ClusterCacheStats stats() const;
   int cached_profiles() const;
   int cached_estimators() const;
-  int cached_compute_caches() const;
   bool has_persistence() const { return persister_ != nullptr; }
   long persisted_records() const { return persister_ ? persister_->records_written() : 0; }
   long persist_failures() const { return persister_ ? persister_->write_failures() : 0; }
 
  private:
-  /// One artifact of any kind. Only the pointer of the key's kind is used; it
-  /// is null until the artifact is computed, minted or loaded, and is read
+  /// One artifact of either kind. Only the pointer of the key's kind is
+  /// used; it is null until the artifact is computed or loaded, and is read
   /// and written under `mu`.
   struct Cell {
     std::mutex mu;
     std::shared_ptr<const cluster::ProfileResult> profile;
     std::shared_ptr<const estimators::MlpMemoryEstimator> memory;
-    std::shared_ptr<estimators::ComputeProfileCache> compute;
     bool from_disk = false;  ///< installed by load(), not computed
   };
   struct CellKey {
@@ -178,14 +160,14 @@ class ClusterCache {
   ClusterCacheOptions opt_;
   mutable std::mutex mu_;  // guards lru_ and stats_
   /// Every cell, least recently used first. A linear scan finds a key: the
-  /// bound is tens of cells, each a profile, estimator or shape cache.
+  /// bound is tens of cells, each a profile or an estimator.
   std::vector<std::pair<CellKey, std::shared_ptr<Cell>>> lru_;
   ClusterCacheStats stats_;
   /// Background snapshot writer; null while snapshot_dir is empty.
   std::unique_ptr<persist::Persister> persister_;
   // Registry mirrors of stats_ (inert without ClusterCacheOptions::metrics).
-  obs::Counter m_lookups_, m_hits_, m_profiles_run_, m_trainings_run_, m_compute_created_;
-  obs::Counter m_evictions_, m_records_loaded_, m_records_skipped_;
+  obs::Counter m_lookups_, m_hits_, m_profiles_run_, m_trainings_run_, m_evictions_;
+  obs::Counter m_records_loaded_, m_records_skipped_;
   // Wall time of each profile_network / train_for_cluster this cache ran: on
   // the service path these run inside get_or_compute, so the requests that
   // waited on them report zero profile/training time of their own.

@@ -208,8 +208,7 @@ ClusterCache::Entry ConfigService::artifacts_with_retry(const cluster::Topology&
                            topo.fingerprint()));
   for (int attempt = 0;; ++attempt) {
     try {
-      return cache_.get_or_compute(topo, opt_.pipette.profile, opt_.pipette.memory_training,
-                                   opt_.pipette.compute_profile);
+      return cache_.get_or_compute(topo, opt_.pipette.profile, opt_.pipette.memory_training);
     } catch (const cluster::ProfileTransientError&) {
       if (attempt >= ro.profile_retries) throw;
       // Give up retrying once the deadline is already blown — the typed
@@ -245,13 +244,11 @@ core::ConfiguratorResult ConfigService::configure_one(const cluster::Topology& t
   if (sink) {
     auto hit = [](bool cached) { return cached ? "hit" : "miss"; };
     sink->instant("cluster_cache", obs::json_object("profile", hit(entry.profile_was_cached),
-                                                    "memory", hit(entry.memory_was_cached),
-                                                    "compute", hit(entry.compute_was_cached)));
+                                                    "memory", hit(entry.memory_was_cached)));
   }
   core::PipetteOptions po = opt_.pipette;
   po.memory = entry.memory;
   po.profile_snapshot = entry.profile;
-  po.compute_cache = entry.compute;
   po.executor = &pool_;
   po.trace_sink = sink;
   po.metrics = metrics_;
@@ -268,10 +265,8 @@ core::ConfiguratorResult ConfigService::configure_one(const cluster::Topology& t
   // cache knows it outright, so its answer wins for engine-served requests.
   res.profile_cache_hit = entry.profile_was_cached;
   res.memory_cache_hit = entry.memory_was_cached;
-  res.compute_cache_hit = entry.compute_was_cached;
   res.profile_from_disk = entry.profile_from_disk;
   res.memory_from_disk = entry.memory_from_disk;
-  res.compute_from_disk = entry.compute_from_disk;
   res.health.profile_retries = retries;
   if (deadlined) {
     // Service-level accounting supersedes the configurator's: the promise

@@ -89,8 +89,8 @@ struct ConfigServiceOptions {
   /// Bounds on the per-cluster artifact cache.
   ClusterCacheOptions cache;
   /// Template options for every request. `memory`, `profile_snapshot`,
-  /// `compute_cache`, `executor`, `trace_sink`, and `metrics` are overwritten
-  /// per request from the cache, pool, and the two fields below.
+  /// `executor`, `trace_sink`, and `metrics` are overwritten per request from
+  /// the cache, pool, and the two fields below.
   core::PipetteOptions pipette;
   /// Span tracer every request, SA rung, and cache event is emitted into (not
   /// owned; must outlive the service). One sink across a sweep() renders the
@@ -123,10 +123,9 @@ class ConfigService {
   /// enqueueing work. With `previous`, the request is an elastic
   /// re-configuration (PipetteConfigurator::reconfigure): it warm-starts from
   /// that result — the trained estimator (when the clamped training digest
-  /// survives the resize), the per-plan memory estimates of surviving plans,
-  /// and one extra SA chain seeded from the projected previous placement —
-  /// so a resize event is one call: submit_request(new_topo, job, ro,
-  /// old_result).
+  /// survives the resize) and one extra SA chain seeded from the projected
+  /// previous placement — so a resize event is one call:
+  /// submit_request(new_topo, job, ro, old_result).
   std::future<ServiceResult> submit_request(
       cluster::Topology topo, model::TrainingJob job, RequestOptions ro,
       std::optional<core::ConfiguratorResult> previous = std::nullopt);
@@ -152,9 +151,9 @@ class ConfigService {
   /// ClusterCacheOptions::snapshot_dir was set at construction — the cache is
   /// loaded once, before the service accepts work).
   const persist::LoadReport& load_report() const { return load_report_; }
-  /// Blocks until every computed artifact (plus a snapshot of the live
-  /// compute-shape caches) is on disk. Call before a planned restart; crashes
-  /// are covered anyway by the background persister + atomic records.
+  /// Blocks until every computed artifact is on disk. Call before a planned
+  /// restart; crashes are covered anyway by the background persister +
+  /// atomic records.
   void flush_snapshots() { cache_.flush(); }
   /// Records persisted / dropped-after-retries so far (0 without a
   /// snapshot_dir).

@@ -3,14 +3,10 @@
 // the per-microbatch forward/backward time of each pipeline stage with a few
 // short runs and plugs the measurements into the latency model. Here the
 // "measurement" samples the ground-truth cost model with realistic run-to-run
-// noise. Also provides the paper's optional extrapolation of profiled costs
-// to unprofiled microbatch sizes (power-law fit, §V).
+// noise.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -50,7 +46,8 @@ ComputeProfile profile_compute(const cluster::Topology& topo, const model::Train
 /// fabric's link state (the profiled noise stream is seeded from the options
 /// alone). Two plans with equal keys therefore produce bit-identical
 /// ComputeProfiles, which is what lets the configurator profile each shape
-/// once and share the result across every (dp, zero1, mapping) sibling.
+/// once per request and share the result across every (dp, zero1, mapping)
+/// sibling.
 struct ComputeShapeKey {
   std::uint64_t model_digest = 0;
   int pp = 1;
@@ -62,78 +59,12 @@ struct ComputeShapeKey {
 
   static ComputeShapeKey of(const model::TrainingJob& job, const parallel::TrainPlan& plan);
 
-  /// Stable 64-bit digest over every field — for external keying and
-  /// diagnostics only; the cache itself orders on operator< and never hashes.
-  std::uint64_t hash() const;
-
   bool operator==(const ComputeShapeKey&) const = default;
 };
 
 /// Canonical ordering: (model, pp, tp, micro, schedule, v, recompute) — the
-/// order shape-grouped scoring profiles and merges in, independent of the
-/// candidate schedule.
+/// order shape-grouped scoring profiles in, independent of the candidate
+/// schedule.
 bool operator<(const ComputeShapeKey& a, const ComputeShapeKey& b);
-
-/// Digest of everything *besides* the shape that determines a profile: the
-/// spec's compute constants (GEMM efficiency curve, peak FLOPs, HBM
-/// bandwidth) and the profiling options. Deliberately excludes the node
-/// count, link state, and heterogeneity day — none of them reach the
-/// compute-only costs — so one shape cache stays valid across day drift and
-/// cluster resizes on the same hardware generation.
-std::uint64_t compute_context_digest(const cluster::ClusterSpec& spec,
-                                     const ComputeProfileOptions& opt);
-
-/// Thread-safe memo of profiled compute shapes, shared between the scoring
-/// pass's candidates and — via engine::ClusterCache — across requests on the
-/// same compute context. Entries are immutable once inserted; insertion order
-/// does not affect lookups, and the configurator inserts in canonical key
-/// order anyway so any executor schedule leaves an identical cache.
-class ComputeProfileCache {
- public:
-  /// `context` is the compute_context_digest the cached profiles are valid
-  /// under; callers that share the cache across requests verify it (0 = an
-  /// unbound private cache, never checked).
-  explicit ComputeProfileCache(std::uint64_t context = 0) : context_(context) {}
-
-  /// The bound compute context (0 when unbound).
-  std::uint64_t context() const { return context_; }
-
-  /// Returns the memoized profile for `key`, or null (counts a miss).
-  std::shared_ptr<const ComputeProfile> find(const ComputeShapeKey& key) const;
-  /// Inserts `profile` for `key` (first writer wins; re-inserting an equal
-  /// key is a no-op, which keeps concurrent requests deterministic).
-  void insert(const ComputeShapeKey& key, std::shared_ptr<const ComputeProfile> profile);
-
-  int size() const;
-  long hits() const;
-  long misses() const;
-
-  /// Consistent copy of the memoized shapes in canonical key order — the
-  /// persist tier serializes from this, so a snapshot taken while requests
-  /// are still inserting is simply a valid cache of whatever had been
-  /// profiled by then.
-  std::vector<std::pair<ComputeShapeKey, std::shared_ptr<const ComputeProfile>>> snapshot() const;
-
- private:
-  std::uint64_t context_ = 0;
-  mutable std::mutex mu_;
-  std::map<ComputeShapeKey, std::shared_ptr<const ComputeProfile>> map_;
-  mutable long hits_ = 0;
-  mutable long misses_ = 0;
-};
-
-/// Power-law extrapolator C(micro) = a * micro^b fitted to profiled points in
-/// log space — the paper's "extrapolated latency estimation model" for
-/// cluster/microbatch sizes that were not profiled.
-class ComputeExtrapolator {
- public:
-  /// Fits from (micro_batch, seconds) pairs; needs at least two points.
-  ComputeExtrapolator(const std::vector<int>& micro_batches, const std::vector<double>& seconds);
-  double predict(int micro_batch) const;
-  double exponent() const { return b_; }
-
- private:
-  double a_ = 0.0, b_ = 0.0;
-};
 
 }  // namespace pipette::estimators

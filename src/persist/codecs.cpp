@@ -153,64 +153,4 @@ estimators::MlpMemoryEstimator decode_memory(const unsigned char* payload, std::
   }
 }
 
-std::vector<unsigned char> encode_compute(const estimators::ComputeProfileCache& cache) {
-  ByteWriter w;
-  w.u64(cache.context());
-  const auto entries = cache.snapshot();
-  w.u64(entries.size());
-  for (const auto& [key, profile] : entries) {
-    w.u64(key.model_digest);
-    w.i32(key.pp);
-    w.i32(key.tp);
-    w.i32(key.micro_batch);
-    w.u8(static_cast<std::uint8_t>(key.schedule));
-    w.i32(key.virtual_stages);
-    w.u8(static_cast<std::uint8_t>(key.recompute));
-    w.f64_vec(profile->stage_fwd_s);
-    w.f64_vec(profile->stage_bwd_s);
-    w.f64(profile->c_block_s);
-  }
-  return w.take();
-}
-
-std::shared_ptr<estimators::ComputeProfileCache> decode_compute(const unsigned char* payload,
-                                                                std::size_t n) {
-  ByteReader r(payload, n);
-  const std::uint64_t context = r.u64();
-  const std::uint64_t entries = r.u64();
-  require(entries <= kMaxVec, "entry count out of range");
-  auto cache = std::make_shared<estimators::ComputeProfileCache>(context);
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    estimators::ComputeShapeKey key;
-    key.model_digest = r.u64();
-    key.pp = r.i32();
-    key.tp = r.i32();
-    key.micro_batch = r.i32();
-    require(key.pp >= 1 && key.tp >= 1 && key.micro_batch >= 1, "bad shape key");
-    const std::uint8_t sched = r.u8();
-    require(sched <= static_cast<std::uint8_t>(parallel::PipeSchedule::kMemoryUnaware),
-            "bad schedule");
-    key.schedule = static_cast<parallel::PipeSchedule>(sched);
-    key.virtual_stages = r.i32();
-    require(key.virtual_stages >= 1, "bad virtual stages");
-    const std::uint8_t rec = r.u8();
-    require(rec <= static_cast<std::uint8_t>(parallel::Recompute::kFull), "bad recompute");
-    key.recompute = static_cast<parallel::Recompute>(rec);
-    auto profile = std::make_shared<estimators::ComputeProfile>();
-    profile->stage_fwd_s = r.f64_vec(kMaxVec);
-    profile->stage_bwd_s = r.f64_vec(kMaxVec);
-    for (const double v : profile->stage_fwd_s) {
-      require(std::isfinite(v) && v >= 0.0, "bad stage cost");
-    }
-    for (const double v : profile->stage_bwd_s) {
-      require(std::isfinite(v) && v >= 0.0, "bad stage cost");
-    }
-    profile->c_block_s = finite(r.f64(), "bad c_block");
-    require(profile->c_block_s >= 0.0, "negative c_block");
-    cache->insert(key, std::move(profile));
-  }
-  r.expect_end();
-  return cache;
-}
-
 }  // namespace pipette::persist

@@ -1,24 +1,22 @@
-// Payload codecs for the three memoized cluster artifacts. Encoders are pure
+// Payload codecs for the two memoized cluster artifacts. Encoders are pure
 // functions of the artifact; decoders validate everything they read — lengths
-// against the payload, enums against their ranges, doubles against the
-// invariants the rest of the pipeline assumes (a sanitized bandwidth profile
-// holds only finite positive readings; a standardizer's scales are positive) —
-// and throw persist::DecodeError on any violation. The CRC in the record
+// against the payload, doubles against the invariants the rest of the
+// pipeline assumes (a sanitized bandwidth profile holds only finite positive
+// readings; a standardizer's scales are positive) — and throw
+// persist::DecodeError on any violation. The CRC in the record
 // frame catches flipped bytes; this structural validation is the second wall,
 // catching records that are internally consistent bytes but not a valid
 // artifact (an encoder bug, a forged file, a version-skewed writer).
 //
 // Round-trip contract, locked by tests: decode(encode(x)) produces an
 // artifact whose every observable behaviour — estimate_bytes(), the bandwidth
-// readings, the memoized compute profiles — is bit-identical to x, so a
-// warm-restarted service recommends exactly what the original would have.
+// readings — is bit-identical to x, so a warm-restarted service recommends
+// exactly what the original would have.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "cluster/profiler.h"
-#include "estimators/compute_profile.h"
 #include "estimators/mlp_memory.h"
 #include "persist/format.h"
 
@@ -34,13 +32,5 @@ cluster::ProfileResult decode_profile(const unsigned char* payload, std::size_t 
 
 std::vector<unsigned char> encode_memory(const estimators::MlpMemoryEstimator& est);
 estimators::MlpMemoryEstimator decode_memory(const unsigned char* payload, std::size_t n);
-
-/// Serializes the cache's current contents (context digest + every memoized
-/// shape). The cache keeps filling after the snapshot; a later snapshot
-/// simply supersedes the file under the same key.
-std::vector<unsigned char> encode_compute(const estimators::ComputeProfileCache& cache);
-/// Returns a fresh cache pre-filled with the snapshot's shapes.
-std::shared_ptr<estimators::ComputeProfileCache> decode_compute(const unsigned char* payload,
-                                                                std::size_t n);
 
 }  // namespace pipette::persist

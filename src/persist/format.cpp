@@ -16,7 +16,6 @@ const char* to_string(RecordKind k) {
   switch (k) {
     case RecordKind::kProfile: return "profile";
     case RecordKind::kMemory: return "memory";
-    case RecordKind::kCompute: return "compute";
   }
   return "unknown";
 }
@@ -121,7 +120,7 @@ RecordView parse_record(const std::vector<unsigned char>& file) {
                       std::to_string(kFormatVersion));
   }
   const std::uint32_t kind_raw = r.u32();
-  if (kind_raw < 1 || kind_raw > static_cast<std::uint32_t>(RecordKind::kCompute)) {
+  if (kind_raw < 1 || kind_raw > static_cast<std::uint32_t>(RecordKind::kMemory)) {
     throw DecodeError("unknown record kind " + std::to_string(kind_raw));
   }
   RecordView v;

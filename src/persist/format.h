@@ -13,7 +13,7 @@
 //        0     8  magic "PPTSNAP\0"
 //        8     4  format version (little-endian u32; readers accept == only)
 //       12     4  record kind (persist::RecordKind)
-//       16     8  record key (the ClusterCache profile/memory/compute key)
+//       16     8  record key (the ClusterCache profile/memory key)
 //       24     8  payload length in bytes
 //       32     4  CRC32C of bytes [12, 32) + the payload (Castagnoli)
 //       36     -  payload (codec-defined, see persist/codecs.h)
@@ -52,11 +52,12 @@ inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 36;
 
 /// What a snapshot record holds. Values are part of the on-disk format:
-/// never renumber, only append.
+/// never renumber, only append. Value 3 held a compute-shape cache, which is
+/// no longer cached; it is retired and never reused, so a `compute-*.snap`
+/// written before then loads as an "unknown record kind 3" decode_error skip.
 enum class RecordKind : std::uint32_t {
-  kProfile = 1,   ///< cluster::ProfileResult under ClusterCache::profile_key
-  kMemory = 2,    ///< estimators::MlpMemoryEstimator under memory_key
-  kCompute = 3,   ///< estimators::ComputeProfileCache under compute_key
+  kProfile = 1,  ///< cluster::ProfileResult under ClusterCache::profile_key
+  kMemory = 2,   ///< estimators::MlpMemoryEstimator under memory_key
 };
 
 const char* to_string(RecordKind k);

@@ -45,12 +45,6 @@ void Persister::enqueue_memory(std::uint64_t key,
   enqueue({RecordKind::kMemory, key, std::move(estimator)});
 }
 
-void Persister::enqueue_compute(std::uint64_t key,
-                                std::shared_ptr<const estimators::ComputeProfileCache> cache) {
-  if (cache == nullptr) return;
-  enqueue({RecordKind::kCompute, key, std::move(cache)});
-}
-
 void Persister::enqueue(Job job) {
   if (opt_.dir.empty()) return;
   {
@@ -77,8 +71,7 @@ long Persister::write_failures() const {
 
 void Persister::write_one(const Job& job) {
   // Serialize here, off the hot path. Artifacts are immutable once published
-  // (shared_ptr<const>, and ComputeProfileCache locks internally), so encoding
-  // outside any Persister lock is safe.
+  // (shared_ptr<const>), so encoding outside any Persister lock is safe.
   std::vector<unsigned char> payload;
   try {
     switch (job.kind) {
@@ -89,10 +82,6 @@ void Persister::write_one(const Job& job) {
       case RecordKind::kMemory:
         payload = encode_memory(
             *std::get<std::shared_ptr<const estimators::MlpMemoryEstimator>>(job.artifact));
-        break;
-      case RecordKind::kCompute:
-        payload = encode_compute(
-            *std::get<std::shared_ptr<const estimators::ComputeProfileCache>>(job.artifact));
         break;
     }
   } catch (const std::exception&) {

@@ -56,8 +56,6 @@ class Persister {
   void enqueue_profile(std::uint64_t key, std::shared_ptr<const cluster::ProfileResult> profile);
   void enqueue_memory(std::uint64_t key,
                       std::shared_ptr<const estimators::MlpMemoryEstimator> estimator);
-  void enqueue_compute(std::uint64_t key,
-                       std::shared_ptr<const estimators::ComputeProfileCache> cache);
 
   /// Blocks until every record enqueued before the call has been written (or
   /// has exhausted its retries). The warm-restart handshake: flush(), then
@@ -69,8 +67,7 @@ class Persister {
 
  private:
   using Artifact = std::variant<std::shared_ptr<const cluster::ProfileResult>,
-                                std::shared_ptr<const estimators::MlpMemoryEstimator>,
-                                std::shared_ptr<const estimators::ComputeProfileCache>>;
+                                std::shared_ptr<const estimators::MlpMemoryEstimator>>;
   struct Job {
     RecordKind kind;
     std::uint64_t key;

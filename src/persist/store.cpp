@@ -26,8 +26,7 @@ const char* to_string(SkipReason r) {
 
 std::string LoadReport::str() const {
   std::string s = "loaded " + std::to_string(loaded()) + " (" + std::to_string(loaded_profiles) +
-                  " profiles, " + std::to_string(loaded_estimators) + " estimators, " +
-                  std::to_string(loaded_compute) + " compute caches), skipped " +
+                  " profiles, " + std::to_string(loaded_estimators) + " estimators), skipped " +
                   std::to_string(skipped_count());
   if (!attempted) s += " [no snapshot directory]";
   return s;
@@ -46,8 +45,6 @@ std::string LoadReport::json() const {
   w.value(loaded_profiles);
   w.key("estimators");
   w.value(loaded_estimators);
-  w.key("compute_caches");
-  w.value(loaded_compute);
   w.key("total");
   w.value(loaded());
   w.end_object();
@@ -148,12 +145,6 @@ LoadReport load_directory(const std::string& dir, const LoadSinks& sinks) {
               decode_memory(rec.payload, rec.payload_size));
           if (sinks.memory) sinks.memory(rec.key, std::move(est));
           ++report.loaded_estimators;
-          break;
-        }
-        case RecordKind::kCompute: {
-          auto cache = decode_compute(rec.payload, rec.payload_size);
-          if (sinks.compute) sinks.compute(rec.key, std::move(cache));
-          ++report.loaded_compute;
           break;
         }
       }

@@ -51,10 +51,9 @@ struct LoadReport {
   int scanned = 0;         ///< files considered (snap + tmp)
   int loaded_profiles = 0;
   int loaded_estimators = 0;
-  int loaded_compute = 0;
   std::vector<SkippedRecord> skipped;
 
-  int loaded() const { return loaded_profiles + loaded_estimators + loaded_compute; }
+  int loaded() const { return loaded_profiles + loaded_estimators; }
   int skipped_count() const { return static_cast<int>(skipped.size()); }
   bool clean() const { return skipped.empty(); }
   /// One-line human summary ("loaded 3 (2 profiles, ...), skipped 1").
@@ -68,7 +67,6 @@ struct LoadSinks {
   std::function<void(std::uint64_t key, std::shared_ptr<const cluster::ProfileResult>)> profile;
   std::function<void(std::uint64_t key, std::shared_ptr<const estimators::MlpMemoryEstimator>)>
       memory;
-  std::function<void(std::uint64_t key, std::shared_ptr<estimators::ComputeProfileCache>)> compute;
 };
 
 /// File basename for a record ("profile-00000000deadbeef.snap").

@@ -249,29 +249,6 @@ TEST(PromoteWinner, TruncatedOutWinnerLeavesRankingUntouched) {
   }
 }
 
-TEST(PipetteConfigurator, SharedComputeProfilesAreBitIdenticalToUnshared) {
-  auto topo = small_cluster(31);
-  const model::TrainingJob job{model::gpt_1_1b(), 128};
-  auto shared_opt = capped_pipette(true);
-  shared_opt.share_compute_profiles = true;
-  auto unshared_opt = capped_pipette(true);
-  unshared_opt.share_compute_profiles = false;
-  // One pre-trained estimator so the arms differ only in profile sharing.
-  core::PipetteConfigurator trainer(capped_pipette(false));
-  const auto seed_res = trainer.configure(topo, job);
-  shared_opt.memory = trainer.memory_estimator();
-  unshared_opt.memory = trainer.memory_estimator();
-
-  core::PipetteConfigurator with_sharing(shared_opt);
-  core::PipetteConfigurator without_sharing(unshared_opt);
-  const auto a = with_sharing.configure(topo, job);
-  const auto b = without_sharing.configure(topo, job);
-  expect_same_recommendation(a, b);
-  EXPECT_LT(a.shapes_profiled, b.shapes_profiled)
-      << "sharing must profile fewer shapes than candidates";
-  EXPECT_EQ(seed_res.best, a.best) << "PPT-L head should also agree on this job";
-}
-
 TEST(PipetteConfigurator, SuccessiveHalvingExploresFewerMovesThanLegacy) {
   auto topo = small_cluster(12);
   const model::TrainingJob job{model::gpt_1_1b(), 128};
@@ -561,22 +538,6 @@ TEST(PipetteConfigurator, ReconfigureAcrossResizeReusesEstimatorAndNeverWorsens)
   EXPECT_LE(warm.predicted_s, cold.predicted_s);
   const auto run = core::run_actual(new_topo, job, warm.best, *warm.mapping, {});
   EXPECT_FALSE(run.oom);
-}
-
-TEST(PipetteConfigurator, RejectsComputeCacheFromAnotherContext) {
-  auto topo = small_cluster();
-  auto opt = capped_pipette(false);
-  opt.compute_cache = std::make_shared<estimators::ComputeProfileCache>(0xdeadbeefull);
-  core::PipetteConfigurator ppt(opt);
-  EXPECT_THROW(ppt.configure(topo, {model::gpt_774m(), 128}), std::invalid_argument)
-      << "a cache minted for another compute context must be refused, not served";
-
-  auto ok = capped_pipette(false);
-  ok.compute_cache = std::make_shared<estimators::ComputeProfileCache>(
-      estimators::compute_context_digest(topo.spec(), ok.compute_profile));
-  core::PipetteConfigurator ppt_ok(ok);
-  EXPECT_TRUE(ppt_ok.configure(topo, {model::gpt_774m(), 128}).found);
-  EXPECT_GT(ok.compute_cache->size(), 0) << "the bound cache must have been populated";
 }
 
 TEST(PipetteConfigurator, ReconfigureBelowClampRetrainsStaleEstimator) {

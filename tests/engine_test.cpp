@@ -197,7 +197,7 @@ TEST(ClusterCache, DayDriftReprofilesButDoesNotRetrain) {
 
 TEST(ClusterCache, EvictsOldestProfilesPastTheCap) {
   engine::ClusterCacheOptions co;
-  co.max_entries = 4;  // one estimator, one shape cache and two profiles
+  co.max_entries = 3;  // one estimator and two profiles
   engine::ClusterCache cache(co);
   cluster::ProfileOptions po;
   estimators::MlpMemoryOptions mo;
@@ -338,53 +338,44 @@ TEST(ConfigService, SweepPreservesJobOrder) {
   EXPECT_EQ(service.cache_stats().trainings_run, 1);
 }
 
-TEST(ClusterCache, ComputeCacheSurvivesDayDriftAndResize) {
-  engine::ClusterCache cache;
-  cluster::ProfileOptions po;
-  estimators::MlpMemoryOptions mo;
-  mo.hidden = {48, 48};
-  mo.train.iters = 1500;
-  mo.max_profile_nodes = 2;
-  mo.profile_global_batches = {128};
-  estimators::ComputeProfileOptions co;
-
-  auto topo = small_cluster();
-  const auto day0 = cache.get_or_compute(topo, po, mo, co);
-  ASSERT_TRUE(day0.compute);
-  topo.advance_day();
-  const auto day1 = cache.get_or_compute(topo, po, mo, co);
-  EXPECT_EQ(day0.compute, day1.compute)
-      << "the measured compute never reads link state, so the shape cache must survive the day";
-  EXPECT_EQ(cache.stats().compute_caches_created, 1);
-  EXPECT_EQ(cache.cached_compute_caches(), 1);
-
-  // A resize on the same hardware shares both the shape cache and (above the
-  // profile clamp) the trained estimator.
-  const cluster::Topology bigger(cluster::mid_range_cluster(3), cluster::HeterogeneityOptions{},
-                                 2024);
-  const auto resized = cache.get_or_compute(bigger, po, mo, co);
-  EXPECT_EQ(resized.compute, day0.compute);
-  EXPECT_EQ(resized.memory, day0.memory)
-      << "2 -> 3 nodes with max_profile_nodes = 2 trains the identical estimator";
-  EXPECT_EQ(cache.stats().trainings_run, 1);
-
-  estimators::ComputeProfileOptions co2 = co;
-  co2.repeats += 1;
-  EXPECT_NE(cache.get_or_compute(topo, po, mo, co2).compute, day0.compute);
-}
-
-TEST(ConfigService, RepeatRequestReusesComputeShapes) {
+TEST(ConfigService, ConcurrentRequestsProfileTheirOwnShapes) {
+  // Each request profiles the distinct compute shapes of its own candidates
+  // and shares nothing with other requests, so however concurrent requests
+  // interleave on the pool, every count matches a serial configure().
   const auto topo = small_cluster();
   const model::TrainingJob job{model::gpt_774m(), 128};
-  engine::ConfigService service(service_options(2));
-  const auto r1 = service.submit_request(topo, job).get().result;
-  const auto r2 = service.submit_request(topo, job).get().result;
-  expect_identical(r1, r2);
-  EXPECT_GT(r1.shapes_profiled, 0);
-  EXPECT_EQ(r1.shapes_reused, 0);
-  EXPECT_EQ(r2.shapes_profiled, 0) << "every shape must come from the cluster cache";
-  EXPECT_EQ(r2.shapes_reused, r1.shapes_profiled);
-  EXPECT_EQ(service.cache_stats().compute_caches_created, 1);
+  core::PipetteConfigurator serial(fast_options());
+  const auto ref = serial.configure(topo, job);
+  ASSERT_TRUE(ref.found);
+  ASSERT_GT(ref.shapes_profiled, 0);
+
+  constexpr int kClients = 4;
+  for (int round = 0; round < 5; ++round) {
+    engine::ConfigService service(service_options(4));  // a fresh service each round
+    std::vector<std::future<engine::ServiceResult>> futs(kClients);
+    {
+      std::vector<std::thread> clients;
+      clients.reserve(kClients);
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          futs[static_cast<std::size_t>(c)] = service.submit_request(topo, job);
+        });
+      }
+      for (auto& t : clients) t.join();
+    }
+    long profiled = 0;
+    for (auto& f : futs) {
+      const auto r = f.get().result;
+      expect_identical(ref, r);
+      EXPECT_EQ(r.shapes_profiled, ref.shapes_profiled) << "round " << round;
+      EXPECT_EQ(r.shapes_profiled + r.shapes_reused,
+                r.candidates_evaluated - r.candidates_rejected_oom)
+          << "every kept candidate is scored with its own shape's profile or a sibling's";
+      profiled += r.shapes_profiled;
+    }
+    EXPECT_EQ(service.metrics().snapshot().counter("pipette.shapes.profiled"), profiled)
+        << "round " << round;
+  }
 }
 
 TEST(ConfigService, HalvingIsBitIdenticalAcrossThreadCounts) {

@@ -41,20 +41,6 @@ TEST(ComputeProfile, TracksGroundTruthCosts) {
   EXPECT_GT(prof.c_block_s, 0.0);
 }
 
-TEST(ComputeExtrapolator, RecoversPowerLaw) {
-  // C(micro) = 0.01 * micro^0.9
-  std::vector<int> mbs{1, 2, 4, 8};
-  std::vector<double> secs;
-  for (int m : mbs) secs.push_back(0.01 * std::pow(m, 0.9));
-  estimators::ComputeExtrapolator ex(mbs, secs);
-  EXPECT_NEAR(ex.exponent(), 0.9, 1e-6);
-  EXPECT_NEAR(ex.predict(16), 0.01 * std::pow(16, 0.9), 1e-6);
-}
-
-TEST(ComputeExtrapolator, NeedsTwoPoints) {
-  EXPECT_THROW(estimators::ComputeExtrapolator({1}, {0.1}), std::invalid_argument);
-}
-
 class PipetteModelAccuracy
     : public testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
@@ -434,14 +420,12 @@ TEST(ComputeShapeKey, CollapsesExactlyTheProfileIrrelevantAxes) {
   EXPECT_NE(estimators::ComputeShapeKey::of(job, other), key);
   EXPECT_NE(estimators::ComputeShapeKey::of({model::gpt_774m(), 128}, base), key);
 
-  EXPECT_EQ(key.hash(), estimators::ComputeShapeKey::of(job, dp_sibling).hash());
-  EXPECT_NE(key.hash(), estimators::ComputeShapeKey::of(job, other).hash());
   EXPECT_TRUE(key < estimators::ComputeShapeKey::of(job, other) ||
               estimators::ComputeShapeKey::of(job, other) < key);
 }
 
 TEST(ComputeShapeKey, SiblingProfilesAreBitIdentical) {
-  // The claim the whole memoization rests on: plans differing only in dp (and
+  // The claim shape grouping rests on: plans differing only in dp (and
   // zero1) measure bit-identical profiles, even on a heterogeneous fabric.
   const auto topo = mid_cluster(8, 777);
   const model::TrainingJob job{model::gpt_3_1b(), 512};
@@ -453,52 +437,15 @@ TEST(ComputeShapeKey, SiblingProfilesAreBitIdentical) {
   const auto pa = estimators::profile_compute(topo.sub_cluster(8), job, a, {});
   const auto pb = estimators::profile_compute(topo.sub_cluster(4), job, b, {});
   const auto pc_ = estimators::profile_compute(topo.sub_cluster(8), job, c, {});
-  ASSERT_EQ(pa.stage_fwd_s.size(), pb.stage_fwd_s.size());
-  for (std::size_t i = 0; i < pa.stage_fwd_s.size(); ++i) {
-    EXPECT_DOUBLE_EQ(pa.stage_fwd_s[i], pb.stage_fwd_s[i]) << i;
-    EXPECT_DOUBLE_EQ(pa.stage_bwd_s[i], pb.stage_bwd_s[i]) << i;
-    EXPECT_DOUBLE_EQ(pa.stage_fwd_s[i], pc_.stage_fwd_s[i]) << i;
-  }
-  EXPECT_DOUBLE_EQ(pa.c_block_s, pb.c_block_s);
-  EXPECT_DOUBLE_EQ(pa.c_block_s, pc_.c_block_s);
-}
-
-TEST(ComputeProfileCache, FindInsertAndCounters) {
-  estimators::ComputeProfileCache cache;
-  const model::TrainingJob job{model::gpt_774m(), 128};
-  const auto key = estimators::ComputeShapeKey::of(job, {{2, 2, 2}, 2});
-  EXPECT_EQ(cache.find(key), nullptr);
-  EXPECT_EQ(cache.misses(), 1);
-  auto profile = std::make_shared<const estimators::ComputeProfile>();
-  cache.insert(key, profile);
-  EXPECT_EQ(cache.find(key), profile);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.size(), 1);
-  // First writer wins; a duplicate insert is a no-op.
-  cache.insert(key, std::make_shared<const estimators::ComputeProfile>());
-  EXPECT_EQ(cache.find(key), profile);
-}
-
-TEST(ComputeContextDigest, SurvivesResizeAndDayButNotOptions) {
-  const auto base = mid_cluster(4);
-  const estimators::ComputeProfileOptions opt;
-  const auto digest = estimators::compute_context_digest(base.spec(), opt);
-  EXPECT_EQ(estimators::compute_context_digest(base.sub_cluster(2).spec(), opt), digest)
-      << "node count never reaches the measured compute";
-  auto drifted = mid_cluster(4);
-  drifted.advance_day();
-  EXPECT_EQ(estimators::compute_context_digest(drifted.spec(), opt), digest)
-      << "day drift only moves link state";
-  EXPECT_NE(estimators::compute_context_digest(
-                cluster::Topology(cluster::high_end_cluster(4), cluster::HeterogeneityOptions{},
-                                  2024)
-                    .spec(),
-                opt),
-            digest)
-      << "a different GPU generation is a different compute context";
-  estimators::ComputeProfileOptions noisier = opt;
-  noisier.noise_sigma *= 2.0;
-  EXPECT_NE(estimators::compute_context_digest(base.spec(), noisier), digest);
+  // Exact equality, not EXPECT_DOUBLE_EQ's 4-ulp tolerance: scoring hands
+  // one shape's profile to every sibling, so anything short of bit identity
+  // would change their scores.
+  EXPECT_EQ(pa.stage_fwd_s, pb.stage_fwd_s);
+  EXPECT_EQ(pa.stage_bwd_s, pb.stage_bwd_s);
+  EXPECT_EQ(pa.stage_fwd_s, pc_.stage_fwd_s);
+  EXPECT_EQ(pa.stage_bwd_s, pc_.stage_bwd_s);
+  EXPECT_EQ(pa.c_block_s, pb.c_block_s);
+  EXPECT_EQ(pa.c_block_s, pc_.c_block_s);
 }
 
 TEST(MlpMemory, TrainingDigestClampsNodeCount) {

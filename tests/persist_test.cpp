@@ -6,7 +6,7 @@
 //     truncations, the seed-derived SnapshotFaultInjector's torn writes and
 //     stale version stamps) yields a typed LoadReport skip and a service
 //     that still configures cold, never a crash;
-//   * the cache stays bounded (one LRU bound over all three artifact kinds) and
+//   * the cache stays bounded (one LRU bound over both artifact kinds) and
 //     the persister degrades gracefully when the disk does (failed writes are
 //     counted and dropped, requests are never blocked or failed by them).
 #include <gtest/gtest.h>
@@ -234,36 +234,6 @@ TEST(PersistCodecs, MemoryEstimatorRoundTripIsBitIdentical) {
   EXPECT_EQ(decoded.train_mape_percent(), est.train_mape_percent());
 }
 
-TEST(PersistCodecs, ComputeCacheRoundTripKeepsEveryShape) {
-  estimators::ComputeProfileCache cache(/*context=*/0xc0ffee);
-  for (int pp : {1, 2, 4}) {
-    estimators::ComputeShapeKey key;
-    key.model_digest = 0xabc + static_cast<std::uint64_t>(pp);
-    key.pp = pp;
-    key.tp = 2;
-    key.micro_batch = 8;
-    auto prof = std::make_shared<estimators::ComputeProfile>();
-    prof->stage_fwd_s.assign(static_cast<std::size_t>(pp), 0.25 * pp);
-    prof->stage_bwd_s.assign(static_cast<std::size_t>(pp), 0.5 * pp);
-    prof->c_block_s = 0.75 * pp;
-    cache.insert(key, std::move(prof));
-  }
-
-  const auto bytes = persist::encode_compute(cache);
-  const auto decoded = persist::decode_compute(bytes.data(), bytes.size());
-  ASSERT_NE(decoded, nullptr);
-  EXPECT_EQ(persist::encode_compute(*decoded), bytes);
-  EXPECT_EQ(decoded->context(), cache.context());
-  EXPECT_EQ(decoded->size(), cache.size());
-  for (const auto& [key, prof] : cache.snapshot()) {
-    const auto found = decoded->find(key);
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->stage_fwd_s, prof->stage_fwd_s);
-    EXPECT_EQ(found->stage_bwd_s, prof->stage_bwd_s);
-    EXPECT_EQ(found->c_block_s, prof->c_block_s);
-  }
-}
-
 TEST(PersistCodecs, DecodersRejectStructurallyInvalidArtifacts) {
   // A payload whose bytes are internally consistent but violate an artifact
   // invariant must be rejected by the codec's second wall, not accepted.
@@ -280,8 +250,6 @@ TEST(PersistCodecs, DecodersRejectStructurallyInvalidArtifacts) {
   EXPECT_THROW(persist::decode_profile(bytes.data(), bytes.size()), persist::DecodeError);
 
   EXPECT_THROW(persist::decode_memory(bytes.data(), bytes.size()), persist::DecodeError);
-  EXPECT_THROW(persist::decode_compute(bytes.data(), std::min<std::size_t>(bytes.size(), 11)),
-               persist::DecodeError);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +327,7 @@ TEST(PersistStore, MissingDirectoryIsNotAttempted) {
 // ---------------------------------------------------------------------------
 
 TEST(PersistFuzz, ThousandMutationsAlwaysYieldTypedReports) {
-  // Build one valid three-record snapshot directory, then fuzz it with 1000
+  // Build one valid two-record snapshot directory, then fuzz it with 1000
   // deterministic mutations (byte flips and truncations at seed-derived
   // offsets). Every mutation must produce a terminating load with a typed
   // report: mutated records are skipped, untouched records still load.
@@ -372,28 +340,17 @@ TEST(PersistFuzz, ThousandMutationsAlwaysYieldTypedReports) {
                                                                      opt.memory_training);
   const auto memory_bytes =
       persist::frame_record(persist::RecordKind::kMemory, 22, persist::encode_memory(est));
-  estimators::ComputeProfileCache ccache(33);
-  estimators::ComputeShapeKey ckey;
-  ckey.model_digest = 5;
-  auto cprof = std::make_shared<estimators::ComputeProfile>();
-  cprof->stage_fwd_s = {0.1};
-  cprof->stage_bwd_s = {0.2};
-  cprof->c_block_s = 0.3;
-  ccache.insert(ckey, std::move(cprof));
-  const auto compute_bytes =
-      persist::frame_record(persist::RecordKind::kCompute, 33, persist::encode_compute(ccache));
 
   const std::vector<std::pair<std::string, const std::vector<unsigned char>*>> records = {
       {"profile-000000000000000b.snap", &profile_bytes},
       {"memory-0000000000000016.snap", &memory_bytes},
-      {"compute-0000000000000021.snap", &compute_bytes},
   };
 
   TempDir dir("pipette_persist_fuzz");
   int total_loaded = 0, total_skipped = 0, noop_mutations = 0;
   for (int iter = 0; iter < 1000; ++iter) {
     common::Rng rng(common::hash_mix(0xf022 + static_cast<std::uint64_t>(iter)));
-    const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 1));
     bool victim_changed = false;
     for (std::size_t r = 0; r < records.size(); ++r) {
       auto bytes = *records[r].second;
@@ -419,12 +376,12 @@ TEST(PersistFuzz, ThousandMutationsAlwaysYieldTypedReports) {
 
     const auto report = persist::load_directory(dir.str(), {});
     EXPECT_TRUE(report.attempted);
-    EXPECT_EQ(report.scanned, 3) << "iter " << iter;
+    EXPECT_EQ(report.scanned, 2) << "iter " << iter;
     // Any *actual* byte change must skip exactly the damaged record (CRC, a
     // header check, or codec validation catches it); the untouched records
     // always load. Mutations that cancelled out must load everything — a
     // false skip would be the loader rejecting valid bytes.
-    EXPECT_EQ(report.loaded(), victim_changed ? 2 : 3) << "iter " << iter;
+    EXPECT_EQ(report.loaded(), victim_changed ? 1 : 2) << "iter " << iter;
     EXPECT_EQ(report.skipped_count(), victim_changed ? 1 : 0) << "iter " << iter;
     if (!victim_changed) ++noop_mutations;
     total_loaded += report.loaded();
@@ -442,7 +399,7 @@ TEST(PersistFuzz, ThousandMutationsAlwaysYieldTypedReports) {
   // Self-cancelling flip draws are rare; the sweep must be overwhelmingly
   // real corruption.
   EXPECT_LE(noop_mutations, 5);
-  EXPECT_EQ(total_loaded + total_skipped, 3000);
+  EXPECT_EQ(total_loaded + total_skipped, 2000);
   EXPECT_GE(total_skipped, 995);
 }
 
@@ -485,7 +442,7 @@ TEST(PersistChaos, EveryFaultKindYieldsTypedSkipsAndColdService) {
     pristine.emplace_back(entry.path().filename().string(),
                           persist::read_file(entry.path().string()));
   }
-  ASSERT_GE(pristine.size(), 3u);
+  ASSERT_EQ(pristine.size(), 2u);  // the profile and the estimator
 
   using persist::SnapshotFaultKind;
   for (const auto kind : {SnapshotFaultKind::kTornWrite, SnapshotFaultKind::kBitFlip,
@@ -517,7 +474,6 @@ TEST(PersistChaos, EveryFaultKindYieldsTypedSkipsAndColdService) {
   expect_identical(res, cold_result);
   EXPECT_FALSE(res.profile_from_disk);
   EXPECT_FALSE(res.memory_from_disk);
-  EXPECT_FALSE(res.compute_from_disk);
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +495,7 @@ TEST(PersistWarmRestart, BitIdenticalToColdAcrossThreadCounts) {
       EXPECT_FALSE(r.memory_from_disk);
     }
     cold.flush_snapshots();
-    EXPECT_GE(cold.persisted_records(), 2);  // profile + estimator (+ compute)
+    EXPECT_GE(cold.persisted_records(), 2);  // profile + estimator
     EXPECT_EQ(cold.persist_failures(), 0);
   }
 
@@ -550,7 +506,6 @@ TEST(PersistWarmRestart, BitIdenticalToColdAcrossThreadCounts) {
     EXPECT_TRUE(lr.clean());
     EXPECT_EQ(lr.loaded_profiles, 1);
     EXPECT_EQ(lr.loaded_estimators, 1);
-    EXPECT_EQ(lr.loaded_compute, 1);
 
     const auto warm_results = warm.sweep(topo, jobs);
     ASSERT_EQ(warm_results.size(), cold_results.size());
@@ -558,7 +513,6 @@ TEST(PersistWarmRestart, BitIdenticalToColdAcrossThreadCounts) {
       expect_identical(cold_results[i], warm_results[i]);
       EXPECT_TRUE(warm_results[i].profile_from_disk) << "threads " << threads;
       EXPECT_TRUE(warm_results[i].memory_from_disk) << "threads " << threads;
-      EXPECT_TRUE(warm_results[i].compute_from_disk) << "threads " << threads;
       EXPECT_TRUE(warm_results[i].profile_cache_hit);
       EXPECT_TRUE(warm_results[i].memory_cache_hit);
     }
@@ -572,7 +526,7 @@ TEST(PersistWarmRestart, BitIdenticalToColdAcrossThreadCounts) {
     EXPECT_NE(explain.find("\"profile_from_disk\":true"), std::string::npos);
     EXPECT_NE(explain.find("\"memory_estimator_from_disk\":true"), std::string::npos);
     const auto snap = warm.metrics().snapshot();
-    EXPECT_EQ(snap.counter("pipette.persist.records_loaded"), 3);
+    EXPECT_EQ(snap.counter("pipette.persist.records_loaded"), 2);
     EXPECT_EQ(snap.counter("pipette.persist.records_skipped"), 0);
   }
 }
@@ -615,6 +569,56 @@ TEST(PersistWarmRestart, RoundTrippedArtifactsConfigureBitIdentically) {
   }
 }
 
+TEST(PersistCompat, RetiredComputeRecordIsOneTypedSkip) {
+  // Before compute shapes stopped being cached, a v2 service also wrote a
+  // `compute-*.snap` of record kind 3 beside its profile and estimator. Kind
+  // 3 is retired: that file must be one typed skip while the other two
+  // records still warm the service.
+  TempDir dir("pipette_persist_compat");
+  const auto topo = small_cluster();
+  const model::TrainingJob job{model::gpt_774m(), 128};
+  {
+    engine::ConfigService writer(service_options(2, dir.str()));
+    ASSERT_TRUE(writer.submit_request(topo, job).get().result.found);
+    writer.flush_snapshots();
+  }
+  // The shape-cache payload in the layout v2 wrote: context digest, shape
+  // count, then each shape's key fields and profile.
+  persist::ByteWriter w;
+  w.u64(0xc0ffee);  // context digest
+  w.u64(1);         // one shape
+  w.u64(5);         // model digest
+  w.i32(2);         // pp
+  w.i32(2);         // tp
+  w.i32(4);         // micro_batch
+  w.u8(0);          // 1F1B
+  w.i32(1);         // virtual_stages
+  w.u8(0);          // no recomputation
+  w.f64_vec({0.1, 0.1});
+  w.f64_vec({0.2, 0.2});
+  w.f64(0.3);
+  const std::string compute_name = "compute-0000000000c0ffee.snap";
+  write_raw(dir.path / compute_name,
+            persist::frame_record(static_cast<persist::RecordKind>(3), 0xc0ffee, w.take()));
+
+  engine::ConfigService warm(service_options(2, dir.str()));
+  const auto& lr = warm.load_report();
+  EXPECT_EQ(lr.loaded_profiles, 1);
+  EXPECT_EQ(lr.loaded_estimators, 1);
+  ASSERT_EQ(lr.skipped_count(), 1);
+  EXPECT_EQ(lr.skipped[0].file, compute_name);
+  EXPECT_EQ(lr.skipped[0].reason, persist::SkipReason::kDecodeError);
+  EXPECT_NE(lr.skipped[0].detail.find("unknown record kind 3"), std::string::npos)
+      << lr.skipped[0].detail;
+
+  engine::ConfigService cold(service_options(2));
+  const auto cold_res = cold.submit_request(topo, job).get().result;
+  const auto warm_res = warm.submit_request(topo, job).get().result;
+  expect_identical(cold_res, warm_res);
+  EXPECT_TRUE(warm_res.profile_from_disk);
+  EXPECT_TRUE(warm_res.memory_from_disk);
+}
+
 // ---------------------------------------------------------------------------
 // Bounded cache: the LRU bound
 // ---------------------------------------------------------------------------
@@ -622,14 +626,14 @@ TEST(PersistWarmRestart, RoundTrippedArtifactsConfigureBitIdentically) {
 TEST(ClusterCacheLru, MaxEntriesEvictsLeastRecentAcrossMaps) {
   obs::Registry metrics;
   engine::ClusterCacheOptions co;
-  co.max_entries = 3;  // every lookup needs 3 slots: one fabric fits, two don't
+  co.max_entries = 2;  // every lookup needs 2 slots: one fabric fits, two don't
   co.metrics = &metrics;
   engine::ClusterCache cache(co);
 
   const auto opt = fast_options();
   cluster::ProfileOptions po;
   // Four different days on the same spec: four profile keys, one shared
-  // estimator key, one shared compute key.
+  // estimator key.
   for (std::uint64_t day = 1; day <= 4; ++day) {
     const auto entry = cache.get_or_compute(small_cluster(day), po, opt.memory_training);
     EXPECT_NE(entry.profile, nullptr);
@@ -637,11 +641,10 @@ TEST(ClusterCacheLru, MaxEntriesEvictsLeastRecentAcrossMaps) {
   }
 
   const auto stats = cache.stats();
-  // Each new day must evict the previous day's profile to stay at 3 total.
+  // Each new day must evict the previous day's profile to stay at 2 total.
   EXPECT_GE(stats.evictions, 3);
   EXPECT_EQ(cache.cached_profiles(), 1);
   EXPECT_EQ(cache.cached_estimators(), 1);
-  EXPECT_EQ(cache.cached_compute_caches(), 1);
   // The estimator survived every eviction round (always fresher than the
   // stale profile) — trained exactly once.
   EXPECT_EQ(stats.trainings_run, 1);
@@ -652,7 +655,6 @@ TEST(ClusterCacheLru, MaxEntriesEvictsLeastRecentAcrossMaps) {
   const auto again = cache.get_or_compute(small_cluster(4), po, opt.memory_training);
   EXPECT_TRUE(again.profile_was_cached);
   EXPECT_TRUE(again.memory_was_cached);
-  EXPECT_TRUE(again.compute_was_cached);
   EXPECT_EQ(cache.stats().profiles_run, 4);
 }
 
