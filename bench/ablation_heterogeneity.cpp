@@ -11,7 +11,10 @@ using namespace pipette;
 int main(int argc, char** argv) {
   common::Cli cli(argc, argv);
   const auto env = bench::BenchEnv::from_cli(cli);
-  const double sa_time = cli.get_double("sa-time", env.full ? 10.0 : 0.5);
+  // The configurator's per-candidate budget: iteration-counted, so the
+  // table repeats run to run and host to host.
+  search::SaOptions sa = bench::pipette_options(env, true).sa;
+  sa.seed = env.seed;
 
   const model::TrainingJob job{model::gpt_3_1b(), 512};
   const parallel::TrainPlan plan{{8, 2, 8}, 2};
@@ -50,17 +53,15 @@ int main(int argc, char** argv) {
     auto mapping = parallel::Mapping::megatron_default(pc);
     sim::SimOptions sim_opt;
     const double before = sim::simulate_iteration(topo, job, mapping, plan, sim_opt).total_s;
-    search::SaOptions opt;
-    opt.time_limit_s = sa_time;
-    opt.seed = env.seed;
-    search::optimize_mapping(mapping, model, topo.gpus_per_node(), opt);
+    search::optimize_mapping(mapping, model, topo.gpus_per_node(), sa);
     const double after = sim::simulate_iteration(topo, job, mapping, plan, sim_opt).total_s;
     t.add_row({level.name, common::fmt_fixed(before, 3), common::fmt_fixed(after, 3),
                common::fmt_fixed(before / after, 3) + "x"});
   }
 
   std::cout << "Ablation — fine-grained worker dedication gain vs fabric heterogeneity ("
-            << plan.str() << ", mid-range geometry)\n\n";
+            << plan.str() << ", mid-range geometry, SA budget " << sa.max_iters
+            << " iterations)\n\n";
   bench::finish_table(t, env);
   return 0;
 }

@@ -10,7 +10,11 @@ using namespace pipette;
 int main(int argc, char** argv) {
   common::Cli cli(argc, argv);
   const auto env = bench::BenchEnv::from_cli(cli);
-  const double sa_time = cli.get_double("sa-time", env.full ? 10.0 : 0.5);
+  // The configurator's per-candidate budget: iteration-counted, so every
+  // variant gets the same number of proposals and the table repeats run to
+  // run and host to host.
+  search::SaOptions sa = bench::pipette_options(env, true).sa;
+  sa.seed = env.seed;
 
   const auto topo = bench::make_cluster("mid-range", 16, env.seed);
   const model::TrainingJob job{model::gpt_3_1b(), 512};
@@ -54,17 +58,14 @@ int main(int argc, char** argv) {
              common::fmt_fixed(initial_actual, 3), "-", "-"});
   for (const auto& v : variants) {
     auto m = base;
-    search::SaOptions opt;
-    opt.time_limit_s = sa_time;
-    opt.seed = env.seed;
-    const auto res = search::optimize_mapping(m, model, topo.gpus_per_node(), opt, v.moves);
+    const auto res = search::optimize_mapping(m, model, topo.gpus_per_node(), sa, v.moves);
     const double actual = sim::simulate_iteration(topo, job, m, plan, sim_opt).total_s;
     t.add_row({v.name, common::fmt_fixed(res.best_cost, 3), common::fmt_fixed(actual, 3),
                common::fmt_fixed(initial_actual / actual, 3) + "x", std::to_string(res.iters)});
   }
 
   std::cout << "Ablation — SA move families on " << plan.str()
-            << " (mid-range, 128 GPUs, SA budget " << common::fmt_fixed(sa_time, 1) << " s)\n\n";
+            << " (mid-range, 128 GPUs, SA budget " << sa.max_iters << " iterations)\n\n";
   bench::finish_table(t, env);
   return 0;
 }

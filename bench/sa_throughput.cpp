@@ -4,16 +4,11 @@
 // identical trajectory (same seed, same rng stream, bit-identical costs), so
 // the `match` column doubles as an end-to-end equivalence check.
 //
-// The mixed-move workload draws all five kinds with span-bounded wide moves
-// (migrate/reverse endpoints within --span positions, node_reverse within
-// --nspan node labels) — the configuration the incremental evaluator is
-// designed for; --span 0 restores the paper's unbounded draws. Beyond the
-// headline rate the bench reports a per-move-kind rate breakdown, a
-// dirtied-entries-per-move histogram over the mixed stream, and a
-// deterministic multi-chain annealing measurement (aggregate proposals/sec
-// of --chains derive_seed-keyed serial chains over the default MoveSet on a
-// --threads pool, cross-checked for bit-identity against a serial run of the
-// same replica set).
+// The mixed-move workload is the move draw every configure() request makes:
+// all five kinds, uniform, with both endpoints uniform over the string (or
+// the node labels). Beyond the headline rate the bench reports a
+// per-move-kind rate breakdown and a dirtied-entries-per-move histogram over
+// the mixed stream.
 //
 // Every headline rate (full, incr) is the median of three timed runs after
 // an untimed warm-up pass — run-to-run noise on a shared box was +-25-30% on
@@ -23,10 +18,6 @@
 //   --iters N         override the full-evaluation iteration count
 //   --seed N          heterogeneity universe seed (default 2024)
 //   --csv PATH        mirror the table to CSV (+ _kinds.csv)
-//   --span N          wide-move span bound (default 4; 0 = unbounded)
-//   --nspan N         node_reverse span bound (default 1; 0 = unbounded)
-//   --chains N        multi-chain replica count (default 8)
-//   --threads N       pool size for the multi-chain run (default 8)
 //   --huge            include the 10240-GPU shape (slow full-model match run)
 //   --telemetry-ceiling X  measure the AnnealTelemetry overhead on the first
 //                     32-GPU shape (best-of-5 incremental rate, accumulator
@@ -47,7 +38,6 @@
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
-#include "engine/thread_pool.h"
 #include "estimators/compute_profile.h"
 #include "estimators/incremental_latency.h"
 #include "estimators/latency_models.h"
@@ -101,9 +91,8 @@ double median_rate3(F&& timed_run) {
 
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
-  if (const auto unknown = cli.first_unknown({"fast", "iters", "seed", "csv", "span", "nspan",
-                                              "chains", "threads", "huge",
-                                              "telemetry-ceiling"})) {
+  if (const auto unknown =
+          cli.first_unknown({"fast", "iters", "seed", "csv", "huge", "telemetry-ceiling"})) {
     std::cerr << "unknown flag --" << *unknown << "\n";
     return 1;
   }
@@ -114,11 +103,6 @@ int main(int argc, char** argv) {
   const long inc_iters = full_iters * (fast ? 25 : 10);
   const std::string csv = cli.get_string("csv", "");
   const double telemetry_ceiling = cli.get_double("telemetry-ceiling", 0.0);
-  const int chains = std::max(1, cli.get_int("chains", 8));
-  const int threads = std::max(1, cli.get_int("threads", 8));
-  search::MoveSet moves;
-  moves.wide_span = cli.get_int("span", 4);
-  moves.node_span = cli.get_int("nspan", 1);
 
   std::vector<ShapeCase> cases = {
       {{4, 2, 4}, 2}, {{2, 8, 2}, 2}, {{8, 1, 4}, 2}, {{4, 4, 2}, 2},  // 32 GPUs
@@ -141,11 +125,9 @@ int main(int argc, char** argv) {
   // for a clean rate measurement), so each is timed over its own runs. Every
   // rate is decided proposals per second (SaResult::iters / wall), so the
   // columns are directly comparable: speedup = incr/full.
-  common::Table table({"shape", "gpus", "full mv/s", "incr mv/s", "speedup", "match", "mc mv/s",
-                       "mc det", "dirt hist %"});
+  common::Table table({"shape", "gpus", "full mv/s", "incr mv/s", "speedup", "match",
+                       "dirt hist %"});
   common::Table kinds_table({"shape", "kind", "mv/s", "mean dirt"});
-
-  engine::ThreadPool pool(threads);
 
   const common::Stopwatch progress;
   for (const auto& c : cases) {
@@ -169,7 +151,7 @@ int main(int argc, char** argv) {
     // profile, bandwidth tables, and evaluator scratch all get first-touched
     // here), so the timed full-model runs below need no discarded pass.
     parallel::Mapping m_inc = parallel::Mapping::megatron_default(c.pc);
-    const auto res_inc_match = search::optimize_mapping(m_inc, model, gpn, opt, moves);
+    const auto res_inc_match = search::optimize_mapping(m_inc, model, gpn, opt);
 
     // Full re-evaluation per proposal: the copy-based generic annealer over
     // model.estimate — exactly what optimize_mapping did before the
@@ -181,8 +163,8 @@ int main(int argc, char** argv) {
       m_full = parallel::Mapping::megatron_default(c.pc);
       res_full = search::simulated_annealing(
           m_full, [&model](const parallel::Mapping& s) { return model.estimate(s); },
-          [gpn, &moves](parallel::Mapping& s, common::Rng& rng) {
-            parallel::apply_move(s, search::draw_mapping_move(s, rng, moves, gpn), gpn);
+          [gpn](parallel::Mapping& s, common::Rng& rng) {
+            parallel::apply_move(s, search::draw_mapping_move(s, rng, {}, gpn), gpn);
           },
           opt);
       return static_cast<double>(res_full.iters) / std::max(1e-9, res_full.wall_s);
@@ -195,13 +177,12 @@ int main(int argc, char** argv) {
     opt.max_iters = inc_iters;
     const double inc_rate = median_rate3([&] {
       parallel::Mapping m_rate = parallel::Mapping::megatron_default(c.pc);
-      const auto res_inc = search::optimize_mapping(m_rate, model, gpn, opt, moves);
+      const auto res_inc = search::optimize_mapping(m_rate, model, gpn, opt);
       return static_cast<double>(res_inc.iters) / std::max(1e-9, res_inc.wall_s);
     });
 
-    // Per-move-kind rate breakdown: anneal with a single kind enabled (same
-    // span bounds), so each rate is a bulk measurement without per-move
-    // clock reads.
+    // Per-move-kind rate breakdown: anneal with a single kind enabled, so
+    // each rate is a bulk measurement without per-move clock reads.
     std::array<double, 5> kind_rate{};
     for (int k = 0; k < 5; ++k) {
       search::MoveSet one;
@@ -210,8 +191,6 @@ int main(int argc, char** argv) {
       one.reverse = k == 2;
       one.node_swap = k == 3;
       one.node_reverse = k == 4;
-      one.wide_span = moves.wide_span;
-      one.node_span = moves.node_span;
       search::SaOptions kopt = opt;
       kopt.max_iters = inc_iters / 5;
       parallel::Mapping mk = parallel::Mapping::megatron_default(c.pc);
@@ -231,7 +210,7 @@ int main(int argc, char** argv) {
           model, parallel::Mapping::megatron_default(c.pc), gpn);
       common::Rng rng(search::derive_seed(seed, c.pc.str()));
       for (long i = 0; i < probes; ++i) {
-        const auto mv = search::draw_mapping_move(eval.mapping(), rng, moves, gpn);
+        const auto mv = search::draw_mapping_move(eval.mapping(), rng, {}, gpn);
         eval.propose(mv);
         const int dirt = eval.last_dirty().total();
         std::size_t b = 0;
@@ -253,36 +232,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Deterministic multi-chain annealing: `chains` derive_seed-keyed serial
-    // replicas over the default MoveSet on the pool, canonical best-of merge.
-    // Aggregate proposals/sec is the multi-chain throughput; a serial run of
-    // the identical replica set must reproduce the merged result bit for bit.
-    search::SaOptions mopt = opt;
-    mopt.max_iters = std::max<long>(1, inc_iters / chains);
-    parallel::Mapping m_mc = parallel::Mapping::megatron_default(c.pc);
-    const common::Stopwatch t_mc;
-    const auto res_mc =
-        search::optimize_mapping_multichain(m_mc, model, gpn, mopt, {chains, &pool});
-    const double mc_wall = t_mc.seconds();
-    parallel::Mapping m_mc1 = parallel::Mapping::megatron_default(c.pc);
-    const auto res_mc1 =
-        search::optimize_mapping_multichain(m_mc1, model, gpn, mopt, {chains, nullptr});
-    const bool mc_det = res_mc.best_cost == res_mc1.best_cost && m_mc.raw() == m_mc1.raw();
-
-    const double mc_rate = static_cast<double>(res_mc.iters) / std::max(1e-9, mc_wall);
     const double speedup = inc_rate / full_rate;
     table.add_row({c.pc.str(), std::to_string(c.pc.ways()), common::fmt_count(full_rate),
                    common::fmt_count(inc_rate), common::fmt_fixed(speedup, 1) + "x",
-                   match ? "yes" : "NO", common::fmt_count(mc_rate), mc_det ? "yes" : "NO",
-                   fmt_hist(dirt_hist, probes)});
+                   match ? "yes" : "NO", fmt_hist(dirt_hist, probes)});
     if (!match) {
       std::cerr << "MISMATCH on " << c.pc.str()
                 << ": incremental and full-evaluation SA must agree\n";
-      return 2;
-    }
-    if (!mc_det) {
-      std::cerr << "MISMATCH on " << c.pc.str()
-                << ": multi-chain annealing is schedule-dependent\n";
       return 2;
     }
 
@@ -300,14 +256,14 @@ int main(int argc, char** argv) {
       // per arm converges on the true cost as reps accumulate.
       for (int rep = 0; rep < 5; ++rep) {
         parallel::Mapping m_off = parallel::Mapping::megatron_default(c.pc);
-        const auto r_off = search::optimize_mapping(m_off, model, gpn, opt, moves);
+        const auto r_off = search::optimize_mapping(m_off, model, gpn, opt);
         off_rate = std::max(off_rate, static_cast<double>(r_off.iters) / r_off.wall_s);
         off_cost = r_off.best_cost;
         off_raw = m_off.raw();
 
         search::AnnealTelemetry telem;
         parallel::Mapping m_on = parallel::Mapping::megatron_default(c.pc);
-        const auto r_on = search::optimize_mapping(m_on, model, gpn, opt, moves, &telem);
+        const auto r_on = search::optimize_mapping(m_on, model, gpn, opt, {}, &telem);
         on_rate = std::max(on_rate, static_cast<double>(r_on.iters) / r_on.wall_s);
         on_cost = r_on.best_cost;
         on_raw = m_on.raw();
@@ -341,10 +297,8 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  std::cout << "(mc = " << chains << " serial chains over the default MoveSet; dirt hist = % of "
-               "moves with <=4/<=8/<=16/<=32/<=64/65+ dirtied entries)\n";
-  std::cout << "\nper-move-kind incremental rates (span=" << moves.wide_span
-            << ", nspan=" << moves.node_span << "):\n";
+  std::cout << "(dirt hist = % of moves with <=4/<=8/<=16/<=32/<=64/65+ dirtied entries)\n";
+  std::cout << "\nper-move-kind incremental rates:\n";
   kinds_table.print(std::cout);
   if (!csv.empty()) {
     const std::size_t dot = csv.find_last_of('.');

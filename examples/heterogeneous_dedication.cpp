@@ -3,13 +3,13 @@
 // fix a parallel configuration, and show how simulated annealing steers the
 // pipeline and gradient traffic away from the slow links.
 //
-// Run:  ./heterogeneous_dedication [--nodes 16] [--sa-time 1.0] [--seed 7]
+// Run:  ./heterogeneous_dedication [--nodes 16] [--seed 7]
 #include <iostream>
 
 #include "cluster/profiler.h"
 #include "common/cli.h"
 #include "common/table.h"
-#include "engine/thread_pool.h"
+#include "core/pipette_configurator.h"
 #include "estimators/compute_profile.h"
 #include "estimators/latency_models.h"
 #include "model/gpt_zoo.h"
@@ -21,7 +21,6 @@ using namespace pipette;
 int main(int argc, char** argv) {
   common::Cli cli(argc, argv);
   const int nodes = cli.get_int("nodes", 16);
-  const double sa_time = cli.get_double("sa-time", 1.0);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
 
   // A fabric with visible trouble: wide spread and frequent slow pairs.
@@ -49,18 +48,11 @@ int main(int argc, char** argv) {
   const auto before = sim::simulate_iteration(topo, job, mapping, plan, sim_opt);
   const double est_before = model.estimate(mapping);
 
-  search::SaOptions sa;
+  // The configurator's per-candidate SA budget (iteration-counted, so the
+  // dedicated mapping is the same on every run and host).
+  search::SaOptions sa = core::PipetteOptions().sa;
   sa.seed = seed;
-  // Anneal four derive_seed-keyed replicas on the pool and keep the
-  // canonical best. Each chain gets a quarter of the time budget, so the
-  // total compute spent matches the old single-chain call even on a
-  // single-core machine (with ≥ 4 cores the chains overlap and the example
-  // finishes in ~sa_time / 4 of wall clock).
-  const int chains = 4;
-  sa.time_limit_s = sa_time / chains;
-  engine::ThreadPool pool;
-  const auto res = search::optimize_mapping_multichain(mapping, model, topo.gpus_per_node(), sa,
-                                                       {chains, &pool});
+  const auto res = search::optimize_mapping(mapping, model, topo.gpus_per_node(), sa);
   const auto after = sim::simulate_iteration(topo, job, mapping, plan, sim_opt);
 
   common::Table t({"mapping", "estimated s/iter", "actual s/iter", "DP sync s", "bubble %"});

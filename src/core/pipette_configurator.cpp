@@ -167,24 +167,15 @@ int count_degraded_links(const parallel::Mapping& m, int gpus_per_node,
 }
 
 /// One candidate in the successive-halving race: its latency model and its
-/// SA chains, which resume from rung to rung.
+/// SA chain, which resumes from rung to rung.
 struct Entrant {
   std::unique_ptr<estimators::PipetteLatencyModel> model;
-  std::vector<std::unique_ptr<search::ResumableMappingAnneal>> chains;
-  /// One accumulator per chain (each chain is the only writer while it runs;
-  /// merged canonically after the race).
-  std::vector<search::AnnealTelemetry> telems;
+  std::unique_ptr<search::ResumableMappingAnneal> chain;
+  /// The chain's accumulator (the chain is its only writer while it runs;
+  /// merged in rank order after the race).
+  search::AnnealTelemetry telem;
 
-  /// The multichain merge rule: lowest chain cost, ties to the lowest chain
-  /// index.
-  std::size_t best_chain() const {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < chains.size(); ++c) {
-      if (chains[c]->best_cost() < chains[best]->best_cost()) best = c;
-    }
-    return best;
-  }
-  double cost() const { return chains[best_chain()]->best_cost(); }
+  double cost() const { return chain->best_cost(); }
 };
 
 }  // namespace
@@ -198,8 +189,6 @@ std::string validate(const PipetteOptions& opt) {
   const AtLeast at_least[] = {
       {"sa.max_iters", sa.max_iters, 1},
       {"sa.iters_per_temp", sa.iters_per_temp, 1},
-      {"sa_chains", opt.sa_chains, 1},
-      {"sa_halving.width", opt.sa_halving.width, 0},
       {"sa_halving.rung0_iters", opt.sa_halving.rung0_iters, 0},
       {"profile.rounds", opt.profile.rounds, 1},
       {"compute_profile.repeats", opt.compute_profile.repeats, 1},
@@ -211,8 +200,8 @@ std::string validate(const PipetteOptions& opt) {
              std::to_string(b.value);
     }
   }
-  // The race grants alive x chains x (rung target increment) iterations per
-  // rung, which the uncapped sentinel would overflow.
+  // The race grants alive x (rung target increment) iterations per rung,
+  // which the uncapped sentinel would overflow.
   if (sa.max_iters == std::numeric_limits<long>::max()) {
     return "sa.max_iters must be an iteration budget, not the uncapped sentinel; bound "
            "wall-clock time with deadline_s";
@@ -596,9 +585,8 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
   // annealed mappings match full re-evaluation move for move while proposals
   // cost O(touched groups).
   ConfiguratorResult& res = rq.res;
-  const int chains = opt_.sa_chains;
   const PhaseScope phase(rq, kSa, &res.search_wall_s,
-                         rq.args("candidates", static_cast<long>(scored.size()), "chains", chains));
+                         rq.args("candidates", static_cast<long>(scored.size())));
   if (phase.past_deadline()) {
     // The earlier phases consumed the whole budget: the default-placement
     // ranking is the best-so-far answer. Skip SA, flag the truncation.
@@ -623,42 +611,30 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     return chain;
   };
 
-  const std::size_t width =
-      opt_.sa_halving.width == 0
-          ? scored.size()
-          : std::min<std::size_t>(scored.size(), static_cast<std::size_t>(opt_.sa_halving.width));
+  const std::size_t racers = scored.size();
   int rungs = 1;
-  while ((std::size_t{1} << (rungs - 1)) < width) ++rungs;
+  while ((std::size_t{1} << (rungs - 1)) < racers) ++rungs;
   const long full = opt_.sa.max_iters;
   const long rung0 = opt_.sa_halving.rung0_iters > 0 ? opt_.sa_halving.rung0_iters
                                                      : std::max<long>(1, full >> (rungs - 1));
 
-  // Chain seeds mirror optimize_mapping_multichain exactly: chain 0 is the
-  // candidate seed (derived from the candidate itself, not its rank, so
-  // serial and parallel schedules anneal each candidate identically),
-  // chain i > 0 derives from it and the chain index.
-  std::vector<Entrant> race(width);
-  rq.exec.parallel_for(static_cast<int>(width), [&](int i) {
+  // Each chain's seed derives from the candidate itself, not its rank, so
+  // serial and parallel schedules anneal each candidate identically.
+  std::vector<Entrant> race(racers);
+  rq.exec.parallel_for(static_cast<int>(racers), [&](int i) {
     const Scored& s = scored[static_cast<std::size_t>(i)];
     Entrant& e = race[static_cast<std::size_t>(i)];
     e.model = std::make_unique<estimators::PipetteLatencyModel>(rq.job, s.cand, *s.profile,
                                                                 &rq.profiled->bw, rq.links);
-    if (rq.telem_ptr) e.telems.resize(static_cast<std::size_t>(chains));
-    const std::uint64_t seed = search::derive_seed(opt_.sa.seed, s.cand.str());
-    const parallel::Mapping start = parallel::Mapping::megatron_default(s.cand.pc);
-    for (int c = 0; c < chains; ++c) {
-      const std::uint64_t chain_seed =
-          c == 0 ? seed : search::derive_seed(seed, "mc-chain-" + std::to_string(c));
-      search::AnnealTelemetry* telem =
-          rq.telem_ptr ? &e.telems[static_cast<std::size_t>(c)] : nullptr;
-      e.chains.push_back(make_chain(*e.model, start, chain_seed, telem));
-    }
+    e.chain = make_chain(*e.model, parallel::Mapping::megatron_default(s.cand.pc),
+                         search::derive_seed(opt_.sa.seed, s.cand.str()),
+                         rq.telem_ptr ? &e.telem : nullptr);
   });
   auto cost_order = [&](int a, int b) {
     return race[static_cast<std::size_t>(a)].cost() < race[static_cast<std::size_t>(b)].cost();
   };
 
-  std::vector<int> alive(width);
+  std::vector<int> alive(racers);
   std::iota(alive.begin(), alive.end(), 0);
   long prev_target = 0;
   for (int r = 0; r < rungs; ++r) {
@@ -676,22 +652,16 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     prev_target = target;
     // Every alive chain is granted the rung's increment; spent < granted
     // then flags a tripped per-chain deadline in the explain report.
-    res.sa_iters_granted += static_cast<long>(alive.size()) * chains * inc;
+    res.sa_iters_granted += static_cast<long>(alive.size()) * inc;
     {
       const obs::Span rung_span(rq.sink, "sa.rung",
                                 rq.args("rung", r, "target_iters", target, "alive",
                                         static_cast<long>(alive.size())));
-      rq.exec.parallel_for(static_cast<int>(alive.size()) * chains, [&](int u) {
-        const int cand = alive[static_cast<std::size_t>(u / chains)];
-        const int chain = u % chains;
-        std::string args;
-        if (rq.sink) {
-          args = obs::json_object("plan", scored[static_cast<std::size_t>(cand)].cand.str(),
-                                  "chain", chain);
-        }
-        const obs::Span span(rq.sink, "sa.chain", std::move(args));
-        Entrant& e = race[static_cast<std::size_t>(cand)];
-        e.chains[static_cast<std::size_t>(chain)]->run_to(target);
+      rq.exec.parallel_for(static_cast<int>(alive.size()), [&](int u) {
+        const int cand = alive[static_cast<std::size_t>(u)];
+        const obs::Span span(rq.sink, "sa.chain",
+                             rq.args("plan", scored[static_cast<std::size_t>(cand)].cand.str()));
+        race[static_cast<std::size_t>(cand)].chain->run_to(target);
       });
     }
     ++res.sa_rungs;
@@ -710,7 +680,7 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     if (rq.sink) {
       rq.sink->counter("sa.alive", static_cast<double>(keep));
       rq.sink->counter("sa.leader_cost", leader.cost());
-      rq.sink->counter("sa.leader_temp", leader.chains[leader.best_chain()]->temperature());
+      rq.sink->counter("sa.leader_temp", leader.chain->temperature());
     }
     alive.resize(keep);
     std::sort(alive.begin(), alive.end());
@@ -718,17 +688,14 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
   std::stable_sort(alive.begin(), alive.end(), cost_order);
   const std::size_t winner = static_cast<std::size_t>(alive.front());
   const Entrant& won = race[winner];
-  const search::ResumableMappingAnneal& won_chain = *won.chains[won.best_chain()];
   res.best = scored[winner].cand;
-  res.predicted_s = won_chain.best_cost();
-  res.mapping = won_chain.best_mapping();
+  res.predicted_s = won.cost();
+  res.mapping = won.chain->best_mapping();
   for (const Entrant& e : race) {
-    for (const auto& chain : e.chains) {
-      res.sa_iters += chain->total_iters();
-      res.search_cpu_s += chain->wall_s();
-      if (chain->deadline_tripped()) res.health.deadline_exceeded = true;
-    }
-    for (const auto& t : e.telems) rq.telem.merge(t);
+    res.sa_iters += e.chain->total_iters();
+    res.search_cpu_s += e.chain->wall_s();
+    if (e.chain->deadline_tripped()) res.health.deadline_exceeded = true;
+    rq.telem.merge(e.telem);
   }
 
   // Elastic warm start: one more chain for the winner, started from the

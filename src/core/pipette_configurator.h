@@ -2,7 +2,8 @@
 // (pp, tp, dp) factorization and microbatch size, reject configurations the
 // MLP memory estimator says will not fit (§VI), score the rest with the
 // refined latency model (§V), and run fine-grained worker dedication via
-// simulated annealing on the most promising ones (§IV).
+// simulated annealing (§IV): one chain per surviving candidate, raced by
+// successive halving so the most promising ones get the full budget.
 #pragma once
 
 #include <limits>
@@ -21,23 +22,19 @@
 namespace pipette::core {
 
 /// Successive-halving allocation of the worker-dedication budget — the one SA
-/// allocator. Rung 0 starts a racing set of candidates on a small iteration
-/// cap, every alive chain runs to its rung's cap (short of it only when a
-/// deadline trips), every rung keeps the best half (stable ties to
+/// allocator. Rung 0 starts every surviving candidate's chain on a small
+/// iteration cap, every alive chain runs to its rung's cap (short of it only
+/// when a deadline trips), every rung keeps the best half (stable ties to
 /// default-cost rank) plus any candidate within a fixed 3% slack of the rung
 /// leader and doubles the cap, and the survivors finish at the full budget.
 /// Chains *resume* across rungs (search::ResumableMappingAnneal carries the
 /// mapping, temperature, and rng stream), so no move is ever replayed: total
-/// work is ~2x the full budget rather than width-times it.
-/// Setting rung0_iters to SaOptions::max_iters gives every raced candidate the
-/// full budget up front: `width = k` is then the classic top-k allocation and
-/// `width = 0` is Algorithm 1's SA on every surviving candidate. Rung caps are
-/// iteration-counted and selection is canonical, so any executor and thread
-/// count reproduces the serial result bit for bit.
+/// work is ~2x the full budget rather than candidates-times it.
+/// Setting rung0_iters to SaOptions::max_iters gives every candidate the full
+/// budget up front: Algorithm 1's SA on every surviving candidate. Rung caps
+/// are iteration-counted and selection is canonical, so any executor and
+/// thread count reproduces the serial result bit for bit.
 struct SaHalvingOptions {
-  /// Rung-0 racing set size, by default-placement rank; 0 races every
-  /// surviving candidate (the paper's Algorithm 1 breadth).
-  int width = 0;
   /// Rung-0 iteration cap; 0 derives max_iters >> (rungs - 1) so the final
   /// rung lands exactly on the full budget. Values at or above max_iters
   /// grant the full budget in rung 0.
@@ -54,16 +51,9 @@ struct PipetteOptions {
   search::SaOptions sa{.time_limit_s = std::numeric_limits<double>::infinity(),
                        .max_iters = 20000};
   search::MoveSet moves;
-  /// How the SA budget is spread over the scored candidates.
+  /// How the SA budget is spread over the scored candidates. Each candidate
+  /// anneals one chain seeded with search::derive_seed(sa.seed, cand.str()).
   SaHalvingOptions sa_halving;
-  /// Independent SA chains per candidate (search::optimize_mapping_multichain
-  /// semantics), merged canonically — lowest best cost, ties to the lowest
-  /// chain index. 1 reproduces the single-chain path bit for bit. Chain seeds
-  /// derive from the candidate seed and the chain index, so any executor and
-  /// thread count returns the same mapping; the chains fan out across
-  /// `executor` (the pool's parallel_for is caller-participating, so nesting
-  /// under the per-candidate fan-out is deadlock-free).
-  int sa_chains = 1;
   cluster::ProfileOptions profile;
   estimators::ComputeProfileOptions compute_profile;
   parallel::ConfigConstraints constraints;

@@ -6,13 +6,11 @@
 //
 // Determinism: SA budgets are iteration-counted (PipetteOptions::sa), so
 // results are bit-identical for any thread count — candidate scoring merges
-// in canonical order and SA seeds derive from the candidate, not the
-// schedule (see PipetteOptions::executor). This extends to multi-chain
-// annealing (PipetteOptions::sa_chains > 1): chain seeds derive from the
-// candidate seed and the chain index, chains ride the same
-// caller-participating pool as the per-candidate fan-out, and the best-of
-// merge is canonical — so a request's dedicated mapping is a pure function
-// of (topology fingerprint, job, options), never of pool size.
+// in canonical order, each candidate's one SA chain is seeded from the
+// candidate, not the schedule (see PipetteOptions::executor), and the
+// halving race selects survivors canonically — so a request's dedicated
+// mapping is a pure function of (topology fingerprint, job, options), never
+// of pool size.
 //
 // Robustness: submit_request() is the one request surface — every request
 // terminates with a ServiceResult whose status says what happened (a plan,

@@ -536,7 +536,7 @@ void IncrementalLatencyEvaluator::collect_node_block(int node, int delta_nodes) 
   }
 }
 
-void IncrementalLatencyEvaluator::apply_and_collect(const parallel::MappingMoveDesc& mv) {
+void IncrementalLatencyEvaluator::apply_and_collect(const parallel::Move& mv) {
   // Applies the move as parallel::apply_move does and records the positions
   // it touched. Node moves walk the affected node blocks through the
   // maintained inverse permutation — O(touched), no whole-permutation scan,
@@ -604,8 +604,7 @@ void IncrementalLatencyEvaluator::apply_and_collect(const parallel::MappingMoveD
   }
 }
 
-double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv,
-                                            double max_delta) {
+double IncrementalLatencyEvaluator::propose(const parallel::Move& mv, double max_delta) {
   assert(!pending_ && "propose() requires a commit() or rollback() first");
   pending_ = true;
   pending_move_ = mv;

@@ -103,7 +103,7 @@ class IncrementalLatencyEvaluator {
   /// `max_delta`, pricing stops as soon as a lower bound on the new cost
   /// exceeds cost() by more than max_delta; the return value is then that
   /// bound and exact() is false.
-  double propose(const parallel::MappingMoveDesc& mv,
+  double propose(const parallel::Move& mv,
                  double max_delta = std::numeric_limits<double>::infinity());
 
   /// Whether the last propose() priced the move in full (its return value is
@@ -130,7 +130,7 @@ class IncrementalLatencyEvaluator {
   enum class Phase { kTp, kDp, kPipeline };
 
   void full_recompute();
-  void apply_and_collect(const parallel::MappingMoveDesc& mv);
+  void apply_and_collect(const parallel::Move& mv);
   /// Appends the live workers of node block `node` to the touched/undo/new
   /// scratch, relabelled by `delta_nodes` blocks (node-move collection).
   void collect_node_block(int node, int delta_nodes);
@@ -290,7 +290,7 @@ class IncrementalLatencyEvaluator {
 
   // Undo logs for rollback (preallocated; parallel to the dirty lists).
   bool pending_ = false;
-  parallel::MappingMoveDesc pending_move_;
+  parallel::Move pending_move_;
   /// True when the pending proposal used the relabel-aware node-move kernel:
   /// the node-side state was permuted by σ (not rebuilt), and rollback must
   /// re-apply the involution. Requires the move node blocks to coincide with

@@ -35,9 +35,9 @@ void Mapping::swap(int i, int j) {
 }
 
 void Mapping::migrate(int from, int to) {
-  // Remove-at-from / reinsert-at-to equals a one-step rotation of the span
-  // [min, max] — O(span) instead of the erase/insert O(n) tail shift, which
-  // matters once SA draws span-bounded wide moves.
+  // Remove-at-from / reinsert-at-to equals a one-step rotation of
+  // [min, max], which moves only that range instead of the erase/insert
+  // O(n) tail shift.
   if (from == to) return;
   if (from < to) {
     std::rotate(perm_.begin() + from, perm_.begin() + from + 1, perm_.begin() + to + 1);
@@ -84,7 +84,7 @@ bool Mapping::is_valid_permutation() const {
   return true;
 }
 
-void apply_move(Mapping& m, const MappingMoveDesc& mv, int gpus_per_node) {
+void apply_move(Mapping& m, const Move& mv, int gpus_per_node) {
   switch (mv.kind) {
     case MoveKind::kSwap:
       m.swap(mv.a, mv.b);
@@ -104,7 +104,7 @@ void apply_move(Mapping& m, const MappingMoveDesc& mv, int gpus_per_node) {
   }
 }
 
-MappingMoveDesc inverse_move(const MappingMoveDesc& mv) {
+Move inverse_move(const Move& mv) {
   if (mv.kind == MoveKind::kMigrate) return {mv.kind, mv.b, mv.a};
   return mv;
 }

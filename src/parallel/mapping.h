@@ -82,18 +82,18 @@ enum class MoveKind { kMigrate, kSwap, kReverse, kNodeSwap, kNodeReverse };
 ///   kSwap / kReverse      a, b = worker positions
 ///   kMigrate              a = from position, b = to position
 ///   kNodeSwap / kNodeReverse  a, b = node labels
-struct MappingMoveDesc {
+struct Move {
   MoveKind kind = MoveKind::kSwap;
   int a = 0;
   int b = 0;
 };
 
 /// Applies `mv` to `m` (dispatch onto the member moves above).
-void apply_move(Mapping& m, const MappingMoveDesc& mv, int gpus_per_node);
+void apply_move(Mapping& m, const Move& mv, int gpus_per_node);
 
 /// The move that exactly undoes `mv`: every kind is an involution except
 /// migrate, whose inverse swaps the endpoints.
-MappingMoveDesc inverse_move(const MappingMoveDesc& mv);
+Move inverse_move(const Move& mv);
 
 /// Projects an annealed mapping onto a (possibly resized) plan: worker w of
 /// the new plan keeps `old`'s GPU for w wherever that worker and GPU both

@@ -3,15 +3,16 @@
 // moves — migration, swap, and reverse (exploiting the near-symmetric
 // bidirectional bandwidths) — with the node-granular reorder/regroup moves
 // its Fig. 4 illustrates, with the Pipette latency estimate as objective.
-// The annealer itself runs on the incremental evaluator, so each move costs
-// O(touched groups) instead of a full model re-evaluation.
+// Every move draws both endpoints uniformly over the string (or the node
+// labels), as the paper does. One chain anneals one candidate: the annealer
+// runs on the incremental evaluator, so each move costs O(touched groups)
+// instead of a full model re-evaluation.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "common/executor.h"
 #include "common/stopwatch.h"
 #include "estimators/incremental_latency.h"
 #include "estimators/latency_models.h"
@@ -19,10 +20,6 @@
 #include "search/sa.h"
 
 namespace pipette::search {
-
-/// Move kinds live with the Mapping now; keep the historical name for the
-/// ablation benches and tests.
-using MappingMove = parallel::MoveKind;
 
 /// Which moves the annealer may draw (all enabled by default; ablations can
 /// disable some — see bench/ablation_sa_moves).
@@ -32,15 +29,6 @@ struct MoveSet {
   bool reverse = true;
   bool node_swap = true;
   bool node_reverse = true;
-  /// Span bound for the wide string moves: when > 0, a migrate/reverse's
-  /// second endpoint is drawn within `wide_span` positions of the first, so
-  /// a proposal dirties O(wide_span) decomposition entries instead of an
-  /// expected third of them — the structural fix for the incremental
-  /// evaluator's wide-move cost (see bench/sa_throughput). 0 keeps the
-  /// paper's unbounded draws and the historical rng stream bit for bit.
-  int wide_span = 0;
-  /// Same bound for node_reverse, in node labels. 0 = unbounded.
-  int node_span = 0;
 };
 
 /// SA-loop telemetry accumulated locally by the annealers — per-move-kind
@@ -94,17 +82,14 @@ struct AnnealTelemetry {
   }
 };
 
-/// Draws one uniformly-chosen enabled move for `m` without applying it.
-/// Degenerate cases — nothing enabled, or only node moves enabled on a
-/// cluster with fewer than two nodes (where retrying node draws would spin
-/// forever) — fall back to a swap so the annealer still explores.
-parallel::MappingMoveDesc draw_mapping_move(const parallel::Mapping& m, common::Rng& rng,
-                                            const MoveSet& moves, int gpus_per_node);
-
-/// Draws and applies one enabled move (draw_mapping_move + apply_move, same
-/// rng stream). `gpus_per_node` defines the node blocks.
-MappingMove random_mapping_move(parallel::Mapping& m, common::Rng& rng, const MoveSet& moves,
-                                int gpus_per_node);
+/// Draws one uniformly-chosen enabled move for `m` without applying it (apply
+/// it with parallel::apply_move); both endpoints are uniform over the string,
+/// or over the node labels for node moves, and `gpus_per_node` defines the
+/// node blocks. Degenerate cases — nothing enabled, or only node moves
+/// enabled on a cluster with fewer than two nodes (where retrying node draws
+/// would spin forever) — fall back to a swap so the annealer still explores.
+parallel::Move draw_mapping_move(const parallel::Mapping& m, common::Rng& rng,
+                                 const MoveSet& moves, int gpus_per_node);
 
 /// Runs SA from `m` (typically the Megatron default order) to minimize
 /// `model.estimate(m)`: one ResumableMappingAnneal run to `opt.max_iters` in a
@@ -117,36 +102,6 @@ MappingMove random_mapping_move(parallel::Mapping& m, common::Rng& rng, const Mo
 SaResult optimize_mapping(parallel::Mapping& m, const estimators::PipetteLatencyModel& model,
                           int gpus_per_node, const SaOptions& opt, const MoveSet& moves = {},
                           AnnealTelemetry* telemetry = nullptr);
-
-/// Deterministic multi-chain annealing: `chains` independent replicas of the
-/// same problem, each on its own IncrementalLatencyEvaluator.
-struct MultiChainOptions {
-  /// Replica count. 1 reproduces optimize_mapping (same seed, same stream,
-  /// same result) bit for bit.
-  int chains = 1;
-  /// Executor the replicas fan out across (not owned; typically an
-  /// engine::ThreadPool). Null anneals them serially. The outcome is the
-  /// same either way — see below.
-  common::Executor* executor = nullptr;
-};
-
-/// Runs `mc.chains` independent SA chains from `m` and keeps the best result
-/// under a canonical merge (lowest best cost; ties resolve to the lowest
-/// chain index). Chain 0 consumes `opt.seed` unchanged — so the single-chain
-/// trajectory is always a member of the replica set — and chain i > 0 draws
-/// from derive_seed(opt.seed, "mc-chain-i"). Seeds depend only on the chain
-/// index and the merge only on the slot contents, so under an iteration cap
-/// every executor and thread count produces the identical mapping and cost.
-/// The returned SaResult carries the winning chain's costs with iters and
-/// accepted summed across the replica set.
-/// `telemetry`, when non-null, receives every chain's counts (each chain
-/// accumulates privately; the merge happens after the executor barrier, so
-/// the totals are schedule-independent like the result itself).
-SaResult optimize_mapping_multichain(parallel::Mapping& m,
-                                     const estimators::PipetteLatencyModel& model,
-                                     int gpus_per_node, const SaOptions& opt,
-                                     const MultiChainOptions& mc, const MoveSet& moves = {},
-                                     AnnealTelemetry* telemetry = nullptr);
 
 /// A pausable SA chain over one mapping problem — the only incremental
 /// annealing loop, behind optimize_mapping and the unit of work the

@@ -276,12 +276,12 @@ TEST(PipetteConfigurator, SuccessiveHalvingExploresFewerMovesThanLegacy) {
   EXPECT_LE(rh.predicted_s, rl.predicted_s * 1.05);
 }
 
-TEST(PipetteConfigurator, TopKRaceMatchesPerCandidateMultichainReference) {
-  // width = k with rung0_iters = max_iters is the top-k allocation: the k
-  // best-ranked candidates each anneal the full budget. Reference: PPT-L's
-  // ranking under the same estimator and bandwidth snapshot, an independent
-  // multichain anneal per top-k candidate seeded from the candidate, and the
-  // lowest cost with ties to the better rank.
+TEST(PipetteConfigurator, AlgorithmOneRaceMatchesPerCandidateReference) {
+  // rung0_iters = max_iters is Algorithm 1's allocation: every ranked
+  // candidate anneals the full budget. Reference: PPT-L's ranking under the
+  // same estimator and bandwidth snapshot, an independent optimize_mapping
+  // per candidate seeded from the candidate, and the lowest cost with ties
+  // to the better rank.
   auto topo = small_cluster(12);
   const model::TrainingJob job{model::gpt_1_1b(), 128};
   auto base = capped_pipette(true);
@@ -292,49 +292,42 @@ TEST(PipetteConfigurator, TopKRaceMatchesPerCandidateMultichainReference) {
   core::PipetteConfigurator pptl(pptl_opt);
   const auto ranked = pptl.configure(topo, job);
   ASSERT_TRUE(ranked.found);
+  ASSERT_LT(ranked.ranking.size(), static_cast<std::size_t>(core::kRankingSize))
+      << "the ranking must hold every candidate the race runs";
   base.memory = pptl.memory_estimator();
   const auto links = estimators::LinkConstants::from_spec(topo.spec());
 
-  for (const int k : {1, 3}) {
-    for (const int chains : {1, 2}) {
-      ASSERT_GE(ranked.ranking.size(), static_cast<std::size_t>(k));
-      double best_cost = std::numeric_limits<double>::infinity();
-      core::Candidate best;
-      std::optional<parallel::Mapping> best_mapping;
-      long iters = 0;
-      for (int i = 0; i < k; ++i) {
-        const core::Candidate& cand = ranked.ranking[static_cast<std::size_t>(i)].cand;
-        const auto prof = estimators::profile_compute(topo, job, cand, base.compute_profile);
-        const estimators::PipetteLatencyModel model(job, cand, prof, &base.profile_snapshot->bw,
-                                                    links);
-        search::SaOptions sa = base.sa;
-        sa.seed = search::derive_seed(base.sa.seed, cand.str());
-        auto m = parallel::Mapping::megatron_default(cand.pc);
-        const auto r = search::optimize_mapping_multichain(m, model, topo.gpus_per_node(), sa,
-                                                           {chains, nullptr}, base.moves);
-        iters += r.iters;
-        if (r.best_cost < best_cost) {
-          best_cost = r.best_cost;
-          best = cand;
-          best_mapping = m;
-        }
-      }
-
-      auto opt = base;
-      opt.sa_halving.width = k;
-      opt.sa_halving.rung0_iters = opt.sa.max_iters;
-      opt.sa_chains = chains;
-      core::PipetteConfigurator ppt(opt);
-      const auto res = ppt.configure(topo, job);
-      const std::string ctx = "k=" + std::to_string(k) + " chains=" + std::to_string(chains);
-      ASSERT_TRUE(res.found) << ctx;
-      EXPECT_EQ(res.best, best) << ctx;
-      EXPECT_EQ(res.predicted_s, best_cost) << ctx << ": predicted_s must match bit for bit";
-      ASSERT_TRUE(res.mapping.has_value()) << ctx;
-      EXPECT_EQ(*res.mapping, *best_mapping) << ctx;
-      EXPECT_EQ(res.sa_iters, iters) << ctx;
+  double best_cost = std::numeric_limits<double>::infinity();
+  core::Candidate best;
+  std::optional<parallel::Mapping> best_mapping;
+  long iters = 0;
+  for (const core::RankedChoice& choice : ranked.ranking) {
+    const core::Candidate& cand = choice.cand;
+    const auto prof = estimators::profile_compute(topo, job, cand, base.compute_profile);
+    const estimators::PipetteLatencyModel model(job, cand, prof, &base.profile_snapshot->bw,
+                                                links);
+    search::SaOptions sa = base.sa;
+    sa.seed = search::derive_seed(base.sa.seed, cand.str());
+    auto m = parallel::Mapping::megatron_default(cand.pc);
+    const auto r = search::optimize_mapping(m, model, topo.gpus_per_node(), sa, base.moves);
+    iters += r.iters;
+    if (r.best_cost < best_cost) {
+      best_cost = r.best_cost;
+      best = cand;
+      best_mapping = m;
     }
   }
+
+  auto opt = base;
+  opt.sa_halving.rung0_iters = opt.sa.max_iters;
+  core::PipetteConfigurator ppt(opt);
+  const auto res = ppt.configure(topo, job);
+  ASSERT_TRUE(res.found);
+  EXPECT_EQ(res.best, best);
+  EXPECT_EQ(res.predicted_s, best_cost) << "predicted_s must match bit for bit";
+  ASSERT_TRUE(res.mapping.has_value());
+  EXPECT_EQ(*res.mapping, *best_mapping);
+  EXPECT_EQ(res.sa_iters, iters);
 }
 
 TEST(PipetteConfigurator, DefaultOptionsAreBitIdenticalSeriallyAndOnAPool) {
@@ -384,8 +377,6 @@ TEST(PipetteConfigurator, RejectsSaBudgetsTheRaceCannotRun) {
       {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = -0.05; }},
       {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = limits::quiet_NaN(); }},
       {"sa.iters_per_temp", [](Opt& o) { o.sa.iters_per_temp = 0; }},
-      {"sa_chains", [](Opt& o) { o.sa_chains = 0; }},
-      {"sa_halving.width", [](Opt& o) { o.sa_halving.width = -1; }},
       {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -100; }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
       // Profiling and memory-training options that reached ok with a NaN or

@@ -380,12 +380,11 @@ TEST(ConfigService, ConcurrentRequestsProfileTheirOwnShapes) {
 
 TEST(ConfigService, HalvingIsBitIdenticalAcrossThreadCounts) {
   // The successive-halving race (fast_options is iteration-capped, so halving
-  // is the active SA path) with multi-chain annealing layered on top must be
-  // a pure function of the request at 1, 4, and 16 threads.
+  // is the active SA path) must be a pure function of the request at 1, 4,
+  // and 16 threads.
   const auto topo = small_cluster();
   const model::TrainingJob job{model::gpt_774m(), 128};
-  auto so = service_options(1);
-  so.pipette.sa_chains = 2;
+  const auto so = service_options(1);
   engine::ConfigService serial(so);
   const auto r1 = serial.submit_request(topo, job).get().result;
   EXPECT_GT(r1.sa_rungs, 1) << "the race must actually run rungs";
@@ -610,8 +609,6 @@ TEST(ConfigService, RejectsUnusableSaBudgetsBeforeProfiling) {
       {"sa.alpha", [](Opt& o) { o.sa.alpha = limits::quiet_NaN(); }},
       {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = 0.0; }},
       {"sa.iters_per_temp", [](Opt& o) { o.sa.iters_per_temp = -1; }},
-      {"sa_chains", [](Opt& o) { o.sa_chains = 0; }},
-      {"sa_halving.width", [](Opt& o) { o.sa_halving.width = -3; }},
       {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -1; }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
       // Profiling and memory-training options that reached ok with a NaN or

@@ -102,7 +102,6 @@ engine::ConfigServiceOptions service_options(int threads) {
   so.threads = threads;
   so.pipette.sa.max_iters = 1200;
   so.pipette.sa.time_limit_s = 1e9;
-  so.pipette.sa_chains = 2;
   so.pipette.memory_training.hidden = {48, 48};
   so.pipette.memory_training.train.iters = 2500;
   so.pipette.memory_training.max_profile_nodes = 2;
@@ -353,14 +352,6 @@ TEST(MappingSearch, TelemetryReconcilesAndDoesNotPerturbSa) {
   EXPECT_EQ(telem.total_proposed(), r_on.iters);
   EXPECT_EQ(telem.total_accepted(), r_on.accepted);
   EXPECT_GT(telem.dirty.groups, 0) << "proposals must report their dirty sets";
-
-  // Multi-chain: every chain's counts land in the merged accumulator.
-  search::AnnealTelemetry mc_telem;
-  auto m_mc = parallel::Mapping::megatron_default(plan.pc);
-  const auto r_mc = search::optimize_mapping_multichain(m_mc, model, topo.gpus_per_node(), opt,
-                                                        {2, nullptr}, {}, &mc_telem);
-  EXPECT_EQ(mc_telem.total_proposed(), r_mc.iters);
-  EXPECT_EQ(mc_telem.total_accepted(), r_mc.accepted);
 }
 
 TEST(ConfigService, TelemetryIsBitIdenticalAcrossThreadCountsAndExplains) {

@@ -186,7 +186,7 @@ TEST(Mapping, ReverseNodesEdgeCases) {
   EXPECT_EQ(single.raw(), before);
 }
 
-TEST(MappingMoveDesc, ApplyInverseRoundTripsAllKinds) {
+TEST(Move, ApplyInverseRoundTripsAllKinds) {
   pipette::common::Rng rng(31);
   pp::Mapping m = pp::Mapping::megatron_default({4, 2, 4});
   for (int i = 0; i < 2000; ++i) {
@@ -208,18 +208,18 @@ TEST(Mapping, SetRawValidates) {
   EXPECT_NO_THROW(m.set_raw({3, 2, 1, 0}));
 }
 
-class MappingMoveFuzz : public testing::TestWithParam<std::uint64_t> {};
+class MoveFuzz : public testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MappingMoveFuzz, RandomMoveSequencesPreserveBijection) {
+TEST_P(MoveFuzz, RandomMoveSequencesPreserveBijection) {
   pipette::common::Rng rng(GetParam());
   pp::Mapping m = pp::Mapping::megatron_default({4, 2, 4});
   for (int i = 0; i < 500; ++i) {
-    pipette::search::random_mapping_move(m, rng, {}, 8);
+    pp::apply_move(m, pipette::search::draw_mapping_move(m, rng, {}, 8), 8);
     ASSERT_TRUE(m.is_valid_permutation()) << "broken after move " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MappingMoveFuzz, testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, MoveFuzz, testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(Groups, ExtractionMatchesMapping) {
   const pp::ParallelConfig c{3, 2, 2};

@@ -41,7 +41,9 @@ class GroupPartition : public testing::TestWithParam<std::uint64_t> {};
 TEST_P(GroupPartition, TpAndDpGroupsPartitionTheCluster) {
   common::Rng rng(GetParam());
   parallel::Mapping m = parallel::Mapping::megatron_default({4, 2, 4});
-  for (int i = 0; i < 64; ++i) search::random_mapping_move(m, rng, {}, 8);
+  for (int i = 0; i < 64; ++i) {
+    parallel::apply_move(m, search::draw_mapping_move(m, rng, {}, 8), 8);
+  }
   ASSERT_TRUE(m.is_valid_permutation());
 
   std::set<int> seen;

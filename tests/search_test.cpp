@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 
 #include "cluster/profiler.h"
-#include "engine/thread_pool.h"
 #include "estimators/compute_profile.h"
 #include "estimators/latency_models.h"
 #include "model/gpt_zoo.h"
@@ -174,13 +175,25 @@ TEST(DeriveSeed, IndependentOfEvaluationOrder) {
   }
 }
 
+namespace {
+
+/// Draws one move, applies it to `m`, and returns its kind.
+parallel::MoveKind draw_and_apply(parallel::Mapping& m, common::Rng& rng,
+                                  const search::MoveSet& moves, int gpus_per_node) {
+  const parallel::Move mv = search::draw_mapping_move(m, rng, moves, gpus_per_node);
+  parallel::apply_move(m, mv, gpus_per_node);
+  return mv.kind;
+}
+
+}  // namespace
+
 TEST(MappingSearch, MovesCoverEnabledSetOnly) {
   common::Rng rng(3);
   parallel::Mapping m = parallel::Mapping::megatron_default({4, 2, 4});
   search::MoveSet only_swap;
   only_swap.migrate = only_swap.reverse = only_swap.node_swap = only_swap.node_reverse = false;
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(search::random_mapping_move(m, rng, only_swap, 8), search::MappingMove::kSwap);
+    EXPECT_EQ(draw_and_apply(m, rng, only_swap, 8), parallel::MoveKind::kSwap);
   }
   EXPECT_TRUE(m.is_valid_permutation());
 }
@@ -190,8 +203,28 @@ TEST(MappingSearch, EmptyMoveSetFallsBackToSwap) {
   parallel::Mapping m(parallel::ParallelConfig{2, 2, 2});
   search::MoveSet none;
   none.migrate = none.swap = none.reverse = none.node_swap = none.node_reverse = false;
-  EXPECT_EQ(search::random_mapping_move(m, rng, none, 8), search::MappingMove::kSwap);
+  EXPECT_EQ(draw_and_apply(m, rng, none, 8), parallel::MoveKind::kSwap);
   EXPECT_TRUE(m.is_valid_permutation());
+}
+
+TEST(MappingSearch, EndpointsAreDrawnOverTheWholeRange) {
+  // Paper §IV: a move's endpoints may lie anywhere in the string, and a node
+  // move's anywhere among the node labels. 32 workers on 4 nodes of 8.
+  const parallel::Mapping m = parallel::Mapping::megatron_default({4, 2, 4});
+  common::Rng rng(99);
+  int widest_string = 0, widest_node = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const auto mv = search::draw_mapping_move(m, rng, {}, 8);
+    const bool node_move =
+        mv.kind == parallel::MoveKind::kNodeSwap || mv.kind == parallel::MoveKind::kNodeReverse;
+    const int hi = node_move ? 3 : 31;
+    ASSERT_GE(std::min(mv.a, mv.b), 0);
+    ASSERT_LE(std::max(mv.a, mv.b), hi);
+    int& widest = node_move ? widest_node : widest_string;
+    widest = std::max(widest, std::abs(mv.a - mv.b));
+  }
+  EXPECT_EQ(widest_string, 31);
+  EXPECT_EQ(widest_node, 3);
 }
 
 TEST(MappingSearch, NodeOnlyMovesOnSingleNodeClusterFallBackToSwap) {
@@ -203,7 +236,7 @@ TEST(MappingSearch, NodeOnlyMovesOnSingleNodeClusterFallBackToSwap) {
   search::MoveSet node_only;
   node_only.migrate = node_only.swap = node_only.reverse = false;
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(search::random_mapping_move(m, rng, node_only, 8), search::MappingMove::kSwap);
+    EXPECT_EQ(draw_and_apply(m, rng, node_only, 8), parallel::MoveKind::kSwap);
   }
   EXPECT_TRUE(m.is_valid_permutation());
   // On a two-node cluster the same move set draws real node moves again.
@@ -211,11 +244,11 @@ TEST(MappingSearch, NodeOnlyMovesOnSingleNodeClusterFallBackToSwap) {
   parallel::Mapping m2 = parallel::Mapping::megatron_default({2, 2, 4});  // 16 workers
   bool saw_node_move = false;
   for (int i = 0; i < 50; ++i) {
-    const auto kind = search::random_mapping_move(m2, rng2, node_only, 8);
-    saw_node_move = saw_node_move || kind == search::MappingMove::kNodeSwap ||
-                    kind == search::MappingMove::kNodeReverse;
-    EXPECT_NE(kind, search::MappingMove::kMigrate);
-    EXPECT_NE(kind, search::MappingMove::kReverse);
+    const auto kind = draw_and_apply(m2, rng2, node_only, 8);
+    saw_node_move = saw_node_move || kind == parallel::MoveKind::kNodeSwap ||
+                    kind == parallel::MoveKind::kNodeReverse;
+    EXPECT_NE(kind, parallel::MoveKind::kMigrate);
+    EXPECT_NE(kind, parallel::MoveKind::kReverse);
   }
   EXPECT_TRUE(saw_node_move);
   EXPECT_TRUE(m2.is_valid_permutation());
@@ -263,145 +296,6 @@ TEST(MappingSearch, SaStatsAreConsistent) {
   EXPECT_GE(res.accepted, 0);
   EXPECT_LE(res.accepted, res.iters);
   EXPECT_GT(res.wall_s, 0.0);
-}
-
-namespace {
-
-/// Shared model fixture for the span/multi-chain tests below.
-struct SearchFixture {
-  cluster::Topology topo;
-  model::TrainingJob job;
-  cluster::ProfileResult profiled;
-  estimators::LinkConstants links;
-  parallel::TrainPlan plan;
-  estimators::ComputeProfile prof;
-  estimators::PipetteLatencyModel model;
-
-  explicit SearchFixture(parallel::ParallelConfig pc, std::uint64_t seed = 2024)
-      : topo(cluster::mid_range_cluster(pc.ways() / 8), cluster::HeterogeneityOptions{}, seed),
-        job{model::gpt_3_1b(), 512},
-        profiled(cluster::profile_network(topo, {})),
-        links(estimators::LinkConstants::from_spec(topo.spec())),
-        plan{pc, 2},
-        prof(estimators::profile_compute(topo, job, plan, {})),
-        model(job, plan, prof, &profiled.bw, links) {}
-};
-
-}  // namespace
-
-TEST(MappingSearch, SpanBoundedDrawsRespectTheBounds) {
-  const parallel::ParallelConfig pc{4, 2, 4};
-  parallel::Mapping m = parallel::Mapping::megatron_default(pc);
-  common::Rng rng(99);
-  search::MoveSet moves;
-  moves.wide_span = 3;
-  moves.node_span = 1;
-  const int gpn = 8;
-  bool saw_migrate = false, saw_reverse = false, saw_node_reverse = false;
-  for (int i = 0; i < 4000; ++i) {
-    const auto mv = search::draw_mapping_move(m, rng, moves, gpn);
-    switch (mv.kind) {
-      case parallel::MoveKind::kMigrate:
-      case parallel::MoveKind::kReverse:
-        EXPECT_LE(std::abs(mv.a - mv.b), moves.wide_span) << "wide move span violated";
-        (mv.kind == parallel::MoveKind::kMigrate ? saw_migrate : saw_reverse) = true;
-        break;
-      case parallel::MoveKind::kNodeReverse:
-        EXPECT_LE(std::abs(mv.a - mv.b), moves.node_span) << "node span violated";
-        saw_node_reverse = true;
-        break;
-      default:
-        break;  // swap and node_swap are unbounded by design
-    }
-  }
-  EXPECT_TRUE(saw_migrate);
-  EXPECT_TRUE(saw_reverse);
-  EXPECT_TRUE(saw_node_reverse);
-}
-
-TEST(MappingSearch, UnboundedSpanReproducesHistoricalStream) {
-  // wide_span = 0 must consume the identical rng stream as the historical
-  // (paper) draw — the knob cannot perturb existing trajectories.
-  const parallel::ParallelConfig pc{4, 2, 4};
-  parallel::Mapping m = parallel::Mapping::megatron_default(pc);
-  common::Rng rng_a(7), rng_b(7);
-  const search::MoveSet defaults;  // wide_span == 0, node_span == 0
-  for (int i = 0; i < 2000; ++i) {
-    const auto mv = search::draw_mapping_move(m, rng_a, defaults, 8);
-    const auto mv2 = search::draw_mapping_move(m, rng_b, defaults, 8);
-    ASSERT_EQ(mv.kind, mv2.kind);
-    ASSERT_EQ(mv.a, mv2.a);
-    ASSERT_EQ(mv.b, mv2.b);
-  }
-  EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
-}
-
-TEST(MultiChain, SingleChainIsBitIdenticalToOptimizeMapping) {
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 3000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 11;
-
-  parallel::Mapping single = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto res_single = search::optimize_mapping(single, fx.model, 8, opt);
-
-  parallel::Mapping multi = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto res_multi = search::optimize_mapping_multichain(multi, fx.model, 8, opt, {1, nullptr});
-
-  EXPECT_EQ(res_single.best_cost, res_multi.best_cost);
-  EXPECT_EQ(res_single.iters, res_multi.iters);
-  EXPECT_EQ(res_single.accepted, res_multi.accepted);
-  EXPECT_EQ(single.raw(), multi.raw());
-}
-
-TEST(MultiChain, DeterministicAcrossThreadCounts) {
-  // The replica set is keyed by derive_seed(seed, chain index) and merged
-  // canonically, so 1, 4, and 16 pool threads (and the serial executor) must
-  // produce the identical mapping and cost.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 2000;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 21;
-  const int chains = 4;
-
-  parallel::Mapping ref = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto res_ref =
-      search::optimize_mapping_multichain(ref, fx.model, 8, opt, {chains, nullptr});
-
-  for (int threads : {1, 4, 16}) {
-    engine::ThreadPool pool(threads);
-    parallel::Mapping m = parallel::Mapping::megatron_default(fx.plan.pc);
-    const auto res =
-        search::optimize_mapping_multichain(m, fx.model, 8, opt, {chains, &pool});
-    EXPECT_EQ(res.best_cost, res_ref.best_cost) << threads << " threads";
-    EXPECT_EQ(res.iters, res_ref.iters) << threads << " threads";
-    EXPECT_EQ(res.accepted, res_ref.accepted) << threads << " threads";
-    EXPECT_EQ(m.raw(), ref.raw()) << threads << " threads";
-  }
-}
-
-TEST(MultiChain, NeverWorseThanChainZeroAndSumsIters) {
-  // Chain 0 runs the caller's own seed, so the merged best can only improve
-  // on the single-chain result; iters/accepted aggregate the replica set.
-  const SearchFixture fx({4, 2, 4});
-  search::SaOptions opt;
-  opt.max_iters = 1500;
-  opt.time_limit_s = std::numeric_limits<double>::infinity();
-  opt.seed = 33;
-  const int chains = 3;
-
-  parallel::Mapping single = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto res_single = search::optimize_mapping(single, fx.model, 8, opt);
-
-  parallel::Mapping multi = parallel::Mapping::megatron_default(fx.plan.pc);
-  const auto res_multi =
-      search::optimize_mapping_multichain(multi, fx.model, 8, opt, {chains, nullptr});
-
-  EXPECT_LE(res_multi.best_cost, res_single.best_cost);
-  EXPECT_EQ(res_multi.iters, chains * res_single.iters);
-  EXPECT_DOUBLE_EQ(fx.model.estimate(multi), res_multi.best_cost);
 }
 
 TEST(SimulatedAnnealing, TimedRunsTerminateWithBatchedDeadlineChecks) {

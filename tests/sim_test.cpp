@@ -328,10 +328,11 @@ TEST(PipelineSim, GoldenSimulatorAndMemoryDigests) {
         g.high_end ? cluster::high_end_cluster(g.nodes) : cluster::mid_range_cluster(g.nodes);
     const cluster::Topology topo(spec, cluster::HeterogeneityOptions{}, 2024);
     const model::TrainingJob job{g.model(), g.global_batch};
+    const int gpn = topo.gpus_per_node();
     const parallel::ConfigConstraints c;
     std::vector<parallel::TrainPlan> plans;
     for (const auto& base : parallel::enumerate_base_plans(
-             topo.num_gpus(), topo.gpus_per_node(), job.model.num_layers, job.global_batch, c)) {
+             topo.num_gpus(), gpn, job.model.num_layers, job.global_batch, c)) {
       plans.push_back(base);
       if (base.virtual_stages > 1) ++interleaved;
       if (base.is_plain()) {
@@ -350,7 +351,9 @@ TEST(PipelineSim, GoldenSimulatorAndMemoryDigests) {
       const auto megatron = parallel::Mapping::megatron_default(plan.pc);
       auto moved = megatron;
       common::Rng rng(plan.hash());
-      for (int i = 0; i < 40; ++i) search::random_mapping_move(moved, rng, {}, topo.gpus_per_node());
+      for (int i = 0; i < 40; ++i) {
+        parallel::apply_move(moved, search::draw_mapping_move(moved, rng, {}, gpn), gpn);
+      }
       const parallel::Mapping* const mappings[] = {&megatron, &moved};
       for (const parallel::Mapping* mapping : mappings) {
         for (const sim::SimOptions& opt : options) {
