@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
     {
       std::array<double, 5> kind_dirt_sum{};
       std::array<long, 5> kind_count{};
-      estimators::IncrementalLatencyEvaluator eval(
-          model, parallel::Mapping::megatron_default(c.pc), gpn);
+      estimators::IncrementalLatencyEvaluator eval(model,
+                                                   parallel::Mapping::megatron_default(c.pc));
       common::Rng rng(search::derive_seed(seed, c.pc.str()));
       for (long i = 0; i < probes; ++i) {
         const auto mv = search::draw_mapping_move(eval.mapping(), rng, {}, gpn);

@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
     so.faults.enabled = true;
     so.faults.seed = faults_seed;
   }
-  if (deadline_ms > 0.0) so.request_defaults.deadline_s = deadline_ms / 1000.0;
   if (!snapshot_dir.empty()) {
     so.cache.snapshot_dir = snapshot_dir;
     so.cache.persist_write_delay_s = persist_delay_ms / 1000.0;
@@ -126,7 +125,9 @@ int main(int argc, char** argv) {
       std::cout << "per-request deadline: " << common::fmt_fixed(deadline_ms, 1) << " ms\n";
     }
     std::cout << "\n";
-    outcomes = service.sweep_requests(topo, jobs, so.request_defaults);
+    engine::RequestOptions ro;
+    if (deadline_ms > 0.0) ro.deadline_s = deadline_ms / 1000.0;
+    outcomes = service.sweep_requests(topo, jobs, ro);
     results.reserve(outcomes.size());
     for (const auto& sr : outcomes) results.push_back(sr.result);
   } else {

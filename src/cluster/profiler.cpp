@@ -17,7 +17,7 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
   const int gpn = topo.gpus_per_node();
   out.bw = BandwidthMatrix(nn, gpn);
   Rng rng(opt.seed);
-  out.wall_time_s += opt.per_node_init_s * nn;
+  out.wall_time_s += kNodeInitS * nn;
 
   // Multiplicative Gaussian noise can in principle draw below -1 and flip a
   // measurement non-positive; a real benchmark never reports <= 0 bytes/s, so
@@ -30,7 +30,7 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
   };
 
   // Inter-node: probe each ordered node pair through its lead GPUs, average
-  // `rounds` noisy measurements, and store the average as the pair's one
+  // kProbeRounds noisy measurements, and store the average as the pair's one
   // reading (node-to-node resolution, like mpiGraph). Pairs the fault hook
   // drops are skipped entirely — no rng draws, no wall time — and keep the
   // unmeasured default for the sanitizer to repair.
@@ -41,14 +41,14 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
       const int g1 = n1 * gpn, g2 = n2 * gpn;
       const double truth = topo.bandwidth(g1, g2);
       double acc = 0.0;
-      for (int r = 0; r < opt.rounds; ++r) {
+      for (int r = 0; r < kProbeRounds; ++r) {
         double measured = noisy(truth);
         if (faults != nullptr) measured = faults->corrupt_inter(nn, n1, n2, measured);
         acc += measured;
-        out.wall_time_s += opt.message_bytes / truth + opt.per_measurement_setup_s;
+        out.wall_time_s += kProbeBytes / truth + kProbeSetupS;
         ++out.num_measurements;
       }
-      out.bw.set_inter(n1, n2, acc / opt.rounds);
+      out.bw.set_inter(n1, n2, acc / kProbeRounds);
     }
   }
 
@@ -63,14 +63,14 @@ ProfileResult profile_network(const Topology& topo, const ProfileOptions& opt) {
         const int g1 = n * gpn + a, g2 = n * gpn + b;
         const double truth = topo.bandwidth(g1, g2);
         double acc = 0.0;
-        for (int r = 0; r < opt.rounds; ++r) {
+        for (int r = 0; r < kProbeRounds; ++r) {
           double measured = noisy(truth);
           if (faults != nullptr) measured = faults->corrupt_intra(n, a, b, measured);
           acc += measured;
-          if (n == 0) intra_wall += opt.message_bytes / truth + opt.per_measurement_setup_s;
+          if (n == 0) intra_wall += kProbeBytes / truth + kProbeSetupS;
           ++out.num_measurements;
         }
-        out.bw.set_intra(n, a, b, acc / opt.rounds);
+        out.bw.set_intra(n, a, b, acc / kProbeRounds);
       }
     }
   }

@@ -50,12 +50,13 @@ class ProfileFaultHook {
   virtual double wall_time_factor() = 0;
 };
 
+inline constexpr double kProbeBytes = 1.0 * (1ull << 30);  ///< probe size per measurement
+inline constexpr int kProbeRounds = 2;         ///< probes per ordered pair, averaged
+inline constexpr double kProbeSetupS = 0.05;   ///< handshake / barrier cost per probe
+inline constexpr double kNodeInitS = 2.0;      ///< communicator bring-up per node
+
 struct ProfileOptions {
-  double message_bytes = 1.0 * (1ull << 30);  ///< probe size per measurement
-  int rounds = 2;                             ///< repeated probes per ordered pair
-  double per_measurement_setup_s = 0.05;      ///< handshake / barrier cost
-  double per_node_init_s = 2.0;               ///< communicator bring-up per node
-  double noise_sigma = 0.02;                  ///< relative measurement error
+  double noise_sigma = 0.02;  ///< relative measurement error
   std::uint64_t seed = 1;
   /// Optional fault schedule (not owned; must outlive the call). Hashed into
   /// profile cache keys via fingerprint().
@@ -76,8 +77,8 @@ struct ProfileResult {
 /// BandwidthMatrix::at applies to every GPU pair across those nodes, as
 /// mpiGraph does) and every intra-node GPU pair. Measurement error
 /// is multiplicative with the given sigma, clamped to a small positive floor
-/// so no noise draw can produce a non-positive bandwidth; rounds are
-/// averaged. The result is sanitized before returning: whatever faults the
+/// so no noise draw can produce a non-positive bandwidth; kProbeRounds probes
+/// are averaged. The result is sanitized before returning: whatever faults the
 /// fabric (or the fault hook) imposed, `bw` contains only finite positive
 /// readings. May throw ProfileTransientError when a fault hook injects a
 /// transient run failure.

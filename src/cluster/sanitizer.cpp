@@ -20,7 +20,7 @@ double median_of(std::vector<double>& vals) {
 
 }  // namespace
 
-SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& opt) {
+SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw) {
   SanitizeReport rep;
   const int nn = bw.num_nodes();
   const int gpn = bw.gpus_per_node();
@@ -37,8 +37,8 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& op
     }
   }
 
-  // Pass 2: quarantine nodes whose inter-node readings are (almost) all bad
-  // in both directions. Their links get the floor, not an imputed value — a
+  // Pass 2: quarantine nodes whose inter-node readings are all bad in both
+  // directions. Their links get the floor, not an imputed value — a
   // node we cannot reach should look expensive, not average.
   std::vector<char> quarantined(static_cast<std::size_t>(nn), 0);
   if (nn > 1) {
@@ -50,7 +50,7 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& op
         bad += inter_good[static_cast<std::size_t>(n) * nn + m] ? 0 : 1;
         bad += inter_good[static_cast<std::size_t>(m) * nn + n] ? 0 : 1;
       }
-      if (bad >= opt.quarantine_frac * per_node && bad > 0) {
+      if (bad == per_node) {
         quarantined[static_cast<std::size_t>(n)] = 1;
         rep.quarantined_nodes.push_back(n);
       }
@@ -84,7 +84,7 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& op
       classify(bw.inter(n1, n2));
       double repl;
       if (quarantined[static_cast<std::size_t>(n1)] || quarantined[static_cast<std::size_t>(n2)]) {
-        repl = opt.floor_bw;
+        repl = kFloorBw;
         ++rep.imputed_floor;
       } else if (inter_good[static_cast<std::size_t>(n2) * nn + n1]) {
         repl = bw.inter(n2, n1);
@@ -107,7 +107,7 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& op
           repl = global_inter_med;
           ++rep.imputed_neighbor;
         } else {
-          repl = opt.floor_bw;
+          repl = kFloorBw;
           ++rep.imputed_floor;
         }
       }
@@ -166,7 +166,7 @@ SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& op
             repl = global_intra_med;
             ++rep.imputed_neighbor;
           } else {
-            repl = opt.floor_bw;
+            repl = kFloorBw;
             ++rep.imputed_floor;
           }
         }

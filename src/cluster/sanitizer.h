@@ -14,8 +14,8 @@
 //     first, then the median of the healthy readings sharing a source node
 //     (inter) or a node (intra), then the global median, and as a last
 //     resort a small positive floor;
-//   * a node whose inter-node readings are (almost) all bad in both
-//     directions is quarantined: every link touching it is pinned to the
+//   * a node whose inter-node readings are all bad in both directions is
+//     quarantined: every link touching it is pinned to the
 //     floor rather than imputed from healthy peers, so the optimizer routes
 //     around it instead of trusting an invented number;
 //   * healthy readings are never touched — on a clean matrix the whole pass
@@ -35,15 +35,10 @@
 
 namespace pipette::cluster {
 
-struct SanitizeOptions {
-  /// Bandwidth assigned when no healthy donor exists (and to every link of a
-  /// quarantined node): pessimistic enough that SA avoids the link, positive
-  /// enough that every cost stays finite. 1 MB/s.
-  double floor_bw = 1e6;
-  /// Fraction of a node's inter-node readings (both directions) that must be
-  /// bad before the node is quarantined. 1.0 = only fully-unreachable nodes.
-  double quarantine_frac = 1.0;
-};
+/// Bandwidth assigned when no healthy donor exists (and to every link of a
+/// quarantined node): pessimistic enough that SA avoids the link, positive
+/// enough that every cost stays finite. 1 MB/s.
+inline constexpr double kFloorBw = 1e6;
 
 /// What the sanitizer found and did. Counts are readings (node pairs for
 /// inter, GPU pairs for intra), matching the profiler's measurement
@@ -54,8 +49,8 @@ struct SanitizeReport {
   int repaired_nonpositive = 0; ///< zero / negative readings repaired
   int imputed_symmetric = 0;    ///< repaired from the reverse direction
   int imputed_neighbor = 0;     ///< repaired from a healthy-reading median
-  int imputed_floor = 0;        ///< no donor at all: pinned to floor_bw
-  /// Nodes with (almost) no healthy inter-node link in either direction.
+  int imputed_floor = 0;        ///< no donor at all: pinned to kFloorBw
+  /// Nodes with no healthy inter-node link in either direction.
   std::vector<int> quarantined_nodes;
   /// Ordered node pairs whose reading was repaired: (n1, n2) for inter-node
   /// repairs, (n, n) when any intra-node reading of node n was repaired.
@@ -69,6 +64,6 @@ struct SanitizeReport {
 /// Repairs `bw`'s readings in place (self-pairs excluded — they are
 /// +infinity by construction) and returns the provenance report. The node
 /// count and width are the matrix's own.
-SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw, const SanitizeOptions& opt = {});
+SanitizeReport sanitize_bandwidth(BandwidthMatrix& bw);
 
 }  // namespace pipette::cluster

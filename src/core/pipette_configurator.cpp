@@ -188,10 +188,7 @@ std::string validate(const PipetteOptions& opt) {
   };
   const AtLeast at_least[] = {
       {"sa.max_iters", sa.max_iters, 1},
-      {"sa.iters_per_temp", sa.iters_per_temp, 1},
       {"sa_halving.rung0_iters", opt.sa_halving.rung0_iters, 0},
-      {"profile.rounds", opt.profile.rounds, 1},
-      {"compute_profile.repeats", opt.compute_profile.repeats, 1},
       {"memory_training.max_profile_nodes", opt.memory_training.max_profile_nodes, 1},
   };
   for (const AtLeast& b : at_least) {
@@ -206,14 +203,8 @@ std::string validate(const PipetteOptions& opt) {
     return "sa.max_iters must be an iteration budget, not the uncapped sentinel; bound "
            "wall-clock time with deadline_s";
   }
-  const std::pair<const char*, double> positive[] = {{"sa.alpha", sa.alpha},
-                                                     {"sa.init_temp_frac", sa.init_temp_frac}};
-  for (const auto& [field, v] : positive) {
-    if (!std::isfinite(v) || !(v > 0.0)) return std::string(field) + " must be finite and positive";
-  }
   const std::pair<const char*, double> non_negative[] = {
       {"profile.noise_sigma", opt.profile.noise_sigma},
-      {"compute_profile.noise_sigma", opt.compute_profile.noise_sigma},
       {"memory_training.soft_margin", opt.memory_training.soft_margin},
   };
   for (const auto& [field, v] : non_negative) {

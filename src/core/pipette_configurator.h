@@ -95,10 +95,10 @@ struct PipetteOptions {
 };
 
 /// Why `opt` cannot produce a meaningful plan — the first unusable SA budget,
-/// profiling or memory-training field, named by its path (e.g.
-/// "sa.max_iters must be >= 1, got -5"), then mlp::validate's reason for the
-/// memory estimator's hidden widths and train options — or an empty string
-/// when every field is usable. configure() throws
+/// profile.noise_sigma, memory-training or deadline_s field, named by its path
+/// (e.g. "sa.max_iters must be >= 1, got -5"), then mlp::validate's reason
+/// for the memory estimator's hidden widths and train options — or an empty
+/// string when every field is usable. configure() throws
 /// std::invalid_argument with this reason; engine::ConfigService answers
 /// kInvalidRequest with it before admission.
 std::string validate(const PipetteOptions& opt);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,10 +17,11 @@ namespace {
 
 std::uint64_t hash_profile_options(std::uint64_t h, const cluster::ProfileOptions& o) {
   using common::hash_combine;
-  h = hash_combine(h, o.message_bytes);
-  h = hash_combine(h, static_cast<std::uint64_t>(o.rounds));
-  h = hash_combine(h, o.per_measurement_setup_s);
-  h = hash_combine(h, o.per_node_init_s);
+  // The fixed probe shape keeps the slots it had as options: old keys match.
+  h = hash_combine(h, cluster::kProbeBytes);
+  h = hash_combine(h, static_cast<std::uint64_t>(cluster::kProbeRounds));
+  h = hash_combine(h, cluster::kProbeSetupS);
+  h = hash_combine(h, cluster::kNodeInitS);
   h = hash_combine(h, o.noise_sigma);
   h = hash_combine(h, o.seed);
   // A fault schedule changes the measured matrix; snapshots taken under
@@ -74,17 +74,15 @@ std::uint64_t ClusterCache::memory_key(const cluster::ClusterSpec& spec,
   return estimators::MlpMemoryEstimator::training_digest(spec, memory_opt);
 }
 
-std::pair<std::shared_ptr<ClusterCache::Cell>, bool> ClusterCache::acquire_locked(
-    const CellKey& k) {
+std::shared_ptr<ClusterCache::Cell> ClusterCache::acquire_locked(const CellKey& k) {
   const auto it =
       std::find_if(lru_.begin(), lru_.end(), [&](const auto& e) { return e.first == k; });
-  const bool existed = it != lru_.end();
-  if (existed) {
+  if (it != lru_.end()) {
     std::rotate(it, it + 1, lru_.end());
   } else {
     lru_.emplace_back(k, std::make_shared<Cell>());
   }
-  return {lru_.back().second, existed};
+  return lru_.back().second;
 }
 
 void ClusterCache::evict_locked(int keep) {
@@ -107,18 +105,17 @@ ClusterCache::Entry ClusterCache::get_or_compute(const cluster::Topology& topo,
     std::lock_guard lk(mu_);
     ++stats_.lookups;
     m_lookups_.inc();
-    std::tie(profile_cell, entry.profile_was_cached) = acquire_locked({RecordKind::kProfile, pkey});
-    std::tie(memory_cell, entry.memory_was_cached) = acquire_locked({RecordKind::kMemory, mkey});
-    if (entry.profile_was_cached && entry.memory_was_cached) {
-      ++stats_.hits;
-      m_hits_.inc();
-    }
+    profile_cell = acquire_locked({RecordKind::kProfile, pkey});
+    memory_cell = acquire_locked({RecordKind::kMemory, mkey});
     evict_locked(2);  // never this lookup's own two cells
   }
 
   // Each fill runs with its cell's mutex held, and takes mu_ only to count.
+  // Provenance is read there too: a cell can exist yet be empty, when an
+  // earlier attempt failed before filling it.
   auto fill_profile = [&] {
-    if (!profile_cell->profile) {
+    entry.profile_was_cached = profile_cell->profile != nullptr;
+    if (!entry.profile_was_cached) {
       const common::Stopwatch sw;
       profile_cell->profile = std::make_shared<const cluster::ProfileResult>(
           cluster::profile_network(topo, profile_opt));
@@ -132,7 +129,8 @@ ClusterCache::Entry ClusterCache::get_or_compute(const cluster::Topology& topo,
     entry.profile_from_disk = profile_cell->from_disk;
   };
   auto fill_memory = [&] {
-    if (!memory_cell->memory) {
+    entry.memory_was_cached = memory_cell->memory != nullptr;
+    if (!entry.memory_was_cached) {
       const common::Stopwatch sw;
       memory_cell->memory = std::make_shared<const estimators::MlpMemoryEstimator>(
           estimators::MlpMemoryEstimator::train_for_cluster(topo, model::gpt_zoo(), memory_opt));
@@ -165,6 +163,11 @@ ClusterCache::Entry ClusterCache::get_or_compute(const cluster::Topology& topo,
     std::lock_guard plk2(profile_cell->mu);
     fill_profile();
   }
+  if (entry.profile_was_cached && entry.memory_was_cached) {
+    std::lock_guard lk(mu_);
+    ++stats_.hits;
+    m_hits_.inc();
+  }
   return entry;
 }
 
@@ -177,7 +180,7 @@ void ClusterCache::install(persist::RecordKind kind, std::uint64_t key, P Cell::
   std::shared_ptr<Cell> cell;
   {
     std::lock_guard lk(mu_);
-    cell = acquire_locked({kind, key}).first;
+    cell = acquire_locked({kind, key});
     evict_locked(1);
   }
   std::lock_guard clk(cell->mu);

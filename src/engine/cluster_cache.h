@@ -53,7 +53,7 @@ namespace pipette::engine {
 
 struct ClusterCacheStats {
   int lookups = 0;
-  int hits = 0;           ///< both artifacts already present (possibly still computing)
+  int hits = 0;           ///< lookups that computed neither artifact (see Entry)
   int profiles_run = 0;   ///< actual profile_network invocations
   int trainings_run = 0;  ///< actual MlpMemoryEstimator trainings
   int evictions = 0;      ///< cells dropped by the max_entries bound
@@ -80,9 +80,10 @@ class ClusterCache {
   struct Entry {
     std::shared_ptr<const cluster::ProfileResult> profile;
     std::shared_ptr<const estimators::MlpMemoryEstimator> memory;
-    // Per-artifact provenance of *this* lookup: true when the artifact's cell
-    // pre-existed (the request reused another request's work — possibly still
-    // being computed, on which it then blocked rather than recomputed).
+    // Per-artifact provenance of *this* lookup: true when the artifact was
+    // already in its cell once the lookup held the cell's mutex — computed by
+    // another request (perhaps while this one waited on it) or loaded from
+    // disk. A cell a failed attempt left empty does not count.
     bool profile_was_cached = false;
     bool memory_was_cached = false;
     // True when the artifact was warm-started from a snapshot directory by
@@ -145,9 +146,9 @@ class ClusterCache {
     bool operator==(const CellKey&) const = default;
   };
 
-  /// The cell for `k`, created if absent, and whether it already existed;
-  /// marks it most recently used. Caller must hold mu_.
-  std::pair<std::shared_ptr<Cell>, bool> acquire_locked(const CellKey& k);
+  /// The cell for `k`, created if absent; marks it most recently used.
+  /// Caller must hold mu_.
+  std::shared_ptr<Cell> acquire_locked(const CellKey& k);
   /// Evicts least recently used cells past max_entries, never the `keep`
   /// most recent (the caller's own). Caller must hold mu_.
   void evict_locked(int keep);

@@ -140,11 +140,6 @@ std::future<ServiceResult> ConfigService::submit_request(
   });
 }
 
-std::future<ServiceResult> ConfigService::submit_request(cluster::Topology topo,
-                                                         model::TrainingJob job) {
-  return submit_request(std::move(topo), std::move(job), opt_.request_defaults);
-}
-
 std::vector<ServiceResult> ConfigService::sweep_requests(
     const cluster::Topology& topo, const std::vector<model::TrainingJob>& jobs,
     RequestOptions ro) {
@@ -165,7 +160,7 @@ std::vector<core::ConfiguratorResult> ConfigService::sweep(
   // place (the error string is not lost — sweep_requests exposes it).
   std::vector<core::ConfiguratorResult> out;
   out.reserve(jobs.size());
-  for (ServiceResult& sr : sweep_requests(topo, jobs, opt_.request_defaults)) {
+  for (ServiceResult& sr : sweep_requests(topo, jobs, RequestOptions{})) {
     if (!sr.ok()) sr.result.found = false;
     out.push_back(std::move(sr.result));
   }

@@ -102,8 +102,6 @@ struct ConfigServiceOptions {
   /// and sweep_requests() submit through submit_request(), so a sweep's jobs
   /// beyond the bound come back kRejectedQueueFull.
   int max_pending = 0;
-  /// Defaults for requests submitted without explicit RequestOptions.
-  RequestOptions request_defaults;
   /// Deterministic chaos schedule: when enabled, the service owns a
   /// FaultInjector wired into every profiling run (see engine/faults.h).
   FaultOptions faults;
@@ -118,22 +116,22 @@ class ConfigService {
   /// ServiceResult, never throws. The topology is captured by value so the
   /// caller may discard it. A rejection (kInvalidRequest,
   /// kRejectedQueueFull) returns an already-resolved future without
-  /// enqueueing work. With `previous`, the request is an elastic
+  /// enqueueing work. `ro` bounds this request alone (no deadline and two
+  /// retries by default). With `previous`, the request is an elastic
   /// re-configuration (PipetteConfigurator::reconfigure): it warm-starts from
   /// that result — the trained estimator (when the clamped training digest
   /// survives the resize) and one extra SA chain seeded from the projected
   /// previous placement — so a resize event is one call:
   /// submit_request(new_topo, job, ro, old_result).
   std::future<ServiceResult> submit_request(
-      cluster::Topology topo, model::TrainingJob job, RequestOptions ro,
+      cluster::Topology topo, model::TrainingJob job, RequestOptions ro = {},
       std::optional<core::ConfiguratorResult> previous = std::nullopt);
-  /// Same, with ConfigServiceOptions::request_defaults.
-  std::future<ServiceResult> submit_request(cluster::Topology topo, model::TrainingJob job);
 
-  /// Submits every job against one cluster and waits for all of them;
-  /// results are in job order. Built on submit_request: one job's failure
-  /// (fault, OOM-everything, internal error) cannot abort the sweep — its
-  /// slot reports found == false and the surviving jobs return normally.
+  /// Submits every job against one cluster, with default RequestOptions, and
+  /// waits for all of them; results are in job order. Built on
+  /// submit_request: one job's failure (fault, OOM-everything, internal
+  /// error) cannot abort the sweep — its slot reports found == false and the
+  /// surviving jobs return normally.
   std::vector<core::ConfiguratorResult> sweep(const cluster::Topology& topo,
                                               const std::vector<model::TrainingJob>& jobs);
 

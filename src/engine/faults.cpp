@@ -46,13 +46,13 @@ std::uint64_t FaultInjector::fingerprint() const {
   // Pure schedule identity: runs that corrupt identically hash identically.
   // The transient-attempt counter is deliberately excluded — the cache only
   // memoizes runs that succeeded, and successful runs under a transient
-  // schedule are uncorrupted.
+  // schedule are uncorrupted. The fixed factors keep their option-era slots.
   std::uint64_t h = hash_mix(0xfa017e5ull ^ static_cast<std::uint64_t>(kind_));
   h = hash_combine(h, opt_.seed);
   h = hash_combine(h, static_cast<std::uint64_t>(opt_.transient_failures));
-  h = hash_combine(h, opt_.degraded_factor);
+  h = hash_combine(h, kDegradedFactor);
   h = hash_combine(h, opt_.partial_drop_frac);
-  h = hash_combine(h, opt_.straggler_factor);
+  h = hash_combine(h, kStragglerFactor);
   return h;
 }
 
@@ -87,7 +87,7 @@ double FaultInjector::corrupt_inter(int num_nodes, int n1, int n2, double measur
       const auto [a, b] = target_pair(num_nodes);
       if (n1 == a && n2 == b && a != b) {
         m_injected_.inc();
-        return measured * opt_.degraded_factor;
+        return measured * kDegradedFactor;
       }
       return measured;
     }
@@ -145,7 +145,7 @@ bool FaultInjector::drop_inter(int num_nodes, int n1, int n2) {
 }
 
 double FaultInjector::wall_time_factor() {
-  return kind_ == FaultKind::kStragglerRound ? opt_.straggler_factor : 1.0;
+  return kind_ == FaultKind::kStragglerRound ? kStragglerFactor : 1.0;
 }
 
 }  // namespace pipette::engine

@@ -11,13 +11,13 @@
 // The taxonomy (one kind per schedule; the chaos suite sweeps kinds × seeds):
 //
 //   kDeadLink                one ordered node pair reads ~0 (dead fabric link)
-//   kDegradedLink            one node pair reads truth × degraded_factor
+//   kDegradedLink            one node pair reads truth × kDegradedFactor
 //   kNanLink                 one node pair reports NaN (broken benchmark)
 //   kNegativeLink            one node pair reports a negative bandwidth
 //   kPartialCoverage         a random subset of node pairs is never measured
 //   kDeadNode                every link touching one node is dead (node down)
 //   kTransientProfileFailure the first N runs throw ProfileTransientError
-//   kStragglerRound          the run succeeds but takes straggler_factor longer
+//   kStragglerRound          the run succeeds but takes kStragglerFactor longer
 //
 // The injector is shared by all requests of a service and must be callable
 // concurrently: all schedule state is immutable after construction except the
@@ -48,6 +48,9 @@ enum class FaultKind {
 
 const char* to_string(FaultKind k);
 
+inline constexpr double kDegradedFactor = 1e-4;  ///< kDegradedLink: measured = truth * this
+inline constexpr double kStragglerFactor = 8.0;  ///< kStragglerRound: wall-time multiplier
+
 struct FaultOptions {
   bool enabled = false;
   /// Chooses the fault target (and the kind, when kind == kNone).
@@ -56,12 +59,8 @@ struct FaultOptions {
   FaultKind kind = FaultKind::kNone;
   /// kTransientProfileFailure: runs that throw before one succeeds.
   int transient_failures = 2;
-  /// kDegradedLink: measured = truth * degraded_factor.
-  double degraded_factor = 1e-4;
   /// kPartialCoverage: probability a given ordered node pair is unmeasured.
   double partial_drop_frac = 0.25;
-  /// kStragglerRound: wall-time multiplier.
-  double straggler_factor = 8.0;
   /// Optional pipette.faults.* counters.
   obs::Registry* metrics = nullptr;
 };

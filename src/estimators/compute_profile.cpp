@@ -25,17 +25,17 @@ ComputeProfile profile_compute(const cluster::Topology& topo, const model::Train
     double fwd_true = 0.0, bwd_true = 0.0;
     for (int c = 0; c < plan.virtual_stages; ++c) {
       const sim::StageCosts sc =
-          sim::stage_costs(topo, job, mapping, plan, c * pc.pp + x, 0, opt.costs);
+          sim::stage_costs(topo, job, mapping, plan, c * pc.pp + x, 0);
       fwd_true += sc.fwd_compute_s;
       bwd_true += sc.bwd_compute_s;
     }
     double fwd = 0.0, bwd = 0.0;
-    for (int r = 0; r < opt.repeats; ++r) {
-      fwd += fwd_true * (1.0 + rng.normal(0.0, opt.noise_sigma));
-      bwd += bwd_true * (1.0 + rng.normal(0.0, opt.noise_sigma));
+    for (int r = 0; r < kComputeRepeats; ++r) {
+      fwd += fwd_true * (1.0 + rng.normal(0.0, kComputeNoiseSigma));
+      bwd += bwd_true * (1.0 + rng.normal(0.0, kComputeNoiseSigma));
     }
-    out.stage_fwd_s.push_back(fwd / opt.repeats);
-    out.stage_bwd_s.push_back(bwd / opt.repeats);
+    out.stage_fwd_s.push_back(fwd / kComputeRepeats);
+    out.stage_bwd_s.push_back(bwd / kComputeRepeats);
     out.c_block_s = std::max(out.c_block_s, out.stage_fwd_s.back() + out.stage_bwd_s.back());
   }
   return out;

@@ -28,11 +28,11 @@ struct ComputeProfile {
   double c_block_s = 0.0;
 };
 
+inline constexpr double kComputeNoiseSigma = 0.01;  ///< run-to-run measurement noise
+inline constexpr int kComputeRepeats = 3;           ///< measurements averaged per position
+
 struct ComputeProfileOptions {
-  double noise_sigma = 0.01;  ///< run-to-run measurement noise
-  int repeats = 3;            ///< measurements averaged per stage
-  std::uint64_t seed = 17;
-  sim::CostOptions costs;
+  std::uint64_t seed = 17;  ///< the measurement noise stream
 };
 
 /// Profiles every pipeline position of `plan` for `job` on `topo`.

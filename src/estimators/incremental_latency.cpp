@@ -21,14 +21,12 @@ double max_fold(const double* p, int n, double init) {
 }  // namespace
 
 IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyModel& model,
-                                                         const parallel::Mapping& start,
-                                                         int gpus_per_node)
+                                                         const parallel::Mapping& start)
     : model_(&model), cur_(start) {
   const parallel::ParallelConfig& pc = model.pc_;
   pp_ = pc.pp;
   tp_ = pc.tp;
   dp_ = pc.dp;
-  move_gpn_ = gpus_per_node;
   const int n = cur_.num_workers();
   const int num_gpus = model.bw_->num_gpus();
   num_nodes_ = model.num_nodes_;
@@ -55,16 +53,12 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
       }
     }
   }
-  // Both lookups must cover every GPU id a node-granular move can produce
-  // (whole move-node blocks, which may extend past the worker count when the
-  // final block is partial).
-  const int move_nodes = std::max(1, (n + move_gpn_ - 1) / move_gpn_);
-  const int gpu_ids = std::max(num_gpus, move_nodes * move_gpn_);
-  node_of_gpu_.resize(static_cast<std::size_t>(gpu_ids));
-  for (int g = 0; g < gpu_ids; ++g) {
-    node_of_gpu_[static_cast<std::size_t>(g)] = g / model.links_.gpus_per_node;
-  }
-  inv_pos_.assign(static_cast<std::size_t>(gpu_ids), -1);
+  // Both lookups cover every GPU of the fabric: a node-granular move relabels
+  // whole fabric nodes, so it never produces a GPU id past the last node
+  // (even when the workers fill the final node only partly).
+  node_of_gpu_.resize(static_cast<std::size_t>(num_gpus));
+  for (int g = 0; g < num_gpus; ++g) node_of_gpu_[static_cast<std::size_t>(g)] = g / link_gpn_;
+  inv_pos_.assign(static_cast<std::size_t>(num_gpus), -1);
 
   layers_.resize(static_cast<std::size_t>(pp_));
   c_.resize(static_cast<std::size_t>(pp_));
@@ -156,10 +150,6 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   scratch_gpu_.resize(static_cast<std::size_t>(dp_));
   scratch_counts_.assign(static_cast<std::size_t>(num_nodes_), 0);
   scratch_row_.resize(static_cast<std::size_t>(groups));
-  // The relabel-aware node-move kernel treats a node move as a label
-  // permutation σ of the cost model's node blocks — valid only when the move
-  // blocks coincide with them.
-  node_sigma_ok_ = move_gpn_ == model.links_.gpus_per_node;
 
   full_recompute();
 }
@@ -524,9 +514,9 @@ void IncrementalLatencyEvaluator::full_recompute() {
 }
 
 void IncrementalLatencyEvaluator::collect_node_block(int node, int delta_nodes) {
-  const int base = node * move_gpn_;
-  const int delta = delta_nodes * move_gpn_;
-  for (int o = 0; o < move_gpn_; ++o) {
+  const int base = node * link_gpn_;
+  const int delta = delta_nodes * link_gpn_;
+  for (int o = 0; o < link_gpn_; ++o) {
     const int g = base + o;
     const int p = inv_pos_[static_cast<std::size_t>(g)];
     if (p < 0) continue;
@@ -727,8 +717,8 @@ void IncrementalLatencyEvaluator::price_dp_phase() {
     }
   }
   using parallel::MoveKind;
-  const bool sigma_move = node_sigma_ok_ && (pending_move_.kind == MoveKind::kNodeSwap ||
-                                             pending_move_.kind == MoveKind::kNodeReverse);
+  const bool sigma_move = pending_move_.kind == MoveKind::kNodeSwap ||
+                          pending_move_.kind == MoveKind::kNodeReverse;
   pending_sigma_ = sigma_move;
   if (sigma_move) apply_node_sigma();
   for (std::size_t i = 0; i < dirty_groups_.size(); ++i) {

@@ -87,10 +87,9 @@ class IncrementalLatencyEvaluator {
   };
 
   /// `model` must outlive the evaluator; `start` becomes the committed state.
-  /// `gpus_per_node` defines the node blocks for node-granular moves (the
-  /// cost-side node math always uses the model's own link constants).
-  IncrementalLatencyEvaluator(const PipetteLatencyModel& model, const parallel::Mapping& start,
-                              int gpus_per_node);
+  /// Node-granular moves relabel whole nodes of the model's profiled fabric,
+  /// whose node width and GPU count size every table.
+  IncrementalLatencyEvaluator(const PipetteLatencyModel& model, const parallel::Mapping& start);
 
   /// The committed mapping.
   const parallel::Mapping& mapping() const { return cur_; }
@@ -190,7 +189,6 @@ class IncrementalLatencyEvaluator {
   const PipetteLatencyModel* model_;
   parallel::Mapping cur_;
   int pp_ = 1, tp_ = 1, dp_ = 1;
-  int move_gpn_ = 8;       ///< node-block width for applying node moves
   int num_nodes_ = 1;      ///< nodes of the profiled fabric
   int link_gpn_ = 1;       ///< node width of the profiled fabric
   int num_groups_ = 1;     ///< pp · tp (DP rings)
@@ -291,12 +289,10 @@ class IncrementalLatencyEvaluator {
   // Undo logs for rollback (preallocated; parallel to the dirty lists).
   bool pending_ = false;
   parallel::Move pending_move_;
-  /// True when the pending proposal used the relabel-aware node-move kernel:
-  /// the node-side state was permuted by σ (not rebuilt), and rollback must
-  /// re-apply the involution. Requires the move node blocks to coincide with
-  /// the cost model's node blocks (node_sigma_ok_).
+  /// True when the pending proposal is a node move, priced by the
+  /// relabel-aware kernel: the node-side state was permuted by σ (not
+  /// rebuilt), and rollback must re-apply the involution.
   bool pending_sigma_ = false;
-  bool node_sigma_ok_ = false;
   std::vector<int> touched_pos_;
   std::vector<int> undo_gpu_;  ///< pre-move GPU of each touched position
   std::vector<int> new_gpu_;   ///< node-move scratch: post-move GPUs

@@ -89,6 +89,8 @@ class PipetteLatencyModel {
   double estimate(const parallel::Mapping& m) const;
 
   const parallel::TrainPlan& plan() const { return plan_; }
+  /// Node width of the profiled fabric.
+  int gpus_per_node() const { return links_.gpus_per_node; }
 
   /// Individual terms (for tests and diagnostics), all under mapping `m`.
   double bubble_term(const parallel::Mapping& m) const;     // T_bubble of Eq. (4)

@@ -67,15 +67,14 @@ std::uint64_t MlpMemoryEstimator::training_digest(const cluster::ClusterSpec& sp
   for (const int b : opt.profile_global_batches) h = hash_combine(h, static_cast<std::uint64_t>(b));
   h = hash_combine(h, static_cast<std::uint64_t>(opt.constraints.max_tp));
   h = hash_combine(h, static_cast<std::uint64_t>(opt.constraints.max_micro_batch));
-  h = hash_combine(h, static_cast<std::uint64_t>(opt.constraints.require_full_rounds));
+  // Fixed rules keep the slots they had as options, so old snapshots match.
+  h = hash_combine(h, std::uint64_t{1});  // n_microbatches >= pp
   h = hash_combine(h, static_cast<std::uint64_t>(opt.constraints.fixed_micro_batch));
   // Plan-axis knobs change the training dataset, and the feature-vector
   // version changes the trained net's very input layout: both must
   // participate so feature sets never collide.
   h = hash_combine(h, static_cast<std::uint64_t>(opt.constraints.enable_interleaved));
-  for (const int v : opt.constraints.virtual_stage_options) {
-    h = hash_combine(h, static_cast<std::uint64_t>(v));
-  }
+  h = hash_combine(h, static_cast<std::uint64_t>(parallel::kInterleavedChunks));
   h = hash_combine(h, static_cast<std::uint64_t>(opt.constraints.enable_recompute));
   h = hash_combine(h, static_cast<std::uint64_t>(opt.constraints.enable_zero1));
   h = hash_combine(h, static_cast<std::uint64_t>(kFeatureVersion));

@@ -36,7 +36,7 @@ std::vector<int> micro_batch_options(int global_batch, const ParallelConfig& pc,
     if (micro > c.max_micro_batch) break;
     if (c.fixed_micro_batch > 0 && micro != c.fixed_micro_batch) continue;
     const int nmb = mini / micro;
-    if (c.require_full_rounds && nmb < pc.pp) continue;
+    if (nmb < pc.pp) continue;
     out.push_back(micro);
   }
   return out;

@@ -18,18 +18,18 @@ struct ParallelConfig {
   std::string str() const;  ///< "pp4·tp8·dp4"-style label
 };
 
+inline constexpr int kInterleavedChunks = 2;  ///< chunks per GPU of interleaved plans
+
 /// Practical constraints on the enumeration (matching the paper's setup),
 /// plus the switches for the fine-grained plan axes layered on top of the
 /// 4-tuple space (see parallel/train_plan.h).
 struct ConfigConstraints {
   int max_tp = 8;              ///< TP never exceeds one node (paper §II-A)
   int max_micro_batch = 8;     ///< paper sweeps microbatch 1..8
-  bool require_full_rounds = true;  ///< n_microbatches >= pp (sane pipelines)
   int fixed_micro_batch = 0;   ///< >0 pins the microbatch size (Fig. 9 sweeps)
 
   // Plan axes. Disabling all three reproduces the legacy 4-tuple space.
-  bool enable_interleaved = true;  ///< enumerate interleaved-1F1B variants
-  std::vector<int> virtual_stage_options = {2};  ///< chunks per GPU to try
+  bool enable_interleaved = true;  ///< enumerate kInterleavedChunks-chunk variants
   bool enable_recompute = true;    ///< allow recomputation memory-relief variants
   bool enable_zero1 = true;        ///< allow ZeRO-1 memory-relief variants
 };
@@ -42,8 +42,7 @@ std::vector<ParallelConfig> enumerate_parallel_configs(int num_gpus, int gpus_pe
 
 /// Admissible microbatch sizes for a config: dp must divide the global batch,
 /// micro must divide the minibatch (= global/dp), micro <= max_micro_batch,
-/// and (if require_full_rounds) minibatch/micro >= pp. Empty if dp does not
-/// divide the global batch.
+/// and minibatch/micro >= pp. Empty if dp does not divide the global batch.
 std::vector<int> micro_batch_options(int global_batch, const ParallelConfig& pc,
                                      const ConfigConstraints& c);
 

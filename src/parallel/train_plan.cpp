@@ -72,12 +72,10 @@ std::vector<TrainPlan> enumerate_base_plans(int num_gpus, int gpus_per_node, int
       TrainPlan plain{pc, micro};
       out.push_back(plain);
       if (!c.enable_interleaved || pc.pp < 2) continue;
-      for (int v : c.virtual_stage_options) {
-        TrainPlan inter = plain;
-        inter.schedule = PipeSchedule::kInterleaved1F1B;
-        inter.virtual_stages = v;
-        if (inter.valid_for(num_layers, global_batch)) out.push_back(inter);
-      }
+      TrainPlan inter = plain;
+      inter.schedule = PipeSchedule::kInterleaved1F1B;
+      inter.virtual_stages = kInterleavedChunks;
+      if (inter.valid_for(num_layers, global_batch)) out.push_back(inter);
     }
   }
   return out;

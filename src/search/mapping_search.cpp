@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "common/stopwatch.h"
 
@@ -75,13 +77,17 @@ SaResult optimize_mapping(parallel::Mapping& m, const estimators::PipetteLatency
 ResumableMappingAnneal::ResumableMappingAnneal(const estimators::PipetteLatencyModel& model,
                                                const parallel::Mapping& start, int gpus_per_node,
                                                const SaOptions& opt, const MoveSet& moves)
-    : eval_(model, start, gpus_per_node), moves_(moves), gpn_(gpus_per_node), opt_(opt),
-      rng_(opt.seed) {
+    : eval_(model, start), moves_(moves), gpn_(gpus_per_node), opt_(opt), rng_(opt.seed) {
+  if (gpus_per_node != model.gpus_per_node()) {  // blocks that are not nodes
+    throw std::invalid_argument("ResumableMappingAnneal: gpus_per_node " +
+                                std::to_string(gpus_per_node) + " is not the fabric's " +
+                                std::to_string(model.gpus_per_node()));
+  }
   cur_cost_ = eval_.cost();
   best_cost_ = cur_cost_;
   initial_cost_ = cur_cost_;
   best_ = eval_.mapping().raw();
-  temp_ = std::max(opt.init_temp_frac * cur_cost_, 1e-300);
+  temp_ = std::max(kInitTempFrac * cur_cost_, 1e-300);
 }
 
 void ResumableMappingAnneal::run_to(long target_iters) {
@@ -94,9 +100,7 @@ void ResumableMappingAnneal::run_to(long target_iters) {
   // bit-exact).
   const bool timed = std::isfinite(opt_.time_limit_s) || deadline_watch_ != nullptr;
   while (iters_ < target_iters) {
-    if (timed && (since_temp_step_ == 0 || (iters_ & 255) == 0)) {
-      if (over_time(watch)) break;
-    }
+    if (timed && since_temp_step_ == 0 && over_time(watch)) break;
     const parallel::Move mv = draw_mapping_move(eval_.mapping(), rng_, moves_, gpn_);
     // Peek the uniform metropolis_accept would draw for a worsening move: it
     // bounds the cost increase that can still be accepted, so the evaluator
@@ -131,8 +135,8 @@ void ResumableMappingAnneal::run_to(long target_iters) {
       eval_.rollback();
       if (telemetry_) ++telemetry_->rollbacks;
     }
-    if (++since_temp_step_ >= opt_.iters_per_temp) {
-      temp_ *= opt_.alpha;
+    if (++since_temp_step_ >= kItersPerTemp) {
+      temp_ *= kAlpha;
       since_temp_step_ = 0;
     }
     ++iters_;

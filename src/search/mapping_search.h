@@ -93,7 +93,8 @@ parallel::Move draw_mapping_move(const parallel::Mapping& m, common::Rng& rng,
 
 /// Runs SA from `m` (typically the Megatron default order) to minimize
 /// `model.estimate(m)`: one ResumableMappingAnneal run to `opt.max_iters` in a
-/// single run_to() call. On return `m` is the best mapping found. Proposals
+/// single run_to() call (so it throws as that chain's constructor does). On
+/// return `m` is the best mapping found. Proposals
 /// are scored by an IncrementalLatencyEvaluator whose costs are bit-identical
 /// to the full model, so the trajectory — and therefore the result under an
 /// iteration cap — matches simulated_annealing over the full model exactly.
@@ -118,8 +119,10 @@ SaResult optimize_mapping(parallel::Mapping& m, const estimators::PipetteLatency
 /// (checked at the temperature step like the generic annealer), so mixed
 /// budgets stop at whichever bound hits first — determinism holds whenever
 /// the deadline does not trip, i.e. for the generous limits iteration-capped
-/// callers use. The model must outlive the chain. Not copyable (the
-/// evaluator holds internal tables); hold by unique_ptr when racing many.
+/// callers use. Throws std::invalid_argument unless `gpus_per_node` is
+/// model.gpus_per_node(): node moves relabel the profiled fabric's nodes. The
+/// model must outlive the chain. Not copyable (the evaluator holds internal
+/// tables); hold by unique_ptr when racing many.
 class ResumableMappingAnneal {
  public:
   ResumableMappingAnneal(const estimators::PipetteLatencyModel& model,

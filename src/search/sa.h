@@ -1,6 +1,6 @@
 // Generic simulated annealing, the optimizer behind fine-grained worker
-// dedication (paper §IV): time-limited, geometric cooling with the paper's
-// alpha = 0.999, seeded and fully deterministic under an iteration cap.
+// dedication (paper §IV): time-limited, geometric cooling on the paper's fixed
+// schedule (below), seeded and fully deterministic under an iteration cap.
 #pragma once
 
 #include <algorithm>
@@ -20,12 +20,13 @@ namespace pipette::search {
 /// every candidate identically and produce the same ranking.
 std::uint64_t derive_seed(std::uint64_t base, std::string_view key);
 
+inline constexpr double kInitTempFrac = 0.05;  ///< T0 = frac * initial cost (scale-free)
+inline constexpr double kAlpha = 0.999;        ///< paper's temperature reduction coefficient
+inline constexpr int kItersPerTemp = 16;       ///< proposals evaluated per temperature step
+
 struct SaOptions {
   double time_limit_s = 10.0;  ///< paper: "10 seconds for the SA time limit"
   long max_iters = std::numeric_limits<long>::max();
-  double init_temp_frac = 0.05;  ///< T0 = frac * initial cost (scale-free)
-  double alpha = 0.999;          ///< paper's temperature reduction coefficient
-  int iters_per_temp = 16;       ///< proposals evaluated per temperature step
   std::uint64_t seed = 13;
 };
 
@@ -86,10 +87,8 @@ SaResult simulated_annealing(State& state, CostFn&& cost, MutateFn&& mutate, con
   const common::Stopwatch watch;
   // Iteration-capped (deterministic) runs leave time_limit_s at infinity and
   // should not pay for wall-clock reads in the loop at all; timed runs batch
-  // the deadline check to the iters_per_temp block boundary (the temperature
-  // step) instead of paying a steady_clock read per iteration, with a
-  // 256-iteration backstop so an unusually large iters_per_temp cannot
-  // overshoot the deadline unboundedly.
+  // the deadline check to the temperature step (every kItersPerTemp
+  // proposals) instead of paying a steady_clock read per iteration.
   const bool timed = std::isfinite(opt.time_limit_s);
 
   common::Rng rng(opt.seed);
@@ -101,12 +100,10 @@ SaResult simulated_annealing(State& state, CostFn&& cost, MutateFn&& mutate, con
   SaResult res;
   res.initial_cost = cur_cost;
 
-  double temp = std::max(opt.init_temp_frac * cur_cost, 1e-300);
+  double temp = std::max(kInitTempFrac * cur_cost, 1e-300);
   int since_temp_step = 0;
   while (res.iters < opt.max_iters) {
-    if (timed && (since_temp_step == 0 || (res.iters & 255) == 0)) {
-      if (watch.seconds() >= opt.time_limit_s) break;
-    }
+    if (timed && since_temp_step == 0 && watch.seconds() >= opt.time_limit_s) break;
     State cand = current;
     mutate(cand, rng);
     const double c = cost(cand);
@@ -120,8 +117,8 @@ SaResult simulated_annealing(State& state, CostFn&& cost, MutateFn&& mutate, con
         best_cost = cur_cost;
       }
     }
-    if (++since_temp_step >= opt.iters_per_temp) {
-      temp *= opt.alpha;
+    if (++since_temp_step >= kItersPerTemp) {
+      temp *= kAlpha;
       since_temp_step = 0;
     }
     ++res.iters;

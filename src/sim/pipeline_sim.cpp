@@ -180,7 +180,7 @@ IterationBreakdown simulate_iteration(const cluster::Topology& topo, const model
                     : stage_schedule(plan.schedule, pp, p, nmb);
       for (int c = 0; c < v; ++c) {
         chunk_costs[static_cast<std::size_t>(c)] =
-            stage_costs(topo, job, mapping, plan, c * pp + p, z, opt.costs);
+            stage_costs(topo, job, mapping, plan, c * pp + p, z);
       }
       Rng r = root.fork(0x5eed0000ull + static_cast<std::uint64_t>(z) * 1024 + p);
       e.durations.reserve(e.ops.size());

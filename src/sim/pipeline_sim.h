@@ -31,7 +31,6 @@ using ScheduleKind = parallel::PipeSchedule;
 struct SimOptions {
   double jitter_sigma = 0.015;  ///< multiplicative per-op noise
   std::uint64_t seed = 7;       ///< jitter stream; results are deterministic in it
-  CostOptions costs;
 };
 
 /// One operation of a stage's static schedule.

@@ -16,7 +16,7 @@ double gemm_efficiency(const cluster::ClusterSpec& spec, double per_gpu_layer_fl
 
 StageCosts stage_costs(const cluster::Topology& topo, const model::TrainingJob& job,
                        const parallel::Mapping& m, const parallel::TrainPlan& plan, int vstage,
-                       int dpr, const CostOptions& opt) {
+                       int dpr) {
   const auto& mcfg = job.model;
   const auto& pc = plan.pc;
   const int micro_batch = plan.micro_batch;
@@ -30,7 +30,7 @@ StageCosts stage_costs(const cluster::Topology& topo, const model::TrainingJob& 
 
   double fwd_flops = layers * layer_flops;
   if (vstage == total - 1) fwd_flops += model::logits_fwd_flops(mcfg, micro_batch) / pc.tp;
-  const double fwd_compute = fwd_flops / flops_per_s + layers * opt.kernel_launch_s;
+  const double fwd_compute = fwd_flops / flops_per_s + layers * kKernelLaunchS;
   // Backward also accumulates fp32 main gradients for the stage's parameter
   // shard every microbatch — an HBM-bound read-modify-write that penalizes
   // configurations holding many parameters per GPU.
@@ -42,13 +42,13 @@ StageCosts stage_costs(const cluster::Topology& topo, const model::TrainingJob& 
   // (selective). Plans without recomputation add exactly 0.0.
   double recompute_s = 0.0;
   if (plan.recompute == parallel::Recompute::kFull) {
-    recompute_s = layers * layer_flops / flops_per_s + layers * opt.kernel_launch_s;
+    recompute_s = layers * layer_flops / flops_per_s + layers * kKernelLaunchS;
   } else if (plan.recompute == parallel::Recompute::kSelective) {
     recompute_s = layers * (model::layer_attention_core_flops(mcfg, micro_batch) / pc.tp) /
                   flops_per_s;
   }
   const double bwd_compute =
-      2.0 * fwd_flops / flops_per_s + grad_accum + layers * opt.kernel_launch_s + recompute_s;
+      2.0 * fwd_flops / flops_per_s + grad_accum + layers * kKernelLaunchS + recompute_s;
 
   // Tensor-parallel all-reduces: 2 per layer in forward, 2 in backward, each
   // of one b*s*h fp16 tensor, ring over the TP group's slowest true link.
@@ -71,8 +71,8 @@ StageCosts stage_costs(const cluster::Topology& topo, const model::TrainingJob& 
   }
 
   StageCosts c;
-  c.fwd_compute_s = fwd_compute + opt.per_op_overhead_s;
-  c.bwd_compute_s = bwd_compute + opt.per_op_overhead_s;
+  c.fwd_compute_s = fwd_compute + kPerOpOverheadS;
+  c.bwd_compute_s = bwd_compute + kPerOpOverheadS;
   c.tp_fwd_s = tp_fwd;
   c.tp_bwd_s = tp_bwd;
   c.compute_s = c.fwd_compute_s + c.bwd_compute_s;

@@ -1,10 +1,10 @@
 // Per-microbatch execution cost of one pipeline stage: GEMM compute at a
-// saturating fraction of peak, kernel-launch overhead, the tensor-parallel
-// all-reduces each transformer layer performs (2 forward + 2 backward), and —
-// for plans with activation recomputation — the forward work re-executed
-// inside the backward pass. These are the C and T_TP quantities of the
-// paper's latency models, computed from ground-truth link state (the
-// estimators recompute them from *profiled* state, independently).
+// saturating fraction of peak, the fixed launch and scheduling overheads
+// below, the tensor-parallel all-reduces each transformer layer performs (2
+// forward + 2 backward), and — for plans with activation recomputation — the
+// forward work re-executed inside the backward pass. These are the C and T_TP
+// quantities of the paper's latency models, computed from ground-truth link
+// state (the estimators recompute them from *profiled* state, independently).
 #pragma once
 
 #include "cluster/topology.h"
@@ -14,13 +14,11 @@
 
 namespace pipette::sim {
 
-struct CostOptions {
-  double kernel_launch_s = 30e-6;     ///< per layer-block launch overhead
-  /// Per-microbatch scheduling overhead (framework dispatch, P2P handshake,
-  /// optimizer bookkeeping) — the fixed cost that makes microbatch size 1
-  /// pipelines slow in practice.
-  double per_op_overhead_s = 3.0e-3;
-};
+inline constexpr double kKernelLaunchS = 30e-6;  ///< per layer-block launch overhead
+/// Per-microbatch scheduling overhead (framework dispatch, P2P handshake,
+/// optimizer bookkeeping) — the fixed cost that makes microbatch size 1
+/// pipelines slow in practice.
+inline constexpr double kPerOpOverheadS = 3.0e-3;
 
 struct StageCosts {
   double fwd_s = 0.0;          ///< forward per microbatch, incl. TP comm
@@ -46,7 +44,7 @@ double gemm_efficiency(const cluster::ClusterSpec& spec, double per_gpu_layer_fl
 /// full re-runs the chunk's forward, selective re-runs the attention cores.
 StageCosts stage_costs(const cluster::Topology& topo, const model::TrainingJob& job,
                        const parallel::Mapping& m, const parallel::TrainPlan& plan, int vstage,
-                       int dpr, const CostOptions& opt);
+                       int dpr);
 
 /// Resident activation bytes per layer per microbatch under the plan's
 /// recomputation level (model::layer_activation_bytes* selected by level).

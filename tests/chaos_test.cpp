@@ -188,11 +188,10 @@ TEST(FaultInjector, DeadNodeIsQuarantinedAndFloored) {
   const int dead = static_cast<int>(inj.target_a() % 4);
   ASSERT_EQ(res.sanitize.quarantined_nodes, std::vector<int>{dead});
   EXPECT_GT(res.sanitize.repaired_nonpositive, 0);
-  const cluster::SanitizeOptions defaults;
   for (int n = 0; n < 4; ++n) {
     if (n == dead) continue;
-    EXPECT_DOUBLE_EQ(res.bw.at(dead * 8, n * 8), defaults.floor_bw);
-    EXPECT_DOUBLE_EQ(res.bw.at(n * 8, dead * 8), defaults.floor_bw);
+    EXPECT_DOUBLE_EQ(res.bw.at(dead * 8, n * 8), cluster::kFloorBw);
+    EXPECT_DOUBLE_EQ(res.bw.at(n * 8, dead * 8), cluster::kFloorBw);
   }
 }
 
@@ -208,7 +207,7 @@ TEST(FaultInjector, StragglerInflatesWallTimeOnly) {
   cluster::ProfileOptions po;
   po.faults = &inj;
   const auto slow = cluster::profile_network(t, po);
-  EXPECT_NEAR(slow.wall_time_s / healthy.wall_time_s, fo.straggler_factor, 1e-9);
+  EXPECT_NEAR(slow.wall_time_s / healthy.wall_time_s, engine::kStragglerFactor, 1e-9);
   EXPECT_TRUE(slow.sanitize.clean());
   for (int g1 = 0; g1 < 32; g1 += 3) {
     for (int g2 = 0; g2 < 32; g2 += 5) {
@@ -268,10 +267,11 @@ TEST(ServiceChaos, EveryKindTerminatesWithAPlanOrTypedError) {
       so.faults.enabled = true;
       so.faults.seed = seed;
       so.faults.kind = kind;
-      so.request_defaults.profile_retries = 3;
-      so.request_defaults.retry_backoff_s = 1e-4;
+      engine::RequestOptions ro;
+      ro.profile_retries = 3;
+      ro.retry_backoff_s = 1e-4;
       engine::ConfigService service(so);
-      const auto sr = service.submit_request(topo, job).get();
+      const auto sr = service.submit_request(topo, job, ro).get();
       const std::string ctx =
           std::string(engine::to_string(kind)) + " seed " + std::to_string(seed);
       ASSERT_EQ(sr.status, engine::ServiceStatus::kOk) << ctx << ": " << sr.error;
@@ -293,9 +293,10 @@ TEST(ServiceChaos, RobustSurfaceWithSlackDeadlineIsBitIdenticalToLegacy) {
 
   auto so = service_options(2);
   so.max_pending = 4;
-  so.request_defaults.deadline_s = 3600.0;  // finite, never trips
+  engine::RequestOptions ro;
+  ro.deadline_s = 3600.0;  // finite, never trips
   engine::ConfigService robust(so);
-  const auto sr = robust.submit_request(topo, job).get();
+  const auto sr = robust.submit_request(topo, job, ro).get();
   ASSERT_TRUE(sr.ok()) << sr.error;
   expect_identical(want, sr.result);
   EXPECT_FALSE(sr.result.health.deadline_exceeded);
@@ -333,10 +334,11 @@ TEST(ServiceChaos, TransientProfileFailureRetriesThenSucceeds) {
   so.faults.kind = engine::FaultKind::kTransientProfileFailure;
   so.faults.transient_failures = 1;
   so.faults.seed = 5;
-  so.request_defaults.profile_retries = 2;
-  so.request_defaults.retry_backoff_s = 1e-4;
+  engine::RequestOptions ro;
+  ro.profile_retries = 2;
+  ro.retry_backoff_s = 1e-4;
   engine::ConfigService service(so);
-  const auto sr = service.submit_request(topo, job).get();
+  const auto sr = service.submit_request(topo, job, ro).get();
   ASSERT_TRUE(sr.ok()) << sr.error;
   ASSERT_TRUE(sr.result.found);
   EXPECT_EQ(sr.result.health.profile_retries, 1);
@@ -344,6 +346,20 @@ TEST(ServiceChaos, TransientProfileFailureRetriesThenSucceeds) {
   const auto snap = service.metrics().snapshot();
   EXPECT_EQ(snap.counter("pipette.service.profile_retries"), 1);
   EXPECT_EQ(snap.counter("pipette.faults.transient_failures"), 1);
+  // The failed first attempt leaves both cache cells in place but empty; the
+  // retry computed both artifacts, so neither is a cache hit. The next
+  // request on the fabric reuses both.
+  EXPECT_FALSE(sr.result.profile_cache_hit);
+  EXPECT_FALSE(sr.result.memory_cache_hit);
+  EXPECT_EQ(service.cache_stats().hits, 0);
+  const auto again = service.submit_request(topo, job, ro).get();
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_TRUE(again.result.profile_cache_hit);
+  EXPECT_TRUE(again.result.memory_cache_hit);
+  const auto stats = service.cache_stats();
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.profiles_run, 1);
+  EXPECT_EQ(stats.trainings_run, 1);
 }
 
 TEST(ServiceChaos, ExhaustedRetriesAreATypedProfileFailure) {
@@ -354,10 +370,11 @@ TEST(ServiceChaos, ExhaustedRetriesAreATypedProfileFailure) {
   so.faults.kind = engine::FaultKind::kTransientProfileFailure;
   so.faults.transient_failures = 100;  // never lets a run through
   so.faults.seed = 5;
-  so.request_defaults.profile_retries = 1;
-  so.request_defaults.retry_backoff_s = 1e-4;
+  engine::RequestOptions ro;
+  ro.profile_retries = 1;
+  ro.retry_backoff_s = 1e-4;
   engine::ConfigService service(so);
-  const auto sr = service.submit_request(topo, job).get();
+  const auto sr = service.submit_request(topo, job, ro).get();
   EXPECT_EQ(sr.status, engine::ServiceStatus::kProfileFailed);
   EXPECT_FALSE(sr.error.empty());
   EXPECT_FALSE(sr.result.found);
@@ -425,10 +442,11 @@ TEST(ServiceChaos, SweepSurvivesAProfileFailedJob) {
   so.faults.kind = engine::FaultKind::kTransientProfileFailure;
   so.faults.transient_failures = 1;
   so.faults.seed = 5;
-  so.request_defaults.profile_retries = 0;
+  engine::RequestOptions ro;
+  ro.profile_retries = 0;
 
   engine::ConfigService service(so);
-  const auto rs = service.sweep_requests(topo, jobs, so.request_defaults);
+  const auto rs = service.sweep_requests(topo, jobs, ro);
   ASSERT_EQ(rs.size(), jobs.size());
   EXPECT_EQ(rs[0].status, engine::ServiceStatus::kProfileFailed);
   EXPECT_FALSE(rs[0].result.found);
@@ -438,7 +456,9 @@ TEST(ServiceChaos, SweepSurvivesAProfileFailedJob) {
       << "the failed attempt leaves the cache cell empty; the next job recomputes";
 
   // The legacy sweep surface survives too: the failed slot reports
-  // found == false and the survivors return normally.
+  // found == false and the survivors return normally. sweep() retries as
+  // often as a default RequestOptions, so the schedule fails one more run.
+  so.faults.transient_failures = 1 + engine::RequestOptions{}.profile_retries;
   engine::ConfigService service2(so);
   const auto results = service2.sweep(topo, jobs);
   ASSERT_EQ(results.size(), jobs.size());

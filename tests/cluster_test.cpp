@@ -297,15 +297,14 @@ TEST(Sanitizer, UnreachableNodeIsQuarantinedToTheFloor) {
     m.set_inter(2, n, std::numeric_limits<double>::quiet_NaN());
     m.set_inter(n, 2, 0.0);
   }
-  const pcl::SanitizeOptions so;
   const double before_03 = m.at(0, 2 * 3);  // healthy link 0 -> 3, untouched
-  const auto rep = pcl::sanitize_bandwidth(m, so);
+  const auto rep = pcl::sanitize_bandwidth(m);
   ASSERT_EQ(rep.quarantined_nodes, std::vector<int>{2});
   EXPECT_EQ(rep.imputed_floor, 6) << "quarantined links are floored, never imputed";
   for (int n = 0; n < 4; ++n) {
     if (n == 2) continue;
-    EXPECT_DOUBLE_EQ(m.at(2 * 2, n * 2), so.floor_bw);
-    EXPECT_DOUBLE_EQ(m.at(n * 2, 2 * 2), so.floor_bw);
+    EXPECT_DOUBLE_EQ(m.at(2 * 2, n * 2), pcl::kFloorBw);
+    EXPECT_DOUBLE_EQ(m.at(n * 2, 2 * 2), pcl::kFloorBw);
   }
   EXPECT_EQ(m.at(0, 2 * 3), before_03) << "healthy readings must never be touched";
 }

@@ -371,22 +371,11 @@ TEST(PipetteConfigurator, RejectsSaBudgetsTheRaceCannotRun) {
       {"sa.max_iters", [](Opt& o) { o.sa.max_iters = -5; }},
       {"sa.max_iters", [](Opt& o) { o.sa.max_iters = 0; }},
       {"sa.max_iters", [](Opt& o) { o.sa.max_iters = std::numeric_limits<long>::max(); }},
-      {"sa.alpha", [](Opt& o) { o.sa.alpha = limits::quiet_NaN(); }},
-      {"sa.alpha", [](Opt& o) { o.sa.alpha = 0.0; }},
-      {"sa.alpha", [](Opt& o) { o.sa.alpha = limits::infinity(); }},
-      {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = -0.05; }},
-      {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = limits::quiet_NaN(); }},
-      {"sa.iters_per_temp", [](Opt& o) { o.sa.iters_per_temp = 0; }},
       {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -100; }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
       // Profiling and memory-training options that reached ok with a NaN or
       // floored-fabric plan, or failed after admission.
-      {"profile.rounds", [](Opt& o) { o.profile.rounds = 0; }},
-      {"profile.rounds", [](Opt& o) { o.profile.rounds = -1; }},
       {"profile.noise_sigma", [](Opt& o) { o.profile.noise_sigma = limits::quiet_NaN(); }},
-      {"compute_profile.repeats", [](Opt& o) { o.compute_profile.repeats = 0; }},
-      {"compute_profile.noise_sigma",
-       [](Opt& o) { o.compute_profile.noise_sigma = limits::quiet_NaN(); }},
       {"memory_training.soft_margin", [](Opt& o) { o.memory_training.soft_margin = -2.0; }},
       {"memory_training.soft_margin",
        [](Opt& o) { o.memory_training.soft_margin = limits::quiet_NaN(); }},

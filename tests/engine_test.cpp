@@ -161,7 +161,7 @@ TEST(ClusterCache, KeysAreStableAndSensitive) {
   other_day.advance_day();
   EXPECT_NE(other_day.fingerprint(), topo.fingerprint()) << "AR(1) day must change the profile key";
   cluster::ProfileOptions po2 = po;
-  po2.rounds += 1;
+  po2.seed += 1;
   EXPECT_NE(engine::ClusterCache::profile_key(topo, po2), engine::ClusterCache::profile_key(topo, po));
 
   // The estimator trains from the spec alone: same spec shares the artifact
@@ -172,6 +172,27 @@ TEST(ClusterCache, KeysAreStableAndSensitive) {
   mo2.hidden.push_back(32);
   EXPECT_NE(engine::ClusterCache::memory_key(topo.spec(), mo2),
             engine::ClusterCache::memory_key(topo.spec(), mo));
+}
+
+TEST(ClusterCache, OnDiskKeysArePinned) {
+  // Snapshot directories are keyed by these values: an edit that moves one
+  // (say, to a profiling or fault constant) silently turns every snapshot
+  // written before it into a cold start. The fault-free key, the key under
+  // the default enabled schedule (seed 1 resolves to kDegradedLink, so the
+  // fingerprint folds the fault factors), and the estimator key at default
+  // options, for one small fabric.
+  const auto topo = small_cluster();
+  EXPECT_EQ(engine::ClusterCache::profile_key(topo, cluster::ProfileOptions{}),
+            0xda5cf19f170315a5ull);
+  engine::FaultOptions fo;
+  fo.enabled = true;
+  engine::FaultInjector faults(fo);
+  ASSERT_EQ(faults.kind(), engine::FaultKind::kDegradedLink);
+  cluster::ProfileOptions po;
+  po.faults = &faults;
+  EXPECT_EQ(engine::ClusterCache::profile_key(topo, po), 0x92c061b89302aa3bull);
+  EXPECT_EQ(engine::ClusterCache::memory_key(topo.spec(), estimators::MlpMemoryOptions{}),
+            0x1b8085dfe3ee2342ull);
 }
 
 TEST(ClusterCache, DayDriftReprofilesButDoesNotRetrain) {
@@ -606,19 +627,11 @@ TEST(ConfigService, RejectsUnusableSaBudgetsBeforeProfiling) {
   const Case cases[] = {
       {"sa.max_iters", [](Opt& o) { o.sa.max_iters = -5; }},
       {"sa.max_iters", [](Opt& o) { o.sa.max_iters = std::numeric_limits<long>::max(); }},
-      {"sa.alpha", [](Opt& o) { o.sa.alpha = limits::quiet_NaN(); }},
-      {"sa.init_temp_frac", [](Opt& o) { o.sa.init_temp_frac = 0.0; }},
-      {"sa.iters_per_temp", [](Opt& o) { o.sa.iters_per_temp = -1; }},
       {"sa_halving.rung0_iters", [](Opt& o) { o.sa_halving.rung0_iters = -1; }},
       {"deadline_s", [](Opt& o) { o.deadline_s = limits::quiet_NaN(); }},
       // Profiling and memory-training options that reached ok with a NaN or
       // floored-fabric plan, or failed after admission.
-      {"profile.rounds", [](Opt& o) { o.profile.rounds = 0; }},
-      {"profile.rounds", [](Opt& o) { o.profile.rounds = -1; }},
       {"profile.noise_sigma", [](Opt& o) { o.profile.noise_sigma = limits::quiet_NaN(); }},
-      {"compute_profile.repeats", [](Opt& o) { o.compute_profile.repeats = 0; }},
-      {"compute_profile.noise_sigma",
-       [](Opt& o) { o.compute_profile.noise_sigma = limits::quiet_NaN(); }},
       {"memory_training.soft_margin", [](Opt& o) { o.memory_training.soft_margin = -2.0; }},
       {"memory_training.soft_margin",
        [](Opt& o) { o.memory_training.soft_margin = limits::quiet_NaN(); }},

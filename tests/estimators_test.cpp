@@ -34,7 +34,7 @@ TEST(ComputeProfile, TracksGroundTruthCosts) {
   ASSERT_EQ(prof.stage_fwd_s.size(), 4u);
   const auto mapping = parallel::Mapping::megatron_default(pc);
   for (int x = 0; x < pc.pp; ++x) {
-    const auto truth = sim::stage_costs(topo, job, mapping, plan, x, 0, opt.costs);
+    const auto truth = sim::stage_costs(topo, job, mapping, plan, x, 0);
     EXPECT_NEAR(prof.stage_fwd_s[static_cast<std::size_t>(x)] / truth.fwd_compute_s, 1.0, 0.05);
     EXPECT_NEAR(prof.stage_bwd_s[static_cast<std::size_t>(x)] / truth.bwd_compute_s, 1.0, 0.05);
   }

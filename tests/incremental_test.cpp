@@ -109,7 +109,7 @@ TEST_P(IncrementalEquivalence, MatchesFullModelBitForBitOverRandomMoves) {
   const int gpn = fx.topo.gpus_per_node();
 
   parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
-  estimators::IncrementalLatencyEvaluator eval(model, committed, gpn);
+  estimators::IncrementalLatencyEvaluator eval(model, committed);
   ASSERT_EQ(eval.cost(), model.estimate(committed));
 
   common::Rng rng(99 + static_cast<std::uint64_t>(fx.pc.ways()));
@@ -170,7 +170,7 @@ TEST(IncrementalEquivalence, SingleNodeClusterDegeneratesSafely) {
   const Fixture fx({2, 2, 2}, 2);
   const auto model = fx.model();
   parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
-  estimators::IncrementalLatencyEvaluator eval(model, committed, fx.topo.gpus_per_node());
+  estimators::IncrementalLatencyEvaluator eval(model, committed);
   common::Rng rng(7);
   for (int iter = 0; iter < 500; ++iter) {
     const auto mv = search::draw_mapping_move(committed, rng, {}, fx.topo.gpus_per_node());
@@ -235,8 +235,7 @@ TEST_P(TieredBandwidth, EngagesOnLargeClustersAndStaysBitIdentical) {
   // which reads every GPU pair through BandwidthMatrix::at.
   const Fixture fx(GetParam(), 2);
   const auto model = fx.model();
-  estimators::IncrementalLatencyEvaluator eval(
-      model, parallel::Mapping::megatron_default(fx.pc), fx.topo.gpus_per_node());
+  estimators::IncrementalLatencyEvaluator eval(model, parallel::Mapping::megatron_default(fx.pc));
   sweep(fx, model, eval, 2026, 300);
 }
 
@@ -248,9 +247,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TieredBandwidth,
 TEST(IncrementalEquivalence, ResetReseatsOnNewPermutation) {
   const Fixture fx({4, 2, 4}, 2);
   const auto model = fx.model();
-  const int gpn = fx.topo.gpus_per_node();
   parallel::Mapping m = parallel::Mapping::megatron_default(fx.pc);
-  estimators::IncrementalLatencyEvaluator eval(model, m, gpn);
+  estimators::IncrementalLatencyEvaluator eval(model, m);
 
   parallel::Mapping other = parallel::Mapping::varuna_default(fx.pc);
   eval.reset(other.raw());
@@ -408,7 +406,7 @@ TEST_P(PlanAxisEquivalence, MatchesFullModelBitForBitOnExtendedPlans) {
   const int gpn = fx.topo.gpus_per_node();
 
   parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
-  estimators::IncrementalLatencyEvaluator eval(model, committed, gpn);
+  estimators::IncrementalLatencyEvaluator eval(model, committed);
   ASSERT_EQ(eval.cost(), model.estimate(committed));
 
   common::Rng rng(1234 + static_cast<std::uint64_t>(which));

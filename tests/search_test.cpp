@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "cluster/profiler.h"
 #include "estimators/compute_profile.h"
@@ -299,14 +300,14 @@ TEST(MappingSearch, SaStatsAreConsistent) {
 }
 
 TEST(SimulatedAnnealing, TimedRunsTerminateWithBatchedDeadlineChecks) {
-  // The deadline is only checked once per iters_per_temp block now; a timed
-  // run must still stop promptly and report a wall time past the limit.
+  // The deadline is only checked at each temperature step (every
+  // search::kItersPerTemp proposals); a timed run must still stop promptly
+  // and report a wall time past the limit.
   std::vector<int> state(16);
   std::iota(state.begin(), state.end(), 0);
   std::reverse(state.begin(), state.end());
   search::SaOptions opt;
   opt.time_limit_s = 0.05;
-  opt.iters_per_temp = 64;
   const auto res = search::simulated_annealing(
       state, displacement_cost,
       [](std::vector<int>& s, common::Rng& rng) {
@@ -387,4 +388,34 @@ TEST(ResumableAnneal, ResumingStrictlyExtendsTheRun) {
   EXPECT_EQ(chain.total_iters(), 4000);
   EXPECT_LE(chain.best_cost(), cost_at_400) << "best cost is monotone in the budget";
   EXPECT_DOUBLE_EQ(model.estimate(chain.best_mapping()), chain.best_cost());
+}
+
+TEST(ResumableAnneal, RejectsANodeWidthThatIsNotTheFabrics) {
+  // Node moves relabel whole nodes of the profiled fabric (4 nodes of 8
+  // GPUs). Any other block width would anneal over blocks that are not
+  // nodes, so the chain, and optimize_mapping through it, refuses it.
+  cluster::Topology topo(cluster::mid_range_cluster(4), cluster::HeterogeneityOptions{}, 99);
+  ASSERT_EQ(topo.gpus_per_node(), 8);
+  const model::TrainingJob job{model::gpt_1_1b(), 128};
+  const parallel::TrainPlan plan{{4, 2, 4}, 2};
+  const auto profiled = cluster::profile_network(topo, {});
+  const auto links = estimators::LinkConstants::from_spec(topo.spec());
+  const auto prof = estimators::profile_compute(topo, job, plan, {});
+  const estimators::PipetteLatencyModel model(job, plan, prof, &profiled.bw, links);
+  const auto start = parallel::Mapping::megatron_default(plan.pc);
+
+  search::SaOptions opt;
+  opt.time_limit_s = std::numeric_limits<double>::infinity();
+  opt.max_iters = 100;
+  for (const int gpn : {4, 16}) {
+    EXPECT_THROW((void)search::ResumableMappingAnneal(model, start, gpn, opt),
+                 std::invalid_argument)
+        << "gpus_per_node " << gpn;
+    auto m = start;
+    EXPECT_THROW(search::optimize_mapping(m, model, gpn, opt), std::invalid_argument)
+        << "gpus_per_node " << gpn;
+    EXPECT_EQ(m, start) << "a refused run leaves the mapping alone";
+  }
+  auto m = start;
+  EXPECT_EQ(search::optimize_mapping(m, model, topo.gpus_per_node(), opt).iters, 100);
 }

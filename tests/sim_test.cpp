@@ -106,9 +106,8 @@ TEST(StageCosts, TensorParallelismSplitsComputeAddsComm) {
   const auto job = job_774m();
   const auto m1 = parallel::Mapping::megatron_default({1, 1, 32});
   const auto m8 = parallel::Mapping::megatron_default({1, 8, 4});
-  sim::CostOptions opt;
-  const auto c1 = sim::stage_costs(t, job, m1, {{1, 1, 32}, 4}, 0, 0, opt);
-  const auto c8 = sim::stage_costs(t, job, m8, {{1, 8, 4}, 4}, 0, 0, opt);
+  const auto c1 = sim::stage_costs(t, job, m1, {{1, 1, 32}, 4}, 0, 0);
+  const auto c8 = sim::stage_costs(t, job, m8, {{1, 8, 4}, 4}, 0, 0);
   EXPECT_GT(c1.compute_s, c8.compute_s);
   EXPECT_DOUBLE_EQ(c1.tp_comm_s, 0.0);
   EXPECT_GT(c8.tp_comm_s, 0.0);
