@@ -113,10 +113,16 @@ int main(int argc, char** argv) {
     cases.push_back({{8, 4, 8}, 2});   // 256 GPUs
     cases.push_back({{8, 8, 8}, 2});   // 512 GPUs
   }
-  // Scalability rows: 128/512/1280-node clusters. The 1024-GPU shape runs
-  // even under --fast (it is the smallest "many-node" instance CI should
-  // keep honest); 4096 needs a non-fast run and 10240 an explicit opt-in.
-  cases.push_back({{16, 8, 8}, 2, fast ? 1000 : 2000});  // 1024 GPUs, 128 nodes
+  // Scalability rows: 128/512/1280-node clusters. The 1024-GPU shapes run
+  // even under --fast (the smallest "many-node" instances CI should keep
+  // honest): a deep shape, and the race's two data-parallel-heavy ones,
+  // whose rings span more than √(2·128) = 16 nodes and so price their
+  // inter-node mins from the evaluator's slow-pair prefix. 4096 needs a
+  // non-fast run and 10240 an explicit opt-in.
+  const long match_1024 = fast ? 1000 : 2000;
+  cases.push_back({{16, 8, 8}, 2, match_1024});  // 1024 GPUs, 128 nodes
+  cases.push_back({{1, 8, 128}, 2, match_1024});
+  cases.push_back({{2, 8, 64}, 2, match_1024});
   if (!fast) cases.push_back({{16, 16, 16}, 2, 300});    // 4096 GPUs, 512 nodes
   if (huge) cases.push_back({{16, 16, 40}, 2, 300});     // 10240 GPUs, 1280 nodes
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
+#include <ranges>
 
 #include "parallel/parallel_config.h"
 #include "sim/stage_costs.h"
@@ -151,6 +153,21 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   scratch_counts_.assign(static_cast<std::size_t>(num_nodes_), 0);
   scratch_row_.resize(static_cast<std::size_t>(groups));
 
+  // The slow-pair prefix, only where some ring can be dense. partial_sort_copy
+  // keeps the K lowest pair ids without materialising all N(N-1) pairs.
+  if (dp_ * dp_ > kDenseRingSqPerNode * num_nodes_) {
+    auto pairs = std::views::iota(0, pair_stride_) | std::views::filter([this](int p) {
+                   return p / num_nodes_ != p % num_nodes_ && !std::isnan(inter_bw_[p]);
+                 });
+    std::vector<int> ids(static_cast<std::size_t>(kSlowPairsPerNode * num_nodes_));
+    const auto copied = std::ranges::partial_sort_copy(pairs, ids, [this](int p, int q) {
+      return inter_bw_[p] < inter_bw_[q] || (inter_bw_[p] == inter_bw_[q] && p < q);
+    });
+    ids.erase(copied.out, ids.end());  // fewer pairs than K
+    slow_pairs_.reserve(ids.size());
+    for (const int p : ids) slow_pairs_.push_back({p / num_nodes_, p % num_nodes_});
+  }
+
   full_recompute();
 }
 
@@ -290,6 +307,8 @@ void IncrementalLatencyEvaluator::recompute_group(int stage, int tpr) {
   }
   int max_same = 1;
   for (int i = 0; i < num; ++i) max_same = std::max(max_same, counts[nodes[i]]);
+  // Priced while the counts still mark the census.
+  const double min_inter = census_min_inter(nodes, num);
   // Bucket the members by node (counting sort over the census: each count
   // becomes its bucket's write cursor, which ends at the next bucket's
   // start), so every pair's class is known from its buckets.
@@ -300,17 +319,6 @@ void IncrementalLatencyEvaluator::recompute_group(int stage, int tpr) {
   }
   for (int z = 0, w = gidx; z < dp_; ++z, w += wstride) gpu[counts[node[z]]++] = perm[w];
 
-  // Census pricing: every GPU pair across member nodes a != b reads the
-  // node-pair reading a -> b, so the inter-node min is a min over ordered
-  // pairs of distinct member nodes.
-  double min_inter = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < num; ++i) {
-    const double* row = inter_bw_ + static_cast<std::size_t>(nodes[i]) *
-                                        static_cast<std::size_t>(num_nodes_);
-    for (int j = 0; j < num; ++j) {
-      if (j != i) min_inter = std::min(min_inter, row[nodes[j]]);
-    }
-  }
   double min_intra = std::numeric_limits<double>::infinity();
   for (int i = 0, begin = 0; i < num; ++i) {
     const int end = counts[nodes[i]];
@@ -327,6 +335,35 @@ void IncrementalLatencyEvaluator::recompute_group(int stage, int tpr) {
   g_min_intra_[static_cast<std::size_t>(gidx)] = min_intra;
   g_min_inter_[static_cast<std::size_t>(gidx)] = min_inter;
   g_flows_[static_cast<std::size_t>(gidx)] = -1;  // force a term re-derivation
+}
+
+double IncrementalLatencyEvaluator::census_min_inter(const int* nodes, int num) const {
+  // Every GPU pair across member nodes a != b reads the node-pair reading
+  // a -> b, so the inter-node min is a min over ordered pairs of distinct
+  // member nodes. A dense census takes the first member pair of the
+  // slow-pair prefix: the pairs after it in the prefix read no less, and so
+  // do the non-NaN pairs outside it (the loop's std::min skips NaN).
+  const int* counts = scratch_counts_.data();
+  if (num * num > kDenseRingSqPerNode * num_nodes_) {
+    const std::size_t probes = std::min(
+        slow_pairs_.size(), static_cast<std::size_t>(num) * static_cast<std::size_t>(num));
+    for (std::size_t k = 0; k < probes; ++k) {
+      const NodePair& p = slow_pairs_[k];
+      if (counts[p.a] != 0 && counts[p.b] != 0) {
+        return inter_bw_[static_cast<std::size_t>(p.a) * static_cast<std::size_t>(num_nodes_) +
+                         static_cast<std::size_t>(p.b)];
+      }
+    }
+  }
+  double min_inter = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < num; ++i) {
+    const double* row = inter_bw_ + static_cast<std::size_t>(nodes[i]) *
+                                        static_cast<std::size_t>(num_nodes_);
+    for (int j = 0; j < num; ++j) {
+      if (j != i) min_inter = std::min(min_inter, row[nodes[j]]);
+    }
+  }
+  return min_inter;
 }
 
 void IncrementalLatencyEvaluator::swap_node_side(int a, int b) {

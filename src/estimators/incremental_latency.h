@@ -21,9 +21,16 @@
 // census and prices from it: the profile holds one reading per ordered node
 // pair (cluster::BandwidthMatrix), so the inter-node min is a min over
 // ordered pairs of distinct member nodes and the intra-node min a min over
-// each node's bucket of members — O(nodes² + members) reads of the profile's
-// own tables instead of the full model's dp² scan of GPU pairs. Mins are
-// exact, so every scan order is bit-identical.
+// each node's bucket of members. A dense ring — more member nodes than
+// √(2N) on an N-node fabric — first scans a prefix of the fabric's slowest
+// node pairs, built once per evaluator, and takes the reading of the first
+// pair whose two nodes are both members: every pair outside the prefix reads
+// at least the prefix's last value, so that pair carries the min, usually
+// within a few probes. When none of the scanned pairs is a member pair, and
+// for every sparser ring, the min is folded over the m² ordered member-node
+// pairs. Either way the ring reads the profile's own tables instead of the
+// full model's dp² GPU pairs. Mins are exact, so every scan order is
+// bit-identical.
 //
 // The final reduction is itself incremental: per-replica pipeline path sums
 // and per-group DP ring terms are cached, so reduce() folds O(pp + dp +
@@ -151,6 +158,11 @@ class IncrementalLatencyEvaluator {
   /// Re-derives DP ring (stage, tpr)'s member-node census and its intra-
   /// and inter-node bandwidth mins.
   void recompute_group(int stage, int tpr);
+  /// The inter-node bandwidth min of a census: its `num` distinct member
+  /// `nodes`, with scratch_counts_ nonzero exactly on them. Dense censuses
+  /// scan the slow-pair prefix first; the rest, and misses, fold every
+  /// ordered pair of distinct member nodes.
+  double census_min_inter(const int* nodes, int num) const;
   /// Exchanges the whole node-side state of labels `a` and `b`: flow counts,
   /// group lists, and position slots (one transposition of the relabel σ).
   void swap_node_side(int a, int b);
@@ -236,6 +248,31 @@ class IncrementalLatencyEvaluator {
   /// BandwidthMatrix::inter_readings() and intra_readings().
   const double* inter_bw_ = nullptr;  ///< [n1*num_nodes + n2]
   const double* intra_bw_ = nullptr;  ///< [g1*link_gpn + local(g2)]
+  // Slow-pair prefix for census_min_inter: the K = kSlowPairsPerNode·N
+  // off-diagonal node pairs with the lowest readings, ascending by (reading,
+  // pair id), without NaN readings (the loop's std::min never returns one).
+  // Built once, only when dp² > 2N so that some ring can be dense, and
+  // read-only afterwards: no proposal logs an undo for it.
+  //
+  // Cost model. The loop reads m(m−1) readings for an m-node census; a probe
+  // reads the census counts of one pair's two nodes. Were a census a uniform
+  // draw of m of the N nodes, a prefix pair would be a member pair with
+  // probability about (m/N)², so a hit would take about (N/m)² probes, fewer
+  // than the loop's reads once m > √N. But the annealer steers rings off slow
+  // pairs, so a census is no uniform draw, and one near √N often holds no
+  // prefix pair at all. On annealed chains of 8- and 16-node fabrics, the
+  // scans of rings with m² ≤ 2N missed 18–63% of the time and cost 0.9–1.8×
+  // the loop's reads in probes plus fallbacks; wider rings missed at most
+  // 24% and cost 1.4–56× less. So a ring is dense, and scans, when
+  // m² > kDenseRingSqPerNode·N. At that threshold a uniform census needs
+  // about N/2 probes, an eighth of K. Capping the scan at min(K, m²) probes
+  // keeps a miss within about twice the loop's reads.
+  static constexpr int kSlowPairsPerNode = 4;
+  static constexpr int kDenseRingSqPerNode = 2;
+  struct NodePair {
+    int a, b;
+  };
+  std::vector<NodePair> slow_pairs_;
   std::vector<int> g_flows_;     ///< [gidx] sharing factor the term was
                                  ///< derived at; -1 after a stats change
   // node→groups reverse index: which crossing rings have a member on a node
