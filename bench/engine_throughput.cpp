@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
   // (and makes the engine's output bit-identical to the serial one).
   core::PipetteOptions opt = bench::pipette_options(env, /*dedication=*/true);
   opt.sa.max_iters = env.full ? 100000 : 1500;
-  opt.sa.time_limit_s = 1e9;
   opt.sa_halving.rung0_iters = 0;  // race the budget, as the service does by default
   if (!env.full) {
     opt.memory_training.hidden = {64, 64};
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
     // the iteration cap, must be what stops the anneal.
     core::PipetteOptions dopt = opt;
     dopt.sa.max_iters = 200000000;
-    dopt.sa.time_limit_s = 1e9;
     engine::ConfigServiceOptions dso;
     dso.threads = threads;
     dso.pipette = dopt;
@@ -175,7 +173,7 @@ int main(int argc, char** argv) {
     // Cold arm: profile + train while serving, persisting as it goes. The
     // flush is inside the timed window — a fair restart story includes the
     // cost of writing the snapshots you will depend on.
-    std::vector<core::ConfiguratorResult> cold_results;
+    std::vector<engine::ServiceResult> cold_results;
     const common::Stopwatch t_cold;
     {
       engine::ConfigService cold(so);
@@ -193,7 +191,7 @@ int main(int argc, char** argv) {
     const auto& lr = warm.load_report();
     int mismatches = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!same_result(cold_results[i], warm_results[i])) ++mismatches;
+      if (!same_result(cold_results[i].result, warm_results[i].result)) ++mismatches;
     }
     const auto stats = warm.cache_stats();
     const double speedup = warm_s > 0.0 ? cold_s / warm_s : 0.0;
@@ -242,7 +240,7 @@ int main(int argc, char** argv) {
 
   int mismatches = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!same_result(serial_results[i], engine_results[i])) ++mismatches;
+    if (!same_result(serial_results[i], engine_results[i].result)) ++mismatches;
   }
   const auto stats = service.cache_stats();
   const double speedup = engine_s > 0.0 ? serial_s / engine_s : 0.0;

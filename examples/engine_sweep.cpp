@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
   obs::TraceSink trace;
   engine::ConfigServiceOptions so;
   so.threads = threads;
-  so.pipette.sa.max_iters = 2000;       // iteration-capped SA: deterministic
-  so.pipette.sa.time_limit_s = 1e9;     // for any thread count
+  so.pipette.sa.max_iters = 2000;  // iteration-capped SA: deterministic for any thread count
   so.pipette.memory_training.hidden = {64, 64};
   so.pipette.memory_training.train.iters = 4000;
   so.pipette.memory_training.max_profile_nodes = 2;
@@ -114,8 +113,6 @@ int main(int argc, char** argv) {
   std::cout << "Sweeping " << model_cfg.name << " over " << jobs.size()
             << " global batch sizes on " << topo.num_gpus() << " GPUs ("
             << service.pool().num_threads() << " engine threads)\n\n";
-  std::vector<engine::ServiceResult> outcomes;
-  std::vector<core::ConfiguratorResult> results;
   if (robust) {
     if (faults_seed != 0) {
       std::cout << "chaos schedule: seed " << faults_seed << " -> "
@@ -125,18 +122,14 @@ int main(int argc, char** argv) {
       std::cout << "per-request deadline: " << common::fmt_fixed(deadline_ms, 1) << " ms\n";
     }
     std::cout << "\n";
-    engine::RequestOptions ro;
-    if (deadline_ms > 0.0) ro.deadline_s = deadline_ms / 1000.0;
-    outcomes = service.sweep_requests(topo, jobs, ro);
-    results.reserve(outcomes.size());
-    for (const auto& sr : outcomes) results.push_back(sr.result);
-  } else {
-    results = service.sweep(topo, jobs);
   }
+  engine::RequestOptions ro;
+  if (deadline_ms > 0.0) ro.deadline_s = deadline_ms / 1000.0;
+  const std::vector<engine::ServiceResult> outcomes = service.sweep(topo, jobs, ro);
 
   common::Table t({"global batch", "recommended", "predicted s/iter", "candidates", "oom-rejected"});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& r = results[i];
+    const auto& r = outcomes[i].result;
     t.add_row({std::to_string(jobs[i].global_batch),
                r.found ? r.best.str() : "(none runnable)",
                r.found ? common::fmt_fixed(r.predicted_s, 3) : "-",
@@ -153,7 +146,7 @@ int main(int argc, char** argv) {
   if (!snapshot_dir.empty()) {
     // Provenance of the first request's artifacts: "disk" is the warm
     // restart working, "computed" is the cold path that seeds it.
-    const auto& first = results.front();
+    const auto& first = outcomes.front().result;
     const auto prov = [](bool from_disk) { return from_disk ? "disk" : "computed"; };
     std::cout << "artifact provenance: profile=" << prov(first.profile_from_disk)
               << " estimator=" << prov(first.memory_from_disk) << "\n";
@@ -190,9 +183,9 @@ int main(int argc, char** argv) {
             << snap.counter("engine.pool.tasks") << " pool tasks across "
             << snap.gauge("engine.pool.threads") << " threads\n";
 
-  if (print_explain && !results.empty() && results.front().found) {
+  if (print_explain && !outcomes.empty() && outcomes.front().result.found) {
     std::cout << "\n--- explain (batch " << jobs.front().global_batch << ") ---\n"
-              << results.front().explain() << "\n";
+              << outcomes.front().result.explain() << "\n";
   }
   if (print_metrics) {
     std::cout << "\n--- metrics ---\n" << service.metrics_text();

@@ -140,30 +140,15 @@ std::future<ServiceResult> ConfigService::submit_request(
   });
 }
 
-std::vector<ServiceResult> ConfigService::sweep_requests(
-    const cluster::Topology& topo, const std::vector<model::TrainingJob>& jobs,
-    RequestOptions ro) {
+std::vector<ServiceResult> ConfigService::sweep(const cluster::Topology& topo,
+                                                const std::vector<model::TrainingJob>& jobs,
+                                                RequestOptions ro) {
   std::vector<std::future<ServiceResult>> futs;
   futs.reserve(jobs.size());
   for (const auto& job : jobs) futs.push_back(submit_request(topo, job, ro));
   std::vector<ServiceResult> out;
   out.reserve(futs.size());
   for (auto& f : futs) out.push_back(f.get());
-  return out;
-}
-
-std::vector<core::ConfiguratorResult> ConfigService::sweep(
-    const cluster::Topology& topo, const std::vector<model::TrainingJob>& jobs) {
-  // One throwing job used to abort the whole sweep at future::get(); the
-  // typed surface contains each job's outcome, so the survivors always
-  // return. Failed jobs yield found == false with the status in explain()'s
-  // place (the error string is not lost — sweep_requests exposes it).
-  std::vector<core::ConfiguratorResult> out;
-  out.reserve(jobs.size());
-  for (ServiceResult& sr : sweep_requests(topo, jobs, RequestOptions{})) {
-    if (!sr.ok()) sr.result.found = false;
-    out.push_back(std::move(sr.result));
-  }
   return out;
 }
 

@@ -99,8 +99,8 @@ struct ConfigServiceOptions {
   obs::Registry* metrics = nullptr;
   /// Admission bound: submit_request() rejects (kRejectedQueueFull) while
   /// this many requests are admitted and unfinished. 0 = unbounded. sweep()
-  /// and sweep_requests() submit through submit_request(), so a sweep's jobs
-  /// beyond the bound come back kRejectedQueueFull.
+  /// submits through submit_request(), so a sweep's jobs beyond the bound
+  /// come back kRejectedQueueFull.
   int max_pending = 0;
   /// Deterministic chaos schedule: when enabled, the service owns a
   /// FaultInjector wired into every profiling run (see engine/faults.h).
@@ -127,18 +127,14 @@ class ConfigService {
       cluster::Topology topo, model::TrainingJob job, RequestOptions ro = {},
       std::optional<core::ConfiguratorResult> previous = std::nullopt);
 
-  /// Submits every job against one cluster, with default RequestOptions, and
-  /// waits for all of them; results are in job order. Built on
-  /// submit_request: one job's failure (fault, OOM-everything, internal
-  /// error) cannot abort the sweep — its slot reports found == false and the
-  /// surviving jobs return normally.
-  std::vector<core::ConfiguratorResult> sweep(const cluster::Topology& topo,
-                                              const std::vector<model::TrainingJob>& jobs);
-
-  /// sweep() with the full per-job outcomes (status + error + result).
-  std::vector<ServiceResult> sweep_requests(const cluster::Topology& topo,
-                                            const std::vector<model::TrainingJob>& jobs,
-                                            RequestOptions ro);
+  /// Submits every job against one cluster, each under `ro`, and waits for
+  /// all of them; outcomes are in job order. Built on submit_request: one
+  /// job's failure (fault, OOM-everything, internal error) cannot abort the
+  /// sweep — its slot carries the typed status (its result has found ==
+  /// false) and the surviving jobs return normally.
+  std::vector<ServiceResult> sweep(const cluster::Topology& topo,
+                                   const std::vector<model::TrainingJob>& jobs,
+                                   RequestOptions ro = {});
 
   ClusterCacheStats cache_stats() const { return cache_.stats(); }
   ThreadPool& pool() { return pool_; }

@@ -98,7 +98,6 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   g_nodes_.assign(static_cast<std::size_t>(groups * dp_), 0);
   node_flows_.assign(static_cast<std::size_t>(num_nodes_), 0);
   g_term_.assign(static_cast<std::size_t>(groups), 0.0);
-  g_flows_.assign(static_cast<std::size_t>(groups), -1);
   node_groups_.assign(static_cast<std::size_t>(num_nodes_) * static_cast<std::size_t>(groups), 0);
   node_groups_len_.assign(static_cast<std::size_t>(num_nodes_), 0);
   node_group_pos_.assign(static_cast<std::size_t>(groups) * static_cast<std::size_t>(num_nodes_),
@@ -130,7 +129,6 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   undo_hop_.resize(static_cast<std::size_t>(hops * dp_));
   undo_path_.resize(static_cast<std::size_t>(dp_));
   undo_term_.resize(static_cast<std::size_t>(groups));
-  undo_term_flows_.resize(static_cast<std::size_t>(groups));
   undo_flow_pair_.resize(static_cast<std::size_t>(std::max(1, flows)));
   pair_deltas_.reserve(static_cast<std::size_t>(2 * std::max(1, flows)));
   undo_g_min_intra_.resize(static_cast<std::size_t>(groups));
@@ -138,16 +136,9 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   undo_g_max_same_.resize(static_cast<std::size_t>(groups));
   undo_g_num_nodes_.resize(static_cast<std::size_t>(groups));
   undo_g_nodes_.resize(static_cast<std::size_t>(groups * dp_));
-  flow_bw_fwd_.assign(static_cast<std::size_t>(std::max(1, flows)), 1.0);
-  flow_bw_bwd_.assign(static_cast<std::size_t>(std::max(1, flows)), 1.0);
-  cell_changed_.resize(static_cast<std::size_t>(cells) * static_cast<std::size_t>(tp_));
-  cell_changed_len_.assign(static_cast<std::size_t>(cells), 0);
-  cell_rem_.resize(static_cast<std::size_t>(tp_));
   pair_head_.assign(pair_count_.size(), -1);
   flow_next_.assign(static_cast<std::size_t>(std::max(1, flows)), -1);
   flow_prev_.assign(static_cast<std::size_t>(std::max(1, flows)), -1);
-  undo_flow_bwf_.resize(static_cast<std::size_t>(std::max(1, flows)));
-  undo_flow_bwb_.resize(static_cast<std::size_t>(std::max(1, flows)));
   scratch_node_.resize(static_cast<std::size_t>(dp_));
   scratch_gpu_.resize(static_cast<std::size_t>(dp_));
   scratch_counts_.assign(static_cast<std::size_t>(num_nodes_), 0);
@@ -201,26 +192,6 @@ void IncrementalLatencyEvaluator::unlink_flow(int fl, int idx) {
   if (nx >= 0) flow_prev_[static_cast<std::size_t>(nx)] = pv;
 }
 
-bool IncrementalLatencyEvaluator::cell_members_changed(int cell) {
-  const int k = cell_changed_len_[static_cast<std::size_t>(cell)];
-  const int* evts =
-      cell_changed_.data() + static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_);
-  // Multiset diff of the cell's replaced positions: every new GPU must match
-  // a departed one, so a pure within-cell permutation cancels completely.
-  int rem_n = 0;
-  for (int e = 0; e < k; ++e) {
-    cell_rem_[static_cast<std::size_t>(rem_n++)] = undo_gpu_[static_cast<std::size_t>(evts[e])];
-  }
-  for (int e = 0; e < k; ++e) {
-    const int g = cur_.gpu_at(touched_pos_[static_cast<std::size_t>(evts[e])]);
-    int j = 0;
-    while (j < rem_n && cell_rem_[static_cast<std::size_t>(j)] != g) ++j;
-    if (j == rem_n) return true;  // an arrival
-    cell_rem_[static_cast<std::size_t>(j)] = cell_rem_[static_cast<std::size_t>(--rem_n)];
-  }
-  return false;
-}
-
 void IncrementalLatencyEvaluator::recompute_tp_cell(int stage, int dpr) {
   // Mirrors PipetteLatencyModel::tp_time over the cell's member pairs (min
   // is exact, so bw_at's table reads fold the same values); for tp < 2 the
@@ -259,11 +230,11 @@ void IncrementalLatencyEvaluator::reprice_hop_column(int hop, int dpr) {
   const double intra_lat = model_->links_.intra_latency_s;
   const double inter_lat = model_->links_.inter_latency_s;
   const int base = (hop * dp_ + dpr) * tp_;
-  // The endpoint bandwidths come from flow_bw_* (kept current by the
-  // dirty-flow refresh), so a column repriced only because a sharing count
-  // moved never re-reads the profiled readings. Each flow is priced
+  // Flow y runs from the stage-`hop` worker on lane (y, dpr) to the next
+  // stage's, tp_ positions further along the string. Each flow is priced
   // with the full model's per-element expressions and folded into the max in
   // the same order, so the column is bit-identical.
+  const int* up = cur_.raw().data() + (dpr * pp_ + hop) * tp_;
   double slowest = 0.0;
   for (int y = 0; y < tp_; ++y) {
     const int pair = flow_pair_[static_cast<std::size_t>(base + y)];
@@ -274,8 +245,10 @@ void IncrementalLatencyEvaluator::reprice_hop_column(int hop, int dpr) {
           pair_count_[static_cast<std::size_t>(hop * pair_stride_ + pair)])];
       lat = inter_lat;
     }
-    const double fwd = bytes / flow_bw_fwd_[static_cast<std::size_t>(base + y)] + lat;
-    const double bwd = bytes / flow_bw_bwd_[static_cast<std::size_t>(base + y)] + lat;
+    const int g1 = up[y];
+    const int g2 = up[y + tp_];
+    const double fwd = bytes / bw_at(g1, g2) + lat;
+    const double bwd = bytes / bw_at(g2, g1) + lat;
     const double s = fwd + bwd;
     slowest = slowest > s ? slowest : s;
   }
@@ -334,7 +307,6 @@ void IncrementalLatencyEvaluator::recompute_group(int stage, int tpr) {
   g_num_nodes_[static_cast<std::size_t>(gidx)] = num;
   g_min_intra_[static_cast<std::size_t>(gidx)] = min_intra;
   g_min_inter_[static_cast<std::size_t>(gidx)] = min_inter;
-  g_flows_[static_cast<std::size_t>(gidx)] = -1;  // force a term re-derivation
 }
 
 double IncrementalLatencyEvaluator::census_min_inter(const int* nodes, int num) const {
@@ -415,10 +387,6 @@ void IncrementalLatencyEvaluator::recompute_group_term(int gidx) {
   for (int i = 0; i < num; ++i) {
     flows = std::max(flows, node_flows_[static_cast<std::size_t>(nodes[i])]);
   }
-  // The term is a pure function of the group stats and the sharing factor;
-  // when the factor is unchanged (and the stats were not invalidated, which
-  // resets g_flows_ to -1), the cached term is still exact.
-  if (g_flows_[gi] == flows) return;
   const double msg = msg_[static_cast<std::size_t>(gidx / tp_)];
   double t = 0.0;
   if (g_max_same_[gi] > 1) {
@@ -429,7 +397,6 @@ void IncrementalLatencyEvaluator::recompute_group_term(int gidx) {
     const auto nn = static_cast<double>(num);
     t += 2.0 * (nn - 1.0) * msg / (nn * g_min_inter_[gi] / flows);
   }
-  g_flows_[gi] = flows;
   g_term_[gi] = t;
 }
 
@@ -468,7 +435,6 @@ void IncrementalLatencyEvaluator::mark_term_dirty(int gidx) {
   if (stamp_term_[gi] == epoch_) return;
   stamp_term_[gi] = epoch_;
   undo_term_[dirty_terms_.size()] = g_term_[gi];
-  undo_term_flows_[dirty_terms_.size()] = g_flows_[gi];
   dirty_terms_.push_back(gidx);
 }
 
@@ -517,8 +483,6 @@ void IncrementalLatencyEvaluator::full_recompute() {
         const int pair = n1 == n2 ? -1 : n1 * num_nodes_ + n2;
         const auto fl = static_cast<std::size_t>((e * dp_ + z) * tp_ + y);
         flow_pair_[fl] = pair;
-        flow_bw_fwd_[fl] = bw_at(g1, g2);
-        flow_bw_bwd_[fl] = bw_at(g2, g1);
         if (pair >= 0) {
           const int idx = e * pair_stride_ + pair;
           link_flow(static_cast<int>(fl), idx);
@@ -699,23 +663,16 @@ bool IncrementalLatencyEvaluator::stop_if_rejected(Phase priced, double max_delt
 }
 
 void IncrementalLatencyEvaluator::price_tp_phase() {
-  // TP cells and stage blocks: collect the cells holding a touched position,
-  // reprice those whose member multiset changed, and refold their stages.
-  for (std::size_t ti = 0; ti < touched_pos_.size(); ++ti) {
-    const int p = touched_pos_[ti];
+  // TP cells and stage blocks: reprice the cells holding a touched position,
+  // and refold their stages.
+  for (const int p : touched_pos_) {
     const int x = pos_stage_[static_cast<std::size_t>(p)];
     const int z = pos_dpr_[static_cast<std::size_t>(p)];
     const int cell = x * dp_ + z;
     if (stamp_cell_[static_cast<std::size_t>(cell)] != epoch_) {
       stamp_cell_[static_cast<std::size_t>(cell)] = epoch_;
       dirty_cells_.push_back({cell, x, z});
-      cell_changed_len_[static_cast<std::size_t>(cell)] = 0;
     }
-    // Record the touched-event index (positions are unique, so no dedup)
-    // for cell_members_changed's multiset diff.
-    cell_changed_[static_cast<std::size_t>(cell) * static_cast<std::size_t>(tp_) +
-                  static_cast<std::size_t>(cell_changed_len_[static_cast<std::size_t>(cell)]++)] =
-        static_cast<int>(ti);
     if (stamp_stage_[static_cast<std::size_t>(x)] != epoch_) {
       stamp_stage_[static_cast<std::size_t>(x)] = epoch_;
       dirty_stages_.push_back(x);
@@ -724,9 +681,7 @@ void IncrementalLatencyEvaluator::price_tp_phase() {
   for (std::size_t i = 0; i < dirty_cells_.size(); ++i) {
     const DirtyCell& dc = dirty_cells_[i];
     undo_tp_[i] = tp_term_[static_cast<std::size_t>(dc.idx)];
-    // A pure within-cell permutation leaves the member multiset — and hence
-    // this set-valued term — unchanged: skip the recompute entirely.
-    if (cell_members_changed(dc.idx)) recompute_tp_cell(dc.stage, dc.dpr);
+    recompute_tp_cell(dc.stage, dc.dpr);
   }
   for (std::size_t i = 0; i < dirty_stages_.size(); ++i) {
     const int x = dirty_stages_[i];
@@ -826,15 +781,8 @@ void IncrementalLatencyEvaluator::price_pipeline_phase() {
     const int g2 = perm[df.w1 + tp_];
     const int n1 = node_of_gpu_[static_cast<std::size_t>(g1)];
     const int n2 = node_of_gpu_[static_cast<std::size_t>(g2)];
-    // A dirty flow has at least one replaced endpoint: refresh its cached
-    // fwd/bwd bandwidths (the only big-matrix reads on the flow path).
-    const auto fl = static_cast<std::size_t>(df.idx);
-    undo_flow_bwf_[fi] = flow_bw_fwd_[fl];
-    undo_flow_bwb_[fi] = flow_bw_bwd_[fl];
-    flow_bw_fwd_[fl] = bw_at(g1, g2);
-    flow_bw_bwd_[fl] = bw_at(g2, g1);
     const int new_pair = n1 == n2 ? -1 : n1 * num_nodes_ + n2;
-    const int old_pair = flow_pair_[fl];
+    const int old_pair = flow_pair_[static_cast<std::size_t>(df.idx)];
     undo_flow_pair_[fi] = old_pair;
     const int col = df.hop * dp_ + df.dpr;
     if (stamp_col_[static_cast<std::size_t>(col)] != epoch_) {
@@ -925,8 +873,6 @@ void IncrementalLatencyEvaluator::rollback() {
       if (old_pair >= 0) link_flow(df.idx, df.hop * pair_stride_ + old_pair);
     }
     flow_pair_[fl] = old_pair;
-    flow_bw_fwd_[fl] = undo_flow_bwf_[fi];
-    flow_bw_bwd_[fl] = undo_flow_bwb_[fi];
   }
   for (std::size_t i = 0; i < dirty_cols_.size(); ++i) {
     hop_[static_cast<std::size_t>(dirty_cols_[i].idx)] = undo_hop_[i];
@@ -955,16 +901,10 @@ void IncrementalLatencyEvaluator::rollback() {
   for (std::size_t i = 0; i < dirty_terms_.size(); ++i) {
     const auto gidx = static_cast<std::size_t>(dirty_terms_[i]);
     g_term_[gidx] = undo_term_[i];
-    g_flows_[gidx] = undo_term_flows_[i];
   }
   // σ is an involution: re-applying it restores the permuted node side.
   if (pending_sigma_) apply_node_sigma();
   pending_ = false;
-}
-
-void IncrementalLatencyEvaluator::reset(const std::vector<int>& raw_perm) {
-  cur_.set_raw(raw_perm);
-  full_recompute();
 }
 
 IncrementalLatencyEvaluator::DirtyStats IncrementalLatencyEvaluator::last_dirty() const {

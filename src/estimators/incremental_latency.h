@@ -13,15 +13,15 @@
 //   * per (stage, tp-rank) DP ring: the member-node census and min profiled
 //     bandwidths, plus per-node crossing-ring counts and a node→groups
 //     reverse index, so a ring term is recomputed only when its own stats or
-//     its NIC-sharing factor changed.
+//     the crossing-ring count of one of its member nodes changed.
 //
-// Pricing a dirtied entry reads only its members. A TP cell folds its ≤tp²
-// member pairs, and is skipped outright when the move merely permuted its
-// members (the term is set-valued). A DP ring re-derives its member-node
-// census and prices from it: the profile holds one reading per ordered node
-// pair (cluster::BandwidthMatrix), so the inter-node min is a min over
-// ordered pairs of distinct member nodes and the intra-node min a min over
-// each node's bucket of members. A dense ring — more member nodes than
+// Every dirtied entry is priced, and pricing one reads only its members. A TP
+// cell folds its ≤tp² member pairs, and a hop column reads the two readings
+// of each of its tp flows. A DP ring re-derives its member-node census and
+// prices from it: the profile holds one reading per ordered node pair
+// (cluster::BandwidthMatrix), so the inter-node min is a min over ordered
+// pairs of distinct member nodes and the intra-node min a min over each
+// node's bucket of members. A dense ring — more member nodes than
 // √(2N) on an N-node fabric — first scans a prefix of the fabric's slowest
 // node pairs, built once per evaluator, and takes the reading of the first
 // pair whose two nodes are both members: every pair outside the prefix reads
@@ -80,8 +80,9 @@ namespace pipette::estimators {
 class IncrementalLatencyEvaluator {
  public:
   /// Sizes of the dirty sets the last propose() priced — a bounded stop
-  /// leaves the phases it skipped at zero. The bench's dirtied-entries
-  /// histogram reads this; all counts are free byproducts of the dirty lists.
+  /// leaves the phases it skipped at zero. Each count is exact: every entry
+  /// a phase dirties is priced. The bench's dirtied-entries histogram reads
+  /// this; all counts are free byproducts of the dirty lists.
   struct DirtyStats {
     int cells = 0;   ///< TP cells repriced
     int stages = 0;  ///< stage blocks refolded
@@ -89,7 +90,7 @@ class IncrementalLatencyEvaluator {
     int cols = 0;    ///< hop columns repriced
     int paths = 0;   ///< per-replica path sums refolded
     int groups = 0;  ///< DP rings whose stats were recomputed
-    int terms = 0;   ///< DP ring terms re-derived (stats or sharing factor)
+    int terms = 0;   ///< DP ring terms re-derived (own stats or a member node's count moved)
     int total() const { return cells + stages + flows + cols + paths + groups + terms; }
   };
 
@@ -124,10 +125,6 @@ class IncrementalLatencyEvaluator {
   /// flow counts return to their committed values.
   void rollback();
 
-  /// Re-seats the evaluator on a new committed permutation (full recompute;
-  /// used when annealing restores its best snapshot).
-  void reset(const std::vector<int>& raw_perm);
-
   /// Dirty-set sizes of the last propose() (valid until the next propose).
   DirtyStats last_dirty() const;
 
@@ -140,11 +137,6 @@ class IncrementalLatencyEvaluator {
   /// Appends the live workers of node block `node` to the touched/undo/new
   /// scratch, relabelled by `delta_nodes` blocks (node-move collection).
   void collect_node_block(int node, int delta_nodes);
-  /// Whether the pending move changed cell `cell`'s member multiset (diffed
-  /// over its cell_changed_ events). When it did not, the TP term — a min
-  /// over member pairs plus a node-crossing test, both set-valued — cannot
-  /// have moved and recompute_tp_cell may be skipped.
-  bool cell_members_changed(int cell);
   /// Intrusive per-(hop, node-pair) sharing-list maintenance: flows with
   /// flow_pair_ == pair are enumerable in O(sharing flows) instead of the
   /// O(dp·tp) column scan per changed pair.
@@ -170,7 +162,7 @@ class IncrementalLatencyEvaluator {
   /// state (an involution: the same call undoes it on rollback).
   void apply_node_sigma();
   /// Re-derives group `gidx`'s DP ring term from its cached stats and the
-  /// current NIC-sharing factor; skips the arithmetic when neither changed.
+  /// current NIC-sharing factor.
   void recompute_group_term(int gidx);
   /// Adds (`delta` = +1) or removes (-1) a crossing ring's per-node flow
   /// contribution for group `gidx` over the explicit member-node list
@@ -235,10 +227,6 @@ class IncrementalLatencyEvaluator {
   std::vector<int> g_nodes_;     ///< [gidx*dp + i] distinct member nodes
   std::vector<int> node_flows_;  ///< crossing rings resident per node
   std::vector<double> g_term_;   ///< [gidx] cached DP ring term of Eq. (6)
-  /// Per-flow endpoint bandwidths ([(hop*dp + dpr)*tp + tpr], fwd/bwd),
-  /// refreshed alongside flow_pair_ — a column repriced only because a
-  /// sharing count moved re-reads them without touching the profile.
-  std::vector<double> flow_bw_fwd_, flow_bw_bwd_;
   /// Sharing lists: pair_head_[hop*pair_stride + pair] heads an intrusive
   /// doubly-linked list (flow_next_/flow_prev_) of the flows currently on
   /// that ordered node pair. List order is arbitrary (it only drives which
@@ -273,8 +261,6 @@ class IncrementalLatencyEvaluator {
     int a, b;
   };
   std::vector<NodePair> slow_pairs_;
-  std::vector<int> g_flows_;     ///< [gidx] sharing factor the term was
-                                 ///< derived at; -1 after a stats change
   // node→groups reverse index: which crossing rings have a member on a node
   // (exactly the rings add_group_flows credits). Lets a node_flows_ change
   // dirty only the ring terms it can actually move.
@@ -334,7 +320,6 @@ class IncrementalLatencyEvaluator {
   std::vector<int> undo_gpu_;  ///< pre-move GPU of each touched position
   std::vector<int> new_gpu_;   ///< node-move scratch: post-move GPUs
   std::vector<double> undo_tp_, undo_block_, undo_hop_, undo_path_, undo_term_;
-  std::vector<int> undo_term_flows_;
   std::vector<int> undo_flow_pair_;  ///< parallel to dirty_flows_
   struct PairDelta {
     int idx, delta;
@@ -342,13 +327,6 @@ class IncrementalLatencyEvaluator {
   std::vector<PairDelta> pair_deltas_;
   std::vector<double> undo_g_min_intra_, undo_g_min_inter_;
   std::vector<int> undo_g_max_same_, undo_g_num_nodes_, undo_g_nodes_;
-  // Per dirty cell, the touched-event indices of its replaced positions
-  // (reset when the stamp first marks the cell dirty): the multiset diff of
-  // cell_members_changed reads each event's old GPU from undo_gpu_ and its
-  // new one from the mapping.
-  std::vector<int> cell_changed_, cell_changed_len_;  ///< [cell*tp + i] / [cell]
-  std::vector<int> cell_rem_;                          ///< multiset-diff scratch
-  std::vector<double> undo_flow_bwf_, undo_flow_bwb_;  ///< parallel to dirty_flows_
 
   // Recompute scratch: a ring's member nodes, its member GPUs bucketed by
   // node, per-node member counts (all-zero between calls), and one node-list

@@ -446,7 +446,7 @@ TEST(ServiceChaos, SweepSurvivesAProfileFailedJob) {
   ro.profile_retries = 0;
 
   engine::ConfigService service(so);
-  const auto rs = service.sweep_requests(topo, jobs, ro);
+  const auto rs = service.sweep(topo, jobs, ro);
   ASSERT_EQ(rs.size(), jobs.size());
   EXPECT_EQ(rs[0].status, engine::ServiceStatus::kProfileFailed);
   EXPECT_FALSE(rs[0].result.found);
@@ -455,16 +455,17 @@ TEST(ServiceChaos, SweepSurvivesAProfileFailedJob) {
   EXPECT_EQ(service.cache_stats().profiles_run, 1)
       << "the failed attempt leaves the cache cell empty; the next job recomputes";
 
-  // The legacy sweep surface survives too: the failed slot reports
-  // found == false and the survivors return normally. sweep() retries as
-  // often as a default RequestOptions, so the schedule fails one more run.
+  // Under default RequestOptions the sweep retries twice, so the schedule
+  // fails one more run: the failed slot is still typed, found == false, and
+  // the survivors return normally.
   so.faults.transient_failures = 1 + engine::RequestOptions{}.profile_retries;
   engine::ConfigService service2(so);
   const auto results = service2.sweep(topo, jobs);
   ASSERT_EQ(results.size(), jobs.size());
-  EXPECT_FALSE(results[0].found);
-  EXPECT_TRUE(results[1].found);
-  EXPECT_TRUE(results[2].found);
+  EXPECT_EQ(results[0].status, engine::ServiceStatus::kProfileFailed);
+  EXPECT_FALSE(results[0].result.found);
+  EXPECT_TRUE(results[1].ok()) << results[1].error;
+  EXPECT_TRUE(results[2].ok()) << results[2].error;
 }
 
 TEST(ServiceChaos, DeadNodeSurfacesInPlanHealthAndExplain) {

@@ -28,7 +28,6 @@ cluster::Topology small_cluster(std::uint64_t seed = 2024) {
 core::PipetteOptions fast_pipette(bool dedication) {
   core::PipetteOptions opt;
   opt.use_worker_dedication = dedication;
-  opt.sa.time_limit_s = 0.15;
   opt.memory_training.hidden = {64, 64};
   opt.memory_training.train.iters = 4000;
   opt.memory_training.max_profile_nodes = 3;

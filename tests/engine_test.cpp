@@ -352,9 +352,10 @@ TEST(ConfigService, SweepPreservesJobOrder) {
   const auto results = service.sweep(topo, jobs);
   ASSERT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(results[i].found) << "job " << i;
+    ASSERT_TRUE(results[i].ok()) << "job " << i << ": " << results[i].error;
+    ASSERT_TRUE(results[i].result.found) << "job " << i;
     // dp can never exceed the job's global batch; distinguishes the jobs.
-    EXPECT_LE(results[i].best.pc.dp, jobs[i].global_batch) << "job " << i;
+    EXPECT_LE(results[i].result.best.pc.dp, jobs[i].global_batch) << "job " << i;
   }
   EXPECT_EQ(service.cache_stats().trainings_run, 1);
 }
@@ -483,7 +484,7 @@ TEST(ConfigService, RejectsDegenerateJobsWithATypedStatus) {
       EXPECT_EQ(e.what(), sr.error);
     }
   }
-  for (const auto& sr : service.sweep_requests(topo, jobs, {})) {
+  for (const auto& sr : service.sweep(topo, jobs)) {
     EXPECT_EQ(sr.status, engine::ServiceStatus::kInvalidRequest) << sr.error;
   }
   EXPECT_EQ(service.cache_stats().lookups, 0) << "rejected before any profiling";
@@ -531,7 +532,7 @@ TEST(ConfigService, RejectsMalformedClusterSpecsBeforeProfiling) {
     EXPECT_EQ(sr.error.rfind(std::string(c.field) + " ", 0), 0u)
         << "error must name the field: " << sr.error;
     EXPECT_EQ(sr.error, cluster::validate(spec));
-    for (const auto& swept : service.sweep_requests(topo, {job}, {})) {
+    for (const auto& swept : service.sweep(topo, {job})) {
       EXPECT_EQ(swept.status, engine::ServiceStatus::kInvalidRequest) << c.field;
     }
   }

@@ -364,16 +364,32 @@ INSTANTIATE_TEST_SUITE_P(
                     OracleCase{true, 8, 128, {{8, 2, 4}, 4}},     // high-8n gpt-8.1b
                     OracleCase{true, 8, 256, {{4, 2, 8}, 4}}));
 
-TEST(IncrementalEquivalence, ResetReseatsOnNewPermutation) {
-  const Fixture fx({4, 2, 4}, 2);
-  const auto model = fx.model();
-  parallel::Mapping m = parallel::Mapping::megatron_default(fx.pc);
-  estimators::IncrementalLatencyEvaluator eval(model, m);
-
-  parallel::Mapping other = parallel::Mapping::varuna_default(fx.pc);
-  eval.reset(other.raw());
-  EXPECT_EQ(eval.cost(), model.estimate(other));
-  EXPECT_EQ(eval.mapping().raw(), other.raw());
+// Moves that only permute one TP cell's members: positions 0 to tp-1 of the
+// Megatron default are the cell (stage 0, replica 0). Such a move leaves the
+// cell's TP term unchanged but moves its workers' pipeline flows and DP
+// rings, and the evaluator reprices every entry it dirties.
+TEST(IncrementalEquivalence, WithinCellPermutationsMatchTheFullModel) {
+  for (const parallel::ParallelConfig pc : {parallel::ParallelConfig{4, 2, 4},
+                                            parallel::ParallelConfig{2, 8, 2},
+                                            parallel::ParallelConfig{4, 4, 2}}) {
+    const Fixture fx(pc, 2);
+    const auto model = fx.model();
+    const int gpn = fx.topo.gpus_per_node();
+    const parallel::Mapping start = parallel::Mapping::megatron_default(fx.pc);
+    estimators::IncrementalLatencyEvaluator eval(model, start);
+    for (const parallel::Move mv : {parallel::Move{parallel::MoveKind::kSwap, 0, 1},
+                                    parallel::Move{parallel::MoveKind::kReverse, 0, pc.tp - 1}}) {
+      parallel::Mapping moved = start;
+      parallel::apply_move(moved, mv, gpn);
+      ASSERT_NE(moved.raw(), start.raw()) << pc.str();
+      EXPECT_EQ(eval.propose(mv), model.estimate(moved))
+          << pc.str() << " kind " << static_cast<int>(mv.kind);
+      EXPECT_EQ(eval.mapping().raw(), moved.raw());
+      eval.rollback();
+      EXPECT_EQ(eval.mapping().raw(), start.raw()) << pc.str();
+      EXPECT_EQ(eval.cost(), model.estimate(start)) << pc.str();
+    }
+  }
 }
 
 // The incremental annealer (optimize_mapping, one ResumableMappingAnneal

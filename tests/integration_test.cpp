@@ -24,7 +24,6 @@ struct Fixture {
 core::PipetteOptions fast_opts(bool dedication) {
   core::PipetteOptions opt;
   opt.use_worker_dedication = dedication;
-  opt.sa.time_limit_s = 0.3;
   opt.memory_training.hidden = {64, 64};
   opt.memory_training.train.iters = 3000;
   opt.memory_training.max_profile_nodes = 2;

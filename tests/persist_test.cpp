@@ -486,13 +486,13 @@ TEST(PersistWarmRestart, BitIdenticalToColdAcrossThreadCounts) {
   const std::vector<model::TrainingJob> jobs = {{model::gpt_774m(), 128},
                                                 {model::gpt_774m(), 256}};
 
-  std::vector<core::ConfiguratorResult> cold_results;
+  std::vector<engine::ServiceResult> cold_results;
   {
     engine::ConfigService cold(service_options(1, dir.str()));
     cold_results = cold.sweep(topo, jobs);
-    for (const auto& r : cold_results) {
-      EXPECT_FALSE(r.profile_from_disk);
-      EXPECT_FALSE(r.memory_from_disk);
+    for (const auto& sr : cold_results) {
+      EXPECT_FALSE(sr.result.profile_from_disk);
+      EXPECT_FALSE(sr.result.memory_from_disk);
     }
     cold.flush_snapshots();
     EXPECT_GE(cold.persisted_records(), 2);  // profile + estimator
@@ -510,11 +510,12 @@ TEST(PersistWarmRestart, BitIdenticalToColdAcrossThreadCounts) {
     const auto warm_results = warm.sweep(topo, jobs);
     ASSERT_EQ(warm_results.size(), cold_results.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      expect_identical(cold_results[i], warm_results[i]);
-      EXPECT_TRUE(warm_results[i].profile_from_disk) << "threads " << threads;
-      EXPECT_TRUE(warm_results[i].memory_from_disk) << "threads " << threads;
-      EXPECT_TRUE(warm_results[i].profile_cache_hit);
-      EXPECT_TRUE(warm_results[i].memory_cache_hit);
+      const core::ConfiguratorResult& warm_res = warm_results[i].result;
+      expect_identical(cold_results[i].result, warm_res);
+      EXPECT_TRUE(warm_res.profile_from_disk) << "threads " << threads;
+      EXPECT_TRUE(warm_res.memory_from_disk) << "threads " << threads;
+      EXPECT_TRUE(warm_res.profile_cache_hit);
+      EXPECT_TRUE(warm_res.memory_cache_hit);
     }
     // The warm service recomputed nothing.
     const auto stats = warm.cache_stats();
@@ -522,7 +523,7 @@ TEST(PersistWarmRestart, BitIdenticalToColdAcrossThreadCounts) {
     EXPECT_EQ(stats.trainings_run, 0) << "threads " << threads;
 
     // Provenance reaches explain()'s cache block and the persist metrics.
-    const auto explain = warm_results[0].explain();
+    const auto explain = warm_results[0].result.explain();
     EXPECT_NE(explain.find("\"profile_from_disk\":true"), std::string::npos);
     EXPECT_NE(explain.find("\"memory_estimator_from_disk\":true"), std::string::npos);
     const auto snap = warm.metrics().snapshot();

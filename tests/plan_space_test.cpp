@@ -227,7 +227,6 @@ TEST(PlanSpace, RescuesJobUnfittableInLegacySpace) {
 
   core::PipetteOptions opt;
   opt.memory = memory;
-  opt.sa.time_limit_s = 0.1;
 
   auto legacy_opt = opt;
   legacy_opt.constraints.enable_interleaved = false;
