@@ -167,7 +167,7 @@ void fig5b(const bench::BenchEnv& env, const MemoryEstimator& memory, Scoreboard
                     std::string* time, int* oom) {
     if (i >= rec.ranking.size()) return;  // cells stay "-"
     const auto& cand = rec.ranking[i].cand;
-    const auto mapping = core::default_mapping(rec.placement, cand.pc);
+    const auto mapping = parallel::Mapping::megatron_default(cand.pc);
     const auto run = core::run_actual(topo, job, cand, mapping, sim_opt);
     *cfg = cand.str();
     if (run.oom) {

@@ -69,8 +69,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 }  // namespace pipette::common

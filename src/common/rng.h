@@ -35,8 +35,6 @@ class Rng {
   double normal();
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
-  /// Log-normal: exp(N(mu, sigma)).
-  double lognormal(double mu, double sigma);
   /// Bernoulli trial with probability `p` of returning true.
   bool bernoulli(double p);
 

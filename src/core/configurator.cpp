@@ -18,11 +18,6 @@ std::string hex64(std::uint64_t v) {
 
 }  // namespace
 
-parallel::Mapping default_mapping(Placement placement, const parallel::ParallelConfig& pc) {
-  return placement == Placement::kVaruna ? parallel::Mapping::varuna_default(pc)
-                                         : parallel::Mapping::megatron_default(pc);
-}
-
 std::string ConfiguratorResult::explain(int runner_ups) const {
   obs::JsonWriter w;
   w.begin_object();
@@ -38,8 +33,6 @@ std::string ConfiguratorResult::explain(int runner_ups) const {
     w.value(best.str());
     w.key("predicted_s");
     w.value(predicted_s);
-    w.key("placement");
-    w.value(placement == Placement::kVaruna ? "varuna" : "megatron");
     w.key("fine_grained_mapping");
     w.value(mapping.has_value());
   }

@@ -35,13 +35,6 @@ struct RankedChoice {
 /// the OOM fallback walk.
 inline constexpr int kRankingSize = 1000;
 
-/// Which default worker placement a method's framework uses when no
-/// fine-grained mapping is attached (Megatron rank order for MLM/AMP/Pipette
-/// fallbacks, stage-contiguous for Varuna).
-enum class Placement { kMegatron, kVaruna };
-
-parallel::Mapping default_mapping(Placement placement, const parallel::ParallelConfig& pc);
-
 /// How much the recommendation should be trusted: the structured health
 /// report that rides every result instead of an exception. A clean request
 /// has confidence 1.0, no repairs, no quarantines, and no deadline overrun;
@@ -80,7 +73,6 @@ struct ConfiguratorResult {
   bool found = false;
   Candidate best;
   std::optional<parallel::Mapping> mapping;  ///< fine-grained dedication, if any
-  Placement placement = Placement::kMegatron;
   double predicted_s = 0.0;
 
   /// Full preference order (best first) — what Fig. 5b walks through.
@@ -115,14 +107,15 @@ struct ConfiguratorResult {
   long sa_iters = 0;         ///< SA proposals explored across all chains/rungs
   long sa_iters_granted = 0; ///< SA budget the race allotted
   int sa_rungs = 0;          ///< successive-halving rungs run
-  bool warm_started = false; ///< produced by reconfigure() reusing a prior result
+  bool warm_started = false; ///< produced by reconfigure()
 
   /// Degradation provenance: what was repaired, quarantined, retried, or
   /// truncated to produce this plan. health.degraded() false on clean runs.
   PlanHealth health;
 
   // Artifact provenance when served through the engine's ClusterCache: which
-  // per-cluster artifacts this request reused rather than built.
+  // per-cluster artifacts this request reused rather than built. Only the
+  // service sets these; a direct configure() call leaves them false.
   bool profile_cache_hit = false;  ///< bandwidth profile came from the cache
   bool memory_cache_hit = false;   ///< MLP memory estimator came from the cache
   // ...and whether those artifacts were warm-started from a persisted
@@ -131,11 +124,12 @@ struct ConfiguratorResult {
   bool memory_from_disk = false;
 
   // Provenance for elastic reconfiguration: what this result was computed
-  // against, and the artifacts a warm start can reuse.
+  // against, and the artifact reconfigure() can reuse.
   std::uint64_t topo_fingerprint = 0;
   std::uint64_t job_digest = 0;
   /// The memory estimator the filter used; reconfigure() adopts it when the
-  /// resized cluster's training digest still matches.
+  /// resized cluster's training digest still matches and no estimator was
+  /// injected.
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory_estimator;
 
   /// Structured per-request report as a JSON object: the winning plan, the

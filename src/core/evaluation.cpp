@@ -26,7 +26,7 @@ ExecutedOutcome execute_with_oom_fallback(const cluster::Topology& topo,
   // Attempt 1: the top recommendation with its (possibly dedicated) mapping.
   {
     const parallel::Mapping mapping =
-        rec.mapping ? *rec.mapping : default_mapping(rec.placement, rec.best.pc);
+        rec.mapping ? *rec.mapping : parallel::Mapping::megatron_default(rec.best.pc);
     out.attempts = 1;
     const auto run = run_actual(topo, job, rec.best, mapping, sim_opt);
     if (!run.oom) {
@@ -38,12 +38,13 @@ ExecutedOutcome execute_with_oom_fallback(const cluster::Topology& topo,
     }
   }
 
-  // Walk the rest of the ranking with the method's default placement.
+  // Walk the rest of the ranking on the Megatron default placement, which
+  // every method executes on.
   for (const auto& choice : rec.ranking) {
     if (choice.cand == rec.best) continue;
     if (out.attempts >= max_attempts) break;
     ++out.attempts;
-    const auto mapping = default_mapping(rec.placement, choice.cand.pc);
+    const auto mapping = parallel::Mapping::megatron_default(choice.cand.pc);
     const auto run = run_actual(topo, job, choice.cand, mapping, sim_opt);
     if (!run.oom) {
       out.success = true;

@@ -38,7 +38,7 @@ struct ExecutedOutcome {
 };
 
 /// Tries the recommendation; on OOM falls back through the ranking with the
-/// default placement, exactly like the paper's manual AMP procedure.
+/// Megatron default placement, exactly like the paper's manual AMP procedure.
 ExecutedOutcome execute_with_oom_fallback(const cluster::Topology& topo,
                                           const model::TrainingJob& job,
                                           const ConfiguratorResult& rec,

@@ -220,10 +220,10 @@ std::string validate(const PipetteOptions& opt) {
 
 struct PipetteConfigurator::Request {
   Request(const PipetteOptions& opt, const cluster::Topology& t, const model::TrainingJob& j,
-          const ConfiguratorResult* w, std::string method)
+          const ConfiguratorResult* p, std::string method)
       : topo(t),
         job(j),
-        warm(w),
+        previous(p),
         deadline_s(opt.deadline_s),
         sink(opt.trace_sink),
         telem_ptr(opt.metrics ? &telem : nullptr),
@@ -244,8 +244,9 @@ struct PipetteConfigurator::Request {
 
   const cluster::Topology& topo;
   const model::TrainingJob& job;
-  /// The result reconfigure() warm-starts from; null for configure().
-  const ConfiguratorResult* warm;
+  /// The result reconfigure() may adopt the memory estimator from; null for
+  /// configure().
+  const ConfiguratorResult* previous;
   ConfiguratorResult res;
   /// The deadline clock, started at entry. Profiling, filtering, and scoring
   /// always run — a valid plan needs them — so the deadline's teeth are in
@@ -322,7 +323,6 @@ ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new
   // the previous recommendation *is* the answer, at zero marginal cost.
   if (previous.found && previous.topo_fingerprint == new_topo.fingerprint() &&
       previous.job_digest == model::job_digest(job)) {
-    if (!memory_ && previous.memory_estimator) memory_ = previous.memory_estimator;
     ConfiguratorResult out = previous;
     out.warm_started = true;
     out.profile_wall_s = out.mem_train_wall_s = out.mem_est_wall_s = out.mem_est_cpu_s = 0.0;
@@ -339,12 +339,12 @@ ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new
 
 ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& topo,
                                                        const model::TrainingJob& job,
-                                                       const ConfiguratorResult* warm) {
+                                                       const ConfiguratorResult* previous) const {
   std::string reason = model::validate(job);
   if (reason.empty()) reason = cluster::validate(topo.spec());
   if (reason.empty()) reason = validate(opt_);
   if (!reason.empty()) throw std::invalid_argument(reason);
-  Request rq(opt_, topo, job, warm, name());
+  Request rq(opt_, topo, job, previous, name());
 
   profile(rq);         // line 1
   load_estimator(rq);  // the one-time memory estimator
@@ -375,7 +375,6 @@ void PipetteConfigurator::profile(Request& rq) const {
   // already paid it.
   ConfiguratorResult& res = rq.res;
   rq.profiled = opt_.profile_snapshot;
-  res.profile_cache_hit = rq.profiled != nullptr;
   if (!rq.profiled) {
     const PhaseScope phase(rq, kProfile);
     rq.profiled = std::make_shared<const cluster::ProfileResult>(
@@ -403,39 +402,28 @@ void PipetteConfigurator::profile(Request& rq) const {
   }
 }
 
-void PipetteConfigurator::load_estimator(Request& rq) {
-  // One-time memory estimator (trained from small-scale profiling runs). A
-  // warm start may adopt the previous result's estimator: the training
-  // digest clamps the node count to the profiled sub-cluster, so a resize
-  // above the clamp trains a bit-identical artifact and must not pay twice.
-  // Symmetrically, an estimator this configurator auto-trained for a
-  // *different* clamp or spec is stale here and must be retrained — only an
-  // explicitly injected opt_.memory is trusted as-is.
+void PipetteConfigurator::load_estimator(Request& rq) const {
+  // The one-time memory estimator (trained from small-scale profiling runs),
+  // from the first source that has it: an injected opt_.memory, trusted
+  // as-is; the previous result's estimator when its training digest matches
+  // this request's — the digest clamps the node count to the profiled
+  // sub-cluster, so a resize above the clamp would train a bit-identical
+  // artifact; otherwise a fresh training run.
   ConfiguratorResult& res = rq.res;
-  const ConfiguratorResult* warm = rq.warm;
-  const std::uint64_t want_digest =
-      estimators::MlpMemoryEstimator::training_digest(rq.topo.spec(), opt_.memory_training);
-  if (memory_ && !opt_.memory && memory_->training_digest() != 0 &&
-      memory_->training_digest() != want_digest) {
-    memory_ = nullptr;
+  const ConfiguratorResult* prev = rq.previous;
+  if (opt_.memory) {
+    res.memory_estimator = opt_.memory;
+  } else if (prev && prev->memory_estimator &&
+             prev->memory_estimator->training_digest() ==
+                 estimators::MlpMemoryEstimator::training_digest(rq.topo.spec(),
+                                                                 opt_.memory_training)) {
+    res.memory_estimator = prev->memory_estimator;
+  } else {
+    const PhaseScope phase(rq, kMemTrain, &res.mem_train_wall_s);
+    res.memory_estimator = std::make_shared<const estimators::MlpMemoryEstimator>(
+        estimators::MlpMemoryEstimator::train_for_cluster(rq.topo, model::gpt_zoo(),
+                                                          opt_.memory_training));
   }
-  const bool had_memory = memory_ != nullptr;
-  if (!memory_) {
-    if (opt_.memory) {
-      memory_ = opt_.memory;
-    } else if (warm && warm->memory_estimator &&
-               warm->memory_estimator->training_digest() == want_digest) {
-      memory_ = warm->memory_estimator;
-    } else {
-      const PhaseScope phase(rq, kMemTrain, &res.mem_train_wall_s);
-      memory_ = std::make_shared<const estimators::MlpMemoryEstimator>(
-          estimators::MlpMemoryEstimator::train_for_cluster(rq.topo, model::gpt_zoo(),
-                                                            opt_.memory_training));
-    }
-  }
-  res.memory_cache_hit = res.mem_train_wall_s == 0.0 && (had_memory || opt_.memory != nullptr ||
-                                                         (warm && warm->memory_estimator));
-  res.memory_estimator = memory_;
 }
 
 std::vector<Candidate> PipetteConfigurator::filter(Request& rq) const {
@@ -447,6 +435,7 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) const {
   // across the executor; kept plans land in index-addressed slots and are
   // merged in enumeration order, keeping the set schedule-independent.
   ConfiguratorResult& res = rq.res;
+  const estimators::MlpMemoryEstimator& memory = *res.memory_estimator;
   const std::vector<Candidate> bases = parallel::enumerate_base_plans(
       rq.topo.num_gpus(), rq.topo.gpus_per_node(), rq.job.model.num_layers,
       rq.job.global_batch, opt_.constraints);
@@ -465,8 +454,8 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) const {
     PlanSlot& slot = plan_slots[static_cast<std::size_t>(i)];
     const Candidate& base = bases[static_cast<std::size_t>(i)];
     const common::Stopwatch t0;
-    const double margin = 1.0 + memory_->soft_margin();
-    const double base_est = memory_->estimate_bytes(rq.job, base) * margin;
+    const double margin = 1.0 + memory.soft_margin();
+    const double base_est = memory.estimate_bytes(rq.job, base) * margin;
     const bool base_fits = base_est <= mem_limit;
     ++slot.evaluated;
     if (base_fits) {
@@ -480,7 +469,7 @@ std::vector<Candidate> PipetteConfigurator::filter(Request& rq) const {
         bool& kept_family = variant.zero1 ? kept_zero_family : kept_plain_family;
         if (kept_family) continue;
         ++slot.evaluated;
-        if (memory_->estimate_bytes(rq.job, variant) * margin <= mem_limit) {
+        if (memory.estimate_bytes(rq.job, variant) * margin <= mem_limit) {
           slot.kept.push_back(variant);
           kept_family = true;
         } else {
@@ -585,23 +574,6 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     if (rq.sink) rq.sink->instant("deadline.sa_skipped");
     return;
   }
-  const int gpn = rq.topo.gpus_per_node();
-  // Every chain of the request, raced or warm-start, is built here: the SA
-  // options under the chain's own seed, the telemetry accumulator, and the
-  // shared absolute deadline — N chains on fewer threads still collectively
-  // stop on time, each keeping its best-so-far (the anytime contract).
-  auto make_chain = [&](const estimators::PipetteLatencyModel& model,
-                        const parallel::Mapping& start, std::uint64_t seed,
-                        search::AnnealTelemetry* telem) {
-    search::SaOptions so = opt_.sa;
-    so.seed = seed;
-    auto chain =
-        std::make_unique<search::ResumableMappingAnneal>(model, start, gpn, so, opt_.moves);
-    if (rq.deadlined()) chain->set_deadline(&rq.watch, rq.deadline_s);
-    chain->set_telemetry(telem);
-    return chain;
-  };
-
   const std::size_t racers = scored.size();
   int rungs = 1;
   while ((std::size_t{1} << (rungs - 1)) < racers) ++rungs;
@@ -610,16 +582,23 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
                                                      : std::max<long>(1, full >> (rungs - 1));
 
   // Each chain's seed derives from the candidate itself, not its rank, so
-  // serial and parallel schedules anneal each candidate identically.
+  // serial and parallel schedules anneal each candidate identically. Every
+  // chain is armed with the shared absolute deadline: N chains on fewer
+  // threads still collectively stop on time, each keeping its best-so-far
+  // (the anytime contract).
   std::vector<Entrant> race(racers);
   rq.exec.parallel_for(static_cast<int>(racers), [&](int i) {
     const Scored& s = scored[static_cast<std::size_t>(i)];
     Entrant& e = race[static_cast<std::size_t>(i)];
     e.model = std::make_unique<estimators::PipetteLatencyModel>(rq.job, s.cand, *s.profile,
                                                                 &rq.profiled->bw, rq.links);
-    e.chain = make_chain(*e.model, parallel::Mapping::megatron_default(s.cand.pc),
-                         search::derive_seed(opt_.sa.seed, s.cand.str()),
-                         rq.telem_ptr ? &e.telem : nullptr);
+    search::SaOptions so = opt_.sa;
+    so.seed = search::derive_seed(opt_.sa.seed, s.cand.str());
+    e.chain = std::make_unique<search::ResumableMappingAnneal>(
+        *e.model, parallel::Mapping::megatron_default(s.cand.pc), rq.topo.gpus_per_node(), so,
+        opt_.moves);
+    if (rq.deadlined()) e.chain->set_deadline(&rq.watch, rq.deadline_s);
+    e.chain->set_telemetry(rq.telem_ptr ? &e.telem : nullptr);
   });
   auto cost_order = [&](int a, int b) {
     return race[static_cast<std::size_t>(a)].cost() < race[static_cast<std::size_t>(b)].cost();
@@ -687,34 +666,6 @@ void PipetteConfigurator::dedicate(Request& rq, const std::vector<Scored>& score
     res.search_cpu_s += e.chain->wall_s();
     if (e.chain->deadline_tripped()) res.health.deadline_exceeded = true;
     rq.telem.merge(e.telem);
-  }
-
-  // Elastic warm start: one more chain for the winner, started from the
-  // previous placement projected onto the (possibly resized) cluster under
-  // its own derive_seed stream. Merged by strict
-  // improvement — ties keep the race's mapping, so an unchanged search space
-  // reproduces the cold result while a genuine resize starts from the
-  // surviving structure instead of from scratch.
-  if (rq.warm && rq.warm->mapping) {
-    if (phase.past_deadline()) {
-      res.health.deadline_exceeded = true;  // no budget left for the warm chain
-    } else {
-      const obs::Span span(rq.sink, "sa.warm_start");
-      const Candidate& cand = scored[winner].cand;
-      const auto chain = make_chain(
-          *won.model, parallel::project_mapping(*rq.warm->mapping, cand.pc),
-          search::derive_seed(search::derive_seed(opt_.sa.seed, cand.str()), "warm-start"),
-          rq.telem_ptr);
-      chain->run_to(full);
-      res.sa_iters += chain->total_iters();
-      res.sa_iters_granted += full;
-      res.search_cpu_s += chain->wall_s();
-      if (chain->deadline_tripped()) res.health.deadline_exceeded = true;
-      if (chain->best_cost() < res.predicted_s) {
-        res.predicted_s = chain->best_cost();
-        res.mapping = chain->best_mapping();
-      }
-    }
   }
   // Keep the ranking's head consistent with the dedicated choice. If the
   // winner fell outside a truncated ranking, leave the ranking untouched

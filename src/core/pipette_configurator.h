@@ -3,7 +3,12 @@
 // MLP memory estimator says will not fit (§VI), score the rest with the
 // refined latency model (§V), and run fine-grained worker dedication via
 // simulated annealing (§IV): one chain per surviving candidate, raced by
-// successive halving so the most promising ones get the full budget.
+// successive halving so the most promising ones get the full budget. Every
+// chain starts from the Megatron default placement. The configurator holds
+// only its options between calls: the per-cluster artifacts (bandwidth
+// snapshot, trained memory estimator) are either injected through
+// PipetteOptions — engine::ClusterCache keeps them for the service — or
+// built inside the call that needs them.
 #pragma once
 
 #include <limits>
@@ -58,7 +63,8 @@ struct PipetteOptions {
   estimators::ComputeProfileOptions compute_profile;
   parallel::ConfigConstraints constraints;
   /// Pre-trained memory estimator to reuse across invocations on the same
-  /// cluster; trained on demand (and its wall time reported) when null.
+  /// cluster; when null, each call trains one (and reports its wall time)
+  /// unless reconfigure() can adopt the previous result's.
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory;
   estimators::MlpMemoryOptions memory_training;
   /// Pre-profiled bandwidth snapshot to reuse (e.g. from an
@@ -115,23 +121,16 @@ class PipetteConfigurator final : public Configurator {
   ConfiguratorResult configure(const cluster::Topology& topo,
                                const model::TrainingJob& job) override;
 
-  /// Elastic re-configuration after a cluster resize (ROADMAP: elastic
-  /// clusters): adopts the trained memory estimator carried in `previous`
-  /// when the clamped training digest still matches, reruns the per-request
-  /// stages (memory filter, shape-grouped scoring), then runs one extra SA
-  /// chain for the dedicated winner from parallel::project_mapping(previous
-  /// mapping) instead of annealing from scratch (kept only when strictly
-  /// better, so an unchanged topology reproduces the cold result). When the
-  /// topology diff is empty (same fingerprint, same job), returns `previous`
-  /// unchanged with zeroed per-request costs.
+  /// Elastic re-configuration after a cluster resize: configure(new_topo,
+  /// job), except that without an injected PipetteOptions::memory it adopts
+  /// the memory estimator carried in `previous` when the clamped training
+  /// digest still matches, so a resize above the clamp does not retrain.
+  /// When the topology diff is empty (same fingerprint, same job), returns
+  /// `previous` unchanged with zeroed per-request costs. Either way the
+  /// result is flagged warm_started.
   ConfiguratorResult reconfigure(const cluster::Topology& new_topo,
                                  const model::TrainingJob& job,
                                  const ConfiguratorResult& previous);
-
-  /// The memory estimator in use after the first configure() call.
-  std::shared_ptr<const estimators::MlpMemoryEstimator> memory_estimator() const {
-    return memory_;
-  }
 
  private:
   /// One configure() call's inputs, shared instruments, and result under
@@ -142,16 +141,15 @@ class PipetteConfigurator final : public Configurator {
   struct Scored;
 
   ConfiguratorResult configure_impl(const cluster::Topology& topo, const model::TrainingJob& job,
-                                    const ConfiguratorResult* warm);
+                                    const ConfiguratorResult* previous) const;
   // Algorithm 1's stages, in the order configure_impl runs them.
   void profile(Request& rq) const;
-  void load_estimator(Request& rq);
+  void load_estimator(Request& rq) const;
   std::vector<Candidate> filter(Request& rq) const;
   std::vector<Scored> score(Request& rq, const std::vector<Candidate>& cands) const;
   void dedicate(Request& rq, const std::vector<Scored>& scored) const;
 
   PipetteOptions opt_;
-  std::shared_ptr<const estimators::MlpMemoryEstimator> memory_;
 };
 
 }  // namespace pipette::core

@@ -126,7 +126,6 @@ class ClusterCache {
   ClusterCacheStats stats() const;
   int cached_profiles() const;
   int cached_estimators() const;
-  bool has_persistence() const { return persister_ != nullptr; }
   long persisted_records() const { return persister_ ? persister_->records_written() : 0; }
   long persist_failures() const { return persister_ ? persister_->write_failures() : 0; }
 

@@ -241,8 +241,8 @@ core::ConfiguratorResult ConfigService::configure_one(const cluster::Topology& t
   core::PipetteConfigurator configurator(std::move(po));
   core::ConfiguratorResult res = previous ? configurator.reconfigure(topo, job, *previous)
                                           : configurator.configure(topo, job);
-  // The configurator infers artifact provenance from what it was handed; the
-  // cache knows it outright, so its answer wins for engine-served requests.
+  // Artifact provenance is the cache's to report: it knows which artifacts
+  // this request reused.
   res.profile_cache_hit = entry.profile_was_cached;
   res.memory_cache_hit = entry.memory_was_cached;
   res.profile_from_disk = entry.profile_from_disk;

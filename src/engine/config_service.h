@@ -118,11 +118,12 @@ class ConfigService {
   /// kRejectedQueueFull) returns an already-resolved future without
   /// enqueueing work. `ro` bounds this request alone (no deadline and two
   /// retries by default). With `previous`, the request is an elastic
-  /// re-configuration (PipetteConfigurator::reconfigure): it warm-starts from
-  /// that result — the trained estimator (when the clamped training digest
-  /// survives the resize) and one extra SA chain seeded from the projected
-  /// previous placement — so a resize event is one call:
-  /// submit_request(new_topo, job, ro, old_result).
+  /// re-configuration (PipetteConfigurator::reconfigure), so a resize event
+  /// is one call: submit_request(new_topo, job, ro, old_result). When the
+  /// fabric and job are unchanged it answers with `previous` itself;
+  /// otherwise it returns what the request without `previous` returns,
+  /// flagged warm_started: the cluster cache already shares the trained
+  /// estimator across resizes above the clamped training digest.
   std::future<ServiceResult> submit_request(
       cluster::Topology topo, model::TrainingJob job, RequestOptions ro = {},
       std::optional<core::ConfiguratorResult> previous = std::nullopt);

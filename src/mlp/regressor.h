@@ -87,7 +87,6 @@ class Regressor {
   const Standardizer& standardizer() const { return feat_std_; }
   double y_mean() const { return y_mean_; }
   double y_std() const { return y_std_; }
-  bool fitted() const { return fitted_; }
   static Regressor restore(const std::vector<int>& layer_sizes,
                            const std::vector<double>& parameters,
                            std::vector<double> feat_mean, std::vector<double> feat_std,

@@ -24,12 +24,6 @@ Mapping Mapping::megatron_default(ParallelConfig cfg) {
   return m;
 }
 
-Mapping Mapping::varuna_default(ParallelConfig cfg) {
-  // The worker index order (tp fastest, then stage, then replica) is already
-  // stage-contiguous, so the identity permutation realizes this placement.
-  return Mapping(cfg);
-}
-
 void Mapping::swap(int i, int j) {
   std::swap(perm_[static_cast<std::size_t>(i)], perm_[static_cast<std::size_t>(j)]);
 }
@@ -117,36 +111,6 @@ void Mapping::set_raw(std::vector<int> perm) {
   if (!is_valid_permutation()) {
     throw std::invalid_argument("Mapping::set_raw: not a bijection");
   }
-}
-
-Mapping project_mapping(const Mapping& old, const ParallelConfig& new_pc) {
-  const Mapping def = Mapping::megatron_default(new_pc);
-  const int n_new = def.num_workers();
-  const int n_old = old.num_workers();
-  std::vector<int> perm(static_cast<std::size_t>(n_new), -1);
-  std::vector<char> used(static_cast<std::size_t>(n_new), 0);
-  const int keep = std::min(n_old, n_new);
-  for (int w = 0; w < keep; ++w) {
-    const int g = old.gpu_at(w);
-    if (g < n_new && !used[static_cast<std::size_t>(g)]) {
-      perm[static_cast<std::size_t>(w)] = g;
-      used[static_cast<std::size_t>(g)] = 1;
-    }
-  }
-  // Backfill unplaced positions with the unused GPUs in Megatron-default
-  // order: the projection degrades gracefully toward the default as less of
-  // the old placement survives.
-  int next = 0;
-  for (int w = 0; w < n_new; ++w) {
-    if (perm[static_cast<std::size_t>(w)] >= 0) continue;
-    while (used[static_cast<std::size_t>(def.gpu_at(next))]) ++next;
-    const int g = def.gpu_at(next);
-    perm[static_cast<std::size_t>(w)] = g;
-    used[static_cast<std::size_t>(g)] = 1;
-  }
-  Mapping out(new_pc);
-  out.set_raw(std::move(perm));
-  return out;
 }
 
 }  // namespace pipette::parallel

@@ -21,12 +21,6 @@ class Mapping {
   /// different nodes — the placement expert-tuned frameworks use.
   static Mapping megatron_default(ParallelConfig cfg);
 
-  /// Varuna's placement: consecutive pipeline stages packed onto consecutive
-  /// GPUs (GPU = (dpr*pp + stage)*tp + tpr), so pipeline transfers stay
-  /// mostly intra-node while data-parallel rings stretch across nodes — the
-  /// layout Varuna uses for commodity/spot VMs.
-  static Mapping varuna_default(ParallelConfig cfg);
-
   const ParallelConfig& config() const { return cfg_; }
   int num_workers() const { return static_cast<int>(perm_.size()); }
 
@@ -94,15 +88,5 @@ void apply_move(Mapping& m, const Move& mv, int gpus_per_node);
 /// The move that exactly undoes `mv`: every kind is an involution except
 /// migrate, whose inverse swaps the endpoints.
 Move inverse_move(const Move& mv);
-
-/// Projects an annealed mapping onto a (possibly resized) plan: worker w of
-/// the new plan keeps `old`'s GPU for w wherever that worker and GPU both
-/// still exist, and every remaining position is backfilled with the unused
-/// GPUs in Megatron-default order. Shrinks drop the removed nodes' GPUs
-/// (their workers backfill), grows extend the tail by the default order, and
-/// projecting onto `old.config()` itself returns `old` unchanged — which is
-/// what lets elastic reconfigure() seed SA from the surviving placement
-/// instead of from scratch. Always returns a valid bijection.
-Mapping project_mapping(const Mapping& old, const ParallelConfig& new_pc);
 
 }  // namespace pipette::parallel

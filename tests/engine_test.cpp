@@ -438,6 +438,17 @@ TEST(ConfigService, ReconfigureServesElasticResize) {
   EXPECT_EQ(service.cache_stats().trainings_run, 1)
       << "the resize must reuse the clamped-digest estimator, not retrain";
 
+  // A resize is answered exactly as a fresh service answers the new fabric.
+  engine::ConfigService fresh(service_options(4));
+  const auto cold = fresh.submit_request(full, job).get().result;
+  ASSERT_TRUE(cold.found);
+  EXPECT_FALSE(cold.warm_started);
+  EXPECT_EQ(warm.best, cold.best);
+  EXPECT_EQ(warm.predicted_s, cold.predicted_s);
+  ASSERT_TRUE(cold.mapping.has_value());
+  EXPECT_EQ(warm.mapping->raw(), cold.mapping->raw());
+  EXPECT_EQ(warm.sa_iters, cold.sa_iters);
+
   // An empty-diff reconfigure is answered from the previous result directly.
   const auto same = service.submit_request(full, job, {}, warm).get().result;
   EXPECT_TRUE(same.warm_started);

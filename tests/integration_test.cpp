@@ -94,7 +94,7 @@ TEST(Integration, Fig5bShape_BaselinesRecommendOomPipetteDoesNot) {
     for (const auto& r : rec.ranking) {
       if (considered >= k) break;
       ++considered;
-      const auto mapping = core::default_mapping(rec.placement, r.cand.pc);
+      const auto mapping = parallel::Mapping::megatron_default(r.cand.pc);
       if (core::run_actual(f.topo, f.job, r.cand, mapping, f.sim_opt).oom) ++oom;
     }
     return oom;

@@ -95,15 +95,6 @@ TEST(Mapping, MegatronDefaultOrder) {
   EXPECT_TRUE(m.is_valid_permutation());
 }
 
-TEST(Mapping, VarunaDefaultPacksStages) {
-  const pp::ParallelConfig c{4, 1, 2};
-  const auto m = pp::Mapping::varuna_default(c);
-  // Consecutive stages of one replica on consecutive GPUs.
-  EXPECT_EQ(m.gpu_of(0, 0, 0) + 1, m.gpu_of(1, 0, 0));
-  EXPECT_EQ(m.gpu_of(2, 0, 1) + 1, m.gpu_of(3, 0, 1));
-  EXPECT_TRUE(m.is_valid_permutation());
-}
-
 TEST(Mapping, MovesBehave) {
   pp::Mapping m(pp::ParallelConfig{4, 1, 2});
   auto before = m.raw();
@@ -244,59 +235,4 @@ TEST(Groups, SplitByNode) {
   EXPECT_EQ(split[0], (std::vector<int>{0, 3}));
   EXPECT_EQ(split[1], (std::vector<int>{9, 11}));
   EXPECT_EQ(split[2], (std::vector<int>{17}));
-}
-
-TEST(ProjectMapping, IdentityOnUnchangedConfig) {
-  const pp::ParallelConfig pc{4, 2, 4};
-  auto m = pp::Mapping::megatron_default(pc);
-  pipette::common::Rng rng(11);
-  for (int i = 0; i < 64; ++i) {
-    pp::apply_move(m, {pp::MoveKind::kSwap, rng.uniform_int(0, 31),
-                             rng.uniform_int(0, 31)}, 8);
-  }
-  const auto projected = pp::project_mapping(m, pc);
-  EXPECT_EQ(projected.raw(), m.raw()) << "projecting onto the same config must be the identity";
-}
-
-TEST(ProjectMapping, GrowKeepsSurvivingAssignmentsAndBackfillsDefault) {
-  const pp::ParallelConfig old_pc{2, 2, 2};  // 8 workers
-  const pp::ParallelConfig new_pc{2, 2, 4};  // 16 workers
-  auto old_m = pp::Mapping::megatron_default(old_pc);
-  old_m.swap(0, 5);
-  old_m.swap(2, 7);
-  const auto grown = pp::project_mapping(old_m, new_pc);
-  EXPECT_TRUE(grown.is_valid_permutation());
-  EXPECT_EQ(grown.num_workers(), 16);
-  for (int w = 0; w < 8; ++w) {
-    EXPECT_EQ(grown.gpu_at(w), old_m.gpu_at(w)) << "surviving worker " << w;
-  }
-}
-
-TEST(ProjectMapping, ShrinkDropsRemovedGpusAndStaysBijective) {
-  const pp::ParallelConfig old_pc{4, 2, 2};  // 16 workers
-  const pp::ParallelConfig new_pc{2, 2, 2};  // 8 workers
-  auto old_m = pp::Mapping::megatron_default(old_pc);
-  old_m.reverse(0, 15);  // every worker's GPU is far from default
-  const auto shrunk = pp::project_mapping(old_m, new_pc);
-  EXPECT_TRUE(shrunk.is_valid_permutation());
-  EXPECT_EQ(shrunk.num_workers(), 8);
-  for (int w = 0; w < 8; ++w) {
-    const int old_gpu = old_m.gpu_at(w);
-    if (old_gpu < 8) {
-      EXPECT_EQ(shrunk.gpu_at(w), old_gpu) << "kept GPU must stay with its worker";
-    } else {
-      EXPECT_LT(shrunk.gpu_at(w), 8) << "removed GPUs are backfilled";
-    }
-  }
-}
-
-TEST(ProjectMapping, CollidingSurvivorsResolveDeterministically) {
-  // Two old workers may point at GPUs that collide after a shrink; the first
-  // worker (in index order) keeps its GPU, later ones backfill.
-  const pp::ParallelConfig old_pc{2, 2, 2};
-  auto old_m = pp::Mapping::megatron_default(old_pc);
-  const auto a = pp::project_mapping(old_m, {2, 2, 1});
-  const auto b = pp::project_mapping(old_m, {2, 2, 1});
-  EXPECT_EQ(a.raw(), b.raw());
-  EXPECT_TRUE(a.is_valid_permutation());
 }
