@@ -16,14 +16,6 @@
 // separately — under a parallel executor they differ, and summing per-slot
 // durations (the old behaviour) overreports wall clock.
 //
-// The bench also runs the elastic resize scenarios (grow 8->12 nodes, shrink
-// 16->12): a cold configure() on the new topology (fresh configurator:
-// trains its own estimator) vs reconfigure() from the old result on the
-// configurator that served it, which reuses its estimator. The training
-// digest clamps the node count to the profiled sub-cluster, so both arms
-// filter with the same estimator: the warm arm must return the cold arm's
-// plan and predicted_s (exit 2 otherwise) and only skips the training.
-//
 //   --full            paper-scale budgets
 //   --seed N          heterogeneity universe seed (default 2024)
 //   --train-iters N   training-run length for the overhead column
@@ -37,11 +29,9 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <tuple>
 
 #include "bench_common.h"
 #include "common/stopwatch.h"
-#include "engine/cluster_cache.h"
 
 using namespace pipette;
 
@@ -55,11 +45,10 @@ struct ArmRun {
 };
 
 ArmRun run_arm(core::PipetteConfigurator& ppt, const cluster::Topology& topo,
-               const model::TrainingJob& job, bool warm,
-               const core::ConfiguratorResult* prev) {
+               const model::TrainingJob& job) {
   ArmRun r;
   const common::Stopwatch t0;
-  r.rec = warm ? ppt.reconfigure(topo, job, *prev) : ppt.configure(topo, job);
+  r.rec = ppt.configure(topo, job);
   r.wall_s = t0.seconds();
   const auto out = core::execute_with_oom_fallback(topo, job, r.rec, {});
   r.sim_ok = out.success;
@@ -71,7 +60,7 @@ std::string phase_cells(const core::ConfiguratorResult& rec) {
   return common::fmt_duration(rec.mem_est_wall_s) + "/" + common::fmt_duration(rec.mem_est_cpu_s);
 }
 
-void json_arm(std::ofstream& os, const char* name, const ArmRun& a, bool trailing_comma) {
+void json_arm(std::ofstream& os, const char* name, const ArmRun& a) {
   const auto& rec = a.rec;
   os << "      \"" << name << "\": {\"wall_s\": " << a.wall_s
      << ", \"mem_est_wall_s\": " << rec.mem_est_wall_s
@@ -82,8 +71,7 @@ void json_arm(std::ofstream& os, const char* name, const ArmRun& a, bool trailin
      << ", \"sa_rungs\": " << rec.sa_rungs << ", \"shapes_profiled\": " << rec.shapes_profiled
      << ", \"shapes_reused\": " << rec.shapes_reused
      << ", \"candidates\": " << rec.candidates_evaluated << ", \"best\": \"" << rec.best.str()
-     << "\", \"predicted_s\": " << rec.predicted_s << ", \"sim_s\": " << a.sim_s << "}"
-     << (trailing_comma ? ",\n" : "\n");
+     << "\", \"predicted_s\": " << rec.predicted_s << ", \"sim_s\": " << a.sim_s << "},\n";
 }
 
 }  // namespace
@@ -113,12 +101,6 @@ int main(int argc, char** argv) {
     ArmRun legacy, memoized;
   };
   std::vector<ShapeRow> rows;
-  struct ElasticRow {
-    std::string scenario;
-    std::string tier;
-    ArmRun cold, warmed;
-  };
-  std::vector<ElasticRow> elastic;
 
   for (const std::string tier : {"mid-range", "high-end"}) {
     const bool high = tier == "high-end";
@@ -148,8 +130,8 @@ int main(int argc, char** argv) {
       core::PipetteConfigurator memo_ppt(memo_opt);
 
       ShapeRow row{tier, nodes, job.model.name, {}, {}};
-      row.legacy = run_arm(legacy_ppt, topo, job, false, nullptr);
-      row.memoized = run_arm(memo_ppt, topo, job, false, nullptr);
+      row.legacy = run_arm(legacy_ppt, topo, job);
+      row.memoized = run_arm(memo_ppt, topo, job);
       rows.push_back(row);
 
       const double ppt_days =
@@ -173,49 +155,6 @@ int main(int argc, char** argv) {
       };
       add("legacy", row.legacy, 0.0);
       add("memoized", row.memoized, row.legacy.wall_s / std::max(1e-9, row.memoized.wall_s));
-    }
-
-    // Elastic scenarios: the job stays fixed while the fabric resizes. Cold
-    // pays a from-scratch configure on the new topology (fresh configurator:
-    // estimator training); warm reconfigures from the old result on the
-    // configurator that served it, whose estimator it keeps.
-    for (const auto& [scenario, from_nodes, to_nodes] :
-         {std::tuple{std::string("grow-8to12"), 8, 12},
-          std::tuple{std::string("shrink-16to12"), 16, 12}}) {
-      const auto old_topo = full.sub_cluster(from_nodes);
-      const auto new_topo = full.sub_cluster(to_nodes);
-      const model::TrainingJob job{model::weak_scaled_model(old_topo.num_gpus(), high), 512};
-
-      auto warm_opt = base_opt;
-      core::PipetteConfigurator warm_ppt(warm_opt);
-      const auto prev = warm_ppt.configure(old_topo, job);
-
-      auto cold_opt = base_opt;
-      cold_opt.memory = nullptr;  // a cold resize pays estimator training
-      core::PipetteConfigurator cold_ppt(cold_opt);
-
-      ElasticRow er{scenario, tier, {}, {}};
-      er.cold = run_arm(cold_ppt, new_topo, job, false, nullptr);
-      er.warmed = run_arm(warm_ppt, new_topo, job, true, &prev);
-      elastic.push_back(er);
-
-      auto add = [&](const char* arm, const ArmRun& a, double speedup) {
-        // a.wall_s is the measured elapsed around configure()/reconfigure(),
-        // so the cold arm's estimator training is already inside it.
-        t.add_row({tier, scenario + " (" + job.model.name + ")", arm, phase_cells(a.rec),
-                   common::fmt_duration(a.rec.score_wall_s) + "/" +
-                       common::fmt_duration(a.rec.score_cpu_s),
-                   common::fmt_duration(a.rec.search_wall_s) + "/" +
-                       common::fmt_duration(a.rec.search_cpu_s),
-                   common::fmt_duration(a.wall_s),
-                   speedup > 0 ? common::fmt_fixed(speedup, 1) + "x" : "-",
-                   std::to_string(a.rec.sa_iters),
-                   std::to_string(a.rec.shapes_profiled) + "/" +
-                       std::to_string(a.rec.shapes_reused),
-                   a.sim_ok ? common::fmt_duration(a.sim_s) : "OOM", "-"});
-      };
-      add("cold", er.cold, 0.0);
-      add("warm", er.warmed, er.cold.wall_s / std::max(1e-9, er.warmed.wall_s));
     }
   }
 
@@ -241,22 +180,10 @@ int main(int argc, char** argv) {
       const auto& r = rows[i];
       os << "    {\"tier\": \"" << r.tier << "\", \"nodes\": " << r.nodes << ", \"model\": \""
          << r.model << "\",\n";
-      json_arm(os, "legacy", r.legacy, true);
-      json_arm(os, "memoized", r.memoized, true);
+      json_arm(os, "legacy", r.legacy);
+      json_arm(os, "memoized", r.memoized);
       os << "      \"speedup\": " << r.legacy.wall_s / std::max(1e-9, r.memoized.wall_s) << "}"
          << (i + 1 < rows.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n  \"elastic\": [\n";
-    for (std::size_t i = 0; i < elastic.size(); ++i) {
-      const auto& e = elastic[i];
-      os << "    {\"scenario\": \"" << e.scenario << "\", \"tier\": \"" << e.tier << "\",\n";
-      json_arm(os, "cold", e.cold, true);
-      json_arm(os, "warm", e.warmed, true);
-      os << "      \"cold_total_s\": " << e.cold.wall_s
-         << ", \"warm_total_s\": " << e.warmed.wall_s << ", \"cold_mem_train_wall_s\": "
-         << e.cold.rec.mem_train_wall_s << ", \"warm_speedup\": "
-         << e.cold.wall_s / std::max(1e-9, e.warmed.wall_s) << "}"
-         << (i + 1 < elastic.size() ? ",\n" : "\n");
     }
     os << "  ]\n}\n";
     std::cout << "(json written to " << json_path << ")\n";
@@ -270,22 +197,6 @@ int main(int argc, char** argv) {
       std::cerr << "REGRESSION: memoized recommendation simulates "
                 << r.memoized.sim_s / r.legacy.sim_s << "x the legacy head on " << r.tier << "/"
                 << r.nodes << " nodes\n";
-      return 2;
-    }
-  }
-  for (const auto& e : elastic) {
-    if (e.warmed.rec.best != e.cold.rec.best ||
-        e.warmed.rec.predicted_s != e.cold.rec.predicted_s) {
-      std::cerr << "REGRESSION: reconfigure recommends " << e.warmed.rec.best.str() << " at "
-                << e.warmed.rec.predicted_s << " s, cold configure " << e.cold.rec.best.str()
-                << " at " << e.cold.rec.predicted_s << " s on " << e.tier << "/" << e.scenario
-                << "\n";
-      return 2;
-    }
-    if (e.warmed.wall_s >= e.cold.wall_s) {
-      std::cerr << "REGRESSION: reconfigure (" << e.warmed.wall_s
-                << " s) did not beat cold configure (" << e.cold.wall_s << " s) on " << e.tier
-                << "/" << e.scenario << "\n";
       return 2;
     }
   }

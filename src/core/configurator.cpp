@@ -109,8 +109,6 @@ std::string ConfiguratorResult::explain(int runner_ups) const {
   w.value(sa_iters_granted);
   w.key("sa_rungs");
   w.value(sa_rungs);
-  w.key("warm_started");
-  w.value(warm_started);
   w.end_object();
 
   w.key("health");

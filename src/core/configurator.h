@@ -107,7 +107,6 @@ struct ConfiguratorResult {
   long sa_iters = 0;         ///< SA proposals explored across all chains/rungs
   long sa_iters_granted = 0; ///< SA budget the race allotted
   int sa_rungs = 0;          ///< successive-halving rungs run
-  bool warm_started = false; ///< produced by reconfigure()
 
   /// Degradation provenance: what was repaired, quarantined, retried, or
   /// truncated to produce this plan. health.degraded() false on clean runs.
@@ -123,13 +122,13 @@ struct ConfiguratorResult {
   bool profile_from_disk = false;
   bool memory_from_disk = false;
 
-  // Provenance for elastic reconfiguration: what this result was computed
-  // against, and the artifact reconfigure() can reuse.
+  // What this result was computed against: a caller holding it can tell an
+  // unchanged fabric and job by comparing topo.fingerprint() and
+  // model::job_digest(job) with these two.
   std::uint64_t topo_fingerprint = 0;
   std::uint64_t job_digest = 0;
-  /// The memory estimator the filter used; reconfigure() adopts it when the
-  /// resized cluster's training digest still matches and no estimator was
-  /// injected.
+  /// The memory estimator the filter used (injected, cached, or trained by
+  /// this request).
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory_estimator;
 
   /// Structured per-request report as a JSON object: the winning plan, the

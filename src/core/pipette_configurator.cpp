@@ -51,7 +51,7 @@ constexpr struct {
 };
 
 /// Flushes one request's accounting into the metrics registry — the one
-/// exit of configure_impl. Everything written is already on the result (or
+/// exit of configure(). Everything written is already on the result (or
 /// measured beside it), so the flush can never influence the recommendation.
 /// `phase_s` holds each phase's seconds, negative for a phase the request
 /// skipped.
@@ -220,10 +220,9 @@ std::string validate(const PipetteOptions& opt) {
 
 struct PipetteConfigurator::Request {
   Request(const PipetteOptions& opt, const cluster::Topology& t, const model::TrainingJob& j,
-          const ConfiguratorResult* p, std::string method)
+          std::string method)
       : topo(t),
         job(j),
-        previous(p),
         deadline_s(opt.deadline_s),
         sink(opt.trace_sink),
         telem_ptr(opt.metrics ? &telem : nullptr),
@@ -244,9 +243,6 @@ struct PipetteConfigurator::Request {
 
   const cluster::Topology& topo;
   const model::TrainingJob& job;
-  /// The result reconfigure() may adopt the memory estimator from; null for
-  /// configure().
-  const ConfiguratorResult* previous;
   ConfiguratorResult res;
   /// The deadline clock, started at entry. Profiling, filtering, and scoring
   /// always run — a valid plan needs them — so the deadline's teeth are in
@@ -312,39 +308,11 @@ std::string PipetteConfigurator::name() const {
 
 ConfiguratorResult PipetteConfigurator::configure(const cluster::Topology& topo,
                                                   const model::TrainingJob& job) {
-  return configure_impl(topo, job, nullptr);
-}
-
-ConfiguratorResult PipetteConfigurator::reconfigure(const cluster::Topology& new_topo,
-                                                    const model::TrainingJob& job,
-                                                    const ConfiguratorResult& previous) {
-  // Empty topology diff: the fingerprint covers the spec and the attained
-  // link state of the day, so nothing the previous pass computed is stale —
-  // the previous recommendation *is* the answer, at zero marginal cost.
-  if (previous.found && previous.topo_fingerprint == new_topo.fingerprint() &&
-      previous.job_digest == model::job_digest(job)) {
-    ConfiguratorResult out = previous;
-    out.warm_started = true;
-    out.profile_wall_s = out.mem_train_wall_s = out.mem_est_wall_s = out.mem_est_cpu_s = 0.0;
-    out.score_wall_s = out.score_cpu_s = out.search_wall_s = out.search_cpu_s = 0.0;
-    out.sa_iters = out.sa_iters_granted = 0;
-    out.sa_rungs = 0;
-    out.shapes_profiled = out.shapes_reused = 0;
-    return out;
-  }
-  ConfiguratorResult out = configure_impl(new_topo, job, &previous);
-  out.warm_started = true;
-  return out;
-}
-
-ConfiguratorResult PipetteConfigurator::configure_impl(const cluster::Topology& topo,
-                                                       const model::TrainingJob& job,
-                                                       const ConfiguratorResult* previous) const {
   std::string reason = model::validate(job);
   if (reason.empty()) reason = cluster::validate(topo.spec());
   if (reason.empty()) reason = validate(opt_);
   if (!reason.empty()) throw std::invalid_argument(reason);
-  Request rq(opt_, topo, job, previous, name());
+  Request rq(opt_, topo, job, name());
 
   profile(rq);         // line 1
   load_estimator(rq);  // the one-time memory estimator
@@ -403,21 +371,11 @@ void PipetteConfigurator::profile(Request& rq) const {
 }
 
 void PipetteConfigurator::load_estimator(Request& rq) const {
-  // The one-time memory estimator (trained from small-scale profiling runs),
-  // from the first source that has it: an injected opt_.memory, trusted
-  // as-is; the previous result's estimator when its training digest matches
-  // this request's — the digest clamps the node count to the profiled
-  // sub-cluster, so a resize above the clamp would train a bit-identical
-  // artifact; otherwise a fresh training run.
+  // The one-time memory estimator (trained from small-scale profiling runs):
+  // an injected opt_.memory, trusted as-is, else a fresh training run.
   ConfiguratorResult& res = rq.res;
-  const ConfiguratorResult* prev = rq.previous;
   if (opt_.memory) {
     res.memory_estimator = opt_.memory;
-  } else if (prev && prev->memory_estimator &&
-             prev->memory_estimator->training_digest() ==
-                 estimators::MlpMemoryEstimator::training_digest(rq.topo.spec(),
-                                                                 opt_.memory_training)) {
-    res.memory_estimator = prev->memory_estimator;
   } else {
     const PhaseScope phase(rq, kMemTrain, &res.mem_train_wall_s);
     res.memory_estimator = std::make_shared<const estimators::MlpMemoryEstimator>(

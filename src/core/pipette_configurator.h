@@ -63,8 +63,7 @@ struct PipetteOptions {
   estimators::ComputeProfileOptions compute_profile;
   parallel::ConfigConstraints constraints;
   /// Pre-trained memory estimator to reuse across invocations on the same
-  /// cluster; when null, each call trains one (and reports its wall time)
-  /// unless reconfigure() can adopt the previous result's.
+  /// cluster; when null, each call trains one (and reports its wall time).
   std::shared_ptr<const estimators::MlpMemoryEstimator> memory;
   estimators::MlpMemoryOptions memory_training;
   /// Pre-profiled bandwidth snapshot to reuse (e.g. from an
@@ -116,21 +115,9 @@ class PipetteConfigurator final : public Configurator {
   std::string name() const override;
   /// Throws std::invalid_argument carrying model::validate's,
   /// cluster::validate's or validate's reason when the job has a non-positive
-  /// size, the topology a malformed spec, or the options an unusable field
-  /// (so does reconfigure()).
+  /// size, the topology a malformed spec, or the options an unusable field.
   ConfiguratorResult configure(const cluster::Topology& topo,
                                const model::TrainingJob& job) override;
-
-  /// Elastic re-configuration after a cluster resize: configure(new_topo,
-  /// job), except that without an injected PipetteOptions::memory it adopts
-  /// the memory estimator carried in `previous` when the clamped training
-  /// digest still matches, so a resize above the clamp does not retrain.
-  /// When the topology diff is empty (same fingerprint, same job), returns
-  /// `previous` unchanged with zeroed per-request costs. Either way the
-  /// result is flagged warm_started.
-  ConfiguratorResult reconfigure(const cluster::Topology& new_topo,
-                                 const model::TrainingJob& job,
-                                 const ConfiguratorResult& previous);
 
  private:
   /// One configure() call's inputs, shared instruments, and result under
@@ -140,9 +127,7 @@ class PipetteConfigurator final : public Configurator {
   /// A candidate with its default-placement cost and compute profile.
   struct Scored;
 
-  ConfiguratorResult configure_impl(const cluster::Topology& topo, const model::TrainingJob& job,
-                                    const ConfiguratorResult* previous) const;
-  // Algorithm 1's stages, in the order configure_impl runs them.
+  // Algorithm 1's stages, in the order configure() runs them.
   void profile(Request& rq) const;
   void load_estimator(Request& rq) const;
   std::vector<Candidate> filter(Request& rq) const;

@@ -88,9 +88,9 @@ ConfigService::ConfigService(ConfigServiceOptions opt)
   }
 }
 
-std::future<ServiceResult> ConfigService::submit_request(
-    cluster::Topology topo, model::TrainingJob job, RequestOptions ro,
-    std::optional<core::ConfiguratorResult> previous) {
+std::future<ServiceResult> ConfigService::submit_request(cluster::Topology topo,
+                                                         model::TrainingJob job,
+                                                         RequestOptions ro) {
   // Rejections are already-resolved futures — typed answers, not exceptions,
   // and no task ever enters the pool.
   auto reject = [](ServiceStatus status, std::string error) {
@@ -132,11 +132,10 @@ std::future<ServiceResult> ConfigService::submit_request(
   pending_gauge_.add(1);
 
   const common::Stopwatch admitted;
-  return pool_.submit([this, topo = std::move(topo), job = std::move(job), ro,
-                       previous = std::move(previous), admitted] {
+  return pool_.submit([this, topo = std::move(topo), job = std::move(job), ro, admitted] {
     queue_wait_.observe(admitted.seconds());
     const PendingGuard guard{&pending_, pending_gauge_};
-    return serve_one(topo, job, previous ? &*previous : nullptr, ro, admitted);
+    return serve_one(topo, job, ro, admitted);
   });
 }
 
@@ -153,13 +152,11 @@ std::vector<ServiceResult> ConfigService::sweep(const cluster::Topology& topo,
 }
 
 ServiceResult ConfigService::serve_one(const cluster::Topology& topo,
-                                       const model::TrainingJob& job,
-                                       const core::ConfiguratorResult* previous,
-                                       const RequestOptions& ro,
+                                       const model::TrainingJob& job, const RequestOptions& ro,
                                        const common::Stopwatch& admitted) {
   ServiceResult sr;
   try {
-    sr.result = configure_one(topo, job, previous, ro, admitted);
+    sr.result = configure_one(topo, job, ro, admitted);
     if (!sr.result.found) {
       sr.status = ServiceStatus::kNoFeasiblePlan;
       sr.error = "no candidate plan fits the cluster";
@@ -211,14 +208,12 @@ ClusterCache::Entry ConfigService::artifacts_with_retry(const cluster::Topology&
 
 core::ConfiguratorResult ConfigService::configure_one(const cluster::Topology& topo,
                                                       const model::TrainingJob& job,
-                                                      const core::ConfiguratorResult* previous,
                                                       const RequestOptions& ro,
                                                       const common::Stopwatch& admitted) {
   obs::TraceSink* const sink = opt_.trace;
-  obs::Span request_span(sink, "request",
-                         sink ? obs::json_object("job", job.model.name, "gpus", topo.num_gpus(),
-                                                 "warm", previous != nullptr)
-                              : std::string());
+  obs::Span request_span(
+      sink, "request",
+      sink ? obs::json_object("job", job.model.name, "gpus", topo.num_gpus()) : std::string());
   int retries = 0;
   const ClusterCache::Entry entry = artifacts_with_retry(topo, job, ro, admitted, &retries);
   if (sink) {
@@ -239,8 +234,7 @@ core::ConfiguratorResult ConfigService::configure_one(const cluster::Topology& t
     po.deadline_s = std::max(0.0, ro.deadline_s - admitted.seconds());
   }
   core::PipetteConfigurator configurator(std::move(po));
-  core::ConfiguratorResult res = previous ? configurator.reconfigure(topo, job, *previous)
-                                          : configurator.configure(topo, job);
+  core::ConfiguratorResult res = configurator.configure(topo, job);
   // Artifact provenance is the cache's to report: it knows which artifacts
   // this request reused.
   res.profile_cache_hit = entry.profile_was_cached;

@@ -24,7 +24,6 @@
 #include <atomic>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,16 +116,11 @@ class ConfigService {
   /// caller may discard it. A rejection (kInvalidRequest,
   /// kRejectedQueueFull) returns an already-resolved future without
   /// enqueueing work. `ro` bounds this request alone (no deadline and two
-  /// retries by default). With `previous`, the request is an elastic
-  /// re-configuration (PipetteConfigurator::reconfigure), so a resize event
-  /// is one call: submit_request(new_topo, job, ro, old_result). When the
-  /// fabric and job are unchanged it answers with `previous` itself;
-  /// otherwise it returns what the request without `previous` returns,
-  /// flagged warm_started: the cluster cache already shares the trained
-  /// estimator across resizes above the clamped training digest.
-  std::future<ServiceResult> submit_request(
-      cluster::Topology topo, model::TrainingJob job, RequestOptions ro = {},
-      std::optional<core::ConfiguratorResult> previous = std::nullopt);
+  /// retries by default). A resize is one more request on the new fabric:
+  /// the cluster cache shares the trained estimator across resizes above the
+  /// clamped training digest, so only the profile is new.
+  std::future<ServiceResult> submit_request(cluster::Topology topo, model::TrainingJob job,
+                                            RequestOptions ro = {});
 
   /// Submits every job against one cluster, each under `ro`, and waits for
   /// all of them; outcomes are in job order. Built on submit_request: one
@@ -167,14 +161,11 @@ class ConfigService {
 
  private:
   core::ConfiguratorResult configure_one(const cluster::Topology& topo,
-                                         const model::TrainingJob& job,
-                                         const core::ConfiguratorResult* previous,
-                                         const RequestOptions& ro,
+                                         const model::TrainingJob& job, const RequestOptions& ro,
                                          const common::Stopwatch& admitted);
   /// configure_one with the exception surface folded into ServiceStatus.
   ServiceResult serve_one(const cluster::Topology& topo, const model::TrainingJob& job,
-                          const core::ConfiguratorResult* previous, const RequestOptions& ro,
-                          const common::Stopwatch& admitted);
+                          const RequestOptions& ro, const common::Stopwatch& admitted);
   /// Profiles-or-fetches the cluster artifacts, retrying transient profile
   /// failures with jittered exponential backoff. Writes the retry count.
   ClusterCache::Entry artifacts_with_retry(const cluster::Topology& topo,

@@ -72,10 +72,10 @@ class FaultInjector final : public cluster::ProfileFaultHook {
   /// The schedule actually in force (resolved from the seed when
   /// opt.kind == kNone).
   FaultKind kind() const { return kind_; }
-  /// Node pair targeted by the link faults (node index and the seed-derived
-  /// peer offset; resolved against the topology size at measurement time).
+  /// Seed-derived node the link faults target: the dead node, and the first
+  /// node of the targeted pair. Taken modulo the topology's node count at
+  /// measurement time.
   std::uint64_t target_a() const { return target_a_; }
-  std::uint64_t target_b() const { return target_b_; }
   /// Transient-failure runs injected so far (attempts past the schedule's
   /// budget succeed and do not count).
   int transient_fired() const {

@@ -57,7 +57,7 @@ class MlpMemoryEstimator {
   /// sub-clusters up to that size, so growing or shrinking the fabric above
   /// the clamp leaves the artifact bit-identical — folded with every training
   /// option and the feature version. Equal digests mean interchangeable
-  /// estimators; engine::ClusterCache and elastic reconfigure() key on this.
+  /// estimators; engine::ClusterCache keys on this.
   static std::uint64_t training_digest(const cluster::ClusterSpec& spec,
                                        const MlpMemoryOptions& opt);
 

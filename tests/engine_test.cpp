@@ -29,7 +29,6 @@ cluster::Topology small_cluster(std::uint64_t seed = 2024) {
 core::PipetteOptions fast_options() {
   core::PipetteOptions opt;
   opt.sa.max_iters = 1200;
-  opt.sa.time_limit_s = 1e9;
   opt.memory_training.hidden = {48, 48};
   opt.memory_training.train.iters = 2500;
   opt.memory_training.max_profile_nodes = 2;
@@ -421,7 +420,7 @@ TEST(ConfigService, HalvingIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ConfigService, ReconfigureServesElasticResize) {
+TEST(ConfigService, ResizeAboveTheClampSharesTheEstimator) {
   const cluster::Topology full(cluster::mid_range_cluster(3), cluster::HeterogeneityOptions{},
                                2024);
   const auto old_topo = full.sub_cluster(2);
@@ -429,31 +428,29 @@ TEST(ConfigService, ReconfigureServesElasticResize) {
   engine::ConfigService service(service_options(4));
   const auto prev = service.submit_request(old_topo, job).get().result;
   ASSERT_TRUE(prev.found);
-  const auto warm = service.submit_request(full, job, {}, prev).get().result;
-  ASSERT_TRUE(warm.found);
-  EXPECT_TRUE(warm.warm_started);
-  ASSERT_TRUE(warm.mapping.has_value());
-  EXPECT_EQ(warm.mapping->config().ways(), full.num_gpus());
-  EXPECT_TRUE(warm.mapping->is_valid_permutation());
+  const auto res = service.submit_request(full, job).get().result;
+  ASSERT_TRUE(res.found);
+  ASSERT_TRUE(res.mapping.has_value());
+  EXPECT_EQ(res.mapping->config().ways(), full.num_gpus());
+  EXPECT_TRUE(res.mapping->is_valid_permutation());
   EXPECT_EQ(service.cache_stats().trainings_run, 1)
       << "the resize must reuse the clamped-digest estimator, not retrain";
+
+  // What a caller compares to tell an unchanged fabric and job.
+  EXPECT_EQ(res.topo_fingerprint, full.fingerprint());
+  EXPECT_EQ(res.job_digest, model::job_digest(job));
+  EXPECT_EQ(prev.topo_fingerprint, old_topo.fingerprint());
+  EXPECT_NE(res.topo_fingerprint, prev.topo_fingerprint);
 
   // A resize is answered exactly as a fresh service answers the new fabric.
   engine::ConfigService fresh(service_options(4));
   const auto cold = fresh.submit_request(full, job).get().result;
   ASSERT_TRUE(cold.found);
-  EXPECT_FALSE(cold.warm_started);
-  EXPECT_EQ(warm.best, cold.best);
-  EXPECT_EQ(warm.predicted_s, cold.predicted_s);
+  EXPECT_EQ(res.best, cold.best);
+  EXPECT_EQ(res.predicted_s, cold.predicted_s);
   ASSERT_TRUE(cold.mapping.has_value());
-  EXPECT_EQ(warm.mapping->raw(), cold.mapping->raw());
-  EXPECT_EQ(warm.sa_iters, cold.sa_iters);
-
-  // An empty-diff reconfigure is answered from the previous result directly.
-  const auto same = service.submit_request(full, job, {}, warm).get().result;
-  EXPECT_TRUE(same.warm_started);
-  EXPECT_EQ(same.best, warm.best);
-  EXPECT_EQ(same.sa_iters, 0);
+  EXPECT_EQ(res.mapping->raw(), cold.mapping->raw());
+  EXPECT_EQ(res.sa_iters, cold.sa_iters);
 }
 
 TEST(ConfigService, RejectsDegenerateJobsWithATypedStatus) {

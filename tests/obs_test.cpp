@@ -101,7 +101,6 @@ engine::ConfigServiceOptions service_options(int threads) {
   engine::ConfigServiceOptions so;
   so.threads = threads;
   so.pipette.sa.max_iters = 1200;
-  so.pipette.sa.time_limit_s = 1e9;
   so.pipette.memory_training.hidden = {48, 48};
   so.pipette.memory_training.train.iters = 2500;
   so.pipette.memory_training.max_profile_nodes = 2;

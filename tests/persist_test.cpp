@@ -42,7 +42,6 @@ cluster::Topology small_cluster(std::uint64_t seed = 2024) {
 core::PipetteOptions fast_options() {
   core::PipetteOptions opt;
   opt.sa.max_iters = 1200;
-  opt.sa.time_limit_s = 1e9;
   opt.memory_training.hidden = {48, 48};
   opt.memory_training.train.iters = 2500;
   opt.memory_training.max_profile_nodes = 2;
