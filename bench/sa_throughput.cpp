@@ -26,11 +26,20 @@
 //                     asserted) and fail (exit 4) if the median pair's
 //                     attached rate is more than fraction X below its
 //                     detached one
+//   --check PATH      fail (exit 3) when any row's dirt histogram or any
+//                     (row, kind)'s mean dirt differs from the record at PATH
+//                     (BENCH_sa_throughput.json, written from a run with the
+//                     same flags). The dirty sets are deterministic, so unlike
+//                     the rates they resolve exactly.
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
+#include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -94,12 +103,78 @@ double median_rate3(F&& timed_run) {
   return r[1];
 }
 
+/// The dirt a run reports, as printed: each row's histogram keyed by its
+/// shape ("12/0/7/21/37/24"), and each kind's mean dirt keyed "shape kind".
+using Dirt = std::map<std::string, std::string>;
+
+/// Reads the dirt of a BENCH_sa_throughput.json record: one row object per
+/// line with its "dirt_hist_pct" list, and one line per shape of per-kind
+/// [rate, mean dirt] pairs. Lines of any other shape are skipped, and the
+/// values they held are then reported missing.
+std::optional<Dirt> read_record_dirt(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  static const std::regex kRow(R"re(.*"shape": "([^"]+)".*"dirt_hist_pct": \[([^\]]*)\].*)re");
+  static const std::regex kKinds(R"re(\s*"([^"]+)": \{(.*)\},?\s*)re");
+  static const std::regex kKind(R"re("([a-z_]+)": \[[^,\]]+, ([^\]]+)\])re");
+  static const std::regex kSep(R"re(,\s*)re");
+  Dirt dirt;
+  std::smatch m;
+  for (std::string line; std::getline(in, line);) {
+    if (std::regex_match(line, m, kRow)) {
+      dirt[m[1]] = std::regex_replace(m[2].str(), kSep, "/");
+    } else if (std::regex_match(line, m, kKinds)) {
+      const std::string shape = m[1], kinds = m[2];
+      for (std::sregex_iterator it(kinds.begin(), kinds.end(), kKind), end; it != end; ++it) {
+        dirt[shape + " " + (*it)[1].str()] = common::fmt_fixed(std::stod((*it)[2]), 1);
+      }
+    }
+  }
+  return dirt;
+}
+
+/// Prints every dirt value that differs from the record at `path`, then every
+/// recorded value the run no longer reports. 0 when none, else 3.
+int check_dirt(const Dirt& now, const std::string& path) {
+  const auto recorded = read_record_dirt(path);
+  if (!recorded) {
+    std::cout << "\ncannot open " << path << "\n";
+    return 3;
+  }
+  Dirt want = *recorded;
+  int diffs = 0;
+  std::cout << "\n";
+  for (const auto& [key, value] : now) {
+    const auto it = want.find(key);
+    if (it == want.end()) {
+      std::cout << "  " << key << ": not in " << path << ", now " << value << "\n";
+      ++diffs;
+      continue;
+    }
+    if (it->second != value) {
+      std::cout << "  " << key << ": recorded " << it->second << ", now " << value << "\n";
+      ++diffs;
+    }
+    want.erase(it);
+  }
+  for (const auto& [key, value] : want) {
+    std::cout << "  " << key << ": recorded " << value << ", no longer reported\n";
+    ++diffs;
+  }
+  if (diffs > 0) {
+    std::cout << diffs << " dirt value(s) differ from " << path << "\n";
+    return 3;
+  }
+  std::cout << "all " << now.size() << " dirt values match " << path << "\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
-  if (const auto unknown =
-          cli.first_unknown({"fast", "iters", "seed", "csv", "huge", "telemetry-ceiling"})) {
+  if (const auto unknown = cli.first_unknown(
+          {"fast", "iters", "seed", "csv", "huge", "telemetry-ceiling", "check"})) {
     std::cerr << "unknown flag --" << *unknown << "\n";
     return 1;
   }
@@ -110,6 +185,7 @@ int main(int argc, char** argv) {
   const long inc_iters = full_iters * (fast ? 25 : 10);
   const std::string csv = cli.get_string("csv", "");
   const double telemetry_ceiling = cli.get_double("telemetry-ceiling", 0.0);
+  const std::string check_path = cli.get_string("check", "");
 
   std::vector<ShapeCase> cases = {
       {{4, 2, 4}, 2}, {{2, 8, 2}, 2}, {{8, 1, 4}, 2}, {{4, 4, 2}, 2},  // 32 GPUs
@@ -141,6 +217,7 @@ int main(int argc, char** argv) {
   common::Table table({"shape", "gpus", "full mv/s", "incr mv/s", "speedup", "match",
                        "dirt hist %"});
   common::Table kinds_table({"shape", "kind", "mv/s", "mean dirt"});
+  Dirt dirt;
 
   const common::Stopwatch progress;
   for (const auto& c : cases) {
@@ -240,15 +317,17 @@ int main(int argc, char** argv) {
       for (int k = 0; k < 5; ++k) {
         const auto ks = static_cast<std::size_t>(k);
         const double mean = kind_count[ks] > 0 ? kind_dirt_sum[ks] / kind_count[ks] : 0.0;
+        dirt[c.pc.str() + " " + kKindName[ks]] = common::fmt_fixed(mean, 1);
         kinds_table.add_row({c.pc.str(), kKindName[ks], common::fmt_count(kind_rate[ks]),
-                             common::fmt_fixed(mean, 1)});
+                             dirt[c.pc.str() + " " + kKindName[ks]]});
       }
     }
 
     const double speedup = inc_rate / full_rate;
+    dirt[c.pc.str()] = fmt_hist(dirt_hist, probes);
     table.add_row({c.pc.str(), std::to_string(c.pc.ways()), common::fmt_count(full_rate),
                    common::fmt_count(inc_rate), common::fmt_fixed(speedup, 1) + "x",
-                   match ? "yes" : "NO", fmt_hist(dirt_hist, probes)});
+                   match ? "yes" : "NO", dirt[c.pc.str()]});
     if (!match) {
       std::cerr << "MISMATCH on " << c.pc.str()
                 << ": incremental and full-evaluation SA must agree\n";
@@ -347,5 +426,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return check_path.empty() ? 0 : check_dirt(dirt, check_path);
 }

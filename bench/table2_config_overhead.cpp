@@ -28,7 +28,9 @@
 //                     relative; the halving winner must not regress quality)
 #include <algorithm>
 #include <fstream>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 
 #include "bench_common.h"
 #include "common/stopwatch.h"
@@ -54,6 +56,14 @@ ArmRun run_arm(core::PipetteConfigurator& ppt, const cluster::Topology& topo,
   r.sim_ok = out.success;
   r.sim_s = out.success ? out.run.time_s : 0.0;
   return r;
+}
+
+/// The overhead column in scientific notation: a memoized request is about
+/// 2e-5 % of its training run, which fixed notation prints as zero.
+std::string fmt_sci(double v) {
+  std::ostringstream ss;
+  ss << std::scientific << std::setprecision(2) << v;
+  return ss.str();
 }
 
 std::string phase_cells(const core::ConfiguratorResult& rec) {
@@ -151,7 +161,7 @@ int main(int argc, char** argv) {
                    std::to_string(a.rec.shapes_profiled) + "/" +
                        std::to_string(a.rec.shapes_reused),
                    a.sim_ok ? common::fmt_duration(a.sim_s) : "OOM",
-                   common::fmt_fixed(overhead_pct, 4)});
+                   fmt_sci(overhead_pct)});
       };
       add("legacy", row.legacy, 0.0);
       add("memoized", row.memoized, row.legacy.wall_s / std::max(1e-9, row.memoized.wall_s));

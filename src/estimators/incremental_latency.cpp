@@ -36,7 +36,6 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   inter_bw_ = model.bw_->inter_readings().data();
   intra_bw_ = model.bw_->intra_readings().data();
   num_groups_ = pp_ * tp_;
-  pair_stride_ = num_nodes_ * num_nodes_;
   rounds_ = static_cast<double>(model.nmb_) / pc.pp;
   flow_bytes_ = model.pp_msg_bytes_ / pc.tp;
   ppcomm_scale_ = model.ppcomm_scale_;
@@ -90,7 +89,7 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   hop_.assign(static_cast<std::size_t>(hops * dp_), 0.0);
   path_.assign(static_cast<std::size_t>(dp_), 0.0);
   flow_pair_.assign(static_cast<std::size_t>(flows), -1);
-  pair_count_.assign(static_cast<std::size_t>(hops) * static_cast<std::size_t>(pair_stride_), 0);
+  gpu_out_.assign(static_cast<std::size_t>(num_gpus), -1);
   g_min_intra_.assign(static_cast<std::size_t>(groups), 0.0);
   g_min_inter_.assign(static_cast<std::size_t>(groups), 0.0);
   g_max_same_.assign(static_cast<std::size_t>(groups), 1);
@@ -108,7 +107,6 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   stamp_group_.assign(static_cast<std::size_t>(groups), 0);
   stamp_flow_.assign(static_cast<std::size_t>(flows), 0);
   stamp_col_.assign(static_cast<std::size_t>(hops * dp_), 0);
-  stamp_pair_.assign(pair_count_.size(), 0);
   stamp_path_.assign(static_cast<std::size_t>(dp_), 0);
   stamp_term_.assign(static_cast<std::size_t>(groups), 0);
   stamp_node_.assign(static_cast<std::size_t>(num_nodes_), 0);
@@ -130,15 +128,14 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   undo_path_.resize(static_cast<std::size_t>(dp_));
   undo_term_.resize(static_cast<std::size_t>(groups));
   undo_flow_pair_.resize(static_cast<std::size_t>(std::max(1, flows)));
-  pair_deltas_.reserve(static_cast<std::size_t>(2 * std::max(1, flows)));
+  // One write per dirty flow's upstream GPU, touched last-stage GPU, and GPU
+  // a node move emptied; the last two are touched positions' GPUs.
+  undo_out_.reserve(static_cast<std::size_t>(flows + 2 * n));
   undo_g_min_intra_.resize(static_cast<std::size_t>(groups));
   undo_g_min_inter_.resize(static_cast<std::size_t>(groups));
   undo_g_max_same_.resize(static_cast<std::size_t>(groups));
   undo_g_num_nodes_.resize(static_cast<std::size_t>(groups));
   undo_g_nodes_.resize(static_cast<std::size_t>(groups * dp_));
-  pair_head_.assign(pair_count_.size(), -1);
-  flow_next_.assign(static_cast<std::size_t>(std::max(1, flows)), -1);
-  flow_prev_.assign(static_cast<std::size_t>(std::max(1, flows)), -1);
   scratch_node_.resize(static_cast<std::size_t>(dp_));
   scratch_gpu_.resize(static_cast<std::size_t>(dp_));
   scratch_counts_.assign(static_cast<std::size_t>(num_nodes_), 0);
@@ -147,7 +144,7 @@ IncrementalLatencyEvaluator::IncrementalLatencyEvaluator(const PipetteLatencyMod
   // The slow-pair prefix, only where some ring can be dense. partial_sort_copy
   // keeps the K lowest pair ids without materialising all N(N-1) pairs.
   if (dp_ * dp_ > kDenseRingSqPerNode * num_nodes_) {
-    auto pairs = std::views::iota(0, pair_stride_) | std::views::filter([this](int p) {
+    auto pairs = std::views::iota(0, num_nodes_ * num_nodes_) | std::views::filter([this](int p) {
                    return p / num_nodes_ != p % num_nodes_ && !std::isnan(inter_bw_[p]);
                  });
     std::vector<int> ids(static_cast<std::size_t>(kSlowPairsPerNode * num_nodes_));
@@ -173,23 +170,10 @@ double IncrementalLatencyEvaluator::bw_at(int g1, int g2) const {
                    static_cast<std::size_t>(g2 - n1 * link_gpn_)];
 }
 
-void IncrementalLatencyEvaluator::link_flow(int fl, int idx) {
-  const int h = pair_head_[static_cast<std::size_t>(idx)];
-  flow_next_[static_cast<std::size_t>(fl)] = h;
-  flow_prev_[static_cast<std::size_t>(fl)] = -1;
-  if (h >= 0) flow_prev_[static_cast<std::size_t>(h)] = fl;
-  pair_head_[static_cast<std::size_t>(idx)] = fl;
-}
-
-void IncrementalLatencyEvaluator::unlink_flow(int fl, int idx) {
-  const int nx = flow_next_[static_cast<std::size_t>(fl)];
-  const int pv = flow_prev_[static_cast<std::size_t>(fl)];
-  if (pv >= 0) {
-    flow_next_[static_cast<std::size_t>(pv)] = nx;
-  } else {
-    pair_head_[static_cast<std::size_t>(idx)] = nx;
-  }
-  if (nx >= 0) flow_prev_[static_cast<std::size_t>(nx)] = pv;
+void IncrementalLatencyEvaluator::set_out(int gpu, int key) {
+  int& slot = gpu_out_[static_cast<std::size_t>(gpu)];
+  undo_out_.push_back({gpu, slot});
+  slot = key;
 }
 
 void IncrementalLatencyEvaluator::recompute_tp_cell(int stage, int dpr) {
@@ -225,8 +209,8 @@ void IncrementalLatencyEvaluator::recompute_block(int stage) {
 
 void IncrementalLatencyEvaluator::reprice_hop_column(int hop, int dpr) {
   // Mirrors the per-replica flow pricing of PipetteLatencyModel::pp_comm_term;
-  // the NIC-sharing counts are maintained incrementally in pair_count_, so
-  // the full model's O(dp·tp) sharing scan per flow becomes one lookup.
+  // gpu_out_'s keys turn the full model's O(dp·tp) sharing scan per flow into
+  // a compare over the upstream node's gpus_per_node keys.
   const double intra_lat = model_->links_.intra_latency_s;
   const double inter_lat = model_->links_.inter_latency_s;
   const int base = (hop * dp_ + dpr) * tp_;
@@ -236,17 +220,26 @@ void IncrementalLatencyEvaluator::reprice_hop_column(int hop, int dpr) {
   // the same order, so the column is bit-identical.
   const int* up = cur_.raw().data() + (dpr * pp_ + hop) * tp_;
   double slowest = 0.0;
+  // A cell's tp lanes usually share one node pair: count a run of equal
+  // pairs once, as the upstream node's GPUs keyed for the downstream node.
+  int counted_pair = -1, count = 0;
   for (int y = 0; y < tp_; ++y) {
     const int pair = flow_pair_[static_cast<std::size_t>(base + y)];
+    const int g1 = up[y];
+    const int g2 = up[y + tp_];
     double bytes = flow_bytes_;
     double lat = intra_lat;
     if (pair >= 0) {
-      bytes = shared_sum_[static_cast<std::size_t>(
-          pair_count_[static_cast<std::size_t>(hop * pair_stride_ + pair)])];
+      if (pair != counted_pair) {
+        counted_pair = pair;
+        const int* out = gpu_out_.data() + node_of_gpu_[static_cast<std::size_t>(g1)] * link_gpn_;
+        const int key = hop * num_nodes_ + node_of_gpu_[static_cast<std::size_t>(g2)];
+        count = 0;
+        for (int o = 0; o < link_gpn_; ++o) count += out[o] == key;
+      }
+      bytes = shared_sum_[static_cast<std::size_t>(count)];
       lat = inter_lat;
     }
-    const int g1 = up[y];
-    const int g2 = up[y + tp_];
     const double fwd = bytes / bw_at(g1, g2) + lat;
     const double bwd = bytes / bw_at(g2, g1) + lat;
     const double s = fwd + bwd;
@@ -469,10 +462,7 @@ void IncrementalLatencyEvaluator::full_recompute() {
     }
     recompute_block(x);
   }
-  std::fill(pair_count_.begin(), pair_count_.end(), 0);
-  std::fill(pair_head_.begin(), pair_head_.end(), -1);
-  std::fill(flow_next_.begin(), flow_next_.end(), -1);
-  std::fill(flow_prev_.begin(), flow_prev_.end(), -1);
+  std::fill(gpu_out_.begin(), gpu_out_.end(), -1);
   for (int e = 0; e + 1 < pp_; ++e) {
     for (int z = 0; z < dp_; ++z) {
       for (int y = 0; y < tp_; ++y) {
@@ -480,14 +470,9 @@ void IncrementalLatencyEvaluator::full_recompute() {
         const int g2 = cur_.gpu_of(e + 1, y, z);
         const int n1 = node_of_gpu_[static_cast<std::size_t>(g1)];
         const int n2 = node_of_gpu_[static_cast<std::size_t>(g2)];
-        const int pair = n1 == n2 ? -1 : n1 * num_nodes_ + n2;
-        const auto fl = static_cast<std::size_t>((e * dp_ + z) * tp_ + y);
-        flow_pair_[fl] = pair;
-        if (pair >= 0) {
-          const int idx = e * pair_stride_ + pair;
-          link_flow(static_cast<int>(fl), idx);
-          ++pair_count_[static_cast<std::size_t>(idx)];
-        }
+        flow_pair_[static_cast<std::size_t>((e * dp_ + z) * tp_ + y)] =
+            n1 == n2 ? -1 : n1 * num_nodes_ + n2;
+        gpu_out_[static_cast<std::size_t>(g1)] = e * num_nodes_ + n2;
       }
     }
   }
@@ -613,7 +598,7 @@ double IncrementalLatencyEvaluator::propose(const parallel::Move& mv, double max
   dirty_terms_.clear();
   changed_nodes_.clear();
   changed_pairs_.clear();
-  pair_deltas_.clear();
+  undo_out_.clear();
   apply_and_collect(mv);
   if (touched_pos_.empty()) {
     // Self-inverse draw (a == b): the mapping is unchanged, so the cost is
@@ -628,7 +613,6 @@ double IncrementalLatencyEvaluator::propose(const parallel::Move& mv, double max
     std::fill(stamp_group_.begin(), stamp_group_.end(), 0u);
     std::fill(stamp_flow_.begin(), stamp_flow_.end(), 0u);
     std::fill(stamp_col_.begin(), stamp_col_.end(), 0u);
-    std::fill(stamp_pair_.begin(), stamp_pair_.end(), 0u);
     std::fill(stamp_path_.begin(), stamp_path_.end(), 0u);
     std::fill(stamp_term_.begin(), stamp_term_.end(), 0u);
     std::fill(stamp_node_.begin(), stamp_node_.end(), 0u);
@@ -751,10 +735,13 @@ void IncrementalLatencyEvaluator::price_dp_phase() {
 void IncrementalLatencyEvaluator::price_pipeline_phase() {
   // Pipeline flows: collect the flow into and out of each touched worker's
   // stage (both on the worker's own (tp, dp) lane), refresh each such flow's
-  // ordered node pair and the per-(hop, pair) sharing counts, then reprice
-  // exactly the columns that hold a touched flow or a flow whose sharing
-  // count changed, and refold exactly the per-replica path sums holding a
-  // repriced column.
+  // ordered node pair and gpu_out_ key, then reprice exactly the columns
+  // that hold a touched flow or a flow whose sharing count changed, and
+  // refold exactly the per-replica path sums holding a repriced column.
+  using parallel::MoveKind;
+  const bool node_move = pending_move_.kind == MoveKind::kNodeSwap ||
+                         pending_move_.kind == MoveKind::kNodeReverse;
+  const int* perm = cur_.raw().data();
   for (const int p : touched_pos_) {
     const int x = pos_stage_[static_cast<std::size_t>(p)];
     const int y = pos_tpr_[static_cast<std::size_t>(p)];
@@ -772,15 +759,23 @@ void IncrementalLatencyEvaluator::price_pipeline_phase() {
         stamp_flow_[static_cast<std::size_t>(fl)] = epoch_;
         dirty_flows_.push_back({fl, x, z, p});
       }
+    } else {
+      set_out(perm[p], -1);  // a last-stage worker sends no flow
     }
   }
-  const int* perm = cur_.raw().data();
+  if (node_move) {
+    // With partial node blocks a node move can leave GPUs empty.
+    for (const int g : undo_gpu_) {
+      if (inv_pos_[static_cast<std::size_t>(g)] < 0) set_out(g, -1);
+    }
+  }
   for (std::size_t fi = 0; fi < dirty_flows_.size(); ++fi) {
     const DirtyFlow& df = dirty_flows_[fi];
     const int g1 = perm[df.w1];
     const int g2 = perm[df.w1 + tp_];
     const int n1 = node_of_gpu_[static_cast<std::size_t>(g1)];
     const int n2 = node_of_gpu_[static_cast<std::size_t>(g2)];
+    set_out(g1, df.hop * num_nodes_ + n2);
     const int new_pair = n1 == n2 ? -1 : n1 * num_nodes_ + n2;
     const int old_pair = flow_pair_[static_cast<std::size_t>(df.idx)];
     undo_flow_pair_[fi] = old_pair;
@@ -791,37 +786,38 @@ void IncrementalLatencyEvaluator::price_pipeline_phase() {
     }
     if (new_pair == old_pair) continue;
     flow_pair_[static_cast<std::size_t>(df.idx)] = new_pair;
-    if (old_pair >= 0) {
-      const int idx = df.hop * pair_stride_ + old_pair;
-      unlink_flow(df.idx, idx);
-      --pair_count_[static_cast<std::size_t>(idx)];
-      pair_deltas_.push_back({idx, -1});
-      if (stamp_pair_[static_cast<std::size_t>(idx)] != epoch_) {
-        stamp_pair_[static_cast<std::size_t>(idx)] = epoch_;
-        changed_pairs_.push_back({idx, df.hop, old_pair});
-      }
-    }
-    if (new_pair >= 0) {
-      const int idx = df.hop * pair_stride_ + new_pair;
-      link_flow(df.idx, idx);
-      ++pair_count_[static_cast<std::size_t>(idx)];
-      pair_deltas_.push_back({idx, +1});
-      if (stamp_pair_[static_cast<std::size_t>(idx)] != epoch_) {
-        stamp_pair_[static_cast<std::size_t>(idx)] = epoch_;
-        changed_pairs_.push_back({idx, df.hop, new_pair});
-      }
+    if (node_move) continue;  // node moves need no sweep (below)
+    // Dedup for the sweep below (a repeat only sweeps twice): a touched
+    // worker's in- and out-flow come in turn, each leaving one pair for
+    // another, so the next lane of a cell repeats the entries four back.
+    for (const int pair : {old_pair, new_pair}) {
+      if (pair < 0) continue;
+      const auto recent =
+          changed_pairs_.end() - std::min<std::ptrdiff_t>(4, std::ssize(changed_pairs_));
+      const bool repeat = std::any_of(recent, changed_pairs_.end(), [&](const ChangedPair& cp) {
+        return cp.hop == df.hop && cp.pair == pair;
+      });
+      if (!repeat) changed_pairs_.push_back({df.hop, pair});
     }
   }
-  // Every flow sharing a changed (hop, pair) needs its column repriced: the
-  // intrusive sharing list yields exactly those flows, replacing a dp x tp
-  // column sweep per changed pair with a walk over its members.
-  for (const ChangedPair& cp : changed_pairs_) {
-    for (int fl = pair_head_[static_cast<std::size_t>(cp.idx)]; fl >= 0;
-         fl = flow_next_[static_cast<std::size_t>(fl)]) {
-      const int col = fl / tp_;
-      if (stamp_col_[static_cast<std::size_t>(col)] == epoch_) continue;  // already dirty
-      stamp_col_[static_cast<std::size_t>(col)] = epoch_;
-      dirty_cols_.push_back({col, cp.hop, col - cp.hop * dp_});
+  // Every flow on a changed (hop, pair) needs its column repriced. A node
+  // move needs no sweep for them: it relabels whole nodes, so a pair whose
+  // count it changed has a relabelled node at one end, every worker now on
+  // that node was moved, and every flow on the pair — with an endpoint on
+  // that node — is one of the dirty flows above, its column already marked.
+  // A string move sweeps each changed pair's upstream node for its flows.
+  if (!node_move) {
+    for (const ChangedPair& cp : changed_pairs_) {
+      const int up = cp.pair / num_nodes_;
+      const int key = cp.hop * num_nodes_ + cp.pair % num_nodes_;
+      for (int g = up * link_gpn_; g < (up + 1) * link_gpn_; ++g) {
+        if (gpu_out_[static_cast<std::size_t>(g)] != key) continue;
+        const int z = pos_dpr_[static_cast<std::size_t>(inv_pos_[static_cast<std::size_t>(g)])];
+        const int col = cp.hop * dp_ + z;
+        if (stamp_col_[static_cast<std::size_t>(col)] == epoch_) continue;  // already dirty
+        stamp_col_[static_cast<std::size_t>(col)] = epoch_;
+        dirty_cols_.push_back({col, cp.hop, z});
+      }
     }
   }
   for (std::size_t i = 0; i < dirty_cols_.size(); ++i) {
@@ -861,18 +857,11 @@ void IncrementalLatencyEvaluator::rollback() {
   for (std::size_t i = 0; i < dirty_stages_.size(); ++i) {
     block_[static_cast<std::size_t>(dirty_stages_[i])] = undo_block_[i];
   }
-  for (const PairDelta& pd : pair_deltas_) {
-    pair_count_[static_cast<std::size_t>(pd.idx)] -= pd.delta;
+  for (auto it = undo_out_.rbegin(); it != undo_out_.rend(); ++it) {
+    gpu_out_[static_cast<std::size_t>(it->gpu)] = it->old_key;
   }
   for (std::size_t fi = 0; fi < dirty_flows_.size(); ++fi) {
-    const DirtyFlow& df = dirty_flows_[fi];
-    const auto fl = static_cast<std::size_t>(df.idx);
-    const int old_pair = undo_flow_pair_[fi];
-    if (flow_pair_[fl] != old_pair) {  // re-home the flow in the sharing lists
-      if (flow_pair_[fl] >= 0) unlink_flow(df.idx, df.hop * pair_stride_ + flow_pair_[fl]);
-      if (old_pair >= 0) link_flow(df.idx, df.hop * pair_stride_ + old_pair);
-    }
-    flow_pair_[fl] = old_pair;
+    flow_pair_[static_cast<std::size_t>(dirty_flows_[fi].idx)] = undo_flow_pair_[fi];
   }
   for (std::size_t i = 0; i < dirty_cols_.size(); ++i) {
     hop_[static_cast<std::size_t>(dirty_cols_[i].idx)] = undo_hop_[i];

@@ -7,9 +7,11 @@
 // decomposition and recomputes just what a move dirtied:
 //
 //   * per (stage, dp-replica) TP cell: the T_TP ring term,
-//   * per (hop, dp-replica) column: the slowest fwd+bwd pipeline transfer,
-//     with the NIC-sharing flow counts per (hop, ordered node pair) kept
-//     incrementally so untouched columns are never repriced,
+//   * per (hop, dp-replica) column: the slowest fwd+bwd pipeline transfer.
+//     Each GPU keeps one key for the flow its worker sends, (hop, downstream
+//     node), so a flow's NIC-sharing count is a compare over its upstream
+//     node's keys, and a move reprices only the columns holding a moved flow
+//     or a flow on a node pair whose sharing count it changed,
 //   * per (stage, tp-rank) DP ring: the member-node census and min profiled
 //     bandwidths, plus per-node crossing-ring counts and a node→groups
 //     reverse index, so a ring term is recomputed only when its own stats or
@@ -122,7 +124,7 @@ class IncrementalLatencyEvaluator {
   void commit();
 
   /// Undoes the pending move exactly: the mapping, every cached term, and the
-  /// flow counts return to their committed values.
+  /// flow keys return to their committed values.
   void rollback();
 
   /// Dirty-set sizes of the last propose() (valid until the next propose).
@@ -137,11 +139,8 @@ class IncrementalLatencyEvaluator {
   /// Appends the live workers of node block `node` to the touched/undo/new
   /// scratch, relabelled by `delta_nodes` blocks (node-move collection).
   void collect_node_block(int node, int delta_nodes);
-  /// Intrusive per-(hop, node-pair) sharing-list maintenance: flows with
-  /// flow_pair_ == pair are enumerable in O(sharing flows) instead of the
-  /// O(dp·tp) column scan per changed pair.
-  void link_flow(int fl, int idx);
-  void unlink_flow(int fl, int idx);
+  /// Sets gpu_out_[gpu] = key, logging the old key for rollback.
+  void set_out(int gpu, int key);
   void recompute_tp_cell(int stage, int dpr);
   void recompute_block(int stage);
   void reprice_hop_column(int hop, int dpr);
@@ -196,7 +195,6 @@ class IncrementalLatencyEvaluator {
   int num_nodes_ = 1;      ///< nodes of the profiled fabric
   int link_gpn_ = 1;       ///< node width of the profiled fabric
   int num_groups_ = 1;     ///< pp · tp (DP rings)
-  int pair_stride_ = 1;    ///< num_nodes_² (ordered node pairs per hop)
   double rounds_ = 1.0;    ///< n_mb / pp of Eq. (3)
   double flow_bytes_ = 0.0;  ///< per-TP-rank pipeline flow (pp_msg / tp)
   /// Interleaving constants copied from the model so reduce() folds the
@@ -221,17 +219,18 @@ class IncrementalLatencyEvaluator {
   std::vector<double> path_;     ///< [dpr] blocked sum of the replica's hops
   std::vector<int> flow_pair_;   ///< [(hop*dp + dpr)*tp + tpr] ordered node
                                  ///< pair id of the flow, -1 when intra-node
-  std::vector<int> pair_count_;  ///< [hop*pair_stride + pair] sharing flows
+  /// [gpu] hop·num_nodes + downstream node of the pipeline flow the GPU's
+  /// worker sends; -1 when the GPU holds no worker or a last-stage one. A
+  /// GPU holds at most one worker and a worker sends at most one flow, so
+  /// the flows of hop h on node pair (a, b) are exactly node a's GPUs keyed
+  /// h·num_nodes + b: every sharing count is a compare over one node's
+  /// contiguous entries, and no table is sized by node pairs.
+  std::vector<int> gpu_out_;
   std::vector<double> g_min_intra_, g_min_inter_;  ///< [stage*tp + tpr]
   std::vector<int> g_max_same_, g_num_nodes_;
   std::vector<int> g_nodes_;     ///< [gidx*dp + i] distinct member nodes
   std::vector<int> node_flows_;  ///< crossing rings resident per node
   std::vector<double> g_term_;   ///< [gidx] cached DP ring term of Eq. (6)
-  /// Sharing lists: pair_head_[hop*pair_stride + pair] heads an intrusive
-  /// doubly-linked list (flow_next_/flow_prev_) of the flows currently on
-  /// that ordered node pair. List order is arbitrary (it only drives which
-  /// columns get marked dirty, a set); membership mirrors flow_pair_.
-  std::vector<int> pair_head_, flow_next_, flow_prev_;
   /// The model's profiled readings (views, not copies):
   /// BandwidthMatrix::inter_readings() and intra_readings().
   const double* inter_bw_ = nullptr;  ///< [n1*num_nodes + n2]
@@ -275,7 +274,7 @@ class IncrementalLatencyEvaluator {
   // Dirty tracking (epoch stamps dedup without clearing).
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> stamp_cell_, stamp_stage_, stamp_group_;
-  std::vector<std::uint32_t> stamp_flow_, stamp_col_, stamp_pair_;
+  std::vector<std::uint32_t> stamp_flow_, stamp_col_;
   std::vector<std::uint32_t> stamp_path_, stamp_term_, stamp_node_;
   struct DirtyCell {
     int idx, stage, dpr;
@@ -305,7 +304,7 @@ class IncrementalLatencyEvaluator {
   };
   std::vector<ChangedNode> changed_nodes_;
   struct ChangedPair {
-    int idx, hop, pair;
+    int hop, pair;
   };
   std::vector<ChangedPair> changed_pairs_;
 
@@ -321,10 +320,10 @@ class IncrementalLatencyEvaluator {
   std::vector<int> new_gpu_;   ///< node-move scratch: post-move GPUs
   std::vector<double> undo_tp_, undo_block_, undo_hop_, undo_path_, undo_term_;
   std::vector<int> undo_flow_pair_;  ///< parallel to dirty_flows_
-  struct PairDelta {
-    int idx, delta;
+  struct OutWrite {
+    int gpu, old_key;
   };
-  std::vector<PairDelta> pair_deltas_;
+  std::vector<OutWrite> undo_out_;  ///< every gpu_out_ write, in order
   std::vector<double> undo_g_min_intra_, undo_g_min_inter_;
   std::vector<int> undo_g_max_same_, undo_g_num_nodes_, undo_g_nodes_;
 

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -25,6 +28,55 @@
 #include "search/sa.h"
 
 using namespace pipette;
+
+namespace {
+
+/// Global operator new calls made while g_count_news is set.
+std::atomic<bool> g_count_news{false};
+std::atomic<long> g_news{0};
+
+}  // namespace
+
+// Counting replacements of every unaligned global allocation function, all
+// on malloc and free, so a sanitizer sees matched pairs whichever form a
+// library calls; no evaluator type is over-aligned. Kept out of line, so the
+// compiler never sees a free() of memory it knows came from operator new and
+// warns of a mismatched pair.
+namespace {
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_count_news.load(std::memory_order_relaxed)) g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size) { return operator new(size); }
+
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -191,13 +243,57 @@ TEST(IncrementalEquivalence, SingleNodeClusterDegeneratesSafely) {
   }
 }
 
+TEST(IncrementalEquivalence, PartlyFilledLastNodeMatchesFullModel) {
+  // Fewer workers than GPUs: the Megatron default fills the last node only
+  // partly, so a node move that takes it swaps a full block for a partial
+  // one and leaves GPUs empty, which then send no pipeline flow. The deep
+  // shapes make pipeline sharing counts matter to the cost.
+  for (const auto& [pc, nodes] : {std::pair{parallel::ParallelConfig{7, 1, 4}, 4},
+                                  std::pair{parallel::ParallelConfig{6, 2, 3}, 5}}) {
+    const Fixture fx(cluster::Topology(cluster::mid_range_cluster(nodes),
+                                       cluster::HeterogeneityOptions{}, 12345),
+                     {model::gpt_3_1b(), 512}, parallel::TrainPlan{pc, 2});
+    ASSERT_LT(pc.ways(), fx.topo.num_gpus());
+    const auto model = fx.model();
+    const int gpn = fx.topo.gpus_per_node();
+    parallel::Mapping committed = parallel::Mapping::megatron_default(fx.pc);
+    estimators::IncrementalLatencyEvaluator eval(model, committed);
+    common::Rng rng(11);
+    common::Rng bound_rng(12);
+    StopCounts counts;
+    int node_moves = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+      const auto mv = search::draw_mapping_move(committed, rng, {}, gpn);
+      node_moves += mv.kind == parallel::MoveKind::kNodeSwap ||
+                    mv.kind == parallel::MoveKind::kNodeReverse;
+      parallel::Mapping moved = committed;
+      parallel::apply_move(moved, mv, gpn);
+      ASSERT_EQ(propose_bounded(eval, mv, random_bound(bound_rng, eval.cost()), counts),
+                model.estimate(moved))
+          << pc.str() << " iter " << iter << " kind " << static_cast<int>(mv.kind);
+      if (rng.bernoulli(0.5)) {
+        eval.commit();
+        committed = std::move(moved);
+      } else {
+        eval.rollback();
+        ASSERT_EQ(eval.cost(), model.estimate(committed)) << pc.str() << " iter " << iter;
+      }
+    }
+    EXPECT_GT(node_moves, 0) << pc.str();
+  }
+}
+
 // 256-GPU shapes. pp4-tp8-dp8 rings start with one member per node; the
 // DP-heavy shapes start with four (tp2) and two (tp4) members per node, so
 // their rings fold same-node pairs bucket by bucket from the intra-node
-// table on every move kind. The 1024-GPU shapes are the race's dense
-// candidates: their rings span 128 and 64 of the 128 nodes, more than
-// √(2·128) = 16, so the evaluator prices their inter-node mins from the
-// fabric's slow-pair prefix.
+// table on every move kind. The 1024-GPU shapes pp1-tp8-dp128 and
+// pp2-tp8-dp64 are the race's dense candidates: their rings span 128 and 64
+// of the 128 nodes, more than √(2·128) = 16, so the evaluator prices their
+// inter-node mins from the fabric's slow-pair prefix. The deep shapes price
+// NIC sharing at scale: pp32-tp4-dp8 (the core of a 128-node winner) has 31
+// hops whose columns share many node pairs, and the tp1 and tp2 shapes on 32
+// nodes let a string move split a node pair's flows without moving a whole
+// cell.
 class TieredBandwidth : public testing::TestWithParam<parallel::ParallelConfig> {
  protected:
   /// Sweeps `iters` random moves of all five kinds, committing or rolling
@@ -256,7 +352,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TieredBandwidth,
                                          parallel::ParallelConfig{1, 2, 128},
                                          parallel::ParallelConfig{2, 4, 32},
                                          parallel::ParallelConfig{1, 8, 128},
-                                         parallel::ParallelConfig{2, 8, 64}));
+                                         parallel::ParallelConfig{2, 8, 64},
+                                         parallel::ParallelConfig{32, 4, 8},
+                                         parallel::ParallelConfig{16, 1, 16},
+                                         parallel::ParallelConfig{8, 2, 16}));
 
 TEST_F(TieredBandwidth, TiedReadingsFallBackToTheMemberPairLoop) {
   // A homogeneous, noise-free fabric: every inter-node reading ties, so the
@@ -282,6 +381,46 @@ TEST_F(TieredBandwidth, TiedReadingsFallBackToTheMemberPairLoop) {
   estimators::IncrementalLatencyEvaluator eval(model, parallel::Mapping::megatron_default(fx.pc));
   sweep(fx, model, eval, 2026, 300);
 }
+
+// The proposal path allocates nothing: every table, dirty list, undo log and
+// scratch buffer is sized at construction. Random moves of all five kinds
+// under random Metropolis bounds, each committed or rolled back at random
+// (a bounded stop always rolls back), on 4-, 32- and 128-node fabrics.
+class ProposalPath : public testing::TestWithParam<parallel::ParallelConfig> {};
+
+TEST_P(ProposalPath, AllocatesNothingAfterConstruction) {
+  const Fixture fx(GetParam(), 2);
+  const auto model = fx.model();
+  const int gpn = fx.topo.gpus_per_node();
+  estimators::IncrementalLatencyEvaluator eval(model, parallel::Mapping::megatron_default(fx.pc));
+  common::Rng rng(31);
+  common::Rng bound_rng(32);
+  int stops = 0, commits = 0;
+  g_news = 0;
+  g_count_news = true;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const auto mv = search::draw_mapping_move(eval.mapping(), rng, {}, gpn);
+    eval.propose(mv, random_bound(bound_rng, eval.cost()));
+    stops += !eval.exact();
+    if (eval.exact() && rng.bernoulli(0.5)) {
+      eval.commit();
+      ++commits;
+    } else {
+      eval.rollback();
+    }
+  }
+  g_count_news = false;
+  EXPECT_EQ(g_news.load(), 0) << fx.pc.str();
+  EXPECT_EQ(eval.cost(), model.estimate(eval.mapping())) << fx.pc.str();
+  EXPECT_GT(stops, 0);
+  EXPECT_GT(commits, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ProposalPath,
+                         testing::Values(parallel::ParallelConfig{4, 2, 4},
+                                         parallel::ParallelConfig{8, 1, 4},
+                                         parallel::ParallelConfig{32, 1, 8},
+                                         parallel::ParallelConfig{16, 8, 8}));
 
 // An exact oracle over node permutations. On a fabric of at most 8 nodes
 // every relabelling of the Megatron default's nodes can be priced: Heap's
